@@ -59,9 +59,9 @@ int main(int argc, char** argv) {
                   "composed with --scale (e.g. \"gc_horizon=0,64\")");
   args.add_option("runs", "1", "engine runs");
   args.add_option("jobs", "1", "cross-run worker threads (runs overlap at >1)");
-  args.add_option("threads", "0",
+  args.add_option("threads", "1",
                   "intra-run worker threads for the spawn-batch arena fill "
-                  "(0 = hardware; omit for the serial sampling stream)");
+                  "(0 = hardware); changes speed, never results");
   args.add_option("budget", "900",
                   "wall budget in seconds for the whole bench (0 = off)");
   args.add_option("queue-budget", "0",
@@ -116,9 +116,7 @@ int main(int argc, char** argv) {
   for (const exp::GridPoint& extra : cells) {
     sim::Scenario scenario = *preset;
     scenario.runs = static_cast<int>(args.integer("runs"));
-    if (args.provided("threads")) {
-      scenario.threads = static_cast<unsigned>(args.integer("threads"));
-    }
+    scenario.threads = static_cast<unsigned>(args.integer("threads"));
     // The scale axis applies first so a user grid can still override
     // derived knobs afterwards; the composed cell labels the JSON sweep.
     exp::GridPoint cell{{"scale", scale}};

@@ -1,8 +1,7 @@
-// Membership-table construction at giant group sizes: the pre-PR O(S²)
+// Membership-table construction at giant group sizes: the original O(S²)
 // builder (inlined below as the measured reference) against
-// build_frozen_tables in kLegacy (bit-exact stream, incremental candidate
-// buffer + undo) and kFast (Floyd draws, new stream) modes, one group per
-// size, no supertopics.
+// build_frozen_tables (Floyd draws into a CSR arena, one worker), one
+// group per size, no supertopics.
 //
 //   bench_table_build_scale [--sizes=10000,100000,1000000]
 //                           [--naive-cap=10000] [--csv=out.csv]
@@ -10,9 +9,8 @@
 // The naive builder spends O(S) rebuilding the candidate pool per process,
 // so S=1e5 costs minutes and S=1e6 hours; sizes above --naive-cap print an
 // extrapolated time (cost is quadratic: x100 per decade) instead of
-// running it. Where the naive builder does run, its tables are asserted
-// bit-identical to the kLegacy CSR arena — the same check
-// tests/core/frozen_tables_test.cpp pins, here at bench scale.
+// running it. The two builders draw different streams; only their cost is
+// compared.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -31,10 +29,9 @@
 namespace {
 
 using dam::core::FrozenSimConfig;
-using dam::core::GroupTables;
 
-/// The seed repository's table build (commit 3c9afe7), verbatim modulo
-/// names: one pool rebuild + one sample copy per process.
+/// The original table build, verbatim modulo names: one pool rebuild +
+/// one sample copy per process.
 std::vector<std::vector<std::uint32_t>> naive_topic_tables(
     std::size_t size, std::size_t view_size, dam::util::Rng& rng) {
   std::vector<std::vector<std::uint32_t>> table(size);
@@ -84,12 +81,12 @@ int main(int argc, char** argv) {
   std::unique_ptr<util::CsvWriter> csv;
   if (!args.str("csv").empty()) {
     csv = std::make_unique<util::CsvWriter>(args.str("csv"));
-    csv->header({"size", "naive_seconds", "naive_measured", "legacy_seconds",
-                 "fast_seconds", "arena_mib"});
+    csv->header({"size", "naive_seconds", "naive_measured", "csr_seconds",
+                 "arena_mib"});
   }
 
-  util::ConsoleTable table({"S", "naive (O(S²))", "legacy CSR", "fast CSR",
-                            "speedup", "arena MiB"});
+  util::ConsoleTable table(
+      {"S", "naive (O(S²))", "CSR", "speedup", "arena MiB"});
   double naive_per_s2 = 0.0;  // seconds per S² from the largest measured run
 
   for (const std::size_t size : sizes) {
@@ -106,11 +103,10 @@ int main(int argc, char** argv) {
 
     const bool run_naive = size <= naive_cap;
     double naive_seconds = 0.0;
-    std::vector<std::vector<std::uint32_t>> reference;
     if (run_naive) {
       util::Rng rng(config.seed);
       const auto start = std::chrono::steady_clock::now();
-      reference = naive_topic_tables(size, view_size, rng);
+      (void)naive_topic_tables(size, view_size, rng);
       naive_seconds = seconds_since(start);
       naive_per_s2 = naive_seconds / (static_cast<double>(size) *
                                       static_cast<double>(size));
@@ -119,58 +115,34 @@ int main(int argc, char** argv) {
                       static_cast<double>(size);
     }
 
-    util::Rng legacy_rng(config.seed);
-    auto start = std::chrono::steady_clock::now();
-    config.table_build = core::TableBuild::kLegacy;
-    const core::FrozenTables legacy =
-        core::build_frozen_tables(config, legacy_rng);
-    const double legacy_seconds = seconds_since(start);
-
-    util::Rng fast_rng(config.seed);
-    start = std::chrono::steady_clock::now();
-    config.table_build = core::TableBuild::kFast;
-    const core::FrozenTables fast =
-        core::build_frozen_tables(config, fast_rng);
-    const double fast_seconds = seconds_since(start);
-
-    if (run_naive) {
-      const GroupTables& group = legacy.groups[0];
-      for (std::size_t i = 0; i < size; ++i) {
-        const auto row = group.topic_row(i);
-        if (!std::equal(row.begin(), row.end(), reference[i].begin(),
-                        reference[i].end())) {
-          std::cerr << "bench_table_build_scale: legacy CSR diverged from "
-                       "the naive reference at S="
-                    << size << ", process " << i << "\n";
-          return 1;
-        }
-      }
-    }
+    const auto start = std::chrono::steady_clock::now();
+    const core::FrozenTables tables =
+        core::build_frozen_tables(config, util::Rng(config.seed));
+    const double csr_seconds = seconds_since(start);
 
     const double arena_mib =
-        static_cast<double>(legacy.arena_bytes()) / (1024.0 * 1024.0);
+        static_cast<double>(tables.arena_bytes()) / (1024.0 * 1024.0);
     const std::string naive_cell =
         naive_seconds <= 0.0
             ? std::string("-")
             : util::fixed(naive_seconds, 2) + (run_naive ? "s" : "s est.");
     table.row_strings(
         {std::to_string(size), naive_cell,
-         util::fixed(legacy_seconds, 3) + "s",
-         util::fixed(fast_seconds, 3) + "s",
+         util::fixed(csr_seconds, 3) + "s",
          naive_seconds > 0.0
-             ? util::fixed(naive_seconds / legacy_seconds, 0) + "x"
+             ? util::fixed(naive_seconds / csr_seconds, 0) + "x"
              : std::string("-"),
          util::fixed(arena_mib, 1)});
     if (csv) {
-      csv->row(size, naive_seconds, run_naive ? 1 : 0, legacy_seconds,
-               fast_seconds, arena_mib);
+      csv->row(size, naive_seconds, run_naive ? 1 : 0, csr_seconds,
+               arena_mib);
     }
   }
 
   std::cout << "\n=== membership-table construction, one group ===\n"
-               "naive = pre-PR per-process pool copy; legacy CSR = same RNG "
-               "stream,\nincremental candidate buffer; fast CSR = Floyd "
-               "draws, new stream.\n\n";
+               "naive = original per-process pool copy; CSR = "
+               "build_frozen_tables\n(Floyd draws into one arena, one "
+               "worker).\n\n";
   table.print(std::cout);
   return 0;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -22,13 +21,10 @@ struct Coord {
   std::uint32_t index;
 };
 
-// --- Sharded-stream constants (FrozenSimConfig::threads set). --------------
-//
 // Chunk sizes are FIXED so the chunk grid — and with it every forked RNG
 // stream and the chunk-order merge — is a pure function of the config,
-// never of the worker count. That is the whole determinism contract:
-// threads=1 and threads=8 walk the identical chunk grid, only the
-// execution interleaving differs.
+// never of the worker count: threads=1 and threads=8 walk the identical
+// chunk grid, only the execution interleaving differs.
 
 /// Table rows per build task. Must stay a multiple of 64: the stillborn
 /// alive flags are a bit-packed vector<bool>, and word-aligned chunk
@@ -38,8 +34,8 @@ constexpr std::size_t kRowChunk = 4096;
 /// Frontier coords per wave task.
 constexpr std::size_t kWaveChunk = 1024;
 
-/// Fork salts separating the sharded streams (arbitrary, fixed forever —
-/// they are part of the sharded stream definition).
+/// Fork salts separating the streams (arbitrary, fixed forever — they are
+/// part of the stream definition).
 constexpr std::uint64_t kGroupSalt = 0x7AB1E000ULL;  ///< per-group tables
 constexpr std::uint64_t kRoundSalt = 0x3A7E000ULL;   ///< per-round waves
 
@@ -47,44 +43,6 @@ void check_offset_range(std::size_t entries) {
   if (entries > std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument(
         "build_frozen_tables: arena exceeds uint32 offsets");
-  }
-}
-
-/// Topic-table rows, legacy stream: reproduce, draw for draw, the historical
-///   others = [0..S-1] \ {i}; table[i] = rng.sample(others, view_size);
-/// without ever copying the pool. The candidate buffer IS others_i at the
-/// top of each iteration: sample_with_undo restores it after the partial
-/// Fisher–Yates, and stepping i -> i+1 changes exactly one slot (position i
-/// holds i+1 in others_i and i in others_{i+1}; every other position is
-/// identical). O(k) per process after the one O(S) fill.
-void build_topic_rows_legacy(GroupTables& group, std::size_t view_size,
-                             std::vector<std::uint32_t>& candidates,
-                             util::Rng& rng) {
-  const std::size_t size = group.size;
-  candidates.resize(size - 1);
-  for (std::uint32_t j = 0; j + 1 < size; ++j) candidates[j] = j + 1;
-  for (std::size_t i = 0; i < size; ++i) {
-    const std::size_t written = rng.sample_with_undo(
-        std::span<std::uint32_t>(candidates), view_size,
-        group.topic_entries.data() + group.topic_offsets[i]);
-    group.topic_offsets[i + 1] =
-        group.topic_offsets[i] + static_cast<std::uint32_t>(written);
-    if (i + 1 < size) candidates[i] = static_cast<std::uint32_t>(i);
-  }
-}
-
-void build_topic_rows_fast(GroupTables& group, std::size_t view_size,
-                           util::Rng& rng) {
-  const std::size_t size = group.size;
-  for (std::size_t i = 0; i < size; ++i) {
-    std::uint32_t* row = group.topic_entries.data() + group.topic_offsets[i];
-    const std::size_t written = rng.draw_distinct_below(size - 1, view_size, row);
-    // Drawn over [0, S-1); shift past self to land on [0, S) \ {i}.
-    for (std::size_t e = 0; e < written; ++e) {
-      if (row[e] >= i) ++row[e];
-    }
-    group.topic_offsets[i + 1] =
-        group.topic_offsets[i] + static_cast<std::uint32_t>(written);
   }
 }
 
@@ -97,25 +55,24 @@ const TopicParams& params_for_topic(const FrozenSimConfig& config,
   return config.params[std::min(topic, config.params.size() - 1)];
 }
 
-namespace {
-
-/// Sharded-stream table build (threads set, kFast only): offsets are laid
-/// out serially (row widths are pure functions of the sizes), then every
-/// kRowChunk-row block of every group fills from its own stream
+/// Offsets are laid out serially (row widths are pure functions of the
+/// sizes), then every kRowChunk-row block of every group fills from its
+/// own stream
 ///   rng.fork(kGroupSalt + topic).fork(purpose).fork(chunk)
-/// (purpose 0 = alive flags, 1 = topic rows, 2+slot = supertopic slot), so
-/// the tables are bit-identical for any worker count. Only forks `rng`,
-/// never consumes it — the caller's stream position is untouched.
-FrozenTables build_frozen_tables_sharded(const FrozenSimConfig& config,
-                                         const util::Rng& rng,
-                                         unsigned threads) {
+/// (purpose 0 = alive flags, 1 = topic rows, 2+slot = supertopic slot).
+FrozenTables build_frozen_tables(const FrozenSimConfig& config,
+                                 const util::Rng& rng) {
   const topics::TopicDag& dag = *config.dag;
   const bool stillborn = config.failure_mode == FrozenFailureMode::kStillborn;
   const double fail_probability = 1.0 - config.alive_fraction;
 
   FrozenTables tables;
   tables.groups.resize(dag.size());
-  std::vector<std::function<void()>> tasks;
+  struct RowChunk {
+    std::uint32_t topic;
+    std::size_t chunk;
+  };
+  std::vector<RowChunk> chunks;
 
   for (std::uint32_t topic = 0; topic < dag.size(); ++topic) {
     GroupTables& group = tables.groups[topic];
@@ -125,8 +82,9 @@ FrozenTables build_frozen_tables_sharded(const FrozenSimConfig& config,
     group.parent_count = parents.size();
     group.alive.assign(group.size, true);
 
-    // kFast rows all have the full width (draw_distinct_below always
-    // returns min(k, n)), so the CSR offsets are uniform and need no draw.
+    // Topic table: (b+1)·ln(S) uniform group members (failed ones stay in —
+    // "the membership algorithm does not replace a failed process"). Every
+    // row has the full width, so the CSR offsets are uniform.
     const std::size_t view_size =
         std::min(params.view_capacity(group.size), group.size - 1);
     check_offset_range(group.size * view_size);
@@ -136,6 +94,8 @@ FrozenTables build_frozen_tables_sharded(const FrozenSimConfig& config,
     }
     group.topic_entries.resize(group.size * view_size);
 
+    // One supertopic table of z uniform parent-group members per direct
+    // supertopic; CSR rows are process-major.
     std::size_t super_width = 0;
     for (std::size_t slot = 0; slot < parents.size(); ++slot) {
       super_width +=
@@ -154,150 +114,45 @@ FrozenTables build_frozen_tables_sharded(const FrozenSimConfig& config,
     }
     group.super_offsets[group.size * parents.size()] = running;
 
-    const util::Rng group_base = rng.fork(kGroupSalt + topic);
-    const std::size_t chunk_count = (group.size + kRowChunk - 1) / kRowChunk;
-    for (std::size_t chunk = 0; chunk < chunk_count; ++chunk) {
-      const std::size_t lo = chunk * kRowChunk;
-      const std::size_t hi = std::min(group.size, lo + kRowChunk);
-      tasks.push_back([&group, &config, &params, &parents, group_base, chunk,
-                       lo, hi, view_size, stillborn, fail_probability] {
-        if (stillborn && fail_probability > 0.0) {
-          util::Rng alive_rng = group_base.fork(0).fork(chunk);
-          for (std::size_t i = lo; i < hi; ++i) {
-            if (alive_rng.bernoulli(fail_probability)) group.alive[i] = false;
-          }
-        }
-        if (group.size > 1) {
-          util::Rng row_rng = group_base.fork(1).fork(chunk);
-          for (std::size_t i = lo; i < hi; ++i) {
-            std::uint32_t* row =
-                group.topic_entries.data() + group.topic_offsets[i];
-            const std::size_t written =
-                row_rng.draw_distinct_below(group.size - 1, view_size, row);
-            // Drawn over [0, S-1); shift past self to land on [0, S) \ {i}.
-            for (std::size_t e = 0; e < written; ++e) {
-              if (row[e] >= i) ++row[e];
-            }
-          }
-        }
-        for (std::size_t slot = 0; slot < parents.size(); ++slot) {
-          const std::size_t parent_size =
-              config.group_sizes[parents[slot].value];
-          util::Rng super_rng = group_base.fork(2 + slot).fork(chunk);
-          for (std::size_t i = lo; i < hi; ++i) {
-            std::uint32_t* row =
-                group.super_entries.data() +
-                group.super_offsets[i * parents.size() + slot];
-            super_rng.draw_distinct_below(parent_size, params.z, row);
-          }
-        }
-      });
+    for (std::size_t lo = 0; lo < group.size; lo += kRowChunk) {
+      chunks.push_back(RowChunk{topic, lo / kRowChunk});
     }
   }
-  util::run_parallel(tasks, threads);
-  return tables;
-}
 
-}  // namespace
-
-FrozenTables build_frozen_tables(const FrozenSimConfig& config,
-                                 util::Rng& rng) {
-  if (config.threads.has_value()) {
-    if (config.table_build != TableBuild::kFast) {
-      throw std::invalid_argument(
-          "build_frozen_tables: TableBuild::kLegacy is single-thread-only "
-          "(each draw permutes the candidate buffer the next draw reads); "
-          "use TableBuild::kFast with threads");
-    }
-    return build_frozen_tables_sharded(config, rng,
-                                       util::resolve_threads(*config.threads));
-  }
-  const topics::TopicDag& dag = *config.dag;
-  const bool stillborn = config.failure_mode == FrozenFailureMode::kStillborn;
-  const bool fast = config.table_build == TableBuild::kFast;
-  const double fail_probability = 1.0 - config.alive_fraction;
-
-  FrozenTables tables;
-  tables.groups.resize(dag.size());
-  // Reused across groups in legacy mode; grows once to the largest group.
-  std::vector<std::uint32_t> candidates;
-
-  // Draw order per topic (alive flags, then every topic table, then every
-  // supertopic table, parent slot-major) is load-bearing in legacy mode: it
-  // matches the historical StaticSimulation stream on path DAGs.
-  for (std::uint32_t topic = 0; topic < dag.size(); ++topic) {
+  util::run_parallel(chunks.size(), config.threads, [&](std::size_t task) {
+    const auto [topic, chunk] = chunks[task];
     GroupTables& group = tables.groups[topic];
-    group.size = config.group_sizes[topic];
     const TopicParams& params = params_for_topic(config, topic);
     const auto& parents = dag.supers(topics::DagTopicId{topic});
-    group.parent_count = parents.size();
-
-    group.alive.assign(group.size, true);
-    if (stillborn) {
-      for (std::size_t i = 0; i < group.size; ++i) {
-        if (rng.bernoulli(fail_probability)) group.alive[i] = false;
+    const util::Rng group_base = rng.fork(kGroupSalt + topic);
+    const std::size_t lo = chunk * kRowChunk;
+    const std::size_t hi = std::min(group.size, lo + kRowChunk);
+    if (stillborn && fail_probability > 0.0) {
+      util::Rng alive_rng = group_base.fork(0).fork(chunk);
+      for (std::size_t i = lo; i < hi; ++i) {
+        if (alive_rng.bernoulli(fail_probability)) group.alive[i] = false;
       }
     }
-
-    // Topic table: (b+1)·ln(S) uniform group members (failed ones stay in —
-    // "the membership algorithm does not replace a failed process").
-    const std::size_t view_size =
-        std::min(params.view_capacity(group.size), group.size - 1);
-    check_offset_range(group.size * view_size);
-    group.topic_offsets.assign(group.size + 1, 0);
-    group.topic_entries.resize(group.size * view_size);
     if (group.size > 1) {
-      if (fast) {
-        build_topic_rows_fast(group, view_size, rng);
-      } else {
-        build_topic_rows_legacy(group, view_size, candidates, rng);
+      util::Rng row_rng = group_base.fork(1).fork(chunk);
+      const std::size_t view_size = group.topic_offsets[1];  // uniform rows
+      std::uint32_t* row = group.topic_entries.data() + lo * view_size;
+      for (std::size_t i = lo; i < hi; ++i, row += view_size) {
+        row_rng.draw_distinct_below(group.size - 1, view_size, row);
+        // Drawn over [0, S-1); shift past self to land on [0, S) \ {i}.
+        for (std::size_t e = 0; e < view_size; ++e) row[e] += row[e] >= i;
       }
     }
-    group.topic_entries.resize(group.topic_offsets[group.size]);
-
-    // One supertopic table of z uniform parent-group members per direct
-    // supertopic. The legacy builder refilled [0..P) once per slot and let
-    // sample() copy it per process; here sample_with_undo borrows the same
-    // buffer and restores it, so no per-process update is needed at all.
-    std::size_t super_width = 0;
-    for (std::size_t slot = 0; slot < parents.size(); ++slot) {
-      super_width += std::min(params.z, config.group_sizes[parents[slot].value]);
-    }
-    check_offset_range(group.size * super_width);
-    group.super_offsets.assign(group.size * parents.size() + 1, 0);
-    group.super_entries.resize(group.size * super_width);
-    // Slot-major draw order (all of slot 0, then all of slot 1, ...) is the
-    // historical order; the CSR rows are process-major, so offsets are laid
-    // out first and each slot column is filled through them.
-    std::uint32_t running = 0;
-    for (std::size_t i = 0; i < group.size; ++i) {
-      for (std::size_t slot = 0; slot < parents.size(); ++slot) {
-        group.super_offsets[i * parents.size() + slot] = running;
-        running += static_cast<std::uint32_t>(
-            std::min(params.z, config.group_sizes[parents[slot].value]));
-      }
-    }
-    group.super_offsets[group.size * parents.size()] = running;
     for (std::size_t slot = 0; slot < parents.size(); ++slot) {
       const std::size_t parent_size = config.group_sizes[parents[slot].value];
-      if (fast) {
-        for (std::size_t i = 0; i < group.size; ++i) {
-          std::uint32_t* row = group.super_entries.data() +
-                               group.super_offsets[i * parents.size() + slot];
-          rng.draw_distinct_below(parent_size, params.z, row);
-        }
-      } else {
-        candidates.resize(parent_size);
-        for (std::uint32_t j = 0; j < parent_size; ++j) candidates[j] = j;
-        for (std::size_t i = 0; i < group.size; ++i) {
-          rng.sample_with_undo(
-              std::span<std::uint32_t>(candidates), params.z,
-              group.super_entries.data() +
-                  group.super_offsets[i * parents.size() + slot]);
-        }
+      util::Rng super_rng = group_base.fork(2 + slot).fork(chunk);
+      for (std::size_t i = lo; i < hi; ++i) {
+        std::uint32_t* row = group.super_entries.data() +
+                             group.super_offsets[i * parents.size() + slot];
+        super_rng.draw_distinct_below(parent_size, params.z, row);
       }
     }
-  }
+  });
   return tables;
 }
 
@@ -344,9 +199,9 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
     delivered[topic].assign(groups[topic].size, false);
   }
 
-  // Churn regime: sample per-process outage schedules AFTER the tables, so
-  // the table draw order (and thus every other regime's stream) is
-  // untouched. Processes get global ids group-major: pid = offset + index.
+  // Churn regime: per-process outage schedules are the first draws of the
+  // run stream (the tables only fork it). Processes get global ids
+  // group-major: pid = offset + index.
   std::vector<std::uint32_t> pid_offset(dag.size(), 0);
   std::optional<sim::ChurnFailures> churn;
   if (churning) {
@@ -366,21 +221,6 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       waves_started)
             .count();
-  };
-
-  // A message to (topic, index) gets through iff the channel coin succeeds
-  // AND the target is (perceived) alive — at the current round in the
-  // churn regime.
-  auto delivered_ok = [&](const TopicParams& params, std::uint32_t topic,
-                          const GroupTables& target_group,
-                          std::uint32_t target) {
-    if (!protocol::channel_delivers(params.psucc, rng)) return false;
-    if (stillborn) return static_cast<bool>(target_group.alive[target]);
-    if (churning) {
-      return churn->alive(topics::ProcessId{pid_offset[topic] + target},
-                          rounds);
-    }
-    return !rng.bernoulli(fail_probability);  // dynamic perception
   };
 
   // --- Pick the publisher. ------------------------------------------------
@@ -419,7 +259,6 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
     return result;
   }
 
-  // --- Synchronous dissemination waves (Fig. 5 + Fig. 7). -----------------
   auto note_delivery = [&](std::uint32_t topic, std::size_t round) {
     auto& group_result = result.groups[topic];
     if (!group_result.first_delivery_round) {
@@ -430,18 +269,16 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
       result.deliveries_per_round.resize(round + 1, 0);
     }
     ++result.deliveries_per_round[round];
-    // One publication at round 0: latency == delivery round. Both wave
-    // loops reach here in a fixed order (serial emission order, or the
-    // sharded loop's chunk-order merge), so the sketch is deterministic.
+    // One publication at round 0: latency == delivery round. The wave loop
+    // reaches here in chunk-merge order, so the sketch is deterministic.
     result.latency_sketch.add(static_cast<double>(round));
   };
 
   // Frontiers are two flat vectors swapped per round; together with the
-  // reused fanout scratch this keeps the wave loop allocation-free at
-  // steady state (the old deques churned a chunk allocation per block).
+  // reused chunk scratch this keeps the wave loop allocation-free at
+  // steady state.
   std::vector<Coord> frontier;
   std::vector<Coord> next;
-  std::vector<std::uint32_t> fanout_scratch;
   {
     const std::uint32_t publisher =
         alive_candidates[rng.below(alive_candidates.size())];
@@ -450,185 +287,115 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
     frontier.push_back(Coord{publish, publisher});
   }
 
-  if (config.threads.has_value()) {
-    // --- Sharded wave loop: bit-identical for ANY thread count. -----------
-    // The frontier is cut into fixed kWaveChunk blocks; chunk c of round r
-    // draws from rng.fork(kRoundSalt + r).fork(c), reads the round-start
-    // `delivered` flags, and accumulates its sends/receptions locally.
-    // The serial merge then walks chunks IN CHUNK ORDER, resolving
-    // same-round duplicate receptions and building the next frontier —
-    // so neither the streams nor the merge depend on the worker count.
-    // (A NEW stream relative to threads-unset, by design; see the config.)
-    const unsigned threads = util::resolve_threads(*config.threads);
-    struct ChunkState {
-      util::Rng rng{0};
-      std::vector<Coord> accepted;  ///< candidate receptions, emission order
-      std::vector<std::uint32_t> fanout_scratch;
-      // Per-topic counter deltas (dense; topic counts are small).
-      std::vector<std::uint64_t> intra_sent, inter_sent, inter_received,
-          duplicates;
-    };
-    std::vector<ChunkState> chunks;  // indexed by chunk id, reused per round
-    std::vector<std::function<void()>> tasks;
-    while (!frontier.empty()) {
-      ++rounds;
-      next.clear();
-      const std::size_t chunk_count =
-          (frontier.size() + kWaveChunk - 1) / kWaveChunk;
-      if (chunks.size() < chunk_count) chunks.resize(chunk_count);
-      const util::Rng round_base = rng.fork(kRoundSalt + rounds);
-      tasks.clear();
-      for (std::size_t c = 0; c < chunk_count; ++c) {
-        const std::size_t lo = c * kWaveChunk;
-        const std::size_t hi = std::min(frontier.size(), lo + kWaveChunk);
-        tasks.push_back([&, round_base, c, lo, hi] {
-          ChunkState& cs = chunks[c];
-          cs.rng = round_base.fork(c);
-          cs.accepted.clear();
-          cs.intra_sent.assign(dag.size(), 0);
-          cs.inter_sent.assign(dag.size(), 0);
-          cs.inter_received.assign(dag.size(), 0);
-          cs.duplicates.assign(dag.size(), 0);
-          // Chunk-local twin of the serial delivered_ok lambda, drawing
-          // its coins from the chunk's stream.
-          auto chunk_delivered_ok = [&](const TopicParams& params,
-                                        std::uint32_t topic,
-                                        const GroupTables& target_group,
-                                        std::uint32_t target) {
-            if (!protocol::channel_delivers(params.psucc, cs.rng)) {
-              return false;
-            }
-            if (stillborn) {
-              return static_cast<bool>(target_group.alive[target]);
-            }
-            if (churning) {
-              return churn->alive(
-                  topics::ProcessId{pid_offset[topic] + target}, rounds);
-            }
-            return !cs.rng.bernoulli(fail_probability);
-          };
-          for (std::size_t f = lo; f < hi; ++f) {
-            const Coord& coord = frontier[f];
-            const GroupTables& group = groups[coord.topic];
-            const TopicParams& params = params_for_topic(config, coord.topic);
-            const auto& parents =
-                dag.supers(topics::DagTopicId{coord.topic});
-            for (std::size_t slot = 0; slot < parents.size(); ++slot) {
-              const std::uint32_t parent = parents[slot].value;
-              const GroupTables& parent_group = groups[parent];
-              protocol::for_each_intergroup_target(
-                  params, group.size, group.super_row(coord.index, slot),
-                  cs.rng, [&](std::uint32_t target) {
-                    ++cs.inter_sent[coord.topic];
-                    if (!chunk_delivered_ok(params, parent, parent_group,
-                                            target)) {
-                      return;
-                    }
-                    ++cs.inter_received[parent];
-                    if (delivered[parent][target]) {
-                      // Delivered in an EARLIER round — a duplicate no
-                      // matter what other chunks emit; classify in-chunk.
-                      ++cs.duplicates[parent];
-                      return;
-                    }
-                    // Same-round duplicates resolve at the merge.
-                    cs.accepted.push_back(Coord{parent, target});
-                  });
-            }
-            protocol::fanout_targets_into(params, group.size,
-                                          group.topic_row(coord.index),
-                                          cs.rng, cs.fanout_scratch);
-            for (std::uint32_t target : cs.fanout_scratch) {
-              ++cs.intra_sent[coord.topic];
-              if (!chunk_delivered_ok(params, coord.topic, group, target)) {
-                continue;
-              }
-              if (delivered[coord.topic][target]) {
-                ++cs.duplicates[coord.topic];
-                continue;
-              }
-              cs.accepted.push_back(Coord{coord.topic, target});
-            }
-          }
-        });
-      }
-      util::run_parallel(tasks, threads);
-      // Merge in chunk order — the one order every thread count agrees on.
-      for (std::size_t c = 0; c < chunk_count; ++c) {
-        ChunkState& cs = chunks[c];
-        for (std::uint32_t topic = 0; topic < dag.size(); ++topic) {
-          auto& group_result = result.groups[topic];
-          group_result.intra_sent += cs.intra_sent[topic];
-          group_result.inter_sent += cs.inter_sent[topic];
-          group_result.inter_received += cs.inter_received[topic];
-          group_result.duplicate_deliveries += cs.duplicates[topic];
+  // --- Synchronous dissemination waves (Fig. 5 + Fig. 7). -----------------
+  // The frontier is cut into fixed kWaveChunk blocks; chunk c of round r
+  // draws from rng.fork(kRoundSalt + r).fork(c), reads the round-start
+  // `delivered` flags, and collects its sends and receptions locally. The
+  // merge then walks chunks IN CHUNK ORDER, resolving same-round duplicate
+  // receptions and building the next frontier — so neither the streams
+  // nor the merge depend on the worker count.
+  struct TopicCounts {
+    std::uint64_t intra_sent = 0;
+    std::uint64_t inter_sent = 0;
+    std::uint64_t inter_received = 0;
+    std::uint64_t duplicates = 0;
+  };
+  struct ChunkState {
+    std::vector<Coord> accepted;  ///< candidate receptions, emission order
+    std::vector<std::uint32_t> fanout_scratch;
+    std::vector<TopicCounts> counts;  ///< per topic (topic counts are small)
+  };
+  std::vector<ChunkState> chunks;  // indexed by chunk id, reused per round
+  while (!frontier.empty()) {
+    ++rounds;
+    next.clear();
+    const std::size_t chunk_count =
+        (frontier.size() + kWaveChunk - 1) / kWaveChunk;
+    if (chunks.size() < chunk_count) chunks.resize(chunk_count);
+    const util::Rng round_base = rng.fork(kRoundSalt + rounds);
+    util::run_parallel(chunk_count, config.threads, [&](std::size_t c) {
+      ChunkState& cs = chunks[c];
+      util::Rng chunk_rng = round_base.fork(c);
+      cs.accepted.clear();
+      cs.counts.assign(dag.size(), TopicCounts{});
+      // A message to (topic, index) gets through iff the channel coin
+      // succeeds AND the target is (perceived) alive — at the current round
+      // in the churn regime.
+      const auto gets_through = [&](const TopicParams& params,
+                                    std::uint32_t topic,
+                                    std::uint32_t target) {
+        if (!protocol::channel_delivers(params.psucc, chunk_rng)) return false;
+        if (stillborn) return static_cast<bool>(groups[topic].alive[target]);
+        if (churning) {
+          return churn->alive(topics::ProcessId{pid_offset[topic] + target},
+                              rounds);
         }
-        for (const Coord& coord : cs.accepted) {
-          if (delivered[coord.topic][coord.index]) {
-            ++result.groups[coord.topic].duplicate_deliveries;
-            continue;
-          }
-          delivered[coord.topic][coord.index] = true;
-          note_delivery(coord.topic, rounds);
-          next.push_back(coord);
+        return !chunk_rng.bernoulli(fail_probability);  // dynamic perception
+      };
+      // A reception by a member delivered in an EARLIER round is a
+      // duplicate whatever other chunks emit; same-round duplicates
+      // resolve at the merge.
+      const auto receive = [&](std::uint32_t topic, std::uint32_t target) {
+        if (delivered[topic][target]) {
+          ++cs.counts[topic].duplicates;
+        } else {
+          cs.accepted.push_back(Coord{topic, target});
         }
-      }
-      frontier.swap(next);
-    }
-  } else {
-    // --- Serial wave loop (threads unset): the historical stream. ---------
-    while (!frontier.empty()) {
-      ++rounds;
-      next.clear();
-      for (const Coord& coord : frontier) {
-        GroupTables& group = groups[coord.topic];
+      };
+      const std::size_t hi = std::min(frontier.size(), (c + 1) * kWaveChunk);
+      for (std::size_t f = c * kWaveChunk; f < hi; ++f) {
+        const Coord coord = frontier[f];
+        const GroupTables& group = groups[coord.topic];
         const TopicParams& params = params_for_topic(config, coord.topic);
-        auto& my_result = result.groups[coord.topic];
         const auto& parents = dag.supers(topics::DagTopicId{coord.topic});
-
         // (1) Intergroup legs (Fig. 7 lines 3–7): one independent election
         // per direct supertopic, then pa per table entry. Roots have no
         // parents and skip this.
         for (std::size_t slot = 0; slot < parents.size(); ++slot) {
           const std::uint32_t parent = parents[slot].value;
-          GroupTables& parent_group = groups[parent];
           protocol::for_each_intergroup_target(
-              params, group.size, group.super_row(coord.index, slot), rng,
-              [&](std::uint32_t target) {
-                ++my_result.inter_sent;
-                if (!delivered_ok(params, parent, parent_group, target)) {
-                  return;
-                }
-                ++result.groups[parent].inter_received;
-                if (delivered[parent][target]) {
-                  ++result.groups[parent].duplicate_deliveries;
-                  return;
-                }
-                delivered[parent][target] = true;
-                note_delivery(parent, rounds);
-                next.push_back(Coord{parent, target});
+              params, group.size, group.super_row(coord.index, slot),
+              chunk_rng, [&](std::uint32_t target) {
+                ++cs.counts[coord.topic].inter_sent;
+                if (!gets_through(params, parent, target)) return;
+                ++cs.counts[parent].inter_received;
+                receive(parent, target);
               });
         }
-
         // (2) Intra-group gossip leg (Fig. 7 lines 8–14): fanout distinct
         // targets, without replacement (the Ω set).
         protocol::fanout_targets_into(params, group.size,
-                                      group.topic_row(coord.index), rng,
-                                      fanout_scratch);
-        for (std::uint32_t target : fanout_scratch) {
-          ++my_result.intra_sent;
-          if (!delivered_ok(params, coord.topic, group, target)) continue;
-          if (delivered[coord.topic][target]) {
-            ++my_result.duplicate_deliveries;
-            continue;
+                                      group.topic_row(coord.index), chunk_rng,
+                                      cs.fanout_scratch);
+        cs.counts[coord.topic].intra_sent += cs.fanout_scratch.size();
+        for (std::uint32_t target : cs.fanout_scratch) {
+          if (gets_through(params, coord.topic, target)) {
+            receive(coord.topic, target);
           }
-          delivered[coord.topic][target] = true;
-          note_delivery(coord.topic, rounds);
-          next.push_back(Coord{coord.topic, target});
         }
       }
-      frontier.swap(next);
+    });
+    // Merge in chunk order — the one order every thread count agrees on.
+    for (std::size_t c = 0; c < chunk_count; ++c) {
+      const ChunkState& cs = chunks[c];
+      for (std::uint32_t topic = 0; topic < dag.size(); ++topic) {
+        auto& group_result = result.groups[topic];
+        group_result.intra_sent += cs.counts[topic].intra_sent;
+        group_result.inter_sent += cs.counts[topic].inter_sent;
+        group_result.inter_received += cs.counts[topic].inter_received;
+        group_result.duplicate_deliveries += cs.counts[topic].duplicates;
+      }
+      for (const Coord& coord : cs.accepted) {
+        if (delivered[coord.topic][coord.index]) {
+          ++result.groups[coord.topic].duplicate_deliveries;
+          continue;
+        }
+        delivered[coord.topic][coord.index] = true;
+        note_delivery(coord.topic, rounds);
+        next.push_back(coord);
+      }
     }
+    frontier.swap(next);
   }
 
   // --- Final accounting. --------------------------------------------------
@@ -655,8 +422,8 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
 
   // --- Flight recorder (post-hoc). ----------------------------------------
   // Built from the already chunk-order-merged deliveries_per_round, never
-  // from inside the wave loops, so the RNG streams and goldens are
-  // untouched and the timeline is bit-identical for every --threads value.
+  // from inside the wave loop, so it never touches the RNG streams and is
+  // bit-identical for every --threads value.
   // One publication at round 0 means latency == delivery round.
   result.timeline.note_publish(0);
   for (std::size_t round = 0; round < result.deliveries_per_round.size();

@@ -18,10 +18,10 @@
 // core/static_sim.hpp and core/dag_sim.hpp are thin adapters over this
 // engine that preserve the historical config/result structs.
 //
-// RNG compatibility: for a path DAG whose topics were added root-first,
-// this engine consumes the seed stream exactly like the original
-// StaticSimulation, so historical per-seed counters are reproduced
-// bit-for-bit (tests/core/engine_agreement_test.cpp pins that).
+// One RNG stream per seed: table rows and wave frontiers are cut into
+// fixed-size chunks, each drawing from its own stream forked from the run
+// seed, and chunk results merge in chunk order. `threads` only decides how
+// many workers fill the chunks, so it changes speed, never results.
 #pragma once
 
 #include <cstdint>
@@ -45,19 +45,6 @@ enum class FrozenFailureMode {
                        ///< (Fig. 11)
   kChurn,              ///< crash/recovery outages on a precomputed schedule
                        ///< (sim::ChurnFailures); alive_fraction is ignored
-};
-
-/// How the frozen membership tables are sampled.
-enum class TableBuild {
-  kLegacy,  ///< Bit-for-bit the historical stream: the same Fisher–Yates
-            ///< draws the old per-process pool-copy builder made, realized
-            ///< in O(S·k) per group via an incrementally-maintained
-            ///< candidate buffer and swap-undo (see build_frozen_tables).
-            ///< Default, so every existing scenario stays bit-identical.
-  kFast,    ///< Floyd-style distinct-index draws straight into the arena:
-            ///< a NEW stream (statistically equivalent tables, different
-            ///< bits), no candidate buffer at all. Use for giant groups
-            ///< (S >= 1e5) where even the O(S) buffer walk matters.
 };
 
 /// Churn regime knobs (FrozenFailureMode::kChurn): every process suffers
@@ -89,21 +76,10 @@ struct FrozenSimConfig {
   topics::DagTopicId publish_topic{};
   std::uint64_t seed = 1;
 
-  TableBuild table_build = TableBuild::kLegacy;
-
-  /// Intra-run parallelism. Unset (default): the historical fully-serial
-  /// RNG streams — every existing per-seed golden stays bit-identical.
-  /// Set (0 = hardware concurrency): the SHARDED streams — table rows and
-  /// wave frontiers are cut into fixed-size chunks, each chunk draws from
-  /// its own stream forked from (seed, phase, chunk), and chunk results
-  /// merge in chunk order. Chunking never depends on the worker count, so
-  /// sharded results are bit-identical for EVERY threads value (1, 2, 8,
-  /// ...) — but they are a NEW stream relative to unset, exactly like
-  /// TableBuild::kFast is a new stream relative to kLegacy. kLegacy's
-  /// stream is inherently sequential (each draw permutes the candidate
-  /// buffer the next draw reads), so kLegacy + threads throws
-  /// std::invalid_argument: it is documented single-thread-only.
-  std::optional<unsigned> threads;
+  /// Workers that fill table-row and wave-frontier chunks (0 = hardware
+  /// concurrency). The chunk grid never depends on it, so results are
+  /// bit-identical for every value.
+  unsigned threads = 1;
 };
 
 // The CSR membership arena itself (core::GroupTables) lives in
@@ -122,16 +98,12 @@ struct FrozenTables {
   }
 };
 
-/// Builds the frozen membership tables (and the stillborn alive flags,
-/// which the historical stream interleaves with them) by drawing from
-/// `rng`. With TableBuild::kLegacy the stream consumption — and therefore
-/// every table entry — is bit-identical to the historical builder that
-/// copied an (S-1)-element candidate pool per process; with kFast the
-/// draws are Floyd-style and the stream is new. `config.dag`,
-/// `group_sizes`, and `params` must already be validated (the engine's
-/// entry point does this).
+/// Builds the frozen membership tables and the stillborn alive flags from
+/// streams forked off `rng` (which is only forked, never advanced). Each
+/// row is a Floyd-style distinct draw. `config.dag`, `group_sizes`, and
+/// `params` must already be validated (the engine's entry point does this).
 [[nodiscard]] FrozenTables build_frozen_tables(const FrozenSimConfig& config,
-                                               util::Rng& rng);
+                                               const util::Rng& rng);
 
 struct FrozenGroupResult {
   std::size_t size = 0;              ///< S_Ti
@@ -166,14 +138,13 @@ struct FrozenRunResult {
   std::uint64_t total_messages = 0;
 
   /// First-time deliveries per round (index = round; round 0 is the
-  /// publisher's own delivery). Counts are order-independent, so the
-  /// timeline is identical between the serial and sharded wave loops.
+  /// publisher's own delivery).
   std::vector<std::uint64_t> deliveries_per_round;
 
   /// Per-delivery latency distribution. With one publication at round 0
   /// the latency of a delivery IS its round, recorded through the same
-  /// note_delivery path as the timeline (chunk-order merge in the sharded
-  /// loop keeps it deterministic for every thread count).
+  /// note_delivery path as the timeline (the chunk-order merge keeps it
+  /// deterministic for every thread count).
   util::QuantileSketch latency_sketch;
 
   /// Deliveries a perfectly reliable run would make: alive members summed
@@ -182,11 +153,10 @@ struct FrozenRunResult {
   std::uint64_t expected_deliveries = 0;
 
   /// Run-timeline flight recorder. Built POST-HOC from deliveries_per_round
-  /// during final accounting — the wave loops and their RNG streams are
-  /// untouched, so every frozen golden stays bit-identical. The frozen
-  /// engine's only per-process bookkeeping is the delivered bitmap (one
-  /// bit per member; seen-sets and recovery do not exist here), sampled as
-  /// the delivered_bytes gauge of every window the run covers.
+  /// during final accounting, so it never touches the RNG streams. The
+  /// frozen engine's only per-process bookkeeping is the delivered bitmap
+  /// (one bit per member; seen-sets and recovery do not exist here),
+  /// sampled as the delivered_bytes gauge of every window the run covers.
   util::Timeline timeline;
 
   /// Wall time split: membership-table construction vs everything after it

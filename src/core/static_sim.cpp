@@ -27,8 +27,7 @@ StaticRunResult run_static_simulation(const StaticSimConfig& config) {
   }
 
   // A linear hierarchy is a path DAG: add topics root-first so topic id ==
-  // level, which also keeps the seed stream identical to the historical
-  // standalone engine.
+  // level.
   topics::TopicDag dag;
   std::vector<topics::DagTopicId> ids;
   ids.reserve(levels);

@@ -8,8 +8,8 @@
 // per-entry pa, fanout without replacement, forward on first reception)
 // through the shared protocol kernel (core/protocol.hpp). The config and
 // result structs are preserved so the Figure 8–11 benches and the damsim
-// tool keep compiling unchanged; per-seed counters are bit-for-bit
-// identical to the historical engine (tests/core/engine_agreement_test.cpp).
+// tool keep compiling unchanged; per-seed counters are bit-for-bit those
+// of a direct frozen_sim call (tests/core/engine_agreement_test.cpp).
 //
 // The setting it reproduces:
 //   * a linear hierarchy of `levels` topics (index 0 = root T0);

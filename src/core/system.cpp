@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <span>
 
 #include "util/parallel.hpp"
@@ -13,12 +12,11 @@ const std::unordered_set<ProcessId> DamSystem::kNoDeliveries{};
 
 namespace {
 
-/// Joiners per spawn-fill task (Config::threads set). Fixed, so the chunk
-/// grid — and with it every joiner's stream — never depends on the worker
-/// count.
+/// Joiners per spawn-fill task. Fixed, so the chunk grid — and with it
+/// every joiner's stream — never depends on the worker count.
 constexpr std::size_t kSpawnChunk = 512;
 
-/// Fork salt of the sharded per-batch arena-fill stream.
+/// Fork salt of the per-batch arena-fill stream.
 constexpr std::uint64_t kSpawnBatchSalt = 0x5BA7C4ULL;
 
 net::Transport::Config effective_transport(const DamSystem::Config& config) {
@@ -88,25 +86,19 @@ std::vector<ProcessId> DamSystem::spawn_group(TopicId topic,
   ids.reserve(count);
   if (count == 0) return ids;
 
-  // Batch wiring. Consumes the RNG stream exactly like `count` calls to
-  // spawn() — each joiner still samples its contacts from the members
-  // present at its own join — but the two O(S)-per-member costs are gone:
-  // the peers vector is one incrementally-grown candidate buffer that
-  // sample_with_undo borrows and restores (the joiner itself is always the
-  // group vector's last element, so "everyone but me" is just the buffer),
-  // and the group-size-estimate refresh runs once per batch instead of once
-  // per member (intermediate estimates are dead state: no round runs while
-  // the batch is spawning). Spawning S members costs O(S·view), not O(S²).
-  std::vector<ProcessId> candidates(registry_.group(topic));
+  // Batch wiring. The two O(S)-per-member costs of `count` calls to
+  // spawn() are gone: joiners draw INDICES into their join-time snapshot
+  // (the initial members, then the earlier batch joiners in join order)
+  // instead of copying a peers vector, and the group-size-estimate refresh
+  // runs once per batch instead of once per member (intermediate estimates
+  // are dead state: no round runs while the batch is spawning). Spawning S
+  // members costs O(S·view), not O(S²).
+  const std::vector<ProcessId> candidates(registry_.group(topic));
   // The supergroup cannot change while this batch only grows `topic`.
   std::optional<TopicId> super_topic;
   if (config_.auto_wire_super_tables) {
     super_topic = registry_.nearest_nonempty_supergroup(topic);
   }
-  // Super-contact candidate pool, copied once per batch; sample_with_undo
-  // borrows and restores it per joiner — the same draws the historical
-  // per-joiner rng_.sample over the live supergroup vector made (that
-  // vector cannot change while the batch only grows `topic`).
   std::vector<ProcessId> super_pool;
   std::size_t super_width = 0;
   if (super_topic) {
@@ -140,121 +132,75 @@ std::vector<ProcessId> DamSystem::spawn_group(TopicId topic,
   }
   arena->super_entries.resize(arena->super_offsets.back());
 
-  if (config_.threads.has_value()) {
-    // Sharded fill (Config::threads set). Three phases:
-    //
-    //   A (serial)   register every joiner and wire its node — the only
-    //                steps that consume rng_ (neighborhood growth) or
-    //                mutate shared engine state.
-    //   B (parallel) fill the arena rows. Joiner i draws from its own
-    //                stream batch_base.fork(i), sampling INDICES into its
-    //                join-time snapshot (the initial members, then the
-    //                earlier batch joiners in join order) — a pure
-    //                function of (seed, batch, i), so the rows are
-    //                bit-identical for every threads value. A NEW stream
-    //                versus the serial path's sample_with_undo (which is
-    //                sequential by construction: each draw permutes the
-    //                candidate buffer the next joiner reads).
-    //   C (serial)   adopt the rows. subscribe_shared may launch
-    //                bootstrap floods through the transport, so it runs
-    //                in join order on the engine thread.
-    const std::size_t first_node = nodes_.size();
-    for (std::size_t i = 0; i < count; ++i) {
-      const ProcessId id = registry_.add_process(topic);
-      ids.push_back(id);
-      while (neighborhood_.process_count() < registry_.process_count()) {
-        neighborhood_.add_process(config_.neighborhood_degree, rng_);
-      }
-      nodes_.push_back(std::make_unique<DamNode>(
-          id, topic, hierarchy_, config_.node, initial + i + 1,
-          rng_.fork(id.value), this));
+  // Three phases:
+  //
+  //   A (serial)   register every joiner and wire its node — the only
+  //                steps that consume rng_ (neighborhood growth) or
+  //                mutate shared engine state.
+  //   B (parallel) fill the arena rows. Joiner i draws from its own
+  //                stream batch_base.fork(i), a pure function of (seed,
+  //                batch, i), so the rows are bit-identical for every
+  //                threads value.
+  //   C (serial)   adopt the rows. subscribe_shared may launch bootstrap
+  //                floods through the transport, so it runs in join order
+  //                on the engine thread.
+  const std::size_t first_node = nodes_.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    const ProcessId id = registry_.add_process(topic);
+    ids.push_back(id);
+    while (neighborhood_.process_count() < registry_.process_count()) {
+      neighborhood_.add_process(config_.neighborhood_degree, rng_);
     }
+    nodes_.push_back(std::make_unique<DamNode>(
+        id, topic, hierarchy_, config_.node, initial + i + 1,
+        rng_.fork(id.value), this));
+  }
 
-    const util::Rng batch_base = rng_.fork(kSpawnBatchSalt);
-    GroupViewArena* const rows = arena.get();
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve((count + kSpawnChunk - 1) / kSpawnChunk);
-    for (std::size_t lo = 0; lo < count; lo += kSpawnChunk) {
-      const std::size_t hi = std::min(count, lo + kSpawnChunk);
-      tasks.push_back([this, rows, &candidates, &super_pool, &ids, batch_base,
-                       lo, hi, initial, super_width] {
-        std::vector<std::uint32_t> scratch;
-        for (std::size_t i = lo; i < hi; ++i) {
-          util::Rng joiner_rng = batch_base.fork(i);
-          const std::size_t width =
-              rows->topic_offsets[i + 1] - rows->topic_offsets[i];
-          scratch.resize(std::max(width, super_width));
-          ProcessId* row = rows->topic_entries.data() + rows->topic_offsets[i];
-          // width = min(view_capacity, initial + i) <= n, so Floyd fills
-          // exactly the precomputed row.
-          const std::size_t drawn =
-              joiner_rng.draw_distinct_below(initial + i, width,
-                                             scratch.data());
-          assert(drawn == width);
-          for (std::size_t e = 0; e < drawn; ++e) {
-            const std::size_t idx = scratch[e];
-            row[e] = idx < initial ? candidates[idx] : ids[idx - initial];
-          }
-          if (super_width > 0) {
-            ProcessId* super_row =
-                rows->super_entries.data() + rows->super_offsets[i];
-            const std::size_t super_drawn = joiner_rng.draw_distinct_below(
-                super_pool.size(), config_.node.params.z, scratch.data());
-            assert(super_drawn == super_width);
-            for (std::size_t e = 0; e < super_drawn; ++e) {
-              super_row[e] = super_pool[scratch[e]];
-            }
-          }
-        }
-      });
-    }
-    util::run_parallel(tasks, util::resolve_threads(*config_.threads));
-
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::span<const ProcessId> contacts(
-          arena->topic_entries.data() + arena->topic_offsets[i],
-          arena->topic_offsets[i + 1] - arena->topic_offsets[i]);
-      std::span<const ProcessId> super_contacts;
-      if (super_topic) {
-        super_contacts = {arena->super_entries.data() + arena->super_offsets[i],
-                          super_width};
+  const util::Rng batch_base = rng_.fork(kSpawnBatchSalt);
+  GroupViewArena* const rows = arena.get();
+  const std::size_t chunk_count = (count + kSpawnChunk - 1) / kSpawnChunk;
+  util::run_parallel(chunk_count, config_.threads, [&](std::size_t chunk) {
+    std::vector<std::uint32_t> scratch;
+    const std::size_t hi = std::min(count, (chunk + 1) * kSpawnChunk);
+    for (std::size_t i = chunk * kSpawnChunk; i < hi; ++i) {
+      util::Rng joiner_rng = batch_base.fork(i);
+      const std::size_t width =
+          rows->topic_offsets[i + 1] - rows->topic_offsets[i];
+      scratch.resize(std::max(width, super_width));
+      ProcessId* row = rows->topic_entries.data() + rows->topic_offsets[i];
+      // width = min(view_capacity, initial + i) <= n, so Floyd fills
+      // exactly the precomputed row.
+      const std::size_t drawn =
+          joiner_rng.draw_distinct_below(initial + i, width, scratch.data());
+      assert(drawn == width);
+      for (std::size_t e = 0; e < drawn; ++e) {
+        const std::size_t idx = scratch[e];
+        row[e] = idx < initial ? candidates[idx] : ids[idx - initial];
       }
-      nodes_[first_node + i]->subscribe_shared(contacts, super_contacts,
-                                               super_topic);
-    }
-  } else {
-    // Serial fill (threads unset): the historical sampling stream.
-    for (std::size_t i = 0; i < count; ++i) {
-      const ProcessId id = registry_.add_process(topic);
-      ids.push_back(id);
-      while (neighborhood_.process_count() < registry_.process_count()) {
-        neighborhood_.add_process(config_.neighborhood_degree, rng_);
-      }
-      const std::size_t group_size = registry_.group_size(topic);
-      auto node = std::make_unique<DamNode>(id, topic, hierarchy_,
-                                            config_.node, group_size,
-                                            rng_.fork(id.value), this);
-      const std::size_t view = config_.node.params.view_capacity(group_size);
-      ProcessId* row = arena->topic_entries.data() + arena->topic_offsets[i];
-      const std::size_t drawn = rng_.sample_with_undo(
-          std::span<ProcessId>(candidates), view, row);
-      // The sampler must fill exactly the precomputed row, or later rows
-      // would shear against their offsets.
-      assert(drawn == arena->topic_offsets[i + 1] - arena->topic_offsets[i]);
-      const std::span<const ProcessId> contacts(row, drawn);
-
-      std::span<const ProcessId> super_contacts;
-      if (super_topic) {
+      if (super_width > 0) {
         ProcessId* super_row =
-            arena->super_entries.data() + arena->super_offsets[i];
-        rng_.sample_with_undo(std::span<ProcessId>(super_pool),
-                              config_.node.params.z, super_row);
-        super_contacts = {super_row, super_width};
+            rows->super_entries.data() + rows->super_offsets[i];
+        const std::size_t super_drawn = joiner_rng.draw_distinct_below(
+            super_pool.size(), config_.node.params.z, scratch.data());
+        assert(super_drawn == super_width);
+        for (std::size_t e = 0; e < super_drawn; ++e) {
+          super_row[e] = super_pool[scratch[e]];
+        }
       }
-      nodes_.push_back(std::move(node));
-      nodes_.back()->subscribe_shared(contacts, super_contacts, super_topic);
-      candidates.push_back(id);  // visible to the next joiner
     }
+  });
+
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::span<const ProcessId> contacts(
+        arena->topic_entries.data() + arena->topic_offsets[i],
+        arena->topic_offsets[i + 1] - arena->topic_offsets[i]);
+    std::span<const ProcessId> super_contacts;
+    if (super_topic) {
+      super_contacts = {arena->super_entries.data() + arena->super_offsets[i],
+                        super_width};
+    }
+    nodes_[first_node + i]->subscribe_shared(contacts, super_contacts,
+                                             super_topic);
   }
   view_arenas_.push_back(std::move(arena));
   super_cache_.clear();
@@ -278,7 +224,6 @@ void DamSystem::set_failure_model(std::unique_ptr<sim::FailureModel> model) {
 void DamSystem::run_rounds(std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
     const sim::Round round = clock_.now();
-    timers_.run_until(round);
     transport_.deliver_round(round, [this, round](const Message& msg) {
       if (msg.to.value >= nodes_.size()) return;
       if (!failures_->alive(msg.to, round)) return;
@@ -315,10 +260,6 @@ net::EventId DamSystem::publish(ProcessId publisher,
     trace_->record(entry);
   }
   return event;
-}
-
-void DamSystem::schedule(sim::Round round, std::function<void()> fn) {
-  timers_.schedule_at(round, std::move(fn));
 }
 
 void DamSystem::send(Message&& msg) {

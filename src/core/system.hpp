@@ -5,7 +5,8 @@
 // the "whole system" entry point used by the examples, the integration
 // tests, and the bootstrap/ablation benches. (The figure benches use the
 // specialized static-table engine in core/static_sim.hpp, which reproduces
-// the paper's frozen-membership setting exactly.)
+// the paper's frozen-membership setting exactly.) Config::threads sets the
+// workers of the spawn-batch fill and never changes results.
 #pragma once
 
 #include <memory>
@@ -17,7 +18,7 @@
 #include "core/node.hpp"
 #include "net/neighborhood.hpp"
 #include "net/transport.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/clock.hpp"
 #include "sim/failure.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace.hpp"
@@ -36,15 +37,12 @@ class DamSystem final : public Env {
                                            ///< from global knowledge (fast
                                            ///< path for benches/examples)
 
-    /// Intra-run parallelism for spawn_group's view-arena fill. Unset
-    /// (default): the historical serial sampling stream. Set (0 =
-    /// hardware): each joiner samples its rows from its own stream forked
-    /// from (batch, joiner index) — bit-identical for EVERY threads value,
-    /// but a NEW stream versus unset (the frozen engine's
-    /// FrozenSimConfig::threads contract, applied to the dynamic lane).
-    /// Only the batch arena fill shards; node wiring, subscription, and
-    /// the round loop stay serial.
-    std::optional<unsigned> threads;
+    /// Workers for spawn_group's view-arena fill (0 = hardware). Each
+    /// joiner samples its rows from its own stream forked from (batch,
+    /// joiner index), so results are bit-identical for every value. Only
+    /// the batch arena fill runs in parallel; node wiring, subscription,
+    /// and the round loop stay serial.
+    unsigned threads = 1;
   };
 
   DamSystem(const topics::TopicHierarchy& hierarchy, Config config);
@@ -62,10 +60,9 @@ class DamSystem final : public Env {
   /// the supergroup lookup, the join-contact candidate set, and the
   /// group-size-estimate refresh happen once per batch instead of once per
   /// member, so building a group of S costs O(S·view) rather than the
-  /// O(S²) the one-at-a-time loop used to pay. Behavior- and RNG-stream-
-  /// identical to `count` calls to spawn(): each joiner samples its
-  /// contacts from the members present at its own join, never from later
-  /// batch members.
+  /// O(S²) the one-at-a-time loop used to pay. As with spawn(), each
+  /// joiner samples its contacts from the members present at its own
+  /// join, never from later batch members.
   ///
   /// View memory: the batch's initial topic-table and supertopic-table
   /// rows are sampled straight into one immutable core::GroupViewArena
@@ -104,9 +101,6 @@ class DamSystem final : public Env {
   void set_trace_recorder(sim::TraceRecorder* recorder) {
     trace_ = recorder;
   }
-
-  /// Schedules `fn` to run at the start of `round` (before delivery).
-  void schedule(sim::Round round, std::function<void()> fn);
 
   // --- Env ---
   [[nodiscard]] sim::Round now() const override { return clock_.now(); }
@@ -229,7 +223,6 @@ class DamSystem final : public Env {
   net::Transport transport_;
   net::Neighborhood neighborhood_;
   sim::Clock clock_;
-  sim::EventQueue timers_;
   sim::Metrics metrics_;
   std::vector<std::unique_ptr<DamNode>> nodes_;
   /// Spawn-batch view arenas; nodes hold spans into them, so the

@@ -18,7 +18,8 @@ unsigned resolve_jobs(unsigned jobs) { return util::resolve_threads(jobs); }
 
 void run_parallel(const std::vector<std::function<void()>>& tasks,
                   unsigned jobs) {
-  util::run_parallel(tasks, jobs);
+  util::run_parallel(tasks.size(), jobs,
+                     [&tasks](std::size_t index) { tasks[index](); });
 }
 
 SweepResult run_sweep(const sim::Scenario& scenario,
@@ -125,9 +126,7 @@ SweepResult run_sweep(const sim::Scenario& scenario,
   // JSON "jobs" field feeds perf-trajectory comparisons.
   result.jobs = static_cast<unsigned>(
       std::max<std::size_t>(1, std::min<std::size_t>(jobs, tasks.size())));
-  result.threads = scenario.threads.has_value()
-                       ? util::resolve_threads(*scenario.threads)
-                       : 1;
+  result.threads = util::resolve_threads(scenario.threads);
   result.points.reserve(scenario.alive_sweep.size());
   for (std::size_t pt = 0; pt < scenario.alive_sweep.size(); ++pt) {
     ScenarioPoint point = make_point(scenario, scenario.alive_sweep[pt]);

@@ -56,9 +56,9 @@ struct SweepResult {
   std::uint64_t total_events = 0;  ///< messages sent across all runs
   unsigned jobs = 1;               ///< resolved cross-run worker count
 
-  /// Resolved INTRA-run worker count (Scenario::threads; 1 when the
-  /// scenario runs the serial legacy streams). Reported in the bench JSON
-  /// so perf trajectories can tell the two parallelism levels apart.
+  /// Resolved INTRA-run worker count (Scenario::threads). Reported in the
+  /// bench JSON so perf trajectories can tell the two parallelism levels
+  /// apart.
   unsigned threads = 1;
 
   /// Per-run engine time summed across all runs (CPU-seconds, not wall:

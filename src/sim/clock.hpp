@@ -1,9 +1,7 @@
 // Virtual time for the simulator.
 //
 // The paper's evaluation (Sec. VII-A) "simulates synchronous gossip rounds";
-// our unit of virtual time is therefore the round. The event queue layers
-// arbitrary-delay timers (bootstrap timeouts, maintenance periods) on top of
-// the same counter.
+// our unit of virtual time is therefore the round.
 #pragma once
 
 #include <cstdint>

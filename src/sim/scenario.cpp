@@ -43,7 +43,6 @@ core::FrozenSimConfig Scenario::config_for(const topics::TopicDag& dag,
   config.churn = churn;
   config.publish_topic = topics::DagTopicId{publish_topic};
   config.seed = seed_for(alive_fraction, run);
-  config.table_build = table_build;
   config.threads = threads;
   return config;
 }
@@ -280,7 +279,6 @@ std::vector<Scenario> build_registry() {
     Scenario s = make_linear_scenario(
         "giant-flat", "One group of 100k subscribers (scale=10 for 1M)",
         {100000});
-    s.table_build = core::TableBuild::kFast;
     s.runs = 3;
     s.base_seed = 0x61A;
     presets.push_back(std::move(s));
@@ -290,7 +288,6 @@ std::vector<Scenario> build_registry() {
         "giant-deep",
         "Eight-level hierarchy, 10 to 100k per level (scale=10 for 1M)",
         {10, 30, 100, 300, 1000, 3000, 10000, 100000});
-    s.table_build = core::TableBuild::kFast;
     s.runs = 3;
     s.base_seed = 0x61D;
     presets.push_back(std::move(s));

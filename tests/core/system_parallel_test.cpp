@@ -1,4 +1,4 @@
-// Thread-count-independence contract of the sharded spawn-batch fill
+// Thread-count-independence contract of the spawn-batch fill
 // (DamSystem::Config::threads): joiner i draws its arena rows from its own
 // stream forked from (batch, i), so the arenas — and everything downstream
 // of them — must be BIT-IDENTICAL for every threads value. The batch sizes
@@ -22,7 +22,7 @@ class SystemParallelTest : public ::testing::Test {
     levels_ = topics::make_linear_hierarchy(hierarchy_, 1);
   }
 
-  DamSystem::Config sharded_config(unsigned threads) {
+  DamSystem::Config config_for(unsigned threads) {
     DamSystem::Config config;
     config.seed = 0x5EED7;
     config.auto_wire_super_tables = true;
@@ -52,23 +52,23 @@ void expect_same_arenas(const DamSystem& a, const DamSystem& b,
 }
 
 TEST_F(SystemParallelTest, ArenasAreBitIdenticalForAnyThreadCount) {
-  DamSystem reference(hierarchy_, sharded_config(1));
+  DamSystem reference(hierarchy_, config_for(1));
   reference.spawn_group(levels_[0], 40);
   reference.spawn_group(levels_[1], 1500);  // > kSpawnChunk: several tasks
   for (const unsigned threads : {2u, 4u, 8u}) {
-    DamSystem system(hierarchy_, sharded_config(threads));
+    DamSystem system(hierarchy_, config_for(threads));
     system.spawn_group(levels_[0], 40);
     system.spawn_group(levels_[1], 1500);
     expect_same_arenas(reference, system, threads);
   }
 }
 
-TEST_F(SystemParallelTest, DisseminationAfterShardedSpawnIsAlsoIndependent) {
+TEST_F(SystemParallelTest, DisseminationAfterSpawnIsAlsoIndependent) {
   // The fill only forks the system RNG, so the post-spawn engine state
   // (transport stream, node streams) — and with it a full publication —
   // must not depend on the worker count either.
   auto run = [&](unsigned threads) {
-    DamSystem system(hierarchy_, sharded_config(threads));
+    DamSystem system(hierarchy_, config_for(threads));
     system.spawn_group(levels_[0], 20);
     const auto leaves = system.spawn_group(levels_[1], 700);
     system.run_rounds(3);  // let membership gossip warm up
@@ -84,11 +84,10 @@ TEST_F(SystemParallelTest, DisseminationAfterShardedSpawnIsAlsoIndependent) {
   }
 }
 
-TEST_F(SystemParallelTest, ShardedRowsAreValidJoinTimeSamples) {
-  // A NEW stream versus the serial path is fine; invalid rows are not:
-  // joiner i's topic row must hold DISTINCT members that joined before it,
+TEST_F(SystemParallelTest, RowsAreValidJoinTimeSamples) {
+  // Joiner i's topic row must hold DISTINCT members that joined before it,
   // never itself, and exactly fill the precomputed width.
-  DamSystem system(hierarchy_, sharded_config(4));
+  DamSystem system(hierarchy_, config_for(4));
   const auto initial = system.spawn_group(levels_[1], 30);
   const auto batch = system.spawn_group(levels_[1], 600);
   const GroupViewArena& arena = *system.view_arenas()[1];
@@ -109,32 +108,6 @@ TEST_F(SystemParallelTest, ShardedRowsAreValidJoinTimeSamples) {
           << "joiner " << i << " sampled a later joiner";
     }
   }
-}
-
-TEST_F(SystemParallelTest, SerialPathIsUntouchedWhenThreadsUnset) {
-  // The historical stream: threads unset must keep producing exactly what
-  // it always has — here checked as serial-vs-serial determinism plus the
-  // documented property that the sharded stream is a different one.
-  DamSystem serial_a(hierarchy_, [&] {
-    auto c = sharded_config(1);
-    c.threads.reset();
-    return c;
-  }());
-  DamSystem serial_b(hierarchy_, [&] {
-    auto c = sharded_config(1);
-    c.threads.reset();
-    return c;
-  }());
-  serial_a.spawn_group(levels_[1], 300);
-  serial_b.spawn_group(levels_[1], 300);
-  expect_same_arenas(serial_a, serial_b, 0);
-
-  DamSystem sharded(hierarchy_, sharded_config(1));
-  sharded.spawn_group(levels_[1], 300);
-  EXPECT_NE(serial_a.view_arenas()[0]->topic_entries,
-            sharded.view_arenas()[0]->topic_entries)
-      << "sharded fill unexpectedly reproduced the serial stream — if this "
-         "is intentional, the two paths can be unified";
 }
 
 }  // namespace

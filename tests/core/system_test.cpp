@@ -143,18 +143,6 @@ TEST_F(SystemTest, StillbornFailuresDegradeDelivery) {
   EXPECT_GT(system.delivery_ratio(event), 0.45);
 }
 
-TEST_F(SystemTest, ScheduleRunsAtRequestedRound) {
-  DamSystem system(hierarchy_, wired_config());
-  system.spawn_group(levels_[0], 2);
-  std::vector<sim::Round> fired;
-  system.schedule(3, [&] { fired.push_back(system.now()); });
-  system.schedule(1, [&] { fired.push_back(system.now()); });
-  system.run_rounds(5);
-  ASSERT_EQ(fired.size(), 2u);
-  EXPECT_EQ(fired[0], 1u);
-  EXPECT_EQ(fired[1], 3u);
-}
-
 TEST_F(SystemTest, DeliveryRatioOfUnknownEventIsZero) {
   DamSystem system(hierarchy_, wired_config());
   system.spawn_group(levels_[0], 2);

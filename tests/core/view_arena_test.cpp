@@ -171,35 +171,5 @@ TEST_F(ViewArenaTest, MidRunJoinersGetOwnedViewsBesideArenaBackedPeers) {
   EXPECT_EQ(system.view_arenas().size(), 2u);
 }
 
-TEST_F(ViewArenaTest, SpawnGroupMatchesOneAtATimeSpawns) {
-  // The batch/arena path must consume the RNG stream exactly like `count`
-  // calls to spawn() and install the same tables — this is what keeps
-  // churn-free dynamic aggregates bit-identical to the pre-arena engine.
-  DamSystem batched(hierarchy_, wired_config(77));
-  batched.spawn_group(levels_[0], 5);
-  batched.spawn_group(levels_[1], 25);
-
-  DamSystem serial(hierarchy_, wired_config(77));
-  for (int i = 0; i < 5; ++i) serial.spawn(levels_[0]);
-  for (int i = 0; i < 25; ++i) serial.spawn(levels_[1]);
-
-  ASSERT_EQ(batched.process_count(), serial.process_count());
-  for (std::uint32_t p = 0; p < batched.process_count(); ++p) {
-    const DamNode& a = batched.node(ProcessId{p});
-    const DamNode& b = serial.node(ProcessId{p});
-    const auto view_a = a.group_membership().view().entries();
-    const auto view_b = b.group_membership().view().entries();
-    ASSERT_EQ(view_a.size(), view_b.size()) << "process " << p;
-    EXPECT_TRUE(std::equal(view_a.begin(), view_a.end(), view_b.begin()))
-        << "topic-table row diverged for process " << p;
-    const auto super_a = a.super_table().entries();
-    const auto super_b = b.super_table().entries();
-    ASSERT_EQ(super_a.size(), super_b.size()) << "process " << p;
-    EXPECT_TRUE(std::equal(super_a.begin(), super_a.end(), super_b.begin()))
-        << "supertopic row diverged for process " << p;
-    EXPECT_EQ(a.super_table().super_topic(), b.super_table().super_topic());
-  }
-}
-
 }  // namespace
 }  // namespace dam::core

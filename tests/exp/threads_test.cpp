@@ -1,6 +1,6 @@
-// Sweep-level face of the intra-run parallelism contract: for a scenario
-// with Scenario::threads set, exp::run_sweep aggregates are BIT-identical
-// for every threads value — on both engines — and the resolved count is
+// Sweep-level face of the intra-run parallelism contract: exp::run_sweep
+// aggregates are BIT-identical for every Scenario::threads value, the
+// default included — on both engines — and the resolved count is
 // reported in SweepResult::threads for the bench JSON. Mirrors the --jobs
 // independence suite in runner_test.cpp; the two knobs are orthogonal, so
 // one test crosses them.
@@ -94,7 +94,7 @@ TEST(Threads, FrozenSweepIsBitIdenticalForAnyThreadCount) {
 
 TEST(Threads, DynamicSweepIsBitIdenticalForAnyThreadCount) {
   // zipf-storm: Poisson arrivals and Zipf skew over the full
-  // message-passing engine, with the sharded spawn-batch fill engaged.
+  // message-passing engine, with the chunked spawn-batch fill.
   const sim::Scenario* preset = sim::find_scenario("zipf-storm");
   ASSERT_NE(preset, nullptr);
   sim::Scenario scenario = *preset;
@@ -110,6 +110,27 @@ TEST(Threads, DynamicSweepIsBitIdenticalForAnyThreadCount) {
     SCOPED_TRACE(threads);
     scenario.threads = threads;
     expect_identical(reference, run_sweep(scenario, {.jobs = 1}));
+  }
+}
+
+TEST(Threads, OmittedThreadsMatchesEveryWorkerCount) {
+  // One stream per engine: leaving threads at its default must run the
+  // same stream as any explicit worker count, in every frozen failure
+  // regime and on the dynamic lane.
+  for (const char* name : {"fig9", "fig11", "churn-heavy", "zipf-storm"}) {
+    SCOPED_TRACE(name);
+    const sim::Scenario* preset = sim::find_scenario(name);
+    ASSERT_NE(preset, nullptr);
+    sim::Scenario scenario = *preset;
+    scenario.runs = 4;
+    scenario.alive_sweep = {0.7, 1.0};
+    const SweepResult omitted = run_sweep(scenario, {.jobs = 1});
+    EXPECT_GT(omitted.total_events, 0u);
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE(threads);
+      scenario.threads = threads;
+      expect_identical(omitted, run_sweep(scenario, {.jobs = 1}));
+    }
   }
 }
 
@@ -129,12 +150,10 @@ TEST(Threads, ThreadsComposesWithJobs) {
 TEST(Threads, ResolvedCountIsReported) {
   sim::Scenario scenario =
       sim::make_linear_scenario("pool", "threads reporting", {10, 80});
-  scenario.table_build = core::TableBuild::kFast;
   scenario.runs = 2;
 
-  // Unset: the serial engine streams, reported as 1.
-  const SweepResult serial = run_sweep(scenario, {.jobs = 1});
-  EXPECT_EQ(serial.threads, 1u);
+  // The default is one worker.
+  EXPECT_EQ(run_sweep(scenario, {.jobs = 1}).threads, 1u);
 
   // 0 = hardware concurrency, resolved to at least one worker.
   scenario.threads = 0;

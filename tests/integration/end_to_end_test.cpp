@@ -2,6 +2,9 @@
 // auto-wiring), multiple publishers, multi-branch hierarchies.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/system.hpp"
 #include "topics/hierarchy.hpp"
 
@@ -29,11 +32,15 @@ TEST(EndToEnd, ColdStartBootstrapThenPublish) {
   EXPECT_EQ(system.metrics().parasite_deliveries(), 0u);
 }
 
-TEST(EndToEnd, ManyPublishersManyEvents) {
+// Three events (two leaf publishers, one mid-level) on a 2-level linear
+// hierarchy after three warm-up rounds. Checks that the mid-level event
+// reached no leaf and returns whether every event reached every
+// interested process.
+bool run_many_publishers(std::uint64_t seed) {
   topics::TopicHierarchy hierarchy;
   const auto levels = topics::make_linear_hierarchy(hierarchy, 2);
   DamSystem::Config config;
-  config.seed = 6;
+  config.seed = seed;
   config.auto_wire_super_tables = true;
   config.node.params.psucc = 1.0;
   DamSystem system(hierarchy, config);
@@ -48,16 +55,19 @@ TEST(EndToEnd, ManyPublishersManyEvents) {
   events.push_back(system.publish(mids[2]));
   system.run_rounds(30);
 
-  for (const auto& event : events) {
-    EXPECT_TRUE(system.all_delivered(event));
-  }
   // The mid-level event must not have reached any leaf.
   for (ProcessId leaf : leaves) {
     EXPECT_FALSE(system.delivered_set(events[2]).contains(leaf));
   }
+  bool all = true;
+  for (const auto& event : events) all = all && system.all_delivered(event);
+  return all;
 }
 
-TEST(EndToEnd, MultiBranchTreeRouting) {
+// One event from .market.stocks.tech on a five-topic tree. Checks that it
+// reached no sibling-branch subscriber and no parasite, and returns whether
+// it reached every interested process.
+bool run_multi_branch(std::uint64_t seed) {
   topics::TopicHierarchy hierarchy;
   const auto market = hierarchy.add(".market");
   const auto stocks = hierarchy.add(".market.stocks");
@@ -66,7 +76,7 @@ TEST(EndToEnd, MultiBranchTreeRouting) {
   const auto bonds = hierarchy.add(".market.bonds");
 
   DamSystem::Config config;
-  config.seed = 7;
+  config.seed = seed;
   config.auto_wire_super_tables = true;
   config.node.params.psucc = 1.0;
   DamSystem system(hierarchy, config);
@@ -80,11 +90,40 @@ TEST(EndToEnd, MultiBranchTreeRouting) {
   const auto event = system.publish(tech_subs[0]);
   system.run_rounds(30);
 
-  EXPECT_TRUE(system.all_delivered(event));
   const auto& delivered = system.delivered_set(event);
   for (ProcessId p : energy_subs) EXPECT_FALSE(delivered.contains(p));
   for (ProcessId p : bond_subs) EXPECT_FALSE(delivered.contains(p));
   EXPECT_EQ(system.metrics().parasite_deliveries(), 0u);
+  return system.all_delivered(event);
+}
+
+TEST(EndToEnd, ManyPublishersManyEvents) { (void)run_many_publishers(6); }
+
+TEST(EndToEnd, MultiBranchTreeRouting) { (void)run_multi_branch(7); }
+
+// Complete delivery after only three warm-up rounds is a per-seed gossip
+// outcome, not a guarantee, so it is asserted as a rate over 300 seeds:
+// each bound sits four binomial standard deviations below the rate
+// measured on two table-sampling streams, and the routing checks run on
+// every seed.
+TEST(EndToEnd, ManyPublishersCompleteDeliveryRate) {
+  int complete = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    complete += run_many_publishers(seed) ? 1 : 0;
+  }
+  // Measured: 136 and 127 of 300.
+  EXPECT_GE(complete, 92) << complete << " of 300 seeds";
+}
+
+TEST(EndToEnd, MultiBranchCompleteDeliveryRate) {
+  int complete = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    complete += run_multi_branch(seed) ? 1 : 0;
+  }
+  // Measured: 241 and 234 of 300.
+  EXPECT_GE(complete, 205) << complete << " of 300 seeds";
 }
 
 TEST(EndToEnd, LateJoinerCatchesFutureEvents) {

@@ -131,8 +131,13 @@ TEST_P(DepthSweep, TotalMessagesLinearInDepth) {
   const std::size_t depth = GetParam();
   StaticSimConfig config;
   config.group_sizes.assign(depth, 200);
+  // Whether the upper groups are reached makes single runs spread widely
+  // (standard deviation ~2,900-3,000 messages at t = 6, measured over
+  // 2,000 seeds on two table-sampling streams, mean ~11,900-12,000). The
+  // mean is taken over enough runs that the band edge lies at least four
+  // standard errors from that measured mean; 8 runs gave only 1.3.
   double total = 0.0;
-  constexpr int kRuns = 8;
+  constexpr int kRuns = 128;
   for (int run = 0; run < kRuns; ++run) {
     config.seed = depth * 100 + static_cast<std::uint64_t>(run);
     total += static_cast<double>(run_static_simulation(config).total_messages);

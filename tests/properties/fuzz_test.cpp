@@ -77,15 +77,18 @@ std::vector<topics::TopicId> random_tree(topics::TopicHierarchy& hierarchy,
   return ids;
 }
 
-class RandomTopologyFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(RandomTopologyFuzz, InvariantsHoldOnRandomTrees) {
-  util::Rng rng(GetParam());
+// Random tree, random populations, three random publishers, lossless
+// channels. Checks the invariants that hold on every seed (no parasites,
+// only interested receivers, the memory bound, no upward send from the
+// root) and returns whether every event reached over 80% of its
+// interested set.
+bool run_random_tree(std::uint64_t seed) {
+  util::Rng rng(seed);
   topics::TopicHierarchy hierarchy;
   const auto ids = random_tree(hierarchy, 3 + rng.below(8), rng);
 
   core::DamSystem::Config config;
-  config.seed = GetParam() * 31 + 7;
+  config.seed = seed * 31 + 7;
   config.auto_wire_super_tables = true;
   config.node.params.psucc = 1.0;
   core::DamSystem system(hierarchy, config);
@@ -108,6 +111,7 @@ TEST_P(RandomTopologyFuzz, InvariantsHoldOnRandomTrees) {
   // Invariant: zero parasites, ever.
   EXPECT_EQ(system.metrics().parasite_deliveries(), 0u);
 
+  bool covered = true;
   for (const auto& event : events) {
     const auto& delivered = system.delivered_set(event);
     // Every receiver is genuinely interested.
@@ -116,8 +120,7 @@ TEST_P(RandomTopologyFuzz, InvariantsHoldOnRandomTrees) {
     for (topics::ProcessId p : delivered) {
       EXPECT_TRUE(system.registry().interested_in(p, event_topic));
     }
-    // Good coverage of the interested set (lossless channels).
-    EXPECT_GT(system.delivery_ratio(event), 0.8);
+    covered = covered && system.delivery_ratio(event) > 0.8;
   }
 
   // Memory bound for every process.
@@ -131,10 +134,31 @@ TEST_P(RandomTopologyFuzz, InvariantsHoldOnRandomTrees) {
 
   // Root group never forwards upward.
   EXPECT_EQ(system.metrics().group(topics::kRootTopic).inter_sent, 0u);
+  return covered;
+}
+
+class RandomTopologyFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RandomTopologyFuzz, InvariantsHoldOnRandomTrees) {
+  (void)run_random_tree(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTopologyFuzz,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+// Good coverage of the interested set after three warm-up rounds is a
+// per-seed gossip outcome on small random trees, so it is asserted as a
+// rate over 600 seeds: the bound sits four binomial standard deviations
+// below the rate measured on two table-sampling streams (554 and 558 of
+// 600), and the invariants above run on every seed.
+TEST(RandomTopologyCoverage, EveryEventCoversItsInterestedSetOnMostTrees) {
+  int covered = 0;
+  for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    covered += run_random_tree(seed) ? 1 : 0;
+  }
+  EXPECT_GE(covered, 527) << covered << " of 600 seeds";
+}
 
 class RandomStaticConfigFuzz
     : public ::testing::TestWithParam<std::uint64_t> {};

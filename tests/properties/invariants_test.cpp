@@ -4,6 +4,8 @@
 // event retirement).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/protocol.hpp"
 #include "core/system.hpp"
 #include "topics/hierarchy.hpp"
@@ -110,17 +112,18 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Sibling isolation: an event in one branch never reaches another branch's
-// exclusive subscribers, under any seed.
-class SiblingIsolationTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SiblingIsolationTest, EventsStayInTheirBranch) {
+// exclusive subscribers, under any seed. Runs the two-branch tree with one
+// event published in .news.eu, checks isolation and zero parasites, and
+// returns whether the event reached every interested process (.news.eu,
+// .news and the root).
+bool run_sibling_branches(std::uint64_t seed) {
   topics::TopicHierarchy hierarchy;
   const auto eu = hierarchy.add(".news.eu");
   const auto us = hierarchy.add(".news.us");
   const auto news = *hierarchy.find(".news");
 
   DamSystem::Config config;
-  config.seed = GetParam();
+  config.seed = seed;
   config.auto_wire_super_tables = true;
   config.node.params.psucc = 1.0;
   DamSystem system(hierarchy, config);
@@ -136,13 +139,32 @@ TEST_P(SiblingIsolationTest, EventsStayInTheirBranch) {
   for (ProcessId us_sub : us_subs) {
     EXPECT_FALSE(system.delivered_set(event).contains(us_sub));
   }
-  // ... while the event still reaches .news and the root.
-  EXPECT_TRUE(system.all_delivered(event));
   EXPECT_EQ(system.metrics().parasite_deliveries(), 0u);
+  return system.all_delivered(event);
+}
+
+class SiblingIsolationTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SiblingIsolationTest, EventsStayInTheirBranch) {
+  (void)run_sibling_branches(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SiblingIsolationTest,
                          ::testing::Values(1u, 7u, 23u, 51u, 111u));
+
+// ... while the event still reaches .news and the root. After only three
+// warm-up rounds that is a per-seed gossip outcome, not a guarantee, so it
+// is asserted as a rate over 400 seeds: the bound sits four binomial
+// standard deviations below the rate measured on two table-sampling
+// streams (384 and 381 of 400), and isolation is checked on every seed.
+TEST(SiblingIsolationRate, EventReachesNewsAndRootOnAlmostEverySeed) {
+  int reached = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    reached += run_sibling_branches(seed) ? 1 : 0;
+  }
+  EXPECT_GE(reached, 363) << reached << " of 400 seeds";
+}
 
 // The degenerate single-topic case must impose zero overhead relative to
 // plain gossip: exactly no intergroup or bootstrap traffic.

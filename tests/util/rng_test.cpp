@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 namespace dam::util {
@@ -179,21 +180,55 @@ TEST(Rng, SampleIntoMatchesSampleExactly) {
   }
 }
 
-TEST(Rng, SampleWithUndoMatchesSampleAndRestoresPool) {
-  std::vector<std::uint32_t> pool(100);
-  for (std::uint32_t i = 0; i < 100; ++i) pool[i] = i + 1000;
-  const std::vector<std::uint32_t> original = pool;
-  for (const std::size_t k : {1UL, 12UL, 99UL, 100UL, 250UL}) {
-    Rng a(77);
-    Rng b(77);
-    const auto expected = a.sample(pool, k);
-    std::vector<std::uint32_t> out(expected.size());
-    const std::size_t written = b.sample_with_undo(
-        std::span<std::uint32_t>(pool.data(), pool.size()), k, out.data());
-    EXPECT_EQ(written, expected.size()) << "k=" << k;
-    EXPECT_EQ(out, expected) << "k=" << k;
-    EXPECT_EQ(pool, original) << "pool not restored at k=" << k;
-    EXPECT_EQ(a(), b()) << "stream diverged at k=" << k;
+/// Floyd's algorithm with the plain O(k²) linear duplicate scan — the
+/// reference the production duplicate check must agree with bit for bit.
+std::vector<std::uint32_t> floyd_by_scan(Rng& rng, std::uint64_t n,
+                                         std::size_t k) {
+  std::vector<std::uint32_t> out;
+  if (k >= n) {
+    for (std::uint64_t v = 0; v < n; ++v) {
+      out.push_back(static_cast<std::uint32_t>(v));
+    }
+    return out;
+  }
+  for (std::uint64_t j = n - k; j < n; ++j) {
+    std::uint64_t t = rng.below(j + 1);
+    if (std::find(out.begin(), out.end(), t) != out.end()) t = j;
+    out.push_back(static_cast<std::uint32_t>(t));
+  }
+  return out;
+}
+
+TEST(Rng, DrawDistinctBelowMatchesTheLinearScan) {
+  // Short (k <= 16), medium (17-64), and long (> 64) draws, over ranges
+  // small enough for the filter to be exact and large enough that it is
+  // not, plus k >= n; n = k + 1 forces a duplicate on almost every draw.
+  const struct {
+    std::uint64_t n;
+    std::size_t k;
+  } cases[] = {
+      // k <= 16
+      {2, 1}, {10, 3}, {17, 16}, {1000, 9}, {1000, 16},
+      // 17-64
+      {18, 17}, {100, 28}, {1000, 28}, {65, 64}, {100000, 46}, {1000000, 64},
+      // > 64 (the last one is wider than the filter is sized for)
+      {66, 65}, {300, 200}, {5000, 100}, {100000, 1500}, {1u << 20, 5000},
+      // k >= n
+      {7, 7}, {7, 10}, {1, 1}, {0, 4},
+  };
+  for (const auto& c : cases) {
+    for (std::uint64_t seed : {1ULL, 29ULL, 0xF19ULL}) {
+      SCOPED_TRACE("n=" + std::to_string(c.n) + " k=" + std::to_string(c.k) +
+                   " seed=" + std::to_string(seed));
+      Rng a(seed);
+      Rng b(seed);
+      const auto expected = floyd_by_scan(a, c.n, c.k);
+      std::vector<std::uint32_t> out(std::max<std::size_t>(c.k, 1));
+      const std::size_t written = b.draw_distinct_below(c.n, c.k, out.data());
+      out.resize(written);
+      EXPECT_EQ(out, expected);
+      EXPECT_EQ(a(), b()) << "stream diverged";
+    }
   }
 }
 

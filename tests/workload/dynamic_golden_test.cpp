@@ -1,11 +1,8 @@
-// Golden regression: dynamic-lane runs must stay BIT-IDENTICAL to the
-// engine as it stood before the shared view arena (PR 5) and before the
-// slab/interned transport queue. The numbers below were captured from the
-// pre-arena code (per-node vector views; the recovery cell from the
-// pre-slab per-message queue) for fixed (scenario, alive, run) cells
-// across all three dynamic presets plus a cold-start bootstrap cell and a
-// recovery-ablation cell — every counter and every accumulated double is
-// pinned exactly.
+// Golden regression: dynamic-lane runs must stay BIT-IDENTICAL for fixed
+// (scenario, alive, run) cells across all three dynamic presets plus a
+// cold-start bootstrap cell and a recovery-ablation cell — every counter
+// and every accumulated double is pinned exactly. The numbers were
+// captured from the engine's one stream (chunked spawn-batch fill).
 //
 // If a change legitimately alters the dynamic RNG stream (a new draw, a
 // reordered sample), these numbers must be regenerated TOGETHER with a
@@ -29,28 +26,28 @@ TEST(DynamicGolden, ZipfStormAllAliveRunZero) {
   const sim::Scenario& scenario = preset("zipf-storm");
   const DynamicScenarioBinding binding = bind_scenario(scenario);
   const DynamicRunResult r = run_dynamic_simulation(scenario, binding, 1.0, 0);
-  EXPECT_EQ(r.total_messages, 96771u);
+  EXPECT_EQ(r.total_messages, 96777u);
   EXPECT_EQ(r.control_messages, 58827u);
   EXPECT_EQ(r.publications, 20u);
-  EXPECT_DOUBLE_EQ(r.event_reliability, 0.9965765765765765);
-  EXPECT_DOUBLE_EQ(r.mean_latency, 3.4488226814031715);
-  EXPECT_DOUBLE_EQ(r.max_latency, 10.0);
+  EXPECT_DOUBLE_EQ(r.event_reliability, 0.9940294840294841);
+  EXPECT_DOUBLE_EQ(r.mean_latency, 3.4281422734919489);
+  EXPECT_DOUBLE_EQ(r.max_latency, 9.0);
   EXPECT_EQ(r.rounds, 53u);
   ASSERT_EQ(r.groups.size(), 3u);
-  EXPECT_EQ(r.groups[0].intra_sent, 1596u);
-  EXPECT_EQ(r.groups[0].inter_received, 51u);
+  EXPECT_EQ(r.groups[0].intra_sent, 1587u);
+  EXPECT_EQ(r.groups[0].inter_received, 57u);
   EXPECT_EQ(r.groups[0].control_sent, 529u);
-  EXPECT_EQ(r.groups[0].duplicate_deliveries, 1216u);
+  EXPECT_EQ(r.groups[0].duplicate_deliveries, 1186u);
   EXPECT_DOUBLE_EQ(r.groups[0].delivery_ratio, 1.0);
-  EXPECT_EQ(r.groups[1].intra_sent, 11970u);
-  EXPECT_EQ(r.groups[1].inter_sent, 51u);
-  EXPECT_DOUBLE_EQ(r.groups[1].delivery_ratio, 0.99750000000000005);
-  EXPECT_EQ(r.groups[2].intra_sent, 83124u);
+  EXPECT_EQ(r.groups[1].intra_sent, 11880u);
+  EXPECT_EQ(r.groups[1].inter_sent, 57u);
+  EXPECT_DOUBLE_EQ(r.groups[1].delivery_ratio, 0.9900000000000001);
+  EXPECT_EQ(r.groups[2].intra_sent, 83208u);
   EXPECT_EQ(r.groups[2].control_sent, 52999u);
-  EXPECT_EQ(r.groups[2].duplicate_deliveries, 63775u);
-  EXPECT_DOUBLE_EQ(r.groups[2].delivery_ratio, 0.98957142857142866);
+  EXPECT_EQ(r.groups[2].duplicate_deliveries, 63816u);
+  EXPECT_DOUBLE_EQ(r.groups[2].delivery_ratio, 0.99057142857142844);
   EXPECT_EQ(r.groups[2].ratio_samples, 7u);
-  // The arena path reports its footprint; the pre-arena engine had none.
+  // The arena path reports its footprint.
   EXPECT_GT(r.table_bytes, 0u);
   // Likewise the slab transport reports its in-flight high-water mark, and
   // it stays far below what the per-message queue would have held (one
@@ -63,66 +60,64 @@ TEST(DynamicGolden, ZipfStormStillbornRunTwo) {
   const sim::Scenario& scenario = preset("zipf-storm");
   const DynamicScenarioBinding binding = bind_scenario(scenario);
   const DynamicRunResult r = run_dynamic_simulation(scenario, binding, 0.7, 2);
-  EXPECT_EQ(r.total_messages, 29525u);
-  EXPECT_EQ(r.control_messages, 41449u);
+  EXPECT_EQ(r.total_messages, 30486u);
+  EXPECT_EQ(r.control_messages, 41447u);
   EXPECT_EQ(r.publications, 26u);
-  EXPECT_DOUBLE_EQ(r.event_reliability, 0.98890393157791201);
-  EXPECT_DOUBLE_EQ(r.mean_latency, 3.3674183514774496);
+  EXPECT_DOUBLE_EQ(r.event_reliability, 0.99540392640069575);
+  EXPECT_DOUBLE_EQ(r.mean_latency, 3.6531683539557553);
   ASSERT_EQ(r.groups.size(), 3u);
   EXPECT_EQ(r.groups[0].alive, 7u);
   EXPECT_EQ(r.groups[1].alive, 69u);
   EXPECT_EQ(r.groups[2].alive, 706u);
-  EXPECT_DOUBLE_EQ(r.groups[0].delivery_ratio, 0.96153846153846156);
-  EXPECT_DOUBLE_EQ(r.groups[1].delivery_ratio, 0.79227053140096615);
-  EXPECT_DOUBLE_EQ(r.groups[2].delivery_ratio, 0.97686496694995284);
+  EXPECT_DOUBLE_EQ(r.groups[0].delivery_ratio, 1.0);
+  EXPECT_DOUBLE_EQ(r.groups[1].delivery_ratio, 0.97584541062801933);
+  EXPECT_DOUBLE_EQ(r.groups[2].delivery_ratio, 0.98253068932955623);
 }
 
 TEST(DynamicGolden, FlashcrowdRunOne) {
   const sim::Scenario& scenario = preset("flashcrowd");
   const DynamicScenarioBinding binding = bind_scenario(scenario);
   const DynamicRunResult r = run_dynamic_simulation(scenario, binding, 1.0, 1);
-  EXPECT_EQ(r.total_messages, 603392u);
+  EXPECT_EQ(r.total_messages, 604897u);
   EXPECT_EQ(r.control_messages, 52167u);
   EXPECT_EQ(r.publications, 47u);
-  EXPECT_DOUBLE_EQ(r.event_reliability, 0.9794134560092006);
-  EXPECT_DOUBLE_EQ(r.mean_latency, 3.5373610458744325);
-  EXPECT_DOUBLE_EQ(r.max_latency, 9.0);
+  EXPECT_DOUBLE_EQ(r.event_reliability, 0.98211615871190361);
+  EXPECT_DOUBLE_EQ(r.mean_latency, 3.5444502995881884);
+  EXPECT_DOUBLE_EQ(r.max_latency, 10.0);
   ASSERT_EQ(r.groups.size(), 3u);
-  EXPECT_EQ(r.groups[2].intra_sent, 557052u);
-  EXPECT_EQ(r.groups[2].duplicate_deliveries, 426898u);
-  EXPECT_DOUBLE_EQ(r.groups[2].delivery_ratio, 0.98768085106382975);
+  EXPECT_EQ(r.groups[2].intra_sent, 557412u);
+  EXPECT_EQ(r.groups[2].duplicate_deliveries, 427193u);
+  EXPECT_DOUBLE_EQ(r.groups[2].delivery_ratio, 0.98831914893617023);
 }
 
 TEST(DynamicGolden, ChurnSubscribeHeavyRunZero) {
   // Joins, leaves and crash/recover: the churn traces exercise both the
   // mid-run spawn() path (owned views) and the overlays of batch-spawned
-  // nodes — bit-identical too, since copy-on-churn replays the historical
-  // mutations on the same entry order.
+  // nodes.
   const sim::Scenario& scenario = preset("churn-subscribe-heavy");
   const DynamicScenarioBinding binding = bind_scenario(scenario);
   const DynamicRunResult r = run_dynamic_simulation(scenario, binding, 1.0, 0);
-  EXPECT_EQ(r.total_messages, 18396u);
-  EXPECT_EQ(r.control_messages, 14454u);
+  EXPECT_EQ(r.total_messages, 18499u);
+  EXPECT_EQ(r.control_messages, 14448u);
   EXPECT_EQ(r.publications, 10u);
-  EXPECT_DOUBLE_EQ(r.event_reliability, 0.93824258601926247);
-  EXPECT_DOUBLE_EQ(r.mean_latency, 3.8251708428246012);
-  EXPECT_DOUBLE_EQ(r.max_latency, 11.0);
+  EXPECT_DOUBLE_EQ(r.event_reliability, 0.94925592750349352);
+  EXPECT_DOUBLE_EQ(r.mean_latency, 3.7440543601359004);
+  EXPECT_DOUBLE_EQ(r.max_latency, 13.0);
   ASSERT_EQ(r.groups.size(), 3u);
   EXPECT_EQ(r.groups[0].size, 42u);
   EXPECT_EQ(r.groups[0].alive, 38u);
   EXPECT_EQ(r.groups[1].size, 72u);
   EXPECT_EQ(r.groups[2].size, 226u);
   EXPECT_EQ(r.groups[2].alive, 193u);
-  EXPECT_DOUBLE_EQ(r.groups[0].delivery_ratio, 0.73421052631578954);
-  EXPECT_DOUBLE_EQ(r.groups[2].delivery_ratio, 0.88946459412780643);
+  EXPECT_DOUBLE_EQ(r.groups[0].delivery_ratio, 0.74473684210526314);
+  EXPECT_DOUBLE_EQ(r.groups[2].delivery_ratio, 0.8998272884283246);
 }
 
 TEST(DynamicGolden, RecoveryAblationCell) {
   // Recovery on: gossip carries history digests and missing events are
   // re-requested — the lane with the heaviest control-field traffic
   // (event_ids in every MEMBERSHIP / EVENT_REQUEST message), i.e. the
-  // slab queue's control arenas under real load. Captured from the
-  // pre-slab per-message queue; pinned bit-for-bit.
+  // slab queue's control arenas under real load; pinned bit-for-bit.
   sim::Scenario rec = sim::make_linear_scenario("rec", "rec", {12, 60, 300});
   rec.engine = sim::EngineKind::kDynamic;
   rec.workload.arrival.kind = ArrivalKind::kPoisson;
@@ -134,41 +129,41 @@ TEST(DynamicGolden, RecoveryAblationCell) {
   rec.base_seed = 0x2ECA;
   const DynamicScenarioBinding binding = bind_scenario(rec);
   const DynamicRunResult r = run_dynamic_simulation(rec, binding, 0.85, 1);
-  EXPECT_EQ(r.total_messages, 26822u);
-  EXPECT_EQ(r.control_messages, 16581u);
+  EXPECT_EQ(r.total_messages, 27409u);
+  EXPECT_EQ(r.control_messages, 16587u);
   EXPECT_EQ(r.publications, 8u);
-  EXPECT_DOUBLE_EQ(r.event_reliability, 0.97555205047318605);
-  EXPECT_DOUBLE_EQ(r.mean_latency, 3.3482828282828283);
-  EXPECT_DOUBLE_EQ(r.max_latency, 29.0);
+  EXPECT_DOUBLE_EQ(r.event_reliability, 0.99802839116719244);
+  EXPECT_DOUBLE_EQ(r.mean_latency, 3.6516765285996056);
+  EXPECT_DOUBLE_EQ(r.max_latency, 38.0);
   EXPECT_EQ(r.rounds, 52u);
   ASSERT_EQ(r.groups.size(), 3u);
   EXPECT_EQ(r.groups[0].size, 12u);
   EXPECT_EQ(r.groups[0].alive, 10u);
-  EXPECT_EQ(r.groups[0].intra_sent, 561u);
-  EXPECT_EQ(r.groups[0].inter_received, 32u);
+  EXPECT_EQ(r.groups[0].intra_sent, 640u);
+  EXPECT_EQ(r.groups[0].inter_received, 26u);
   EXPECT_EQ(r.groups[0].control_sent, 520u);
-  EXPECT_EQ(r.groups[0].duplicate_deliveries, 358u);
-  EXPECT_DOUBLE_EQ(r.groups[0].delivery_ratio, 0.875);
+  EXPECT_EQ(r.groups[0].duplicate_deliveries, 378u);
+  EXPECT_DOUBLE_EQ(r.groups[0].delivery_ratio, 1.0);
   EXPECT_EQ(r.groups[0].ratio_samples, 8u);
   EXPECT_EQ(r.groups[1].size, 60u);
   EXPECT_EQ(r.groups[1].alive, 50u);
-  EXPECT_EQ(r.groups[1].intra_sent, 3508u);
-  EXPECT_EQ(r.groups[1].inter_sent, 32u);
-  EXPECT_EQ(r.groups[1].inter_received, 31u);
-  EXPECT_EQ(r.groups[1].control_sent, 2609u);
-  EXPECT_EQ(r.groups[1].duplicate_deliveries, 2275u);
-  EXPECT_DOUBLE_EQ(r.groups[1].delivery_ratio, 0.875);
+  EXPECT_EQ(r.groups[1].intra_sent, 4009u);
+  EXPECT_EQ(r.groups[1].inter_sent, 26u);
+  EXPECT_EQ(r.groups[1].inter_received, 33u);
+  EXPECT_EQ(r.groups[1].control_sent, 2610u);
+  EXPECT_EQ(r.groups[1].duplicate_deliveries, 2538u);
+  EXPECT_DOUBLE_EQ(r.groups[1].delivery_ratio, 1.0);
   EXPECT_EQ(r.groups[2].size, 300u);
   EXPECT_EQ(r.groups[2].alive, 257u);
-  EXPECT_EQ(r.groups[2].intra_sent, 22690u);
-  EXPECT_EQ(r.groups[2].inter_sent, 31u);
-  EXPECT_EQ(r.groups[2].control_sent, 13452u);
-  EXPECT_EQ(r.groups[2].duplicate_deliveries, 15090u);
+  EXPECT_EQ(r.groups[2].intra_sent, 22701u);
+  EXPECT_EQ(r.groups[2].inter_sent, 33u);
+  EXPECT_EQ(r.groups[2].control_sent, 13457u);
+  EXPECT_EQ(r.groups[2].duplicate_deliveries, 14775u);
   EXPECT_DOUBLE_EQ(r.groups[2].delivery_ratio, 0.9995136186770428);
-  EXPECT_EQ(r.trace_event_sends, 26759u);
-  EXPECT_EQ(r.trace_inter_sends, 63u);
-  EXPECT_EQ(r.trace_control_sends, 16581u);
-  EXPECT_EQ(r.trace_delivers, 2475u);
+  EXPECT_EQ(r.trace_event_sends, 27350u);
+  EXPECT_EQ(r.trace_inter_sends, 59u);
+  EXPECT_EQ(r.trace_control_sends, 16587u);
+  EXPECT_EQ(r.trace_delivers, 2535u);
   EXPECT_EQ(r.trace_publishes, 8u);
   EXPECT_GT(r.queue_bytes, 0u);
 }
@@ -176,7 +171,7 @@ TEST(DynamicGolden, RecoveryAblationCell) {
 TEST(DynamicGolden, ColdStartBootstrapCell) {
   // auto_wire off: super rows are absent from the arena and every node
   // runs FIND_SUPER_CONTACT — the flood order (and so the whole control
-  // stream) must be unchanged by the arena path.
+  // stream) is pinned too.
   sim::Scenario cold = sim::make_linear_scenario("cold", "cold", {10, 10, 10});
   cold.engine = sim::EngineKind::kDynamic;
   cold.workload.arrival.kind = ArrivalKind::kScheduled;
@@ -189,10 +184,10 @@ TEST(DynamicGolden, ColdStartBootstrapCell) {
   const DynamicScenarioBinding binding = bind_scenario(cold);
   const DynamicRunResult r = run_dynamic_simulation(cold, binding, 1.0, 0);
   EXPECT_EQ(r.total_messages, 0u);
-  EXPECT_EQ(r.control_messages, 2081u);
-  EXPECT_DOUBLE_EQ(r.rounds_to_link, 3.0);
+  EXPECT_EQ(r.control_messages, 2220u);
+  EXPECT_DOUBLE_EQ(r.rounds_to_link, 4.0);
   EXPECT_DOUBLE_EQ(r.linked_fraction, 1.0);
-  EXPECT_DOUBLE_EQ(r.control_at_link, 1177.0);
+  EXPECT_DOUBLE_EQ(r.control_at_link, 1562.0);
 }
 
 }  // namespace

@@ -29,34 +29,34 @@ TEST(SteadyGolden, ProtocolCell) {
   const sim::Scenario scenario = cell("steady-state");
   const DynamicScenarioBinding binding = bind_scenario(scenario);
   const DynamicRunResult r = run_dynamic_simulation(scenario, binding, 1.0, 0);
-  EXPECT_EQ(r.total_messages, 233864u);
-  EXPECT_EQ(r.control_messages, 132087u);
+  EXPECT_EQ(r.total_messages, 234587u);
+  EXPECT_EQ(r.control_messages, 132085u);
   EXPECT_EQ(r.publications, 47u);
-  EXPECT_DOUBLE_EQ(r.event_reliability, 0.99585620436684263);
-  EXPECT_DOUBLE_EQ(r.mean_latency, 3.4518234356317259);
-  EXPECT_DOUBLE_EQ(r.max_latency, 10.0);
+  EXPECT_DOUBLE_EQ(r.event_reliability, 0.99686862878352234);
+  EXPECT_DOUBLE_EQ(r.mean_latency, 3.42421684952589);
+  EXPECT_DOUBLE_EQ(r.max_latency, 9.0);
   EXPECT_EQ(r.rounds, 119u);
   EXPECT_EQ(r.expected_deliveries, 20270u);
-  EXPECT_EQ(r.trace_event_sends, 233628u);
-  EXPECT_EQ(r.trace_inter_sends, 236u);
-  EXPECT_EQ(r.trace_delivers, 20072u);
+  EXPECT_EQ(r.trace_event_sends, 234374u);
+  EXPECT_EQ(r.trace_inter_sends, 213u);
+  EXPECT_EQ(r.trace_delivers, 20143u);
   ASSERT_EQ(r.groups.size(), 3u);
-  EXPECT_EQ(r.groups[0].intra_sent, 3680u);
-  EXPECT_EQ(r.groups[0].inter_received, 142u);
-  EXPECT_DOUBLE_EQ(r.groups[0].delivery_ratio, 0.97872340425531912);
+  EXPECT_EQ(r.groups[0].intra_sent, 3514u);
+  EXPECT_EQ(r.groups[0].inter_received, 124u);
+  EXPECT_DOUBLE_EQ(r.groups[0].delivery_ratio, 0.93617021276595747);
   EXPECT_EQ(r.groups[0].ratio_samples, 47u);
-  EXPECT_EQ(r.groups[1].intra_sent, 26980u);
-  EXPECT_EQ(r.groups[1].inter_sent, 142u);
-  EXPECT_DOUBLE_EQ(r.groups[1].delivery_ratio, 0.96357142857142863);
+  EXPECT_EQ(r.groups[1].intra_sent, 27880u);
+  EXPECT_EQ(r.groups[1].inter_sent, 124u);
+  EXPECT_DOUBLE_EQ(r.groups[1].delivery_ratio, 0.99571428571428566);
   EXPECT_EQ(r.groups[1].ratio_samples, 28u);
-  EXPECT_EQ(r.groups[2].intra_sent, 202968u);
+  EXPECT_EQ(r.groups[2].intra_sent, 202980u);
   EXPECT_EQ(r.groups[2].control_sent, 118999u);
-  EXPECT_EQ(r.groups[2].duplicate_deliveries, 155397u);
-  EXPECT_DOUBLE_EQ(r.groups[2].delivery_ratio, 0.99494117647058833);
+  EXPECT_EQ(r.groups[2].duplicate_deliveries, 155518u);
+  EXPECT_DOUBLE_EQ(r.groups[2].delivery_ratio, 0.995);
   EXPECT_EQ(r.groups[2].ratio_samples, 17u);
   EXPECT_GT(r.table_bytes, 0u);
   EXPECT_GT(r.queue_bytes, 0u);
-  EXPECT_EQ(r.timeline.peak_bookkeeping_bytes(), 506132u);
+  EXPECT_EQ(r.timeline.peak_bookkeeping_bytes(), 508028u);
 }
 
 TEST(SteadyGolden, TreeBaselineCell) {

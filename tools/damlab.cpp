@@ -14,10 +14,9 @@
 //
 // Aggregates are bit-identical for every --jobs value: run seeds derive
 // from (base_seed, point, run) and shard merge order is fixed (see
-// src/exp/runner.hpp). --threads engages the engines' INTRA-run sharded
-// mode (core/frozen_sim.hpp) — aggregates are likewise bit-identical for
-// every --threads value, but the sharded streams differ from the default
-// serial ones, so pass --threads consistently when diffing bench JSON.
+// src/exp/runner.hpp). --threads sets the engines' INTRA-run workers
+// (core/frozen_sim.hpp); the chunk grid never depends on it, so aggregates
+// are likewise bit-identical for every --threads value.
 #include <iostream>
 #include <memory>
 #include <string>
@@ -64,11 +63,10 @@ int main(int argc, char** argv) {
   args.add_option("jobs", "0",
                   "cross-run worker threads: fans (point, run) cells "
                   "across the pool (0 = hardware concurrency)");
-  args.add_option("threads", "0",
-                  "intra-run worker threads: shards table builds, wave "
+  args.add_option("threads", "1",
+                  "intra-run worker threads: fill table builds, wave "
                   "frontiers, and spawn batches inside each run (0 = "
-                  "hardware; omit for the default serial engine streams; "
-                  "frozen scenarios need fast table_build)");
+                  "hardware); changes speed, never results");
   args.add_option("grid", "",
                   "parameter grid, e.g. \"a=1:4 g=5,10 psucc=0.5:0.9:0.2\" "
                   "(keys: a b c g psucc tau z alive scale depth fanin runs "
@@ -173,12 +171,7 @@ int main(int argc, char** argv) {
         if (runs_override > 0) {
           scenario.runs = static_cast<int>(runs_override);
         }
-        // Tri-state: an omitted --threads keeps the preset's value (for
-        // almost all presets: unset, the serial streams); --threads=0
-        // means "hardware concurrency", like --jobs=0.
-        if (args.provided("threads")) {
-          scenario.threads = static_cast<unsigned>(args.integer("threads"));
-        }
+        scenario.threads = static_cast<unsigned>(args.integer("threads"));
         exp::apply_grid_point(scenario, cell);
         if (!args.str("trace").empty()) {
           // Same semantics as damsim --trace: one traced replay of run 0,

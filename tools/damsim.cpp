@@ -2,7 +2,7 @@
 //
 // Two modes, both executed by the parallel experiment runner (src/exp);
 // results are bit-identical for every --jobs value (cross-run fan-out)
-// and, separately, for every --threads value (intra-run sharding):
+// and every --threads value (intra-run workers):
 //  * ad-hoc linear hierarchy, every parameter exposed as a flag:
 //      damsim --sizes=10,100,1000 --alive=0.7 --runs=100
 //      damsim --sweep --csv=out.csv --g=10 --z=5 --jobs=4
@@ -62,11 +62,10 @@ int main(int argc, char** argv) {
   args.add_option("jobs", "0",
                   "cross-run worker threads: fans (point, run) cells "
                   "across the pool (0 = hardware concurrency)");
-  args.add_option("threads", "0",
-                  "intra-run worker threads: shards table builds and wave "
-                  "frontiers inside each run (0 = hardware; omit for the "
-                  "default serial engine streams; implies fast table_build "
-                  "in ad-hoc mode)");
+  args.add_option("threads", "1",
+                  "intra-run worker threads: fill table builds and wave "
+                  "frontiers inside each run (0 = hardware); changes "
+                  "speed, never results");
   args.add_option("b", "3", "topic-table capacity factor");
   args.add_option("c", "5", "gossip fanout constant");
   args.add_option("g", "5", "expected intergroup links (psel = g/S)");
@@ -131,9 +130,7 @@ int main(int argc, char** argv) {
       if (args.provided("runs") && args.integer("runs") > 0) {
         scenario.runs = static_cast<int>(args.integer("runs"));
       }
-      if (args.provided("threads")) {
-        scenario.threads = static_cast<unsigned>(args.integer("threads"));
-      }
+      scenario.threads = static_cast<unsigned>(args.integer("threads"));
       if (!args.str("trace").empty()) {
         return exp::dump_trace(scenario, args.str("trace"), std::cout,
                                std::cerr, "damsim");
@@ -166,12 +163,7 @@ int main(int argc, char** argv) {
     if (args.flag("dynamic")) {
       scenario.failure_mode = core::FrozenFailureMode::kDynamicPerception;
     }
-    if (args.provided("threads")) {
-      // The sharded streams need random-access sampling; the legacy
-      // sequential sampler is documented single-thread-only.
-      scenario.table_build = core::TableBuild::kFast;
-      scenario.threads = static_cast<unsigned>(args.integer("threads"));
-    }
+    scenario.threads = static_cast<unsigned>(args.integer("threads"));
     if (const auto level = args.integer("publish-level"); level >= 0) {
       scenario.publish_topic = static_cast<std::uint32_t>(level);
     }
