@@ -227,16 +227,6 @@ workload::DynamicRunResult run_steady_baseline(const sim::Scenario& scenario,
   };
   std::vector<PublicationRecord> published;
 
-  // Gossip: per-process duplicate-suppression seen sets — interest-blind
-  // flooding means EVERY process pays this state for ALL topics' traffic,
-  // which is exactly what the age-GC horizon bounds. The tree engine
-  // routes along spanning trees and needs none of it.
-  std::vector<core::protocol::SeenSet<std::uint32_t>> seen;
-  if (!tree) {
-    seen.resize(initial_processes + joins);
-    for (auto& set : seen) set.set_age_horizon(gc_horizon);
-  }
-
   std::vector<std::uint64_t> intra_sent(topic_count, 0);
   std::vector<std::uint64_t> inter_sent(topic_count, 0);
   std::vector<std::uint64_t> inter_received(topic_count, 0);
@@ -294,10 +284,8 @@ workload::DynamicRunResult run_steady_baseline(const sim::Scenario& scenario,
                      std::size_t round) -> bool {
     EventState& state = events[event];
     if (state.retired) return false;  // late hop past the deadline harvest
-    if (!tree && !seen[q].remember(event, round)) {
-      ++duplicates[topic_of[q]];
-      return false;
-    }
+    // The delivered set is the duplicate filter too: it is only cleared at
+    // retirement, after which hops are dropped above.
     if (!state.delivered.insert(q).second) {
       ++duplicates[topic_of[q]];
       return false;
@@ -472,22 +460,13 @@ workload::DynamicRunResult run_steady_baseline(const sim::Scenario& scenario,
 
   const std::size_t window_rounds = timeline.window_rounds();
   auto sample_window = [&](std::size_t last_round) {
-    std::uint64_t seen_bytes = 0;
-    if (!tree) {
-      for (auto& set : seen) {
-        // Age eviction runs at window boundaries (no RNG, cannot perturb
-        // the run); remember() keys evictions off the stamps either way.
-        set.evict_older_than(last_round);
-        seen_bytes += set.bytes();
-      }
-    }
     std::uint64_t delivered_bytes = 0;
     for (const EventState& state : events) {
       if (!state.retired) {
         delivered_bytes += state.delivered.size() * sizeof(std::uint32_t);
       }
     }
-    timeline.sample_gauges(last_round, seen_bytes, delivered_bytes, 0);
+    timeline.sample_gauges(last_round, 0, delivered_bytes, 0);
     timeline.note_queue_peak(last_round, window_queue_peak);
     window_queue_peak = 0;
   };
@@ -533,7 +512,7 @@ workload::DynamicRunResult run_steady_baseline(const sim::Scenario& scenario,
             static_cast<std::uint32_t>(members[event.topic].size()));
         members[event.topic].push_back(
             static_cast<std::uint32_t>(topic_of.size()));
-        topic_of.push_back(event.topic);  // seen[] was pre-sized for joiners
+        topic_of.push_back(event.topic);
         continue;
       }
       if (event.kind != workload::TrafficEvent::Kind::kPublish) continue;

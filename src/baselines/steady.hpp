@@ -27,9 +27,9 @@
 //     population (the "single flat group" strawman of the paper's Sec. II):
 //     infect-and-die forwarding to ceil(ln N + c) uniform targets per
 //     first reception. Every process receives every event — uninterested
-//     receptions are the parasite cost — and every process needs a
-//     duplicate-suppression seen set over ALL topics' traffic, which is
-//     exactly the bookkeeping the seen-set GC horizon bounds.
+//     receptions are the parasite cost — and each event's delivered set,
+//     which doubles as its duplicate filter, spans ALL processes until the
+//     event is retired.
 //
 // Determinism: a run is a pure function of (scenario, alive_fraction,
 // run) — the stream comes from workload::generate_stream under the
@@ -49,8 +49,8 @@ namespace dam::baselines {
 /// kBaselineTree or kBaselineGossip (throws std::invalid_argument
 /// otherwise, or when the topology is not a tree). Honors the scenario's
 /// workload config including churn, joins, and the sustained-service GC
-/// knob (EngineConfig::gc_horizon bounds the gossip engine's seen sets and
-/// retires harvested publications in both engines).
+/// knob (EngineConfig::gc_horizon > 0 retires harvested publications in
+/// both engines).
 [[nodiscard]] workload::DynamicRunResult run_steady_baseline(
     const sim::Scenario& scenario, double alive_fraction, int run);
 

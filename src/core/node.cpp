@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/protocol.hpp"
+
 namespace dam::core {
 
 namespace {
@@ -22,10 +24,8 @@ DamNode::DamNode(ProcessId self, TopicId topic,
       membership_(self, topic, config.membership, group_size_estimate,
                   rng.fork(0xA11CE)),
       super_table_(self, config.params.z),
-      bootstrap_(self, topic, hierarchy, config.bootstrap),
-      seen_(config.max_seen_events) {
+      bootstrap_(self, topic, hierarchy, config.bootstrap) {
   config_.params.validate();
-  seen_.set_age_horizon(config_.seen_gc_horizon);
 }
 
 void DamNode::subscribe(const std::vector<ProcessId>& group_contacts,
@@ -68,7 +68,7 @@ EventId DamNode::publish(std::vector<std::uint8_t> payload) {
   const EventId event{self_, next_sequence_++};
   // The publisher "receives" its own event: mark seen, deliver locally,
   // and run DISSEMINATE (Fig. 7 is invoked by the publisher as well).
-  seen_.remember(event, env_->now());
+  env_->mark_seen(self_, event);
   Message msg;
   msg.kind = MsgKind::kEvent;
   msg.from = self_;
@@ -110,10 +110,6 @@ void DamNode::on_message(const Message& msg) {
 
 void DamNode::round(sim::Round now) {
   if (!subscribed_) return;
-  // Sustained-service GC: age out seen-set entries past the horizon before
-  // this round's gossip, so the bookkeeping gauges sampled at window
-  // boundaries see the bounded set.
-  seen_.evict_older_than(now);
   // Underlying membership gossip, with the supertopic table piggybacked
   // (Sec. V-A.2a) so fresh super contacts spread through the group. The
   // recovery extension additionally piggybacks a digest of recently seen
@@ -171,8 +167,8 @@ void DamNode::disseminate(const Message& event_msg) {
 
 void DamNode::handle_event(const Message& msg) {
   // Fig. 5 lines 5–10: first reception forwards + delivers; duplicates are
-  // suppressed (protocol::SeenSet).
-  if (!seen_.remember(msg.event, env_->now())) {
+  // suppressed (the host's seen store).
+  if (!env_->mark_seen(self_, msg.event)) {
     ++duplicates_;
     return;
   }
@@ -270,7 +266,7 @@ void DamNode::handle_membership(const Message& msg) {
     request.from = self_;
     request.to = msg.from;
     for (const net::EventId& id : msg.event_ids) {
-      if (!seen_.contains(id)) request.event_ids.push_back(id);
+      if (!env_->seen(self_, id)) request.event_ids.push_back(id);
     }
     if (!request.event_ids.empty()) {
       ++recovery_requests_sent_;
@@ -352,10 +348,6 @@ bool DamNode::better_or_equal_super(TopicId candidate) const {
   if (!current) return true;
   // Deeper supertopics are closer to the direct supertopic — prefer them.
   return hierarchy_->depth(candidate) >= hierarchy_->depth(*current);
-}
-
-std::function<bool(ProcessId)> DamNode::alive_probe() const {
-  return [this](ProcessId p) { return env_->probe_alive(p); };
 }
 
 }  // namespace dam::core

@@ -10,13 +10,13 @@
 //   * topic table   — partial view of the own group, maintained by the
 //                     underlying FlatMembership substrate ([10]);
 //   * supertopic table — z contacts in the nearest non-empty supergroup;
-//   * bootstrap task  — FIND_SUPER_CONTACT state machine;
-//   * seen set        — event ids already forwarded (duplicate suppression).
+//   * bootstrap task  — FIND_SUPER_CONTACT state machine.
+// Which events the node has already received (duplicate suppression) is
+// kept by the host, behind Env::mark_seen / Env::seen.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <span>
 #include <unordered_set>
@@ -24,7 +24,6 @@
 
 #include "core/bootstrap.hpp"
 #include "core/params.hpp"
-#include "core/protocol.hpp"
 #include "core/tables.hpp"
 #include "membership/flat_membership.hpp"
 #include "net/message.hpp"
@@ -59,6 +58,14 @@ class Env {
 
   /// Application-level delivery callback (Fig. 5 line 8).
   virtual void deliver(ProcessId self, const Message& event_msg) = 0;
+
+  /// Records that `self` has received `event`. True iff this is the first
+  /// reception — only then does the node deliver and forward (Fig. 5 lines
+  /// 5–10); false marks a duplicate.
+  virtual bool mark_seen(ProcessId self, EventId event) = 0;
+
+  /// True iff `self` has received `event` and the host still remembers it.
+  [[nodiscard]] virtual bool seen(ProcessId self, EventId event) const = 0;
 };
 
 struct NodeConfig {
@@ -67,18 +74,10 @@ struct NodeConfig {
   BootstrapTask::Config bootstrap;
   sim::Round maintenance_period = 4;  ///< KEEP_TABLE_UPDATED cadence
 
-  /// Bound on the duplicate-suppression ("seen events") set; 0 = unbounded.
-  /// When exceeded, the oldest entries are forgotten FIFO — an event older
-  /// than the window would then be re-forwarded, which is safe (at worst
-  /// extra traffic) and keeps long-lived processes at constant memory.
-  std::size_t max_seen_events = 0;
-
-  /// Age bound on the seen set (sustained-service GC): entries older than
-  /// this many rounds are evicted in round(). Orthogonal to — and
-  /// composable with — the count bound above; 0 = no age GC. An evicted
-  /// id that arrives again is re-forwarded (extra traffic, never a
-  /// correctness loss); DamSystem counts such re-deliveries so the lane's
-  /// correctness guard can assert live events are never affected.
+  /// Sustained-service GC: DamSystem releases a publication's seen column
+  /// once it is retired AND this many rounds have passed since its first
+  /// mark; 0 = never. A released id that arrives again is treated as new
+  /// (extra traffic, never a correctness loss).
   std::size_t seen_gc_horizon = 0;
 
   /// Event-recovery extension (lpbcast-style, cf. paper reference [6]):
@@ -146,10 +145,7 @@ class DamNode {
     return bootstrap_;
   }
   [[nodiscard]] bool has_seen(EventId event) const {
-    return seen_.contains(event);
-  }
-  [[nodiscard]] const protocol::SeenSet<EventId>& seen_events() const noexcept {
-    return seen_;
+    return env_->seen(self_, event);
   }
 
   /// Entries in the recovery request-dedup set ((origin, request_id) pairs
@@ -207,7 +203,10 @@ class DamNode {
   /// nearest supergroup).
   [[nodiscard]] bool better_or_equal_super(TopicId candidate) const;
 
-  [[nodiscard]] std::function<bool(ProcessId)> alive_probe() const;
+  /// Liveness predicate for the supertopic table (a one-pointer closure).
+  [[nodiscard]] auto alive_probe() const {
+    return [this](ProcessId p) { return env_->probe_alive(p); };
+  }
 
   ProcessId self_;
   TopicId topic_;
@@ -220,9 +219,6 @@ class DamNode {
   SuperTopicTable super_table_;
   BootstrapTask bootstrap_;
 
-  /// Duplicate suppression (forward on first reception), bounded by
-  /// config_.max_seen_events.
-  protocol::SeenSet<EventId> seen_;
   std::deque<Message> history_;     // recovery buffer (recent event msgs)
   std::unordered_set<std::uint64_t> seen_requests_;  // (origin, request_id)
   std::uint32_t next_sequence_ = 0;

@@ -8,8 +8,6 @@
 
 namespace dam::core {
 
-const std::unordered_set<ProcessId> DamSystem::kNoDeliveries{};
-
 namespace {
 
 /// Joiners per spawn-fill task. Fixed, so the chunk grid — and with it
@@ -232,6 +230,7 @@ void DamSystem::run_rounds(std::size_t count) {
     for (auto& node : nodes_) {
       if (failures_->alive(node->self(), round)) node->round(round);
     }
+    release_columns(round);
     clock_.tick();
   }
 }
@@ -314,25 +313,20 @@ bool DamSystem::probe_alive(ProcessId target) const {
 }
 
 void DamSystem::deliver(ProcessId self, const Message& event_msg) {
-  // The publisher's synchronous self-delivery fires inside DamNode::publish,
-  // BEFORE DamSystem::publish registers the publication — it is never a
-  // retired event, whatever the maps say.
+  // Called once per first mark. The publisher's synchronous self-delivery
+  // fires inside DamNode::publish, BEFORE DamSystem::publish registers the
+  // publication — it is never a retired event, whatever the maps say.
   const bool self_publish =
       event_msg.from == self && event_msg.event.publisher == self;
   if (retired_events_ > 0 && !self_publish &&
       !publications_.contains(event_msg.event)) {
-    // A copy of an already-retired publication reached a node whose seen
-    // set aged the id out: harmless duplicate traffic, excluded from the
-    // live counters so harvested aggregates stay frozen.
+    // A copy of an already-retired publication reached a process that had
+    // not seen it: harmless duplicate traffic, excluded from the live
+    // counters so harvested aggregates stay frozen. If the copy re-opened
+    // a released column, that column is retired too.
     ++retired_deliveries_;
-    return;
-  }
-  if (!deliveries_[event_msg.event].insert(self).second) {
-    // A LIVE event delivered twice to the same process — only seen-set
-    // eviction inside the delivery window can cause this; the GC
-    // correctness guard asserts it never happens when the horizon covers
-    // the deadline window.
-    ++redeliveries_;
+    const auto column = column_of_.find(event_msg.event);
+    if (column != column_of_.end()) columns_[column->second].retired = true;
     return;
   }
   ++metrics_.group(registry_.topic_of(self)).delivered;
@@ -356,25 +350,77 @@ void DamSystem::deliver(ProcessId self, const Message& event_msg) {
   if (delivery_handler_) delivery_handler_(self, event_msg);
 }
 
+bool DamSystem::mark_seen(ProcessId self, net::EventId event) {
+  const auto [it, opened] = column_of_.try_emplace(event, 0);
+  const std::size_t width = (nodes_.size() + 63) / 64;
+  if (opened) {
+    if (free_columns_.empty()) {
+      free_columns_.push_back(static_cast<std::uint32_t>(columns_.size()));
+      columns_.emplace_back();
+    }
+    it->second = free_columns_.back();
+    free_columns_.pop_back();
+    SeenColumn& column = columns_[it->second];
+    column.event = event;
+    column.first_mark = clock_.now();
+    column.open = true;
+    column.retired = false;
+    column.count = 0;
+    column.words.assign(width, 0);
+  }
+  SeenColumn& column = columns_[it->second];
+  const std::size_t word = self.value / 64;
+  // A process spawned after the first mark widens the column.
+  if (word >= column.words.size()) {
+    column.words.resize(std::max(word + 1, width), 0);
+  }
+  const std::uint64_t bit = std::uint64_t{1} << (self.value % 64);
+  if ((column.words[word] & bit) != 0) return false;
+  column.words[word] |= bit;
+  ++column.count;
+  return true;
+}
+
+bool DamSystem::seen(ProcessId self, net::EventId event) const {
+  const auto it = column_of_.find(event);
+  return it != column_of_.end() &&
+         DeliveredView(columns_[it->second].words, 0).contains(self);
+}
+
+void DamSystem::release_columns(sim::Round now) {
+  const std::size_t horizon = config_.node.seen_gc_horizon;
+  if (horizon == 0) return;
+  for (std::uint32_t slot = 0; slot < columns_.size(); ++slot) {
+    SeenColumn& column = columns_[slot];
+    if (!column.open || !column.retired || now < column.first_mark + horizon) {
+      continue;
+    }
+    column_of_.erase(column.event);
+    column.open = false;
+    free_columns_.push_back(slot);
+  }
+}
+
 DamSystem::BookkeepingGauges DamSystem::bookkeeping_gauges() const {
   BookkeepingGauges gauges;
   for (const auto& node : nodes_) {
-    gauges.seen_bytes += node->seen_events().bytes();
     gauges.request_bytes +=
         node->request_set_size() * sizeof(std::uint64_t);
   }
-  // Iteration order of the deliveries map is unspecified, but only sizes
-  // are summed — the total is order-independent, so still deterministic.
-  for (const auto& [event, delivered] : deliveries_) {
-    gauges.delivered_bytes += delivered.size() * sizeof(ProcessId);
+  for (const SeenColumn& column : columns_) {
+    if (column.open) {
+      gauges.seen_bytes += column.words.size() * sizeof(std::uint64_t);
+    }
   }
   return gauges;
 }
 
-const std::unordered_set<ProcessId>& DamSystem::delivered_set(
-    net::EventId event) const {
-  auto it = deliveries_.find(event);
-  return it == deliveries_.end() ? kNoDeliveries : it->second;
+DamSystem::DeliveredView DamSystem::delivered_set(net::EventId event) const {
+  const auto it = column_of_.find(event);
+  if (it == column_of_.end()) return {};
+  const SeenColumn& column = columns_[it->second];
+  if (column.retired) return {};
+  return {column.words, column.count};
 }
 
 double DamSystem::delivery_ratio(net::EventId event) const {
@@ -399,9 +445,10 @@ bool DamSystem::all_delivered(net::EventId event) const {
 }
 
 void DamSystem::retire_event(net::EventId event) {
-  deliveries_.erase(event);
   publications_.erase(event);
   ++retired_events_;
+  const auto column = column_of_.find(event);
+  if (column != column_of_.end()) columns_[column->second].retired = true;
 }
 
 }  // namespace dam::core

@@ -9,10 +9,13 @@
 // workers of the spawn-batch fill and never changes results.
 #pragma once
 
+#include <bit>
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/node.hpp"
@@ -109,6 +112,8 @@ class DamSystem final : public Env {
       ProcessId self) const override;
   [[nodiscard]] bool probe_alive(ProcessId target) const override;
   void deliver(ProcessId self, const Message& event_msg) override;
+  bool mark_seen(ProcessId self, net::EventId event) override;
+  [[nodiscard]] bool seen(ProcessId self, net::EventId event) const override;
 
   // --- observers ---
   [[nodiscard]] const DamNode& node(ProcessId id) const {
@@ -164,12 +169,10 @@ class DamSystem final : public Env {
     return transport_.take_window_peak();
   }
 
-  /// Point-in-time per-process bookkeeping footprint, in logical bytes
-  /// (element counts × element sizes — deterministic across machines):
-  /// seen-sets (duplicate suppression), delivered-sets (reliability
-  /// accounting), and recovery request-dedup sets. This is the memory the
-  /// PR 8 follow-up flagged as the S=10⁷ blocker; the workload driver
-  /// samples it at flight-recorder window boundaries.
+  /// Point-in-time bookkeeping footprint, in logical bytes (deterministic
+  /// across machines): the unreleased seen columns, delivered sets (always
+  /// 0: a delivered set IS its seen column), and recovery request-dedup
+  /// sets. The workload driver samples it at flight-recorder windows.
   struct BookkeepingGauges {
     std::size_t seen_bytes = 0;
     std::size_t delivered_bytes = 0;
@@ -177,9 +180,66 @@ class DamSystem final : public Env {
   };
   [[nodiscard]] BookkeepingGauges bookkeeping_gauges() const;
 
-  /// Processes that delivered `event` so far.
-  [[nodiscard]] const std::unordered_set<ProcessId>& delivered_set(
-      net::EventId event) const;
+  /// Read-only view of one publication's delivered set: the bits of its
+  /// seen column. Iterates in process-id order. Valid until the next
+  /// run_rounds, publish, spawn or retire_event call.
+  class DeliveredView {
+   public:
+    class Iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = ProcessId;
+      using difference_type = std::ptrdiff_t;
+      using reference = ProcessId;
+      Iterator(std::span<const std::uint64_t> words, std::size_t word)
+          : words_(words), word_(word) {
+        skip_empty();
+      }
+      ProcessId operator*() const {
+        return ProcessId{static_cast<std::uint32_t>(
+            word_ * 64 + static_cast<std::size_t>(std::countr_zero(bits_)))};
+      }
+      Iterator& operator++() {
+        bits_ &= bits_ - 1;
+        if (bits_ == 0) {
+          ++word_;
+          skip_empty();
+        }
+        return *this;
+      }
+      bool operator==(const Iterator& other) const {
+        return word_ == other.word_ && bits_ == other.bits_;
+      }
+
+     private:
+      void skip_empty() {
+        while (word_ < words_.size() && words_[word_] == 0) ++word_;
+        bits_ = word_ < words_.size() ? words_[word_] : 0;
+      }
+      std::span<const std::uint64_t> words_;
+      std::size_t word_ = 0;
+      std::uint64_t bits_ = 0;
+    };
+
+    DeliveredView() = default;
+    DeliveredView(std::span<const std::uint64_t> words, std::size_t count)
+        : words_(words), count_(count) {}
+    [[nodiscard]] bool contains(ProcessId p) const noexcept {
+      const std::size_t word = p.value / 64;
+      return word < words_.size() && ((words_[word] >> (p.value % 64)) & 1U);
+    }
+    [[nodiscard]] std::size_t size() const noexcept { return count_; }
+    [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+    [[nodiscard]] Iterator begin() const { return {words_, 0}; }
+    [[nodiscard]] Iterator end() const { return {words_, words_.size()}; }
+
+   private:
+    std::span<const std::uint64_t> words_;
+    std::size_t count_ = 0;
+  };
+
+  /// Processes that delivered `event` so far; empty once it is retired.
+  [[nodiscard]] DeliveredView delivered_set(net::EventId event) const;
 
   /// Fraction of *alive interested* processes that delivered `event`
   /// (the paper's reliability measurand for one run).
@@ -188,20 +248,16 @@ class DamSystem final : public Env {
   /// True iff every alive interested process delivered `event`.
   [[nodiscard]] bool all_delivered(net::EventId event) const;
 
-  /// Sustained-service GC: forgets `event`'s delivered set and interested
-  /// snapshot once the workload driver has harvested its deadline outcome,
-  /// bounding per-run bookkeeping over long horizons. Deliveries of a
-  /// retired id arriving later count as retired_deliveries (harmless
-  /// duplicate traffic) and never touch the live counters.
+  /// Sustained-service GC, once the driver has harvested `event`'s deadline
+  /// outcome: forgets its interested snapshot and empties its delivered
+  /// set. Its seen column is released at the end of the first round at
+  /// least NodeConfig::seen_gc_horizon (> 0) rounds after its first mark.
+  /// Later first receptions count as retired_deliveries, never as live.
   void retire_event(net::EventId event);
 
-  /// Second deliveries of a LIVE (unretired) event to the same process —
-  /// exactly what a seen-set eviction inside the delivery window would
-  /// cause. The GC correctness guard: zero as long as the seen horizon
-  /// covers every event's deadline window.
-  [[nodiscard]] std::size_t redeliveries() const noexcept {
-    return redeliveries_;
-  }
+  /// Second deliveries of a live event to one process: 0 by construction
+  /// (columns outlive their publications); the GC guard callers assert.
+  [[nodiscard]] std::size_t redeliveries() const noexcept { return 0; }
 
   /// Deliveries of already-retired events (late duplicates past the
   /// deadline — safe by construction, counted for observability).
@@ -214,6 +270,22 @@ class DamSystem final : public Env {
     TopicId topic;
     std::vector<ProcessId> interested;  // snapshot at publish time
   };
+
+  /// One bit per process for one publication: bit p is set once p has
+  /// received the event. It is the duplicate-suppression state and the
+  /// delivered set at once. Slots are recycled after release.
+  struct SeenColumn {
+    net::EventId event;
+    sim::Round first_mark = 0;
+    bool open = false;     ///< in column_of_ (not released)
+    bool retired = false;  ///< publication retired (see deliver())
+    std::size_t count = 0;  ///< bits set
+    std::vector<std::uint64_t> words;
+  };
+
+  /// Releases every retired column whose first mark is at least
+  /// seen_gc_horizon rounds before `now`. Called at the end of each round.
+  void release_columns(sim::Round now);
 
   const topics::TopicHierarchy* hierarchy_;
   Config config_;
@@ -230,12 +302,12 @@ class DamSystem final : public Env {
   std::vector<std::unique_ptr<GroupViewArena>> view_arenas_;
   DeliveryHandler delivery_handler_;
   sim::TraceRecorder* trace_ = nullptr;
-  std::unordered_map<net::EventId, std::unordered_set<ProcessId>> deliveries_;
   std::unordered_map<net::EventId, Publication> publications_;
+  std::vector<SeenColumn> columns_;
+  std::unordered_map<net::EventId, std::uint32_t> column_of_;  ///< open ones
+  std::vector<std::uint32_t> free_columns_;
   std::size_t retired_events_ = 0;      ///< retire_event calls so far
-  std::size_t redeliveries_ = 0;        ///< live re-deliveries (GC guard)
   std::size_t retired_deliveries_ = 0;  ///< late deliveries past retirement
-  static const std::unordered_set<ProcessId> kNoDeliveries;
 
   /// Memoized registry_.nearest_nonempty_supergroup, consulted by send()'s
   /// per-message boundary accounting. Spawning can turn an empty supergroup

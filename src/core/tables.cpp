@@ -22,43 +22,4 @@ void SuperTopicTable::materialize() {
   shared_ = false;
 }
 
-void SuperTopicTable::merge(TopicId topic, const std::vector<ProcessId>& fresh,
-                            const std::function<bool(ProcessId)>& alive,
-                            bool replace) {
-  materialize();
-  if (replace || !super_topic_ || *super_topic_ != topic) {
-    entries_.clear();
-  }
-  super_topic_ = topic;
-  // Keep favorites: current entries that still pass the aliveness probe.
-  entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                [&](ProcessId p) { return !alive(p); }),
-                 entries_.end());
-  for (ProcessId p : fresh) {
-    if (entries_.size() >= z_) break;
-    if (p == owner_ || contains(p)) continue;
-    entries_.push_back(p);
-  }
-}
-
-std::size_t SuperTopicTable::check(
-    const std::function<bool(ProcessId)>& alive) const {
-  const auto current = entries();
-  return static_cast<std::size_t>(
-      std::count_if(current.begin(), current.end(),
-                    [&](ProcessId p) { return alive(p); }));
-}
-
-std::size_t SuperTopicTable::drop_failed(
-    const std::function<bool(ProcessId)>& alive) {
-  // Nothing failed -> nothing to drop; the shared base stays shared.
-  if (check(alive) == size()) return 0;
-  materialize();
-  const std::size_t before = entries_.size();
-  entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                [&](ProcessId p) { return !alive(p); }),
-                 entries_.end());
-  return before - entries_.size();
-}
-
 }  // namespace dam::core

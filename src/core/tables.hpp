@@ -22,9 +22,9 @@
 // observable (base()) so tests can diff overlay deltas against the arena.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -134,16 +134,24 @@ class SuperTopicTable {
   /// super topic, the table is re-targeted: a *lower* (deeper) topic in
   /// the hierarchy wins because it is closer to the direct supertopic —
   /// the caller resolves that policy and passes `replace = true` to wipe
-  /// first.
+  /// first. `alive` (here and below) is any callable ProcessId -> bool,
+  /// taken by reference so probing builds no type-erased wrapper.
+  template <typename Alive>
   void merge(TopicId topic, const std::vector<ProcessId>& fresh,
-             const std::function<bool(ProcessId)>& alive, bool replace = false);
+             const Alive& alive, bool replace = false);
 
   /// CHECK (footnote 7): number of entries currently alive per the probe.
-  [[nodiscard]] std::size_t check(
-      const std::function<bool(ProcessId)>& alive) const;
+  template <typename Alive>
+  [[nodiscard]] std::size_t check(const Alive& alive) const {
+    const auto current = entries();
+    return static_cast<std::size_t>(
+        std::count_if(current.begin(), current.end(),
+                      [&](ProcessId p) { return alive(p); }));
+  }
 
   /// Removes entries that fail the probe; returns how many were dropped.
-  std::size_t drop_failed(const std::function<bool(ProcessId)>& alive);
+  template <typename Alive>
+  std::size_t drop_failed(const Alive& alive);
 
   void clear() noexcept {
     shared_ = false;
@@ -165,5 +173,30 @@ class SuperTopicTable {
   bool shared_ = false;                ///< reads served by base_
   std::vector<ProcessId> entries_;     ///< owned overlay
 };
+
+template <typename Alive>
+void SuperTopicTable::merge(TopicId topic, const std::vector<ProcessId>& fresh,
+                            const Alive& alive, bool replace) {
+  materialize();
+  if (replace || !super_topic_ || *super_topic_ != topic) {
+    entries_.clear();
+  }
+  super_topic_ = topic;
+  // Keep favorites: current entries that still pass the aliveness probe.
+  std::erase_if(entries_, [&](ProcessId p) { return !alive(p); });
+  for (ProcessId p : fresh) {
+    if (entries_.size() >= z_) break;
+    if (p == owner_ || contains(p)) continue;
+    entries_.push_back(p);
+  }
+}
+
+template <typename Alive>
+std::size_t SuperTopicTable::drop_failed(const Alive& alive) {
+  // Nothing failed -> nothing to drop; the shared base stays shared.
+  if (check(alive) == size()) return 0;
+  materialize();
+  return std::erase_if(entries_, [&](ProcessId p) { return !alive(p); });
+}
 
 }  // namespace dam::core

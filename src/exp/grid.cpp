@@ -324,8 +324,8 @@ void apply_grid_point(sim::Scenario& scenario, const GridPoint& point) {
       scenario.workload.arrival.horizon =
           static_cast<std::size_t>(std::llround(value));
     } else if (key == "gc_horizon") {
-      // Steady-lane axis: seen-set / delivered-set age GC in rounds
-      // (0 = GC off, the historical unbounded-bookkeeping behavior).
+      // Steady-lane axis: seen-column GC horizon in rounds (0 = GC off,
+      // the historical unbounded-bookkeeping behavior).
       // Sweeping "gc_horizon=0,64" makes the GC-on/off divergence of
       // peak_bookkeeping_bytes visible inside one report.
       require_stream_axis(scenario, key);

@@ -81,10 +81,10 @@ struct SweepResult {
   std::size_t peak_queue_bytes = 0;
 
   /// Largest per-process bookkeeping footprint of any single run: the
-  /// worst flight-recorder window's seen-set + delivered-set + request-set
-  /// bytes (dynamic lane) or delivered-bitmap bytes (frozen lane). Logical
-  /// bytes, so bit-identical for every --jobs/--threads value — the
-  /// measurand of bench_diff's bookkeeping gate.
+  /// worst flight-recorder window's seen-column + delivered-set +
+  /// request-set bytes (dynamic lane) or delivered-bitmap bytes (frozen
+  /// lane). Logical bytes, so bit-identical for every --jobs/--threads
+  /// value — the measurand of bench_diff's bookkeeping gate.
   std::size_t peak_bookkeeping_bytes = 0;
 };
 

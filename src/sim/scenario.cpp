@@ -74,10 +74,10 @@ std::vector<double> full_sweep() {
 
 /// Shared skeleton of the steady-lane presets: the sustained-service
 /// generator (8 publishers over 192 rounds with a flashcrowd overlay
-/// every 64) on the paper's 10/100/1000 hierarchy, seen-set GC at 64
-/// rounds (> the 20-round deadline window, so the redelivery guard stays
-/// zero). The engine kind is overridden per preset; the shared base_seed
-/// is what makes the protocol and both baselines replay one stream.
+/// every 64) on the paper's 10/100/1000 hierarchy, seen-column GC at 64
+/// rounds (> the 20-round deadline window). The engine kind is overridden
+/// per preset; the shared base_seed is what makes the protocol and both
+/// baselines replay one stream.
 Scenario make_steady_scenario(std::string name, std::string summary) {
   Scenario s = make_linear_scenario(std::move(name), std::move(summary),
                                     {10, 100, 1000});
@@ -350,7 +350,7 @@ std::vector<Scenario> build_registry() {
   {
     Scenario s = make_steady_scenario(
         "steady-state",
-        "Steady lane: 8 publishers, 192 rounds, seen-set GC at 64 rounds");
+        "Steady lane: 8 publishers, 192 rounds, seen-column GC at 64 rounds");
     presets.push_back(std::move(s));
   }
   {

@@ -6,7 +6,7 @@
 // bucketed into fixed-width windows; each window accumulates delivery /
 // send / churn counters, a small per-window latency sketch (rolling
 // p50/p99), the transport queue's high-water bytes, and resource GAUGES
-// (seen-set / delivered-set / request-set logical bytes) sampled at window
+// (seen-column / delivered-set / request-set logical bytes) sampled at window
 // boundaries — the per-process bookkeeping that is the S=10⁷ memory
 // question.
 //
@@ -58,7 +58,7 @@ class Timeline {
 
     // --- High-water marks and boundary gauges (merge: max). ---------------
     std::uint64_t queue_peak_bytes = 0;  ///< transport in-flight high-water
-    std::uint64_t seen_bytes = 0;        ///< Σ per-node seen-set bytes
+    std::uint64_t seen_bytes = 0;        ///< open seen-column bytes
     std::uint64_t delivered_bytes = 0;   ///< Σ delivered-set bytes
     std::uint64_t request_bytes = 0;     ///< Σ recovery request-set bytes
 

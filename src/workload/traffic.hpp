@@ -113,12 +113,12 @@ struct EngineConfig {
   std::size_t recovery_history = 32;
   std::size_t recovery_digest = 8;
 
-  // Sustained-service GC: when > 0, per-node seen sets evict entries older
-  // than `gc_horizon` rounds and the driver retires each publication's
+  // Sustained-service GC: when > 0, the driver retires each publication's
   // delivered-set / latency bookkeeping once its deadline has been
-  // harvested, bounding per-node and per-run state over long horizons
-  // (the lpbcast bounded-buffer discipline). 0 keeps today's unbounded
-  // bookkeeping — and the engine streams bit-identical to before.
+  // harvested, and its seen column is released `gc_horizon` rounds after
+  // its first mark, bounding per-run state over long horizons (the
+  // lpbcast bounded-buffer discipline). 0 keeps every column — and the
+  // engine streams bit-identical to before.
   std::size_t gc_horizon = 0;
 };
 

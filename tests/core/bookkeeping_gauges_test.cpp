@@ -1,7 +1,7 @@
 // DamSystem::bookkeeping_gauges — the flight recorder's resource gauges —
-// cross-checked against a hand-counted single-event run: one event seen
-// everywhere means one seen-set entry per process, the delivered-set bytes
-// are exactly the delivered-set size, and a healthy run issues no recovery
+// cross-checked against a hand-counted single-event run: one event means
+// one seen column of ceil(S/64) words, the delivered set is that same
+// column (no bytes of its own), and a healthy run issues no recovery
 // requests.
 #include "core/system.hpp"
 
@@ -38,22 +38,18 @@ TEST(BookkeepingGauges, SingleEventRunMatchesHandCount) {
   ASSERT_GT(delivered, 45u);  // the run actually disseminated
 
   const DamSystem::BookkeepingGauges gauges = system.bookkeeping_gauges();
-  // Exactly one delivered set, one entry per delivering process.
-  EXPECT_EQ(gauges.delivered_bytes, delivered * sizeof(ProcessId));
-  // One event in flight: a process's seen set holds it iff the process
-  // received it, and reception == delivery when everyone subscribes (the
-  // single-topic degenerate case). Unbounded seen sets keep no FIFO
-  // shadow, so bytes are entries × key size.
-  std::size_t seen_entries = 0;
+  // Exactly one column of ceil(50/64) = 1 word; the delivered set reads it.
+  EXPECT_EQ(gauges.seen_bytes, ((50 + 63) / 64) * sizeof(std::uint64_t));
+  EXPECT_EQ(gauges.delivered_bytes, 0u);
+  // A process has seen the event iff it delivered it: every reception is
+  // by an interested process in the single-topic degenerate case.
+  std::size_t seen = 0;
   for (std::uint32_t p = 0; p < system.process_count(); ++p) {
-    const std::size_t size = system.node(ProcessId{p}).seen_events().size();
-    EXPECT_LE(size, 1u);
-    EXPECT_EQ(size == 1,
-              system.delivered_set(event).contains(ProcessId{p}));
-    seen_entries += size;
+    const bool has_seen = system.node(ProcessId{p}).has_seen(event);
+    EXPECT_EQ(has_seen, system.delivered_set(event).contains(ProcessId{p}));
+    seen += has_seen;
   }
-  EXPECT_EQ(seen_entries, delivered);
-  EXPECT_EQ(gauges.seen_bytes, seen_entries * sizeof(net::EventId));
+  EXPECT_EQ(seen, delivered);
   // No failures, no gaps, no recovery: the request sets stay empty.
   EXPECT_EQ(gauges.request_bytes, 0u);
 }

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <functional>
+#include <set>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -31,6 +32,14 @@ class FakeEnv final : public Env {
     delivered.emplace_back(self, event_msg);
   }
 
+  bool mark_seen(ProcessId self, EventId event) override {
+    return seen_store.emplace(self.value, event).second;
+  }
+
+  [[nodiscard]] bool seen(ProcessId self, EventId event) const override {
+    return seen_store.contains({self.value, event});
+  }
+
   /// Messages of a given kind currently in the outbox.
   [[nodiscard]] std::vector<Message> sent_of_kind(MsgKind kind) const {
     std::vector<Message> matching;
@@ -47,6 +56,7 @@ class FakeEnv final : public Env {
   std::unordered_map<std::uint32_t, std::vector<ProcessId>> neighbors;
   std::function<bool(ProcessId)> alive;
   std::vector<std::pair<ProcessId, Message>> delivered;
+  std::set<std::pair<std::uint32_t, EventId>> seen_store;
 };
 
 }  // namespace dam::core::testing

@@ -1,6 +1,6 @@
 // The protocol kernel in isolation (core/protocol.hpp): election
 // probability bounds, fanout-without-replacement, intergroup target
-// selection, and forward-on-first-reception idempotence.
+// selection, and the channel coin.
 #include "core/protocol.hpp"
 
 #include <gtest/gtest.h>
@@ -124,32 +124,6 @@ TEST(ProtocolIntergroup, ExpectedSendsEqualG) {
     }
   }
   EXPECT_NEAR(static_cast<double>(sends) / kWaves, 5.0, 0.4);
-}
-
-TEST(ProtocolSeenSet, ForwardOnFirstReceptionIsIdempotent) {
-  SeenSet<int> seen;
-  EXPECT_TRUE(seen.remember(17));
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_FALSE(seen.remember(17));  // duplicates suppressed forever
-  }
-  EXPECT_TRUE(seen.contains(17));
-  EXPECT_FALSE(seen.contains(18));
-  EXPECT_TRUE(seen.remember(18));
-  EXPECT_EQ(seen.size(), 2u);
-}
-
-TEST(ProtocolSeenSet, BoundedWindowForgetsFifo) {
-  SeenSet<int> seen(3);
-  for (int event = 0; event < 5; ++event) {
-    EXPECT_TRUE(seen.remember(event));
-  }
-  EXPECT_EQ(seen.size(), 3u);
-  EXPECT_FALSE(seen.contains(0));
-  EXPECT_FALSE(seen.contains(1));
-  EXPECT_TRUE(seen.contains(2));
-  EXPECT_TRUE(seen.contains(4));
-  // A forgotten event would be re-forwarded: remember() is true again.
-  EXPECT_TRUE(seen.remember(0));
 }
 
 TEST(ProtocolChannel, CoinTracksPsucc) {

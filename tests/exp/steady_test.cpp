@@ -1,7 +1,7 @@
 // Sustained-service lane contract, sweep-level: the steady presets — the
 // protocol itself plus both head-to-head baseline engines replaying the
 // SAME multi-publisher stream — produce BIT-identical aggregates for every
-// --jobs and --threads value, and the seen-set GC's bookkeeping bound is
+// --jobs and --threads value, and the seen-column GC's bookkeeping bound is
 // visible (and its correctness guard silent) over long horizons. Mirrors
 // threads_test.cpp for the steady lanes; the comparison helper is the same.
 #include "exp/runner.hpp"
@@ -138,10 +138,9 @@ TEST(Steady, BaselinesReplayTheIdenticalStream) {
 
 TEST(Steady, GcBoundsBookkeepingOverLongHorizons) {
   // The sustained-service measurand: over a horizon much longer than the
-  // GC window, the retained seen/delivered footprint diverges — GC-off
-  // grows with the whole history while GC-on stays within the window.
-  // (Over SHORT horizons GC-on can sit slightly higher: age stamps cost
-  // 16 bytes per entry until evicted — hence the long horizon here.)
+  // GC window, the retained seen-column footprint diverges — GC-off keeps
+  // one column per publication of the whole history while GC-on stays
+  // within the window.
   sim::Scenario scenario = *sim::find_scenario("steady-state");
   scenario.workload.arrival.horizon = 1024;
   scenario.runs = 1;

@@ -1,12 +1,13 @@
 // Property tests for the invariants listed in DESIGN.md §7, swept over
 // seeds and hierarchy shapes with parameterized gtest — plus the
-// sustained-service GC invariants (seen-set age bound, redelivery guard,
+// sustained-service GC invariants (seen-column release, redelivery guard,
 // event retirement).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <tuple>
 
-#include "core/protocol.hpp"
 #include "core/system.hpp"
 #include "topics/hierarchy.hpp"
 
@@ -193,47 +194,24 @@ TEST_P(DegenerateCaseTest, SingleTopicHasNoHierarchyOverhead) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DegenerateCaseTest,
                          ::testing::Values(2u, 13u, 77u));
 
-// --- Sustained-service GC invariants (seen-set age bound + guards). ------
+// --- Sustained-service GC invariants (seen-column release + guards). -----
 
-TEST(SeenSetGc, AgeEvictionBoundsFootprintOverLongRuns) {
-  // The pure data-structure property the sustained lane rests on: with an
-  // age horizon, footprint is a function of the WINDOW's traffic, not of
-  // run length; without one it grows with the whole history.
-  constexpr std::size_t kHorizon = 64;
-  constexpr std::size_t kPerRound = 8;
-  protocol::SeenSet<std::uint64_t> bounded;
-  bounded.set_age_horizon(kHorizon);
-  protocol::SeenSet<std::uint64_t> unbounded;
-  for (std::uint64_t round = 0; round < 4096; ++round) {
-    for (std::size_t i = 0; i < kPerRound; ++i) {
-      const std::uint64_t key = round * kPerRound + i;
-      EXPECT_TRUE(bounded.remember(key, round));
-      EXPECT_TRUE(unbounded.remember(key, round));
-    }
-    bounded.evict_older_than(round);
-    // Entries from at most the last kHorizon rounds survive.
-    ASSERT_LE(bounded.size(), kHorizon * kPerRound);
-  }
-  EXPECT_EQ(unbounded.size(), 4096u * kPerRound);
-  EXPECT_LT(bounded.bytes(), unbounded.bytes());
-  // An evicted key is genuinely forgotten: re-remembering it reports a
-  // first reception again (the safe re-forward case), while the unbounded
-  // set still suppresses it.
-  EXPECT_FALSE(bounded.contains(0));
-  EXPECT_TRUE(bounded.remember(0, 4096));
-  EXPECT_FALSE(unbounded.remember(0, 4096));
-}
-
-// GC correctness guard, end to end: a seen horizon that covers every
-// event's delivery window never causes a live redelivery, never costs
-// reliability, and still keeps per-node seen sets at window size — while
-// the GC-off twin of the same run retains the full history.
+// GC correctness guard, end to end: a seen horizon with events retired at
+// their deadline never causes a live redelivery, never costs reliability,
+// and keeps the open seen columns at the window's publications — while the
+// GC-off twin of the same run retains a column per publication.
 class SeenGcGuardTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(SeenGcGuardTest, CoveringHorizonNeverRedeliversAndBoundsSeenSets) {
+TEST_P(SeenGcGuardTest, CoveringHorizonNeverRedeliversAndBoundsSeenColumns) {
   constexpr std::size_t kHorizon = 24;       // >> the ~10-round spread
   constexpr int kEvents = 12;
   constexpr sim::Round kGapRounds = 8;       // publish cadence
+  constexpr sim::Round kDeadline = 16;       // graded, then retired
+  // 42 processes: one 8-byte word per column.
+  constexpr std::size_t kColumnBytes = sizeof(std::uint64_t);
+  // A column lives max(deadline, horizon) rounds after its publish, so at
+  // most ceil(kHorizon / kGapRounds) + 1 are open at once.
+  constexpr std::size_t kWindowEvents = kHorizon / kGapRounds + 1;
   const auto run_once = [&](std::size_t gc_horizon) {
     auto hierarchy = std::make_unique<topics::TopicHierarchy>();
     const auto leaf = hierarchy->add(".a.b");
@@ -248,38 +226,50 @@ TEST_P(SeenGcGuardTest, CoveringHorizonNeverRedeliversAndBoundsSeenSets) {
     system->spawn_group(mid, 12);
     const auto leaves = system->spawn_group(leaf, 24);
     system->run_rounds(3);
-    std::vector<net::EventId> events;
+    std::vector<std::pair<net::EventId, sim::Round>> live;
+    std::size_t open_peak = 0;
+    const auto retire_due = [&] {
+      while (!live.empty() &&
+             live.front().second + kDeadline <= system->now()) {
+        // The guard: full reliability at the deadline, then retirement.
+        EXPECT_GT(system->delivery_ratio(live.front().first), 0.95);
+        system->retire_event(live.front().first);
+        live.erase(live.begin());
+      }
+      open_peak = std::max(
+          open_peak, system->bookkeeping_gauges().seen_bytes / kColumnBytes);
+    };
     for (int i = 0; i < kEvents; ++i) {
-      events.push_back(system->publish(leaves[i % leaves.size()]));
-      system->run_rounds(kGapRounds);
+      live.emplace_back(system->publish(leaves[i % leaves.size()]),
+                        system->now());
+      for (sim::Round r = 0; r < kGapRounds; ++r) {
+        system->run_rounds(1);
+        retire_due();
+      }
     }
-    system->run_rounds(30);
-    // The guard: zero live redeliveries, full reliability, no parasites.
+    for (int r = 0; r < 30; ++r) {
+      system->run_rounds(1);
+      retire_due();
+    }
+    EXPECT_TRUE(live.empty());
+    // Zero live redeliveries, no parasites.
     EXPECT_EQ(system->redeliveries(), 0u);
     EXPECT_EQ(system->metrics().parasite_deliveries(), 0u);
-    for (const auto& event : events) {
-      EXPECT_GT(system->delivery_ratio(event), 0.95);
-    }
-    return std::make_pair(std::move(hierarchy), std::move(system));
+    return std::make_tuple(std::move(hierarchy), std::move(system), open_peak);
   };
 
-  const auto [h_on, gc_on] = run_once(kHorizon);
-  const auto [h_off, gc_off] = run_once(0);
-  // GC-on: every seen set holds at most the window's events (cadence
-  // kGapRounds -> ceil(kHorizon / kGapRounds) live publications, +1 for
-  // the eviction boundary). GC-off: the full history.
-  const std::size_t window_events = kHorizon / kGapRounds + 1;
-  for (std::uint32_t p = 0; p < gc_on->process_count(); ++p) {
-    EXPECT_LE(gc_on->node(ProcessId{p}).seen_events().size(), window_events);
-  }
-  EXPECT_LT(gc_on->bookkeeping_gauges().seen_bytes,
-            gc_off->bookkeeping_gauges().seen_bytes);
+  const auto [h_on, gc_on, open_on] = run_once(kHorizon);
+  const auto [h_off, gc_off, open_off] = run_once(0);
+  EXPECT_LE(open_on, kWindowEvents);
+  EXPECT_EQ(gc_on->bookkeeping_gauges().seen_bytes, 0u);
+  EXPECT_EQ(open_off, static_cast<std::size_t>(kEvents));
+  EXPECT_EQ(gc_off->bookkeeping_gauges().seen_bytes, kEvents * kColumnBytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeenGcGuardTest,
                          ::testing::Values(3u, 29u, 64u));
 
-TEST(SeenSetGc, RetiredEventsNeverTouchLiveCounters) {
+TEST(SeenColumnGc, RetiredEventsNeverTouchLiveCounters) {
   // Retire an event while copies are still in flight: the stragglers must
   // land as retired_deliveries (harmless duplicate traffic), never as live
   // deliveries or redeliveries — harvested aggregates stay frozen.

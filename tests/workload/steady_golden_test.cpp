@@ -56,7 +56,7 @@ TEST(SteadyGolden, ProtocolCell) {
   EXPECT_EQ(r.groups[2].ratio_samples, 17u);
   EXPECT_GT(r.table_bytes, 0u);
   EXPECT_GT(r.queue_bytes, 0u);
-  EXPECT_EQ(r.timeline.peak_bookkeeping_bytes(), 508028u);
+  EXPECT_EQ(r.timeline.peak_bookkeeping_bytes(), 6048u);
 }
 
 TEST(SteadyGolden, TreeBaselineCell) {
@@ -123,7 +123,7 @@ TEST(SteadyGolden, GossipBaselineCell) {
   EXPECT_EQ(r.groups[2].duplicate_deliveries, 472686u);
   EXPECT_FALSE(r.groups[2].all_alive_delivered);
   EXPECT_EQ(r.queue_bytes, 2435004u);
-  EXPECT_EQ(r.timeline.peak_bookkeeping_bytes(), 909816u);
+  EXPECT_EQ(r.timeline.peak_bookkeeping_bytes(), 146488u);
 }
 
 }  // namespace
