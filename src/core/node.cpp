@@ -64,7 +64,15 @@ void DamNode::subscribe_shared(std::span<const ProcessId> group_contacts,
   }
 }
 
+void DamNode::pull_group_size() {
+  const std::size_t size = env_->group_size(topic_);
+  if (size != membership_.group_size_estimate()) {
+    membership_.set_group_size_estimate(size);
+  }
+}
+
 EventId DamNode::publish(std::vector<std::uint8_t> payload) {
+  pull_group_size();
   const EventId event{self_, next_sequence_++};
   // The publisher "receives" its own event: mark seen, deliver locally,
   // and run DISSEMINATE (Fig. 7 is invoked by the publisher as well).
@@ -83,6 +91,7 @@ EventId DamNode::publish(std::vector<std::uint8_t> payload) {
 }
 
 void DamNode::on_message(const Message& msg) {
+  pull_group_size();
   switch (msg.kind) {
     case MsgKind::kEvent:
       handle_event(msg);
@@ -110,6 +119,7 @@ void DamNode::on_message(const Message& msg) {
 
 void DamNode::round(sim::Round now) {
   if (!subscribed_) return;
+  pull_group_size();
   // Underlying membership gossip, with the supertopic table piggybacked
   // (Sec. V-A.2a) so fresh super contacts spread through the group. The
   // recovery extension additionally piggybacks a digest of recently seen

@@ -66,6 +66,13 @@ class Env {
 
   /// True iff `self` has received `event` and the host still remembers it.
   [[nodiscard]] virtual bool seen(ProcessId self, EventId event) const = 0;
+
+  /// Current size of `topic`'s group: the source of the node's group-size
+  /// estimate (fanout, psel, view capacity). In a deployment this would be
+  /// the membership substrate's size estimator; DamSystem answers from its
+  /// registry. A node pulls it before each use, so a join costs nothing
+  /// at the other members.
+  [[nodiscard]] virtual std::size_t group_size(TopicId topic) const = 0;
 };
 
 struct NodeConfig {
@@ -154,12 +161,6 @@ class DamNode {
     return seen_requests_.size();
   }
 
-  /// Updates the group-size estimate used for fanout/psel/view capacity.
-  /// In a deployment this would come from the membership substrate's size
-  /// estimator; the simulation shell feeds it the registry's truth.
-  void update_group_size_estimate(std::size_t size) {
-    membership_.set_group_size_estimate(size);
-  }
   [[nodiscard]] std::size_t duplicate_count() const noexcept {
     return duplicates_;
   }
@@ -191,6 +192,11 @@ class DamNode {
   void handle_new_process_give(const Message& msg);
   void handle_membership(const Message& msg);
   void handle_event_request(const Message& msg);
+
+  /// Brings the membership's group-size estimate (and with it the view
+  /// capacity) up to Env::group_size. Called at every entry point that
+  /// can read either: round(), on_message(), publish().
+  void pull_group_size();
 
   /// Buffers `event_msg` for potential retransmission (recovery on).
   void remember_history(const Message& event_msg);

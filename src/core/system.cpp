@@ -50,13 +50,13 @@ ProcessId DamSystem::spawn(TopicId topic) {
   auto node = std::make_unique<DamNode>(id, topic, hierarchy_, config_.node,
                                         group_size, rng_.fork(id.value), this);
 
-  // Join contacts: a few random existing members of the same group.
-  std::vector<ProcessId> peers;
-  for (ProcessId member : registry_.group(topic)) {
-    if (member != id) peers.push_back(member);
-  }
+  // Join contacts: a few random existing members of the same group — the
+  // members before the joiner, which the registry appends last.
+  const std::span<const ProcessId> group = registry_.group(topic);
+  assert(group.back() == id);
   const auto contacts =
-      rng_.sample(peers, config_.node.params.view_capacity(group_size));
+      rng_.sample(group.first(group.size() - 1),
+                  config_.node.params.view_capacity(group_size));
 
   std::vector<ProcessId> super_contacts;
   std::optional<TopicId> super_contacts_topic;
@@ -70,11 +70,6 @@ ProcessId DamSystem::spawn(TopicId topic) {
 
   nodes_.push_back(std::move(node));
   nodes_.back()->subscribe(contacts, super_contacts, super_contacts_topic);
-
-  // Keep group-size estimates current for every member of this group.
-  for (ProcessId member : registry_.group(topic)) {
-    nodes_[member.value]->update_group_size_estimate(group_size);
-  }
   return id;
 }
 
@@ -84,13 +79,10 @@ std::vector<ProcessId> DamSystem::spawn_group(TopicId topic,
   ids.reserve(count);
   if (count == 0) return ids;
 
-  // Batch wiring. The two O(S)-per-member costs of `count` calls to
-  // spawn() are gone: joiners draw INDICES into their join-time snapshot
-  // (the initial members, then the earlier batch joiners in join order)
-  // instead of copying a peers vector, and the group-size-estimate refresh
-  // runs once per batch instead of once per member (intermediate estimates
-  // are dead state: no round runs while the batch is spawning). Spawning S
-  // members costs O(S·view), not O(S²).
+  // Batch wiring: joiners draw INDICES into their join-time snapshot (the
+  // initial members, then the earlier batch joiners in join order), and
+  // the supergroup lookup happens once per batch. Spawning S members costs
+  // O(S·view).
   const std::vector<ProcessId> candidates(registry_.group(topic));
   // The supergroup cannot change while this batch only grows `topic`.
   std::optional<TopicId> super_topic;
@@ -202,12 +194,6 @@ std::vector<ProcessId> DamSystem::spawn_group(TopicId topic,
   }
   view_arenas_.push_back(std::move(arena));
   super_cache_.clear();
-
-  // One estimate refresh for every member, once per batch.
-  const std::size_t group_size = registry_.group_size(topic);
-  for (const ProcessId member : registry_.group(topic)) {
-    nodes_[member.value]->update_group_size_estimate(group_size);
-  }
   return ids;
 }
 
@@ -302,6 +288,10 @@ std::optional<TopicId> DamSystem::cached_nearest_super(TopicId topic) const {
   const auto super = registry_.nearest_nonempty_supergroup(topic);
   super_cache_.emplace(topic, super);
   return super;
+}
+
+std::size_t DamSystem::group_size(TopicId topic) const {
+  return registry_.group_size(topic);
 }
 
 const std::vector<ProcessId>& DamSystem::neighborhood(ProcessId self) const {

@@ -55,17 +55,18 @@ class DamSystem final : public Env {
   DamSystem& operator=(const DamSystem&) = delete;
 
   /// Creates a process interested in `topic` and subscribes it. Join
-  /// contacts are sampled from the existing group members; super contacts
-  /// are filled only when `auto_wire_super_tables` is set.
+  /// contacts are sampled from the existing group members in place (no
+  /// copy of the group); super contacts are filled only when
+  /// `auto_wire_super_tables` is set. A join is O(view): it touches only
+  /// the joiner and its contacts — the other members pick up the new
+  /// group size through Env::group_size when they next act.
   ProcessId spawn(TopicId topic);
 
   /// Spawns `count` processes on `topic` through the batch wiring path:
-  /// the supergroup lookup, the join-contact candidate set, and the
-  /// group-size-estimate refresh happen once per batch instead of once per
-  /// member, so building a group of S costs O(S·view) rather than the
-  /// O(S²) the one-at-a-time loop used to pay. As with spawn(), each
-  /// joiner samples its contacts from the members present at its own
-  /// join, never from later batch members.
+  /// the supergroup lookup and the join-contact candidate set happen once
+  /// per batch instead of once per member, so building a group of S costs
+  /// O(S·view). As with spawn(), each joiner samples its contacts from the
+  /// members present at its own join, never from later batch members.
   ///
   /// View memory: the batch's initial topic-table and supertopic-table
   /// rows are sampled straight into one immutable core::GroupViewArena
@@ -114,6 +115,7 @@ class DamSystem final : public Env {
   void deliver(ProcessId self, const Message& event_msg) override;
   bool mark_seen(ProcessId self, net::EventId event) override;
   [[nodiscard]] bool seen(ProcessId self, net::EventId event) const override;
+  [[nodiscard]] std::size_t group_size(TopicId topic) const override;
 
   // --- observers ---
   [[nodiscard]] const DamNode& node(ProcessId id) const {

@@ -7,6 +7,7 @@
 // keeps results stable when components are added or reordered.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -125,8 +126,13 @@ class Rng {
 
   /// `k` distinct elements drawn uniformly from `pool` (order random).
   /// If k >= pool.size(), returns a shuffled copy of the whole pool.
+  /// Pools far larger than k (a join drawing contacts from a whole group)
+  /// take an O(k) path with the same output and the same stream use.
   template <typename T>
   [[nodiscard]] std::vector<T> sample(std::span<const T> pool, std::size_t k) {
+    if (pool.size() >= kSparseMinPool && k <= pool.size() / kSparseRatio) {
+      return sample_sparse(pool, k);
+    }
     std::vector<T> copy(pool.begin(), pool.end());
     if (k >= copy.size()) {
       shuffle(copy);
@@ -176,6 +182,46 @@ class Rng {
                                   std::uint32_t* out);
 
  private:
+  /// `sample` switches to `sample_sparse` for pools of at least
+  /// kSparseMinPool entries holding at least kSparseRatio·k of them, so
+  /// views and fanout tables keep the plain copy.
+  static constexpr std::size_t kSparseMinPool = 256;
+  static constexpr std::size_t kSparseRatio = 16;
+
+  /// The partial Fisher–Yates of `sample` over a virtual copy of `pool`:
+  /// the same draws below(n - i) for i < k, with the swapped slots kept
+  /// in a small open-addressing table instead of a copied pool. Step i
+  /// outputs slot j's value and moves slot i's value into slot j; slot i
+  /// is never read again, so only the k written slots need recording.
+  template <typename T>
+  std::vector<T> sample_sparse(std::span<const T> pool, std::size_t k) {
+    constexpr std::size_t kEmpty = static_cast<std::size_t>(-1);
+    const std::size_t mask = std::bit_ceil(2 * k + 1) - 1;
+    std::vector<std::size_t> slots(mask + 1, kEmpty);
+    std::vector<T> values(mask + 1);
+    // Bucket of `slot`, or the empty bucket where it would go.
+    const auto bucket = [&](std::size_t slot) {
+      std::size_t b = slot & mask;
+      while (slots[b] != kEmpty && slots[b] != slot) b = (b + 1) & mask;
+      return b;
+    };
+    const auto value = [&](std::size_t slot) {
+      const std::size_t b = bucket(slot);
+      return slots[b] == slot ? values[b] : pool[slot];
+    };
+    std::vector<T> out;
+    out.reserve(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::size_t j = i + below(pool.size() - i);
+      const T displaced = value(i);
+      const std::size_t b = bucket(j);
+      out.push_back(slots[b] == j ? values[b] : pool[j]);
+      slots[b] = j;
+      values[b] = displaced;
+    }
+    return out;
+  }
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
   }

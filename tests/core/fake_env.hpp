@@ -40,6 +40,12 @@ class FakeEnv final : public Env {
     return seen_store.contains({self.value, event});
   }
 
+  /// Reads `group_sizes`, which a test sets for every topic its nodes use
+  /// (an unset topic throws, so a missing setup fails loudly).
+  [[nodiscard]] std::size_t group_size(TopicId topic) const override {
+    return group_sizes.at(topic.value);
+  }
+
   /// Messages of a given kind currently in the outbox.
   [[nodiscard]] std::vector<Message> sent_of_kind(MsgKind kind) const {
     std::vector<Message> matching;
@@ -57,6 +63,7 @@ class FakeEnv final : public Env {
   std::function<bool(ProcessId)> alive;
   std::vector<std::pair<ProcessId, Message>> delivered;
   std::set<std::pair<std::uint32_t, EventId>> seen_store;
+  std::unordered_map<std::uint32_t, std::size_t> group_sizes;  ///< by topic
 };
 
 }  // namespace dam::core::testing

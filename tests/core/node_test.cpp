@@ -19,6 +19,7 @@ class NodeTest : public ::testing::Test {
   /// A node on .t1.t2 (bottom topic) with deterministic parameters.
   DamNode make_node(std::uint32_t id, std::size_t level,
                     std::size_t group_size = 20, NodeConfig config = {}) {
+    env_.group_sizes[levels_[level].value] = group_size;
     return DamNode(ProcessId{id}, levels_[level], &hierarchy_, config,
                    group_size, util::Rng(id + 100), &env_);
   }
@@ -119,6 +120,32 @@ TEST_F(NodeTest, IntraGossipTargetsAreDistinct) {
   std::sort(intra_targets.begin(), intra_targets.end());
   EXPECT_EQ(std::adjacent_find(intra_targets.begin(), intra_targets.end()),
             intra_targets.end());
+}
+
+TEST_F(NodeTest, GroupSizeIsPulledAtTheNextRoundOrMessage) {
+  // Nobody pushes a new group size into the node: it reads
+  // Env::group_size at its next round, message or publish.
+  auto node = make_node(0, 2, 20);
+  node.subscribe({ProcessId{1}, ProcessId{2}}, {ProcessId{50}});
+  const auto& membership = node.group_membership();
+  const double b = membership::FlatMembership::Config{}.b;
+
+  env_.group_sizes[levels_[2].value] = 315;
+  EXPECT_EQ(membership.group_size_estimate(), 20u);  // nothing pulled yet
+  node.round(0);
+  EXPECT_EQ(membership.group_size_estimate(), 315u);
+  EXPECT_EQ(membership.view().capacity(),
+            membership::FlatMembership::capacity_for(b, 315));
+
+  env_.group_sizes[levels_[2].value] = 40;
+  node.on_message(event_msg(9, 0, 0, 2));
+  EXPECT_EQ(membership.group_size_estimate(), 40u);
+  EXPECT_EQ(membership.view().capacity(),
+            membership::FlatMembership::capacity_for(b, 40));
+
+  env_.group_sizes[levels_[2].value] = 41;
+  node.publish();
+  EXPECT_EQ(membership.group_size_estimate(), 41u);
 }
 
 TEST_F(NodeTest, FirstReceptionForwardsDuplicatesSuppressed) {

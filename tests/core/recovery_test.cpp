@@ -16,7 +16,10 @@ using testing::FakeEnv;
 
 class RecoveryTest : public ::testing::Test {
  protected:
-  RecoveryTest() { levels_ = topics::make_linear_hierarchy(hierarchy_, 1); }
+  RecoveryTest() {
+    levels_ = topics::make_linear_hierarchy(hierarchy_, 1);
+    env_.group_sizes[levels_[1].value] = 10;
+  }
 
   NodeConfig recovery_config() {
     NodeConfig config;

@@ -19,7 +19,10 @@ using testing::FakeEnv;
 
 class SeenGcTest : public ::testing::Test {
  protected:
-  SeenGcTest() { levels_ = topics::make_linear_hierarchy(hierarchy_, 1); }
+  SeenGcTest() {
+    levels_ = topics::make_linear_hierarchy(hierarchy_, 1);
+    env_.group_sizes[levels_[1].value] = 10;
+  }
 
   Message event_msg(std::uint32_t publisher, std::uint32_t seq) {
     Message msg;

@@ -212,6 +212,28 @@ TEST_F(SystemTest, SuperCacheInvalidatedBySingleSpawn) {
   EXPECT_GT(system.metrics().group(levels_[1]).inter_received, 0u);
 }
 
+TEST_F(SystemTest, MembersPullTheGroupSizeAfterAJoin) {
+  // spawn() tells no existing member about the join; each one reads the
+  // registry's group size when it next acts, so after one round every
+  // member's estimate and view capacity reflect the joiner. 314 -> 315
+  // is where the view capacity grows (ceil(4 ln S) goes 23 -> 24).
+  constexpr std::size_t kMembers = 314;
+  DamSystem system(hierarchy_, wired_config(3));
+  system.spawn_group(levels_[0], kMembers);
+  system.run_rounds(2);
+  system.spawn(levels_[0]);
+  system.run_rounds(1);
+
+  const TopicParams& params = DamSystem::Config{}.node.params;
+  const std::size_t capacity = params.view_capacity(kMembers + 1);
+  ASSERT_LT(params.view_capacity(kMembers), capacity);
+  for (ProcessId member : system.registry().group(levels_[0])) {
+    const auto& membership = system.node(member).group_membership();
+    EXPECT_EQ(membership.group_size_estimate(), kMembers + 1);
+    EXPECT_EQ(membership.view().capacity(), capacity);
+  }
+}
+
 TEST_F(SystemTest, DeterministicForSameSeed) {
   auto run = [&](std::uint64_t seed) {
     DamSystem system(hierarchy_, wired_config(seed));

@@ -11,11 +11,14 @@
 namespace dam::core {
 namespace {
 
-TEST(EndToEnd, ColdStartBootstrapThenPublish) {
+// Cold start: nodes discover super contacts through the overlay, then one
+// leaf publishes over lossy channels. Checks that nothing reached a
+// process outside the event's interest, and returns the delivery ratio.
+double run_cold_start(std::uint64_t seed) {
   topics::TopicHierarchy hierarchy;
   const auto levels = topics::make_linear_hierarchy(hierarchy, 2);
   DamSystem::Config config;
-  config.seed = 5;
+  config.seed = seed;
   config.neighborhood_degree = 6;
   config.node.params.psucc = 0.95;
   DamSystem system(hierarchy, config);
@@ -28,9 +31,11 @@ TEST(EndToEnd, ColdStartBootstrapThenPublish) {
 
   const auto event = system.publish(leaves[3]);
   system.run_rounds(30);
-  EXPECT_GT(system.delivery_ratio(event), 0.9);
   EXPECT_EQ(system.metrics().parasite_deliveries(), 0u);
+  return system.delivery_ratio(event);
 }
+
+TEST(EndToEnd, ColdStartBootstrapThenPublish) { (void)run_cold_start(5); }
 
 // Three events (two leaf publishers, one mid-level) on a 2-level linear
 // hierarchy after three warm-up rounds. Checks that the mid-level event
@@ -126,11 +131,29 @@ TEST(EndToEnd, MultiBranchCompleteDeliveryRate) {
   EXPECT_GE(complete, 205) << complete << " of 300 seeds";
 }
 
-TEST(EndToEnd, LateJoinerCatchesFutureEvents) {
+// Reaching 90% of the hierarchy after a cold start is a per-seed outcome
+// too. The bound sits four binomial standard deviations below the rate
+// measured before and after mid-run joins became O(view) (the two agree
+// seed for seed); the safety check runs on every seed.
+TEST(EndToEnd, ColdStartDeliveryRate) {
+  int reliable = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    reliable += run_cold_start(seed) > 0.9 ? 1 : 0;
+  }
+  // Measured: 275 of 300.
+  EXPECT_GE(reliable, 255) << reliable << " of 300 seeds";
+}
+
+// A process joins a formed group through spawn(), gossip integrates it,
+// then an original member publishes. Checks that the joiner's topic table
+// was seeded and that no delivery was a parasite, and returns whether the
+// joiner delivered the event.
+bool run_late_joiner(std::uint64_t seed) {
   topics::TopicHierarchy hierarchy;
   const auto levels = topics::make_linear_hierarchy(hierarchy, 1);
   DamSystem::Config config;
-  config.seed = 8;
+  config.seed = seed;
   config.auto_wire_super_tables = true;
   config.node.params.psucc = 1.0;
   DamSystem system(hierarchy, config);
@@ -140,11 +163,26 @@ TEST(EndToEnd, LateJoinerCatchesFutureEvents) {
 
   // A process joins after the group formed.
   const auto late = system.spawn(levels[1]);
+  EXPECT_FALSE(system.node(late).group_membership().view().empty());
   system.run_rounds(8);  // membership gossip integrates it
 
   const auto event = system.publish(original[0]);
   system.run_rounds(20);
-  EXPECT_TRUE(system.delivered_set(event).contains(late));
+  EXPECT_EQ(system.metrics().parasite_deliveries(), 0u);
+  return system.delivered_set(event).contains(late);
+}
+
+TEST(EndToEnd, LateJoinerCatchesFutureEvents) { (void)run_late_joiner(8); }
+
+// Likewise for reaching the late joiner.
+TEST(EndToEnd, LateJoinerDeliveryRate) {
+  int reached = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    reached += run_late_joiner(seed) ? 1 : 0;
+  }
+  // Measured: 299 of 300.
+  EXPECT_GE(reached, 295) << reached << " of 300 seeds";
 }
 
 TEST(EndToEnd, PublisherInRootGroupOnly) {

@@ -44,10 +44,12 @@ class InvariantTest
   std::uint64_t seed() const { return std::get<1>(GetParam()); }
 };
 
-TEST_P(InvariantTest, CoreInvariantsHoldEndToEnd) {
+// Runs one publication through `shape` on lossless channels, checks the
+// routing and memory invariants, and returns the event's delivery ratio.
+double run_core_invariants(const Shape& shape, std::uint64_t seed) {
   topics::TopicHierarchy hierarchy;
   DamSystem::Config config;
-  config.seed = seed();
+  config.seed = seed;
   config.auto_wire_super_tables = true;
   // The invariants under test are about routing, not loss tolerance;
   // lossless channels make the delivery check sharp.
@@ -56,15 +58,16 @@ TEST_P(InvariantTest, CoreInvariantsHoldEndToEnd) {
 
   std::vector<topics::TopicId> topic_ids;
   std::vector<ProcessId> publishers;
-  for (const auto& [path, count] : shape().groups) {
+  for (const auto& [path, count] : shape.groups) {
     const auto id = hierarchy.add(path);
     topic_ids.push_back(id);
     const auto members = system.spawn_group(id, count);
-    if (std::string(path) == shape().publish_topic) {
+    if (std::string(path) == shape.publish_topic) {
       publishers = members;
     }
   }
-  ASSERT_FALSE(publishers.empty());
+  EXPECT_FALSE(publishers.empty());
+  if (publishers.empty()) return 0.0;
 
   system.run_rounds(3);
   const auto event = system.publish(publishers[0]);
@@ -74,7 +77,7 @@ TEST_P(InvariantTest, CoreInvariantsHoldEndToEnd) {
   EXPECT_EQ(system.metrics().parasite_deliveries(), 0u);
 
   // Invariant 1b: concretely, every delivered process is interested.
-  const auto publish_topic = *hierarchy.find(shape().publish_topic);
+  const auto publish_topic = *hierarchy.find(shape.publish_topic);
   for (ProcessId p : system.delivered_set(event)) {
     EXPECT_TRUE(system.registry().interested_in(p, publish_topic))
         << "process " << p.value << " got a parasite event";
@@ -99,8 +102,11 @@ TEST_P(InvariantTest, CoreInvariantsHoldEndToEnd) {
   EXPECT_LE(system.delivered_set(event).size(),
             system.registry().interested_set(publish_topic).size());
 
-  // Reliability: with auto-wired tables and no failures, everything green.
-  EXPECT_GT(system.delivery_ratio(event), 0.95);
+  return system.delivery_ratio(event);
+}
+
+TEST_P(InvariantTest, CoreInvariantsHoldEndToEnd) {
+  (void)run_core_invariants(shape(), seed());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -111,6 +117,31 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(kShapes[std::get<0>(info.param)].name) + "_seed" +
              std::to_string(std::get<1>(info.param));
     });
+
+// Reliability: with auto-wired tables and no failures, an event should
+// reach more than 95% of the interested processes. That is a per-seed
+// gossip outcome, not a guarantee, so it is asserted as a rate over 300
+// seeds per shape: each bound sits four binomial standard deviations below
+// the rate measured before and after mid-run joins became O(view) (the
+// two agree seed for seed), and the invariants above run on every seed.
+class InvariantRateTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(InvariantRateTest, DeliveryRatioAbove95PercentOnAlmostEverySeed) {
+  // Measured: linear 285, wide 284, deep 288, gap 285 of 300.
+  constexpr int kBound[] = {269, 268, 274, 269};
+  const Shape& shape = kShapes[GetParam()];
+  int reliable = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    reliable += run_core_invariants(shape, seed) > 0.95 ? 1 : 0;
+  }
+  EXPECT_GE(reliable, kBound[GetParam()]) << reliable << " of 300 seeds";
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, InvariantRateTest, ::testing::Range(0, 4),
+                         [](const auto& info) {
+                           return std::string(kShapes[info.param].name);
+                         });
 
 // Sibling isolation: an event in one branch never reaches another branch's
 // exclusive subscribers, under any seed. Runs the two-branch tree with one

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "topics/subscriptions.hpp"
+
 namespace dam::util {
 namespace {
 
@@ -178,6 +180,57 @@ TEST(Rng, SampleIntoMatchesSampleExactly) {
     EXPECT_EQ(reused, expected) << "k=" << k;
     EXPECT_EQ(a(), b()) << "stream diverged at k=" << k;
   }
+}
+
+/// The plain partial Fisher–Yates over a copy of the pool — the reference
+/// `sample` must match on every path, output and stream position alike.
+template <typename T>
+std::vector<T> sample_by_copy(Rng& rng, const std::vector<T>& pool,
+                              std::size_t k) {
+  std::vector<T> copy = pool;
+  if (k >= copy.size()) {
+    rng.shuffle(copy);
+    return copy;
+  }
+  for (std::size_t i = 0; i < k; ++i) {
+    std::swap(copy[i], copy[i + rng.below(copy.size() - i)]);
+  }
+  copy.resize(k);
+  return copy;
+}
+
+template <typename T, typename MakeT>
+void expect_sample_matches_copy(MakeT make) {
+  // Pools below, at and far above the point where `sample` stops copying
+  // (256 entries holding >= 16·k of them), k from 0 to past a view.
+  for (const std::size_t n :
+       {0UL, 1UL, 47UL, 255UL, 256UL, 257UL, 751UL, 752UL, 753UL, 1000UL,
+        4096UL, 100000UL}) {
+    std::vector<T> pool;
+    pool.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) pool.push_back(make(i));
+    for (const std::size_t k :
+         {0UL, 1UL, 2UL, 3UL, 16UL, 28UL, 47UL, 48UL, 64UL, 200UL, 6250UL,
+          n > 0 ? n - 1 : 0, n, n + 1}) {
+      for (const std::uint64_t seed : {1ULL, 7ULL, 0x57CULL}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                     " seed=" + std::to_string(seed));
+        Rng a(seed);
+        Rng b(seed);
+        const std::vector<T> expected = sample_by_copy(a, pool, k);
+        EXPECT_EQ(b.sample(pool, k), expected);
+        EXPECT_EQ(a(), b()) << "stream diverged";
+      }
+    }
+  }
+}
+
+TEST(Rng, SampleMatchesTheCopyingReferenceOnEveryPath) {
+  expect_sample_matches_copy<topics::ProcessId>([](std::size_t i) {
+    return topics::ProcessId{static_cast<std::uint32_t>(3 * i + 1)};
+  });
+  expect_sample_matches_copy<std::uint32_t>(
+      [](std::size_t i) { return static_cast<std::uint32_t>(i ^ 0x5A5A); });
 }
 
 /// Floyd's algorithm with the plain O(k²) linear duplicate scan — the

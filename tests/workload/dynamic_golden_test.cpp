@@ -113,6 +113,44 @@ TEST(DynamicGolden, ChurnSubscribeHeavyRunZero) {
   EXPECT_DOUBLE_EQ(r.groups[2].delivery_ratio, 0.8998272884283246);
 }
 
+TEST(DynamicGolden, SteadyChurnRunZero) {
+  // Mid-run joins into a 1,000-member group: those joiners draw their
+  // contacts through Rng::sample's large-pool path, and every member
+  // pulls the grown group size instead of having it pushed. The numbers
+  // were captured before either change, so they pin both as
+  // bit-identical.
+  sim::Scenario scenario = preset("steady-churn");
+  scenario.workload.arrival.horizon = 96;
+  const DynamicScenarioBinding binding = bind_scenario(scenario);
+  const DynamicRunResult r = run_dynamic_simulation(scenario, binding, 1.0, 0);
+  EXPECT_EQ(r.total_messages, 348443u);
+  EXPECT_EQ(r.control_messages, 128542u);
+  EXPECT_EQ(r.publications, 51u);
+  EXPECT_DOUBLE_EQ(r.event_reliability, 0.98575385716884178);
+  EXPECT_DOUBLE_EQ(r.mean_latency, 3.5245459090151643);
+  EXPECT_DOUBLE_EQ(r.max_latency, 10.0);
+  EXPECT_EQ(r.rounds, 119u);
+  EXPECT_EQ(r.expected_deliveries, 30145u);
+  EXPECT_EQ(r.trace_delivers, 30005u);
+  ASSERT_EQ(r.groups.size(), 3u);
+  EXPECT_EQ(r.groups[0].size, 20u);
+  EXPECT_EQ(r.groups[0].alive, 20u);
+  EXPECT_EQ(r.groups[0].control_sent, 1949u);
+  EXPECT_DOUBLE_EQ(r.groups[0].delivery_ratio, 0.82015162340239722);
+  EXPECT_EQ(r.groups[1].size, 108u);
+  EXPECT_EQ(r.groups[1].alive, 98u);
+  EXPECT_EQ(r.groups[1].control_sent, 11498u);
+  EXPECT_DOUBLE_EQ(r.groups[1].delivery_ratio, 0.98447641409611419);
+  EXPECT_GT(r.groups[2].size, 1000u);  // some joins landed in the big group
+  EXPECT_EQ(r.groups[2].size, 1012u);
+  EXPECT_EQ(r.groups[2].alive, 960u);
+  EXPECT_EQ(r.groups[2].intra_sent, 298380u);
+  EXPECT_EQ(r.groups[2].control_sent, 115095u);
+  EXPECT_EQ(r.groups[2].duplicate_deliveries, 220037u);
+  EXPECT_DOUBLE_EQ(r.groups[2].delivery_ratio, 0.984971432959591);
+  EXPECT_EQ(r.groups[2].ratio_samples, 26u);
+}
+
 TEST(DynamicGolden, RecoveryAblationCell) {
   // Recovery on: gossip carries history digests and missing events are
   // re-requested — the lane with the heaviest control-field traffic
