@@ -72,7 +72,6 @@ void DamNode::pull_group_size() {
 }
 
 EventId DamNode::publish(std::vector<std::uint8_t> payload) {
-  pull_group_size();
   const EventId event{self_, next_sequence_++};
   // The publisher "receives" its own event: mark seen, deliver locally,
   // and run DISSEMINATE (Fig. 7 is invoked by the publisher as well).
@@ -91,7 +90,6 @@ EventId DamNode::publish(std::vector<std::uint8_t> payload) {
 }
 
 void DamNode::on_message(const Message& msg) {
-  pull_group_size();
   switch (msg.kind) {
     case MsgKind::kEvent:
       handle_event(msg);
@@ -147,6 +145,7 @@ void DamNode::round(sim::Round now) {
 }
 
 void DamNode::disseminate(const Message& event_msg) {
+  pull_group_size();
   const TopicParams& params = config_.params;
   const std::size_t group_size =
       std::max<std::size_t>(membership_.group_size_estimate(), 1);
@@ -266,6 +265,7 @@ void DamNode::handle_new_process_give(const Message& msg) {
 
 void DamNode::handle_membership(const Message& msg) {
   if (msg.answer_topic == topic_) {
+    pull_group_size();  // the view capacity bounds the merge
     membership_.on_membership(msg);
   }
   // Recovery: request events the digest shows we are missing. Digests only

@@ -194,8 +194,10 @@ class DamNode {
   void handle_event_request(const Message& msg);
 
   /// Brings the membership's group-size estimate (and with it the view
-  /// capacity) up to Env::group_size. Called at every entry point that
-  /// can read either: round(), on_message(), publish().
+  /// capacity) up to Env::group_size. Called only where either is read:
+  /// round() (maintain_links' psel), disseminate() (fanout, psel) and
+  /// before a membership merge (view capacity). Lazy pulls are exact in
+  /// DamSystem: a group only grows, and a growing capacity never draws.
   void pull_group_size();
 
   /// Buffers `event_msg` for potential retransmission (recovery on).

@@ -59,7 +59,7 @@ class DamSystem final : public Env {
   /// copy of the group); super contacts are filled only when
   /// `auto_wire_super_tables` is set. A join is O(view): it touches only
   /// the joiner and its contacts — the other members pick up the new
-  /// group size through Env::group_size when they next act.
+  /// group size through Env::group_size when they next read it.
   ProcessId spawn(TopicId topic);
 
   /// Spawns `count` processes on `topic` through the batch wiring path:

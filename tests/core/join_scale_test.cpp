@@ -2,9 +2,9 @@
 // must touch only the joiner and its O(view) contacts. Copying the group
 // for the contact draw and pushing the new size to every member made the
 // 1,000 joins below cost 4-5 s on a 2-core x86 box; O(view) joins take
-// ~5 ms there (~35 ms under ASan+UBSan). The 0.2 s budget leaves room for
-// slower sanitizer runners and still trips on any return of O(group)
-// work per join.
+// ~5 ms there (~35 ms under ASan+UBSan). The 0.7 s budget is ~20x the
+// sanitizer time, for a busy host running tests in parallel, and still
+// trips on any return of O(group) work per join.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -35,7 +35,7 @@ TEST(JoinScale, MidRunJoinsIntoAHundredThousandGroupStayInBudget) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  EXPECT_LT(seconds, 0.2) << kJoins << " joins took " << seconds << "s";
+  EXPECT_LT(seconds, 0.7) << kJoins << " joins took " << seconds << "s";
   ASSERT_EQ(system.registry().group_size(topics::kRootTopic),
             kMembers + kJoins);
   // The last joiner's topic table is seeded with a full view.

@@ -124,7 +124,8 @@ TEST_F(NodeTest, IntraGossipTargetsAreDistinct) {
 
 TEST_F(NodeTest, GroupSizeIsPulledAtTheNextRoundOrMessage) {
   // Nobody pushes a new group size into the node: it reads
-  // Env::group_size at its next round, message or publish.
+  // Env::group_size where it uses it — a round, a first reception or a
+  // publish (dissemination), a membership merge — and nowhere else.
   auto node = make_node(0, 2, 20);
   node.subscribe({ProcessId{1}, ProcessId{2}}, {ProcessId{50}});
   const auto& membership = node.group_membership();
@@ -143,9 +144,23 @@ TEST_F(NodeTest, GroupSizeIsPulledAtTheNextRoundOrMessage) {
   EXPECT_EQ(membership.view().capacity(),
             membership::FlatMembership::capacity_for(b, 40));
 
+  // A duplicate reads neither the estimate nor the capacity.
   env_.group_sizes[levels_[2].value] = 41;
+  node.on_message(event_msg(9, 0, 0, 2));
+  EXPECT_EQ(membership.group_size_estimate(), 40u);
   node.publish();
   EXPECT_EQ(membership.group_size_estimate(), 41u);
+
+  Message gossip;
+  gossip.kind = MsgKind::kMembership;
+  gossip.from = ProcessId{3};
+  gossip.to = ProcessId{0};
+  gossip.answer_topic = levels_[2];
+  env_.group_sizes[levels_[2].value] = 500;
+  node.on_message(gossip);
+  EXPECT_EQ(membership.group_size_estimate(), 500u);
+  EXPECT_EQ(membership.view().capacity(),
+            membership::FlatMembership::capacity_for(b, 500));
 }
 
 TEST_F(NodeTest, FirstReceptionForwardsDuplicatesSuppressed) {

@@ -202,10 +202,11 @@ std::vector<T> sample_by_copy(Rng& rng, const std::vector<T>& pool,
 template <typename T, typename MakeT>
 void expect_sample_matches_copy(MakeT make) {
   // Pools below, at and far above the point where `sample` stops copying
-  // (256 entries holding >= 16·k of them), k from 0 to past a view.
+  // (n >= 256·k: 256 for k = 1, 768 for k = 3, 4096 for k = 16, 12032 for
+  // k = 47), k from 0 to past a view and up to the whole pool.
   for (const std::size_t n :
-       {0UL, 1UL, 47UL, 255UL, 256UL, 257UL, 751UL, 752UL, 753UL, 1000UL,
-        4096UL, 100000UL}) {
+       {0UL, 1UL, 47UL, 255UL, 256UL, 257UL, 767UL, 768UL, 769UL, 1000UL,
+        4095UL, 4096UL, 4097UL, 12031UL, 12032UL, 12033UL, 100000UL}) {
     std::vector<T> pool;
     pool.reserve(n);
     for (std::size_t i = 0; i < n; ++i) pool.push_back(make(i));
