@@ -14,10 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <stdexcept>
-#include <unordered_map>
-
-#include "topics/topic.hpp"
 
 namespace dam::core {
 
@@ -48,38 +44,6 @@ struct TopicParams {
   /// domain (paper requires 1 <= g <= S and 1 <= a <= z; we validate the
   /// group-size-independent part).
   void validate() const;
-};
-
-/// Parameter assignment: a default set plus per-topic overrides.
-class ParamMap {
- public:
-  ParamMap() = default;
-  explicit ParamMap(TopicParams defaults) : defaults_(defaults) {
-    defaults_.validate();
-  }
-
-  void set_default(TopicParams params) {
-    params.validate();
-    defaults_ = params;
-  }
-
-  void set_override(topics::TopicId topic, TopicParams params) {
-    params.validate();
-    overrides_[topic] = params;
-  }
-
-  [[nodiscard]] const TopicParams& for_topic(topics::TopicId topic) const {
-    auto it = overrides_.find(topic);
-    return it == overrides_.end() ? defaults_ : it->second;
-  }
-
-  [[nodiscard]] const TopicParams& defaults() const noexcept {
-    return defaults_;
-  }
-
- private:
-  TopicParams defaults_{};
-  std::unordered_map<topics::TopicId, TopicParams> overrides_;
 };
 
 }  // namespace dam::core

@@ -41,7 +41,6 @@ DamSystem::~DamSystem() = default;
 
 ProcessId DamSystem::spawn(TopicId topic) {
   const ProcessId id = registry_.add_process(topic);
-  super_cache_.clear();  // a group may have just turned non-empty
   // Grow the bootstrap overlay to cover the new process.
   while (neighborhood_.process_count() < registry_.process_count()) {
     neighborhood_.add_process(config_.neighborhood_degree, rng_);
@@ -193,7 +192,6 @@ std::vector<ProcessId> DamSystem::spawn_group(TopicId topic,
                                              super_topic);
   }
   view_arenas_.push_back(std::move(arena));
-  super_cache_.clear();
   return ids;
 }
 
@@ -225,8 +223,11 @@ net::EventId DamSystem::publish(ProcessId publisher,
                                 std::vector<std::uint8_t> payload) {
   DamNode& source = node(publisher);
   const net::EventId event = source.publish(std::move(payload));
-  publications_[event] = Publication{
-      source.topic(), registry_.interested_set(source.topic())};
+  // The publisher marked the event seen, which opened its column.
+  SeenColumn& column = columns_[column_of_.at(event)];
+  column.published = true;
+  column.topic = source.topic();
+  column.watermark = registry_.process_count();
   // The publisher's own (synchronous, latency-0) delivery happened inside
   // DamNode::publish, before the event id existed for begin_event; record
   // it here so latency aggregates cover every first delivery.
@@ -254,7 +255,8 @@ void DamSystem::send(Message&& msg) {
   if (msg.kind == MsgKind::kEvent) {
     if (msg.intergroup) {
       ++counters.inter_sent;
-      if (auto super = cached_nearest_super(sender_topic)) {
+      // May grow the counter table: `counters` is not used past this call.
+      if (auto super = registry_.nearest_nonempty_supergroup(sender_topic)) {
         ++metrics_.group(*super).inter_received;  // boundary accounting
       }
     } else {
@@ -282,14 +284,6 @@ void DamSystem::send(Message&& msg) {
   transport_.send(std::move(msg), clock_.now());
 }
 
-std::optional<TopicId> DamSystem::cached_nearest_super(TopicId topic) const {
-  const auto it = super_cache_.find(topic);
-  if (it != super_cache_.end()) return it->second;
-  const auto super = registry_.nearest_nonempty_supergroup(topic);
-  super_cache_.emplace(topic, super);
-  return super;
-}
-
 std::size_t DamSystem::group_size(TopicId topic) const {
   return registry_.group_size(topic);
 }
@@ -303,21 +297,23 @@ bool DamSystem::probe_alive(ProcessId target) const {
 }
 
 void DamSystem::deliver(ProcessId self, const Message& event_msg) {
-  // Called once per first mark. The publisher's synchronous self-delivery
-  // fires inside DamNode::publish, BEFORE DamSystem::publish registers the
-  // publication — it is never a retired event, whatever the maps say.
+  // Called once per first mark, so the event's column is open. The
+  // publisher's synchronous self-delivery fires inside DamNode::publish,
+  // BEFORE DamSystem::publish registers the publication — it is never a
+  // retired event, whatever its column says.
   const bool self_publish =
       event_msg.from == self && event_msg.event.publisher == self;
-  if (retired_events_ > 0 && !self_publish &&
-      !publications_.contains(event_msg.event)) {
-    // A copy of an already-retired publication reached a process that had
-    // not seen it: harmless duplicate traffic, excluded from the live
-    // counters so harvested aggregates stay frozen. If the copy re-opened
-    // a released column, that column is retired too.
-    ++retired_deliveries_;
-    const auto column = column_of_.find(event_msg.event);
-    if (column != column_of_.end()) columns_[column->second].retired = true;
-    return;
+  if (retired_events_ > 0 && !self_publish) {
+    SeenColumn& column = columns_[column_of_.at(event_msg.event)];
+    if (!column.live()) {
+      // A copy of an already-retired publication reached a process that
+      // had not seen it: harmless duplicate traffic, excluded from the
+      // live counters so harvested aggregates stay frozen. If the copy
+      // re-opened a released column, that column is retired too.
+      ++retired_deliveries_;
+      column.retired = true;
+      return;
+    }
   }
   ++metrics_.group(registry_.topic_of(self)).delivered;
   metrics_.note_infection(clock_.now());
@@ -354,6 +350,7 @@ bool DamSystem::mark_seen(ProcessId self, net::EventId event) {
     column.event = event;
     column.first_mark = clock_.now();
     column.open = true;
+    column.published = false;
     column.retired = false;
     column.count = 0;
     column.words.assign(width, 0);
@@ -414,16 +411,23 @@ DamSystem::DeliveredView DamSystem::delivered_set(net::EventId event) const {
 }
 
 double DamSystem::delivery_ratio(net::EventId event) const {
-  auto pub = publications_.find(event);
-  if (pub == publications_.end()) return 0.0;
-  const auto& delivered = delivered_set(event);
+  const auto it = column_of_.find(event);
+  if (it == column_of_.end()) return 0.0;
+  const SeenColumn& column = columns_[it->second];
+  if (!column.live()) return 0.0;
+  const DeliveredView delivered(column.words, column.count);
   std::size_t alive_interested = 0;
   std::size_t alive_delivered = 0;
   const sim::Round round = clock_.now();
-  for (ProcessId p : pub->second.interested) {
-    if (!failures_->alive(p, round)) continue;
-    ++alive_interested;
-    if (delivered.contains(p)) ++alive_delivered;
+  // The interested processes at publish: the chain groups' members below
+  // the watermark (each group is in ascending id order).
+  for (const TopicId topic : hierarchy_->chain_to_root(column.topic)) {
+    for (const ProcessId p : registry_.group(topic)) {
+      if (p.value >= column.watermark) break;
+      if (!failures_->alive(p, round)) continue;
+      ++alive_interested;
+      if (delivered.contains(p)) ++alive_delivered;
+    }
   }
   if (alive_interested == 0) return 1.0;
   return static_cast<double>(alive_delivered) /
@@ -435,7 +439,6 @@ bool DamSystem::all_delivered(net::EventId event) const {
 }
 
 void DamSystem::retire_event(net::EventId event) {
-  publications_.erase(event);
   ++retired_events_;
   const auto column = column_of_.find(event);
   if (column != column_of_.end()) columns_[column->second].retired = true;

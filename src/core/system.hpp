@@ -3,10 +3,11 @@
 // Hosts a population of DamNodes over the lossy transport, the bootstrap
 // neighborhood overlay, a failure model, and the metrics collector. This is
 // the "whole system" entry point used by the examples, the integration
-// tests, and the bootstrap/ablation benches. (The figure benches use the
-// specialized static-table engine in core/static_sim.hpp, which reproduces
-// the paper's frozen-membership setting exactly.) Config::threads sets the
-// workers of the spawn-batch fill and never changes results.
+// tests, and the bootstrap/ablation benches. (The figure benches run the
+// frozen-membership engine through the core/static_sim.hpp adapter over
+// core/frozen_sim, which reproduces the paper's setting exactly.)
+// Config::threads sets the workers of the spawn-batch fill and never
+// changes results.
 #pragma once
 
 #include <bit>
@@ -244,15 +245,17 @@ class DamSystem final : public Env {
   [[nodiscard]] DeliveredView delivered_set(net::EventId event) const;
 
   /// Fraction of *alive interested* processes that delivered `event`
-  /// (the paper's reliability measurand for one run).
+  /// (the paper's reliability measurand for one run). Interested means a
+  /// member, at publish time, of a group whose topic includes the event's;
+  /// later joiners are not counted. 0 unless the publication is live.
   [[nodiscard]] double delivery_ratio(net::EventId event) const;
 
   /// True iff every alive interested process delivered `event`.
   [[nodiscard]] bool all_delivered(net::EventId event) const;
 
   /// Sustained-service GC, once the driver has harvested `event`'s deadline
-  /// outcome: forgets its interested snapshot and empties its delivered
-  /// set. Its seen column is released at the end of the first round at
+  /// outcome: ends the publication and empties its delivered set. Its
+  /// seen column is released at the end of the first round at
   /// least NodeConfig::seen_gc_horizon (> 0) rounds after its first mark.
   /// Later first receptions count as retired_deliveries, never as live.
   void retire_event(net::EventId event);
@@ -268,21 +271,24 @@ class DamSystem final : public Env {
   }
 
  private:
-  struct Publication {
-    TopicId topic;
-    std::vector<ProcessId> interested;  // snapshot at publish time
-  };
-
   /// One bit per process for one publication: bit p is set once p has
   /// received the event. It is the duplicate-suppression state and the
-  /// delivered set at once. Slots are recycled after release.
+  /// delivered set at once, and it carries the publication record. Slots
+  /// are recycled after release.
   struct SeenColumn {
     net::EventId event;
     sim::Round first_mark = 0;
-    bool open = false;     ///< in column_of_ (not released)
-    bool retired = false;  ///< publication retired (see deliver())
+    bool open = false;       ///< in column_of_ (not released)
+    bool published = false;  ///< registered by publish()
+    bool retired = false;    ///< publication retired (see deliver())
+    TopicId topic;           ///< published topic
+    /// Processes registered at publish; the registry only appends, so
+    /// they are exactly the ids below it.
+    std::size_t watermark = 0;
     std::size_t count = 0;  ///< bits set
     std::vector<std::uint64_t> words;
+
+    [[nodiscard]] bool live() const noexcept { return published && !retired; }
   };
 
   /// Releases every retired column whose first mark is at least
@@ -304,19 +310,11 @@ class DamSystem final : public Env {
   std::vector<std::unique_ptr<GroupViewArena>> view_arenas_;
   DeliveryHandler delivery_handler_;
   sim::TraceRecorder* trace_ = nullptr;
-  std::unordered_map<net::EventId, Publication> publications_;
   std::vector<SeenColumn> columns_;
   std::unordered_map<net::EventId, std::uint32_t> column_of_;  ///< open ones
   std::vector<std::uint32_t> free_columns_;
   std::size_t retired_events_ = 0;      ///< retire_event calls so far
   std::size_t retired_deliveries_ = 0;  ///< late deliveries past retirement
-
-  /// Memoized registry_.nearest_nonempty_supergroup, consulted by send()'s
-  /// per-message boundary accounting. Spawning can turn an empty supergroup
-  /// non-empty, so every spawn clears the cache.
-  [[nodiscard]] std::optional<TopicId> cached_nearest_super(
-      TopicId topic) const;
-  mutable std::unordered_map<TopicId, std::optional<TopicId>> super_cache_;
 };
 
 }  // namespace dam::core

@@ -6,11 +6,6 @@ namespace dam::sim {
 
 const GroupCounters Metrics::kZero{};
 
-const GroupCounters& Metrics::group(topics::TopicId topic) const {
-  auto it = per_group_.find(topic);
-  return it == per_group_.end() ? kZero : it->second;
-}
-
 void Metrics::begin_event(net::EventId event, Round now) {
   EventLatency& entry = event_latencies_[event];
   entry.published_at = now;
@@ -61,7 +56,7 @@ void Metrics::note_infection(Round round) {
 
 std::uint64_t Metrics::total_event_messages() const {
   std::uint64_t total = 0;
-  for (const auto& [topic, counters] : per_group_) {
+  for (const GroupCounters& counters : per_group_) {
     total += counters.intra_sent + counters.inter_sent;
   }
   return total;
@@ -69,7 +64,7 @@ std::uint64_t Metrics::total_event_messages() const {
 
 std::uint64_t Metrics::total_control_messages() const {
   std::uint64_t total = 0;
-  for (const auto& [topic, counters] : per_group_) {
+  for (const GroupCounters& counters : per_group_) {
     total += counters.control_sent;
   }
   return total;
@@ -77,7 +72,7 @@ std::uint64_t Metrics::total_control_messages() const {
 
 std::uint64_t Metrics::total_deliveries() const {
   std::uint64_t total = 0;
-  for (const auto& [topic, counters] : per_group_) {
+  for (const GroupCounters& counters : per_group_) {
     total += counters.delivered;
   }
   return total;

@@ -89,10 +89,3 @@ class TopicDag {
 };
 
 }  // namespace dam::topics
-
-template <>
-struct std::hash<dam::topics::DagTopicId> {
-  std::size_t operator()(const dam::topics::DagTopicId& id) const noexcept {
-    return std::hash<std::uint32_t>{}(id.value);
-  }
-};

@@ -10,28 +10,13 @@ ProcessId SubscriptionRegistry::add_process(TopicId topic) {
   if (topic.value >= hierarchy_->size()) {
     throw std::out_of_range("SubscriptionRegistry: unknown topic id");
   }
+  // Topics can be interned after the registry was built (PubSub does so
+  // lazily), so the table grows to the hierarchy on demand.
+  if (groups_.size() < hierarchy_->size()) groups_.resize(hierarchy_->size());
   const auto id = ProcessId{static_cast<std::uint32_t>(interest_.size())};
   interest_.push_back(topic);
-  groups_[topic].push_back(id);
+  groups_[topic.value].push_back(id);
   return id;
-}
-
-void SubscriptionRegistry::resubscribe(ProcessId process, TopicId topic) {
-  if (topic.value >= hierarchy_->size()) {
-    throw std::out_of_range("SubscriptionRegistry: unknown topic id");
-  }
-  const TopicId old_topic = interest_.at(process.value);
-  if (old_topic == topic) return;
-  auto& old_group = groups_[old_topic];
-  old_group.erase(std::remove(old_group.begin(), old_group.end(), process),
-                  old_group.end());
-  interest_[process.value] = topic;
-  groups_[topic].push_back(process);
-}
-
-const std::vector<ProcessId>& SubscriptionRegistry::group(TopicId topic) const {
-  auto it = groups_.find(topic);
-  return it == groups_.end() ? kEmptyGroup : it->second;
 }
 
 std::vector<ProcessId> SubscriptionRegistry::interested_set(

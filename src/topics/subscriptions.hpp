@@ -4,11 +4,15 @@
 // topic Ti — and consequently in all subtopics of Ti. This registry records
 // that assignment and answers the group queries used everywhere else:
 // Π_Ti (the group of processes interested in Ti) and S_Ti = |Π_Ti|.
+//
+// The registry only appends: a process keeps its topic for life, and a
+// group lists its members in ascending id order. Groups are indexed by
+// TopicId::value; a topic nobody joined has an empty group, including one
+// interned after the last join.
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "topics/hierarchy.hpp"
@@ -27,12 +31,9 @@ class SubscriptionRegistry {
   explicit SubscriptionRegistry(const TopicHierarchy& hierarchy)
       : hierarchy_(&hierarchy) {}
 
-  /// Registers a new process interested in `topic`; returns its id.
+  /// Registers a new process interested in `topic`; returns its id, one
+  /// past every id registered before.
   ProcessId add_process(TopicId topic);
-
-  /// Re-registers an existing process under a new topic (unsubscribing from
-  /// the old one). Used by churn scenarios.
-  void resubscribe(ProcessId process, TopicId topic);
 
   [[nodiscard]] std::size_t process_count() const noexcept {
     return interest_.size();
@@ -43,8 +44,11 @@ class SubscriptionRegistry {
     return interest_.at(process.value);
   }
 
-  /// Π_Ti: processes whose topic of interest is exactly `topic`.
-  [[nodiscard]] const std::vector<ProcessId>& group(TopicId topic) const;
+  /// Π_Ti: processes whose topic of interest is exactly `topic`, in
+  /// ascending id order. Valid until the next add_process.
+  [[nodiscard]] const std::vector<ProcessId>& group(TopicId topic) const {
+    return topic.value < groups_.size() ? groups_[topic.value] : kEmptyGroup;
+  }
 
   /// S_Ti = |Π_Ti|.
   [[nodiscard]] std::size_t group_size(TopicId topic) const {
@@ -59,7 +63,7 @@ class SubscriptionRegistry {
   }
 
   /// All processes interested in events of `topic` (members of Π_Tj for any
-  /// Tj that includes `topic`) — the reliability denominator.
+  /// Tj that includes `topic`), sorted — the reliability denominator.
   [[nodiscard]] std::vector<ProcessId> interested_set(TopicId topic) const;
 
   /// Nearest non-empty supergroup of `topic`: walks super(topic),
@@ -76,7 +80,7 @@ class SubscriptionRegistry {
  private:
   const TopicHierarchy* hierarchy_;
   std::vector<TopicId> interest_;  // indexed by ProcessId
-  std::unordered_map<TopicId, std::vector<ProcessId>> groups_;
+  std::vector<std::vector<ProcessId>> groups_;  // indexed by TopicId
   static const std::vector<ProcessId> kEmptyGroup;
 };
 

@@ -8,7 +8,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -67,10 +66,3 @@ class TopicPath {
 [[nodiscard]] bool valid_segment(std::string_view segment) noexcept;
 
 }  // namespace dam::topics
-
-template <>
-struct std::hash<dam::topics::TopicId> {
-  std::size_t operator()(const dam::topics::TopicId& id) const noexcept {
-    return std::hash<std::uint32_t>{}(id.value);
-  }
-};

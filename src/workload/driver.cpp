@@ -4,7 +4,6 @@
 #include <chrono>
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "core/system.hpp"
 #include "net/message.hpp"
@@ -246,9 +245,10 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
           .count();
 
   // --- Bootstrap-link measurement (cold-start lane). ----------------------
-  std::unordered_map<topics::TopicId, std::size_t> topic_index;
+  std::vector<char> scenario_root(binding.hierarchy.size(), 0);  // by TopicId
   for (std::size_t topic = 0; topic < topic_count; ++topic) {
-    topic_index.emplace(binding.topic_ids[topic], topic);
+    scenario_root[binding.topic_ids[topic].value] =
+        binding.is_scenario_root[topic];
   }
   DynamicRunResult result;
   result.measured_link = !workload.engine.auto_wire_super_tables;
@@ -273,9 +273,8 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
   // outcomes and latency aggregate are harvested AT ITS DEADLINE into these
   // accumulators, then the engine retires its delivered-set / latency
   // bookkeeping, so per-run state holds only in-flight publications no
-  // matter how long the horizon. With GC off no record is ever harvested
-  // and the run-end grading below is the sole contributor — its loop order
-  // (and therefore every floating-point sum) is exactly the historical one.
+  // matter how long the horizon. Records never harvested (GC off, or a
+  // deadline past the run's end) are graded at run end by the same lambda.
   const std::size_t gc_horizon = workload.engine.gc_horizon;
   std::vector<double> ratio_sums(topic_count, 0.0);
   std::vector<std::size_t> group_ratio_samples(topic_count, 0);
@@ -347,7 +346,7 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
     std::size_t linked = 0;
     for (std::uint32_t p = 0; p < system.process_count(); ++p) {
       const core::DamNode& node = system.node(topics::ProcessId{p});
-      if (binding.is_scenario_root[topic_index.at(node.topic())]) continue;
+      if (scenario_root[node.topic().value]) continue;
       ++non_root;
       const auto& table = node.super_table();
       if (!table.empty() &&
@@ -443,19 +442,11 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
   for (const PublicationRecord& record : published) {
     // Deadline snapshot; publications whose deadline fell past the run's
     // last round (drain cut short) are graded at run end. Harvested
-    // records folded their latency at the deadline already.
+    // records were graded at their deadline already.
     reliability_sum += record.ratio >= 0.0
                            ? record.ratio
                            : system.delivery_ratio(record.event);
-    if (record.harvested) continue;
-    const auto& latencies = system.metrics().event_latencies();
-    const auto it = latencies.find(record.event);
-    if (it != latencies.end()) {
-      deliveries += it->second.deliveries;
-      latency_sum += it->second.latency_sum;
-      result.max_latency = std::max(
-          result.max_latency, static_cast<double>(it->second.max_latency));
-    }
+    if (!record.harvested) grade(record);
   }
   if (!published.empty()) {
     result.event_reliability = reliability_sum /
@@ -492,38 +483,6 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
     group_result.inter_sent = counters.inter_sent;
     group_result.inter_received = counters.inter_received;
     group_result.control_sent = counters.control_sent;
-
-    // Per-publication group outcome: members of this group are interested
-    // in a publication iff their topic includes the published topic.
-    // Harvested records already folded theirs at their deadlines.
-    for (const PublicationRecord& record : published) {
-      if (record.harvested) continue;
-      const bool interested = binding.hierarchy.includes(
-          id, binding.topic_ids[record.topic]);
-      const auto& delivered = system.delivered_set(record.event);
-      if (!interested) {
-        for (const topics::ProcessId member : members) {
-          if (delivered.contains(member)) {
-            group_all_delivered[topic] = 0;  // parasite outcome
-            break;
-          }
-        }
-        continue;
-      }
-      std::size_t alive_members = 0;
-      std::size_t alive_delivered = 0;
-      for (const topics::ProcessId member : members) {
-        if (!alive_model.alive(member, end_round)) continue;
-        ++alive_members;
-        alive_delivered += delivered.contains(member);
-      }
-      result.expected_deliveries += alive_members;
-      if (alive_members == 0) continue;
-      ratio_sums[topic] += static_cast<double>(alive_delivered) /
-                           static_cast<double>(alive_members);
-      ++group_ratio_samples[topic];
-      if (alive_delivered < alive_members) group_all_delivered[topic] = 0;
-    }
     group_result.ratio_samples = group_ratio_samples[topic];
     group_result.all_alive_delivered = group_all_delivered[topic] != 0;
     if (group_result.ratio_samples > 0) {

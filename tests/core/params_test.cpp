@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 namespace dam::core {
 namespace {
@@ -86,32 +87,6 @@ TEST(TopicParams, ValidateRejectsBadDomains) {
   params = TopicParams{};
   params.b = -0.1;
   EXPECT_THROW(params.validate(), std::invalid_argument);
-}
-
-TEST(ParamMap, DefaultsAndOverrides) {
-  ParamMap map;
-  EXPECT_DOUBLE_EQ(map.for_topic(topics::TopicId{1}).c, 5.0);
-
-  TopicParams custom;
-  custom.c = 2.0;
-  map.set_override(topics::TopicId{1}, custom);
-  EXPECT_DOUBLE_EQ(map.for_topic(topics::TopicId{1}).c, 2.0);
-  EXPECT_DOUBLE_EQ(map.for_topic(topics::TopicId{2}).c, 5.0);
-
-  TopicParams new_defaults;
-  new_defaults.c = 7.0;
-  map.set_default(new_defaults);
-  EXPECT_DOUBLE_EQ(map.for_topic(topics::TopicId{2}).c, 7.0);
-  EXPECT_DOUBLE_EQ(map.for_topic(topics::TopicId{1}).c, 2.0);  // unchanged
-}
-
-TEST(ParamMap, RejectsInvalidParams) {
-  ParamMap map;
-  TopicParams bad;
-  bad.z = 0;
-  EXPECT_THROW(map.set_default(bad), std::invalid_argument);
-  EXPECT_THROW(map.set_override(topics::TopicId{1}, bad),
-               std::invalid_argument);
 }
 
 }  // namespace

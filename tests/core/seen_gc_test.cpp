@@ -254,5 +254,64 @@ TEST(SeenColumns, DeliveredSetMatchesBruteForceScan) {
   EXPECT_GT(system.delivered_set(events[0]).size(), 50u);
 }
 
+TEST(SeenColumns, DeliveryRatioCountsTheMembersAtPublish) {
+  // The reliability denominator is the interested membership when the
+  // event was published: a later joiner neither lowers the ratio while it
+  // lacks the event nor counts once a late copy reaches it.
+  topics::TopicHierarchy hierarchy;
+  DamSystem system(hierarchy, lossless(41, 0));
+  const auto members = system.spawn_group(topics::kRootTopic, 50);
+  system.run_rounds(3);
+  const auto event = system.publish(members[0]);
+  system.run_rounds(30);
+  // Gossip may miss a member even without loss; hand it the event.
+  for (const ProcessId p : members) {
+    if (system.delivered_set(event).contains(p)) continue;
+    system.node(p).on_message(
+        event_copy(event, members[0], p, topics::kRootTopic));
+  }
+  ASSERT_EQ(system.delivered_set(event).size(), members.size());
+  EXPECT_EQ(system.delivery_ratio(event), 1.0);
+
+  const ProcessId joiner = system.spawn(topics::kRootTopic);
+  EXPECT_FALSE(system.delivered_set(event).contains(joiner));
+  EXPECT_EQ(system.delivery_ratio(event), 1.0);
+
+  system.node(joiner).on_message(
+      event_copy(event, members[1], joiner, topics::kRootTopic));
+  EXPECT_TRUE(system.delivered_set(event).contains(joiner));
+  EXPECT_EQ(system.delivery_ratio(event), 1.0);
+}
+
+TEST(SeenColumns, DeliveryRatioMatchesThePublishTimeSnapshot) {
+  // Across a three-level chain, with joiners landing in interested groups
+  // mid-wave, the ratio equals the one over the interested set as it stood
+  // at publish.
+  auto hierarchy = std::make_unique<topics::TopicHierarchy>();
+  const auto leaf = hierarchy->add(".a.b");
+  const auto mid = *hierarchy->find(".a");
+  DamSystem::Config config = lossless(43, 0);
+  config.node.params.psucc = 0.8;  // lossy: partial sets mid-wave
+  DamSystem system(*hierarchy, config);
+  system.spawn_group(topics::kRootTopic, 20);
+  system.spawn_group(mid, 30);
+  const auto leaves = system.spawn_group(leaf, 40);
+  system.run_rounds(3);
+  const auto event = system.publish(leaves[0]);
+  const auto interested = system.registry().interested_set(leaf);
+  for (int step = 0; step < 10; ++step) {
+    const auto delivered = system.delivered_set(event);
+    std::size_t hits = 0;
+    for (const ProcessId p : interested) hits += delivered.contains(p);
+    EXPECT_EQ(system.delivery_ratio(event),
+              static_cast<double>(hits) /
+                  static_cast<double>(interested.size()))
+        << "step " << step;
+    system.spawn(step % 2 == 0 ? mid : topics::kRootTopic);
+    system.run_rounds(1);
+  }
+  EXPECT_GT(system.delivered_set(event).size(), interested.size() / 2);
+}
+
 }  // namespace
 }  // namespace dam::core

@@ -165,15 +165,14 @@ TEST_F(SystemTest, SingleTopicDegeneratesToFlatGossip) {
 }
 
 TEST_F(SystemTest, SuperCacheInvalidatedBySpawnGroup) {
-  // send()'s boundary accounting memoizes nearest_nonempty_supergroup per
-  // sender topic. Spawning can turn an empty supergroup non-empty, moving
-  // the structural boundary: with t1 empty, t2's intergroup traffic is
-  // charged to t0 (the nearest populated supergroup and the cached value);
-  // once t1 gains members, the boundary accounting must credit t1. This
-  // test isolates the spawn_group() path — t1 is populated by ONE batch
-  // call and nothing else, so a missing invalidation there cannot be
-  // masked by spawn()'s. With a stale memo, t1.inter_received would stay 0
-  // while t0 keeps absorbing the credit.
+  // send()'s boundary accounting charges intergroup traffic to the
+  // sender's nearest non-empty supergroup. Spawning can turn an empty
+  // supergroup non-empty, moving the structural boundary: with t1 empty,
+  // t2's intergroup traffic is charged to t0; once t1 gains members, the
+  // boundary accounting must credit t1. This test isolates the
+  // spawn_group() path — t1 is populated by ONE batch call and nothing
+  // else. A stale boundary (say, a memo not invalidated there) would leave
+  // t1.inter_received at 0 while t0 keeps absorbing the credit.
   auto config = wired_config(29);
   config.node.params.psucc = 1.0;
   DamSystem system(hierarchy_, config);
@@ -183,10 +182,10 @@ TEST_F(SystemTest, SuperCacheInvalidatedBySpawnGroup) {
   system.publish(leaves[0]);
   system.run_rounds(12);
   ASSERT_GT(system.metrics().group(levels_[0]).inter_received, 0u)
-      << "cache never warmed; the scenario lost its point";
+      << "t0 never credited; the scenario lost its point";
   EXPECT_EQ(system.metrics().group(levels_[1]).inter_received, 0u);
 
-  system.spawn_group(levels_[1], 6);  // the only cache-clearing call
+  system.spawn_group(levels_[1], 6);  // the only change to t1
   system.publish(leaves[1]);
   system.run_rounds(20);
   EXPECT_GT(system.metrics().group(levels_[1]).inter_received, 0u);

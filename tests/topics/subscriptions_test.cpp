@@ -99,19 +99,23 @@ TEST_F(SubscriptionsTest, NearestNonemptySupergroupOfRootIsNull) {
   EXPECT_FALSE(registry_.nearest_nonempty_supergroup(kRootTopic).has_value());
 }
 
-TEST_F(SubscriptionsTest, ResubscribeMovesGroups) {
-  const ProcessId p = registry_.add_process(t1_);
-  registry_.resubscribe(p, t2_);
-  EXPECT_EQ(registry_.topic_of(p), t2_);
-  EXPECT_TRUE(registry_.group(t1_).empty());
-  ASSERT_EQ(registry_.group(t2_).size(), 1u);
-  EXPECT_EQ(registry_.group(t2_)[0], p);
-}
-
-TEST_F(SubscriptionsTest, ResubscribeSameTopicIsNoop) {
-  const ProcessId p = registry_.add_process(t1_);
-  registry_.resubscribe(p, t1_);
-  EXPECT_EQ(registry_.group(t1_).size(), 1u);
+TEST_F(SubscriptionsTest, TopicInternedAfterTheRegistryGetsAGroup) {
+  // Groups are indexed by TopicId, and the hierarchy may grow after the
+  // registry exists (PubSub interns topics lazily).
+  const ProcessId early = registry_.add_process(t1_);
+  const TopicId late = hierarchy_.add(".late");
+  const TopicId idle = hierarchy_.add(".late.idle");
+  EXPECT_TRUE(registry_.group(late).empty());
+  const ProcessId a = registry_.add_process(late);
+  const ProcessId b = registry_.add_process(late);
+  ASSERT_EQ(registry_.group(late).size(), 2u);
+  EXPECT_EQ(registry_.group(late)[0], a);
+  EXPECT_EQ(registry_.group(late)[1], b);
+  EXPECT_EQ(registry_.group(t1_), std::vector<ProcessId>{early});
+  // Interned but never joined, and never interned at all: both empty.
+  EXPECT_TRUE(registry_.group(idle).empty());
+  EXPECT_EQ(registry_.group_size(TopicId{999}), 0u);
+  EXPECT_EQ(registry_.nearest_nonempty_supergroup(idle), late);
 }
 
 }  // namespace

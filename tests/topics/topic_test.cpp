@@ -94,14 +94,13 @@ TEST(ValidSegment, Rules) {
   EXPECT_FALSE(valid_segment("ütf"));
 }
 
-TEST(TopicId, HashAndCompare) {
+TEST(TopicId, Compare) {
   TopicId a{1};
   TopicId b{1};
   TopicId c{2};
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
   EXPECT_LT(a, c);
-  EXPECT_EQ(std::hash<TopicId>{}(a), std::hash<TopicId>{}(b));
 }
 
 }  // namespace
