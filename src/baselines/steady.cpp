@@ -232,12 +232,6 @@ workload::DynamicRunResult run_steady_baseline(const sim::Scenario& scenario,
   std::vector<std::uint64_t> inter_received(topic_count, 0);
   std::vector<std::uint64_t> control_sent(topic_count, 0);
   std::vector<std::uint64_t> duplicates(topic_count, 0);
-  std::uint64_t total_intra = 0;
-  std::uint64_t total_inter = 0;
-  std::uint64_t total_control = 0;
-  std::uint64_t total_delivers = 0;
-  result.deliveries_per_round.assign(total_rounds, 0);
-  result.control_per_round.assign(total_rounds, 0);
 
   // Grading accumulators (driver.cpp's layout: both the harvest-at-deadline
   // path and run-end grading fold into the same per-topic sums).
@@ -262,12 +256,10 @@ workload::DynamicRunResult run_steady_baseline(const sim::Scenario& scenario,
                   std::uint8_t phase, bool inter, std::size_t round) {
     next.push_back(Hop{event, to, phase});
     if (inter) {
-      ++total_inter;
       ++inter_sent[topic_of[from]];
       ++inter_received[topic_of[to]];
       timeline.note_inter_send(round);
     } else {
-      ++total_intra;
       ++intra_sent[topic_of[from]];
       timeline.note_event_send(round);
     }
@@ -275,11 +267,11 @@ workload::DynamicRunResult run_steady_baseline(const sim::Scenario& scenario,
 
   // First-reception bookkeeping shared by both engines. Returns true iff
   // this was `q`'s first reception (callers forward only then). Latency,
-  // the sketch, and deliveries_per_round count INTERESTED receptions only,
-  // so latency percentiles stay comparable with the protocol lane; the
+  // the sketch, and the timeline count INTERESTED receptions only, so
+  // latency percentiles stay comparable with the protocol lane; the
   // gossip engine's parasite receptions still land in the delivered set
   // (-> all_alive_delivered = false for uninterested groups) and in
-  // trace_delivers.
+  // parasite_deliveries.
   auto receive = [&](std::uint32_t event, std::uint32_t q,
                      std::size_t round) -> bool {
     EventState& state = events[event];
@@ -290,16 +282,16 @@ workload::DynamicRunResult run_steady_baseline(const sim::Scenario& scenario,
       ++duplicates[topic_of[q]];
       return false;
     }
-    ++total_delivers;
-    if (interest[std::size_t{topic_of[q]} * topic_count + state.topic] != 0) {
-      const std::uint64_t latency = round - state.publish_round;
-      ++state.deliveries;
-      state.latency_sum += latency;
-      state.max_latency = std::max(state.max_latency, latency);
-      result.latency_sketch.add(static_cast<double>(latency));
-      timeline.note_delivery(round, static_cast<double>(latency));
-      ++result.deliveries_per_round[round];
+    if (interest[std::size_t{topic_of[q]} * topic_count + state.topic] == 0) {
+      ++result.parasite_deliveries;
+      return true;
     }
+    const std::uint64_t latency = round - state.publish_round;
+    ++state.deliveries;
+    state.latency_sum += latency;
+    state.max_latency = std::max(state.max_latency, latency);
+    result.latency_sketch.add(static_cast<double>(latency));
+    timeline.note_delivery(round, static_cast<double>(latency));
     return true;
   };
 
@@ -483,8 +475,6 @@ workload::DynamicRunResult run_steady_baseline(const sim::Scenario& scenario,
         if (tree && slot_of[p] == 0) continue;
         if (!alive(p, round)) continue;
         ++control_sent[topic_of[p]];
-        ++total_control;
-        ++result.control_per_round[round];
         timeline.note_control_send(round);
       }
     }
@@ -584,13 +574,9 @@ workload::DynamicRunResult run_steady_baseline(const sim::Scenario& scenario,
     result.mean_latency = static_cast<double>(latency_sum_total) /
                           static_cast<double>(deliveries_total);
   }
-  result.total_messages = total_intra + total_inter;
-  result.control_messages = total_control;
-  result.trace_publishes = published.size();
-  result.trace_event_sends = total_intra;
-  result.trace_inter_sends = total_inter;
-  result.trace_control_sends = total_control;
-  result.trace_delivers = total_delivers;
+  const util::Timeline::Counters totals = timeline.totals();
+  result.total_messages = totals.event_sends + totals.inter_sends;
+  result.control_messages = totals.control_sends;
 
   result.groups.resize(topic_count);
   for (std::uint32_t group = 0; group < topic_count; ++group) {

@@ -265,10 +265,6 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
       group_result.first_delivery_round = round;
     }
     group_result.last_delivery_round = round;
-    if (result.deliveries_per_round.size() <= round) {
-      result.deliveries_per_round.resize(round + 1, 0);
-    }
-    ++result.deliveries_per_round[round];
     // One publication at round 0: latency == delivery round. The wave loop
     // reaches here in chunk-merge order, so the sketch is deterministic.
     result.latency_sketch.add(static_cast<double>(round));
@@ -286,6 +282,12 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
     note_delivery(publish, 0);
     frontier.push_back(Coord{publish, publisher});
   }
+  // Timeline rows: the one publication at round 0, then one weighted
+  // delivery note per round after its chunk-order merge (latency == round),
+  // so the timeline never touches the RNG streams and is bit-identical for
+  // every --threads value.
+  result.timeline.note_publish(0);
+  result.timeline.note_delivery(0, 0.0);
 
   // --- Synchronous dissemination waves (Fig. 5 + Fig. 7). -----------------
   // The frontier is cut into fixed kWaveChunk blocks; chunk c of round r
@@ -395,6 +397,8 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
         next.push_back(coord);
       }
     }
+    result.timeline.note_delivery(rounds, static_cast<double>(rounds),
+                                  next.size());
     frontier.swap(next);
   }
 
@@ -420,17 +424,6 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
         group_result.intra_sent + group_result.inter_sent;
   }
 
-  // --- Flight recorder (post-hoc). ----------------------------------------
-  // Built from the already chunk-order-merged deliveries_per_round, never
-  // from inside the wave loop, so it never touches the RNG streams and is
-  // bit-identical for every --threads value.
-  // One publication at round 0 means latency == delivery round.
-  result.timeline.note_publish(0);
-  for (std::size_t round = 0; round < result.deliveries_per_round.size();
-       ++round) {
-    result.timeline.note_delivery(round, static_cast<double>(round),
-                                  result.deliveries_per_round[round]);
-  }
   sample_bitmap_gauges(rounds);
 
   finish_timing();

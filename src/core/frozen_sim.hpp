@@ -137,10 +137,6 @@ struct FrozenRunResult {
   std::size_t rounds = 0;                 ///< rounds until quiescence
   std::uint64_t total_messages = 0;
 
-  /// First-time deliveries per round (index = round; round 0 is the
-  /// publisher's own delivery).
-  std::vector<std::uint64_t> deliveries_per_round;
-
   /// Per-delivery latency distribution. With one publication at round 0
   /// the latency of a delivery IS its round, recorded through the same
   /// note_delivery path as the timeline (the chunk-order merge keeps it
@@ -152,11 +148,12 @@ struct FrozenRunResult {
   /// closure) — the denominator of the reliability-vs-deadline curve.
   std::uint64_t expected_deliveries = 0;
 
-  /// Run-timeline flight recorder. Built POST-HOC from deliveries_per_round
-  /// during final accounting, so it never touches the RNG streams. The
-  /// frozen engine's only per-process bookkeeping is the delivered bitmap
-  /// (one bit per member; seen-sets and recovery do not exist here),
-  /// sampled as the delivered_bytes gauge of every window the run covers.
+  /// Run timeline: first-time deliveries per round (round 0 is the
+  /// publisher's own delivery), noted after each round's chunk-order
+  /// merge, so it never touches the RNG streams. The frozen engine's only
+  /// per-process bookkeeping is the delivered bitmap (one bit per member;
+  /// seen-sets and recovery do not exist here), sampled as the
+  /// delivered_bytes gauge of every window the run covers.
   util::Timeline timeline;
 
   /// Wall time split: membership-table construction vs everything after it

@@ -229,11 +229,10 @@ net::EventId DamSystem::publish(ProcessId publisher,
   column.topic = source.topic();
   column.watermark = registry_.process_count();
   // The publisher's own (synchronous, latency-0) delivery happened inside
-  // DamNode::publish, before the event id existed for begin_event; record
-  // it here so latency aggregates cover every first delivery.
-  metrics_.begin_event(event, clock_.now());
-  metrics_.note_publish(clock_.now());
-  metrics_.note_event_delivery(event, clock_.now());
+  // DamNode::publish, before the event id existed for the metrics; the
+  // publish note records it so latency aggregates cover every first
+  // delivery.
+  metrics_.note_publish(event, clock_.now());
   if (trace_ != nullptr) {
     sim::TraceEntry entry;
     entry.round = clock_.now();
@@ -251,21 +250,14 @@ net::EventId DamSystem::publish(ProcessId publisher,
 void DamSystem::send(Message&& msg) {
   // Account the message against the sender's group, by kind.
   const TopicId sender_topic = registry_.topic_of(msg.from);
-  auto& counters = metrics_.group(sender_topic);
-  if (msg.kind == MsgKind::kEvent) {
-    if (msg.intergroup) {
-      ++counters.inter_sent;
-      // May grow the counter table: `counters` is not used past this call.
-      if (auto super = registry_.nearest_nonempty_supergroup(sender_topic)) {
-        ++metrics_.group(*super).inter_received;  // boundary accounting
-      }
-    } else {
-      ++counters.intra_sent;
-    }
-    metrics_.note_event_send(clock_.now(), msg.intergroup);
+  if (msg.kind != MsgKind::kEvent) {
+    metrics_.note_control_send(clock_.now(), sender_topic);
+  } else if (msg.intergroup) {
+    metrics_.note_inter_send(
+        clock_.now(), sender_topic,
+        registry_.nearest_nonempty_supergroup(sender_topic));
   } else {
-    ++counters.control_sent;
-    metrics_.note_control_send(clock_.now());
+    metrics_.note_intra_send(clock_.now(), sender_topic);
   }
   if (trace_ != nullptr) {
     sim::TraceEntry entry;
@@ -315,10 +307,9 @@ void DamSystem::deliver(ProcessId self, const Message& event_msg) {
       return;
     }
   }
-  ++metrics_.group(registry_.topic_of(self)).delivered;
-  metrics_.note_infection(clock_.now());
-  metrics_.note_event_delivery(event_msg.event, clock_.now());
-  if (!registry_.interested_in(self, event_msg.topic)) {
+  if (registry_.interested_in(self, event_msg.topic)) {
+    metrics_.note_event_delivery(event_msg.event, clock_.now());
+  } else {
     // Never expected for daMulticast — the property tests assert on this.
     metrics_.count_parasite_delivery();
   }

@@ -4,17 +4,6 @@
 
 namespace dam::exp {
 
-namespace {
-
-/// Elementwise `into[i] += from[i]`, growing `into` as needed.
-void add_per_round(std::vector<std::uint64_t>& into,
-                   const std::vector<std::uint64_t>& from) {
-  if (into.size() < from.size()) into.resize(from.size(), 0);
-  for (std::size_t i = 0; i < from.size(); ++i) into[i] += from[i];
-}
-
-}  // namespace
-
 ScenarioPoint make_point(const sim::Scenario& scenario,
                          double alive_fraction) {
   ScenarioPoint point;
@@ -37,7 +26,6 @@ void accumulate_run(ScenarioPoint& point, const core::FrozenRunResult& run) {
   point.latency_sketch.merge(run.latency_sketch);
   point.expected_deliveries += run.expected_deliveries;
   point.timeline.merge(run.timeline);
-  add_per_round(point.deliveries_per_round, run.deliveries_per_round);
   for (std::size_t topic = 0; topic < run.groups.size(); ++topic) {
     const core::FrozenGroupResult& group = run.groups[topic];
     ScenarioGroupStats& stats = point.groups[topic];
@@ -85,13 +73,13 @@ void accumulate_run(ScenarioPoint& point,
   point.latency_sketch.merge(run.latency_sketch);
   point.expected_deliveries += run.expected_deliveries;
   point.timeline.merge(run.timeline);
-  add_per_round(point.deliveries_per_round, run.deliveries_per_round);
-  add_per_round(point.control_per_round, run.control_per_round);
-  point.msg_publishes.add(static_cast<double>(run.trace_publishes));
-  point.msg_event_sends.add(static_cast<double>(run.trace_event_sends));
-  point.msg_inter_sends.add(static_cast<double>(run.trace_inter_sends));
-  point.msg_control_sends.add(static_cast<double>(run.trace_control_sends));
-  point.msg_delivers.add(static_cast<double>(run.trace_delivers));
+  const util::Timeline::Counters totals = run.timeline.totals();
+  point.msg_publishes.add(static_cast<double>(totals.publishes));
+  point.msg_event_sends.add(static_cast<double>(totals.event_sends));
+  point.msg_inter_sends.add(static_cast<double>(totals.inter_sends));
+  point.msg_control_sends.add(static_cast<double>(totals.control_sends));
+  point.msg_delivers.add(
+      static_cast<double>(totals.deliveries + run.parasite_deliveries));
   for (std::size_t topic = 0; topic < run.groups.size(); ++topic) {
     const workload::DynamicGroupResult& group = run.groups[topic];
     ScenarioGroupStats& stats = point.groups[topic];
@@ -134,8 +122,6 @@ void merge_point(ScenarioPoint& into, const ScenarioPoint& shard) {
   into.latency_sketch.merge(shard.latency_sketch);
   into.expected_deliveries += shard.expected_deliveries;
   into.timeline.merge(shard.timeline);
-  add_per_round(into.deliveries_per_round, shard.deliveries_per_round);
-  add_per_round(into.control_per_round, shard.control_per_round);
   into.msg_publishes.merge(shard.msg_publishes);
   into.msg_event_sends.merge(shard.msg_event_sends);
   into.msg_inter_sends.merge(shard.msg_inter_sends);

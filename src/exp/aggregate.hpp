@@ -101,7 +101,9 @@ struct ScenarioPoint {
     return fraction < 1.0 ? fraction : 1.0;
   }
 
-  // --- Message-class totals (dynamic lane; all-zero for frozen sweeps). ---
+  // --- Message-class totals (stream lanes; zero samples for frozen sweeps).
+  /// One sample per run: the sums of the run's timeline rows, with
+  /// `delivers` adding the run's parasite deliveries.
   util::Accumulator msg_publishes;
   util::Accumulator msg_event_sends;
   util::Accumulator msg_inter_sends;
@@ -109,17 +111,12 @@ struct ScenarioPoint {
   util::Accumulator msg_delivers;
 
   // --- Run-timeline flight recorder (both lanes). -------------------------
-  /// Windowed time series pooled over every run of the point: counters sum,
-  /// byte peaks/gauges take the worst window of any run, per-window latency
-  /// sketches merge in run→shard order (bit-identical for any --jobs,
-  /// exactly like latency_sketch above).
+  /// Time series pooled over every run of the point: per-round counters
+  /// sum (integer sums, so order-independent), byte peaks/gauges take the
+  /// worst window of any run, per-window latency sketches merge in
+  /// run→shard order (bit-identical for any --jobs, exactly like
+  /// latency_sketch above).
   util::Timeline timeline;
-
-  /// Per-round delivery / control-send counts summed over runs (index =
-  /// round). Integer sums, so order-independent and exactly mergeable.
-  /// control_per_round stays empty for frozen sweeps (no control plane).
-  std::vector<std::uint64_t> deliveries_per_round;
-  std::vector<std::uint64_t> control_per_round;
 };
 
 /// Empty aggregate for one sweep point: group labels/sizes from the

@@ -217,7 +217,8 @@ void timeline_csv_rows(util::CsvWriter& csv, const std::string& scenario,
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i < timeline.windows().size(); ++i) {
       const util::Timeline::Window& window = timeline.windows()[i];
-      cumulative += window.deliveries;
+      const util::Timeline::Counters counts = timeline.window_counters(i);
+      cumulative += counts.deliveries;
       double reliability = 0.0;
       if (point.expected_deliveries > 0) {
         reliability = std::min(
@@ -227,13 +228,13 @@ void timeline_csv_rows(util::CsvWriter& csv, const std::string& scenario,
       csv.row_strings({scenario, label, cell(point.alive_fraction),
                        cell(i * timeline.window_rounds()),
                        cell(timeline.window_rounds()),
-                       cell(window.deliveries), cell(reliability),
+                       cell(counts.deliveries), cell(reliability),
                        cell(window.latency.quantile(0.50)),
                        cell(window.latency.quantile(0.99)),
-                       cell(window.publishes), cell(window.event_sends),
-                       cell(window.inter_sends), cell(window.control_sends),
-                       cell(window.joins), cell(window.leaves),
-                       cell(window.crashes), cell(window.recovers),
+                       cell(counts.publishes), cell(counts.event_sends),
+                       cell(counts.inter_sends), cell(counts.control_sends),
+                       cell(counts.joins), cell(counts.leaves),
+                       cell(counts.crashes), cell(counts.recovers),
                        cell(window.queue_peak_bytes), cell(window.seen_bytes),
                        cell(window.delivered_bytes),
                        cell(window.request_bytes)});
@@ -319,7 +320,8 @@ void emit_timeline(std::ostream& out, const ScenarioPoint& point) {
   bool first = true;
   for (std::size_t i = 0; i < timeline.windows().size(); ++i) {
     const util::Timeline::Window& w = timeline.windows()[i];
-    cumulative += w.deliveries;
+    const util::Timeline::Counters c = timeline.window_counters(i);
+    cumulative += c.deliveries;
     double reliability = 0.0;
     if (point.expected_deliveries > 0) {
       reliability =
@@ -329,36 +331,38 @@ void emit_timeline(std::ostream& out, const ScenarioPoint& point) {
     if (!first) out << ',';
     first = false;
     out << "{\"start_round\":" << i * timeline.window_rounds()
-        << ",\"deliveries\":" << w.deliveries
+        << ",\"deliveries\":" << c.deliveries
         << ",\"reliability_so_far\":" << json_number(reliability)
         << ",\"latency_p50\":" << json_number(w.latency.quantile(0.50))
         << ",\"latency_p99\":" << json_number(w.latency.quantile(0.99))
-        << ",\"publishes\":" << w.publishes
-        << ",\"event_sends\":" << w.event_sends
-        << ",\"inter_sends\":" << w.inter_sends
-        << ",\"control_sends\":" << w.control_sends << ",\"joins\":" << w.joins
-        << ",\"leaves\":" << w.leaves << ",\"crashes\":" << w.crashes
-        << ",\"recovers\":" << w.recovers
+        << ",\"publishes\":" << c.publishes
+        << ",\"event_sends\":" << c.event_sends
+        << ",\"inter_sends\":" << c.inter_sends
+        << ",\"control_sends\":" << c.control_sends << ",\"joins\":" << c.joins
+        << ",\"leaves\":" << c.leaves << ",\"crashes\":" << c.crashes
+        << ",\"recovers\":" << c.recovers
         << ",\"queue_peak_bytes\":" << w.queue_peak_bytes
         << ",\"seen_bytes\":" << w.seen_bytes
         << ",\"delivered_bytes\":" << w.delivered_bytes
         << ",\"request_bytes\":" << w.request_bytes << '}';
   }
   out << ']';
-  // Satellite of the same flight recorder: the per-round vectors
-  // sim::Metrics has collected since PR 7, finally exported (summed over
-  // runs; exact integers, so jobs-independent).
-  out << ",\"deliveries_per_round\":[";
-  for (std::size_t i = 0; i < point.deliveries_per_round.size(); ++i) {
-    if (i != 0) out << ',';
-    out << point.deliveries_per_round[i];
-  }
-  out << "],\"control_per_round\":[";
-  for (std::size_t i = 0; i < point.control_per_round.size(); ++i) {
-    if (i != 0) out << ',';
-    out << point.control_per_round[i];
-  }
-  out << "]}";
+  // Two counters of the timeline rows, unwindowed (summed over runs, so
+  // jobs-independent), each trimmed after its last nonzero round.
+  const auto emit_series = [&](const char* key,
+                               std::uint64_t util::Timeline::Counters::*
+                                   counter) {
+    out << ",\"" << key << "\":[";
+    const std::vector<std::uint64_t> series = timeline.per_round(counter);
+    for (std::size_t i = 0; i < series.size(); ++i) {
+      if (i != 0) out << ',';
+      out << series[i];
+    }
+    out << ']';
+  };
+  emit_series("deliveries_per_round", &util::Timeline::Counters::deliveries);
+  emit_series("control_per_round", &util::Timeline::Counters::control_sends);
+  out << '}';
 }
 
 void emit_deadline_curve(std::ostream& out, const ScenarioPoint& point) {

@@ -11,9 +11,12 @@ namespace dam::exp {
 int dump_trace(const sim::Scenario& scenario, const std::string& path,
                std::ostream& out, std::ostream& err, const char* tool) {
   if (scenario.engine != sim::EngineKind::kDynamic) {
-    err << tool
-        << ": --trace needs a dynamic-engine scenario (the frozen engine "
-           "has no per-message trace)\n";
+    err << tool << ": --trace needs a dynamic-engine scenario ('"
+        << scenario.name << "' runs "
+        << (scenario.engine == sim::EngineKind::kFrozen
+                ? "the frozen engine, which has no per-message trace"
+                : "a steady rival engine, which has no DamSystem to trace")
+        << ")\n";
     return 2;
   }
   if (scenario.alive_sweep.empty()) {

@@ -4,8 +4,8 @@
 // bounded TraceRecorder attached and dumps the ring buffer as CSV —
 // identical behavior from damsim and damlab (tool parity). Tracing never
 // perturbs the run: the RNG streams are recorder-independent, so the
-// traced run is the same run 0 the sweep executes. Frozen scenarios are
-// rejected (the frozen engine has no per-message trace).
+// traced run is the same run 0 the sweep executes. Frozen and steady-rival
+// scenarios are rejected, naming their engine: neither runs a DamSystem.
 #pragma once
 
 #include <iosfwd>

@@ -6,9 +6,27 @@ namespace dam::sim {
 
 const GroupCounters Metrics::kZero{};
 
-void Metrics::begin_event(net::EventId event, Round now) {
-  EventLatency& entry = event_latencies_[event];
-  entry.published_at = now;
+void Metrics::note_intra_send(Round round, topics::TopicId sender) {
+  ++counters(sender).intra_sent;
+  timeline_.note_event_send(round);
+}
+
+void Metrics::note_inter_send(Round round, topics::TopicId sender,
+                              std::optional<topics::TopicId> receiver) {
+  ++counters(sender).inter_sent;
+  if (receiver) ++counters(*receiver).inter_received;
+  timeline_.note_inter_send(round);
+}
+
+void Metrics::note_control_send(Round round, topics::TopicId sender) {
+  ++counters(sender).control_sent;
+  timeline_.note_control_send(round);
+}
+
+void Metrics::note_publish(net::EventId event, Round now) {
+  event_latencies_[event].published_at = now;
+  timeline_.note_publish(now);
+  note_event_delivery(event, now);
 }
 
 void Metrics::note_event_delivery(net::EventId event, Round now) {
@@ -23,57 +41,20 @@ void Metrics::note_event_delivery(net::EventId event, Round now) {
   entry.max_latency = std::max(entry.max_latency, latency);
   latency_sketch_.add(static_cast<double>(latency));
   timeline_.note_delivery(now, static_cast<double>(latency));
-  if (deliveries_per_round_.size() <= now) {
-    deliveries_per_round_.resize(now + 1, 0);
-  }
-  ++deliveries_per_round_[now];
-}
-
-void Metrics::note_control_send(Round round) {
-  timeline_.note_control_send(round);
-  if (control_per_round_.size() <= round) {
-    control_per_round_.resize(round + 1, 0);
-  }
-  ++control_per_round_[round];
-}
-
-void Metrics::note_event_send(Round round, bool intergroup) {
-  if (intergroup) {
-    timeline_.note_inter_send(round);
-  } else {
-    timeline_.note_event_send(round);
-  }
-}
-
-void Metrics::note_publish(Round round) { timeline_.note_publish(round); }
-
-void Metrics::note_infection(Round round) {
-  if (infections_per_round_.size() <= round) {
-    infections_per_round_.resize(round + 1, 0);
-  }
-  ++infections_per_round_[round];
 }
 
 std::uint64_t Metrics::total_event_messages() const {
   std::uint64_t total = 0;
-  for (const GroupCounters& counters : per_group_) {
-    total += counters.intra_sent + counters.inter_sent;
+  for (const GroupCounters& group : per_group_) {
+    total += group.intra_sent + group.inter_sent;
   }
   return total;
 }
 
 std::uint64_t Metrics::total_control_messages() const {
   std::uint64_t total = 0;
-  for (const GroupCounters& counters : per_group_) {
-    total += counters.control_sent;
-  }
-  return total;
-}
-
-std::uint64_t Metrics::total_deliveries() const {
-  std::uint64_t total = 0;
-  for (const GroupCounters& counters : per_group_) {
-    total += counters.delivered;
+  for (const GroupCounters& group : per_group_) {
+    total += group.control_sent;
   }
   return total;
 }
@@ -82,9 +63,6 @@ void Metrics::reset() {
   per_group_.clear();
   event_latencies_.clear();
   parasite_deliveries_ = 0;
-  infections_per_round_.clear();
-  deliveries_per_round_.clear();
-  control_per_round_.clear();
   latency_sketch_ = util::QuantileSketch();
   timeline_ = util::Timeline();
 }

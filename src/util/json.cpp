@@ -12,6 +12,10 @@ namespace {
 
 class Parser {
  public:
+  /// Bench documents nest a handful of levels; the cap turns hostile
+  /// nesting into a parse error instead of a stack overflow.
+  static constexpr std::size_t kMaxDepth = 256;
+
   explicit Parser(std::string_view text) : text_(text) {}
 
   Value parse_document() {
@@ -52,11 +56,13 @@ class Parser {
   }
 
   Value parse_value() {
+    if (peek() == '{' || peek() == '[') {
+      if (++depth_ > kMaxDepth) fail("nesting deeper than 256 levels");
+      Value value = peek() == '{' ? parse_object() : parse_array();
+      --depth_;
+      return value;
+    }
     switch (peek()) {
-      case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
       case '"':
         return parse_string();
       case 't':
@@ -227,6 +233,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open arrays/objects around pos_
 };
 
 }  // namespace

@@ -53,7 +53,8 @@ struct Value {
 };
 
 /// Parses exactly one JSON value covering the whole input. Throws
-/// std::runtime_error with a byte offset on malformed input.
+/// std::runtime_error with a byte offset on malformed input, including
+/// arrays/objects nested deeper than 256 levels.
 [[nodiscard]] Value parse(std::string_view text);
 
 /// Reads and parses a whole file. Throws std::runtime_error when the file

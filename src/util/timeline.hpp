@@ -1,27 +1,30 @@
-// Run-timeline flight recorder: fixed-window time series over rounds.
+// Run-timeline flight recorder: per-round counters plus fixed-window
+// latency sketches and gauges.
 //
 // PR 7's observability layer reports END-of-run aggregates; this layer
 // records how a run EVOLVES — the paper's whole point is that epidemic
-// dissemination has reliability modes over time. Simulated rounds are
-// bucketed into fixed-width windows; each window accumulates delivery /
-// send / churn counters, a small per-window latency sketch (rolling
-// p50/p99), the transport queue's high-water bytes, and resource GAUGES
-// (seen-column / delivered-set / request-set logical bytes) sampled at window
-// boundaries — the per-process bookkeeping that is the S=10⁷ memory
-// question.
+// dissemination has reliability modes over time. It is also the one store
+// of a run's counters: every delivery, publish, send and churn happening
+// is noted once, into the row of the round it happened in. Window
+// counters, the per-round series and the run's message-class totals are
+// all sums over those rows. Only what cannot be summed is kept per window:
+// a small latency sketch (rolling p50/p99), the transport queue's
+// high-water bytes, and resource GAUGES (seen-column / delivered-set /
+// request-set logical bytes) sampled at window boundaries — the
+// per-process bookkeeping that is the S=10⁷ memory question.
 //
 // Determinism contract (the same one util::QuantileSketch documents):
 // given the same note/merge sequence a Timeline is bit-identical. Both
 // engines feed it from already-deterministic paths (the dynamic replay
-// loop is serial; the frozen lane builds it post-hoc from the chunk-order
-// merged deliveries_per_round), and exp/aggregate merges run→shard→chunk
-// in fixed order, so timelines inherit the bit-identical-for-every-
+// loop is serial; the frozen wave loop notes each round's deliveries after
+// its chunk-order merge), and exp/aggregate merges run→shard→chunk in
+// fixed order, so timelines inherit the bit-identical-for-every-
 // --jobs/--threads contract. All byte values are LOGICAL (element counts ×
 // element sizes), never allocator-dependent.
 //
-// Merge semantics per window: counters SUM (they are per-run totals),
-// byte peaks and gauges take the MAX (the sweep-level measurand is "the
-// worst window of any run"), latency sketches merge in window order.
+// Merge semantics: rows SUM (they are per-run totals), byte peaks and
+// gauges take the MAX per window (the sweep-level measurand is "the worst
+// window of any run"), latency sketches merge in window order.
 #pragma once
 
 #include <cstddef>
@@ -44,9 +47,9 @@ class Timeline {
   /// a window ever sees — the windowed percentiles stay exact.
   static constexpr std::size_t kWindowSketchCapacity = 64;
 
-  struct Window {
-    // --- Per-window counters (merge: sum). --------------------------------
-    std::uint64_t deliveries = 0;     ///< first-time event deliveries
+  /// Counters of one round — or, summed, of a window or a whole run.
+  struct Counters {
+    std::uint64_t deliveries = 0;     ///< interested first-time deliveries
     std::uint64_t publishes = 0;      ///< events injected
     std::uint64_t event_sends = 0;    ///< intra-group event messages
     std::uint64_t inter_sends = 0;    ///< intergroup event messages
@@ -56,7 +59,11 @@ class Timeline {
     std::uint64_t crashes = 0;        ///< outage starts
     std::uint64_t recovers = 0;       ///< outage ends
 
-    // --- High-water marks and boundary gauges (merge: max). ---------------
+    Counters& operator+=(const Counters& other) noexcept;
+  };
+
+  /// What a window keeps besides its rows' sums (merge: max / sketch merge).
+  struct Window {
     std::uint64_t queue_peak_bytes = 0;  ///< transport in-flight high-water
     std::uint64_t seen_bytes = 0;        ///< open seen-column bytes
     std::uint64_t delivered_bytes = 0;   ///< Σ delivered-set bytes
@@ -77,6 +84,12 @@ class Timeline {
   [[nodiscard]] std::size_t window_rounds() const noexcept {
     return window_rounds_;
   }
+  /// One row per round (index = round), up to the last round noted.
+  [[nodiscard]] const std::vector<Counters>& rounds() const noexcept {
+    return rounds_;
+  }
+  /// Every window up to the last one any note touched, so the windows
+  /// cover every row.
   [[nodiscard]] const std::vector<Window>& windows() const noexcept {
     return windows_;
   }
@@ -86,6 +99,17 @@ class Timeline {
   [[nodiscard]] std::size_t window_index(std::uint64_t round) const noexcept {
     return static_cast<std::size_t>(round / window_rounds_);
   }
+
+  /// Sum of the rows of window `window`.
+  [[nodiscard]] Counters window_counters(std::size_t window) const noexcept;
+
+  /// Sum of every row — the run's (or sweep point's) totals.
+  [[nodiscard]] Counters totals() const noexcept;
+
+  /// One counter as a per-round series, trimmed after its last nonzero
+  /// round (so a counter never noted yields an empty series).
+  [[nodiscard]] std::vector<std::uint64_t> per_round(
+      std::uint64_t Counters::*counter) const;
 
   // --- Recording (all O(1) amortized; never draws randomness). ------------
   void note_delivery(std::uint64_t round, double latency,
@@ -119,9 +143,11 @@ class Timeline {
   [[nodiscard]] std::uint64_t peak_bookkeeping_bytes() const noexcept;
 
  private:
+  [[nodiscard]] Counters& row_for(std::uint64_t round);
   [[nodiscard]] Window& window_for(std::uint64_t round);
 
   std::size_t window_rounds_;
+  std::vector<Counters> rounds_;
   std::vector<Window> windows_;
 };
 

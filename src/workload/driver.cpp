@@ -162,12 +162,7 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
   config.threads = scenario.threads;  // spawn-batch fill workers
   core::DamSystem system(binding.hierarchy, config);
 
-  // Message-class accounting: when the caller traces the run, use its
-  // recorder; otherwise attach a counts-only one (capacity 0 skips the
-  // ring buffer entirely, keeping the per-kind totals essentially free).
-  sim::TraceRecorder counts_only(0);
-  sim::TraceRecorder* recorder = trace != nullptr ? trace : &counts_only;
-  system.set_trace_recorder(recorder);
+  system.set_trace_recorder(trace);
 
   // --- Traffic stream and failure schedule. -------------------------------
   std::size_t initial_processes = 0;
@@ -457,16 +452,11 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
         static_cast<double>(latency_sum) / static_cast<double>(deliveries);
   }
   // Every delivery the Metrics sketch saw belongs to one of this run's
-  // publications (begin_event gates the sketch), so it can be taken whole.
+  // publications (Metrics::note_publish gates the sketch), so it can be
+  // taken whole.
   result.latency_sketch = system.metrics().latency_sketch();
   result.timeline = system.metrics().timeline();
-  result.deliveries_per_round = system.metrics().deliveries_per_round();
-  result.control_per_round = system.metrics().control_per_round();
-  result.trace_publishes = recorder->total(sim::TraceKind::kPublish);
-  result.trace_event_sends = recorder->total(sim::TraceKind::kEventSend);
-  result.trace_inter_sends = recorder->total(sim::TraceKind::kInterSend);
-  result.trace_control_sends = recorder->total(sim::TraceKind::kControlSend);
-  result.trace_delivers = recorder->total(sim::TraceKind::kDeliver);
+  result.parasite_deliveries = system.metrics().parasite_deliveries();
 
   result.groups.resize(topic_count);
   for (std::size_t topic = 0; topic < topic_count; ++topic) {

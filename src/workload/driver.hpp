@@ -93,13 +93,10 @@ struct DynamicRunResult {
   /// before run end are still in the sketch, so curves clamp at 1.
   std::uint64_t expected_deliveries = 0;
 
-  /// Message-class totals from the run's TraceRecorder (a counts-only
-  /// recorder is attached when the caller does not supply one).
-  std::uint64_t trace_publishes = 0;
-  std::uint64_t trace_event_sends = 0;   ///< intra-group event messages
-  std::uint64_t trace_inter_sends = 0;   ///< intergroup event messages
-  std::uint64_t trace_control_sends = 0;
-  std::uint64_t trace_delivers = 0;      ///< first-time deliveries
+  /// First-time deliveries to processes not interested in the event. The
+  /// timeline counts interested deliveries only; the two together are
+  /// every first-time delivery of the run.
+  std::uint64_t parasite_deliveries = 0;
 
   /// Bootstrap lane, measured iff EngineConfig::auto_wire_super_tables is
   /// false: replay rounds until >= 95% of non-root processes hold a
@@ -131,27 +128,20 @@ struct DynamicRunResult {
   /// and tools/bench_diff.
   std::size_t queue_bytes = 0;
 
-  /// Run-timeline flight recorder: windowed deliveries / sends / churn
-  /// counters, rolling latency sketches, per-window queue high-water, and
-  /// bookkeeping gauges (seen/delivered/request-set logical bytes) sampled
-  /// at window boundaries. The replay loop is serial and the gauges are
-  /// read-only samples, so the timeline is bit-identical for every
-  /// --jobs/--threads value.
+  /// Run timeline: per-round delivery / publish / send / churn counters
+  /// (the source of the run's message-class totals), rolling latency
+  /// sketches, per-window queue high-water, and bookkeeping gauges
+  /// (seen/delivered/request-set logical bytes) sampled at window
+  /// boundaries. The replay loop is serial and the gauges are read-only
+  /// samples, so the timeline is bit-identical for every --jobs/--threads
+  /// value.
   util::Timeline timeline;
-
-  /// First-time event deliveries per round (index = round) — the
-  /// per-round companion of the windowed timeline (sim::Metrics').
-  std::vector<std::uint64_t> deliveries_per_round;
-
-  /// Control sends per round (index = round) (sim::Metrics').
-  std::vector<std::uint64_t> control_per_round;
 };
 
 /// Executes one dynamic run: seed and streams derive from
 /// scenario.seed_for(alive_fraction, run). `binding` must come from
 /// bind_scenario(scenario) and outlive the call. `trace`, when given,
-/// records the run's protocol events (damsim --trace); otherwise an
-/// internal counts-only recorder feeds the trace_* totals. Tracing never
+/// records the run's protocol events (damsim --trace). Tracing never
 /// perturbs the run — the RNG streams are recorder-independent.
 [[nodiscard]] DynamicRunResult run_dynamic_simulation(
     const sim::Scenario& scenario, const DynamicScenarioBinding& binding,

@@ -1,18 +1,28 @@
-// Randomized ("fuzz-style") property tests: the codec must be total over
-// arbitrary bytes, and the protocol invariants must hold over randomly
-// generated hierarchies, populations and parameters — not just the
-// hand-picked shapes in invariants_test.cpp.
+// Randomized ("fuzz-style") property tests: the codec, the bench-JSON
+// reader and the --grid parser must be total over arbitrary input (parse
+// or throw their documented exception), and the protocol invariants must
+// hold over randomly generated hierarchies, populations and parameters —
+// not just the hand-picked shapes in invariants_test.cpp.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <fstream>
+#include <iterator>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/dag_sim.hpp"
 #include "core/static_sim.hpp"
 #include "core/system.hpp"
+#include "exp/grid.hpp"
 #include "net/message.hpp"
 #include "net/transport.hpp"
+#include "sim/scenario.hpp"
 #include "topics/dag.hpp"
 #include "topics/hierarchy.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace dam {
@@ -40,6 +50,126 @@ TEST(CodecFuzz, DecodeIsTotalOverRandomBytes) {
   // Random bytes occasionally parse (tiny messages); either way the loop
   // finishing is the real assertion.
   SUCCEED() << parsed << " of 50000 random strings parsed";
+}
+
+/// Parses `text`; false when it threw the reader's documented
+/// std::runtime_error (any other exception escapes and fails the test).
+bool json_parses(std::string_view text) {
+  try {
+    (void)util::json::parse(text);
+    return true;
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+}
+
+/// `count` characters drawn from `alphabet` tokens, biased toward the
+/// syntax a parser branches on so inputs get past the first byte.
+std::string random_text(util::Rng& rng, std::size_t count,
+                        const std::vector<std::string_view>& alphabet) {
+  std::string text;
+  for (std::size_t i = 0; i < count; ++i) {
+    text += alphabet[rng.below(alphabet.size())];
+  }
+  return text;
+}
+
+TEST(JsonFuzz, ParseIsTotalOverRandomText) {
+  const std::vector<std::string_view> alphabet{
+      "{", "}", "[", "]", "\"", ":", ",", " ", "0", "7", "-", ".", "e",
+      "+", "true", "false", "null", "\\", "\\u", "a", "\n", "\x01",
+      "\xff"};
+  util::Rng rng(0x150F);
+  std::size_t parsed = 0;
+  for (int trial = 0; trial < 40000; ++trial) {
+    std::string text;
+    if (trial % 4 == 0) {
+      text.resize(rng.below(48));
+      for (char& c : text) c = static_cast<char>(rng.below(256));
+    } else {
+      text = random_text(rng, rng.below(24), alphabet);
+    }
+    parsed += json_parses(text);
+  }
+  SUCCEED() << parsed << " of 40000 random texts parsed";
+}
+
+TEST(JsonFuzz, HostileNestingIsAnErrorNotAStackOverflow) {
+  EXPECT_FALSE(json_parses(std::string(100000, '[')));
+  EXPECT_FALSE(json_parses(std::string(300, '[') + std::string(300, ']')));
+  EXPECT_TRUE(json_parses(std::string(200, '[') + std::string(200, ']')));
+}
+
+TEST(JsonFuzz, MutatedBenchDocumentParsesOrThrows) {
+  std::ifstream file(std::string(DAM_SOURCE_DIR) +
+                     "/bench/BENCH_baseline.json");
+  ASSERT_TRUE(file.good());
+  const std::string document{std::istreambuf_iterator<char>(file),
+                             std::istreambuf_iterator<char>()};
+  ASSERT_TRUE(json_parses(document));
+  util::Rng rng(0xBE7C);
+  std::size_t parsed = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    // One to three bit flips anywhere, then sometimes a truncation.
+    std::string mutated = document;
+    const std::size_t flips = 1 + rng.below(3);
+    for (std::size_t f = 0; f < flips; ++f) {
+      mutated[rng.below(mutated.size())] ^=
+          static_cast<char>(1u << rng.below(8));
+    }
+    if (trial % 3 == 0) mutated.resize(rng.below(mutated.size()));
+    parsed += json_parses(mutated);
+  }
+  SUCCEED() << parsed << " of 300 mutated documents parsed";
+}
+
+TEST(GridFuzz, ParserIsTotalOverItsKeyAlphabet) {
+  const std::vector<std::string_view> alphabet{
+      "a",      "b",          "c",          "g",         "psucc",
+      "tau",    "z",          "alive",      "scale",     "depth",
+      "fanin",  "runs",       "rate",       "zipf_s",    "crash_frac",
+      "leave_frac", "join_frac", "publishers", "horizon", "gc_horizon",
+      "=",      "=",          ",",          ":",         ";",
+      " ",      "0",          "1",          "2",         "9",
+      ".",      "-",          "e",          "e9",        "inf",
+      "nan",    "x"};
+  const sim::Scenario* frozen = sim::find_scenario("fig9");
+  const sim::Scenario* dynamic = sim::find_scenario("zipf-storm");
+  ASSERT_NE(frozen, nullptr);
+  ASSERT_NE(dynamic, nullptr);
+  util::Rng rng(0x6A1D);
+  std::size_t applied = 0;
+  for (int trial = 0; trial < 30000; ++trial) {
+    const std::string spec = random_text(rng, rng.below(12), alphabet);
+    std::vector<exp::GridAxis> axes;
+    try {
+      axes = exp::parse_grid(spec);
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    std::size_t cells = 1;
+    for (const exp::GridAxis& axis : axes) {
+      ASSERT_FALSE(axis.values.empty()) << spec;
+      ASSERT_LE(axis.values.size(), 10000u) << spec;
+      for (const double value : axis.values) {
+        ASSERT_TRUE(std::isfinite(value)) << spec;
+      }
+      cells *= axis.values.size();
+      if (cells > 64) break;
+    }
+    if (cells > 64) continue;  // expansion is the product; keep it small
+    for (const exp::GridPoint& point : exp::expand_grid(axes)) {
+      for (const sim::Scenario* preset : {frozen, dynamic}) {
+        sim::Scenario scenario = *preset;
+        try {
+          exp::apply_grid_point(scenario, point);
+          ++applied;
+        } catch (const std::invalid_argument&) {
+        }
+      }
+    }
+  }
+  SUCCEED() << applied << " grid cells applied";
 }
 
 TEST(CodecFuzz, BitFlipsNeverCrashDecoder) {

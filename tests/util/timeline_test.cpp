@@ -1,12 +1,15 @@
-// util::Timeline — the fixed-window flight recorder: window bucketing,
-// sparse (empty) windows, deterministic merge semantics (counters sum,
-// gauges/peaks max, sketches merge in window order), and the
+// util::Timeline — per-round counter rows plus the fixed-window flight
+// recorder: window bucketing, sparse (empty) windows, window counters and
+// per-round series derived from the rows, deterministic merge semantics
+// (rows sum, gauges/peaks max, sketches merge in window order), and the
 // peak_bookkeeping_bytes measurand bench_diff gates.
 #include "util/timeline.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 namespace dam::util {
 namespace {
@@ -15,6 +18,7 @@ TEST(Timeline, StartsEmpty) {
   const Timeline timeline;
   EXPECT_TRUE(timeline.empty());
   EXPECT_EQ(timeline.windows().size(), 0u);
+  EXPECT_EQ(timeline.rounds().size(), 0u);
   EXPECT_EQ(timeline.window_rounds(), Timeline::kDefaultWindowRounds);
   EXPECT_EQ(timeline.peak_bookkeeping_bytes(), 0u);
 }
@@ -32,8 +36,9 @@ TEST(Timeline, BucketsRoundsOnWindowBoundaries) {
   timeline.note_delivery(7, 7.0);
   timeline.note_delivery(8, 8.0);
   ASSERT_EQ(timeline.windows().size(), 2u);
-  EXPECT_EQ(timeline.windows()[0].deliveries, 2u);
-  EXPECT_EQ(timeline.windows()[1].deliveries, 1u);
+  EXPECT_EQ(timeline.window_counters(0).deliveries, 2u);
+  EXPECT_EQ(timeline.window_counters(1).deliveries, 1u);
+  EXPECT_EQ(timeline.window_counters(2).deliveries, 0u);  // past the end
   EXPECT_EQ(timeline.windows()[0].latency.count(), 2u);
   EXPECT_EQ(timeline.windows()[0].latency.max(), 7.0);
   EXPECT_EQ(timeline.windows()[1].latency.min(), 8.0);
@@ -53,19 +58,63 @@ TEST(Timeline, SparseRoundsLeaveEmptyWindowsBetween) {
   ASSERT_EQ(timeline.windows().size(), 6u);
   for (std::size_t w = 1; w <= 4; ++w) {
     SCOPED_TRACE(w);
-    EXPECT_EQ(timeline.windows()[w].deliveries, 0u);
-    EXPECT_EQ(timeline.windows()[w].publishes, 0u);
+    EXPECT_EQ(timeline.window_counters(w).deliveries, 0u);
+    EXPECT_EQ(timeline.window_counters(w).publishes, 0u);
     EXPECT_TRUE(timeline.windows()[w].latency.empty());
   }
-  EXPECT_EQ(timeline.windows()[0].publishes, 1u);
-  EXPECT_EQ(timeline.windows()[5].deliveries, 1u);
+  EXPECT_EQ(timeline.window_counters(0).publishes, 1u);
+  EXPECT_EQ(timeline.window_counters(5).deliveries, 1u);
+}
+
+TEST(Timeline, CounterNotesOpenTheirWindow) {
+  // A round with only a send still belongs to the window grid.
+  Timeline timeline(4);
+  timeline.note_control_send(9);
+  EXPECT_EQ(timeline.rounds().size(), 10u);
+  EXPECT_EQ(timeline.windows().size(), 3u);
+  EXPECT_EQ(timeline.window_counters(2).control_sends, 1u);
+}
+
+TEST(Timeline, PerRoundSeriesAreTrimmedAfterTheLastNonzeroRound) {
+  Timeline timeline(4);
+  timeline.note_delivery(1, 1.0, 3);
+  timeline.note_delivery(3, 3.0);
+  timeline.note_control_send(6);
+  const std::vector<std::uint64_t> deliveries =
+      timeline.per_round(&Timeline::Counters::deliveries);
+  EXPECT_EQ(deliveries, (std::vector<std::uint64_t>{0, 3, 0, 1}));
+  EXPECT_EQ(timeline.per_round(&Timeline::Counters::control_sends),
+            (std::vector<std::uint64_t>{0, 0, 0, 0, 0, 0, 1}));
+  EXPECT_TRUE(timeline.per_round(&Timeline::Counters::joins).empty());
+}
+
+TEST(Timeline, TotalsSumEveryRow) {
+  Timeline timeline(2);
+  timeline.note_publish(0);
+  timeline.note_delivery(0, 0.0);
+  timeline.note_delivery(5, 5.0, 4);
+  timeline.note_event_send(1);
+  timeline.note_inter_send(3);
+  const Timeline::Counters totals = timeline.totals();
+  EXPECT_EQ(totals.publishes, 1u);
+  EXPECT_EQ(totals.deliveries, 5u);
+  EXPECT_EQ(totals.event_sends, 1u);
+  EXPECT_EQ(totals.inter_sends, 1u);
+  std::uint64_t windowed = 0;
+  for (std::size_t w = 0; w < timeline.windows().size(); ++w) {
+    windowed += timeline.window_counters(w).deliveries;
+  }
+  EXPECT_EQ(windowed, totals.deliveries);
 }
 
 TEST(Timeline, WeightedDeliveriesCountTheWeight) {
   Timeline timeline(8);
   timeline.note_delivery(2, 2.0, 40);
   timeline.note_delivery(2, 2.0, 0);  // zero weight: a no-op
-  EXPECT_EQ(timeline.windows()[0].deliveries, 40u);
+  timeline.note_delivery(9, 9.0, 0);  // ... that opens no row or window
+  EXPECT_EQ(timeline.rounds().size(), 3u);
+  EXPECT_EQ(timeline.windows().size(), 1u);
+  EXPECT_EQ(timeline.window_counters(0).deliveries, 40u);
   EXPECT_EQ(timeline.windows()[0].latency.count(), 40u);
 }
 
@@ -79,7 +128,7 @@ TEST(Timeline, CountersRecordPerClass) {
   timeline.note_leave(4);
   timeline.note_crash(5);
   timeline.note_recover(6);
-  const Timeline::Window& window = timeline.windows()[0];
+  const Timeline::Counters window = timeline.window_counters(0);
   EXPECT_EQ(window.event_sends, 1u);
   EXPECT_EQ(window.inter_sends, 2u);
   EXPECT_EQ(window.control_sends, 1u);
@@ -127,8 +176,10 @@ TEST(Timeline, MergeSumsCountersMaxesGaugesAndMergesSketches) {
 
   a.merge(b);
   ASSERT_EQ(a.windows().size(), 2u);
-  EXPECT_EQ(a.windows()[0].deliveries, 2u);
-  EXPECT_EQ(a.windows()[0].control_sends, 1u);
+  ASSERT_EQ(a.rounds().size(), 10u);
+  EXPECT_EQ(a.rounds()[1].deliveries, 2u);
+  EXPECT_EQ(a.window_counters(0).deliveries, 2u);
+  EXPECT_EQ(a.window_counters(0).control_sends, 1u);
   EXPECT_EQ(a.windows()[0].seen_bytes, 100u);       // max(100, 40)
   EXPECT_EQ(a.windows()[0].delivered_bytes, 50u);   // max(10, 50)
   EXPECT_EQ(a.windows()[0].request_bytes, 5u);      // max(0, 5)
@@ -136,7 +187,7 @@ TEST(Timeline, MergeSumsCountersMaxesGaugesAndMergesSketches) {
   EXPECT_EQ(a.windows()[0].latency.count(), 2u);
   EXPECT_EQ(a.windows()[0].latency.min(), 1.0);
   EXPECT_EQ(a.windows()[0].latency.max(), 3.0);
-  EXPECT_EQ(a.windows()[1].deliveries, 1u);
+  EXPECT_EQ(a.window_counters(1).deliveries, 1u);
   EXPECT_EQ(a.windows()[1].latency.count(), 1u);
 }
 
@@ -171,7 +222,7 @@ TEST(Timeline, MergeIntoEmptyCopiesTheOther) {
   b.sample_gauges(12, 7, 7, 7);
   a.merge(b);
   ASSERT_EQ(a.windows().size(), 2u);
-  EXPECT_EQ(a.windows()[1].deliveries, 1u);
+  EXPECT_EQ(a.window_counters(1).deliveries, 1u);
   EXPECT_EQ(a.peak_bookkeeping_bytes(), 21u);
 }
 

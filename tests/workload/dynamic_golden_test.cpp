@@ -131,7 +131,7 @@ TEST(DynamicGolden, SteadyChurnRunZero) {
   EXPECT_DOUBLE_EQ(r.max_latency, 10.0);
   EXPECT_EQ(r.rounds, 119u);
   EXPECT_EQ(r.expected_deliveries, 30145u);
-  EXPECT_EQ(r.trace_delivers, 30005u);
+  EXPECT_EQ(r.timeline.totals().deliveries + r.parasite_deliveries, 30005u);
   ASSERT_EQ(r.groups.size(), 3u);
   EXPECT_EQ(r.groups[0].size, 20u);
   EXPECT_EQ(r.groups[0].alive, 20u);
@@ -198,11 +198,11 @@ TEST(DynamicGolden, RecoveryAblationCell) {
   EXPECT_EQ(r.groups[2].control_sent, 13457u);
   EXPECT_EQ(r.groups[2].duplicate_deliveries, 14775u);
   EXPECT_DOUBLE_EQ(r.groups[2].delivery_ratio, 0.9995136186770428);
-  EXPECT_EQ(r.trace_event_sends, 27350u);
-  EXPECT_EQ(r.trace_inter_sends, 59u);
-  EXPECT_EQ(r.trace_control_sends, 16587u);
-  EXPECT_EQ(r.trace_delivers, 2535u);
-  EXPECT_EQ(r.trace_publishes, 8u);
+  EXPECT_EQ(r.timeline.totals().event_sends, 27350u);
+  EXPECT_EQ(r.timeline.totals().inter_sends, 59u);
+  EXPECT_EQ(r.timeline.totals().control_sends, 16587u);
+  EXPECT_EQ(r.timeline.totals().deliveries + r.parasite_deliveries, 2535u);
+  EXPECT_EQ(r.timeline.totals().publishes, 8u);
   EXPECT_GT(r.queue_bytes, 0u);
 }
 

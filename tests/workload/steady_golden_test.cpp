@@ -37,9 +37,9 @@ TEST(SteadyGolden, ProtocolCell) {
   EXPECT_DOUBLE_EQ(r.max_latency, 9.0);
   EXPECT_EQ(r.rounds, 119u);
   EXPECT_EQ(r.expected_deliveries, 20270u);
-  EXPECT_EQ(r.trace_event_sends, 234374u);
-  EXPECT_EQ(r.trace_inter_sends, 213u);
-  EXPECT_EQ(r.trace_delivers, 20143u);
+  EXPECT_EQ(r.timeline.totals().event_sends, 234374u);
+  EXPECT_EQ(r.timeline.totals().inter_sends, 213u);
+  EXPECT_EQ(r.timeline.totals().deliveries + r.parasite_deliveries, 20143u);
   ASSERT_EQ(r.groups.size(), 3u);
   EXPECT_EQ(r.groups[0].intra_sent, 3514u);
   EXPECT_EQ(r.groups[0].inter_received, 124u);
@@ -76,10 +76,10 @@ TEST(SteadyGolden, TreeBaselineCell) {
   // Same stream as the protocol cell: publications and the reliability
   // denominator agree exactly.
   EXPECT_EQ(r.expected_deliveries, 20270u);
-  EXPECT_EQ(r.trace_event_sends, 9405u);
-  EXPECT_EQ(r.trace_inter_sends, 25u);
-  EXPECT_EQ(r.trace_control_sends, 33210u);
-  EXPECT_EQ(r.trace_delivers, 8020u);
+  EXPECT_EQ(r.timeline.totals().event_sends, 9405u);
+  EXPECT_EQ(r.timeline.totals().inter_sends, 25u);
+  EXPECT_EQ(r.timeline.totals().control_sends, 33210u);
+  EXPECT_EQ(r.timeline.totals().deliveries + r.parasite_deliveries, 8020u);
   ASSERT_EQ(r.groups.size(), 3u);
   EXPECT_EQ(r.groups[0].intra_sent, 276u);
   EXPECT_DOUBLE_EQ(r.groups[0].delivery_ratio, 0.52127659574468088);
@@ -109,9 +109,9 @@ TEST(SteadyGolden, GossipBaselineCell) {
   EXPECT_DOUBLE_EQ(r.max_latency, 4.0);
   EXPECT_EQ(r.rounds, 119u);
   EXPECT_EQ(r.expected_deliveries, 20270u);
-  EXPECT_EQ(r.trace_event_sends, 678197u);
-  EXPECT_EQ(r.trace_inter_sends, 0u);
-  EXPECT_EQ(r.trace_delivers, 52169u);
+  EXPECT_EQ(r.timeline.totals().event_sends, 678197u);
+  EXPECT_EQ(r.timeline.totals().inter_sends, 0u);
+  EXPECT_EQ(r.timeline.totals().deliveries + r.parasite_deliveries, 52169u);
   ASSERT_EQ(r.groups.size(), 3u);
   EXPECT_EQ(r.groups[0].intra_sent, 6110u);
   EXPECT_EQ(r.groups[0].duplicate_deliveries, 4777u);

@@ -8,8 +8,9 @@ Usage:
 Engine-time fields of each sweep (TIMING_KEYS) vary from run to run and are
 dropped before the comparison; --ignore drops further sweep keys, such as
 the knob whose independence is being asserted (jobs, threads). Everything
-else must match exactly. Exits 1 and prints the first JSON path that
-differs, or prints "same outputs" and exits 0.
+else must match exactly, JSON type included (true is not 1, 3 is not
+3.0). Exits 1 and prints the first JSON path that differs, or prints
+"same outputs" and exits 0.
 """
 
 import argparse
@@ -27,23 +28,30 @@ def strip(document, ignored):
 
 
 def first_difference(a, b, path="$"):
-    """The path of the first value that differs, or None."""
-    if a == b:
-        return None
-    if isinstance(a, dict) and isinstance(b, dict):
+    """The path of the first value that differs, or None.
+
+    Type-strict: Python's == calls true equal to 1 and 3 equal to 3.0, but
+    a field whose JSON type changed is a changed output.
+    """
+    if type(a) is not type(b):
+        return path
+    if isinstance(a, dict):
         for key in sorted(a.keys() | b.keys()):
             if key not in a or key not in b:
                 return f"{path}.{key}"
             found = first_difference(a[key], b[key], f"{path}.{key}")
             if found:
                 return found
-    if isinstance(a, list) and isinstance(b, list):
+        return None
+    if isinstance(a, list):
         for i, (x, y) in enumerate(zip(a, b)):
             found = first_difference(x, y, f"{path}[{i}]")
             if found:
                 return found
-        return f"{path}[{min(len(a), len(b))}]"
-    return path
+        if len(a) != len(b):
+            return f"{path}[{min(len(a), len(b))}]"
+        return None
+    return None if a == b else path
 
 
 def main():
