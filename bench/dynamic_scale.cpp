@@ -11,7 +11,8 @@
 //   bench_dynamic_scale [--scenario=giant-dynamic] [--scale=10] [--runs=1]
 //                       [--jobs=1] [--threads=N] [--grid "gc_horizon=0,64"]
 //                       [--budget=900] [--queue-budget=0]
-//                       [--bookkeeping-budget=0] [--json=out.json]
+//                       [--bookkeeping-budget=0] [--rss-budget=0]
+//                       [--json=out.json]
 //
 // --scenario accepts any stream-engine preset (giant-dynamic,
 // steady-state, steady-tree, steady-gossip, ...), so the sustained-service
@@ -26,13 +27,18 @@
 // disables); --queue-budget bounds the transport's high-water in-flight
 // queue footprint in MiB (0 disables); --bookkeeping-budget bounds the
 // flight recorder's worst-window seen/delivered/request-set footprint in
-// MiB (0 disables). Wall is machine-dependent; queue and bookkeeping
-// bytes are logical and deterministic, so those gates can be tight.
+// MiB (0 disables); --rss-budget bounds the whole process's peak resident
+// set (getrusage high-water, covering every cell) in MiB (0 disables).
+// Wall is machine-dependent; queue and bookkeeping bytes are logical and
+// deterministic, so those gates can be tight. RSS depends on the allocator
+// but not on timing, so its gate catches a return of per-node heap.
 // The process exits 1 when any budget is exceeded, so CI can gate on
 // them directly. The JSON document is the standard damlab-bench-v1 schema,
 // with peak_table_bytes reporting the view-arena footprint,
 // peak_queue_bytes the slab-queue high-water mark, and
 // peak_bookkeeping_bytes the timeline's gauge high-water mark.
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
@@ -68,6 +74,8 @@ int main(int argc, char** argv) {
                   "peak in-flight queue budget in MiB (0 = off)");
   args.add_option("bookkeeping-budget", "0",
                   "peak seen/delivered/request-set budget in MiB (0 = off)");
+  args.add_option("rss-budget", "0",
+                  "peak resident set budget in MiB (0 = off)");
   args.add_option("json", "", "write the damlab-bench-v1 document here");
   try {
     args.parse(argc, argv);
@@ -154,9 +162,14 @@ int main(int argc, char** argv) {
     report.add(scenario.name, cell, sweep);
   }
 
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const double rss_mib = static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB
+
   std::cout << "\n=== stream engine at scale (" << preset->name << " x "
             << util::fixed(scale, 0) << ") ===\n\n";
   table.print(std::cout);
+  std::cout << "\npeak RSS " << util::fixed(rss_mib, 1) << " MiB\n";
 
   if (!args.str("json").empty()) {
     report.write_file(args.str("json"));
@@ -179,6 +192,12 @@ int main(int argc, char** argv) {
     std::cerr << "bench_dynamic_scale: peak bookkeeping "
               << worst_bookkeeping_mib << " MiB exceeded the budget of "
               << bookkeeping_budget << " MiB\n";
+    return 1;
+  }
+  const double rss_budget = args.real("rss-budget");
+  if (rss_budget > 0.0 && rss_mib > rss_budget) {
+    std::cerr << "bench_dynamic_scale: peak RSS " << rss_mib
+              << " MiB exceeded the budget of " << rss_budget << " MiB\n";
     return 1;
   }
   return 0;

@@ -13,20 +13,29 @@ std::uint64_t request_key(ProcessId origin, std::uint32_t request_id) {
 }  // namespace
 
 DamNode::DamNode(ProcessId self, TopicId topic,
-                 const topics::TopicHierarchy* hierarchy, NodeConfig config,
+                 const topics::TopicHierarchy* hierarchy,
+                 std::shared_ptr<const NodeConfig> config,
                  std::size_t group_size_estimate, util::Rng rng, Env* env)
     : self_(self),
       topic_(topic),
       hierarchy_(hierarchy),
-      config_(config),
+      config_(std::move(config)),
       env_(env),
       rng_(rng),
-      membership_(self, topic, config.membership, group_size_estimate,
+      membership_(self, topic, config_->membership, group_size_estimate,
                   rng.fork(0xA11CE)),
-      super_table_(self, config.params.z),
-      bootstrap_(self, topic, hierarchy, config.bootstrap) {
-  config_.params.validate();
+      super_table_(self, config_->params.z),
+      bootstrap_(self, topic, hierarchy, config_->bootstrap) {
+  config_->params.validate();
+  if (config_->recovery.enabled) recovery_ = std::make_unique<RecoveryState>();
 }
+
+DamNode::DamNode(ProcessId self, TopicId topic,
+                 const topics::TopicHierarchy* hierarchy, NodeConfig config,
+                 std::size_t group_size_estimate, util::Rng rng, Env* env)
+    : DamNode(self, topic, hierarchy,
+              std::make_shared<const NodeConfig>(std::move(config)),
+              group_size_estimate, rng, env) {}
 
 void DamNode::subscribe(const std::vector<ProcessId>& group_contacts,
                         const std::vector<ProcessId>& super_contacts,
@@ -124,13 +133,14 @@ void DamNode::round(sim::Round now) {
   // event ids (most recent first).
   membership_.round(now, super_table_.entries(), super_table_.super_topic(),
                     [this](Message&& msg) {
-                      if (config_.recovery.enabled) {
+                      if (recovery_) {
+                        const auto& history = recovery_->history;
                         const std::size_t digest = std::min(
-                            config_.recovery.digest_size, history_.size());
+                            config_->recovery.digest_size, history.size());
                         msg.event_ids.reserve(digest);
                         for (std::size_t i = 0; i < digest; ++i) {
                           msg.event_ids.push_back(
-                              history_[history_.size() - 1 - i].event);
+                              history[history.size() - 1 - i].event);
                         }
                       }
                       env_->send(std::move(msg));
@@ -139,14 +149,15 @@ void DamNode::round(sim::Round now) {
   bootstrap_.tick(now, env_->neighborhood(self_),
                   [this](Message&& msg) { env_->send(std::move(msg)); });
   // Supertopic-table maintenance.
-  if (config_.maintenance_period > 0 && now % config_.maintenance_period == 0) {
+  const sim::Round period = config_->maintenance_period;
+  if (period > 0 && now % period == 0) {
     maintain_links(now);
   }
 }
 
 void DamNode::disseminate(const Message& event_msg) {
   pull_group_size();
-  const TopicParams& params = config_.params;
+  const TopicParams& params = config_->params;
   const std::size_t group_size =
       std::max<std::size_t>(membership_.group_size_estimate(), 1);
 
@@ -188,7 +199,11 @@ void DamNode::handle_event(const Message& msg) {
 
 void DamNode::handle_req_contact(const Message& msg) {
   // Fig. 4 lines 4–13 (executed once per flooded request).
-  if (!seen_requests_.insert(request_key(msg.origin, msg.request_id)).second) {
+  if (!seen_requests_) {
+    seen_requests_ = std::make_unique<std::unordered_set<std::uint64_t>>();
+  }
+  if (!seen_requests_->insert(request_key(msg.origin, msg.request_id))
+           .second) {
     return;
   }
   // Ψ^m_initMsg: do we know processes interested in one of the searched
@@ -198,7 +213,7 @@ void DamNode::handle_req_contact(const Message& msg) {
     std::vector<ProcessId> known;
     if (searched == topic_) {
       known.push_back(self_);
-      const auto extra = membership_.view().sample(config_.params.z, rng_);
+      const auto extra = membership_.view().sample(config_->params.z, rng_);
       known.insert(known.end(), extra.begin(), extra.end());
     } else if (super_table_.super_topic() == searched &&
                !super_table_.empty()) {
@@ -206,7 +221,7 @@ void DamNode::handle_req_contact(const Message& msg) {
       known.assign(table.begin(), table.end());
     }
     if (known.empty()) continue;
-    if (known.size() > config_.params.z) known.resize(config_.params.z);
+    if (known.size() > config_->params.z) known.resize(config_->params.z);
     Message answer;
     answer.kind = MsgKind::kAnsContact;
     answer.from = self_;
@@ -249,10 +264,10 @@ void DamNode::handle_new_process_ask(const Message& msg) {
   reply.to = msg.from;
   reply.answer_topic = topic_;
   reply.processes.push_back(self_);
-  const auto extra = membership_.view().sample(config_.params.z, rng_);
+  const auto extra = membership_.view().sample(config_->params.z, rng_);
   reply.processes.insert(reply.processes.end(), extra.begin(), extra.end());
-  if (reply.processes.size() > config_.params.z) {
-    reply.processes.resize(config_.params.z);
+  if (reply.processes.size() > config_->params.z) {
+    reply.processes.resize(config_->params.z);
   }
   env_->send(std::move(reply));
 }
@@ -270,7 +285,7 @@ void DamNode::handle_membership(const Message& msg) {
   }
   // Recovery: request events the digest shows we are missing. Digests only
   // travel within a group, so everything advertised is of interest here.
-  if (config_.recovery.enabled && !msg.event_ids.empty()) {
+  if (recovery_ && !msg.event_ids.empty()) {
     Message request;
     request.kind = MsgKind::kEventRequest;
     request.from = self_;
@@ -279,7 +294,7 @@ void DamNode::handle_membership(const Message& msg) {
       if (!env_->seen(self_, id)) request.event_ids.push_back(id);
     }
     if (!request.event_ids.empty()) {
-      ++recovery_requests_sent_;
+      ++recovery_->requests_sent;
       env_->send(std::move(request));
     }
   }
@@ -296,7 +311,7 @@ void DamNode::handle_membership(const Message& msg) {
 
 void DamNode::maintain_links(sim::Round now) {
   if (is_root()) return;
-  const TopicParams& params = config_.params;
+  const TopicParams& params = config_->params;
   if (super_table_.empty()) {
     // Fig. 6 lines 12–14: nothing to maintain; (re)start the search.
     if (!bootstrap_.active()) {
@@ -328,15 +343,15 @@ void DamNode::maintain_links(sim::Round now) {
 }
 
 void DamNode::handle_event_request(const Message& msg) {
-  if (!config_.recovery.enabled) return;
+  if (!recovery_) return;
   for (const net::EventId& wanted : msg.event_ids) {
-    for (const Message& stored : history_) {
+    for (const Message& stored : recovery_->history) {
       if (stored.event != wanted) continue;
       Message retransmit = stored;
       retransmit.from = self_;
       retransmit.to = msg.from;
       retransmit.intergroup = false;
-      ++retransmissions_sent_;
+      ++recovery_->retransmissions_sent;
       env_->send(std::move(retransmit));
       break;
     }
@@ -344,10 +359,11 @@ void DamNode::handle_event_request(const Message& msg) {
 }
 
 void DamNode::remember_history(const Message& event_msg) {
-  if (!config_.recovery.enabled) return;
-  history_.push_back(event_msg);
-  while (history_.size() > config_.recovery.history_size) {
-    history_.pop_front();
+  if (!recovery_) return;
+  auto& history = recovery_->history;
+  history.push_back(event_msg);
+  while (history.size() > config_->recovery.history_size) {
+    history.pop_front();
   }
 }
 

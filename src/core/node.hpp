@@ -12,11 +12,16 @@
 //   * supertopic table — z contacts in the nearest non-empty supergroup;
 //   * bootstrap task  — FIND_SUPER_CONTACT state machine.
 // Which events the node has already received (duplicate suppression) is
-// kept by the host, behind Env::mark_seen / Env::seen.
+// kept by the host, behind Env::mark_seen / Env::seen. The configuration
+// is shared by every node of a host, and the state of the optional
+// extensions — the recovery buffer and the REQCONTACT flood-dedup set — is
+// allocated only once a node uses it, so a node that merely holds its
+// views costs no heap beyond its own object.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_set>
@@ -101,6 +106,14 @@ struct NodeConfig {
 
 class DamNode {
  public:
+  /// `config` is shared: a host passes the same one to all its nodes.
+  /// Recovery state is allocated here only if config->recovery.enabled.
+  DamNode(ProcessId self, TopicId topic,
+          const topics::TopicHierarchy* hierarchy,
+          std::shared_ptr<const NodeConfig> config,
+          std::size_t group_size_estimate, util::Rng rng, Env* env);
+
+  /// Standalone node: wraps its own copy of `config`.
   DamNode(ProcessId self, TopicId topic,
           const topics::TopicHierarchy* hierarchy, NodeConfig config,
           std::size_t group_size_estimate, util::Rng rng, Env* env);
@@ -155,22 +168,24 @@ class DamNode {
     return env_->seen(self_, event);
   }
 
-  /// Entries in the recovery request-dedup set ((origin, request_id) pairs
-  /// already answered). Feeds the flight recorder's request-set gauge.
+  /// Entries in the REQCONTACT flood-dedup set ((origin, request_id) pairs
+  /// already handled); 0 until the node handles its first flood. Feeds the
+  /// flight recorder's request-set gauge.
   [[nodiscard]] std::size_t request_set_size() const noexcept {
-    return seen_requests_.size();
+    return seen_requests_ ? seen_requests_->size() : 0;
   }
 
   [[nodiscard]] std::size_t duplicate_count() const noexcept {
     return duplicates_;
   }
+  /// Recovery counters; 0 when the recovery extension is off.
   [[nodiscard]] std::size_t retransmissions_sent() const noexcept {
-    return retransmissions_sent_;
+    return recovery_ ? recovery_->retransmissions_sent : 0;
   }
   [[nodiscard]] std::size_t recovery_requests_sent() const noexcept {
-    return recovery_requests_sent_;
+    return recovery_ ? recovery_->requests_sent : 0;
   }
-  [[nodiscard]] const NodeConfig& config() const noexcept { return config_; }
+  [[nodiscard]] const NodeConfig& config() const noexcept { return *config_; }
 
   /// Total membership entries held (topic table + supertopic table) — the
   /// paper's memory-complexity metric ln(S)+c... ≤ . ≤ ln(S)+c+z.
@@ -216,10 +231,17 @@ class DamNode {
     return [this](ProcessId p) { return env_->probe_alive(p); };
   }
 
+  /// Event-recovery extension state; exists only while it is enabled.
+  struct RecoveryState {
+    std::deque<Message> history;  ///< recent event msgs, oldest first
+    std::size_t retransmissions_sent = 0;
+    std::size_t requests_sent = 0;
+  };
+
   ProcessId self_;
   TopicId topic_;
   const topics::TopicHierarchy* hierarchy_;
-  NodeConfig config_;
+  std::shared_ptr<const NodeConfig> config_;
   Env* env_;
   util::Rng rng_;
 
@@ -227,13 +249,12 @@ class DamNode {
   SuperTopicTable super_table_;
   BootstrapTask bootstrap_;
 
-  std::deque<Message> history_;     // recovery buffer (recent event msgs)
-  std::unordered_set<std::uint64_t> seen_requests_;  // (origin, request_id)
+  std::unique_ptr<RecoveryState> recovery_;
+  /// (origin, request_id) of handled floods; allocated at the first one.
+  std::unique_ptr<std::unordered_set<std::uint64_t>> seen_requests_;
   std::uint32_t next_sequence_ = 0;
-  std::size_t duplicates_ = 0;
-  std::size_t retransmissions_sent_ = 0;
-  std::size_t recovery_requests_sent_ = 0;
   bool subscribed_ = false;
+  std::size_t duplicates_ = 0;
 };
 
 }  // namespace dam::core

@@ -297,6 +297,8 @@ class DamSystem final : public Env {
 
   const topics::TopicHierarchy* hierarchy_;
   Config config_;
+  /// config_.node, shared by every node instead of copied into each.
+  std::shared_ptr<const NodeConfig> node_config_;
   util::Rng rng_;
   topics::SubscriptionRegistry registry_;
   std::unique_ptr<sim::FailureModel> failures_;

@@ -4,6 +4,11 @@
 
 namespace dam::membership {
 
+namespace {
+/// Most view entries a group of `size` can fill: every member but the owner.
+std::size_t fill_limit_for(std::size_t size) { return size > 0 ? size - 1 : 0; }
+}  // namespace
+
 std::size_t FlatMembership::capacity_for(double b, std::size_t size) {
   if (size < 2) return 1;
   const double raw = (b + 1.0) * std::log(static_cast<double>(size));
@@ -17,7 +22,9 @@ FlatMembership::FlatMembership(ProcessId self, TopicId topic, Config config,
       config_(config),
       group_size_estimate_(group_size_estimate),
       view_(self, capacity_for(config.b, group_size_estimate)),
-      rng_(rng) {}
+      rng_(rng) {
+  view_.set_fill_limit(fill_limit_for(group_size_estimate));
+}
 
 void FlatMembership::join(const std::vector<ProcessId>& contacts) {
   for (ProcessId contact : contacts) view_.insert(contact, rng_);
@@ -62,6 +69,7 @@ void FlatMembership::on_membership(const Message& msg) {
 
 void FlatMembership::set_group_size_estimate(std::size_t size) {
   group_size_estimate_ = size;
+  view_.set_fill_limit(fill_limit_for(size));
   view_.set_capacity(capacity_for(config_.b, size), rng_);
 }
 

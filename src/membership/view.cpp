@@ -10,6 +10,7 @@ void PartialView::seed(std::span<const ProcessId> base) {
 
 void PartialView::materialize() {
   if (!shared_) return;
+  entries_.reserve(std::max(base_.size(), reserve_target()));
   entries_.assign(base_.begin(), base_.end());
   shared_ = false;
 }
@@ -23,6 +24,10 @@ bool PartialView::insert(ProcessId p, util::Rng& rng) {
     // sample of the group under repeated gossip exchanges.
     entries_[rng.below(entries_.size())] = p;
     return true;
+  }
+  if (entries_.size() == entries_.capacity() &&
+      reserve_target() > entries_.size()) {
+    entries_.reserve(reserve_target());  // not size() * 2
   }
   entries_.push_back(p);
   return true;

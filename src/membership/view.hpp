@@ -15,10 +15,19 @@
 //     into the owned overlay (copy-on-churn) and the view behaves exactly
 //     like the owned one from then on, bit-for-bit: same entry order, same
 //     eviction draws. Churn-free nodes never allocate view storage at all.
+//
+// The owned overlay is sized once per capacity: materializing reserves the
+// capacity, and a push into a full buffer reserves the (grown) capacity
+// instead of doubling. Both are capped by the fill limit — the most
+// entries the owner's group can supply — so small groups never reserve
+// slots no member could fill. Sizing changes allocations only, never the
+// contents or the draws.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -107,13 +116,27 @@ class PartialView {
   /// membership gossip spreads). Shrinking evicts random entries.
   void set_capacity(std::size_t capacity, util::Rng& rng);
 
+  /// Caps the overlay's reservations at `limit` entries (see file
+  /// comment); unlimited by default. Touches no entry and no draw.
+  void set_fill_limit(std::size_t limit) noexcept {
+    constexpr std::size_t kMax = std::numeric_limits<std::uint32_t>::max();
+    fill_limit_ = static_cast<std::uint32_t>(std::min(limit, kMax));
+  }
+
  private:
   /// Copy-on-churn: copies the shared base row into the owned overlay so
   /// the pending mutation proceeds exactly as it would have on an owned
   /// vector holding the same entries in the same order.
   void materialize();
 
+  /// Entries the owned overlay is sized for: the capacity, capped by the
+  /// fill limit.
+  [[nodiscard]] std::size_t reserve_target() const noexcept {
+    return std::min<std::size_t>(capacity_, fill_limit_);
+  }
+
   ProcessId owner_;
+  std::uint32_t fill_limit_ = std::numeric_limits<std::uint32_t>::max();
   std::size_t capacity_;
   std::span<const ProcessId> base_{};  ///< shared arena row (may be stale
                                        ///< of entries_ once materialized)

@@ -35,6 +35,8 @@ class FailureModel {
   /// Does a message from `from` to `to` at `round` get past failure
   /// (in)visibility? The transport multiplies this with link loss (psucc).
   /// Default: deliverable iff the target is alive.
+  /// Contract: deliverable implies alive(to, round). Hosts rely on it to
+  /// hand a delivered message to its target without probing it again.
   [[nodiscard]] virtual bool deliverable(ProcessId from, ProcessId to,
                                          Round round, util::Rng& rng) const {
     (void)from;
