@@ -9,8 +9,8 @@
 // duplicate suppression absorbs the diamond's double arrivals.
 #include <iostream>
 
+#include "analysis/formulas.hpp"
 #include "bench_common.hpp"
-#include "core/dag_sim.hpp"
 
 int main(int argc, char** argv) {
   using namespace dam;
@@ -36,10 +36,13 @@ int main(int argc, char** argv) {
     bench::run_scenario_bench(*scenario, csv);
     const auto dag = scenario->build_dag();
     const topics::DagTopicId bottom{scenario->publish_topic};
+    const core::TopicParams& params = scenario->params.front();
+    // One z-table per direct supertopic.
     std::cout << "B-member memory (entries): "
-              << util::fixed(core::DagRunResult::memory_per_process(
-                                 dag, bottom, scenario->params.front(),
-                                 scenario->group_sizes[bottom.value]),
+              << util::fixed(analysis::dam_memory(
+                                 scenario->group_sizes[bottom.value],
+                                 params.c,
+                                 params.z * dag.supers(bottom).size()),
                              1)
               << "\n\n";
   }

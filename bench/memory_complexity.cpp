@@ -8,9 +8,7 @@
 #include <iostream>
 
 #include "analysis/formulas.hpp"
-#include "baselines/broadcast.hpp"
 #include "baselines/hierarchical.hpp"
-#include "baselines/multicast.hpp"
 #include "bench_common.hpp"
 #include "core/system.hpp"
 #include "topics/hierarchy.hpp"
@@ -56,10 +54,10 @@ int main(int argc, char** argv) {
       measured.add(static_cast<double>(system.node(p).memory_footprint()));
     }
     const double mcast =
-        baselines::multicast_memory_per_process(sizes, level, params.c);
+        analysis::multicast_memory_per_process(sizes, level, params.c);
     const double bcast =
-        baselines::broadcast_memory_per_process(population, params.c);
-    const double hier = baselines::hierarchical_memory_per_process(
+        analysis::broadcast_memory_per_process(population, params.c);
+    const double hier = analysis::hierarchical_memory_per_process(
         hier_config.group_count, population / hier_config.group_count,
         hier_config.c1, hier_config.c2);
     // += rather than operator+ to sidestep GCC's -Wrestrict false positive

@@ -3,9 +3,10 @@
 // publication at paper scale.
 #include <benchmark/benchmark.h>
 
-#include "core/static_sim.hpp"
+#include "core/frozen_sim.hpp"
 #include "membership/view.hpp"
 #include "net/message.hpp"
+#include "sim/scenario.hpp"
 #include "topics/hierarchy.hpp"
 #include "util/rng.hpp"
 
@@ -70,14 +71,17 @@ void BM_HierarchyIncludes(benchmark::State& state) {
 }
 BENCHMARK(BM_HierarchyIncludes);
 
-void BM_StaticPublicationPaperScale(benchmark::State& state) {
+void BM_FrozenPublicationPaperScale(benchmark::State& state) {
+  const sim::Scenario chain =
+      sim::make_linear_scenario("paper", "", {10, 100, 1000});
+  const topics::TopicDag dag = chain.build_dag();
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    core::StaticSimConfig config;  // S = {10, 100, 1000}
+    core::FrozenSimConfig config = chain.config_for(dag, 1.0, 0);
     config.seed = seed++;
-    benchmark::DoNotOptimize(core::run_static_simulation(config));
+    benchmark::DoNotOptimize(core::run_frozen_simulation(config));
   }
 }
-BENCHMARK(BM_StaticPublicationPaperScale)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FrozenPublicationPaperScale)->Unit(benchmark::kMillisecond);
 
 }  // namespace

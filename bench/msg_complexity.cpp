@@ -14,7 +14,8 @@
 #include "baselines/hierarchical.hpp"
 #include "baselines/multicast.hpp"
 #include "bench_common.hpp"
-#include "core/static_sim.hpp"
+#include "core/frozen_sim.hpp"
+#include "sim/scenario.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
 
@@ -39,6 +40,8 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> sizes{10, 100, 1000};
   const core::TopicParams params;
   const baselines::HierarchicalConfig hier_config;
+  const sim::Scenario chain = sim::make_linear_scenario("paper", "", sizes);
+  const topics::TopicDag dag = chain.build_dag();
 
   for (std::size_t level = 0; level < sizes.size(); ++level) {
     util::Accumulator dam;
@@ -48,24 +51,21 @@ int main(int argc, char** argv) {
     util::Accumulator bcast_parasites;
     util::Accumulator hier_parasites;
     for (int run = 0; run < kRuns; ++run) {
-      const auto seed = 0xA1 + static_cast<std::uint64_t>(run) * 131 + level;
-      core::StaticSimConfig dam_config;
-      dam_config.publish_level = level;
-      dam_config.seed = seed;
+      // One cell for daMulticast and every baseline.
+      core::FrozenSimConfig config = chain.config_for(dag, 1.0, run);
+      config.publish_topic =
+          topics::DagTopicId{static_cast<std::uint32_t>(level)};
+      config.seed = 0xA1 + static_cast<std::uint64_t>(run) * 131 + level;
       dam.add(static_cast<double>(
-          core::run_static_simulation(dam_config).total_messages));
-
-      baselines::Scenario scenario;
-      scenario.publish_level = level;
-      scenario.seed = seed;
+          core::run_frozen_simulation(config).total_messages));
       mcast.add(
-          static_cast<double>(baselines::run_multicast(scenario).messages_sent));
-      const auto bcast_result = baselines::run_broadcast(scenario);
+          static_cast<double>(baselines::run_multicast(config).messages_sent));
+      const auto bcast_result = baselines::run_broadcast(config);
       bcast.add(static_cast<double>(bcast_result.messages_sent));
       bcast_parasites.add(
           static_cast<double>(bcast_result.parasite_deliveries));
       const auto hier_result =
-          baselines::run_hierarchical(scenario, hier_config);
+          baselines::run_hierarchical(config, hier_config);
       hier.add(static_cast<double>(hier_result.messages_sent));
       hier_parasites.add(static_cast<double>(hier_result.parasite_deliveries));
     }

@@ -10,7 +10,8 @@
 
 #include "analysis/formulas.hpp"
 #include "bench_common.hpp"
-#include "core/static_sim.hpp"
+#include "core/frozen_sim.hpp"
+#include "sim/scenario.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
 
@@ -88,18 +89,19 @@ int main(int argc, char** argv) {
   util::ConsoleTable sweep(
       {"c", "measured P(all groups)", "Eq.1 (raw c)", "Eq.1 (ceil c)"});
   constexpr int kRuns = 150;
+  sim::Scenario chain =
+      sim::make_linear_scenario("paper", "", {10, 100, 1000});
+  const topics::TopicDag dag = chain.build_dag();
   for (double c : {0.0, 1.0, 2.0, 3.0, 5.0}) {
-    core::TopicParams params;
-    params.c = c;
-    params.psucc = 1.0;
+    chain.params.front().c = c;
+    chain.params.front().psucc = 1.0;
     util::Proportion all_groups;
     for (int run = 0; run < kRuns; ++run) {
-      core::StaticSimConfig config;
-      config.params = {params};
+      core::FrozenSimConfig config = chain.config_for(dag, 1.0, run);
       config.seed = 0xABC + static_cast<std::uint64_t>(run) * 257 +
                     static_cast<std::uint64_t>(c * 100.0);
       all_groups.add(
-          core::run_static_simulation(config).all_groups_delivered());
+          core::run_frozen_simulation(config).all_groups_delivered());
     }
     const double raw = analysis::dam_reliability(
         {{c, 1.0}, {c, 1.0}, {c, 1.0}});  // pit = 1 at psucc = 1

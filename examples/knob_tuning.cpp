@@ -10,7 +10,8 @@
 #include <iostream>
 
 #include "analysis/formulas.hpp"
-#include "core/static_sim.hpp"
+#include "core/frozen_sim.hpp"
+#include "sim/scenario.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
 
@@ -64,17 +65,19 @@ int main() {
                             "T0 delivered frac", "P(all T0)",
                             "predicted pit T2->T1"});
   constexpr int kRuns = 200;
+  sim::Scenario chain =
+      sim::make_linear_scenario("tiered", "", {20, 200, 2000});
+  const topics::TopicDag dag = chain.build_dag();
   for (const auto& configuration : configurations) {
+    chain.params = {configuration.root, configuration.middle,
+                    configuration.bulk};
     util::Accumulator messages;
     util::Accumulator t0_fraction;
     util::Proportion all_t0;
     for (int run = 0; run < kRuns; ++run) {
-      core::StaticSimConfig config;
-      config.group_sizes = {20, 200, 2000};
-      config.params = {configuration.root, configuration.middle,
-                       configuration.bulk};
+      core::FrozenSimConfig config = chain.config_for(dag, 1.0, run);
       config.seed = 0x7E + static_cast<std::uint64_t>(run) * 59;
-      const auto result = core::run_static_simulation(config);
+      const auto result = core::run_frozen_simulation(config);
       messages.add(static_cast<double>(result.total_messages));
       t0_fraction.add(result.groups[0].delivery_ratio());
       all_t0.add(result.groups[0].all_alive_delivered);

@@ -68,6 +68,28 @@ double dam_memory(std::size_t S, double c, std::size_t z) {
   return ln_size(S) + c + static_cast<double>(z);
 }
 
+double broadcast_memory_per_process(std::size_t n, double c) {
+  return ln_size(n) + c;
+}
+
+double multicast_memory_per_process(const std::vector<std::size_t>& sizes,
+                                    std::size_t subscribe_level, double c) {
+  require(subscribe_level < sizes.size(),
+          "multicast_memory_per_process: bad level");
+  double total = 0.0;
+  std::size_t cumulative = 0;
+  for (std::size_t level = 0; level < sizes.size(); ++level) {
+    cumulative += sizes[level];
+    if (level >= subscribe_level) total += ln_size(cumulative) + c;
+  }
+  return total;
+}
+
+double hierarchical_memory_per_process(std::size_t N, std::size_t m,
+                                       double c1, double c2) {
+  return ln_size(m) + c1 + ln_size(N) + c2;
+}
+
 // --- Reliability -------------------------------------------------------------
 
 double gossip_reliability(double c) { return std::exp(-std::exp(-c)); }

@@ -56,8 +56,21 @@ namespace dam::analysis {
 /// daMulticast: ln(S) + c + z (z = 0 for root processes).
 [[nodiscard]] double dam_memory(std::size_t S, double c, std::size_t z);
 
-// (broadcast/multicast/hierarchical memory live with their baselines in
-// src/baselines/; they need the scenario layout.)
+/// Baseline (a): ln(n) + c — one table over the whole population.
+[[nodiscard]] double broadcast_memory_per_process(std::size_t n, double c);
+
+/// Baseline (b): for a process subscribed at `subscribe_level` of a chain
+/// `sizes` (index 0 = root), one table of ln(S'_i) + c per level i from its
+/// own down to the bottom, where S'_i = sizes[0] + ... + sizes[i] is the
+/// size of group T_i (every process subscribed at level <= i).
+[[nodiscard]] double multicast_memory_per_process(
+    const std::vector<std::size_t>& sizes, std::size_t subscribe_level,
+    double c);
+
+/// Baseline (c): ln(m) + c1 + ln(N) + c2.
+[[nodiscard]] double hierarchical_memory_per_process(std::size_t N,
+                                                     std::size_t m, double c1,
+                                                     double c2);
 
 // ---------------------------------------------------------------------------
 // Reliability (Sec. VI-D, Appendix 2)

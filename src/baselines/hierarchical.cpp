@@ -1,44 +1,25 @@
 #include "baselines/hierarchical.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
-#include <stdexcept>
 
 #include "util/rng.hpp"
 
 namespace dam::baselines {
 
-BaselineResult run_hierarchical(const Scenario& scenario,
-                                const HierarchicalConfig& config) {
-  const std::size_t population = scenario.population();
+BaselineResult run_hierarchical(const core::FrozenSimConfig& config,
+                                const HierarchicalConfig& hierarchy) {
+  const Population layout = lay_out(config, "run_hierarchical");
+  const std::size_t population = layout.size();
   const std::size_t group_count =
-      std::max<std::size_t>(1, std::min(config.group_count, population));
-  if (scenario.publish_level >= scenario.group_sizes.size()) {
-    throw std::invalid_argument("run_hierarchical: bad publish level");
-  }
-  util::Rng rng(scenario.seed);
+      std::max<std::size_t>(1, std::min(hierarchy.group_count, population));
+  const double psucc =
+      core::params_for_topic(config, config.publish_topic.value).psucc;
+  util::Rng rng(config.seed);
   const bool stillborn =
-      scenario.failure_mode == StaticFailureMode::kStillborn;
-  const double fail_probability = 1.0 - scenario.alive_fraction;
-
-  // Interest mask + publisher candidates (same layout as run_broadcast).
-  std::vector<bool> interested(population, false);
-  std::vector<std::uint32_t> publisher_candidates;
-  {
-    std::size_t offset = 0;
-    for (std::size_t level = 0; level < scenario.group_sizes.size(); ++level) {
-      const std::size_t size = scenario.group_sizes[level];
-      if (level <= scenario.publish_level) {
-        for (std::size_t i = 0; i < size; ++i) interested[offset + i] = true;
-      }
-      if (level == scenario.publish_level) {
-        for (std::size_t i = 0; i < size; ++i) {
-          publisher_candidates.push_back(static_cast<std::uint32_t>(offset + i));
-        }
-      }
-      offset += size;
-    }
-  }
+      config.failure_mode == core::FrozenFailureMode::kStillborn;
+  const double fail_probability = 1.0 - config.alive_fraction;
 
   // Random interest-agnostic grouping: shuffle, then deal round-robin.
   std::vector<std::uint32_t> order(population);
@@ -67,9 +48,10 @@ BaselineResult run_hierarchical(const Scenario& scenario,
   const auto intra_fanout = static_cast<std::size_t>(
       std::ceil(std::max(1.0, std::log(static_cast<double>(std::max<std::size_t>(
                                   m, 2))) +
-                                  config.c1)));
-  const auto inter_view_size = static_cast<std::size_t>(std::ceil(
-      std::max(1.0, std::log(static_cast<double>(group_count)) + config.c2)));
+                                  hierarchy.c1)));
+  const auto inter_view_size = static_cast<std::size_t>(
+      std::ceil(std::max(1.0, std::log(static_cast<double>(group_count)) +
+                                  hierarchy.c2)));
   std::vector<std::vector<std::uint32_t>> inter_view(population);
   {
     std::vector<std::uint32_t> other_groups;
@@ -85,27 +67,23 @@ BaselineResult run_hierarchical(const Scenario& scenario,
     }
   }
 
-  BaselineResult result;
-  for (std::size_t i = 0; i < population; ++i) {
-    if (alive[i] && interested[i]) ++result.interested_alive;
-  }
-
   std::vector<std::uint32_t> candidates;
-  for (std::uint32_t i : publisher_candidates) {
+  for (std::uint32_t i : layout.publishers) {
     if (alive[i]) candidates.push_back(i);
   }
+  BaselineResult result;
+  std::vector<bool> delivered(population, false);
   if (candidates.empty()) {
-    result.all_interested_delivered = result.interested_alive == 0;
+    tally(layout, alive, delivered, result);
     return result;
   }
 
   auto delivery_ok = [&](std::uint32_t target) {
-    if (!rng.bernoulli(scenario.params.psucc)) return false;
+    if (!rng.bernoulli(psucc)) return false;
     if (stillborn) return static_cast<bool>(alive[target]);
     return !rng.bernoulli(fail_probability);
   };
 
-  std::vector<bool> delivered(population, false);
   std::deque<std::uint32_t> frontier;
   const std::uint32_t publisher = candidates[rng.below(candidates.size())];
   delivered[publisher] = true;
@@ -147,27 +125,8 @@ BaselineResult run_hierarchical(const Scenario& scenario,
     frontier = std::move(next);
   }
 
-  for (std::size_t i = 0; i < population; ++i) {
-    if (!delivered[i] || !alive[i]) continue;
-    if (interested[i]) {
-      ++result.delivered_interested;
-    } else {
-      ++result.parasite_deliveries;
-    }
-  }
-  result.all_interested_delivered =
-      result.delivered_interested == result.interested_alive;
+  tally(layout, alive, delivered, result);
   return result;
-}
-
-double hierarchical_memory_per_process(std::size_t group_count,
-                                       std::size_t group_size, double c1,
-                                       double c2) {
-  const double ln_m =
-      group_size >= 2 ? std::log(static_cast<double>(group_size)) : 0.0;
-  const double ln_n =
-      group_count >= 2 ? std::log(static_cast<double>(group_count)) : 0.0;
-  return ln_m + c1 + ln_n + c2;
 }
 
 }  // namespace dam::baselines

@@ -9,11 +9,17 @@
 // matching the second-level gossip of [10]. Memory is
 // ln(m)+c1+ln(N)+c2 per process; reliability e^{-N·e^{-c1}-e^{-c2}}; but
 // since grouping ignores interests, parasite deliveries abound.
+//
+// Unlike (a) and (b), this baseline keeps its own engine and tables: its
+// groups are random and interest-agnostic, and its intergroup leg is a
+// 1/m coin per inter-view entry with no psel/pa election. No topic DAG of
+// core/frozen_sim reproduces either, so it only shares the cell
+// description (core::FrozenSimConfig) and the result record.
 #pragma once
 
 #include <cstdint>
 
-#include "baselines/gossip_group.hpp"
+#include "baselines/baseline.hpp"
 
 namespace dam::baselines {
 
@@ -23,14 +29,9 @@ struct HierarchicalConfig {
   double c2 = 5.0;               ///< inter-group fanout constant
 };
 
-/// Runs one dissemination of an event of `scenario.publish_level`'s topic
-/// under the two-level scheme.
-[[nodiscard]] BaselineResult run_hierarchical(const Scenario& scenario,
-                                              const HierarchicalConfig& config);
-
-/// Memory entries per process: ln(m) + c1 + ln(N) + c2.
-[[nodiscard]] double hierarchical_memory_per_process(std::size_t group_count,
-                                                     std::size_t group_size,
-                                                     double c1, double c2);
+/// Runs one dissemination of an event of `config.publish_topic` under the
+/// two-level scheme; the channel coin is the publish topic's psucc.
+[[nodiscard]] BaselineResult run_hierarchical(
+    const core::FrozenSimConfig& config, const HierarchicalConfig& hierarchy);
 
 }  // namespace dam::baselines

@@ -1,55 +1,27 @@
 #include "baselines/multicast.hpp"
 
-#include <cmath>
-#include <stdexcept>
+#include <algorithm>
 
 namespace dam::baselines {
 
-BaselineResult run_multicast(const Scenario& scenario) {
-  if (scenario.publish_level >= scenario.group_sizes.size()) {
-    throw std::invalid_argument("run_multicast: bad publish level");
-  }
-  // Group T_publish contains every process subscribed at levels
-  // 0..publish_level (supertopic subscribers join all subtopic groups).
-  // All members are interested — multicast sends no parasites by design.
-  std::size_t members = 0;
-  std::size_t publishers_from = 0;
-  for (std::size_t level = 0; level <= scenario.publish_level; ++level) {
-    if (level == scenario.publish_level) publishers_from = members;
-    members += scenario.group_sizes[level];
-  }
-
-  FlatGossipSpec spec;
-  spec.population = members;
-  spec.params = scenario.params;
-  spec.alive_fraction = scenario.alive_fraction;
-  spec.failure_mode = scenario.failure_mode;
-  spec.seed = scenario.seed;
-  spec.interested.assign(members, true);
-  // The paper publishes from the event's own topic group.
-  for (std::size_t i = publishers_from; i < members; ++i) {
-    spec.publisher_candidates.push_back(static_cast<std::uint32_t>(i));
-  }
-  return run_flat_gossip(spec);
-}
-
-double multicast_memory_per_process(
-    const std::vector<std::size_t>& group_sizes, std::size_t subscribe_level,
-    double c) {
-  if (subscribe_level >= group_sizes.size()) {
-    throw std::invalid_argument("multicast_memory_per_process: bad level");
-  }
-  // Cumulative group sizes: group T_i = everyone subscribed at level <= i.
-  double total = 0.0;
-  std::size_t cumulative = 0;
-  for (std::size_t level = 0; level < group_sizes.size(); ++level) {
-    cumulative += group_sizes[level];
-    if (level < subscribe_level) continue;
-    total += (cumulative >= 2 ? std::log(static_cast<double>(cumulative))
-                              : 0.0) +
-             c;
-  }
-  return total;
+BaselineResult run_multicast(const core::FrozenSimConfig& config) {
+  // Group T_publish holds every interested process (supertopic subscribers
+  // join all subtopic groups), so multicast sends no parasites by design.
+  const Population population = lay_out(config, "run_multicast");
+  const auto audience = static_cast<std::size_t>(std::count(
+      population.interested.begin(), population.interested.end(), true));
+  topics::TopicDag group_dag;
+  group_dag.add_topic("audience");
+  const core::FrozenRunResult run = core::run_frozen_simulation(
+      one_group_config(config, group_dag, audience));
+  const core::FrozenGroupResult& group = run.groups.front();
+  BaselineResult result;
+  result.messages_sent = run.total_messages;
+  result.interested_alive = group.alive;
+  result.delivered_interested = group.delivered;
+  result.all_interested_delivered = group.all_alive_delivered;
+  result.rounds = run.rounds;
+  return result;
 }
 
 }  // namespace dam::baselines

@@ -5,24 +5,22 @@
 // event of Tb is disseminated in group Tb only. No parasite messages, but a
 // process interested in a high topic carries one membership table per
 // (sub)topic — t tables in a depth-t chain — which is the memory-complexity
-// cost daMulticast eliminates.
+// cost daMulticast eliminates (analysis::multicast_memory_per_process).
+//
+// One dissemination is one run_frozen_simulation call on a one-topic DAG
+// whose group is the publish topic's audience: daMulticast's intra-group
+// leg, verbatim. Publishing from a uniformly drawn audience member instead
+// of a member of the publish topic changes no distribution, because the
+// members of a uniformly drawn frozen group are exchangeable.
 #pragma once
 
-#include "baselines/gossip_group.hpp"
+#include "baselines/baseline.hpp"
 
 namespace dam::baselines {
 
-/// Runs one dissemination of an event of `scenario.publish_level`'s topic:
-/// a flat gossip inside group T_publish, whose members are all processes
-/// subscribed at the publish level or above.
-[[nodiscard]] BaselineResult run_multicast(const Scenario& scenario);
-
-/// Memory entries for a process subscribed at `subscribe_level` in a chain
-/// with `group_sizes` (index 0 = root): one table of ln(S_i)+c per level i
-/// from its own down to the bottom, where S_i is the size of group T_i
-/// (all processes subscribed at level <= i).
-[[nodiscard]] double multicast_memory_per_process(
-    const std::vector<std::size_t>& group_sizes, std::size_t subscribe_level,
-    double c);
+/// Runs one dissemination of an event of `config.publish_topic`: a flat
+/// gossip inside group T_publish, whose members are all processes whose
+/// topic includes the publish topic.
+[[nodiscard]] BaselineResult run_multicast(const core::FrozenSimConfig& config);
 
 }  // namespace dam::baselines

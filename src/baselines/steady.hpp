@@ -1,7 +1,7 @@
 // Steady-state baseline engines — the head-to-head rivals, run on the SAME
 // generated workload stream as the daMulticast protocol.
 //
-// src/baselines' run_flat_gossip / run_hierarchical answer the paper's
+// src/baselines' run_broadcast / run_hierarchical answer the paper's
 // analytical single-burst comparisons; the sustained-service lane needs
 // the same rivals as *stream engines*: replaying a workload/traffic
 // EventStream (multi-publisher steady arrivals, churn, joins) round by

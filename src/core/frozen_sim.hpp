@@ -1,4 +1,4 @@
-// Unified frozen-table engine — one engine behind both "paper" simulators.
+// Unified frozen-table engine — the one engine of the paper's simulations.
 //
 // Reproduces the paper's Section VII evaluation regime over an arbitrary
 // topics::TopicDag (a linear hierarchy is just a path DAG):
@@ -15,8 +15,9 @@
 // All protocol decisions (election psel, per-entry pa, fanout without
 // replacement, forward on first reception) route through core/protocol —
 // the same kernel DamNode drives — so the engines cannot drift apart.
-// core/static_sim.hpp and core/dag_sim.hpp are thin adapters over this
-// engine that preserve the historical config/result structs.
+// Every frozen-lane caller (presets, benches, examples, and the Sec. VI-E
+// baselines of src/baselines) describes its cell as one FrozenSimConfig;
+// a linear chain is sim::make_linear_scenario(...).build_dag().
 //
 // One RNG stream per seed: table rows and wave frontiers are cut into
 // fixed-size chunks, each drawing from its own stream forked from the run

@@ -19,8 +19,8 @@
 // delivered bitmap.
 //
 // Consumers: core/node.cpp (message-passing engine), core/frozen_sim.cpp
-// (unified frozen-table engine behind static_sim/dag_sim), net/transport.cpp
-// (channel coin). Nothing here touches engine state, so the kernel is unit-
+// (unified frozen-table engine), baselines/broadcast.cpp (the flat wave
+// loop of baseline (a)), net/transport.cpp (channel coin). Nothing here touches engine state, so the kernel is unit-
 // testable in isolation (tests/core/protocol_test.cpp).
 //
 // RNG discipline: every helper documents exactly how many draws it makes,

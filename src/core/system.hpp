@@ -4,8 +4,8 @@
 // neighborhood overlay, a failure model, and the metrics collector. This is
 // the "whole system" entry point used by the examples, the integration
 // tests, and the bootstrap/ablation benches. (The figure benches run the
-// frozen-membership engine through the core/static_sim.hpp adapter over
-// core/frozen_sim, which reproduces the paper's setting exactly.)
+// frozen-membership engine, core/frozen_sim, which reproduces the paper's
+// setting exactly.)
 // Config::threads sets the workers of the spawn-batch fill and never
 // changes results.
 #pragma once

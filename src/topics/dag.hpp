@@ -5,8 +5,9 @@
 // for each supertopic. Neither would hamper the overall performance of the
 // algorithm." This module provides the topic structure for that extension:
 // a DAG where a topic may have several direct supertopics. The tree
-// hierarchy (topics/hierarchy.hpp) remains the default; the DAG is used by
-// core/dag_sim.hpp and its ablation bench.
+// hierarchy (topics/hierarchy.hpp) remains the default of the dynamic
+// engine; the frozen-table engine (core/frozen_sim.hpp) runs over a DAG,
+// where a linear hierarchy is a path.
 #pragma once
 
 #include <cstdint>

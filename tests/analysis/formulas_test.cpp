@@ -49,6 +49,38 @@ TEST(Memory, DamFormula) {
   EXPECT_DOUBLE_EQ(dam_memory(1, 5.0, 0), 5.0);  // root process, no sTable
 }
 
+TEST(Memory, BroadcastFormula) {
+  EXPECT_NEAR(broadcast_memory_per_process(1110, 5.0),
+              std::log(1110.0) + 5.0, 1e-12);
+  EXPECT_DOUBLE_EQ(broadcast_memory_per_process(1, 5.0), 5.0);
+}
+
+TEST(Memory, MulticastGrowsWithTableCount) {
+  const std::vector<std::size_t> sizes{10, 100, 1000};
+  // Bottom-level subscriber: one table (its own group, cumulative 1110).
+  const double bottom = multicast_memory_per_process(sizes, 2, 5.0);
+  EXPECT_NEAR(bottom, std::log(1110.0) + 5.0, 1e-9);
+  // Root subscriber: three tables (sizes 10, 110, 1110).
+  const double root = multicast_memory_per_process(sizes, 0, 5.0);
+  EXPECT_NEAR(root,
+              (std::log(10.0) + 5.0) + (std::log(110.0) + 5.0) +
+                  (std::log(1110.0) + 5.0),
+              1e-9);
+  EXPECT_GT(root, bottom);
+}
+
+TEST(Memory, MulticastRejectsBadLevel) {
+  EXPECT_THROW((void)multicast_memory_per_process({10, 100}, 5, 5.0),
+               std::invalid_argument);
+}
+
+TEST(Memory, HierarchicalFormula) {
+  EXPECT_NEAR(hierarchical_memory_per_process(16, 70, 5.0, 5.0),
+              std::log(70.0) + 5.0 + std::log(16.0) + 5.0, 1e-12);
+  // Degenerate single group: ln terms vanish gracefully.
+  EXPECT_DOUBLE_EQ(hierarchical_memory_per_process(1, 1, 2.0, 3.0), 5.0);
+}
+
 TEST(Reliability, GossipReliabilityCurve) {
   // e^{-e^{-c}}: c=0 -> 1/e ≈ 0.3679; c=5 -> 0.99329; monotone in c.
   EXPECT_NEAR(gossip_reliability(0.0), std::exp(-1.0), 1e-12);

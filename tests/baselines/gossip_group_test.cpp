@@ -1,25 +1,20 @@
-#include "baselines/gossip_group.hpp"
+// Flat gossip over a whole population: run_broadcast on one-group chains,
+// and on a two-group chain where the uninterested group still takes part
+// (its deliveries count as parasites).
+#include "baselines/broadcast.hpp"
 
 #include <gtest/gtest.h>
+
+#include "frozen_chain.hpp"
 
 namespace dam::baselines {
 namespace {
 
-FlatGossipSpec healthy_spec(std::size_t population, std::uint64_t seed) {
-  FlatGossipSpec spec;
-  spec.population = population;
-  spec.interested.assign(population, true);
-  for (std::uint32_t i = 0; i < population; ++i) {
-    spec.publisher_candidates.push_back(i);
-  }
-  spec.seed = seed;
-  return spec;
-}
+using dam::testing::Chain;
 
 TEST(FlatGossip, DeliversToWholePopulationWhenHealthy) {
-  auto spec = healthy_spec(500, 1);
-  spec.params.psucc = 1.0;
-  const auto result = run_flat_gossip(spec);
+  const Chain flat({500});
+  const auto result = run_broadcast(flat.publish_at(0, 1, 1.0));
   EXPECT_EQ(result.interested_alive, 500u);
   EXPECT_EQ(result.delivered_interested, 500u);
   EXPECT_TRUE(result.all_interested_delivered);
@@ -27,73 +22,57 @@ TEST(FlatGossip, DeliversToWholePopulationWhenHealthy) {
 }
 
 TEST(FlatGossip, MessageCountIsNLnN) {
-  const auto result = run_flat_gossip(healthy_spec(1000, 2));
+  const Chain flat({1000});
+  const auto result = run_broadcast(flat.publish_at(0, 2));
   // Everyone infected sends fanout = ceil(ln 1000 + 5) = 12.
   EXPECT_NEAR(static_cast<double>(result.messages_sent), 12000.0, 1200.0);
 }
 
 TEST(FlatGossip, UninterestedDeliveriesCountAsParasites) {
-  auto spec = healthy_spec(400, 3);
-  spec.params.psucc = 1.0;
-  // Half the population is not interested but still participates.
-  for (std::size_t i = 200; i < 400; ++i) spec.interested[i] = false;
-  const auto result = run_flat_gossip(spec);
+  // Half the population (T1) is not interested in a T0 event but still
+  // participates.
+  const Chain chain({200, 200});
+  const auto result = run_broadcast(chain.publish_at(0, 3, 1.0));
   EXPECT_EQ(result.interested_alive, 200u);
   EXPECT_EQ(result.delivered_interested, 200u);
   EXPECT_EQ(result.parasite_deliveries, 200u);
 }
 
 TEST(FlatGossip, StillbornFailuresReduceDeliveries) {
-  auto spec = healthy_spec(600, 4);
-  spec.alive_fraction = 0.5;
-  const auto result = run_flat_gossip(spec);
+  const Chain flat({600});
+  core::FrozenSimConfig config = flat.publish_at(0, 4);
+  config.alive_fraction = 0.5;
+  const auto result = run_broadcast(config);
   EXPECT_NEAR(static_cast<double>(result.interested_alive), 300.0, 50.0);
   EXPECT_LE(result.delivered_interested, result.interested_alive);
   EXPECT_GT(result.delivered_interested, 0u);
 }
 
 TEST(FlatGossip, NoAlivePublisherMeansNoTraffic) {
-  auto spec = healthy_spec(100, 5);
-  spec.alive_fraction = 0.0;
-  const auto result = run_flat_gossip(spec);
+  const Chain flat({100});
+  core::FrozenSimConfig config = flat.publish_at(0, 5);
+  config.alive_fraction = 0.0;
+  const auto result = run_broadcast(config);
   EXPECT_EQ(result.messages_sent, 0u);
   EXPECT_TRUE(result.all_interested_delivered);  // vacuous: nobody alive
 }
 
 TEST(FlatGossip, DynamicPerceptionKeepsPopulationAlive) {
-  auto spec = healthy_spec(300, 6);
-  spec.alive_fraction = 0.7;
-  spec.failure_mode = StaticFailureMode::kDynamicPerception;
-  const auto result = run_flat_gossip(spec);
+  const Chain flat({300});
+  core::FrozenSimConfig config = flat.publish_at(0, 6);
+  config.alive_fraction = 0.7;
+  config.failure_mode = core::FrozenFailureMode::kDynamicPerception;
+  const auto result = run_broadcast(config);
   EXPECT_EQ(result.interested_alive, 300u);  // all actually alive
   EXPECT_GT(result.delivered_interested, 250u);
 }
 
-TEST(FlatGossip, RejectsBadSpecs) {
-  FlatGossipSpec empty;
-  EXPECT_THROW((void)run_flat_gossip(empty), std::invalid_argument);
-
-  FlatGossipSpec bad_mask;
-  bad_mask.population = 10;
-  bad_mask.interested.assign(5, true);  // wrong size
-  EXPECT_THROW((void)run_flat_gossip(bad_mask), std::invalid_argument);
-}
-
 TEST(FlatGossip, DeterministicForSeed) {
-  const auto a = run_flat_gossip(healthy_spec(200, 77));
-  const auto b = run_flat_gossip(healthy_spec(200, 77));
+  const Chain flat({200});
+  const auto a = run_broadcast(flat.publish_at(0, 77));
+  const auto b = run_broadcast(flat.publish_at(0, 77));
   EXPECT_EQ(a.messages_sent, b.messages_sent);
   EXPECT_EQ(a.delivered_interested, b.delivered_interested);
-}
-
-TEST(Scenario, PopulationHelpers) {
-  Scenario scenario;  // paper defaults: {10, 100, 1000}, publish at 2
-  EXPECT_EQ(scenario.population(), 1110u);
-  EXPECT_EQ(scenario.interested_population(), 1110u);
-  scenario.publish_level = 1;
-  EXPECT_EQ(scenario.interested_population(), 110u);
-  scenario.publish_level = 0;
-  EXPECT_EQ(scenario.interested_population(), 10u);
 }
 
 }  // namespace

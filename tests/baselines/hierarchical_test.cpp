@@ -2,84 +2,81 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <stdexcept>
+
+#include "frozen_chain.hpp"
 
 namespace dam::baselines {
 namespace {
 
+using dam::testing::Chain;
+
 TEST(Hierarchical, DeliversBroadlyWhenHealthy) {
-  Scenario scenario;
-  scenario.params.psucc = 1.0;
-  scenario.seed = 1;
-  const auto result = run_hierarchical(scenario, HierarchicalConfig{});
+  const Chain chain;
+  const auto result =
+      run_hierarchical(chain.publish_at(2, 1, 1.0), HierarchicalConfig{});
   EXPECT_EQ(result.interested_alive, 1110u);
   // Two-level gossip is reliable but not perfect; expect near-full coverage.
   EXPECT_GT(result.delivery_ratio(), 0.95);
 }
 
 TEST(Hierarchical, MidLevelEventCausesParasites) {
-  Scenario scenario;
-  scenario.publish_level = 1;
-  scenario.params.psucc = 1.0;
-  scenario.seed = 2;
-  const auto result = run_hierarchical(scenario, HierarchicalConfig{});
+  const Chain chain;
+  const auto result =
+      run_hierarchical(chain.publish_at(1, 2, 1.0), HierarchicalConfig{});
   // Interest-agnostic grouping: the 1000 uninterested T2 subscribers are
   // spread across all groups and receive the event anyway.
   EXPECT_GT(result.parasite_deliveries, 800u);
 }
 
 TEST(Hierarchical, FewerGroupsMoreIntraTraffic) {
-  Scenario scenario;
-  scenario.seed = 3;
+  const Chain chain;
+  const core::FrozenSimConfig config = chain.publish_at(2, 3);
   HierarchicalConfig few;
   few.group_count = 2;
   HierarchicalConfig many;
   many.group_count = 64;
-  const auto result_few = run_hierarchical(scenario, few);
-  const auto result_many = run_hierarchical(scenario, many);
+  const auto result_few = run_hierarchical(config, few);
+  const auto result_many = run_hierarchical(config, many);
   // Larger groups -> larger intra fanout ln(m)+c1 -> more messages.
   EXPECT_GT(result_few.messages_sent, result_many.messages_sent);
 }
 
 TEST(Hierarchical, StillbornFailuresDegrade) {
-  Scenario scenario;
-  scenario.alive_fraction = 0.4;
-  scenario.seed = 4;
-  const auto result = run_hierarchical(scenario, HierarchicalConfig{});
+  const Chain chain;
+  core::FrozenSimConfig config = chain.publish_at(2, 4);
+  config.alive_fraction = 0.4;
+  const auto result = run_hierarchical(config, HierarchicalConfig{});
   EXPECT_LE(result.delivered_interested, result.interested_alive);
   EXPECT_NEAR(static_cast<double>(result.interested_alive), 444.0, 60.0);
 }
 
 TEST(Hierarchical, GroupCountCappedByPopulation) {
-  Scenario scenario;
-  scenario.group_sizes = {2, 3, 4};  // population 9
-  scenario.publish_level = 2;
-  scenario.seed = 5;
-  HierarchicalConfig config;
-  config.group_count = 100;  // more groups than processes
-  const auto result = run_hierarchical(scenario, config);
+  const Chain chain({2, 3, 4});  // population 9
+  HierarchicalConfig hierarchy;
+  hierarchy.group_count = 100;  // more groups than processes
+  const auto result = run_hierarchical(chain.publish_at(2, 5), hierarchy);
   EXPECT_GT(result.delivered_interested, 0u);
 }
 
-TEST(Hierarchical, MemoryFormula) {
-  EXPECT_NEAR(hierarchical_memory_per_process(16, 70, 5.0, 5.0),
-              std::log(70.0) + 5.0 + std::log(16.0) + 5.0, 1e-12);
-  // Degenerate single group: ln terms vanish gracefully.
-  EXPECT_DOUBLE_EQ(hierarchical_memory_per_process(1, 1, 2.0, 3.0), 5.0);
-}
+TEST(Hierarchical, RejectsBadConfigs) {
+  const Chain chain;
+  core::FrozenSimConfig bad_topic = chain.publish_at(2, 1);
+  bad_topic.publish_topic = topics::DagTopicId{7};
+  EXPECT_THROW((void)run_hierarchical(bad_topic, HierarchicalConfig{}),
+               std::invalid_argument);
 
-TEST(Hierarchical, RejectsBadPublishLevel) {
-  Scenario scenario;
-  scenario.publish_level = 7;
-  EXPECT_THROW((void)run_hierarchical(scenario, HierarchicalConfig{}),
+  core::FrozenSimConfig churn = chain.publish_at(2, 1);
+  churn.failure_mode = core::FrozenFailureMode::kChurn;
+  EXPECT_THROW((void)run_hierarchical(churn, HierarchicalConfig{}),
                std::invalid_argument);
 }
 
 TEST(Hierarchical, DeterministicForSeed) {
-  Scenario scenario;
-  scenario.seed = 99;
-  const auto a = run_hierarchical(scenario, HierarchicalConfig{});
-  const auto b = run_hierarchical(scenario, HierarchicalConfig{});
+  const Chain chain;
+  const core::FrozenSimConfig config = chain.publish_at(2, 99);
+  const auto a = run_hierarchical(config, HierarchicalConfig{});
+  const auto b = run_hierarchical(config, HierarchicalConfig{});
   EXPECT_EQ(a.messages_sent, b.messages_sent);
   EXPECT_EQ(a.delivered_interested, b.delivered_interested);
 }

@@ -1,7 +1,13 @@
-#include "core/dag_sim.hpp"
+// run_frozen_simulation on a diamond DAG (the conclusion's
+// multiple-inheritance extension): B ⊂ M1, B ⊂ M2, M1 ⊂ A, M2 ⊂ A.
+#include "core/frozen_sim.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "analysis/formulas.hpp"
+#include "frozen_chain.hpp"
 #include "util/stats.hpp"
 
 namespace dam::core {
@@ -9,10 +15,12 @@ namespace {
 
 using topics::DagTopicId;
 using topics::TopicDag;
+using dam::testing::Chain;
 
 struct Diamond {
   TopicDag dag;
   DagTopicId a, m1, m2, b;
+  FrozenSimConfig cell;  ///< publishing in B, default params
 
   Diamond() {
     a = dag.add_topic("A");
@@ -23,36 +31,39 @@ struct Diamond {
     dag.add_super(m2, a);
     dag.add_super(b, m1);
     dag.add_super(b, m2);
+    cell.dag = &dag;
+    cell.group_sizes = {10, 40, 40, 200};  // a, m1, m2, b
+    cell.publish_topic = b;
   }
+  // `cell` points at `dag`: a copy would point at the original's DAG.
+  Diamond(const Diamond&) = delete;
+  Diamond& operator=(const Diamond&) = delete;
 
-  DagSimConfig config(std::uint64_t seed) const {
-    DagSimConfig cfg;
-    cfg.dag = &dag;
-    cfg.group_sizes = {10, 40, 40, 200};  // a, m1, m2, b
-    cfg.publish_topic = b;
-    cfg.seed = seed;
-    return cfg;
+  [[nodiscard]] FrozenSimConfig config(std::uint64_t seed) const {
+    FrozenSimConfig config = cell;
+    config.seed = seed;
+    return config;
   }
 };
 
-TEST(DagSim, HealthyDiamondDeliversToAllAncestors) {
+TEST(FrozenSimDag, HealthyDiamondDeliversToAllAncestors) {
   Diamond d;
   auto config = d.config(1);
-  config.params.psucc = 1.0;
-  const auto result = run_dag_simulation(config);
+  config.params.front().psucc = 1.0;
+  const auto result = run_frozen_simulation(config);
   EXPECT_EQ(result.groups[d.b.value].delivered, 200u);
   EXPECT_GT(result.groups[d.m1.value].delivered, 0u);
   EXPECT_GT(result.groups[d.m2.value].delivered, 0u);
   EXPECT_GT(result.groups[d.a.value].delivered, 0u);
 }
 
-TEST(DagSim, EventNeverFlowsDownOrSideways) {
+TEST(FrozenSimDag, EventNeverFlowsDownOrSideways) {
   // Publish in M1: B (subtopic) and M2 (sibling) must stay clean.
   Diamond d;
   auto config = d.config(2);
   config.publish_topic = d.m1;
-  config.params.psucc = 1.0;
-  const auto result = run_dag_simulation(config);
+  config.params.front().psucc = 1.0;
+  const auto result = run_frozen_simulation(config);
   EXPECT_EQ(result.groups[d.b.value].delivered, 0u);
   EXPECT_EQ(result.groups[d.m2.value].delivered, 0u);
   EXPECT_GT(result.groups[d.m1.value].delivered, 0u);
@@ -60,27 +71,27 @@ TEST(DagSim, EventNeverFlowsDownOrSideways) {
   EXPECT_TRUE(result.groups[d.b.value].all_alive_delivered);  // = clean
 }
 
-TEST(DagSim, BothParentLegsCarryTraffic) {
+TEST(FrozenSimDag, BothParentLegsCarryTraffic) {
   // With psel forced to 1, B members send along BOTH supertopic tables.
   Diamond d;
   auto config = d.config(3);
-  config.params.g = 10000.0;  // psel = 1
-  config.params.a = 3.0;      // pa = 1
-  config.params.psucc = 1.0;
-  const auto result = run_dag_simulation(config);
+  config.params.front().g = 10000.0;  // psel = 1
+  config.params.front().a = 3.0;      // pa = 1
+  config.params.front().psucc = 1.0;
+  const auto result = run_frozen_simulation(config);
   EXPECT_GT(result.groups[d.m1.value].inter_received, 0u);
   EXPECT_GT(result.groups[d.m2.value].inter_received, 0u);
 }
 
-TEST(DagSim, DuplicatesSuppressedAtTheJoin) {
+TEST(FrozenSimDag, DuplicatesSuppressedAtTheJoin) {
   // The top group receives the event along two paths; each process must
   // still deliver exactly once (delivered <= alive).
   Diamond d;
   auto config = d.config(4);
-  config.params.g = 10000.0;
-  config.params.a = 3.0;
-  config.params.psucc = 1.0;
-  const auto result = run_dag_simulation(config);
+  config.params.front().g = 10000.0;
+  config.params.front().a = 3.0;
+  config.params.front().psucc = 1.0;
+  const auto result = run_frozen_simulation(config);
   EXPECT_LE(result.groups[d.a.value].delivered,
             result.groups[d.a.value].alive);
   // Redundant arrivals exist and were counted as duplicates, not
@@ -91,17 +102,11 @@ TEST(DagSim, DuplicatesSuppressedAtTheJoin) {
             0u);
 }
 
-TEST(DagSim, DiamondBeatsSingleParentPathReliability) {
+TEST(FrozenSimDag, DiamondBeatsSingleParentPathReliability) {
   // At low psucc, two independent upward paths reach the top more often
   // than one. Compare the diamond against a chain with ONE mid group of
   // the same total mid population.
-  TopicDag chain;
-  const auto ca = chain.add_topic("A");
-  const auto cm = chain.add_topic("M");
-  const auto cb = chain.add_topic("B");
-  chain.add_super(cm, ca);
-  chain.add_super(cb, cm);
-
+  const Chain chain({10, 80, 200});
   Diamond d;
   constexpr int kRuns = 200;
   util::Proportion chain_top;
@@ -111,86 +116,87 @@ TEST(DagSim, DiamondBeatsSingleParentPathReliability) {
     params.psucc = 0.35;
     params.g = 2.0;
 
-    DagSimConfig chain_config;
-    chain_config.dag = &chain;
-    chain_config.group_sizes = {10, 80, 200};
-    chain_config.publish_topic = cb;
-    chain_config.params = params;
-    chain_config.seed = 9000 + static_cast<std::uint64_t>(run);
-    chain_top.add(
-        run_dag_simulation(chain_config).groups[ca.value].delivered > 0);
+    FrozenSimConfig chain_config =
+        chain.config(9000 + static_cast<std::uint64_t>(run));
+    chain_config.params = {params};
+    chain_top.add(run_frozen_simulation(chain_config).groups[0].delivered > 0);
 
     auto diamond_config = d.config(9000 + static_cast<std::uint64_t>(run));
-    diamond_config.params = params;
-    diamond_config.group_sizes = {10, 40, 40, 200};
+    diamond_config.params = {params};
     diamond_top.add(
-        run_dag_simulation(diamond_config).groups[d.a.value].delivered > 0);
+        run_frozen_simulation(diamond_config).groups[d.a.value].delivered > 0);
   }
   EXPECT_GT(diamond_top.estimate(), chain_top.estimate());
 }
 
-TEST(DagSim, MemoryFormulaCountsOneTablePerParent) {
+TEST(FrozenSimDag, MemoryFormulaCountsOneTablePerParent) {
+  // Sec. VI-C's ln(S) + c + z, with one z-table per direct supertopic.
   Diamond d;
-  TopicParams params;
-  const double b_memory =
-      DagRunResult::memory_per_process(d.dag, d.b, params, 200);
-  const double m1_memory =
-      DagRunResult::memory_per_process(d.dag, d.m1, params, 40);
+  const TopicParams params;
+  const auto memory = [&](DagTopicId topic, std::size_t size) {
+    return analysis::dam_memory(size, params.c,
+                                params.z * d.dag.supers(topic).size());
+  };
   // B has two parents -> 2z; M1 has one -> z.
-  EXPECT_NEAR(b_memory - (std::log(200.0) + params.c), 6.0, 1e-9);
-  EXPECT_NEAR(m1_memory - (std::log(40.0) + params.c), 3.0, 1e-9);
+  EXPECT_NEAR(memory(d.b, 200) - (std::log(200.0) + params.c), 6.0, 1e-9);
+  EXPECT_NEAR(memory(d.m1, 40) - (std::log(40.0) + params.c), 3.0, 1e-9);
   // Root: no supertopic tables at all.
-  EXPECT_NEAR(DagRunResult::memory_per_process(d.dag, d.a, params, 10),
-              std::log(10.0) + params.c, 1e-9);
+  EXPECT_NEAR(memory(d.a, 10), std::log(10.0) + params.c, 1e-9);
 }
 
-TEST(DagSim, SingleTopicDegenerate) {
+TEST(FrozenSimDag, SingleTopicDegenerate) {
   TopicDag dag;
   const auto only = dag.add_topic("only");
-  DagSimConfig config;
+  FrozenSimConfig config;
   config.dag = &dag;
   config.group_sizes = {300};
   config.publish_topic = only;
-  config.params.psucc = 1.0;
+  config.params.front().psucc = 1.0;
   config.seed = 5;
-  const auto result = run_dag_simulation(config);
+  const auto result = run_frozen_simulation(config);
   EXPECT_EQ(result.groups[0].delivered, 300u);
   EXPECT_EQ(result.groups[0].inter_sent, 0u);
 }
 
-TEST(DagSim, RejectsBadConfigs) {
+TEST(FrozenSimDag, RejectsBadConfigs) {
   Diamond d;
-  DagSimConfig no_dag;
-  EXPECT_THROW(run_dag_simulation(no_dag), std::invalid_argument);
+  FrozenSimConfig no_dag;
+  EXPECT_THROW((void)run_frozen_simulation(no_dag), std::invalid_argument);
 
   auto wrong_sizes = d.config(1);
   wrong_sizes.group_sizes = {10, 10};
-  EXPECT_THROW(run_dag_simulation(wrong_sizes), std::invalid_argument);
+  EXPECT_THROW((void)run_frozen_simulation(wrong_sizes),
+               std::invalid_argument);
+
+  auto no_sizes = d.config(1);
+  no_sizes.group_sizes = {};
+  EXPECT_THROW((void)run_frozen_simulation(no_sizes), std::invalid_argument);
 
   auto empty_group = d.config(1);
   empty_group.group_sizes = {10, 0, 40, 200};
-  EXPECT_THROW(run_dag_simulation(empty_group), std::invalid_argument);
+  EXPECT_THROW((void)run_frozen_simulation(empty_group),
+               std::invalid_argument);
 
   auto bad_topic = d.config(1);
   bad_topic.publish_topic = DagTopicId{99};
-  EXPECT_THROW(run_dag_simulation(bad_topic), std::invalid_argument);
+  EXPECT_THROW((void)run_frozen_simulation(bad_topic), std::invalid_argument);
 }
 
-TEST(DagSim, DeterministicForSeed) {
+TEST(FrozenSimDag, DeterministicForSeed) {
   Diamond d;
-  const auto x = run_dag_simulation(d.config(42));
-  const auto y = run_dag_simulation(d.config(42));
+  const auto x = run_frozen_simulation(d.config(42));
+  const auto y = run_frozen_simulation(d.config(42));
   EXPECT_EQ(x.total_messages, y.total_messages);
   for (std::size_t i = 0; i < x.groups.size(); ++i) {
     EXPECT_EQ(x.groups[i].delivered, y.groups[i].delivered);
   }
 }
 
-TEST(DagSim, StillbornFailuresApply) {
+TEST(FrozenSimDag, StillbornFailuresApply) {
   Diamond d;
   auto config = d.config(7);
   config.alive_fraction = 0.5;
-  const auto result = run_dag_simulation(config);
+  const auto result = run_frozen_simulation(config);
   EXPECT_NEAR(static_cast<double>(result.groups[d.b.value].alive), 100.0,
               25.0);
   EXPECT_LE(result.groups[d.b.value].delivered,

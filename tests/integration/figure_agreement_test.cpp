@@ -1,14 +1,15 @@
-// Cross-engine agreement: the static paper engine (core/static_sim) and
-// the full message-passing system (core/system) implement the same
+// Cross-engine agreement: the frozen-table paper engine (core/frozen_sim)
+// and the full message-passing system (core/system) implement the same
 // protocol decisions, so their aggregate laws must agree. Also checks the
-// static engine against the paper's closed-form analysis where available.
+// frozen engine against the paper's closed-form analysis where available.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "analysis/formulas.hpp"
-#include "core/static_sim.hpp"
+#include "core/frozen_sim.hpp"
 #include "core/system.hpp"
+#include "frozen_chain.hpp"
 #include "topics/hierarchy.hpp"
 
 namespace dam::core {
@@ -20,18 +21,16 @@ TEST(FigureAgreement, IntergroupMessageLawHoldsInBothEngines) {
   constexpr std::size_t kBottom = 200;
   constexpr int kRuns = 60;
 
-  // --- Static engine ---
-  double static_inter = 0.0;
+  // --- Frozen engine ---
+  const testing::Chain chain({20, kBottom});
+  double frozen_inter = 0.0;
   for (int run = 0; run < kRuns; ++run) {
-    StaticSimConfig config;
-    config.group_sizes = {20, kBottom};
-    config.params = {TopicParams{}};
-    config.params[0].psucc = 1.0;
-    config.seed = 4000 + static_cast<std::uint64_t>(run);
-    static_inter += static_cast<double>(
-        run_static_simulation(config).groups[1].inter_sent);
+    FrozenSimConfig config =
+        chain.publish_at(1, 4000 + static_cast<std::uint64_t>(run), 1.0);
+    frozen_inter += static_cast<double>(
+        run_frozen_simulation(config).groups[1].inter_sent);
   }
-  static_inter /= kRuns;
+  frozen_inter /= kRuns;
 
   // --- Dynamic engine ---
   double dynamic_inter = 0.0;
@@ -54,26 +53,24 @@ TEST(FigureAgreement, IntergroupMessageLawHoldsInBothEngines) {
   dynamic_inter /= kRuns;
 
   const double expected = 5.0;  // g
-  EXPECT_NEAR(static_inter, expected, 1.2);
+  EXPECT_NEAR(frozen_inter, expected, 1.2);
   EXPECT_NEAR(dynamic_inter, expected, 1.2);
-  EXPECT_NEAR(static_inter, dynamic_inter, 1.5);
+  EXPECT_NEAR(frozen_inter, dynamic_inter, 1.5);
 }
 
 TEST(FigureAgreement, IntraMessageCountsAgreeAcrossEngines) {
   constexpr std::size_t kBottom = 300;
   constexpr int kRuns = 25;
 
-  double static_intra = 0.0;
+  const testing::Chain chain({10, kBottom});
+  double frozen_intra = 0.0;
   for (int run = 0; run < kRuns; ++run) {
-    StaticSimConfig config;
-    config.group_sizes = {10, kBottom};
-    config.params = {TopicParams{}};
-    config.params[0].psucc = 1.0;
-    config.seed = 100 + static_cast<std::uint64_t>(run);
-    static_intra += static_cast<double>(
-        run_static_simulation(config).groups[1].intra_sent);
+    FrozenSimConfig config =
+        chain.publish_at(1, 100 + static_cast<std::uint64_t>(run), 1.0);
+    frozen_intra += static_cast<double>(
+        run_frozen_simulation(config).groups[1].intra_sent);
   }
-  static_intra /= kRuns;
+  frozen_intra /= kRuns;
 
   double dynamic_intra = 0.0;
   for (int run = 0; run < kRuns; ++run) {
@@ -98,11 +95,11 @@ TEST(FigureAgreement, IntraMessageCountsAgreeAcrossEngines) {
   const TopicParams params;
   const double predicted =
       static_cast<double>(kBottom) * static_cast<double>(params.fanout(kBottom));
-  EXPECT_NEAR(static_intra, predicted, predicted * 0.15);
+  EXPECT_NEAR(frozen_intra, predicted, predicted * 0.15);
   EXPECT_NEAR(dynamic_intra, predicted, predicted * 0.15);
 }
 
-TEST(FigureAgreement, StaticReliabilityMatchesPitFormula) {
+TEST(FigureAgreement, FrozenReliabilityMatchesPitFormula) {
   // Probability that at least one intergroup message ARRIVES in the
   // supergroup: pit = 1 - (1-psucc)^{nbSusc·pa·z}. The infected fraction
   // pi varies per run (the epidemic sometimes fizzles at psucc=0.3), so we
@@ -112,15 +109,15 @@ TEST(FigureAgreement, StaticReliabilityMatchesPitFormula) {
   params.psucc = 0.3;  // lossy, so pit is visibly below 1
   params.g = 2.0;
   constexpr int kRuns = 600;
+  const testing::Chain chain({30, 200});
   int propagated = 0;
   double predicted_paper_sum = 0.0;
   double predicted_exact_sum = 0.0;
   for (int run = 0; run < kRuns; ++run) {
-    StaticSimConfig config;
-    config.group_sizes = {30, 200};
+    FrozenSimConfig config =
+        chain.config(5000 + static_cast<std::uint64_t>(run));
     config.params = {params};
-    config.seed = 5000 + static_cast<std::uint64_t>(run);
-    const auto result = run_static_simulation(config);
+    const auto result = run_frozen_simulation(config);
     if (result.groups[0].inter_received > 0) ++propagated;
     const double pi_run = result.groups[1].delivery_ratio();
     predicted_paper_sum += analysis::pit(200, params.psel(200), pi_run,
@@ -148,11 +145,10 @@ TEST(FigureAgreement, Figure9ShapeAtLeastOneIntergroupMessageSurvives) {
   // occurs in ~92% of runs (Poisson tail).
   int runs_with_send = 0;
   constexpr int kRuns = 200;
+  const testing::Chain chain;
   for (int run = 0; run < kRuns; ++run) {
-    StaticSimConfig config;  // paper setting
-    config.alive_fraction = 0.55;
-    config.seed = 8000 + static_cast<std::uint64_t>(run);
-    const auto result = run_static_simulation(config);
+    const auto result = run_frozen_simulation(
+        chain.config(8000 + static_cast<std::uint64_t>(run), 0.55));
     if (result.groups[2].inter_sent > 0) ++runs_with_send;
   }
   EXPECT_GT(runs_with_send, kRuns * 3 / 4);

@@ -7,10 +7,10 @@
 
 #include "analysis/formulas.hpp"
 #include "baselines/broadcast.hpp"
-#include "baselines/hierarchical.hpp"
 #include "baselines/multicast.hpp"
-#include "core/static_sim.hpp"
+#include "core/frozen_sim.hpp"
 #include "core/system.hpp"
+#include "frozen_chain.hpp"
 #include "topics/hierarchy.hpp"
 
 namespace dam::core {
@@ -20,15 +20,14 @@ class GroupSizeSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(GroupSizeSweep, IntraMessagesTrackSLnS) {
   const std::size_t S = GetParam();
-  StaticSimConfig config;
-  config.group_sizes = {S};
-  config.seed = S;
+  const testing::Chain group({S});
+  FrozenSimConfig config = group.config(S);
   double measured = 0.0;
   constexpr int kRuns = 10;
   for (int run = 0; run < kRuns; ++run) {
     config.seed = S + static_cast<std::uint64_t>(run) * 1000;
     measured += static_cast<double>(
-        run_static_simulation(config).groups[0].intra_sent);
+        run_frozen_simulation(config).groups[0].intra_sent);
   }
   measured /= kRuns;
   const TopicParams params;
@@ -67,28 +66,20 @@ INSTANTIATE_TEST_SUITE_P(Sizes, GroupSizeSweep,
 TEST(ComplexityComparison, DamBeatsBroadcastOnTotalMessagesForSubtopicEvents) {
   // An event of T0 (10 subscribers) costs daMulticast ~10·8 messages but
   // costs broadcast ~1110·13 messages.
-  baselines::Scenario scenario;
-  scenario.publish_level = 0;
-  scenario.seed = 5;
-  const auto broadcast = baselines::run_broadcast(scenario);
-
-  StaticSimConfig dam_config;
-  dam_config.publish_level = 0;
-  dam_config.seed = 5;
-  const auto dam = run_static_simulation(dam_config);
+  const testing::Chain chain;
+  const FrozenSimConfig config = chain.publish_at(0, 5);
+  const auto broadcast = baselines::run_broadcast(config);
+  const auto dam = run_frozen_simulation(config);
   EXPECT_LT(dam.total_messages * 10, broadcast.messages_sent);
 }
 
 TEST(ComplexityComparison, DamMatchesMulticastOrderForBottomEvents) {
   // Both are O(S_Tmax ln S_Tmax); daMulticast adds only the tiny
   // intergroup traffic. Within a factor of ~1.5 of each other.
-  baselines::Scenario scenario;
-  scenario.seed = 6;
-  const auto multicast = baselines::run_multicast(scenario);
-
-  StaticSimConfig dam_config;
-  dam_config.seed = 6;
-  const auto dam = run_static_simulation(dam_config);
+  const testing::Chain chain;
+  const FrozenSimConfig config = chain.config(6);
+  const auto multicast = baselines::run_multicast(config);
+  const auto dam = run_frozen_simulation(config);
   const double ratio = static_cast<double>(dam.total_messages) /
                        static_cast<double>(multicast.messages_sent);
   EXPECT_GT(ratio, 0.5);
@@ -100,10 +91,10 @@ TEST(ComplexityComparison, MemoryOrderingMatchesPaperTable) {
   // scenario: daM < hierarchical < multicast(b); and daM < broadcast.
   const std::vector<std::size_t> sizes{10, 100, 1000};
   const double dam = analysis::dam_memory(10, 5.0, 3);
-  const double bcast = baselines::broadcast_memory_per_process(1110, 5.0);
-  const double mcast = baselines::multicast_memory_per_process(sizes, 0, 5.0);
+  const double bcast = analysis::broadcast_memory_per_process(1110, 5.0);
+  const double mcast = analysis::multicast_memory_per_process(sizes, 0, 5.0);
   const double hier =
-      baselines::hierarchical_memory_per_process(16, 70, 5.0, 5.0);
+      analysis::hierarchical_memory_per_process(16, 70, 5.0, 5.0);
   EXPECT_LT(dam, bcast);
   EXPECT_LT(dam, mcast);
   EXPECT_LT(dam, hier);
@@ -119,8 +110,8 @@ TEST(ComplexityComparison, DamMemoryIndependentOfHierarchyDepth) {
   // Whereas multicast(b) memory grows with every added level.
   std::vector<std::size_t> shallow{10, 1000};
   std::vector<std::size_t> deep{10, 20, 30, 40, 1000};
-  EXPECT_LT(baselines::multicast_memory_per_process(shallow, 0, 5.0),
-            baselines::multicast_memory_per_process(deep, 0, 5.0));
+  EXPECT_LT(analysis::multicast_memory_per_process(shallow, 0, 5.0),
+            analysis::multicast_memory_per_process(deep, 0, 5.0));
 }
 
 class DepthSweep : public ::testing::TestWithParam<std::size_t> {};
@@ -129,8 +120,8 @@ TEST_P(DepthSweep, TotalMessagesLinearInDepth) {
   // maxNbMsgSent <= t · S_Tmax · ln(S_Tmax) · (1 + c + z): with equal-size
   // groups the measured total grows about linearly in depth t.
   const std::size_t depth = GetParam();
-  StaticSimConfig config;
-  config.group_sizes.assign(depth, 200);
+  const testing::Chain chain(std::vector<std::size_t>(depth, 200));
+  FrozenSimConfig config = chain.config(0);
   // Whether the upper groups are reached makes single runs spread widely
   // (standard deviation ~2,900-3,000 messages at t = 6, measured over
   // 2,000 seeds on two table-sampling streams, mean ~11,900-12,000). The
@@ -140,7 +131,7 @@ TEST_P(DepthSweep, TotalMessagesLinearInDepth) {
   constexpr int kRuns = 128;
   for (int run = 0; run < kRuns; ++run) {
     config.seed = depth * 100 + static_cast<std::uint64_t>(run);
-    total += static_cast<double>(run_static_simulation(config).total_messages);
+    total += static_cast<double>(run_frozen_simulation(config).total_messages);
   }
   total /= kRuns;
   const TopicParams params;

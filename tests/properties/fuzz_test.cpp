@@ -13,10 +13,10 @@
 #include <string_view>
 #include <vector>
 
-#include "core/dag_sim.hpp"
-#include "core/static_sim.hpp"
+#include "core/frozen_sim.hpp"
 #include "core/system.hpp"
 #include "exp/grid.hpp"
+#include "frozen_chain.hpp"
 #include "net/message.hpp"
 #include "net/transport.hpp"
 #include "sim/scenario.hpp"
@@ -290,17 +290,17 @@ TEST(RandomTopologyCoverage, EveryEventCoversItsInterestedSetOnMostTrees) {
   EXPECT_GE(covered, 527) << covered << " of 600 seeds";
 }
 
-class RandomStaticConfigFuzz
-    : public ::testing::TestWithParam<std::uint64_t> {};
+class RandomChainFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(RandomStaticConfigFuzz, StaticEngineAccountingAlwaysConsistent) {
+TEST_P(RandomChainFuzz, ChainAccountingAlwaysConsistent) {
   util::Rng rng(GetParam() * 977);
-  core::StaticSimConfig config;
   const std::size_t levels = 1 + rng.below(5);
-  config.group_sizes.clear();
+  std::vector<std::size_t> sizes;
   for (std::size_t i = 0; i < levels; ++i) {
-    config.group_sizes.push_back(1 + rng.below(200));
+    sizes.push_back(1 + rng.below(200));
   }
+  const testing::Chain chain(std::move(sizes));
+  core::FrozenSimConfig config = chain.config(GetParam());
   core::TopicParams params;
   params.c = static_cast<double>(rng.below(8));
   params.g = 1.0 + static_cast<double>(rng.below(10));
@@ -310,10 +310,11 @@ TEST_P(RandomStaticConfigFuzz, StaticEngineAccountingAlwaysConsistent) {
   params.tau = rng.below(params.z + 1);
   config.params = {params};
   config.alive_fraction = rng.uniform01();
-  config.publish_level = rng.below(levels);
-  config.seed = GetParam();
+  const std::size_t publish_level = rng.below(levels);
+  config.publish_topic =
+      topics::DagTopicId{static_cast<std::uint32_t>(publish_level)};
 
-  const auto result = core::run_static_simulation(config);
+  const auto result = core::run_frozen_simulation(config);
 
   std::uint64_t recomputed_total = 0;
   for (std::size_t level = 0; level < levels; ++level) {
@@ -331,7 +332,7 @@ TEST_P(RandomStaticConfigFuzz, StaticEngineAccountingAlwaysConsistent) {
       EXPECT_LE(*group.first_delivery_round, *group.last_delivery_round);
     }
     // Levels below the publish level never see traffic.
-    if (level > *config.publish_level) {
+    if (level > publish_level) {
       EXPECT_EQ(group.delivered, 0u);
       EXPECT_EQ(group.intra_sent, 0u);
     }
@@ -341,7 +342,7 @@ TEST_P(RandomStaticConfigFuzz, StaticEngineAccountingAlwaysConsistent) {
   EXPECT_EQ(result.groups[0].inter_sent, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RandomStaticConfigFuzz,
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomChainFuzz,
                          ::testing::Range<std::uint64_t>(1, 26));
 
 class RandomDagFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -365,17 +366,17 @@ TEST_P(RandomDagFuzz, DagEngineInvariantsOnRandomDags) {
     }
   }
 
-  core::DagSimConfig config;
+  core::FrozenSimConfig config;
   config.dag = &dag;
   for (std::size_t i = 0; i < topic_count; ++i) {
     config.group_sizes.push_back(2 + rng.below(60));
   }
-  config.params.psucc = 0.5 + 0.5 * rng.uniform01();
+  config.params.front().psucc = 0.5 + 0.5 * rng.uniform01();
   config.alive_fraction = 0.5 + 0.5 * rng.uniform01();
   config.publish_topic = ids[rng.below(ids.size())];
   config.seed = GetParam();
 
-  const auto result = core::run_dag_simulation(config);
+  const auto result = core::run_frozen_simulation(config);
 
   std::uint64_t recomputed_total = 0;
   for (std::size_t i = 0; i < topic_count; ++i) {

@@ -1,26 +1,37 @@
-// Property sweeps over the reliability knobs (c, g, a, z) using the static
-// paper engine — checks the *monotonicity* claims of Sec. VI-D and the
-// agreement between measurement and Eq. (1).
+// Property sweeps over the reliability knobs (c, g, a, z) using the
+// frozen-table paper engine — checks the *monotonicity* claims of Sec. VI-D
+// and the agreement between measurement and Eq. (1).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "analysis/formulas.hpp"
-#include "core/static_sim.hpp"
+#include "core/frozen_sim.hpp"
+#include "frozen_chain.hpp"
 
 namespace dam::core {
 namespace {
+
+/// One publication in the bottom group of a linear chain with `sizes`
+/// (index 0 = root), every level running `params`.
+FrozenRunResult run_chain(std::vector<std::size_t> sizes, TopicParams params,
+                          double alive_fraction, std::uint64_t seed) {
+  const testing::Chain chain(std::move(sizes));
+  FrozenSimConfig config = chain.config(seed, alive_fraction);
+  config.params = {params};
+  return run_frozen_simulation(config);
+}
 
 double measured_root_reliability(TopicParams params, double alive_fraction,
                                  int runs, std::uint64_t seed_base) {
   // Fraction of runs in which ALL alive root-group members delivered.
   int successes = 0;
   for (int run = 0; run < runs; ++run) {
-    StaticSimConfig config;
-    config.params = {params};
-    config.alive_fraction = alive_fraction;
-    config.seed = seed_base + static_cast<std::uint64_t>(run);
-    const auto result = run_static_simulation(config);
+    const auto result =
+        run_chain({10, 100, 1000}, params, alive_fraction,
+                  seed_base + static_cast<std::uint64_t>(run));
     if (result.groups[0].all_alive_delivered) ++successes;
   }
   return static_cast<double>(successes) / runs;
@@ -40,14 +51,11 @@ TEST_P(FanoutSweep, BottomGroupDeliveryGrowsWithC) {
   double high_sum = 0.0;
   constexpr int kRuns = 40;
   for (int run = 0; run < kRuns; ++run) {
-    StaticSimConfig config;
-    config.group_sizes = {10, 100, 400};
-    config.alive_fraction = 0.75;
-    config.seed = 100 + static_cast<std::uint64_t>(run);
-    config.params = {low};
-    low_sum += run_static_simulation(config).groups[2].delivery_ratio();
-    config.params = {high};
-    high_sum += run_static_simulation(config).groups[2].delivery_ratio();
+    const std::uint64_t seed = 100 + static_cast<std::uint64_t>(run);
+    low_sum +=
+        run_chain({10, 100, 400}, low, 0.75, seed).groups[2].delivery_ratio();
+    high_sum +=
+        run_chain({10, 100, 400}, high, 0.75, seed).groups[2].delivery_ratio();
   }
   EXPECT_GE(high_sum, low_sum - 0.01 * kRuns);
   EXPECT_GT(high_sum / kRuns, 0.5);
@@ -69,11 +77,11 @@ TEST_P(IntergroupKnobSweep, LargerGMeansMoreIntergroupMessages) {
   double inter = 0.0;
   constexpr int kRuns = 120;
   for (int run = 0; run < kRuns; ++run) {
-    StaticSimConfig config;
-    config.params = {params};
-    config.seed = 300 + static_cast<std::uint64_t>(run);
     inter += static_cast<double>(
-        run_static_simulation(config).groups[2].inter_sent);
+        run_chain({10, 100, 1000}, params, 1.0,
+                  300 + static_cast<std::uint64_t>(run))
+            .groups[2]
+            .inter_sent);
   }
   inter /= kRuns;
   // Analysis: E[inter_sent] = S·psel·pa·z = g (since pa·z = a = 1).
@@ -98,11 +106,10 @@ TEST(ReliabilityTradeoff, LargerAImprovesHopSurvival) {
     double sum = 0.0;
     constexpr int kRuns = 150;
     for (int run = 0; run < kRuns; ++run) {
-      StaticSimConfig config;
-      config.group_sizes = {10, 100, 300};
-      config.params = {params};
-      config.seed = 500 + static_cast<std::uint64_t>(run);
-      sum += run_static_simulation(config).groups[0].delivery_ratio();
+      sum += run_chain({10, 100, 300}, params, 1.0,
+                       500 + static_cast<std::uint64_t>(run))
+                 .groups[0]
+                 .delivery_ratio();
     }
     return sum / kRuns;
   };
@@ -150,10 +157,8 @@ TEST(ReliabilityTradeoff, ReliabilityDropsAcrossLevels) {
   double t0 = 0.0;
   constexpr int kRuns = 100;
   for (int run = 0; run < kRuns; ++run) {
-    StaticSimConfig config;
-    config.alive_fraction = 0.55;
-    config.seed = 1300 + static_cast<std::uint64_t>(run);
-    const auto result = run_static_simulation(config);
+    const auto result = run_chain({10, 100, 1000}, TopicParams{}, 0.55,
+                                  1300 + static_cast<std::uint64_t>(run));
     t2 += result.groups[2].delivery_ratio();
     t1 += result.groups[1].delivery_ratio();
     t0 += result.groups[0].delivery_ratio();
