@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     std::cout << "--- " << scenario->name << " ---\n";
     bench::run_scenario_bench(*scenario, csv);
     const auto dag = scenario->build_dag();
-    const topics::DagTopicId bottom{scenario->publish_topic};
+    const topics::TopicId bottom{scenario->publish_topic};
     const core::TopicParams& params = scenario->params.front();
     // One z-table per direct supertopic.
     std::cout << "B-member memory (entries): "

@@ -11,7 +11,7 @@
 #include "baselines/hierarchical.hpp"
 #include "bench_common.hpp"
 #include "core/system.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
 
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   const baselines::HierarchicalConfig hier_config;
 
   // Measured footprints from a real run.
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
   const auto levels = topics::make_linear_hierarchy(hierarchy, 2);
   core::DamSystem::Config config;
   config.seed = 42;

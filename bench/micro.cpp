@@ -7,7 +7,7 @@
 #include "membership/view.hpp"
 #include "net/message.hpp"
 #include "sim/scenario.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -62,8 +62,8 @@ void BM_PartialViewInsert(benchmark::State& state) {
 BENCHMARK(BM_PartialViewInsert);
 
 void BM_HierarchyIncludes(benchmark::State& state) {
-  topics::TopicHierarchy hierarchy;
-  const auto deep = hierarchy.add(".a.b.c.d.e.f");
+  topics::TopicDag hierarchy;
+  const auto deep = topics::intern_path(hierarchy, ".a.b.c.d.e.f");
   const auto a = *hierarchy.find(".a");
   for (auto _ : state) {
     benchmark::DoNotOptimize(hierarchy.includes(a, deep));

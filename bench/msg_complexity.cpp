@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
       // One cell for daMulticast and every baseline.
       core::FrozenSimConfig config = chain.config_for(dag, 1.0, run);
       config.publish_topic =
-          topics::DagTopicId{static_cast<std::uint32_t>(level)};
+          topics::TopicId{static_cast<std::uint32_t>(level)};
       config.seed = 0xA1 + static_cast<std::uint64_t>(run) * 131 + level;
       dam.add(static_cast<double>(
           core::run_frozen_simulation(config).total_messages));

@@ -11,16 +11,16 @@
 #include <memory>
 
 #include "core/system.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 #include "util/csv.hpp"
 
 int main() {
   using namespace dam;
 
-  topics::TopicHierarchy hierarchy;
-  const auto news = hierarchy.add(".news");
-  const auto world = hierarchy.add(".news.world");
-  const auto europe = hierarchy.add(".news.world.europe");
+  topics::TopicDag hierarchy;
+  const auto news = topics::intern_path(hierarchy, ".news");
+  const auto world = topics::intern_path(hierarchy, ".news.world");
+  const auto europe = topics::intern_path(hierarchy, ".news.world.europe");
 
   core::DamSystem::Config config;
   config.seed = 11;

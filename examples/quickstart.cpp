@@ -9,16 +9,17 @@
 #include <iostream>
 
 #include "core/system.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 
 int main() {
   using namespace dam;
 
   // 1. Topic hierarchy: ".conf" ⊃ ".conf.dsn04" ⊃ ".conf.dsn04.reviewers".
-  topics::TopicHierarchy hierarchy;
-  const auto conf = hierarchy.add(".conf");
-  const auto dsn04 = hierarchy.add(".conf.dsn04");
-  const auto reviewers = hierarchy.add(".conf.dsn04.reviewers");
+  topics::TopicDag hierarchy;
+  const auto conf = topics::intern_path(hierarchy, ".conf");
+  const auto dsn04 = topics::intern_path(hierarchy, ".conf.dsn04");
+  const auto reviewers =
+      topics::intern_path(hierarchy, ".conf.dsn04.reviewers");
 
   // 2. A system hosting the processes. auto_wire_super_tables short-cuts
   //    the bootstrap (Fig. 4 lines 5-8: contacts provided out of band);

@@ -12,18 +12,18 @@
 #include <vector>
 
 #include "core/system.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 #include "util/csv.hpp"
 
 int main() {
   using namespace dam;
 
-  topics::TopicHierarchy hierarchy;
-  const auto market = hierarchy.add(".market");
-  const auto stocks = hierarchy.add(".market.stocks");
-  const auto tech = hierarchy.add(".market.stocks.tech");
-  const auto energy = hierarchy.add(".market.stocks.energy");
-  const auto bonds = hierarchy.add(".market.bonds");
+  topics::TopicDag hierarchy;
+  const auto market = topics::intern_path(hierarchy, ".market");
+  const auto stocks = topics::intern_path(hierarchy, ".market.stocks");
+  const auto tech = topics::intern_path(hierarchy, ".market.stocks.tech");
+  const auto energy = topics::intern_path(hierarchy, ".market.stocks.energy");
+  const auto bonds = topics::intern_path(hierarchy, ".market.bonds");
 
   core::DamSystem::Config config;
   config.seed = 7;

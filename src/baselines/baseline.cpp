@@ -23,7 +23,7 @@ Population lay_out(const core::FrozenSimConfig& config, const char* who) {
     const std::size_t size = config.group_sizes[topic];
     if (size == 0) fail("empty group");
     const bool interested =
-        dag.includes(topics::DagTopicId{topic}, config.publish_topic);
+        dag.includes(topics::TopicId{topic}, config.publish_topic);
     for (std::size_t i = 0; i < size; ++i) {
       if (topic == config.publish_topic.value) {
         population.publishers.push_back(

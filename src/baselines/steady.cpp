@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -43,28 +42,6 @@ struct Hop {
                         ///< 2 cross to the parent group's root
 };
 
-/// Same homogeneity rule as the dynamic driver: the baselines apply one
-/// TopicParams set (psucc, c) globally, so heterogeneous per-topic params
-/// would be silently flattened — fail loudly instead.
-const core::TopicParams& homogeneous_params(const sim::Scenario& scenario) {
-  static const core::TopicParams kDefaults{};
-  if (scenario.params.empty()) return kDefaults;
-  const core::TopicParams& first = scenario.params.front();
-  for (const core::TopicParams& entry : scenario.params) {
-    const bool same = entry.b == first.b && entry.c == first.c &&
-                      entry.g == first.g && entry.a == first.a &&
-                      entry.z == first.z && entry.tau == first.tau &&
-                      entry.psucc == first.psucc;
-    if (!same) {
-      throw std::invalid_argument(
-          "run_steady_baseline: the baseline engines apply one TopicParams "
-          "set to every process; scenario '" +
-          scenario.name + "' has heterogeneous per-topic params");
-    }
-  }
-  return first;
-}
-
 }  // namespace
 
 workload::DynamicRunResult run_steady_baseline(const sim::Scenario& scenario,
@@ -87,38 +64,21 @@ workload::DynamicRunResult run_steady_baseline(const sim::Scenario& scenario,
   }
 
   // Tree topology only — the steady baselines exist to rival the dynamic
-  // engine, which binds trees (bind_scenario has the same restriction).
-  std::vector<std::optional<std::uint32_t>> parent(topic_count);
-  for (const auto& [child, topic_parent] : scenario.super_edges) {
-    if (child >= topic_count || topic_parent >= topic_count) {
-      throw std::invalid_argument(
-          "run_steady_baseline: edge references unknown topic");
-    }
-    if (parent[child].has_value()) {
-      throw std::invalid_argument(
-          "run_steady_baseline: topic '" + scenario.topic_names[child] +
-          "' has multiple parents; the baseline engines need a tree");
-    }
-    parent[child] = topic_parent;
-  }
+  // engine, which runs trees (the same shared check).
+  const topics::TopicDag dag = scenario.build_dag();
+  topics::require_tree(dag, "run_steady_baseline");
   // interest[g * topic_count + t] != 0 iff group g delivers publications on
   // topic t — g is an ancestor-or-self of t (hierarchy containment).
   std::vector<char> interest(topic_count * topic_count, 0);
-  for (std::uint32_t topic = 0; topic < topic_count; ++topic) {
-    std::uint32_t cursor = topic;
-    std::size_t steps = 0;
-    for (;;) {
-      interest[std::size_t{cursor} * topic_count + topic] = 1;
-      if (!parent[cursor].has_value()) break;
-      cursor = *parent[cursor];
-      if (++steps > topic_count) {
-        throw std::invalid_argument(
-            "run_steady_baseline: topology has a cycle");
-      }
+  for (std::uint32_t g = 0; g < topic_count; ++g) {
+    for (std::uint32_t topic = 0; topic < topic_count; ++topic) {
+      interest[std::size_t{g} * topic_count + topic] =
+          dag.includes(topics::TopicId{g}, topics::TopicId{topic});
     }
   }
 
-  const core::TopicParams& params = homogeneous_params(scenario);
+  const core::TopicParams& params =
+      sim::homogeneous_params(scenario, "run_steady_baseline");
   const double psucc = params.psucc;
   const workload::WorkloadConfig& wl = scenario.workload;
   const std::size_t gc_horizon = wl.engine.gc_horizon;
@@ -315,9 +275,11 @@ workload::DynamicRunResult run_steady_baseline(const sim::Scenario& scenario,
   auto root_actions = [&](std::uint32_t event, std::uint32_t root,
                           std::size_t round) {
     down_spread(event, root, round);
-    const std::uint32_t group = topic_of[root];
-    if (parent[group].has_value() && !members[*parent[group]].empty()) {
-      send(event, root, members[*parent[group]][0], 2, true, round);
+    const topics::TopicId group{topic_of[root]};
+    if (dag.is_root(group)) return;
+    const auto& parent_members = members[dag.super(group).value];
+    if (!parent_members.empty()) {
+      send(event, root, parent_members[0], 2, true, round);
     }
   };
   auto on_tree_hop = [&](const Hop& hop, std::size_t round) {

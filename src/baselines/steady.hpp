@@ -14,12 +14,13 @@
 //
 //   * kBaselineTree — Scribe-style dissemination trees: each group is a
 //     k-ary tree over its members (join order = heap slot), group roots
-//     chain along the scenario hierarchy. A publication routes up the
-//     publisher's tree to its group root, spreads down that tree, and
-//     hops root-to-root toward ancestor groups. Deterministic single-path
-//     routing: no redundancy, so one dead interior node or one lost link
-//     (psucc) silently prunes a whole subtree — the fragility the
-//     epidemic protocol pays extra messages to avoid. Control traffic is
+//     chain along the scenario's TopicDag, which must be a tree. A
+//     publication routes up the publisher's tree to its group root,
+//     spreads down that tree, and hops root-to-root toward ancestor
+//     groups. Deterministic single-path routing: no redundancy, so one
+//     dead interior node or one lost link (psucc) silently prunes a whole
+//     subtree — the fragility the epidemic protocol pays extra messages
+//     to avoid. Control traffic is
 //     one heartbeat per tree edge per maintenance period; per-process
 //     bookkeeping is none (routing is stateless).
 //
@@ -47,7 +48,8 @@ namespace dam::baselines {
 
 /// Executes one steady-baseline run; `scenario.engine` must be
 /// kBaselineTree or kBaselineGossip (throws std::invalid_argument
-/// otherwise, or when the topology is not a tree). Honors the scenario's
+/// otherwise, or when topics::require_tree rejects the topology — the
+/// dynamic engine's check). Honors the scenario's
 /// workload config including churn, joins, and the sustained-service GC
 /// knob (EngineConfig::gc_horizon > 0 retires harvested publications in
 /// both engines).

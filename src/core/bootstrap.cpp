@@ -5,7 +5,7 @@
 namespace dam::core {
 
 BootstrapTask::BootstrapTask(ProcessId self, TopicId topic,
-                             const topics::TopicHierarchy* hierarchy,
+                             const topics::TopicDag* hierarchy,
                              Config config)
     : self_(self), topic_(topic), hierarchy_(hierarchy), config_(config) {}
 

@@ -21,7 +21,7 @@
 
 #include "net/message.hpp"
 #include "sim/clock.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 
 namespace dam::core {
 
@@ -39,7 +39,7 @@ class BootstrapTask {
   using SendFn = std::function<void(Message&&)>;
 
   BootstrapTask(ProcessId self, TopicId topic,
-                const topics::TopicHierarchy* hierarchy, Config config);
+                const topics::TopicDag* hierarchy, Config config);
 
   /// Begins (or restarts) the search. No-op for root-topic processes (they
   /// have no supertopic). Emits the initial REQCONTACT flood.
@@ -76,7 +76,7 @@ class BootstrapTask {
 
   ProcessId self_;
   TopicId topic_;
-  const topics::TopicHierarchy* hierarchy_;
+  const topics::TopicDag* hierarchy_;
   Config config_;
 
   bool active_ = false;

@@ -78,7 +78,7 @@ FrozenTables build_frozen_tables(const FrozenSimConfig& config,
     GroupTables& group = tables.groups[topic];
     group.size = config.group_sizes[topic];
     const TopicParams& params = params_for_topic(config, topic);
-    const auto& parents = dag.supers(topics::DagTopicId{topic});
+    const auto& parents = dag.supers(topics::TopicId{topic});
     group.parent_count = parents.size();
     group.alive.assign(group.size, true);
 
@@ -123,7 +123,7 @@ FrozenTables build_frozen_tables(const FrozenSimConfig& config,
     const auto [topic, chunk] = chunks[task];
     GroupTables& group = tables.groups[topic];
     const TopicParams& params = params_for_topic(config, topic);
-    const auto& parents = dag.supers(topics::DagTopicId{topic});
+    const auto& parents = dag.supers(topics::TopicId{topic});
     const util::Rng group_base = rng.fork(kGroupSalt + topic);
     const std::size_t lo = chunk * kRowChunk;
     const std::size_t hi = std::min(group.size, lo + kRowChunk);
@@ -349,7 +349,7 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
         const Coord coord = frontier[f];
         const GroupTables& group = groups[coord.topic];
         const TopicParams& params = params_for_topic(config, coord.topic);
-        const auto& parents = dag.supers(topics::DagTopicId{coord.topic});
+        const auto& parents = dag.supers(topics::TopicId{coord.topic});
         // (1) Intergroup legs (Fig. 7 lines 3–7): one independent election
         // per direct supertopic, then pa per table entry. Roots have no
         // parents and skip this.
@@ -416,7 +416,7 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
     // the publish topic and its ancestor closure. Other groups are correct
     // exactly when they stayed clean.
     const bool should_receive =
-        dag.includes(topics::DagTopicId{topic}, config.publish_topic);
+        dag.includes(topics::TopicId{topic}, config.publish_topic);
     group_result.all_alive_delivered =
         should_receive ? count == group_result.alive : count == 0;
     if (should_receive) result.expected_deliveries += group_result.alive;

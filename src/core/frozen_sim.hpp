@@ -61,20 +61,20 @@ struct FrozenChurnConfig {
 struct FrozenSimConfig {
   const topics::TopicDag* dag = nullptr;
 
-  /// Subscribers per topic, indexed by DagTopicId::value. Every topic must
+  /// Subscribers per topic, indexed by TopicId::value. Every topic must
   /// have at least one subscriber (as in the paper's analysis, Sec. VI-A).
   std::vector<std::size_t> group_sizes;
 
-  /// Per-topic parameters, indexed by DagTopicId::value; if shorter than
+  /// Per-topic parameters, indexed by TopicId::value; if shorter than
   /// group_sizes the last entry (or defaults) is reused. Paper uses one
   /// setting for all groups.
-  std::vector<TopicParams> params{TopicParams{}};
+  std::vector<TopicParams> params = std::vector<TopicParams>(1);
 
   double alive_fraction = 1.0;
   FrozenFailureMode failure_mode = FrozenFailureMode::kStillborn;
   FrozenChurnConfig churn;  ///< only read when failure_mode == kChurn
 
-  topics::DagTopicId publish_topic{};
+  topics::TopicId publish_topic{};
   std::uint64_t seed = 1;
 
   /// Workers that fill table-row and wave-frontier chunks (0 = hardware
@@ -88,7 +88,7 @@ struct FrozenSimConfig {
 // keeps the frozen-lane aggregates over it. Slots of super_row align with
 // TopicDag::supers().
 
-/// The frozen tables of every group, indexed by DagTopicId::value.
+/// The frozen tables of every group, indexed by TopicId::value.
 struct FrozenTables {
   std::vector<GroupTables> groups;
 
@@ -134,7 +134,7 @@ struct FrozenGroupResult {
 };
 
 struct FrozenRunResult {
-  std::vector<FrozenGroupResult> groups;  ///< indexed by DagTopicId::value
+  std::vector<FrozenGroupResult> groups;  ///< indexed by TopicId::value
   std::size_t rounds = 0;                 ///< rounds until quiescence
   std::uint64_t total_messages = 0;
 

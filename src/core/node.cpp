@@ -13,7 +13,7 @@ std::uint64_t request_key(ProcessId origin, std::uint32_t request_id) {
 }  // namespace
 
 DamNode::DamNode(ProcessId self, TopicId topic,
-                 const topics::TopicHierarchy* hierarchy,
+                 const topics::TopicDag* hierarchy,
                  std::shared_ptr<const NodeConfig> config,
                  std::size_t group_size_estimate, util::Rng rng, Env* env)
     : self_(self),
@@ -31,7 +31,7 @@ DamNode::DamNode(ProcessId self, TopicId topic,
 }
 
 DamNode::DamNode(ProcessId self, TopicId topic,
-                 const topics::TopicHierarchy* hierarchy, NodeConfig config,
+                 const topics::TopicDag* hierarchy, NodeConfig config,
                  std::size_t group_size_estimate, util::Rng rng, Env* env)
     : DamNode(self, topic, hierarchy,
               std::make_shared<const NodeConfig>(std::move(config)),

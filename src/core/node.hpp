@@ -33,7 +33,7 @@
 #include "membership/flat_membership.hpp"
 #include "net/message.hpp"
 #include "sim/clock.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 #include "util/rng.hpp"
 
 namespace dam::core {
@@ -109,13 +109,13 @@ class DamNode {
   /// `config` is shared: a host passes the same one to all its nodes.
   /// Recovery state is allocated here only if config->recovery.enabled.
   DamNode(ProcessId self, TopicId topic,
-          const topics::TopicHierarchy* hierarchy,
+          const topics::TopicDag* hierarchy,
           std::shared_ptr<const NodeConfig> config,
           std::size_t group_size_estimate, util::Rng rng, Env* env);
 
   /// Standalone node: wraps its own copy of `config`.
   DamNode(ProcessId self, TopicId topic,
-          const topics::TopicHierarchy* hierarchy, NodeConfig config,
+          const topics::TopicDag* hierarchy, NodeConfig config,
           std::size_t group_size_estimate, util::Rng rng, Env* env);
 
   /// SUBSCRIBE (Fig. 5, lines 1–4): seeds the topic table with
@@ -240,7 +240,7 @@ class DamNode {
 
   ProcessId self_;
   TopicId topic_;
-  const topics::TopicHierarchy* hierarchy_;
+  const topics::TopicDag* hierarchy_;
   std::shared_ptr<const NodeConfig> config_;
   Env* env_;
   util::Rng rng_;

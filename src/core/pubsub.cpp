@@ -5,7 +5,7 @@ namespace dam::core {
 PubSub::PubSub(Config config) : config_(config) {
   // The hierarchy must outlive and pre-exist the system; DamSystem holds a
   // reference. Topics are interned lazily in subscribe(), which is safe:
-  // TopicHierarchy::add never invalidates existing ids.
+  // intern_path never invalidates existing ids.
   system_ = std::make_unique<DamSystem>(hierarchy_, config_.system);
   system_->set_delivery_handler(
       [this](ProcessId subscriber, const Message& event_msg) {
@@ -22,7 +22,7 @@ PubSub::PubSub(Config config) : config_(config) {
 }
 
 ProcessId PubSub::subscribe(std::string_view topic, Callback callback) {
-  const topics::TopicId id = hierarchy_.add(topic);
+  const topics::TopicId id = topics::intern_path(hierarchy_, topic);
   const ProcessId subscriber = system_->spawn(id);
   if (callback) callbacks_[subscriber.value] = std::move(callback);
   return subscriber;

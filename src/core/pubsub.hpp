@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "core/system.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 
 namespace dam::core {
 
@@ -70,7 +70,7 @@ class PubSub {
   // --- introspection -------------------------------------------------------
   [[nodiscard]] const DamSystem& system() const noexcept { return *system_; }
   [[nodiscard]] DamSystem& system() noexcept { return *system_; }
-  [[nodiscard]] const topics::TopicHierarchy& hierarchy() const noexcept {
+  [[nodiscard]] const topics::TopicDag& hierarchy() const noexcept {
     return hierarchy_;
   }
   [[nodiscard]] std::string topic_of(ProcessId subscriber) const {
@@ -81,7 +81,7 @@ class PubSub {
   }
 
  private:
-  topics::TopicHierarchy hierarchy_;
+  topics::TopicDag hierarchy_;
   std::unique_ptr<DamSystem> system_;
   Config config_;
   std::unordered_map<std::uint32_t, Callback> callbacks_;

@@ -26,7 +26,7 @@ net::Transport::Config effective_transport(const DamSystem::Config& config) {
 }
 }  // namespace
 
-DamSystem::DamSystem(const topics::TopicHierarchy& hierarchy, Config config)
+DamSystem::DamSystem(const topics::TopicDag& hierarchy, Config config)
     : hierarchy_(&hierarchy),
       config_(config),
       node_config_(std::make_shared<const NodeConfig>(config.node)),

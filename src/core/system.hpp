@@ -49,7 +49,10 @@ class DamSystem final : public Env {
     unsigned threads = 1;
   };
 
-  DamSystem(const topics::TopicHierarchy& hierarchy, Config config);
+  /// `hierarchy` must outlive the system. Each process keeps one
+  /// supertopic table, so a topic it joins may have at most one
+  /// supertopic (topics::require_tree); TopicDag::super throws otherwise.
+  DamSystem(const topics::TopicDag& hierarchy, Config config);
   ~DamSystem() override;
 
   DamSystem(const DamSystem&) = delete;
@@ -295,7 +298,7 @@ class DamSystem final : public Env {
   /// seen_gc_horizon rounds before `now`. Called at the end of each round.
   void release_columns(sim::Round now);
 
-  const topics::TopicHierarchy* hierarchy_;
+  const topics::TopicDag* hierarchy_;
   Config config_;
   /// config_.node, shared by every node instead of copied into each.
   std::shared_ptr<const NodeConfig> node_config_;

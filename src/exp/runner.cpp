@@ -35,15 +35,12 @@ SweepResult run_sweep(const sim::Scenario& scenario,
   if (options.shards == 0) {
     throw std::invalid_argument("run_sweep: shards must be positive");
   }
-  // Dynamic scenarios share one read-only topology binding across workers;
-  // building it also front-loads the tree-shape validation. The steady
-  // baseline engines replay the same stream shape but need no binding
-  // (they compute tree routing straight off the scenario edges).
+  // Every engine reads the one read-only DAG, shared across workers. The
+  // stream engines route along one supertopic per group, so their tree
+  // check runs here, once, before any worker starts.
   const bool dynamic = scenario.engine == sim::EngineKind::kDynamic;
   const bool stream = sim::is_stream_engine(scenario.engine);
-  const workload::DynamicScenarioBinding binding =
-      dynamic ? workload::bind_scenario(scenario)
-              : workload::DynamicScenarioBinding{};
+  if (stream) topics::require_tree(dag, "run_sweep");
   const auto started = std::chrono::steady_clock::now();
   const unsigned jobs = resolve_jobs(options.jobs);
   const std::size_t runs = static_cast<std::size_t>(scenario.runs);
@@ -72,14 +69,14 @@ SweepResult run_sweep(const sim::Scenario& scenario,
       const std::size_t lo = runs * s / shard_count;
       const std::size_t hi = runs * (s + 1) / shard_count;
       Shard& shard = shards[pt * shard_count + s];
-      tasks.push_back([&scenario, &dag, &binding, &shard, dynamic, stream,
+      tasks.push_back([&scenario, &dag, &shard, dynamic, stream,
                        alive, lo, hi] {
         shard.partial = make_point(scenario, alive);
         for (std::size_t run = lo; run < hi; ++run) {
           if (stream) {
             const workload::DynamicRunResult result =
                 dynamic ? workload::run_dynamic_simulation(
-                              scenario, binding, alive, static_cast<int>(run))
+                              scenario, dag, alive, static_cast<int>(run))
                         : baselines::run_steady_baseline(
                               scenario, alive, static_cast<int>(run));
             accumulate_run(shard.partial, result);

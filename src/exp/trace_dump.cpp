@@ -23,11 +23,10 @@ int dump_trace(const sim::Scenario& scenario, const std::string& path,
     err << tool << ": scenario has no alive fraction to trace\n";
     return 2;
   }
-  const workload::DynamicScenarioBinding binding =
-      workload::bind_scenario(scenario);
+  const topics::TopicDag dag = scenario.build_dag();
   sim::TraceRecorder recorder(1 << 16);
   const workload::DynamicRunResult result = workload::run_dynamic_simulation(
-      scenario, binding, scenario.alive_sweep.front(), 0, &recorder);
+      scenario, dag, scenario.alive_sweep.front(), 0, &recorder);
   std::ofstream file(path);
   if (!file) {
     err << tool << ": cannot open trace file '" << path << "'\n";

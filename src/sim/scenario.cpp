@@ -11,16 +11,12 @@ namespace dam::sim {
 
 topics::TopicDag Scenario::build_dag() const {
   topics::TopicDag dag;
-  std::vector<topics::DagTopicId> ids;
-  ids.reserve(topic_names.size());
-  for (const std::string& topic : topic_names) {
-    ids.push_back(dag.add_topic(topic));
-  }
+  for (const std::string& topic : topic_names) dag.add_topic(topic);
   for (const auto& [child, parent] : super_edges) {
-    if (child >= ids.size() || parent >= ids.size()) {
+    if (child >= dag.size() || parent >= dag.size()) {
       throw std::invalid_argument("Scenario: edge references unknown topic");
     }
-    dag.add_super(ids[child], ids[parent]);
+    dag.add_super(topics::TopicId{child}, topics::TopicId{parent});
   }
   return dag;
 }
@@ -41,10 +37,31 @@ core::FrozenSimConfig Scenario::config_for(const topics::TopicDag& dag,
   config.alive_fraction = alive_fraction;
   config.failure_mode = failure_mode;
   config.churn = churn;
-  config.publish_topic = topics::DagTopicId{publish_topic};
+  config.publish_topic = topics::TopicId{publish_topic};
   config.seed = seed_for(alive_fraction, run);
   config.threads = threads;
   return config;
+}
+
+const core::TopicParams& homogeneous_params(const Scenario& scenario,
+                                           std::string_view caller) {
+  static const core::TopicParams kDefaults{};
+  if (scenario.params.empty()) return kDefaults;
+  const core::TopicParams& first = scenario.params.front();
+  for (const core::TopicParams& entry : scenario.params) {
+    const bool same = entry.b == first.b && entry.c == first.c &&
+                      entry.g == first.g && entry.a == first.a &&
+                      entry.z == first.z && entry.tau == first.tau &&
+                      entry.psucc == first.psucc;
+    if (!same) {
+      throw std::invalid_argument(
+          std::string(caller) +
+          ": this engine applies one TopicParams set to every process; "
+          "scenario '" + scenario.name + "' has heterogeneous per-topic "
+          "params (run it on the frozen engine, or make the params uniform)");
+    }
+  }
+  return first;
 }
 
 Scenario make_linear_scenario(std::string name, std::string summary,

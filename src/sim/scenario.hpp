@@ -57,7 +57,7 @@ struct Scenario {
   std::string name;     ///< registry key (e.g. "fig9")
   std::string summary;  ///< one-line description for --list-scenarios
 
-  /// Topology: topic names in insertion order (index == DagTopicId::value)
+  /// Topology: topic names in insertion order (index == TopicId::value)
   /// and supertopic edges as (child index, parent index) pairs. A path
   /// listed root-first reproduces the paper's linear hierarchy.
   std::vector<std::string> topic_names;
@@ -87,9 +87,9 @@ struct Scenario {
   /// Topic index the event is published in.
   std::uint32_t publish_topic = 0;
 
-  /// Engine dispatch: kFrozen runs run_frozen_simulation; kDynamic binds
-  /// the topology as a TopicHierarchy (trees only) and replays the
-  /// generated `workload` stream through core/system.
+  /// Engine dispatch: kFrozen runs run_frozen_simulation over any DAG;
+  /// kDynamic replays the generated `workload` stream through core/system
+  /// over the same TopicDag, which must then be a tree (require_tree).
   EngineKind engine = EngineKind::kFrozen;
 
   /// Traffic model for the dynamic lane; ignored by the frozen engine.
@@ -107,8 +107,9 @@ struct Scenario {
   [[nodiscard]] std::uint64_t seed_for(double alive_fraction,
                                        int run) const noexcept;
 
-  /// Materializes the topology. Throws std::invalid_argument on bad edges
-  /// (TopicDag validates acyclicity).
+  /// Materializes the topology; topic i becomes TopicId{i} in both
+  /// engines. Throws std::invalid_argument on bad edges (TopicDag
+  /// validates acyclicity).
   [[nodiscard]] topics::TopicDag build_dag() const;
 
   /// Engine config for one (alive fraction, run index) cell. `dag` must
@@ -117,6 +118,13 @@ struct Scenario {
                                                  double alive_fraction,
                                                  int run) const;
 };
+
+/// The one TopicParams set of a stream engine. The dynamic engine and the
+/// steady rivals configure every process alike, so a heterogeneous
+/// per-topic params vector would be silently flattened: this throws
+/// std::invalid_argument, naming `caller`, instead. Empty means defaults.
+[[nodiscard]] const core::TopicParams& homogeneous_params(
+    const Scenario& scenario, std::string_view caller);
 
 /// The named presets (fig8–fig11, dag-diamond, churn-light/heavy, ...).
 [[nodiscard]] const std::vector<Scenario>& scenario_registry();

@@ -15,7 +15,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 
 namespace dam::topics {
 
@@ -28,7 +28,7 @@ struct ProcessId {
 
 class SubscriptionRegistry {
  public:
-  explicit SubscriptionRegistry(const TopicHierarchy& hierarchy)
+  explicit SubscriptionRegistry(const TopicDag& hierarchy)
       : hierarchy_(&hierarchy) {}
 
   /// Registers a new process interested in `topic`; returns its id, one
@@ -73,12 +73,12 @@ class SubscriptionRegistry {
   [[nodiscard]] std::optional<TopicId> nearest_nonempty_supergroup(
       TopicId topic) const;
 
-  [[nodiscard]] const TopicHierarchy& hierarchy() const noexcept {
+  [[nodiscard]] const TopicDag& hierarchy() const noexcept {
     return *hierarchy_;
   }
 
  private:
-  const TopicHierarchy* hierarchy_;
+  const TopicDag* hierarchy_;
   std::vector<TopicId> interest_;  // indexed by ProcessId
   std::vector<std::vector<ProcessId>> groups_;  // indexed by TopicId
   static const std::vector<ProcessId> kEmptyGroup;

@@ -30,40 +30,4 @@ std::optional<TopicPath> TopicPath::parse(std::string_view text) {
   return path;
 }
 
-TopicPath TopicPath::from_segments(std::vector<std::string> segments) {
-  TopicPath path;
-  path.segments_ = std::move(segments);
-  return path;
-}
-
-TopicPath TopicPath::super() const {
-  TopicPath parent = *this;
-  if (!parent.segments_.empty()) parent.segments_.pop_back();
-  return parent;
-}
-
-TopicPath TopicPath::child(std::string_view segment) const {
-  TopicPath extended = *this;
-  extended.segments_.emplace_back(segment);
-  return extended;
-}
-
-bool TopicPath::includes(const TopicPath& other) const noexcept {
-  if (segments_.size() > other.segments_.size()) return false;
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    if (segments_[i] != other.segments_[i]) return false;
-  }
-  return true;
-}
-
-std::string TopicPath::str() const {
-  if (segments_.empty()) return ".";
-  std::string out;
-  for (const auto& segment : segments_) {
-    out.push_back('.');
-    out.append(segment);
-  }
-  return out;
-}
-
 }  // namespace dam::topics

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "core/system.hpp"
 #include "net/message.hpp"
@@ -17,134 +19,39 @@ namespace {
 /// past any replay horizon, well inside Round's range.
 constexpr sim::Round kNever = sim::Round{1} << 30;
 
-/// The dynamic engine configures every DamNode identically (one
-/// NodeConfig per system), so it can only honor a HOMOGENEOUS params set.
-/// Heterogeneous per-topic params — which the frozen engine resolves
-/// per topic — would be silently flattened; fail loudly instead.
-const core::TopicParams& homogeneous_params(const sim::Scenario& scenario) {
-  static const core::TopicParams kDefaults{};
-  if (scenario.params.empty()) return kDefaults;
-  const core::TopicParams& first = scenario.params.front();
-  for (const core::TopicParams& entry : scenario.params) {
-    const bool same = entry.b == first.b && entry.c == first.c &&
-                      entry.g == first.g && entry.a == first.a &&
-                      entry.z == first.z && entry.tau == first.tau &&
-                      entry.psucc == first.psucc;
-    if (!same) {
-      throw std::invalid_argument(
-          "run_dynamic_simulation: the dynamic engine applies one "
-          "TopicParams set to every node; scenario '" +
-          scenario.name + "' has heterogeneous per-topic params "
-          "(run it on the frozen engine, or make the params uniform)");
-    }
+/// Rejects a scenario whose topology the dynamic engine cannot run: no
+/// topics, group sizes that do not cover them, or a topic with several
+/// supertopics (one super table per process).
+void check_topology(const sim::Scenario& scenario, const topics::TopicDag& dag,
+                    std::string_view caller) {
+  if (dag.size() == 0) {
+    throw std::invalid_argument(std::string(caller) +
+                                ": scenario has no topics");
   }
-  return first;
+  if (scenario.group_sizes.size() != dag.size()) {
+    throw std::invalid_argument(std::string(caller) +
+                                ": group_sizes must cover every topic");
+  }
+  topics::require_tree(dag, caller);
 }
 
 }  // namespace
 
 DynamicScenarioBinding bind_scenario(const sim::Scenario& scenario) {
-  const std::size_t count = scenario.topic_names.size();
-  if (count == 0) {
-    throw std::invalid_argument("bind_scenario: scenario has no topics");
-  }
-  if (scenario.group_sizes.size() != count) {
-    throw std::invalid_argument(
-        "bind_scenario: group_sizes must cover every topic");
-  }
-  // The dynamic engine runs over a TopicHierarchy: every topic has at most
-  // one parent. Reject DAG shapes up front.
-  std::vector<std::optional<std::uint32_t>> parent(count);
-  for (const auto& [child, topic_parent] : scenario.super_edges) {
-    if (child >= count || topic_parent >= count) {
-      throw std::invalid_argument("bind_scenario: edge references unknown topic");
-    }
-    if (parent[child].has_value()) {
-      throw std::invalid_argument(
-          "bind_scenario: topic '" + scenario.topic_names[child] +
-          "' has multiple parents; the dynamic engine needs a tree "
-          "(run DAG scenarios on the frozen engine)");
-    }
-    parent[child] = topic_parent;
-  }
-
-  DynamicScenarioBinding binding;
-  binding.topic_ids.resize(count);
-  binding.is_scenario_root.resize(count);
-  // A single scenario root maps onto the hierarchy root "." itself — the
-  // paper's setting, where the top group IS the root group. This matters
-  // behaviorally: root processes never run FIND_SUPER_CONTACT, whereas a
-  // top group parked one level below the root would flood the overlay
-  // searching for a supergroup that can never exist. With several roots
-  // (a forest) each becomes a child of ".".
-  std::size_t root_count = 0;
-  std::size_t single_root = count;  // sentinel: no root-mapping
-  for (std::size_t topic = 0; topic < count; ++topic) {
-    if (!parent[topic].has_value()) {
-      ++root_count;
-      single_root = topic;
-    }
-  }
-  if (root_count != 1) single_root = count;
-
-  // Intern each topic as the path of scenario names from its root down;
-  // recursion depth equals the tree depth, realized iteratively via memo.
-  std::vector<topics::TopicPath> paths(count);
-  std::vector<bool> built(count, false);
-  for (std::size_t topic = 0; topic < count; ++topic) {
-    // Walk up to the nearest built ancestor, then build back down.
-    std::vector<std::size_t> chain;
-    std::size_t cursor = topic;
-    while (!built[cursor]) {
-      chain.push_back(cursor);
-      if (!parent[cursor].has_value()) break;
-      cursor = *parent[cursor];
-      if (chain.size() > count) {
-        throw std::invalid_argument("bind_scenario: topology has a cycle");
-      }
-    }
-    for (std::size_t i = chain.size(); i-- > 0;) {
-      const std::size_t node = chain[i];
-      if (node == single_root) {
-        paths[node] = topics::TopicPath{};  // the hierarchy root "."
-        built[node] = true;
-        continue;
-      }
-      if (!topics::valid_segment(scenario.topic_names[node])) {
-        throw std::invalid_argument("bind_scenario: topic name '" +
-                                    scenario.topic_names[node] +
-                                    "' is not a valid path segment");
-      }
-      const topics::TopicPath base =
-          parent[node].has_value() ? paths[*parent[node]] : topics::TopicPath{};
-      paths[node] = base.child(scenario.topic_names[node]);
-      built[node] = true;
-    }
-  }
-  for (std::size_t topic = 0; topic < count; ++topic) {
-    binding.topic_ids[topic] = binding.hierarchy.add(paths[topic]);
-    binding.is_scenario_root[topic] = !parent[topic].has_value();
-  }
-  // Name collisions (two scenario topics interning to one path) would
-  // silently merge groups; fail instead.
-  for (std::size_t a = 0; a < count; ++a) {
-    for (std::size_t b = a + 1; b < count; ++b) {
-      if (binding.topic_ids[a] == binding.topic_ids[b]) {
-        throw std::invalid_argument("bind_scenario: topics '" +
-                                    scenario.topic_names[a] + "' and '" +
-                                    scenario.topic_names[b] +
-                                    "' collide in the hierarchy");
-      }
-    }
+  DynamicScenarioBinding binding{scenario.build_dag(), {}};
+  check_topology(scenario, binding.hierarchy, "bind_scenario");
+  for (std::uint32_t topic = 0; topic < binding.hierarchy.size(); ++topic) {
+    binding.topic_ids.push_back(topics::TopicId{topic});
   }
   return binding;
 }
 
 DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
-                                        const DynamicScenarioBinding& binding,
+                                        const topics::TopicDag& dag,
                                         double alive_fraction, int run,
                                         sim::TraceRecorder* trace) {
   const auto started = std::chrono::steady_clock::now();
+  check_topology(scenario, dag, "run_dynamic_simulation");
   const std::uint64_t seed = scenario.seed_for(alive_fraction, run);
   const WorkloadConfig& workload = scenario.workload;
   const std::size_t topic_count = scenario.topic_names.size();
@@ -152,7 +59,8 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
   // --- Engine configuration (seeded from its own stream cell). ------------
   core::DamSystem::Config config;
   config.seed = stream_rng(seed, StreamId::kSystem, 0)();
-  config.node.params = homogeneous_params(scenario);
+  config.node.params =
+      sim::homogeneous_params(scenario, "run_dynamic_simulation");
   config.auto_wire_super_tables = workload.engine.auto_wire_super_tables;
   config.neighborhood_degree = workload.engine.neighborhood_degree;
   config.node.recovery.enabled = workload.engine.recovery_enabled;
@@ -160,7 +68,7 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
   config.node.recovery.digest_size = workload.engine.recovery_digest;
   config.node.seen_gc_horizon = workload.engine.gc_horizon;
   config.threads = scenario.threads;  // spawn-batch fill workers
-  core::DamSystem system(binding.hierarchy, config);
+  core::DamSystem system(dag, config);
 
   system.set_trace_recorder(trace);
 
@@ -232,7 +140,8 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
 
   const auto spawn_started = std::chrono::steady_clock::now();
   for (std::size_t topic = 0; topic < topic_count; ++topic) {
-    system.spawn_group(binding.topic_ids[topic], scenario.group_sizes[topic]);
+    system.spawn_group(topics::TopicId{static_cast<std::uint32_t>(topic)},
+                       scenario.group_sizes[topic]);
   }
   const double spawn_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -240,11 +149,6 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
           .count();
 
   // --- Bootstrap-link measurement (cold-start lane). ----------------------
-  std::vector<char> scenario_root(binding.hierarchy.size(), 0);  // by TopicId
-  for (std::size_t topic = 0; topic < topic_count; ++topic) {
-    scenario_root[binding.topic_ids[topic].value] =
-        binding.is_scenario_root[topic];
-  }
   DynamicRunResult result;
   result.measured_link = !workload.engine.auto_wire_super_tables;
   std::size_t rounds_executed = 0;
@@ -284,10 +188,9 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
     const sim::Round grading_round = system.now();
     const auto& delivered = system.delivered_set(record.event);
     for (std::size_t topic = 0; topic < topic_count; ++topic) {
-      const topics::TopicId id = binding.topic_ids[topic];
+      const topics::TopicId id{static_cast<std::uint32_t>(topic)};
       const auto& members = system.registry().group(id);
-      const bool interested = binding.hierarchy.includes(
-          id, binding.topic_ids[record.topic]);
+      const bool interested = dag.includes(id, topics::TopicId{record.topic});
       if (!interested) {
         for (const topics::ProcessId member : members) {
           if (delivered.contains(member)) {
@@ -341,11 +244,10 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
     std::size_t linked = 0;
     for (std::uint32_t p = 0; p < system.process_count(); ++p) {
       const core::DamNode& node = system.node(topics::ProcessId{p});
-      if (scenario_root[node.topic().value]) continue;
+      if (dag.is_root(node.topic())) continue;
       ++non_root;
       const auto& table = node.super_table();
-      if (!table.empty() &&
-          table.super_topic() == binding.hierarchy.super(node.topic())) {
+      if (!table.empty() && table.super_topic() == dag.super(node.topic())) {
         ++linked;
       }
     }
@@ -391,10 +293,10 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
          ++next_event) {
       const TrafficEvent& event = stream[next_event];
       if (event.kind == TrafficEvent::Kind::kJoin) {
-        system.spawn(binding.topic_ids[event.topic]);
+        system.spawn(topics::TopicId{event.topic});
       } else if (event.kind == TrafficEvent::Kind::kPublish) {
         const auto& group =
-            system.registry().group(binding.topic_ids[event.topic]);
+            system.registry().group(topics::TopicId{event.topic});
         if (group.empty()) continue;
         // The raw publisher draw picks a starting rank; scan forward to the
         // first member alive this round (a down publisher cannot publish).
@@ -461,7 +363,7 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
   result.groups.resize(topic_count);
   for (std::size_t topic = 0; topic < topic_count; ++topic) {
     DynamicGroupResult& group_result = result.groups[topic];
-    const topics::TopicId id = binding.topic_ids[topic];
+    const topics::TopicId id{static_cast<std::uint32_t>(topic)};
     const auto& members = system.registry().group(id);
     group_result.size = members.size();
     for (const topics::ProcessId member : members) {

@@ -14,10 +14,12 @@
 // exp::run_sweep's bit-identical-for-any---jobs guarantee extends to
 // dynamic sweeps unchanged.
 //
-// Topology: DamSystem runs over a topics::TopicHierarchy (a tree), so only
-// tree-shaped scenarios bind — bind_scenario throws on multi-parent DAG
-// presets (use the frozen engine for those; the `fanin` grid axis is a
-// frozen-lane axis for the same reason).
+// Topology: scenario topic i is topics::TopicId{i} of Scenario::build_dag(),
+// the same TopicDag the frozen engine reads. DamSystem keeps one supertopic
+// table per process, so only tree-shaped scenarios run here —
+// topics::require_tree rejects multi-parent DAG presets (use the frozen
+// engine for those; the `fanin` grid axis is a frozen-lane axis for the
+// same reason).
 #pragma once
 
 #include <cstdint>
@@ -25,26 +27,25 @@
 
 #include "sim/scenario.hpp"
 #include "sim/trace.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 #include "util/quantiles.hpp"
 #include "util/timeline.hpp"
 #include "workload/traffic.hpp"
 
 namespace dam::workload {
 
-/// The scenario's topology materialized for the dynamic engine: the
-/// interned hierarchy plus the TopicId of every scenario topic index.
-/// Read-only during runs, so one binding is shared by every worker thread
-/// of a sweep.
+/// The scenario's topology for code that drives DamSystem itself. Kept
+/// only for the frozen benchmark (perfbench/), which spells the topology
+/// this way; topic_ids is the identity map. It goes at the next change to
+/// the benchmark.
 struct DynamicScenarioBinding {
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
   std::vector<topics::TopicId> topic_ids;  ///< scenario index -> TopicId
-  std::vector<bool> is_scenario_root;      ///< no parent inside the scenario
 };
 
-/// Builds the hierarchy for a tree-shaped scenario. Scenario roots become
-/// direct children of the hierarchy root ".". Throws std::invalid_argument
-/// when a topic has more than one parent (DAG) or names collide.
+/// Builds the scenario's TopicDag and checks that the dynamic engine can
+/// run it. Throws std::invalid_argument when a topic has more than one
+/// parent, the scenario has no topics, or group_sizes does not cover them.
 [[nodiscard]] DynamicScenarioBinding bind_scenario(
     const sim::Scenario& scenario);
 
@@ -139,12 +140,14 @@ struct DynamicRunResult {
 };
 
 /// Executes one dynamic run: seed and streams derive from
-/// scenario.seed_for(alive_fraction, run). `binding` must come from
-/// bind_scenario(scenario) and outlive the call. `trace`, when given,
+/// scenario.seed_for(alive_fraction, run). `dag` must come from
+/// scenario.build_dag(); it is shared read-only, so one DAG serves every
+/// worker thread of a sweep. Throws std::invalid_argument on a topology
+/// bind_scenario would reject. `trace`, when given,
 /// records the run's protocol events (damsim --trace). Tracing never
 /// perturbs the run — the RNG streams are recorder-independent.
 [[nodiscard]] DynamicRunResult run_dynamic_simulation(
-    const sim::Scenario& scenario, const DynamicScenarioBinding& binding,
+    const sim::Scenario& scenario, const topics::TopicDag& dag,
     double alive_fraction, int run, sim::TraceRecorder* trace = nullptr);
 
 }  // namespace dam::workload

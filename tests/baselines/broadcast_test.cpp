@@ -52,7 +52,7 @@ TEST(Broadcast, RejectsBadConfigs) {
   EXPECT_THROW((void)run_broadcast(no_dag), std::invalid_argument);
 
   core::FrozenSimConfig bad_topic = chain.publish_at(2, 1);
-  bad_topic.publish_topic = topics::DagTopicId{9};
+  bad_topic.publish_topic = topics::TopicId{9};
   EXPECT_THROW((void)run_broadcast(bad_topic), std::invalid_argument);
 
   core::FrozenSimConfig wrong_sizes = chain.publish_at(2, 1);

@@ -62,7 +62,7 @@ TEST(Hierarchical, GroupCountCappedByPopulation) {
 TEST(Hierarchical, RejectsBadConfigs) {
   const Chain chain;
   core::FrozenSimConfig bad_topic = chain.publish_at(2, 1);
-  bad_topic.publish_topic = topics::DagTopicId{7};
+  bad_topic.publish_topic = topics::TopicId{7};
   EXPECT_THROW((void)run_hierarchical(bad_topic, HierarchicalConfig{}),
                std::invalid_argument);
 

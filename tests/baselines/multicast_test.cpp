@@ -47,7 +47,7 @@ TEST(Multicast, MessageComplexityMatchesGroupSize) {
 TEST(Multicast, RejectsBadConfigs) {
   const Chain chain;
   core::FrozenSimConfig bad_topic = chain.publish_at(2, 1);
-  bad_topic.publish_topic = topics::DagTopicId{9};
+  bad_topic.publish_topic = topics::TopicId{9};
   EXPECT_THROW((void)run_multicast(bad_topic), std::invalid_argument);
 
   core::FrozenSimConfig churn = chain.publish_at(2, 1);

@@ -7,13 +7,13 @@
 
 #include <gtest/gtest.h>
 
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 
 namespace dam::core {
 namespace {
 
 TEST(BookkeepingGauges, EmptySystemReportsZero) {
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
   topics::make_linear_hierarchy(hierarchy, 0);
   const DamSystem system(hierarchy, {});
   const DamSystem::BookkeepingGauges gauges = system.bookkeeping_gauges();
@@ -23,7 +23,7 @@ TEST(BookkeepingGauges, EmptySystemReportsZero) {
 }
 
 TEST(BookkeepingGauges, SingleEventRunMatchesHandCount) {
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
   const auto levels = topics::make_linear_hierarchy(hierarchy, 0);
   DamSystem::Config config;
   config.seed = 5;

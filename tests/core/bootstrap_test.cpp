@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 
 namespace dam::core {
 namespace {
@@ -28,7 +28,7 @@ class BootstrapTest : public ::testing::Test {
     return sent;
   }
 
-  topics::TopicHierarchy hierarchy_;
+  topics::TopicDag hierarchy_;
   std::vector<topics::TopicId> levels_;
   std::vector<ProcessId> neighbors_;
 };

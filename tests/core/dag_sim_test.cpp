@@ -13,13 +13,13 @@
 namespace dam::core {
 namespace {
 
-using topics::DagTopicId;
+using topics::TopicId;
 using topics::TopicDag;
 using dam::testing::Chain;
 
 struct Diamond {
   TopicDag dag;
-  DagTopicId a, m1, m2, b;
+  TopicId a, m1, m2, b;
   FrozenSimConfig cell;  ///< publishing in B, default params
 
   Diamond() {
@@ -133,7 +133,7 @@ TEST(FrozenSimDag, MemoryFormulaCountsOneTablePerParent) {
   // Sec. VI-C's ln(S) + c + z, with one z-table per direct supertopic.
   Diamond d;
   const TopicParams params;
-  const auto memory = [&](DagTopicId topic, std::size_t size) {
+  const auto memory = [&](TopicId topic, std::size_t size) {
     return analysis::dam_memory(size, params.c,
                                 params.z * d.dag.supers(topic).size());
   };
@@ -178,7 +178,7 @@ TEST(FrozenSimDag, RejectsBadConfigs) {
                std::invalid_argument);
 
   auto bad_topic = d.config(1);
-  bad_topic.publish_topic = DagTopicId{99};
+  bad_topic.publish_topic = TopicId{99};
   EXPECT_THROW((void)run_frozen_simulation(bad_topic), std::invalid_argument);
 }
 

@@ -2,6 +2,8 @@
 // outage schedules (sim::ChurnFailures) behind FrozenFailureMode::kChurn.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/frozen_sim.hpp"
 #include "topics/dag.hpp"
 
@@ -13,9 +15,11 @@ struct Fixture {
   FrozenSimConfig config;
 
   explicit Fixture(std::vector<std::size_t> sizes) {
-    std::vector<topics::DagTopicId> ids;
+    std::vector<topics::TopicId> ids;
     for (std::size_t level = 0; level < sizes.size(); ++level) {
-      ids.push_back(dag.add_topic("T" + std::to_string(level)));
+      std::string name = "T";
+      name += std::to_string(level);
+      ids.push_back(dag.add_topic(name));
       if (level > 0) dag.add_super(ids[level], ids[level - 1]);
     }
     config.dag = &dag;

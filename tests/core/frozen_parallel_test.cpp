@@ -56,7 +56,7 @@ TEST(FrozenParallel, StillbornRunIsBitIdenticalForAnyThreadCount) {
   make_chain(dag);
   FrozenSimConfig config = base_config(dag);
   config.group_sizes = {50, 500, 10000};
-  config.publish_topic = topics::DagTopicId{2};
+  config.publish_topic = topics::TopicId{2};
   config.alive_fraction = 0.8;
   config.failure_mode = FrozenFailureMode::kStillborn;
 
@@ -80,7 +80,7 @@ TEST(FrozenParallel, DynamicPerceptionAndChurnRegimesAreAlsoIndependent) {
        {FrozenFailureMode::kDynamicPerception, FrozenFailureMode::kChurn}) {
     FrozenSimConfig config = base_config(dag);
     config.group_sizes = {50, 500, 6000};
-    config.publish_topic = topics::DagTopicId{2};
+    config.publish_topic = topics::TopicId{2};
     config.alive_fraction = 0.9;
     config.failure_mode = mode;
 

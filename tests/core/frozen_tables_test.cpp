@@ -47,7 +47,7 @@ FrozenSimConfig base_config(const topics::TopicDag& dag,
   config.dag = &dag;
   config.group_sizes = std::move(sizes);
   config.publish_topic =
-      topics::DagTopicId{static_cast<std::uint32_t>(dag.size() - 1)};
+      topics::TopicId{static_cast<std::uint32_t>(dag.size() - 1)};
   return config;
 }
 
@@ -60,7 +60,7 @@ void expect_sound(const FrozenSimConfig& config) {
     SCOPED_TRACE("topic " + std::to_string(topic));
     const GroupTables& group = tables.groups[topic];
     const TopicParams& params = params_for_topic(config, topic);
-    const auto& parents = dag.supers(topics::DagTopicId{topic});
+    const auto& parents = dag.supers(topics::TopicId{topic});
     ASSERT_EQ(group.size, config.group_sizes[topic]);
     ASSERT_EQ(group.parent_count, parents.size());
     const std::size_t view_size =

@@ -10,7 +10,7 @@
 #include <chrono>
 
 #include "core/system.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 
 namespace dam::core {
 namespace {
@@ -18,7 +18,8 @@ namespace {
 TEST(JoinScale, MidRunJoinsIntoAHundredThousandGroupStayInBudget) {
   constexpr std::size_t kMembers = 100000;
   constexpr std::size_t kJoins = 1000;
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
+  topics::intern_path(hierarchy, ".");  // the root group's topic
   DamSystem::Config config;
   config.seed = 0x101;
   config.auto_wire_super_tables = true;

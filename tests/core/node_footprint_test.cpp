@@ -15,7 +15,7 @@
 #include "core/node.hpp"
 #include "fake_env.hpp"
 #include "membership/view.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 
 namespace {
 
@@ -89,7 +89,7 @@ class NodeFootprintTest : public ::testing::Test {
     return counter.allocations();
   }
 
-  topics::TopicHierarchy hierarchy_;
+  topics::TopicDag hierarchy_;
   std::vector<topics::TopicId> levels_;
   std::vector<ProcessId> group_row_;
   std::vector<ProcessId> super_row_;

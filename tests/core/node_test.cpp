@@ -5,7 +5,7 @@
 #include <algorithm>
 
 #include "fake_env.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 
 namespace dam::core {
 namespace {
@@ -44,7 +44,7 @@ class NodeTest : public ::testing::Test {
     return msg;
   }
 
-  topics::TopicHierarchy hierarchy_;
+  topics::TopicDag hierarchy_;
   std::vector<topics::TopicId> levels_;
   FakeEnv env_;
 };

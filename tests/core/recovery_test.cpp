@@ -7,7 +7,7 @@
 #include "core/node.hpp"
 #include "core/system.hpp"
 #include "fake_env.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 
 namespace dam::core {
 namespace {
@@ -46,7 +46,7 @@ class RecoveryTest : public ::testing::Test {
     return msg;
   }
 
-  topics::TopicHierarchy hierarchy_;
+  topics::TopicDag hierarchy_;
   std::vector<topics::TopicId> levels_;
   FakeEnv env_;
 };
@@ -189,7 +189,7 @@ TEST(RecoveryIntegration, RecoveryImprovesDeliveryUnderLoss) {
   // Same seeds, very lossy channels, publish several events: the recovery
   // run must deliver strictly more (event, process) pairs overall.
   auto run = [](bool recovery, std::uint64_t seed) {
-    topics::TopicHierarchy hierarchy;
+    topics::TopicDag hierarchy;
     const auto levels = topics::make_linear_hierarchy(hierarchy, 1);
     DamSystem::Config config;
     config.seed = seed;
@@ -226,9 +226,9 @@ TEST(RecoveryIntegration, RecoveryImprovesDeliveryUnderLoss) {
 TEST(RecoveryIntegration, NoParasitesWithRecovery) {
   // Retransmissions must respect topic interests exactly like first-class
   // dissemination.
-  topics::TopicHierarchy hierarchy;
-  const auto eu = hierarchy.add(".n.eu");
-  const auto us = hierarchy.add(".n.us");
+  topics::TopicDag hierarchy;
+  const auto eu = topics::intern_path(hierarchy, ".n.eu");
+  const auto us = topics::intern_path(hierarchy, ".n.us");
   DamSystem::Config config;
   config.seed = 3;
   config.auto_wire_super_tables = true;

@@ -10,7 +10,7 @@
 #include "core/node.hpp"
 #include "core/system.hpp"
 #include "fake_env.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 
 namespace dam::core {
 namespace {
@@ -34,7 +34,7 @@ class SeenGcTest : public ::testing::Test {
     return msg;
   }
 
-  topics::TopicHierarchy hierarchy_;
+  topics::TopicDag hierarchy_;
   std::vector<topics::TopicId> levels_;
   FakeEnv env_;
 };
@@ -113,7 +113,8 @@ TEST(SeenColumns, HorizonShorterThanTheWaveNeverRedelivers) {
   // A per-process seen set would forget the id mid-wave and deliver it
   // again; the column outlives the live publication, so every process
   // delivers at most once.
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
+  topics::intern_path(hierarchy, ".");  // the root group's topic
   DamSystem system(hierarchy, lossless(17, 2));
   const auto members = system.spawn_group(topics::kRootTopic, 200);
   system.run_rounds(3);
@@ -133,7 +134,8 @@ TEST(SeenColumns, HorizonShorterThanTheWaveNeverRedelivers) {
 
 TEST(SeenColumns, ReleasedOnlyAfterRetirementAndHorizon) {
   constexpr std::size_t kHorizon = 12;  // longer than one wave
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
+  topics::intern_path(hierarchy, ".");  // the root group's topic
   DamSystem system(hierarchy, lossless(5, kHorizon));
   const auto members = system.spawn_group(topics::kRootTopic, 40);
   system.run_rounds(3);
@@ -191,7 +193,8 @@ TEST(SeenColumns, ReleasedOnlyAfterRetirementAndHorizon) {
 }
 
 TEST(SeenColumns, ProcessSpawnedMidWaveBeyondTheColumnWidth) {
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
+  topics::intern_path(hierarchy, ".");  // the root group's topic
   DamSystem system(hierarchy, lossless(23, 0));
   const auto members = system.spawn_group(topics::kRootTopic, 64);
   system.run_rounds(3);
@@ -223,8 +226,8 @@ TEST(SeenColumns, ProcessSpawnedMidWaveBeyondTheColumnWidth) {
 }
 
 TEST(SeenColumns, DeliveredSetMatchesBruteForceScan) {
-  auto hierarchy = std::make_unique<topics::TopicHierarchy>();
-  const auto leaf = hierarchy->add(".a.b");
+  auto hierarchy = std::make_unique<topics::TopicDag>();
+  const auto leaf = topics::intern_path(*hierarchy, ".a.b");
   const auto mid = *hierarchy->find(".a");
   DamSystem::Config config = lossless(31, 0);
   config.node.params.psucc = 0.8;  // lossy: partial sets mid-wave
@@ -258,7 +261,8 @@ TEST(SeenColumns, DeliveryRatioCountsTheMembersAtPublish) {
   // The reliability denominator is the interested membership when the
   // event was published: a later joiner neither lowers the ratio while it
   // lacks the event nor counts once a late copy reaches it.
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
+  topics::intern_path(hierarchy, ".");  // the root group's topic
   DamSystem system(hierarchy, lossless(41, 0));
   const auto members = system.spawn_group(topics::kRootTopic, 50);
   system.run_rounds(3);
@@ -287,8 +291,8 @@ TEST(SeenColumns, DeliveryRatioMatchesThePublishTimeSnapshot) {
   // Across a three-level chain, with joiners landing in interested groups
   // mid-wave, the ratio equals the one over the interested set as it stood
   // at publish.
-  auto hierarchy = std::make_unique<topics::TopicHierarchy>();
-  const auto leaf = hierarchy->add(".a.b");
+  auto hierarchy = std::make_unique<topics::TopicDag>();
+  const auto leaf = topics::intern_path(*hierarchy, ".a.b");
   const auto mid = *hierarchy->find(".a");
   DamSystem::Config config = lossless(43, 0);
   config.node.params.psucc = 0.8;  // lossy: partial sets mid-wave

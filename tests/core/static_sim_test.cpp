@@ -9,7 +9,7 @@
 namespace dam::core {
 namespace {
 
-using topics::DagTopicId;
+using topics::TopicId;
 using dam::testing::Chain;
 
 TEST(FrozenSimChain, FullyAliveRunDeliversEverywhere) {
@@ -114,7 +114,7 @@ TEST(FrozenSimChain, DynamicPerceptionBeatsStillbornReliability) {
 TEST(FrozenSimChain, PublishInAMiddleGroup) {
   const Chain chain;
   FrozenSimConfig config = chain.config(6);
-  config.publish_topic = DagTopicId{1};  // publish in T1
+  config.publish_topic = TopicId{1};  // publish in T1
   const auto result = run_frozen_simulation(config);
   // T2 (a subgroup) must never receive an event of its supertopic.
   EXPECT_EQ(result.groups[2].delivered, 0u);
@@ -180,7 +180,7 @@ TEST(FrozenSimChain, LatencyFieldsTrackPropagation) {
 TEST(FrozenSimChain, LatencyUnsetWhenNothingArrives) {
   const Chain chain;
   FrozenSimConfig config = chain.config(56);
-  config.publish_topic = DagTopicId{1};  // T2 never receives
+  config.publish_topic = TopicId{1};  // T2 never receives
   const auto result = run_frozen_simulation(config);
   EXPECT_FALSE(result.groups[2].first_delivery_round.has_value());
   EXPECT_FALSE(result.groups[2].last_delivery_round.has_value());

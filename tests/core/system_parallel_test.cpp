@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "core/system.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 
 namespace dam::core {
 namespace {
@@ -30,7 +30,7 @@ class SystemParallelTest : public ::testing::Test {
     return config;
   }
 
-  topics::TopicHierarchy hierarchy_;
+  topics::TopicDag hierarchy_;
   std::vector<topics::TopicId> levels_;
 };
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 
 namespace dam::core {
 namespace {
@@ -18,7 +18,7 @@ class SystemTest : public ::testing::Test {
     return config;
   }
 
-  topics::TopicHierarchy hierarchy_;
+  topics::TopicDag hierarchy_;
   std::vector<topics::TopicId> levels_;
 };
 

@@ -18,7 +18,7 @@
 #include "core/system.hpp"
 #include "net/message.hpp"
 #include "sim/failure.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 
 namespace dam::core {
 namespace {
@@ -34,7 +34,7 @@ class ViewArenaTest : public ::testing::Test {
     return config;
   }
 
-  topics::TopicHierarchy hierarchy_;
+  topics::TopicDag hierarchy_;
   std::vector<topics::TopicId> levels_;
 };
 

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <numeric>
-#include <optional>
 #include <vector>
 
 #include "baselines/steady.hpp"
@@ -245,9 +244,7 @@ TEST(TimelineIdentity, WindowedDeliveriesAgreeWithPerRoundVectors) {
     const sim::Scenario scenario = smoke(name, 2);
     const double alive = scenario.alive_sweep.front();
     const bool dynamic = scenario.engine == sim::EngineKind::kDynamic;
-    const std::optional<workload::DynamicScenarioBinding> binding =
-        dynamic ? std::optional(workload::bind_scenario(scenario))
-                : std::nullopt;
+    const topics::TopicDag dag = scenario.build_dag();
     for (int run = 0; run < scenario.runs; ++run) {
       SCOPED_TRACE(run);
       if (!dynamic) {
@@ -259,7 +256,7 @@ TEST(TimelineIdentity, WindowedDeliveriesAgreeWithPerRoundVectors) {
       // sees every DamSystem send, publish and delivery independently.
       sim::TraceRecorder recorder(0);
       const workload::DynamicRunResult result =
-          workload::run_dynamic_simulation(scenario, *binding, alive, run,
+          workload::run_dynamic_simulation(scenario, dag, alive, run,
                                            &recorder);
       expect_stream_run_identities(scenario, result);
       const Counters totals = result.timeline.totals();

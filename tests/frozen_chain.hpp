@@ -34,7 +34,7 @@ struct Chain {
                                                  std::uint64_t seed,
                                                  double psucc = 0.85) const {
     core::FrozenSimConfig cell = config(seed);
-    cell.publish_topic = topics::DagTopicId{level};
+    cell.publish_topic = topics::TopicId{level};
     cell.params.front().psucc = psucc;
     return cell;
   }

@@ -3,13 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "core/system.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 
 namespace dam::core {
 namespace {
 
 TEST(Churn, SuperTableRepairsAfterSupergroupDeaths) {
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
   const auto levels = topics::make_linear_hierarchy(hierarchy, 1);
   DamSystem::Config config;
   config.seed = 31;
@@ -57,7 +57,7 @@ TEST(Churn, SuperTableRepairsAfterSupergroupDeaths) {
 }
 
 TEST(Churn, RecoveredProcessesReceiveLaterEvents) {
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
   const auto levels = topics::make_linear_hierarchy(hierarchy, 1);
   DamSystem::Config config;
   config.seed = 32;
@@ -83,7 +83,7 @@ TEST(Churn, RecoveredProcessesReceiveLaterEvents) {
 }
 
 TEST(Churn, SystemSurvivesRandomChurn) {
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
   const auto levels = topics::make_linear_hierarchy(hierarchy, 2);
   DamSystem::Config config;
   config.seed = 33;

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/system.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 
 namespace dam::core {
 namespace {
@@ -15,7 +15,7 @@ namespace {
 // leaf publishes over lossy channels. Checks that nothing reached a
 // process outside the event's interest, and returns the delivery ratio.
 double run_cold_start(std::uint64_t seed) {
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
   const auto levels = topics::make_linear_hierarchy(hierarchy, 2);
   DamSystem::Config config;
   config.seed = seed;
@@ -42,7 +42,7 @@ TEST(EndToEnd, ColdStartBootstrapThenPublish) { (void)run_cold_start(5); }
 // reached no leaf and returns whether every event reached every
 // interested process.
 bool run_many_publishers(std::uint64_t seed) {
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
   const auto levels = topics::make_linear_hierarchy(hierarchy, 2);
   DamSystem::Config config;
   config.seed = seed;
@@ -73,12 +73,12 @@ bool run_many_publishers(std::uint64_t seed) {
 // reached no sibling-branch subscriber and no parasite, and returns whether
 // it reached every interested process.
 bool run_multi_branch(std::uint64_t seed) {
-  topics::TopicHierarchy hierarchy;
-  const auto market = hierarchy.add(".market");
-  const auto stocks = hierarchy.add(".market.stocks");
-  const auto tech = hierarchy.add(".market.stocks.tech");
-  const auto energy = hierarchy.add(".market.stocks.energy");
-  const auto bonds = hierarchy.add(".market.bonds");
+  topics::TopicDag hierarchy;
+  const auto market = topics::intern_path(hierarchy, ".market");
+  const auto stocks = topics::intern_path(hierarchy, ".market.stocks");
+  const auto tech = topics::intern_path(hierarchy, ".market.stocks.tech");
+  const auto energy = topics::intern_path(hierarchy, ".market.stocks.energy");
+  const auto bonds = topics::intern_path(hierarchy, ".market.bonds");
 
   DamSystem::Config config;
   config.seed = seed;
@@ -150,7 +150,7 @@ TEST(EndToEnd, ColdStartDeliveryRate) {
 // was seeded and that no delivery was a parasite, and returns whether the
 // joiner delivered the event.
 bool run_late_joiner(std::uint64_t seed) {
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
   const auto levels = topics::make_linear_hierarchy(hierarchy, 1);
   DamSystem::Config config;
   config.seed = seed;
@@ -186,7 +186,7 @@ TEST(EndToEnd, LateJoinerDeliveryRate) {
 }
 
 TEST(EndToEnd, PublisherInRootGroupOnly) {
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
   const auto levels = topics::make_linear_hierarchy(hierarchy, 2);
   DamSystem::Config config;
   config.seed = 9;
@@ -210,7 +210,7 @@ TEST(EndToEnd, PublisherInRootGroupOnly) {
 
 TEST(EndToEnd, ControlTrafficStaysModest) {
   // Membership + maintenance traffic per round per process is O(1).
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
   const auto levels = topics::make_linear_hierarchy(hierarchy, 1);
   DamSystem::Config config;
   config.seed = 10;

@@ -10,7 +10,7 @@
 #include "core/frozen_sim.hpp"
 #include "core/system.hpp"
 #include "frozen_chain.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 
 namespace dam::core {
 namespace {
@@ -35,7 +35,7 @@ TEST(FigureAgreement, IntergroupMessageLawHoldsInBothEngines) {
   // --- Dynamic engine ---
   double dynamic_inter = 0.0;
   for (int run = 0; run < kRuns; ++run) {
-    topics::TopicHierarchy hierarchy;
+    topics::TopicDag hierarchy;
     const auto levels = topics::make_linear_hierarchy(hierarchy, 1);
     DamSystem::Config config;
     config.seed = 7000 + static_cast<std::uint64_t>(run);
@@ -74,7 +74,7 @@ TEST(FigureAgreement, IntraMessageCountsAgreeAcrossEngines) {
 
   double dynamic_intra = 0.0;
   for (int run = 0; run < kRuns; ++run) {
-    topics::TopicHierarchy hierarchy;
+    topics::TopicDag hierarchy;
     const auto levels = topics::make_linear_hierarchy(hierarchy, 1);
     DamSystem::Config config;
     config.seed = 300 + static_cast<std::uint64_t>(run);

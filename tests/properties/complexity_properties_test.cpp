@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "analysis/formulas.hpp"
 #include "baselines/broadcast.hpp"
@@ -11,7 +12,7 @@
 #include "core/frozen_sim.hpp"
 #include "core/system.hpp"
 #include "frozen_chain.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 
 namespace dam::core {
 namespace {
@@ -39,7 +40,7 @@ TEST_P(GroupSizeSweep, IntraMessagesTrackSLnS) {
 
 TEST_P(GroupSizeSweep, MemoryFootprintWithinBound) {
   const std::size_t S = GetParam();
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
   const auto levels = topics::make_linear_hierarchy(hierarchy, 1);
   DamSystem::Config config;
   config.seed = S;
@@ -60,7 +61,9 @@ TEST_P(GroupSizeSweep, MemoryFootprintWithinBound) {
 INSTANTIATE_TEST_SUITE_P(Sizes, GroupSizeSweep,
                          ::testing::Values(16u, 64u, 256u, 1024u),
                          [](const auto& info) {
-                           return "S" + std::to_string(info.param);
+                           std::string name = "S";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(ComplexityComparison, DamBeatsBroadcastOnTotalMessagesForSubtopicEvents) {
@@ -142,7 +145,9 @@ TEST_P(DepthSweep, TotalMessagesLinearInDepth) {
 
 INSTANTIATE_TEST_SUITE_P(Depths, DepthSweep, ::testing::Values(1u, 2u, 4u, 6u),
                          [](const auto& info) {
-                           return "t" + std::to_string(info.param);
+                           std::string name = "t";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 }  // namespace

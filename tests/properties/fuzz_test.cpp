@@ -21,7 +21,7 @@
 #include "net/transport.hpp"
 #include "sim/scenario.hpp"
 #include "topics/dag.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -194,15 +194,16 @@ TEST(CodecFuzz, BitFlipsNeverCrashDecoder) {
 }
 
 /// Builds a random topic tree with `topic_count` topics under the root.
-std::vector<topics::TopicId> random_tree(topics::TopicHierarchy& hierarchy,
+std::vector<topics::TopicId> random_tree(topics::TopicDag& hierarchy,
                                          std::size_t topic_count,
                                          util::Rng& rng) {
-  std::vector<topics::TopicId> ids{topics::kRootTopic};
+  std::vector<topics::TopicId> ids{topics::intern_path(hierarchy, ".")};
   for (std::size_t i = 0; i < topic_count; ++i) {
     const topics::TopicId parent = ids[rng.below(ids.size())];
-    const auto path =
-        hierarchy.path(parent).child("s" + std::to_string(i));
-    ids.push_back(hierarchy.add(path));
+    std::string path = parent == ids.front() ? "" : hierarchy.name(parent);
+    path += ".s";
+    path += std::to_string(i);
+    ids.push_back(topics::intern_path(hierarchy, path));
   }
   return ids;
 }
@@ -214,7 +215,7 @@ std::vector<topics::TopicId> random_tree(topics::TopicHierarchy& hierarchy,
 // interested set.
 bool run_random_tree(std::uint64_t seed) {
   util::Rng rng(seed);
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
   const auto ids = random_tree(hierarchy, 3 + rng.below(8), rng);
 
   core::DamSystem::Config config;
@@ -312,7 +313,7 @@ TEST_P(RandomChainFuzz, ChainAccountingAlwaysConsistent) {
   config.alive_fraction = rng.uniform01();
   const std::size_t publish_level = rng.below(levels);
   config.publish_topic =
-      topics::DagTopicId{static_cast<std::uint32_t>(publish_level)};
+      topics::TopicId{static_cast<std::uint32_t>(publish_level)};
 
   const auto result = core::run_frozen_simulation(config);
 
@@ -353,15 +354,17 @@ TEST_P(RandomDagFuzz, DagEngineInvariantsOnRandomDags) {
   // 1..3 parents among earlier topics (always acyclic by construction).
   topics::TopicDag dag;
   const std::size_t topic_count = 3 + rng.below(7);
-  std::vector<topics::DagTopicId> ids;
+  std::vector<topics::TopicId> ids;
   for (std::size_t i = 0; i < topic_count; ++i) {
-    ids.push_back(dag.add_topic("t" + std::to_string(i)));
+    std::string name = "t";
+    name += std::to_string(i);
+    ids.push_back(dag.add_topic(name));
     if (i == 0) continue;
     const std::size_t parent_count = 1 + rng.below(std::min<std::size_t>(i, 3));
     const auto parents = rng.sample(
-        std::vector<topics::DagTopicId>(ids.begin(), ids.end() - 1),
+        std::vector<topics::TopicId>(ids.begin(), ids.end() - 1),
         parent_count);
-    for (topics::DagTopicId parent : parents) {
+    for (topics::TopicId parent : parents) {
       dag.add_super(ids.back(), parent);
     }
   }
@@ -387,7 +390,7 @@ TEST_P(RandomDagFuzz, DagEngineInvariantsOnRandomDags) {
     // Only the publish topic and its ancestors may receive anything —
     // the DAG analogue of "no parasite messages".
     const bool should_receive =
-        dag.includes(topics::DagTopicId{static_cast<std::uint32_t>(i)},
+        dag.includes(topics::TopicId{static_cast<std::uint32_t>(i)},
                      config.publish_topic);
     if (!should_receive) {
       EXPECT_EQ(group.delivered, 0u) << "parasite group " << i;
@@ -395,7 +398,7 @@ TEST_P(RandomDagFuzz, DagEngineInvariantsOnRandomDags) {
       EXPECT_EQ(group.inter_sent, 0u);
     }
     // Roots of the DAG never send intergroup messages.
-    if (dag.is_root(topics::DagTopicId{static_cast<std::uint32_t>(i)})) {
+    if (dag.is_root(topics::TopicId{static_cast<std::uint32_t>(i)})) {
       EXPECT_EQ(group.inter_sent, 0u);
     }
   }

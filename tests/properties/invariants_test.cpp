@@ -9,7 +9,7 @@
 #include <tuple>
 
 #include "core/system.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 
 namespace dam::core {
 namespace {
@@ -47,7 +47,7 @@ class InvariantTest
 // Runs one publication through `shape` on lossless channels, checks the
 // routing and memory invariants, and returns the event's delivery ratio.
 double run_core_invariants(const Shape& shape, std::uint64_t seed) {
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
   DamSystem::Config config;
   config.seed = seed;
   config.auto_wire_super_tables = true;
@@ -59,7 +59,7 @@ double run_core_invariants(const Shape& shape, std::uint64_t seed) {
   std::vector<topics::TopicId> topic_ids;
   std::vector<ProcessId> publishers;
   for (const auto& [path, count] : shape.groups) {
-    const auto id = hierarchy.add(path);
+    const auto id = topics::intern_path(hierarchy, path);
     topic_ids.push_back(id);
     const auto members = system.spawn_group(id, count);
     if (std::string(path) == shape.publish_topic) {
@@ -149,9 +149,9 @@ INSTANTIATE_TEST_SUITE_P(Shapes, InvariantRateTest, ::testing::Range(0, 4),
 // returns whether the event reached every interested process (.news.eu,
 // .news and the root).
 bool run_sibling_branches(std::uint64_t seed) {
-  topics::TopicHierarchy hierarchy;
-  const auto eu = hierarchy.add(".news.eu");
-  const auto us = hierarchy.add(".news.us");
+  topics::TopicDag hierarchy;
+  const auto eu = topics::intern_path(hierarchy, ".news.eu");
+  const auto us = topics::intern_path(hierarchy, ".news.us");
   const auto news = *hierarchy.find(".news");
 
   DamSystem::Config config;
@@ -203,7 +203,8 @@ TEST(SiblingIsolationRate, EventReachesNewsAndRootOnAlmostEverySeed) {
 class DegenerateCaseTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DegenerateCaseTest, SingleTopicHasNoHierarchyOverhead) {
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
+  topics::intern_path(hierarchy, ".");  // the root group's topic
   DamSystem::Config config;
   config.seed = GetParam();
   config.auto_wire_super_tables = true;
@@ -244,8 +245,8 @@ TEST_P(SeenGcGuardTest, CoveringHorizonNeverRedeliversAndBoundsSeenColumns) {
   // most ceil(kHorizon / kGapRounds) + 1 are open at once.
   constexpr std::size_t kWindowEvents = kHorizon / kGapRounds + 1;
   const auto run_once = [&](std::size_t gc_horizon) {
-    auto hierarchy = std::make_unique<topics::TopicHierarchy>();
-    const auto leaf = hierarchy->add(".a.b");
+    auto hierarchy = std::make_unique<topics::TopicDag>();
+    const auto leaf = topics::intern_path(*hierarchy, ".a.b");
     const auto mid = *hierarchy->find(".a");
     DamSystem::Config config;
     config.seed = GetParam();
@@ -304,7 +305,8 @@ TEST(SeenColumnGc, RetiredEventsNeverTouchLiveCounters) {
   // Retire an event while copies are still in flight: the stragglers must
   // land as retired_deliveries (harmless duplicate traffic), never as live
   // deliveries or redeliveries — harvested aggregates stay frozen.
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
+  topics::intern_path(hierarchy, ".");  // the root group's topic
   DamSystem::Config config;
   config.seed = 11;
   config.auto_wire_super_tables = true;

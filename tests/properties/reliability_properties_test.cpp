@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -64,8 +65,9 @@ TEST_P(FanoutSweep, BottomGroupDeliveryGrowsWithC) {
 INSTANTIATE_TEST_SUITE_P(CValues, FanoutSweep,
                          ::testing::Values(0.0, 1.0, 2.0),
                          [](const auto& info) {
-                           return "c" + std::to_string(static_cast<int>(
-                                            info.param));
+                           std::string name = "c";
+                           name += std::to_string(static_cast<int>(info.param));
+                           return name;
                          });
 
 class IntergroupKnobSweep : public ::testing::TestWithParam<double> {};
@@ -91,8 +93,9 @@ TEST_P(IntergroupKnobSweep, LargerGMeansMoreIntergroupMessages) {
 INSTANTIATE_TEST_SUITE_P(GValues, IntergroupKnobSweep,
                          ::testing::Values(1.0, 2.0, 5.0, 10.0, 20.0),
                          [](const auto& info) {
-                           return "g" + std::to_string(static_cast<int>(
-                                            info.param));
+                           std::string name = "g";
+                           name += std::to_string(static_cast<int>(info.param));
+                           return name;
                          });
 
 TEST(ReliabilityTradeoff, LargerAImprovesHopSurvival) {

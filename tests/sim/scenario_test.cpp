@@ -104,9 +104,9 @@ TEST(Scenario, MakeLinearScenarioBuildsARootFirstPath) {
             (std::vector<std::string>{"T0", "T1", "T2"}));
   EXPECT_EQ(scenario.publish_topic, 2u);
   const topics::TopicDag dag = scenario.build_dag();
-  EXPECT_TRUE(dag.is_root(topics::DagTopicId{0}));
-  EXPECT_TRUE(dag.includes(topics::DagTopicId{0}, topics::DagTopicId{2}));
-  EXPECT_FALSE(dag.includes(topics::DagTopicId{2}, topics::DagTopicId{0}));
+  EXPECT_TRUE(dag.is_root(topics::TopicId{0}));
+  EXPECT_TRUE(dag.includes(topics::TopicId{0}, topics::TopicId{2}));
+  EXPECT_FALSE(dag.includes(topics::TopicId{2}, topics::TopicId{0}));
 }
 
 TEST(Scenario, BadEdgeIndexThrows) {

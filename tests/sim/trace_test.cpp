@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "core/system.hpp"
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 
 namespace dam::sim {
 namespace {
@@ -85,7 +85,7 @@ TEST(TraceKindNames, AllNamed) {
 }
 
 TEST(SystemTracing, CapturesFullPublicationLifecycle) {
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
   const auto levels = topics::make_linear_hierarchy(hierarchy, 1);
   core::DamSystem::Config config;
   config.seed = 4;
@@ -124,7 +124,7 @@ TEST(SystemTracing, CapturesFullPublicationLifecycle) {
 }
 
 TEST(SystemTracing, DetachStopsRecording) {
-  topics::TopicHierarchy hierarchy;
+  topics::TopicDag hierarchy;
   const auto levels = topics::make_linear_hierarchy(hierarchy, 0);
   core::DamSystem::Config config;
   config.seed = 5;

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <vector>
 
 namespace dam::topics {
 namespace {
@@ -10,7 +10,7 @@ namespace {
 /// Diamond: B -> {M1, M2} -> A.
 struct Diamond {
   TopicDag dag;
-  DagTopicId a, m1, m2, b;
+  TopicId a, m1, m2, b;
 
   Diamond() {
     a = dag.add_topic("A");
@@ -24,14 +24,21 @@ struct Diamond {
   }
 };
 
+std::vector<TopicId> chain(const TopicDag& dag, TopicId id) {
+  const auto span = dag.chain_to_root(id);
+  return {span.begin(), span.end()};
+}
+
 TEST(TopicDag, AddAndFind) {
   TopicDag dag;
   const auto x = dag.add_topic("x");
+  EXPECT_EQ(x, TopicId{0});
   EXPECT_EQ(dag.size(), 1u);
   EXPECT_EQ(dag.name(x), "x");
   ASSERT_TRUE(dag.find("x").has_value());
   EXPECT_EQ(*dag.find("x"), x);
   EXPECT_FALSE(dag.find("y").has_value());
+  EXPECT_EQ(dag.add_topic("y"), TopicId{1});
 }
 
 TEST(TopicDag, RejectsDuplicateAndEmptyNames) {
@@ -49,7 +56,6 @@ TEST(TopicDag, MultipleSupers) {
   EXPECT_EQ(supers[1], d.m2);
   EXPECT_TRUE(d.dag.is_root(d.a));
   EXPECT_FALSE(d.dag.is_root(d.b));
-  ASSERT_EQ(d.dag.subs(d.a).size(), 2u);
 }
 
 TEST(TopicDag, IncludesAcrossDiamond) {
@@ -62,12 +68,13 @@ TEST(TopicDag, IncludesAcrossDiamond) {
   EXPECT_FALSE(d.dag.includes(d.m1, d.m2));  // siblings unrelated
 }
 
-TEST(TopicDag, AncestorsDeduplicated) {
+TEST(TopicDag, ChainToRootListsEachAncestorOnce) {
   Diamond d;
-  const auto closure = d.dag.ancestors(d.b);
-  ASSERT_EQ(closure.size(), 3u);  // m1, m2, a — a counted ONCE
-  EXPECT_EQ(std::count(closure.begin(), closure.end(), d.a), 1);
-  EXPECT_TRUE(d.dag.ancestors(d.a).empty());
+  // Self first, then the closure nearest first; A is reached twice but
+  // listed once.
+  EXPECT_EQ(chain(d.dag, d.b),
+            (std::vector<TopicId>{d.b, d.m1, d.m2, d.a}));
+  EXPECT_EQ(chain(d.dag, d.a), std::vector<TopicId>{d.a});
 }
 
 TEST(TopicDag, RejectsSelfLoopDuplicateEdgeAndCycle) {
@@ -78,14 +85,14 @@ TEST(TopicDag, RejectsSelfLoopDuplicateEdgeAndCycle) {
   EXPECT_THROW(d.dag.add_super(d.a, d.b), std::invalid_argument);
 }
 
-TEST(TopicDag, Height) {
+TEST(TopicDag, Depth) {
   Diamond d;
-  EXPECT_EQ(d.dag.height(d.a), 0u);
-  EXPECT_EQ(d.dag.height(d.m1), 1u);
-  EXPECT_EQ(d.dag.height(d.b), 2u);
+  EXPECT_EQ(d.dag.depth(d.a), 0u);
+  EXPECT_EQ(d.dag.depth(d.m1), 1u);
+  EXPECT_EQ(d.dag.depth(d.b), 2u);
 }
 
-TEST(TopicDag, HeightTakesLongestChain) {
+TEST(TopicDag, DepthTakesLongestChain) {
   TopicDag dag;
   const auto a = dag.add_topic("a");
   const auto b = dag.add_topic("b");
@@ -95,25 +102,137 @@ TEST(TopicDag, HeightTakesLongestChain) {
   dag.add_super(c, b);  // chain of length 2
   dag.add_super(x, a);
   dag.add_super(c, x);  // alternative shorter path would give 2 as well
-  EXPECT_EQ(dag.height(c), 2u);
+  EXPECT_EQ(dag.depth(c), 2u);
+}
+
+TEST(TopicDag, EdgeAboveASubtreeRefreshesEveryTopicBelow) {
+  // Edges added bottom-up: c -> b first, then b -> a. The caches of c,
+  // which sits below the new edge, must pick up a as well.
+  TopicDag dag;
+  const auto a = dag.add_topic("a");
+  const auto b = dag.add_topic("b");
+  const auto c = dag.add_topic("c");
+  dag.add_super(c, b);
+  EXPECT_EQ(dag.depth(c), 1u);
+  EXPECT_FALSE(dag.includes(a, c));
+  dag.add_super(b, a);
+  EXPECT_EQ(dag.depth(b), 1u);
+  EXPECT_EQ(dag.depth(c), 2u);
+  EXPECT_TRUE(dag.includes(a, c));
+  EXPECT_EQ(chain(dag, c), (std::vector<TopicId>{c, b, a}));
+  EXPECT_THROW(dag.add_super(a, c), std::invalid_argument);  // cycle
+}
+
+TEST(TopicDag, SuperNeedsExactlyOneParent) {
+  Diamond d;
+  EXPECT_EQ(d.dag.super(d.m1), d.a);
+  EXPECT_THROW((void)d.dag.super(d.a), std::logic_error);  // root
+  EXPECT_THROW((void)d.dag.super(d.b), std::logic_error);  // two parents
+}
+
+TEST(TopicDag, RequireTreeRejectsMultipleParents) {
+  Diamond d;
+  EXPECT_THROW(require_tree(d.dag, "test"), std::invalid_argument);
+  TopicDag forest;
+  forest.add_topic("x");
+  forest.add_topic("y");
+  EXPECT_NO_THROW(require_tree(forest, "test"));
 }
 
 TEST(TopicDag, UnknownIdsThrow) {
   TopicDag dag;
   dag.add_topic("only");
-  EXPECT_THROW((void)dag.supers(DagTopicId{5}), std::out_of_range);
-  EXPECT_THROW(dag.add_super(DagTopicId{0}, DagTopicId{5}),
+  EXPECT_THROW((void)dag.supers(TopicId{5}), std::out_of_range);
+  EXPECT_THROW(dag.add_super(TopicId{0}, TopicId{5}), std::out_of_range);
+  EXPECT_THROW((void)dag.includes(TopicId{5}, TopicId{0}),
                std::out_of_range);
-  EXPECT_THROW((void)dag.includes(DagTopicId{5}, DagTopicId{0}),
+  EXPECT_THROW((void)dag.includes(TopicId{0}, TopicId{5}),
                std::out_of_range);
+  EXPECT_THROW((void)dag.depth(TopicId{5}), std::out_of_range);
 }
 
-TEST(TopicDag, AllReturnsInsertionOrder) {
-  Diamond d;
-  const auto all = d.dag.all();
-  ASSERT_EQ(all.size(), 4u);
-  EXPECT_EQ(all[0], d.a);
-  EXPECT_EQ(all[3], d.b);
+TEST(InternPath, InternsRootThenEachPrefix) {
+  TopicDag dag;
+  const TopicId deep = intern_path(dag, ".a.b.c");
+  ASSERT_EQ(dag.size(), 4u);  // ".", ".a", ".a.b", ".a.b.c"
+  EXPECT_EQ(dag.name(kRootTopic), ".");
+  EXPECT_EQ(*dag.find(".a"), TopicId{1});
+  EXPECT_EQ(*dag.find(".a.b"), TopicId{2});
+  EXPECT_EQ(deep, TopicId{3});
+  EXPECT_EQ(dag.depth(deep), 3u);
+  EXPECT_EQ(dag.super(deep), TopicId{2});
+  EXPECT_EQ(dag.super(TopicId{1}), kRootTopic);
+  EXPECT_TRUE(dag.is_root(kRootTopic));
+}
+
+TEST(InternPath, IsIdempotentAndSharesPrefixes) {
+  TopicDag dag;
+  const TopicId first = intern_path(dag, ".x.y");
+  EXPECT_EQ(intern_path(dag, ".x.y"), first);
+  EXPECT_EQ(dag.size(), 3u);
+  const TopicId sibling = intern_path(dag, ".x.z");
+  EXPECT_EQ(sibling, TopicId{3});  // only the new leaf is added
+  EXPECT_EQ(dag.super(sibling), *dag.find(".x"));
+  EXPECT_EQ(intern_path(dag, "."), kRootTopic);
+  EXPECT_EQ(dag.size(), 4u);
+}
+
+TEST(InternPath, RejectsBadPaths) {
+  TopicDag dag;
+  EXPECT_THROW(intern_path(dag, "no-dot"), std::invalid_argument);
+  EXPECT_THROW(intern_path(dag, ".bad..seg"), std::invalid_argument);
+  EXPECT_THROW(intern_path(dag, ".trailing."), std::invalid_argument);
+  EXPECT_THROW(intern_path(dag, ""), std::invalid_argument);
+  EXPECT_EQ(dag.size(), 0u);
+}
+
+TEST(InternPath, IncludesFollowsPrefixes) {
+  TopicDag dag;
+  const TopicId ab = intern_path(dag, ".a.b");
+  const TopicId ac = intern_path(dag, ".a.c");
+  const TopicId a = *dag.find(".a");
+  EXPECT_TRUE(dag.includes(kRootTopic, ab));
+  EXPECT_TRUE(dag.includes(a, ab));
+  EXPECT_TRUE(dag.includes(a, ac));
+  EXPECT_FALSE(dag.includes(ab, ac));
+  EXPECT_FALSE(dag.includes(ab, a));
+  EXPECT_FALSE(dag.includes(ab, kRootTopic));
+  // ".x" must not include ".xy" even though "x" is a string prefix.
+  EXPECT_FALSE(dag.includes(intern_path(dag, ".x"), intern_path(dag, ".xy")));
+}
+
+TEST(InternPath, ChainToRootRunsSelfToRoot) {
+  TopicDag dag;
+  const TopicId abc = intern_path(dag, ".a.b.c");
+  const auto path = chain(dag, abc);
+  ASSERT_EQ(path.size(), 4u);
+  EXPECT_EQ(path[0], abc);
+  EXPECT_EQ(dag.name(path[1]), ".a.b");
+  EXPECT_EQ(dag.name(path[2]), ".a");
+  EXPECT_EQ(path[3], kRootTopic);
+  EXPECT_EQ(chain(dag, kRootTopic), std::vector<TopicId>{kRootTopic});
+}
+
+TEST(MakeLinearHierarchy, BuildsChain) {
+  TopicDag dag;
+  const auto levels = make_linear_hierarchy(dag, 3);
+  ASSERT_EQ(levels.size(), 4u);
+  EXPECT_EQ(levels[0], kRootTopic);
+  EXPECT_EQ(dag.name(levels[1]), ".t1");
+  EXPECT_EQ(dag.name(levels[2]), ".t1.t2");
+  EXPECT_EQ(dag.name(levels[3]), ".t1.t2.t3");
+  for (std::size_t i = 1; i < levels.size(); ++i) {
+    EXPECT_EQ(dag.super(levels[i]), levels[i - 1]);
+    EXPECT_EQ(dag.depth(levels[i]), i);
+  }
+}
+
+TEST(MakeLinearHierarchy, ZeroLevelsIsJustRoot) {
+  TopicDag dag;
+  const auto levels = make_linear_hierarchy(dag, 0);
+  ASSERT_EQ(levels.size(), 1u);
+  EXPECT_EQ(levels[0], kRootTopic);
+  EXPECT_EQ(dag.size(), 1u);
 }
 
 }  // namespace

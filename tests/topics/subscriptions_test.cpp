@@ -10,12 +10,12 @@ namespace {
 class SubscriptionsTest : public ::testing::Test {
  protected:
   SubscriptionsTest() : registry_(hierarchy_) {
-    t1_ = hierarchy_.add(".t1");
-    t2_ = hierarchy_.add(".t1.t2");
-    side_ = hierarchy_.add(".side");
+    t1_ = topics::intern_path(hierarchy_, ".t1");
+    t2_ = topics::intern_path(hierarchy_, ".t1.t2");
+    side_ = topics::intern_path(hierarchy_, ".side");
   }
 
-  TopicHierarchy hierarchy_;
+  TopicDag hierarchy_;
   SubscriptionRegistry registry_;
   TopicId t1_{}, t2_{}, side_{};
 };
@@ -103,8 +103,8 @@ TEST_F(SubscriptionsTest, TopicInternedAfterTheRegistryGetsAGroup) {
   // Groups are indexed by TopicId, and the hierarchy may grow after the
   // registry exists (PubSub interns topics lazily).
   const ProcessId early = registry_.add_process(t1_);
-  const TopicId late = hierarchy_.add(".late");
-  const TopicId idle = hierarchy_.add(".late.idle");
+  const TopicId late = topics::intern_path(hierarchy_, ".late");
+  const TopicId idle = topics::intern_path(hierarchy_, ".late.idle");
   EXPECT_TRUE(registry_.group(late).empty());
   const ProcessId a = registry_.add_process(late);
   const ProcessId b = registry_.add_process(late);

@@ -1,9 +1,11 @@
-// workload/driver: scenario binding (tree check, root mapping), dynamic-run
-// determinism, multi-publication collection, and churn/join replay.
+// workload/driver: scenario binding (tree check, identity topic ids),
+// dynamic-run determinism, multi-publication collection, churn/join replay,
+// and the steady rivals' share of the tree and params checks.
 #include "workload/driver.hpp"
 
 #include <gtest/gtest.h>
 
+#include "baselines/steady.hpp"
 #include "sim/scenario.hpp"
 
 namespace dam::workload {
@@ -26,43 +28,53 @@ TEST(BindScenario, SingleRootMapsOntoHierarchyRoot) {
   const sim::Scenario scenario = small_dynamic();
   const DynamicScenarioBinding binding = bind_scenario(scenario);
   ASSERT_EQ(binding.topic_ids.size(), 3u);
-  // T0 IS the hierarchy root: its processes never run FIND_SUPER_CONTACT,
-  // exactly like the paper setting's top group.
+  // Scenario topic i is TopicId{i}; T0 is the DAG root, so its processes
+  // never run FIND_SUPER_CONTACT, exactly like the paper's top group.
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(binding.topic_ids[i], topics::TopicId{i});
+  }
   EXPECT_TRUE(binding.hierarchy.is_root(binding.topic_ids[0]));
   EXPECT_EQ(binding.hierarchy.super(binding.topic_ids[1]),
             binding.topic_ids[0]);
   EXPECT_EQ(binding.hierarchy.super(binding.topic_ids[2]),
             binding.topic_ids[1]);
-  EXPECT_TRUE(binding.is_scenario_root[0]);
-  EXPECT_FALSE(binding.is_scenario_root[1]);
 }
 
-TEST(BindScenario, ForestKeepsRootsBelowHierarchyRoot) {
+TEST(BindScenario, ForestRootsAreDagRoots) {
   sim::Scenario scenario = small_dynamic();
   scenario.topic_names = {"A", "B"};
   scenario.super_edges = {};  // two disconnected roots
   scenario.group_sizes = {5, 5};
   scenario.publish_topic = 1;
   const DynamicScenarioBinding binding = bind_scenario(scenario);
-  EXPECT_FALSE(binding.hierarchy.is_root(binding.topic_ids[0]));
-  EXPECT_FALSE(binding.hierarchy.is_root(binding.topic_ids[1]));
+  // Each root group is a root of the DAG: nobody searches for a
+  // memberless supergroup above it.
+  EXPECT_TRUE(binding.hierarchy.is_root(binding.topic_ids[0]));
+  EXPECT_TRUE(binding.hierarchy.is_root(binding.topic_ids[1]));
   EXPECT_NE(binding.topic_ids[0], binding.topic_ids[1]);
 }
 
-TEST(BindScenario, RejectsDagsAndBadNames) {
-  sim::Scenario diamond = small_dynamic();
-  diamond.topic_names = {"A", "M1", "M2", "B"};
-  diamond.super_edges = {{1, 0}, {2, 0}, {3, 1}, {3, 2}};  // B: two parents
-  diamond.group_sizes = {5, 5, 5, 5};
-  EXPECT_THROW(bind_scenario(diamond), std::invalid_argument);
+sim::Scenario diamond_of(sim::Scenario scenario) {
+  scenario.topic_names = {"A", "M1", "M2", "B"};
+  scenario.super_edges = {{1, 0}, {2, 0}, {3, 1}, {3, 2}};  // B: two parents
+  scenario.group_sizes = {5, 5, 5, 5};
+  return scenario;
+}
 
-  sim::Scenario bad_name = small_dynamic();
-  bad_name.topic_names = {"T0", "not a segment", "T2"};
-  EXPECT_THROW(bind_scenario(bad_name), std::invalid_argument);
+TEST(BindScenario, RejectsDagsAndShortSizes) {
+  EXPECT_THROW(bind_scenario(diamond_of(small_dynamic())),
+               std::invalid_argument);
 
   sim::Scenario short_sizes = small_dynamic();
   short_sizes.group_sizes = {5};
   EXPECT_THROW(bind_scenario(short_sizes), std::invalid_argument);
+}
+
+TEST(RunDynamic, RejectsDags) {
+  const sim::Scenario diamond = diamond_of(small_dynamic());
+  const topics::TopicDag dag = diamond.build_dag();
+  EXPECT_THROW((void)run_dynamic_simulation(diamond, dag, 1.0, 0),
+               std::invalid_argument);
 }
 
 TEST(RunDynamic, RejectsHeterogeneousPerTopicParams) {
@@ -72,21 +84,43 @@ TEST(RunDynamic, RejectsHeterogeneousPerTopicParams) {
   core::TopicParams lossy;
   lossy.psucc = 0.3;
   scenario.params = {core::TopicParams{}, core::TopicParams{}, lossy};
-  const DynamicScenarioBinding binding = bind_scenario(scenario);
-  EXPECT_THROW((void)run_dynamic_simulation(scenario, binding, 1.0, 0),
+  const topics::TopicDag dag = scenario.build_dag();
+  EXPECT_THROW((void)run_dynamic_simulation(scenario, dag, 1.0, 0),
                std::invalid_argument);
   // A uniform multi-entry vector is fine.
   scenario.params = {core::TopicParams{}, core::TopicParams{}};
   const DynamicRunResult result =
-      run_dynamic_simulation(scenario, binding, 1.0, 0);
+      run_dynamic_simulation(scenario, dag, 1.0, 0);
   EXPECT_GT(result.total_messages, 0u);
+}
+
+TEST(SteadyBaseline, RejectsDagsThroughTheSharedCheck) {
+  // The steady rivals route along one supertopic per group and call the
+  // same topics::require_tree as the driver and the sweep runner.
+  sim::Scenario diamond = diamond_of(small_dynamic());
+  diamond.engine = sim::EngineKind::kBaselineTree;
+  EXPECT_THROW((void)baselines::run_steady_baseline(diamond, 1.0, 0),
+               std::invalid_argument);
+  EXPECT_THROW(topics::require_tree(diamond.build_dag(), "test"),
+               std::invalid_argument);
+  EXPECT_NO_THROW(topics::require_tree(small_dynamic().build_dag(), "test"));
+}
+
+TEST(SteadyBaseline, RejectsHeterogeneousPerTopicParams) {
+  sim::Scenario scenario = small_dynamic();
+  scenario.engine = sim::EngineKind::kBaselineGossip;
+  core::TopicParams lossy;
+  lossy.psucc = 0.3;
+  scenario.params = {core::TopicParams{}, lossy};
+  EXPECT_THROW((void)baselines::run_steady_baseline(scenario, 1.0, 0),
+               std::invalid_argument);
 }
 
 TEST(RunDynamic, DeterministicForSameCell) {
   const sim::Scenario scenario = small_dynamic();
-  const DynamicScenarioBinding binding = bind_scenario(scenario);
-  const DynamicRunResult a = run_dynamic_simulation(scenario, binding, 1.0, 3);
-  const DynamicRunResult b = run_dynamic_simulation(scenario, binding, 1.0, 3);
+  const topics::TopicDag dag = scenario.build_dag();
+  const DynamicRunResult a = run_dynamic_simulation(scenario, dag, 1.0, 3);
+  const DynamicRunResult b = run_dynamic_simulation(scenario, dag, 1.0, 3);
   EXPECT_EQ(a.total_messages, b.total_messages);
   EXPECT_EQ(a.control_messages, b.control_messages);
   EXPECT_EQ(a.publications, b.publications);
@@ -98,15 +132,15 @@ TEST(RunDynamic, DeterministicForSameCell) {
     EXPECT_EQ(a.groups[g].inter_sent, b.groups[g].inter_sent);
     EXPECT_DOUBLE_EQ(a.groups[g].delivery_ratio, b.groups[g].delivery_ratio);
   }
-  const DynamicRunResult c = run_dynamic_simulation(scenario, binding, 1.0, 4);
+  const DynamicRunResult c = run_dynamic_simulation(scenario, dag, 1.0, 4);
   EXPECT_NE(a.total_messages, c.total_messages);  // other cell, other run
 }
 
 TEST(RunDynamic, CollectsPublicationsReliabilityAndLatency) {
   const sim::Scenario scenario = small_dynamic();
-  const DynamicScenarioBinding binding = bind_scenario(scenario);
+  const topics::TopicDag dag = scenario.build_dag();
   const DynamicRunResult result =
-      run_dynamic_simulation(scenario, binding, 1.0, 0);
+      run_dynamic_simulation(scenario, dag, 1.0, 0);
   EXPECT_EQ(result.publications, 2u);
   EXPECT_GT(result.event_reliability, 0.5);
   EXPECT_LE(result.event_reliability, 1.0);
@@ -126,9 +160,9 @@ TEST(RunDynamic, CollectsPublicationsReliabilityAndLatency) {
 
 TEST(RunDynamic, StillbornFractionShrinksAliveCounts) {
   const sim::Scenario scenario = small_dynamic();
-  const DynamicScenarioBinding binding = bind_scenario(scenario);
+  const topics::TopicDag dag = scenario.build_dag();
   const DynamicRunResult result =
-      run_dynamic_simulation(scenario, binding, 0.5, 1);
+      run_dynamic_simulation(scenario, dag, 0.5, 1);
   std::size_t alive = 0;
   std::size_t total = 0;
   for (const DynamicGroupResult& group : result.groups) {
@@ -146,9 +180,9 @@ TEST(RunDynamic, JoinsGrowGroupsAndChurnShrinksAlive) {
   scenario.workload.churn.leave_fraction = 0.4;
   scenario.workload.churn.crash_fraction = 0.5;
   scenario.workload.churn.crash_length = 3;
-  const DynamicScenarioBinding binding = bind_scenario(scenario);
+  const topics::TopicDag dag = scenario.build_dag();
   const DynamicRunResult result =
-      run_dynamic_simulation(scenario, binding, 1.0, 2);
+      run_dynamic_simulation(scenario, dag, 1.0, 2);
   std::size_t members = 0;
   std::size_t alive = 0;
   for (const DynamicGroupResult& group : result.groups) {
@@ -166,9 +200,9 @@ TEST(RunDynamic, ColdStartMeasuresBootstrapLink) {
   scenario.workload.engine.auto_wire_super_tables = false;
   scenario.workload.engine.warmup_rounds = 0;
   scenario.workload.engine.drain_rounds = 0;
-  const DynamicScenarioBinding binding = bind_scenario(scenario);
+  const topics::TopicDag dag = scenario.build_dag();
   const DynamicRunResult result =
-      run_dynamic_simulation(scenario, binding, 1.0, 0);
+      run_dynamic_simulation(scenario, dag, 1.0, 0);
   EXPECT_TRUE(result.measured_link);
   EXPECT_GT(result.rounds_to_link, 0.0);
   EXPECT_LE(result.rounds_to_link, 16.0);

@@ -24,8 +24,8 @@ const sim::Scenario& preset(const char* name) {
 
 TEST(DynamicGolden, ZipfStormAllAliveRunZero) {
   const sim::Scenario& scenario = preset("zipf-storm");
-  const DynamicScenarioBinding binding = bind_scenario(scenario);
-  const DynamicRunResult r = run_dynamic_simulation(scenario, binding, 1.0, 0);
+  const topics::TopicDag dag = scenario.build_dag();
+  const DynamicRunResult r = run_dynamic_simulation(scenario, dag, 1.0, 0);
   EXPECT_EQ(r.total_messages, 96777u);
   EXPECT_EQ(r.control_messages, 58827u);
   EXPECT_EQ(r.publications, 20u);
@@ -58,8 +58,8 @@ TEST(DynamicGolden, ZipfStormAllAliveRunZero) {
 
 TEST(DynamicGolden, ZipfStormStillbornRunTwo) {
   const sim::Scenario& scenario = preset("zipf-storm");
-  const DynamicScenarioBinding binding = bind_scenario(scenario);
-  const DynamicRunResult r = run_dynamic_simulation(scenario, binding, 0.7, 2);
+  const topics::TopicDag dag = scenario.build_dag();
+  const DynamicRunResult r = run_dynamic_simulation(scenario, dag, 0.7, 2);
   EXPECT_EQ(r.total_messages, 30486u);
   EXPECT_EQ(r.control_messages, 41447u);
   EXPECT_EQ(r.publications, 26u);
@@ -76,8 +76,8 @@ TEST(DynamicGolden, ZipfStormStillbornRunTwo) {
 
 TEST(DynamicGolden, FlashcrowdRunOne) {
   const sim::Scenario& scenario = preset("flashcrowd");
-  const DynamicScenarioBinding binding = bind_scenario(scenario);
-  const DynamicRunResult r = run_dynamic_simulation(scenario, binding, 1.0, 1);
+  const topics::TopicDag dag = scenario.build_dag();
+  const DynamicRunResult r = run_dynamic_simulation(scenario, dag, 1.0, 1);
   EXPECT_EQ(r.total_messages, 604897u);
   EXPECT_EQ(r.control_messages, 52167u);
   EXPECT_EQ(r.publications, 47u);
@@ -95,8 +95,8 @@ TEST(DynamicGolden, ChurnSubscribeHeavyRunZero) {
   // mid-run spawn() path (owned views) and the overlays of batch-spawned
   // nodes.
   const sim::Scenario& scenario = preset("churn-subscribe-heavy");
-  const DynamicScenarioBinding binding = bind_scenario(scenario);
-  const DynamicRunResult r = run_dynamic_simulation(scenario, binding, 1.0, 0);
+  const topics::TopicDag dag = scenario.build_dag();
+  const DynamicRunResult r = run_dynamic_simulation(scenario, dag, 1.0, 0);
   EXPECT_EQ(r.total_messages, 18499u);
   EXPECT_EQ(r.control_messages, 14448u);
   EXPECT_EQ(r.publications, 10u);
@@ -121,8 +121,8 @@ TEST(DynamicGolden, SteadyChurnRunZero) {
   // bit-identical.
   sim::Scenario scenario = preset("steady-churn");
   scenario.workload.arrival.horizon = 96;
-  const DynamicScenarioBinding binding = bind_scenario(scenario);
-  const DynamicRunResult r = run_dynamic_simulation(scenario, binding, 1.0, 0);
+  const topics::TopicDag dag = scenario.build_dag();
+  const DynamicRunResult r = run_dynamic_simulation(scenario, dag, 1.0, 0);
   EXPECT_EQ(r.total_messages, 348443u);
   EXPECT_EQ(r.control_messages, 128542u);
   EXPECT_EQ(r.publications, 51u);
@@ -165,8 +165,8 @@ TEST(DynamicGolden, RecoveryAblationCell) {
   rec.workload.engine.recovery_history = 48;
   rec.workload.engine.recovery_digest = 6;
   rec.base_seed = 0x2ECA;
-  const DynamicScenarioBinding binding = bind_scenario(rec);
-  const DynamicRunResult r = run_dynamic_simulation(rec, binding, 0.85, 1);
+  const topics::TopicDag dag = rec.build_dag();
+  const DynamicRunResult r = run_dynamic_simulation(rec, dag, 0.85, 1);
   EXPECT_EQ(r.total_messages, 27409u);
   EXPECT_EQ(r.control_messages, 16587u);
   EXPECT_EQ(r.publications, 8u);
@@ -219,8 +219,8 @@ TEST(DynamicGolden, ColdStartBootstrapCell) {
   cold.workload.engine.warmup_rounds = 0;
   cold.workload.engine.drain_rounds = 0;
   cold.base_seed = 0xC01D;
-  const DynamicScenarioBinding binding = bind_scenario(cold);
-  const DynamicRunResult r = run_dynamic_simulation(cold, binding, 1.0, 0);
+  const topics::TopicDag dag = cold.build_dag();
+  const DynamicRunResult r = run_dynamic_simulation(cold, dag, 1.0, 0);
   EXPECT_EQ(r.total_messages, 0u);
   EXPECT_EQ(r.control_messages, 2220u);
   EXPECT_DOUBLE_EQ(r.rounds_to_link, 4.0);

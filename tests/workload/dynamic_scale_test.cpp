@@ -18,11 +18,11 @@ namespace {
 TEST(DynamicScale, HundredThousandProcessRunStaysInBudget) {
   const sim::Scenario* preset = sim::find_scenario("giant-dynamic");
   ASSERT_NE(preset, nullptr);
-  const DynamicScenarioBinding binding = bind_scenario(*preset);
+  const topics::TopicDag dag = preset->build_dag();
 
   const auto start = std::chrono::steady_clock::now();
   const DynamicRunResult result =
-      run_dynamic_simulation(*preset, binding, 1.0, 0);
+      run_dynamic_simulation(*preset, dag, 1.0, 0);
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -27,8 +27,8 @@ sim::Scenario cell(const char* name) {
 
 TEST(SteadyGolden, ProtocolCell) {
   const sim::Scenario scenario = cell("steady-state");
-  const DynamicScenarioBinding binding = bind_scenario(scenario);
-  const DynamicRunResult r = run_dynamic_simulation(scenario, binding, 1.0, 0);
+  const topics::TopicDag dag = scenario.build_dag();
+  const DynamicRunResult r = run_dynamic_simulation(scenario, dag, 1.0, 0);
   EXPECT_EQ(r.total_messages, 234587u);
   EXPECT_EQ(r.control_messages, 132085u);
   EXPECT_EQ(r.publications, 47u);
