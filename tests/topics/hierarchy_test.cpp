@@ -1,144 +1,99 @@
-#include "topics/hierarchy.hpp"
+#include "topics/dag.hpp"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 namespace dam::topics {
 namespace {
 
-TEST(TopicHierarchy, StartsWithRoot) {
-  TopicHierarchy hierarchy;
-  EXPECT_EQ(hierarchy.size(), 1u);
-  EXPECT_TRUE(hierarchy.is_root(kRootTopic));
-  EXPECT_EQ(hierarchy.name(kRootTopic), ".");
-  EXPECT_EQ(hierarchy.depth(kRootTopic), 0u);
+std::vector<TopicId> chain(const TopicDag& dag, TopicId id) {
+  const auto span = dag.chain_to_root(id);
+  return {span.begin(), span.end()};
 }
 
-TEST(TopicHierarchy, AddInternsAncestors) {
-  TopicHierarchy hierarchy;
-  const TopicId deep = hierarchy.add(".a.b.c");
-  EXPECT_EQ(hierarchy.size(), 4u);  // root, .a, .a.b, .a.b.c
-  EXPECT_TRUE(hierarchy.find(".a").has_value());
-  EXPECT_TRUE(hierarchy.find(".a.b").has_value());
-  EXPECT_EQ(hierarchy.depth(deep), 3u);
+TEST(InternPath, InternsRootThenEachPrefix) {
+  TopicDag dag;
+  const TopicId deep = intern_path(dag, ".a.b.c");
+  ASSERT_EQ(dag.size(), 4u);  // ".", ".a", ".a.b", ".a.b.c"
+  EXPECT_EQ(dag.name(kRootTopic), ".");
+  EXPECT_EQ(*dag.find(".a"), TopicId{1});
+  EXPECT_EQ(*dag.find(".a.b"), TopicId{2});
+  EXPECT_EQ(deep, TopicId{3});
+  EXPECT_EQ(dag.depth(deep), 3u);
+  EXPECT_EQ(dag.super(deep), TopicId{2});
+  EXPECT_EQ(dag.super(TopicId{1}), kRootTopic);
+  EXPECT_TRUE(dag.is_root(kRootTopic));
 }
 
-TEST(TopicHierarchy, AddIsIdempotent) {
-  TopicHierarchy hierarchy;
-  const TopicId first = hierarchy.add(".x.y");
-  const TopicId second = hierarchy.add(".x.y");
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(hierarchy.size(), 3u);
+TEST(InternPath, IsIdempotentAndSharesPrefixes) {
+  TopicDag dag;
+  const TopicId first = intern_path(dag, ".x.y");
+  EXPECT_EQ(intern_path(dag, ".x.y"), first);
+  EXPECT_EQ(dag.size(), 3u);
+  const TopicId sibling = intern_path(dag, ".x.z");
+  EXPECT_EQ(sibling, TopicId{3});  // only the new leaf is added
+  EXPECT_EQ(dag.super(sibling), *dag.find(".x"));
+  EXPECT_EQ(intern_path(dag, "."), kRootTopic);
+  EXPECT_EQ(dag.size(), 4u);
 }
 
-TEST(TopicHierarchy, AddRejectsBadSyntax) {
-  TopicHierarchy hierarchy;
-  EXPECT_THROW(hierarchy.add("no-dot"), std::invalid_argument);
-  EXPECT_THROW(hierarchy.add(".bad..seg"), std::invalid_argument);
+TEST(InternPath, RejectsBadPaths) {
+  TopicDag dag;
+  EXPECT_THROW(intern_path(dag, "no-dot"), std::invalid_argument);
+  EXPECT_THROW(intern_path(dag, ".bad..seg"), std::invalid_argument);
+  EXPECT_THROW(intern_path(dag, ".trailing."), std::invalid_argument);
+  EXPECT_THROW(intern_path(dag, ""), std::invalid_argument);
+  EXPECT_EQ(dag.size(), 0u);
 }
 
-TEST(TopicHierarchy, SuperRelations) {
-  TopicHierarchy hierarchy;
-  const TopicId abc = hierarchy.add(".a.b.c");
-  const TopicId ab = *hierarchy.find(".a.b");
-  const TopicId a = *hierarchy.find(".a");
-  EXPECT_EQ(hierarchy.super(abc), ab);
-  EXPECT_EQ(hierarchy.super(ab), a);
-  EXPECT_EQ(hierarchy.super(a), kRootTopic);
-  EXPECT_THROW((void)hierarchy.super(kRootTopic), std::logic_error);
+TEST(InternPath, IncludesFollowsPrefixes) {
+  TopicDag dag;
+  const TopicId ab = intern_path(dag, ".a.b");
+  const TopicId ac = intern_path(dag, ".a.c");
+  const TopicId a = *dag.find(".a");
+  EXPECT_TRUE(dag.includes(kRootTopic, ab));
+  EXPECT_TRUE(dag.includes(a, ab));
+  EXPECT_TRUE(dag.includes(a, ac));
+  EXPECT_FALSE(dag.includes(ab, ac));
+  EXPECT_FALSE(dag.includes(ab, a));
+  EXPECT_FALSE(dag.includes(ab, kRootTopic));
+  // ".x" must not include ".xy" even though "x" is a string prefix.
+  EXPECT_FALSE(dag.includes(intern_path(dag, ".x"), intern_path(dag, ".xy")));
 }
 
-TEST(TopicHierarchy, IncludesMatrix) {
-  TopicHierarchy hierarchy;
-  const TopicId ab = hierarchy.add(".a.b");
-  const TopicId ac = hierarchy.add(".a.c");
-  const TopicId a = *hierarchy.find(".a");
-  EXPECT_TRUE(hierarchy.includes(kRootTopic, ab));
-  EXPECT_TRUE(hierarchy.includes(a, ab));
-  EXPECT_TRUE(hierarchy.includes(a, ac));
-  EXPECT_TRUE(hierarchy.includes(ab, ab));
-  EXPECT_FALSE(hierarchy.includes(ab, ac));
-  EXPECT_FALSE(hierarchy.includes(ab, a));
-  EXPECT_FALSE(hierarchy.includes(ab, kRootTopic));
-}
-
-TEST(TopicHierarchy, Children) {
-  TopicHierarchy hierarchy;
-  const TopicId ab = hierarchy.add(".a.b");
-  const TopicId ac = hierarchy.add(".a.c");
-  const TopicId a = *hierarchy.find(".a");
-  const auto& kids = hierarchy.children(a);
-  ASSERT_EQ(kids.size(), 2u);
-  EXPECT_EQ(kids[0], ab);
-  EXPECT_EQ(kids[1], ac);
-  EXPECT_TRUE(hierarchy.children(ab).empty());
-  ASSERT_EQ(hierarchy.children(kRootTopic).size(), 1u);
-  EXPECT_EQ(hierarchy.children(kRootTopic)[0], a);
-}
-
-TEST(TopicHierarchy, ChainToRoot) {
-  TopicHierarchy hierarchy;
-  const TopicId abc = hierarchy.add(".a.b.c");
-  const auto chain = hierarchy.chain_to_root(abc);
-  ASSERT_EQ(chain.size(), 4u);
-  EXPECT_EQ(chain[0], abc);
-  EXPECT_EQ(hierarchy.name(chain[1]), ".a.b");
-  EXPECT_EQ(hierarchy.name(chain[2]), ".a");
-  EXPECT_EQ(chain[3], kRootTopic);
-
-  const auto root_chain = hierarchy.chain_to_root(kRootTopic);
-  ASSERT_EQ(root_chain.size(), 1u);
-  EXPECT_EQ(root_chain[0], kRootTopic);
-}
-
-TEST(TopicHierarchy, LowestCommonAncestor) {
-  TopicHierarchy hierarchy;
-  const TopicId abc = hierarchy.add(".a.b.c");
-  const TopicId abd = hierarchy.add(".a.b.d");
-  const TopicId ax = hierarchy.add(".a.x");
-  const TopicId other = hierarchy.add(".other");
-  const TopicId ab = *hierarchy.find(".a.b");
-  const TopicId a = *hierarchy.find(".a");
-  EXPECT_EQ(hierarchy.lowest_common_ancestor(abc, abd), ab);
-  EXPECT_EQ(hierarchy.lowest_common_ancestor(abc, ax), a);
-  EXPECT_EQ(hierarchy.lowest_common_ancestor(abc, other), kRootTopic);
-  EXPECT_EQ(hierarchy.lowest_common_ancestor(abc, abc), abc);
-  EXPECT_EQ(hierarchy.lowest_common_ancestor(abc, ab), ab);
-}
-
-TEST(TopicHierarchy, AllAndMaxDepth) {
-  TopicHierarchy hierarchy;
-  hierarchy.add(".a.b.c");
-  hierarchy.add(".z");
-  const auto all = hierarchy.all();
-  EXPECT_EQ(all.size(), 5u);
-  EXPECT_EQ(all[0], kRootTopic);
-  EXPECT_EQ(hierarchy.max_depth(), 3u);
-}
-
-TEST(TopicHierarchy, FindMissingReturnsNullopt) {
-  TopicHierarchy hierarchy;
-  EXPECT_FALSE(hierarchy.find(".missing").has_value());
-  EXPECT_TRUE(hierarchy.find(".").has_value());
+TEST(InternPath, ChainToRootRunsSelfToRoot) {
+  TopicDag dag;
+  const TopicId abc = intern_path(dag, ".a.b.c");
+  const auto path = chain(dag, abc);
+  ASSERT_EQ(path.size(), 4u);
+  EXPECT_EQ(path[0], abc);
+  EXPECT_EQ(dag.name(path[1]), ".a.b");
+  EXPECT_EQ(dag.name(path[2]), ".a");
+  EXPECT_EQ(path[3], kRootTopic);
+  EXPECT_EQ(chain(dag, kRootTopic), std::vector<TopicId>{kRootTopic});
 }
 
 TEST(MakeLinearHierarchy, BuildsChain) {
-  TopicHierarchy hierarchy;
-  const auto levels = make_linear_hierarchy(hierarchy, 3);
+  TopicDag dag;
+  const auto levels = make_linear_hierarchy(dag, 3);
   ASSERT_EQ(levels.size(), 4u);
   EXPECT_EQ(levels[0], kRootTopic);
-  EXPECT_EQ(hierarchy.name(levels[1]), ".t1");
-  EXPECT_EQ(hierarchy.name(levels[2]), ".t1.t2");
-  EXPECT_EQ(hierarchy.name(levels[3]), ".t1.t2.t3");
+  EXPECT_EQ(dag.name(levels[1]), ".t1");
+  EXPECT_EQ(dag.name(levels[2]), ".t1.t2");
+  EXPECT_EQ(dag.name(levels[3]), ".t1.t2.t3");
   for (std::size_t i = 1; i < levels.size(); ++i) {
-    EXPECT_EQ(hierarchy.super(levels[i]), levels[i - 1]);
+    EXPECT_EQ(dag.super(levels[i]), levels[i - 1]);
+    EXPECT_EQ(dag.depth(levels[i]), i);
   }
 }
 
 TEST(MakeLinearHierarchy, ZeroLevelsIsJustRoot) {
-  TopicHierarchy hierarchy;
-  const auto levels = make_linear_hierarchy(hierarchy, 0);
+  TopicDag dag;
+  const auto levels = make_linear_hierarchy(dag, 0);
   ASSERT_EQ(levels.size(), 1u);
   EXPECT_EQ(levels[0], kRootTopic);
+  EXPECT_EQ(dag.size(), 1u);
 }
 
 }  // namespace
