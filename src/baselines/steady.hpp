@@ -1,14 +1,19 @@
-// Steady-state baseline engines — the head-to-head rivals, run on the SAME
-// generated workload stream as the daMulticast protocol.
+// Steady-state baseline engines — the head-to-head rivals of the
+// daMulticast protocol, replayed by the same harness.
 //
 // src/baselines' run_broadcast / run_hierarchical answer the paper's
 // analytical single-burst comparisons; the sustained-service lane needs
-// the same rivals as *stream engines*: replaying a workload/traffic
-// EventStream (multi-publisher steady arrivals, churn, joins) round by
-// round and producing a workload::DynamicRunResult, so exp/aggregate,
-// exp/report, and the damlab-bench-v1 schema compare protocol vs baselines
-// cell for cell — reliability, latency percentiles, control overhead, and
-// peak bookkeeping bytes on one table.
+// the same rivals as *stream engines*. Each is a workload::StreamEngine:
+// workload::replay_stream (workload/driver) owns the stream, the failure
+// schedule, the round loop, the publisher choice, deadline grading and
+// the collection, exactly as for the protocol's DamSystem, so the rivals
+// see the protocol's stream, churn and publishers and return the same
+// DynamicRunResult. exp/aggregate, exp/report and the damlab-bench-v1
+// schema then compare protocol vs baselines cell for cell — reliability,
+// latency percentiles, control overhead, and peak bookkeeping bytes on
+// one table. This file keeps only what the rivals do differently:
+// per-message forwarding, their delivered/dedup state, message counters,
+// gauges and queue bytes.
 //
 // Two engines, dispatched on Scenario::engine:
 //
@@ -20,9 +25,9 @@
 //     groups. Deterministic single-path routing: no redundancy, so one
 //     dead interior node or one lost link (psucc) silently prunes a whole
 //     subtree — the fragility the epidemic protocol pays extra messages
-//     to avoid. Control traffic is
-//     one heartbeat per tree edge per maintenance period; per-process
-//     bookkeeping is none (routing is stateless).
+//     to avoid. Control traffic is one heartbeat per tree edge per
+//     maintenance period; per-process bookkeeping is none (routing is
+//     stateless).
 //
 //   * kBaselineGossip — one interest-agnostic gossip group over the WHOLE
 //     population (the "single flat group" strawman of the paper's Sec. II):
@@ -32,11 +37,9 @@
 //     which doubles as its duplicate filter, spans ALL processes until the
 //     event is retired.
 //
-// Determinism: a run is a pure function of (scenario, alive_fraction,
-// run) — the stream comes from workload::generate_stream under the
-// (base_seed, stream, index) contract and the engine's own coin sequence
-// is one serial Rng seeded from the kSystem stream cell. The replay is
-// fully serial, so results are bit-identical for every --threads value,
+// Determinism: the engine's own coin sequence is one serial Rng seeded
+// from the kSystem stream cell the harness hands every engine. The replay
+// is fully serial, so results are bit-identical for every --threads value,
 // and exp::run_sweep's fixed shard merge keeps sweeps bit-identical for
 // every --jobs value.
 #pragma once
@@ -46,14 +49,16 @@
 
 namespace dam::baselines {
 
-/// Executes one steady-baseline run; `scenario.engine` must be
-/// kBaselineTree or kBaselineGossip (throws std::invalid_argument
-/// otherwise, or when topics::require_tree rejects the topology — the
-/// dynamic engine's check). Honors the scenario's
-/// workload config including churn, joins, and the sustained-service GC
-/// knob (EngineConfig::gc_horizon > 0 retires harvested publications in
-/// both engines).
+/// Executes one steady-baseline run through workload::replay_stream;
+/// `scenario.engine` must be kBaselineTree or kBaselineGossip (throws
+/// std::invalid_argument otherwise, or when the harness's topology check
+/// rejects the scenario). `dag` must come from scenario.build_dag(); it is
+/// shared read-only, so one DAG serves every worker thread of a sweep.
+/// Honors the scenario's workload config including churn, joins, and the
+/// sustained-service GC knob (EngineConfig::gc_horizon > 0 retires
+/// harvested publications).
 [[nodiscard]] workload::DynamicRunResult run_steady_baseline(
-    const sim::Scenario& scenario, double alive_fraction, int run);
+    const sim::Scenario& scenario, const topics::TopicDag& dag,
+    double alive_fraction, int run);
 
 }  // namespace dam::baselines

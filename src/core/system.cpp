@@ -429,10 +429,6 @@ double DamSystem::delivery_ratio(net::EventId event) const {
          static_cast<double>(alive_interested);
 }
 
-bool DamSystem::all_delivered(net::EventId event) const {
-  return delivery_ratio(event) >= 1.0;
-}
-
 void DamSystem::retire_event(net::EventId event) {
   ++retired_events_;
   const auto column = column_of_.find(event);

@@ -135,17 +135,14 @@ class DamSystem final : public Env {
   [[nodiscard]] const sim::Metrics& metrics() const noexcept {
     return metrics_;
   }
-  /// Mutable access for the workload driver, which feeds the flight
-  /// recorder's churn events, window queue peaks, and bookkeeping gauges
-  /// (the driver owns the round loop, so it owns the sampling cadence).
+  /// Mutable access for the stream replay harness (workload/driver), which
+  /// feeds the flight recorder's churn events, window queue peaks, and
+  /// bookkeeping gauges (it owns the round loop, so it owns the sampling
+  /// cadence) and retires harvested publications' latency records.
   [[nodiscard]] sim::Metrics& metrics() noexcept { return metrics_; }
   [[nodiscard]] const net::Transport& transport() const noexcept {
     return transport_;
   }
-  [[nodiscard]] const sim::FailureModel& failure_model() const noexcept {
-    return *failures_;
-  }
-
   /// The immutable spawn-batch view arenas, in spawn_group order. Tests
   /// diff per-node overlays against these base rows.
   [[nodiscard]] const std::vector<std::unique_ptr<GroupViewArena>>&
@@ -252,9 +249,6 @@ class DamSystem final : public Env {
   /// member, at publish time, of a group whose topic includes the event's;
   /// later joiners are not counted. 0 unless the publication is live.
   [[nodiscard]] double delivery_ratio(net::EventId event) const;
-
-  /// True iff every alive interested process delivered `event`.
-  [[nodiscard]] bool all_delivered(net::EventId event) const;
 
   /// Sustained-service GC, once the driver has harvested `event`'s deadline
   /// outcome: ends the publication and empties its delivered set. Its

@@ -78,7 +78,7 @@ SweepResult run_sweep(const sim::Scenario& scenario,
                 dynamic ? workload::run_dynamic_simulation(
                               scenario, dag, alive, static_cast<int>(run))
                         : baselines::run_steady_baseline(
-                              scenario, alive, static_cast<int>(run));
+                              scenario, dag, alive, static_cast<int>(run));
             accumulate_run(shard.partial, result);
             // Control messages are real network traffic of the dynamic
             // engine; the events/sec throughput counts them alongside

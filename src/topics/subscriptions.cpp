@@ -1,6 +1,6 @@
 #include "topics/subscriptions.hpp"
 
-#include <algorithm>
+#include <stdexcept>
 
 namespace dam::topics {
 
@@ -17,19 +17,6 @@ ProcessId SubscriptionRegistry::add_process(TopicId topic) {
   interest_.push_back(topic);
   groups_[topic.value].push_back(id);
   return id;
-}
-
-std::vector<ProcessId> SubscriptionRegistry::interested_set(
-    TopicId topic) const {
-  std::vector<ProcessId> result;
-  // A process with interest Tj is interested in events of `topic` iff Tj
-  // includes `topic`, i.e. Tj is on topic's chain to the root.
-  for (TopicId ancestor : hierarchy_->chain_to_root(topic)) {
-    const auto& members = group(ancestor);
-    result.insert(result.end(), members.begin(), members.end());
-  }
-  std::sort(result.begin(), result.end());
-  return result;
 }
 
 std::optional<TopicId> SubscriptionRegistry::nearest_nonempty_supergroup(

@@ -62,10 +62,6 @@ class SubscriptionRegistry {
     return hierarchy_->includes(topic_of(process), topic);
   }
 
-  /// All processes interested in events of `topic` (members of Π_Tj for any
-  /// Tj that includes `topic`), sorted — the reliability denominator.
-  [[nodiscard]] std::vector<ProcessId> interested_set(TopicId topic) const;
-
   /// Nearest non-empty supergroup of `topic`: walks super(topic),
   /// super(super(topic)), ... and returns the first topic with a non-empty
   /// group, or nullopt if all (including root) are empty. This is the group

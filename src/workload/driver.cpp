@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
-#include "core/system.hpp"
 #include "net/message.hpp"
-#include "sim/failure.hpp"
 
 namespace dam::workload {
 
@@ -19,9 +15,9 @@ namespace {
 /// past any replay horizon, well inside Round's range.
 constexpr sim::Round kNever = sim::Round{1} << 30;
 
-/// Rejects a scenario whose topology the dynamic engine cannot run: no
+/// Rejects a scenario whose topology the stream engines cannot run: no
 /// topics, group sizes that do not cover them, or a topic with several
-/// supertopics (one super table per process).
+/// supertopics (one super table per process, one route per group).
 void check_topology(const sim::Scenario& scenario, const topics::TopicDag& dag,
                     std::string_view caller) {
   if (dag.size() == 0) {
@@ -35,6 +31,150 @@ void check_topology(const sim::Scenario& scenario, const topics::TopicDag& dag,
   topics::require_tree(dag, caller);
 }
 
+/// DamSystem behind the replay harness, plus the cold-start lane's
+/// bootstrap-link measurement and the optional trace recorder.
+class DamSystemEngine final : public StreamEngine {
+ public:
+  DamSystemEngine(const sim::Scenario& scenario, const topics::TopicDag& dag,
+                  std::uint64_t seed, sim::TraceRecorder* trace)
+      : dag_(dag),
+        system_(dag, config_for(scenario, seed)),
+        measured_link_(!scenario.workload.engine.auto_wire_super_tables) {
+    system_.set_trace_recorder(trace);
+  }
+
+  util::Timeline& timeline() override { return system_.metrics().timeline(); }
+  void set_failures(std::unique_ptr<sim::ChurnFailures> failures) override {
+    system_.set_failure_model(std::move(failures));
+  }
+  void spawn_group(topics::TopicId topic, std::size_t count) override {
+    system_.spawn_group(topic, count);
+  }
+  void join(topics::TopicId topic) override { system_.spawn(topic); }
+  const std::vector<topics::ProcessId>& group(
+      topics::TopicId topic) const override {
+    return system_.registry().group(topic);
+  }
+  void publish(topics::ProcessId publisher, topics::TopicId) override {
+    events_.push_back(system_.publish(publisher));
+  }
+  void run_round() override {
+    system_.run_rounds(1);
+    measure_link();
+  }
+  DeliveredView delivered(std::size_t publication) const override {
+    return system_.delivered_set(events_[publication]);
+  }
+  sim::Metrics::EventLatency latency(std::size_t publication) const override {
+    const auto& latencies = system_.metrics().event_latencies();
+    const auto it = latencies.find(events_[publication]);
+    return it == latencies.end() ? sim::Metrics::EventLatency{} : it->second;
+  }
+  void retire(std::size_t publication) override {
+    system_.metrics().retire_event(events_[publication]);
+    system_.retire_event(events_[publication]);
+  }
+  WindowSample sample_window() override {
+    const core::DamSystem::BookkeepingGauges gauges =
+        system_.bookkeeping_gauges();
+    return {gauges.seen_bytes, gauges.delivered_bytes, gauges.request_bytes,
+            system_.take_window_queue_peak()};
+  }
+
+  void collect(DynamicRunResult& result) const override {
+    const sim::Metrics& metrics = system_.metrics();
+    // Every delivery the Metrics sketch saw belongs to one of this run's
+    // publications (Metrics::note_publish gates the sketch), so it can be
+    // taken whole.
+    result.latency_sketch = metrics.latency_sketch();
+    result.parasite_deliveries = metrics.parasite_deliveries();
+    for (std::uint32_t topic = 0; topic < result.groups.size(); ++topic) {
+      DynamicGroupResult& group_result = result.groups[topic];
+      const sim::GroupCounters& counters =
+          metrics.group(topics::TopicId{topic});
+      group_result.intra_sent = counters.intra_sent;
+      group_result.inter_sent = counters.inter_sent;
+      group_result.inter_received = counters.inter_received;
+      group_result.control_sent = counters.control_sent;
+      for (const topics::ProcessId member : group(topics::TopicId{topic})) {
+        group_result.duplicate_deliveries +=
+            system_.node(member).duplicate_count();
+      }
+    }
+    // Mid-run joins spawn one at a time (owned views), so the arena total
+    // is fixed once the initial groups exist — reading it at run end is
+    // exact. The transport ratchets its high-water mark on every send, so
+    // the run-end read IS the peak across the whole replay.
+    result.table_bytes = system_.view_arena_bytes();
+    result.queue_bytes = system_.peak_queue_bytes();
+
+    result.measured_link = measured_link_;
+    result.linked_fraction = linked_fraction_;
+    result.rounds_to_link = rounds_to_link_;
+    result.control_at_link = control_at_link_;
+    if (measured_link_ && !link_reached_) {
+      result.rounds_to_link = static_cast<double>(system_.now());
+      result.control_at_link =
+          static_cast<double>(metrics.total_control_messages());
+    }
+  }
+
+ private:
+  static core::DamSystem::Config config_for(const sim::Scenario& scenario,
+                                            std::uint64_t seed) {
+    const EngineConfig& engine = scenario.workload.engine;
+    core::DamSystem::Config config;
+    config.seed = seed;
+    config.node.params =
+        sim::homogeneous_params(scenario, "run_dynamic_simulation");
+    config.auto_wire_super_tables = engine.auto_wire_super_tables;
+    config.neighborhood_degree = engine.neighborhood_degree;
+    config.node.recovery.enabled = engine.recovery_enabled;
+    config.node.recovery.history_size = engine.recovery_history;
+    config.node.recovery.digest_size = engine.recovery_digest;
+    config.node.seen_gc_horizon = engine.gc_horizon;
+    config.threads = scenario.threads;  // spawn-batch fill workers
+    return config;
+  }
+
+  /// Bootstrap lane (no auto-wired super tables): after each round, the
+  /// fraction of non-root processes whose supertopic table targets their
+  /// DIRECT supertopic, and the round and control traffic at which it
+  /// first reaches 95%.
+  void measure_link() {
+    if (!measured_link_) return;
+    std::size_t non_root = 0;
+    std::size_t linked = 0;
+    for (std::uint32_t p = 0; p < system_.process_count(); ++p) {
+      const core::DamNode& node = system_.node(topics::ProcessId{p});
+      if (dag_.is_root(node.topic())) continue;
+      ++non_root;
+      const auto& table = node.super_table();
+      if (!table.empty() && table.super_topic() == dag_.super(node.topic())) {
+        ++linked;
+      }
+    }
+    linked_fraction_ = non_root == 0 ? 1.0
+                                     : static_cast<double>(linked) /
+                                           static_cast<double>(non_root);
+    if (!link_reached_ && linked * 100 >= non_root * 95) {
+      link_reached_ = true;
+      rounds_to_link_ = static_cast<double>(system_.now());
+      control_at_link_ =
+          static_cast<double>(system_.metrics().total_control_messages());
+    }
+  }
+
+  const topics::TopicDag& dag_;
+  core::DamSystem system_;
+  std::vector<net::EventId> events_;  ///< by publication index
+  bool measured_link_;
+  bool link_reached_ = false;
+  double rounds_to_link_ = 0.0;
+  double control_at_link_ = 0.0;
+  double linked_fraction_ = 0.0;
+};
+
 }  // namespace
 
 DynamicScenarioBinding bind_scenario(const sim::Scenario& scenario) {
@@ -46,31 +186,18 @@ DynamicScenarioBinding bind_scenario(const sim::Scenario& scenario) {
   return binding;
 }
 
-DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
-                                        const topics::TopicDag& dag,
-                                        double alive_fraction, int run,
-                                        sim::TraceRecorder* trace) {
+DynamicRunResult replay_stream(const sim::Scenario& scenario,
+                               const topics::TopicDag& dag,
+                               double alive_fraction, int run,
+                               std::string_view caller,
+                               const EngineFactory& make_engine) {
   const auto started = std::chrono::steady_clock::now();
-  check_topology(scenario, dag, "run_dynamic_simulation");
+  check_topology(scenario, dag, caller);
   const std::uint64_t seed = scenario.seed_for(alive_fraction, run);
   const WorkloadConfig& workload = scenario.workload;
-  const std::size_t topic_count = scenario.topic_names.size();
-
-  // --- Engine configuration (seeded from its own stream cell). ------------
-  core::DamSystem::Config config;
-  config.seed = stream_rng(seed, StreamId::kSystem, 0)();
-  config.node.params =
-      sim::homogeneous_params(scenario, "run_dynamic_simulation");
-  config.auto_wire_super_tables = workload.engine.auto_wire_super_tables;
-  config.neighborhood_degree = workload.engine.neighborhood_degree;
-  config.node.recovery.enabled = workload.engine.recovery_enabled;
-  config.node.recovery.history_size = workload.engine.recovery_history;
-  config.node.recovery.digest_size = workload.engine.recovery_digest;
-  config.node.seen_gc_horizon = workload.engine.gc_horizon;
-  config.threads = scenario.threads;  // spawn-batch fill workers
-  core::DamSystem system(dag, config);
-
-  system.set_trace_recorder(trace);
+  const std::size_t topic_count = dag.size();
+  const std::unique_ptr<StreamEngine> engine =
+      make_engine(stream_rng(seed, StreamId::kSystem, 0)());
 
   // --- Traffic stream and failure schedule. -------------------------------
   std::size_t initial_processes = 0;
@@ -86,8 +213,8 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
   const std::size_t warmup = workload.engine.warmup_rounds;
   const std::size_t horizon =
       std::max<std::size_t>(workload.arrival.horizon, 1);
-  const std::size_t total_rounds =
-      warmup + horizon + workload.engine.drain_rounds;
+  const std::size_t drain = workload.engine.drain_rounds;
+  const std::size_t total_rounds = warmup + horizon + drain;
   std::size_t joins = 0;
   for (const TrafficEvent& event : stream) {
     joins += event.kind == TrafficEvent::Kind::kJoin;
@@ -108,7 +235,7 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
   // churn event lands at absolute round warmup + event.round (< total), and
   // recover rounds are clamped to the replay — NEVER feed kNever to the
   // window allocator (it would size the timeline to 2^27 windows).
-  util::Timeline& timeline = system.metrics().timeline();
+  util::Timeline& timeline = engine->timeline();
   for (const TrafficEvent& event : stream) {
     if (event.kind == TrafficEvent::Kind::kJoin) {
       timeline.note_join(warmup + event.round);
@@ -132,27 +259,21 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
     }
     failures->add_downtime(process, {down, up});
   }
-  // Install the model BEFORE spawning: swapping it rebuilds the transport
-  // and would drop the initial bootstrap floods spawned nodes already sent
-  // (nodes would sit out a full retry timeout before linking).
-  system.set_failure_model(std::move(failures));
-  const sim::FailureModel& alive_model = system.failure_model();
+  const sim::ChurnFailures& schedule = *failures;
+  engine->set_failures(std::move(failures));
 
   const auto spawn_started = std::chrono::steady_clock::now();
-  for (std::size_t topic = 0; topic < topic_count; ++topic) {
-    system.spawn_group(topics::TopicId{static_cast<std::uint32_t>(topic)},
-                       scenario.group_sizes[topic]);
+  for (std::uint32_t topic = 0; topic < topic_count; ++topic) {
+    engine->spawn_group(topics::TopicId{topic}, scenario.group_sizes[topic]);
   }
   const double spawn_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     spawn_started)
           .count();
 
-  // --- Bootstrap-link measurement (cold-start lane). ----------------------
   DynamicRunResult result;
-  result.measured_link = !workload.engine.auto_wire_super_tables;
   std::size_t rounds_executed = 0;
-  bool link_reached = false;
+  std::size_t process_count = initial_processes;
 
   // Every publication's headline reliability is snapshotted at its delivery
   // DEADLINE — drain_rounds after the publish — not at run end, so early
@@ -160,13 +281,36 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
   // get. The deadline is what makes multi-publication reliability curves
   // comparable across stream shapes.
   struct PublicationRecord {
-    net::EventId event;
     std::uint32_t topic;       ///< scenario topic index it was published on
+    std::size_t watermark;     ///< process count at publish
     std::size_t deadline;      ///< rounds_executed value to snapshot at
-    double ratio = -1.0;       ///< delivery_ratio at the deadline (<0: unset)
+    double ratio = -1.0;       ///< reliability at the deadline (<0: unset)
     bool harvested = false;    ///< GC lane: outcome folded in, state retired
   };
   std::vector<PublicationRecord> published;
+
+  // Headline reliability of one publication at the current round: the
+  // alive processes interested at publish (members of the topic's chain
+  // groups below the watermark; groups only append) that delivered it.
+  auto deadline_ratio = [&](const PublicationRecord& record,
+                            std::size_t publication) {
+    const StreamEngine::DeliveredView delivered =
+        engine->delivered(publication);
+    std::size_t alive_interested = 0;
+    std::size_t alive_delivered = 0;
+    for (const topics::TopicId topic :
+         dag.chain_to_root(topics::TopicId{record.topic})) {
+      for (const topics::ProcessId p : engine->group(topic)) {
+        if (p.value >= record.watermark) break;
+        if (!schedule.alive(p, rounds_executed)) continue;
+        ++alive_interested;
+        alive_delivered += delivered.contains(p);
+      }
+    }
+    if (alive_interested == 0) return 1.0;
+    return static_cast<double>(alive_delivered) /
+           static_cast<double>(alive_interested);
+  };
 
   // Sustained-service GC (gc_horizon > 0): each publication's group
   // outcomes and latency aggregate are harvested AT ITS DEADLINE into these
@@ -180,16 +324,17 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
   std::vector<char> group_all_delivered(topic_count, 1);
   std::uint64_t deliveries = 0;
   std::uint64_t latency_sum = 0;
-  // Grades one publication against the CURRENT round's liveness (the
-  // deadline round when called from the harvest path, the run's end round
-  // when called from run-end grading). Per-group float sums accumulate in
-  // publication order either way, so both paths fold identically.
-  auto grade = [&](const PublicationRecord& record) {
-    const sim::Round grading_round = system.now();
-    const auto& delivered = system.delivered_set(record.event);
-    for (std::size_t topic = 0; topic < topic_count; ++topic) {
-      const topics::TopicId id{static_cast<std::uint32_t>(topic)};
-      const auto& members = system.registry().group(id);
+  // Grades one publication against the CURRENT round's liveness over the
+  // CURRENT members (the deadline round when called from the harvest path,
+  // the run's end round when called from run-end grading). Per-group float
+  // sums accumulate in publication order either way, so both paths fold
+  // identically.
+  auto grade = [&](const PublicationRecord& record, std::size_t publication) {
+    const StreamEngine::DeliveredView delivered =
+        engine->delivered(publication);
+    for (std::uint32_t topic = 0; topic < topic_count; ++topic) {
+      const topics::TopicId id{topic};
+      const auto& members = engine->group(id);
       const bool interested = dag.includes(id, topics::TopicId{record.topic});
       if (!interested) {
         for (const topics::ProcessId member : members) {
@@ -203,7 +348,7 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
       std::size_t alive_members = 0;
       std::size_t alive_delivered = 0;
       for (const topics::ProcessId member : members) {
-        if (!alive_model.alive(member, grading_round)) continue;
+        if (!schedule.alive(member, rounds_executed)) continue;
         ++alive_members;
         alive_delivered += delivered.contains(member);
       }
@@ -214,70 +359,41 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
       ++group_ratio_samples[topic];
       if (alive_delivered < alive_members) group_all_delivered[topic] = 0;
     }
-    const auto& latencies = system.metrics().event_latencies();
-    const auto it = latencies.find(record.event);
-    if (it != latencies.end()) {
-      deliveries += it->second.deliveries;
-      latency_sum += it->second.latency_sum;
-      result.max_latency = std::max(
-          result.max_latency, static_cast<double>(it->second.max_latency));
-    }
+    const sim::Metrics::EventLatency latency = engine->latency(publication);
+    deliveries += latency.deliveries;
+    latency_sum += latency.latency_sum;
+    result.max_latency = std::max(result.max_latency,
+                                  static_cast<double>(latency.max_latency));
   };
   auto snapshot_due = [&] {
-    for (PublicationRecord& record : published) {
+    for (std::size_t i = 0; i < published.size(); ++i) {
+      PublicationRecord& record = published[i];
       if (record.ratio < 0.0 && record.deadline <= rounds_executed) {
-        record.ratio = system.delivery_ratio(record.event);
+        record.ratio = deadline_ratio(record, i);
         if (gc_horizon > 0) {
           // Harvest first (grade reads the delivered set and the latency
-          // map), then retire both.
-          grade(record);
+          // aggregate), then retire both.
+          grade(record, i);
           record.harvested = true;
-          system.metrics().retire_event(record.event);
-          system.retire_event(record.event);
+          engine->retire(i);
         }
       }
     }
   };
-  auto measure_link = [&] {
-    if (!result.measured_link) return;
-    std::size_t non_root = 0;
-    std::size_t linked = 0;
-    for (std::uint32_t p = 0; p < system.process_count(); ++p) {
-      const core::DamNode& node = system.node(topics::ProcessId{p});
-      if (dag.is_root(node.topic())) continue;
-      ++non_root;
-      const auto& table = node.super_table();
-      if (!table.empty() && table.super_topic() == dag.super(node.topic())) {
-        ++linked;
-      }
-    }
-    result.linked_fraction =
-        non_root == 0 ? 1.0
-                      : static_cast<double>(linked) /
-                            static_cast<double>(non_root);
-    if (!link_reached && linked * 100 >= non_root * 95) {
-      link_reached = true;
-      result.rounds_to_link = static_cast<double>(rounds_executed);
-      result.control_at_link =
-          static_cast<double>(system.metrics().total_control_messages());
-    }
-  };
   // Window-boundary sampling for the flight recorder: read-only gauge
-  // reads plus the transport's take-and-reset window peak — no RNG draws,
-  // so recording cannot perturb the run.
+  // reads plus the engine's take-and-reset queue peak — no RNG draws, so
+  // recording cannot perturb the run.
   const std::size_t window_rounds = timeline.window_rounds();
   auto sample_window = [&](std::size_t last_round) {
-    const core::DamSystem::BookkeepingGauges gauges =
-        system.bookkeeping_gauges();
-    timeline.sample_gauges(last_round, gauges.seen_bytes,
-                           gauges.delivered_bytes, gauges.request_bytes);
-    timeline.note_queue_peak(last_round, system.take_window_queue_peak());
+    const StreamEngine::WindowSample sample = engine->sample_window();
+    timeline.sample_gauges(last_round, sample.seen_bytes,
+                           sample.delivered_bytes, sample.request_bytes);
+    timeline.note_queue_peak(last_round, sample.queue_peak);
   };
   auto step = [&](std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) {
-      system.run_rounds(1);
+      engine->run_round();
       ++rounds_executed;
-      measure_link();
       snapshot_due();
       if (rounds_executed % window_rounds == 0) {
         sample_window(rounds_executed - 1);
@@ -286,17 +402,20 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
   };
 
   // --- Replay: warmup, then the stream round by round, then drain. --------
+  // Engines that need no bootstrap still run the warmup, so deadlines,
+  // windows and latency axes line up across engines.
   step(warmup);
   std::size_t next_event = 0;
   for (std::size_t round = 0; round < horizon; ++round) {
     for (; next_event < stream.size() && stream[next_event].round == round;
          ++next_event) {
       const TrafficEvent& event = stream[next_event];
+      const topics::TopicId topic{event.topic};
       if (event.kind == TrafficEvent::Kind::kJoin) {
-        system.spawn(topics::TopicId{event.topic});
+        engine->join(topic);
+        ++process_count;
       } else if (event.kind == TrafficEvent::Kind::kPublish) {
-        const auto& group =
-            system.registry().group(topics::TopicId{event.topic});
+        const auto& group = engine->group(topic);
         if (group.empty()) continue;
         // The raw publisher draw picks a starting rank; scan forward to the
         // first member alive this round (a down publisher cannot publish).
@@ -304,12 +423,11 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
         for (std::size_t offset = 0; offset < group.size(); ++offset) {
           const topics::ProcessId candidate =
               group[(start + offset) % group.size()];
-          if (alive_model.alive(candidate, system.now())) {
-            const std::size_t deadline =
-                rounds_executed +
-                std::max<std::size_t>(workload.engine.drain_rounds, 1);
-            published.push_back(
-                {system.publish(candidate), event.topic, deadline});
+          if (schedule.alive(candidate, rounds_executed)) {
+            published.push_back({event.topic, process_count,
+                                 rounds_executed + std::max<std::size_t>(
+                                                       drain, 1)});
+            engine->publish(candidate, topic);
             break;
           }
         }
@@ -317,64 +435,42 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
     }
     step(1);
   }
-  step(workload.engine.drain_rounds);
+  step(drain);
   // Final partial window: the modulo sampler only fires on full windows.
   if (rounds_executed > 0 && rounds_executed % window_rounds != 0) {
     sample_window(rounds_executed - 1);
   }
-  if (result.measured_link && !link_reached) {
-    result.rounds_to_link = static_cast<double>(rounds_executed);
-    result.control_at_link =
-        static_cast<double>(system.metrics().total_control_messages());
-  }
 
   // --- Collection. ---------------------------------------------------------
-  const sim::Round end_round = system.now();
   result.rounds = rounds_executed;
-  result.total_messages = system.metrics().total_event_messages();
-  result.control_messages = system.metrics().total_control_messages();
   result.publications = published.size();
-
   double reliability_sum = 0.0;
-  for (const PublicationRecord& record : published) {
+  for (std::size_t i = 0; i < published.size(); ++i) {
     // Deadline snapshot; publications whose deadline fell past the run's
     // last round (drain cut short) are graded at run end. Harvested
     // records were graded at their deadline already.
-    reliability_sum += record.ratio >= 0.0
-                           ? record.ratio
-                           : system.delivery_ratio(record.event);
-    if (!record.harvested) grade(record);
+    const PublicationRecord& record = published[i];
+    reliability_sum +=
+        record.ratio >= 0.0 ? record.ratio : deadline_ratio(record, i);
+    if (!record.harvested) grade(record, i);
   }
   if (!published.empty()) {
-    result.event_reliability = reliability_sum /
-                               static_cast<double>(published.size());
+    result.event_reliability =
+        reliability_sum / static_cast<double>(published.size());
   }
   if (deliveries > 0) {
     result.mean_latency =
         static_cast<double>(latency_sum) / static_cast<double>(deliveries);
   }
-  // Every delivery the Metrics sketch saw belongs to one of this run's
-  // publications (Metrics::note_publish gates the sketch), so it can be
-  // taken whole.
-  result.latency_sketch = system.metrics().latency_sketch();
-  result.timeline = system.metrics().timeline();
-  result.parasite_deliveries = system.metrics().parasite_deliveries();
 
   result.groups.resize(topic_count);
-  for (std::size_t topic = 0; topic < topic_count; ++topic) {
+  for (std::uint32_t topic = 0; topic < topic_count; ++topic) {
     DynamicGroupResult& group_result = result.groups[topic];
-    const topics::TopicId id{static_cast<std::uint32_t>(topic)};
-    const auto& members = system.registry().group(id);
+    const auto& members = engine->group(topics::TopicId{topic});
     group_result.size = members.size();
     for (const topics::ProcessId member : members) {
-      group_result.alive += alive_model.alive(member, end_round);
-      group_result.duplicate_deliveries += system.node(member).duplicate_count();
+      group_result.alive += schedule.alive(member, rounds_executed);
     }
-    const sim::GroupCounters& counters = system.metrics().group(id);
-    group_result.intra_sent = counters.intra_sent;
-    group_result.inter_sent = counters.inter_sent;
-    group_result.inter_received = counters.inter_received;
-    group_result.control_sent = counters.control_sent;
     group_result.ratio_samples = group_ratio_samples[topic];
     group_result.all_alive_delivered = group_all_delivered[topic] != 0;
     if (group_result.ratio_samples > 0) {
@@ -382,18 +478,30 @@ DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
           ratio_sums[topic] / static_cast<double>(group_result.ratio_samples);
     }
   }
+  // The timeline is the one store of run counters: every engine notes
+  // each send there, so the run's message totals are read off it.
+  const util::Timeline::Counters totals = timeline.totals();
+  result.total_messages = totals.event_sends + totals.inter_sends;
+  result.control_messages = totals.control_sends;
+  engine->collect(result);
+  result.timeline = timeline;
 
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
           .count();
   result.table_build_seconds = spawn_seconds;
-  // Mid-run joins spawn one at a time (owned views), so the arena total is
-  // fixed once the initial groups exist — reading it at run end is exact.
-  result.table_bytes = system.view_arena_bytes();
-  // The transport ratchets its high-water mark on every send, so the
-  // run-end read IS the peak across the whole replay.
-  result.queue_bytes = system.peak_queue_bytes();
   return result;
+}
+
+DynamicRunResult run_dynamic_simulation(const sim::Scenario& scenario,
+                                        const topics::TopicDag& dag,
+                                        double alive_fraction, int run,
+                                        sim::TraceRecorder* trace) {
+  return replay_stream(
+      scenario, dag, alive_fraction, run, "run_dynamic_simulation",
+      [&](std::uint64_t seed) {
+        return std::make_unique<DamSystemEngine>(scenario, dag, seed, trace);
+      });
 }
 
 }  // namespace dam::workload

@@ -1,30 +1,44 @@
-// workload::Driver — replays a traffic stream against the dynamic engine.
+// workload::Driver — the one stream replay harness, plus the DamSystem
+// engine behind it.
 //
-// This is the dynamic-lane counterpart of core/run_frozen_simulation: one
-// call executes one full DamSystem run — spawn the scenario's groups, wire
-// the failure schedule (stillborn coins from the alive fraction plus the
-// workload's crash/leave trace), replay the generated EventStream round by
-// round (joins spawn fresh subscribers mid-run, publishes pick an alive
-// publisher and inject an event), then drain and collect per-group message
-// counters, per-publication reliability, and per-delivery latency.
+// A stream run replays a generated EventStream round by round against one
+// engine: DamSystem (run_dynamic_simulation, the dynamic lane) or one of
+// the steady rivals in baselines/steady (run_steady_baseline). Every
+// decision the engines share lives once, in replay_stream: the topology
+// check, the stream and its TrafficShape, the failure schedule (stillborn
+// coins from the alive fraction plus the workload's crash/leave trace) and
+// its timeline churn notes, the warmup/horizon/drain loop with join
+// dispatch and the alive-publisher scan, each publication's deadline
+// snapshot and its harvest/retire step under gc_horizon, the flight
+// recorder's window cadence, group-outcome grading, and the collection
+// into a DynamicRunResult. An engine, behind the StreamEngine interface,
+// keeps only what differs: per-message forwarding, its delivered/dedup
+// state, message counters, gauges and table/queue bytes. The interface is
+// called per round, join or publication, never per message.
 //
 // Determinism: a run is a pure function of (scenario, alive fraction, run
 // index). The engine seed and every stream draw derive from
-// Scenario::seed_for(alive, run) through workload::stream_rng, so
+// Scenario::seed_for(alive, run) through workload::stream_rng, so every
+// engine sees the same stream, schedule and publishers, and
 // exp::run_sweep's bit-identical-for-any---jobs guarantee extends to
-// dynamic sweeps unchanged.
+// stream sweeps unchanged.
 //
 // Topology: scenario topic i is topics::TopicId{i} of Scenario::build_dag(),
 // the same TopicDag the frozen engine reads. DamSystem keeps one supertopic
-// table per process, so only tree-shaped scenarios run here —
-// topics::require_tree rejects multi-parent DAG presets (use the frozen
-// engine for those; the `fanin` grid axis is a frozen-lane axis for the
-// same reason).
+// table per process and the rivals route along one supertopic per group,
+// so only tree-shaped scenarios run here — topics::require_tree rejects
+// multi-parent DAG presets (use the frozen engine for those; the `fanin`
+// grid axis is a frozen-lane axis for the same reason).
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <string_view>
 #include <vector>
 
+#include "core/system.hpp"
+#include "sim/failure.hpp"
 #include "sim/scenario.hpp"
 #include "sim/trace.hpp"
 #include "topics/dag.hpp"
@@ -138,6 +152,77 @@ struct DynamicRunResult {
   /// value.
   util::Timeline timeline;
 };
+
+/// The per-engine half of a stream replay. replay_stream drives it once
+/// per round, join or publication; publications are numbered 0, 1, ... in
+/// publish order. Process ids follow the spawn order: the initial groups
+/// block by block, then joiners in stream order, so they line up with the
+/// stillborn coins and the churn trace's actors.
+class StreamEngine {
+ public:
+  /// A publication's delivered set: bit p is set once p received it.
+  using DeliveredView = core::DamSystem::DeliveredView;
+
+  /// Bookkeeping gauges (logical bytes) and the queue high-water since the
+  /// previous sample, read at a flight-recorder window boundary.
+  struct WindowSample {
+    std::uint64_t seen_bytes = 0;
+    std::uint64_t delivered_bytes = 0;
+    std::uint64_t request_bytes = 0;
+    std::uint64_t queue_peak = 0;
+  };
+
+  StreamEngine() = default;
+  StreamEngine(const StreamEngine&) = delete;
+  StreamEngine& operator=(const StreamEngine&) = delete;
+  virtual ~StreamEngine() = default;
+
+  /// The run's flight recorder; the harness adds churn notes and window
+  /// samples, the engine its per-round counters.
+  virtual util::Timeline& timeline() = 0;
+  /// Takes the run's failure schedule, once, before the first spawn.
+  virtual void set_failures(std::unique_ptr<sim::ChurnFailures> failures) = 0;
+  /// Adds `count` processes to `topic`'s group (the initial membership).
+  virtual void spawn_group(topics::TopicId topic, std::size_t count) = 0;
+  /// Adds one process to `topic`'s group mid-run.
+  virtual void join(topics::TopicId topic) = 0;
+  /// `topic`'s members in ascending id order; valid until the next spawn.
+  [[nodiscard]] virtual const std::vector<topics::ProcessId>& group(
+      topics::TopicId topic) const = 0;
+  /// `publisher` (alive, a member of `topic`) publishes the next event.
+  virtual void publish(topics::ProcessId publisher, topics::TopicId topic) = 0;
+  /// Runs one synchronous round.
+  virtual void run_round() = 0;
+  /// Valid until the next run_round, join, publish or retire call.
+  [[nodiscard]] virtual DeliveredView delivered(
+      std::size_t publication) const = 0;
+  /// Latency aggregate over the publication's interested first
+  /// deliveries (all zero when it has none).
+  [[nodiscard]] virtual sim::Metrics::EventLatency latency(
+      std::size_t publication) const = 0;
+  /// Sustained-service GC: the publication's outcome is harvested; drop
+  /// its delivered set and latency bookkeeping.
+  virtual void retire(std::size_t publication) = 0;
+  virtual WindowSample sample_window() = 0;
+  /// Fills what only the engine knows: per-group message and duplicate
+  /// counters, the latency sketch, parasite deliveries, table/queue bytes
+  /// and the bootstrap-link measurement. `result.groups` is already sized.
+  virtual void collect(DynamicRunResult& result) const = 0;
+};
+
+/// Builds the run's engine from its seed (the kSystem stream cell).
+using EngineFactory =
+    std::function<std::unique_ptr<StreamEngine>(std::uint64_t engine_seed)>;
+
+/// Replays scenario's stream for cell (alive_fraction, run) against the
+/// engine `make_engine` builds. `dag` must come from scenario.build_dag().
+/// Throws std::invalid_argument, prefixed with `caller`, on a topology
+/// bind_scenario would reject.
+[[nodiscard]] DynamicRunResult replay_stream(const sim::Scenario& scenario,
+                                             const topics::TopicDag& dag,
+                                             double alive_fraction, int run,
+                                             std::string_view caller,
+                                             const EngineFactory& make_engine);
 
 /// Executes one dynamic run: seed and streams derive from
 /// scenario.seed_for(alive_fraction, run). `dag` must come from

@@ -302,7 +302,12 @@ TEST(SeenColumns, DeliveryRatioMatchesThePublishTimeSnapshot) {
   const auto leaves = system.spawn_group(leaf, 40);
   system.run_rounds(3);
   const auto event = system.publish(leaves[0]);
-  const auto interested = system.registry().interested_set(leaf);
+  // The processes interested at publish: the chain groups' members.
+  std::vector<ProcessId> interested;
+  for (const topics::TopicId topic : hierarchy->chain_to_root(leaf)) {
+    const auto& members = system.registry().group(topic);
+    interested.insert(interested.end(), members.begin(), members.end());
+  }
   for (int step = 0; step < 10; ++step) {
     const auto delivered = system.delivered_set(event);
     std::size_t hits = 0;

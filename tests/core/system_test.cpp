@@ -79,7 +79,7 @@ TEST_F(SystemTest, EventOfMidTopicNeverReachesSubscribersBelow) {
   system.run_rounds(3);
   const auto event = system.publish(mids[0]);
   system.run_rounds(30);
-  EXPECT_TRUE(system.all_delivered(event));
+  EXPECT_GE(system.delivery_ratio(event), 1.0);
   for (ProcessId leaf : leaves) {
     EXPECT_FALSE(system.delivered_set(event).contains(leaf));
   }

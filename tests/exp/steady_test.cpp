@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/steady.hpp"
 #include "sim/scenario.hpp"
+#include "workload/driver.hpp"
 
 namespace dam::exp {
 namespace {
@@ -119,9 +121,10 @@ TEST(Steady, GossipBaselineIsBitIdenticalForAnyJobsAndThreads) {
 
 TEST(Steady, BaselinesReplayTheIdenticalStream) {
   // The head-to-head contract: all three engines see the same publication
-  // schedule — same count, same rounds — because they share base_seed and
-  // the (base_seed, stream, index) draws. Publications are the stream's
-  // observable; if these diverge the comparison tables are meaningless.
+  // schedule — same count, same rounds — because they share base_seed, the
+  // (base_seed, stream, index) draws and one replay harness. Publications
+  // are the stream's observable; if these diverge the comparison tables
+  // are meaningless.
   const SweepResult protocol = run_sweep(small_steady("steady-state"), {});
   const SweepResult tree = run_sweep(small_steady("steady-tree"), {});
   const SweepResult gossip = run_sweep(small_steady("steady-gossip"), {});
@@ -133,6 +136,50 @@ TEST(Steady, BaselinesReplayTheIdenticalStream) {
               tree.points[pt].publications.mean());
     EXPECT_EQ(protocol.points[pt].publications.mean(),
               gossip.points[pt].publications.mean());
+  }
+
+  // One churn cell (steady-churn's crashes, leaves and joins, alive 0.85):
+  // the rivals must also see the protocol's churn schedule — the same
+  // joiners in the same groups, the same members down at every grading
+  // round — not only its publications.
+  std::vector<workload::DynamicRunResult> runs;
+  for (const char* name : {"steady-state", "steady-tree", "steady-gossip"}) {
+    sim::Scenario scenario = small_steady(name);
+    scenario.workload.churn.crash_fraction = 0.3;
+    scenario.workload.churn.crash_length = 4;
+    scenario.workload.churn.leave_fraction = 0.05;
+    scenario.workload.churn.joins = 30;
+    const topics::TopicDag dag = scenario.build_dag();
+    runs.push_back(
+        scenario.engine == sim::EngineKind::kDynamic
+            ? workload::run_dynamic_simulation(scenario, dag, 0.85, 0)
+            : baselines::run_steady_baseline(scenario, dag, 0.85, 0));
+  }
+  const workload::DynamicRunResult& reference = runs.front();
+  std::size_t members = 0;
+  std::size_t alive = 0;
+  for (const workload::DynamicGroupResult& group : reference.groups) {
+    members += group.size;
+    alive += group.alive;
+  }
+  std::size_t initial = 0;
+  for (const std::size_t size : small_steady("steady-state").group_sizes) {
+    initial += size;
+  }
+  EXPECT_GT(reference.publications, 0u);
+  EXPECT_GT(members, initial);  // the joins landed
+  EXPECT_LT(alive, members);    // and the schedule took members down
+  for (std::size_t engine = 1; engine < runs.size(); ++engine) {
+    SCOPED_TRACE(engine == 1 ? "steady-tree" : "steady-gossip");
+    const workload::DynamicRunResult& rival = runs[engine];
+    EXPECT_EQ(rival.publications, reference.publications);
+    EXPECT_EQ(rival.expected_deliveries, reference.expected_deliveries);
+    ASSERT_EQ(rival.groups.size(), reference.groups.size());
+    for (std::size_t topic = 0; topic < rival.groups.size(); ++topic) {
+      SCOPED_TRACE(topic);
+      EXPECT_EQ(rival.groups[topic].size, reference.groups[topic].size);
+      EXPECT_EQ(rival.groups[topic].alive, reference.groups[topic].alive);
+    }
   }
 }
 

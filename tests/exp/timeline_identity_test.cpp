@@ -249,7 +249,8 @@ TEST(TimelineIdentity, WindowedDeliveriesAgreeWithPerRoundVectors) {
       SCOPED_TRACE(run);
       if (!dynamic) {
         expect_stream_run_identities(
-            scenario, baselines::run_steady_baseline(scenario, alive, run));
+            scenario,
+            baselines::run_steady_baseline(scenario, dag, alive, run));
         continue;
       }
       // The protocol lane is also counted by an attached recorder, which

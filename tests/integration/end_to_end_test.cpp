@@ -65,7 +65,9 @@ bool run_many_publishers(std::uint64_t seed) {
     EXPECT_FALSE(system.delivered_set(events[2]).contains(leaf));
   }
   bool all = true;
-  for (const auto& event : events) all = all && system.all_delivered(event);
+  for (const auto& event : events) {
+    all = all && system.delivery_ratio(event) >= 1.0;
+  }
   return all;
 }
 
@@ -99,7 +101,7 @@ bool run_multi_branch(std::uint64_t seed) {
   for (ProcessId p : energy_subs) EXPECT_FALSE(delivered.contains(p));
   for (ProcessId p : bond_subs) EXPECT_FALSE(delivered.contains(p));
   EXPECT_EQ(system.metrics().parasite_deliveries(), 0u);
-  return system.all_delivered(event);
+  return system.delivery_ratio(event) >= 1.0;
 }
 
 TEST(EndToEnd, ManyPublishersManyEvents) { (void)run_many_publishers(6); }
@@ -200,7 +202,7 @@ TEST(EndToEnd, PublisherInRootGroupOnly) {
 
   const auto event = system.publish(roots[0]);
   system.run_rounds(20);
-  EXPECT_TRUE(system.all_delivered(event));
+  EXPECT_GE(system.delivery_ratio(event), 1.0);
   // Only the root group should have received it.
   for (ProcessId mid : mids) {
     EXPECT_FALSE(system.delivered_set(event).contains(mid));

