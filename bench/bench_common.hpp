@@ -3,13 +3,13 @@
 // Every bench prints (a) a paper-style aligned table to stdout and (b), if
 // a path is given as argv[1], the same series as CSV for plotting.
 //
-// Figure-style benches are thin wrappers over the scenario layer
-// (src/sim/scenario.hpp): they fetch a named preset from the registry (or
-// build an ad-hoc Scenario), run it through the parallel experiment runner
-// (src/exp — results are bit-identical for any worker count), and print
-// the shared report via run_scenario_bench below. Only benches that
-// exercise the dynamic message-passing system (bootstrap, recovery,
-// memory) or the closed-form analysis keep custom loops.
+// The paper's figures (Sec. VII) are registry presets run by damlab
+// (`damlab --scenario=fig8` .. `fig11`), not benches. A bench that sweeps
+// scenarios fetches a preset (preset_or_die) or builds one, runs it through
+// the parallel experiment runner (src/exp — results are bit-identical for
+// any worker count), and prints the shared report via run_scenario_bench.
+// Benches of the dynamic message-passing system (bootstrap, recovery,
+// memory) or of the closed-form analysis keep custom loops.
 #pragma once
 
 #include <cstdio>
@@ -27,11 +27,6 @@
 #include "util/stats.hpp"
 
 namespace dam::bench {
-
-/// The x-axis of Figures 8–11: fraction of alive processes.
-inline std::vector<double> alive_fractions() {
-  return {0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
-}
 
 /// Optional CSV sink: opened when the bench got an output path argument.
 class CsvSink {

@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   if (!sim::is_stream_engine(preset->engine)) {
     std::cerr << "bench_dynamic_scale: '" << preset->name
               << "' is a frozen-engine preset; this bench gates the "
-                 "stream engines (use bench_figures for the frozen lane)\n";
+                 "stream engines (use damlab --scenario=<frozen preset>)\n";
     return 2;
   }
 

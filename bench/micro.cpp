@@ -1,11 +1,10 @@
 // Microbenchmarks (google-benchmark) for the library's hot paths: the RNG,
-// sampling, the message codec, view maintenance, and one full simulated
-// publication at paper scale.
+// sampling, view maintenance, and one full simulated publication at paper
+// scale.
 #include <benchmark/benchmark.h>
 
 #include "core/frozen_sim.hpp"
 #include "membership/view.hpp"
-#include "net/message.hpp"
 #include "sim/scenario.hpp"
 #include "topics/dag.hpp"
 #include "util/rng.hpp"
@@ -31,25 +30,6 @@ void BM_RngSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RngSample)->Arg(100)->Arg(1000)->Arg(10000);
-
-void BM_MessageEncodeDecode(benchmark::State& state) {
-  net::Message msg;
-  msg.kind = net::MsgKind::kMembership;
-  msg.from = topics::ProcessId{1};
-  msg.to = topics::ProcessId{2};
-  msg.answer_topic = topics::TopicId{3};
-  for (std::uint32_t i = 0; i < 16; ++i) {
-    msg.processes.push_back(topics::ProcessId{i});
-  }
-  msg.piggyback_topic = topics::TopicId{2};
-  msg.piggyback_super_table = {topics::ProcessId{7}, topics::ProcessId{8},
-                               topics::ProcessId{9}};
-  for (auto _ : state) {
-    const auto bytes = net::encode(msg);
-    benchmark::DoNotOptimize(net::decode(bytes));
-  }
-}
-BENCHMARK(BM_MessageEncodeDecode);
 
 void BM_PartialViewInsert(benchmark::State& state) {
   util::Rng rng(1);

@@ -41,8 +41,7 @@ void csv_report_rows(util::CsvWriter& csv, const std::string& scenario,
 /// Long-format flight-recorder CSV: header once per file, then one row per
 /// (sweep, point, window) — windowed deliveries, reliability-so-far,
 /// rolling latency p50/p99, send/churn counters, queue high-water, and the
-/// bookkeeping gauges. This is the `--timeline=FILE` output of damsim and
-/// damlab.
+/// bookkeeping gauges. This is the `--timeline=FILE` output of damlab.
 void timeline_csv_header(util::CsvWriter& csv);
 void timeline_csv_rows(util::CsvWriter& csv, const std::string& scenario,
                        const GridPoint& grid, const SweepResult& sweep);

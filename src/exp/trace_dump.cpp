@@ -9,9 +9,9 @@
 namespace dam::exp {
 
 int dump_trace(const sim::Scenario& scenario, const std::string& path,
-               std::ostream& out, std::ostream& err, const char* tool) {
+               std::ostream& out, std::ostream& err) {
   if (scenario.engine != sim::EngineKind::kDynamic) {
-    err << tool << ": --trace needs a dynamic-engine scenario ('"
+    err << "damlab: --trace needs a dynamic-engine scenario ('"
         << scenario.name << "' runs "
         << (scenario.engine == sim::EngineKind::kFrozen
                 ? "the frozen engine, which has no per-message trace"
@@ -20,7 +20,7 @@ int dump_trace(const sim::Scenario& scenario, const std::string& path,
     return 2;
   }
   if (scenario.alive_sweep.empty()) {
-    err << tool << ": scenario has no alive fraction to trace\n";
+    err << "damlab: scenario has no alive fraction to trace\n";
     return 2;
   }
   const topics::TopicDag dag = scenario.build_dag();
@@ -29,7 +29,7 @@ int dump_trace(const sim::Scenario& scenario, const std::string& path,
       scenario, dag, scenario.alive_sweep.front(), 0, &recorder);
   std::ofstream file(path);
   if (!file) {
-    err << tool << ": cannot open trace file '" << path << "'\n";
+    err << "damlab: cannot open trace file '" << path << "'\n";
     return 2;
   }
   recorder.to_csv(file);

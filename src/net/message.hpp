@@ -9,14 +9,13 @@
 //   MEMBERSHIP   — underlying gossip membership exchange ([10]), with the
 //                  supertopic table piggybacked (Sec. V-A.2a optimization)
 //
-// A compact binary wire format (encode/decode) is provided so the payload
-// sizes reported by the benches reflect what a deployment would send.
+// encoded_size gives each message's logical bytes — the size of a compact
+// binary form (17 B header plus the kind's fields) — so the byte counts the
+// transport reports reflect what a deployment would send.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <string>
 #include <vector>
 
 #include "sim/clock.hpp"
@@ -46,8 +45,6 @@ enum class MsgKind : std::uint8_t {
   kMembership = 6,
   kEventRequest = 7,  ///< recovery: "retransmit these event ids to me"
 };
-
-[[nodiscard]] const char* to_string(MsgKind kind) noexcept;
 
 struct Message {
   MsgKind kind = MsgKind::kEvent;
@@ -84,19 +81,10 @@ struct Message {
   friend bool operator==(const Message&, const Message&) = default;
 };
 
-/// Serializes `msg` to a compact binary representation.
-[[nodiscard]] std::vector<std::uint8_t> encode(const Message& msg);
-
-/// Parses bytes produced by `encode`. Returns nullopt on malformed input
-/// (never throws, never reads out of bounds).
-[[nodiscard]] std::optional<Message> decode(std::span<const std::uint8_t> bytes);
-
-/// Size in bytes of the encoded form (without encoding twice).
+/// Logical size of `msg` in bytes: header kind(1) + from(4) + to(4) +
+/// sent_at(8), then the kind's fields, each id 4 B, each list or payload
+/// prefixed by a 4 B length.
 [[nodiscard]] std::size_t encoded_size(const Message& msg);
-
-/// One-line human-readable rendering for logs and debuggers, e.g.
-/// "EVENT 3->9 topic=2 event=3#17 inter payload=5B".
-[[nodiscard]] std::string describe(const Message& msg);
 
 }  // namespace dam::net
 

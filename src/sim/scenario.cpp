@@ -119,7 +119,9 @@ std::vector<Scenario> build_registry() {
   // --- Paper figures (Sec. VII): linear T0 ⊃ T1 ⊃ T2, 10/100/1000. -------
   {
     Scenario s = make_linear_scenario(
-        "fig8", "Fig. 8: events sent in each group, stillborn failures",
+        "fig8",
+        "Fig. 8: events sent in each group, stillborn failures; at alive=1 "
+        "expect S·⌈ln S+c⌉ = 80/1000/12000 intra events (T0/T1/T2)",
         {10, 100, 1000});
     s.alive_sweep = full_sweep();
     s.runs = 60;
@@ -128,7 +130,9 @@ std::vector<Scenario> build_registry() {
   }
   {
     Scenario s = make_linear_scenario(
-        "fig9", "Fig. 9: intergroup events per boundary, stillborn failures",
+        "fig9",
+        "Fig. 9: intergroup events per boundary, stillborn failures; at "
+        "alive=1 expect sent = g = 5, recv = g·psucc = 4.25 per boundary",
         {10, 100, 1000});
     s.alive_sweep = full_sweep();
     s.runs = 200;
@@ -137,7 +141,9 @@ std::vector<Scenario> build_registry() {
   }
   {
     Scenario s = make_linear_scenario(
-        "fig10", "Fig. 10: reliability under stillborn failures",
+        "fig10",
+        "Fig. 10: reliability under stillborn failures; expect T2 ≥ T1 ≥ T0 "
+        "at every alive fraction, all rising toward 1 as alive → 1",
         {10, 100, 1000});
     s.alive_sweep = full_sweep();
     s.runs = 200;
@@ -147,7 +153,8 @@ std::vector<Scenario> build_registry() {
   {
     Scenario s = make_linear_scenario(
         "fig11",
-        "Fig. 11: reliability under dynamically perceived failures",
+        "Fig. 11: reliability under dynamically perceived failures; expect "
+        "every column to dominate fig10's at the same alive fraction",
         {10, 100, 1000});
     s.failure_mode = core::FrozenFailureMode::kDynamicPerception;
     s.alive_sweep = full_sweep();
@@ -446,7 +453,7 @@ const Scenario* find_scenario(std::string_view name) {
   return nullptr;
 }
 
-void print_registry(std::ostream& out, std::string_view tool) {
+void print_registry(std::ostream& out) {
   std::size_t width = 0;
   for (const Scenario& scenario : scenario_registry()) {
     width = std::max(width, scenario.name.size());
@@ -459,7 +466,7 @@ void print_registry(std::ostream& out, std::string_view tool) {
     }
     out << scenario.summary << "\n";
   }
-  out << "\nrun one with: " << tool << " --scenario=<name>\n";
+  out << "\nrun one with: damlab --scenario=<name>\n";
 }
 
 }  // namespace dam::sim

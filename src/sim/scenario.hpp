@@ -6,8 +6,8 @@
 // per-topic TopicParams, failure regime (including churn schedules), the
 // publish pattern, and the sweep of alive fractions with the run count per
 // point. New workloads are configs, not new binaries: benches
-// (bench/bench_common.hpp), damsim, and the damlab experiment lab all
-// drive the same presets, and `--list-scenarios` enumerates them.
+// (bench/bench_common.hpp) and the damlab experiment lab drive the same
+// presets, and `damlab --list-scenarios` enumerates them.
 //
 // This layer only DESCRIBES experiments. Execution and aggregation live in
 // the experiment lab (src/exp): exp/runner fans the (sweep point × run)
@@ -132,10 +132,9 @@ struct Scenario {
 /// Registry lookup by name; nullptr when absent.
 [[nodiscard]] const Scenario* find_scenario(std::string_view name);
 
-/// Prints the registry as an aligned name/summary listing — the shared
-/// body of `--list-scenarios` in damsim and damlab. `tool` customizes the
-/// trailing "run one with: <tool> --scenario=<name>" hint.
-void print_registry(std::ostream& out, std::string_view tool);
+/// Prints the registry as an aligned name/summary listing — the body of
+/// `damlab --list-scenarios`.
+void print_registry(std::ostream& out);
 
 /// Builds a paper-style linear-hierarchy scenario (topics "T0".."Tn",
 /// root-first) — the shared skeleton of the fig8–fig11 presets.

@@ -41,11 +41,6 @@ class ArgParser {
   [[nodiscard]] bool flag(std::string_view name) const;
   [[nodiscard]] std::string str(std::string_view name) const;
 
-  /// True iff the user supplied a value for `name` (as opposed to the
-  /// declared default being in effect).
-  [[nodiscard]] bool provided(std::string_view name) const {
-    return values_.contains(std::string(name));
-  }
   [[nodiscard]] std::int64_t integer(std::string_view name) const;
   [[nodiscard]] double real(std::string_view name) const;
 

@@ -229,7 +229,7 @@ using EngineFactory =
 /// scenario.build_dag(); it is shared read-only, so one DAG serves every
 /// worker thread of a sweep. Throws std::invalid_argument on a topology
 /// bind_scenario would reject. `trace`, when given,
-/// records the run's protocol events (damsim --trace). Tracing never
+/// records the run's protocol events (damlab --trace). Tracing never
 /// perturbs the run — the RNG streams are recorder-independent.
 [[nodiscard]] DynamicRunResult run_dynamic_simulation(
     const sim::Scenario& scenario, const topics::TopicDag& dag,

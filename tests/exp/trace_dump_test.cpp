@@ -1,6 +1,6 @@
-// exp::dump_trace — the shared --trace=FILE implementation of damsim and
-// damlab: engines without a DamSystem are rejected with a message naming
-// the scenario's engine, and a dynamic scenario writes its run-0 trace.
+// exp::dump_trace — the --trace=FILE implementation of damlab: engines
+// without a DamSystem are rejected with a message naming the scenario's
+// engine, and a dynamic scenario writes its run-0 trace.
 #include "exp/trace_dump.hpp"
 
 #include <gtest/gtest.h>
@@ -26,7 +26,7 @@ TEST(TraceDump, RejectsTheSteadyRivalsNamingTheirEngine) {
     std::ostringstream out;
     std::ostringstream err;
     const std::string path = testing::TempDir() + "rival_trace.csv";
-    EXPECT_EQ(dump_trace(preset(name), path, out, err, "damlab"), 2);
+    EXPECT_EQ(dump_trace(preset(name), path, out, err), 2);
     EXPECT_EQ(err.str(),
               "damlab: --trace needs a dynamic-engine scenario ('" +
                   std::string(name) +
@@ -40,11 +40,11 @@ TEST(TraceDump, RejectsTheSteadyRivalsNamingTheirEngine) {
 TEST(TraceDump, RejectsFrozenScenarios) {
   std::ostringstream out;
   std::ostringstream err;
-  EXPECT_EQ(dump_trace(preset("fig9"), testing::TempDir() + "fig9.csv", out,
-                       err, "damsim"),
-            2);
+  EXPECT_EQ(
+      dump_trace(preset("fig9"), testing::TempDir() + "fig9.csv", out, err),
+      2);
   EXPECT_EQ(err.str(),
-            "damsim: --trace needs a dynamic-engine scenario ('fig9' runs "
+            "damlab: --trace needs a dynamic-engine scenario ('fig9' runs "
             "the frozen engine, which has no per-message trace)\n");
   EXPECT_TRUE(out.str().empty());
 }
@@ -54,7 +54,7 @@ TEST(TraceDump, WritesTheDynamicRunZeroTrace) {
   const std::string path = testing::TempDir() + "zipf_trace.csv";
   std::ostringstream out;
   std::ostringstream err;
-  ASSERT_EQ(dump_trace(scenario, path, out, err, "damlab"), 0) << err.str();
+  ASSERT_EQ(dump_trace(scenario, path, out, err), 0) << err.str();
   EXPECT_TRUE(err.str().empty());
   EXPECT_NE(out.str().find("traced run 0"), std::string::npos);
   std::ifstream file(path);

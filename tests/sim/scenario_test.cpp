@@ -24,6 +24,14 @@ TEST(ScenarioRegistry, HasAtLeastEightUniquePresets) {
   }
 }
 
+TEST(ScenarioRegistry, SummariesAreOneLine) {
+  // Summaries carry the figure expectations; --list-scenarios prints one
+  // per row.
+  for (const Scenario& scenario : scenario_registry()) {
+    EXPECT_EQ(scenario.summary.find('\n'), std::string::npos) << scenario.name;
+  }
+}
+
 TEST(ScenarioRegistry, EveryPresetIsWellFormed) {
   for (const Scenario& scenario : scenario_registry()) {
     SCOPED_TRACE(scenario.name);
@@ -42,7 +50,7 @@ TEST(ScenarioRegistry, EveryPresetIsWellFormed) {
 TEST(ScenarioRegistry, EveryPresetRunsEndToEnd) {
   // One cheap run per preset (single sweep point, few runs) must complete
   // and produce sane aggregates — this is what backs
-  // `damsim --scenario=<name>` and `damlab` for every listed name.
+  // `damlab --scenario=<name>` for every listed name.
   for (const Scenario& preset : scenario_registry()) {
     SCOPED_TRACE(preset.name);
     Scenario scenario = preset;

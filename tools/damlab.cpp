@@ -73,8 +73,6 @@ int main(int argc, char** argv) {
                   "rate zipf_s crash_frac leave_frac join_frac publishers "
                   "horizon gc_horizon)");
   args.add_option("runs", "0", "override runs per sweep point (0 = preset)");
-  args.add_option("shards", "32",
-                  "shards per sweep point (fixed reduction shape; advanced)");
   args.add_option("json", "", "write the JSON bench report to this path");
   args.add_option("csv", "", "write long-format CSV rows to this path");
   args.add_option("timeline", "",
@@ -102,7 +100,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (args.flag("list-scenarios")) {
-    sim::print_registry(std::cout, "damlab");
+    sim::print_registry(std::cout);
     return 0;
   }
 
@@ -140,15 +138,12 @@ int main(int argc, char** argv) {
     }
 
     const auto grid_points = exp::expand_grid(exp::parse_grid(args.str("grid")));
-    if (args.integer("jobs") < 0 || args.integer("shards") < 1 ||
-        args.integer("threads") < 0) {
-      std::cerr << "damlab: need --jobs >= 0, --threads >= 0, and "
-                   "--shards >= 1\n";
+    if (args.integer("jobs") < 0 || args.integer("threads") < 0) {
+      std::cerr << "damlab: --jobs and --threads must be >= 0\n";
       return 2;
     }
     exp::RunnerOptions options;
     options.jobs = static_cast<unsigned>(args.integer("jobs"));
-    options.shards = static_cast<unsigned>(args.integer("shards"));
     const std::int64_t runs_override = args.integer("runs");
 
     std::unique_ptr<util::CsvWriter> csv;
@@ -174,10 +169,10 @@ int main(int argc, char** argv) {
         scenario.threads = static_cast<unsigned>(args.integer("threads"));
         exp::apply_grid_point(scenario, cell);
         if (!args.str("trace").empty()) {
-          // Same semantics as damsim --trace: one traced replay of run 0,
-          // first selected scenario x first grid cell, overrides applied.
+          // One traced replay of run 0: first selected scenario x first
+          // grid cell, overrides applied.
           return exp::dump_trace(scenario, args.str("trace"), std::cout,
-                                 std::cerr, "damlab");
+                                 std::cerr);
         }
         const exp::SweepResult sweep = exp::run_sweep(scenario, options);
         if (!args.flag("quiet")) {
