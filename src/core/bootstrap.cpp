@@ -64,15 +64,9 @@ void BootstrapTask::flood(sim::Round now,
   ++floods_sent_;
   ++request_id_;
   for (ProcessId neighbor : neighbors) {
-    Message msg;
-    msg.kind = net::MsgKind::kReqContact;
-    msg.from = self_;
-    msg.to = neighbor;
-    msg.origin = self_;
-    msg.request_id = request_id_;
-    msg.init_msg = init_msg_;
-    msg.ttl = config_.ttl;
-    send(std::move(msg));
+    send({.kind = net::MsgKind::kReqContact, .from = self_, .to = neighbor,
+          .origin = self_, .request_id = request_id_, .init_msg = init_msg_,
+          .ttl = config_.ttl});
   }
 }
 

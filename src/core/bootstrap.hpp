@@ -36,7 +36,7 @@ class BootstrapTask {
     std::uint32_t ttl = 8;     ///< REQCONTACT forwarding budget ("expiry")
   };
 
-  using SendFn = std::function<void(Message&&)>;
+  using SendFn = std::function<void(const Message&)>;
 
   BootstrapTask(ProcessId self, TopicId topic,
                 const topics::TopicDag* hierarchy, Config config);

@@ -51,7 +51,7 @@ void DamNode::subscribe(const std::vector<ProcessId>& group_contacts,
                        super_contacts, alive_probe());
   } else {
     bootstrap_.start(env_->now(), env_->neighborhood(self_),
-                     [this](Message&& msg) { env_->send(std::move(msg)); });
+                     [this](const Message& msg) { env_->send(msg); });
   }
 }
 
@@ -69,7 +69,7 @@ void DamNode::subscribe_shared(std::span<const ProcessId> group_contacts,
                       super_contacts);
   } else {
     bootstrap_.start(env_->now(), env_->neighborhood(self_),
-                     [this](Message&& msg) { env_->send(std::move(msg)); });
+                     [this](const Message& msg) { env_->send(msg); });
   }
 }
 
@@ -85,13 +85,8 @@ EventId DamNode::publish(std::vector<std::uint8_t> payload) {
   // The publisher "receives" its own event: mark seen, deliver locally,
   // and run DISSEMINATE (Fig. 7 is invoked by the publisher as well).
   env_->mark_seen(self_, event);
-  Message msg;
-  msg.kind = MsgKind::kEvent;
-  msg.from = self_;
-  msg.to = self_;
-  msg.topic = topic_;
-  msg.event = event;
-  msg.payload = std::move(payload);
+  const Message msg{.kind = MsgKind::kEvent, .from = self_, .to = self_,
+                    .topic = topic_, .event = event, .payload = payload};
   remember_history(msg);
   env_->deliver(self_, msg);
   disseminate(msg);
@@ -132,22 +127,24 @@ void DamNode::round(sim::Round now) {
   // recovery extension additionally piggybacks a digest of recently seen
   // event ids (most recent first).
   membership_.round(now, super_table_.entries(), super_table_.super_topic(),
-                    [this](Message&& msg) {
+                    [this](const Message& msg) {
+                      Message gossip = msg;
+                      std::vector<EventId> digest;
                       if (recovery_) {
                         const auto& history = recovery_->history;
-                        const std::size_t digest = std::min(
-                            config_->recovery.digest_size, history.size());
-                        msg.event_ids.reserve(digest);
-                        for (std::size_t i = 0; i < digest; ++i) {
-                          msg.event_ids.push_back(
-                              history[history.size() - 1 - i].event);
+                        for (auto it = history.rbegin();
+                             it != history.rend() &&
+                             digest.size() < config_->recovery.digest_size;
+                             ++it) {
+                          digest.push_back(it->event);
                         }
+                        gossip.event_ids = digest;
                       }
-                      env_->send(std::move(msg));
+                      env_->send(gossip);
                     });
   // Bootstrap timeouts (FIND_SUPER_CONTACT widening).
   bootstrap_.tick(now, env_->neighborhood(self_),
-                  [this](Message&& msg) { env_->send(std::move(msg)); });
+                  [this](const Message& msg) { env_->send(msg); });
   // Supertopic-table maintenance.
   const sim::Round period = config_->maintenance_period;
   if (period > 0 && now % period == 0) {
@@ -161,27 +158,28 @@ void DamNode::disseminate(const Message& event_msg) {
   const std::size_t group_size =
       std::max<std::size_t>(membership_.group_size_estimate(), 1);
 
+  // Every copy is this one message, re-addressed. The body handle the
+  // first send returns makes every later copy share that interned body.
+  Message out = event_msg;
+  out.from = self_;
+
   // (1) Intergroup leg (Fig. 7 lines 3–7): elect self with probability
   // psel = g/S; if elected, send to each supertopic-table entry with
   // probability pa = a/z. Root processes have an empty table and skip this.
   protocol::for_each_intergroup_target(
       params, group_size, super_table_.entries(), rng_, [&](ProcessId target) {
-        Message out = event_msg;
-        out.from = self_;
         out.to = target;
         out.intergroup = true;
-        env_->send(std::move(out));
+        out.body = env_->send(out);
       });
 
   // (2) Intra-group gossip leg (Fig. 7 lines 8–14): fanout distinct
   // processes drawn from the topic table, without replacement (the Ω set).
   for (ProcessId target : protocol::fanout_targets(
            params, group_size, membership_.view().entries(), rng_)) {
-    Message out = event_msg;
-    out.from = self_;
     out.to = target;
     out.intergroup = false;
-    env_->send(std::move(out));
+    out.body = env_->send(out);
   }
 }
 
@@ -222,13 +220,8 @@ void DamNode::handle_req_contact(const Message& msg) {
     }
     if (known.empty()) continue;
     if (known.size() > config_->params.z) known.resize(config_->params.z);
-    Message answer;
-    answer.kind = MsgKind::kAnsContact;
-    answer.from = self_;
-    answer.to = msg.origin;
-    answer.answer_topic = searched;
-    answer.processes = std::move(known);
-    env_->send(std::move(answer));
+    env_->send({.kind = MsgKind::kAnsContact, .from = self_, .to = msg.origin,
+                .answer_topic = searched, .processes = known});
     return;  // one answer per request (lines 6–7: SEND then RETURN)
   }
   // Cannot answer: forward through the neighborhood while the message has
@@ -240,7 +233,7 @@ void DamNode::handle_req_contact(const Message& msg) {
     fwd.from = self_;
     fwd.to = neighbor;
     fwd.ttl = msg.ttl - 1;
-    env_->send(std::move(fwd));
+    env_->send(fwd);
   }
 }
 
@@ -258,18 +251,12 @@ void DamNode::handle_ans_contact(const Message& msg) {
 void DamNode::handle_new_process_ask(const Message& msg) {
   // Fig. 6 lines 2–5: a subprocess asks us (a supergroup member) for fresh
   // superprocesses; answer with ourselves plus a sample of our group view.
-  Message reply;
-  reply.kind = MsgKind::kNewProcessGive;
-  reply.from = self_;
-  reply.to = msg.from;
-  reply.answer_topic = topic_;
-  reply.processes.push_back(self_);
+  std::vector<ProcessId> processes{self_};
   const auto extra = membership_.view().sample(config_->params.z, rng_);
-  reply.processes.insert(reply.processes.end(), extra.begin(), extra.end());
-  if (reply.processes.size() > config_->params.z) {
-    reply.processes.resize(config_->params.z);
-  }
-  env_->send(std::move(reply));
+  processes.insert(processes.end(), extra.begin(), extra.end());
+  processes.resize(std::min(processes.size(), config_->params.z));
+  env_->send({.kind = MsgKind::kNewProcessGive, .from = self_, .to = msg.from,
+              .answer_topic = topic_, .processes = processes});
 }
 
 void DamNode::handle_new_process_give(const Message& msg) {
@@ -286,16 +273,14 @@ void DamNode::handle_membership(const Message& msg) {
   // Recovery: request events the digest shows we are missing. Digests only
   // travel within a group, so everything advertised is of interest here.
   if (recovery_ && !msg.event_ids.empty()) {
-    Message request;
-    request.kind = MsgKind::kEventRequest;
-    request.from = self_;
-    request.to = msg.from;
+    std::vector<EventId> missing;
     for (const net::EventId& id : msg.event_ids) {
-      if (!env_->seen(self_, id)) request.event_ids.push_back(id);
+      if (!env_->seen(self_, id)) missing.push_back(id);
     }
-    if (!request.event_ids.empty()) {
+    if (!missing.empty()) {
       ++recovery_->requests_sent;
-      env_->send(std::move(request));
+      env_->send({.kind = MsgKind::kEventRequest, .from = self_,
+                  .to = msg.from, .event_ids = missing});
     }
   }
   // Piggybacked supertopic table (Sec. V-A.2a): adopt contacts for our
@@ -316,7 +301,7 @@ void DamNode::maintain_links(sim::Round now) {
     // Fig. 6 lines 12–14: nothing to maintain; (re)start the search.
     if (!bootstrap_.active()) {
       bootstrap_.start(now, env_->neighborhood(self_),
-                       [this](Message&& msg) { env_->send(std::move(msg)); });
+                       [this](const Message& msg) { env_->send(msg); });
     }
     return;
   }
@@ -329,30 +314,25 @@ void DamNode::maintain_links(sim::Round now) {
   if (super_table_.check(alive_probe()) > params.tau) return;
   super_table_.drop_failed(alive_probe());
   for (ProcessId target : super_table_.entries()) {
-    Message ask;
-    ask.kind = MsgKind::kNewProcessAsk;
-    ask.from = self_;
-    ask.to = target;
-    env_->send(std::move(ask));
+    env_->send({.kind = MsgKind::kNewProcessAsk, .from = self_, .to = target});
   }
   if (super_table_.empty() && !bootstrap_.active()) {
     // Every superprocess failed: fall back to the full search.
     bootstrap_.start(now, env_->neighborhood(self_),
-                     [this](Message&& msg) { env_->send(std::move(msg)); });
+                     [this](const Message& msg) { env_->send(msg); });
   }
 }
 
 void DamNode::handle_event_request(const Message& msg) {
   if (!recovery_) return;
   for (const net::EventId& wanted : msg.event_ids) {
-    for (const Message& stored : recovery_->history) {
+    for (const StoredEvent& stored : recovery_->history) {
       if (stored.event != wanted) continue;
-      Message retransmit = stored;
-      retransmit.from = self_;
-      retransmit.to = msg.from;
-      retransmit.intergroup = false;
+      // No body handle: the transport interns the stored payload anew.
       ++recovery_->retransmissions_sent;
-      env_->send(std::move(retransmit));
+      env_->send({.kind = MsgKind::kEvent, .from = self_, .to = msg.from,
+                  .topic = stored.topic, .event = stored.event,
+                  .payload = stored.payload});
       break;
     }
   }
@@ -361,10 +341,9 @@ void DamNode::handle_event_request(const Message& msg) {
 void DamNode::remember_history(const Message& event_msg) {
   if (!recovery_) return;
   auto& history = recovery_->history;
-  history.push_back(event_msg);
-  while (history.size() > config_->recovery.history_size) {
-    history.pop_front();
-  }
+  history.push_back({event_msg.topic, event_msg.event,
+                     {event_msg.payload.begin(), event_msg.payload.end()}});
+  if (history.size() > config_->recovery.history_size) history.pop_front();
 }
 
 bool DamNode::better_or_equal_super(TopicId candidate) const {

@@ -50,8 +50,10 @@ class Env {
 
   [[nodiscard]] virtual sim::Round now() const = 0;
 
-  /// Transmit a message (node has already filled `from`/`to`).
-  virtual void send(Message&& msg) = 0;
+  /// Transmits `msg` (node has already filled `from`/`to`); its spans need
+  /// only live until send returns. Returns the EVENT body handle to set on
+  /// the next copy (net::Message::body), or kNoBody.
+  virtual std::uint32_t send(const Message& msg) = 0;
 
   /// Bootstrap overlay contacts of `self` (Sec. III-B: neighborhood(pl)).
   [[nodiscard]] virtual const std::vector<ProcessId>& neighborhood(
@@ -61,7 +63,8 @@ class Env {
   /// May be wrong under weak consistency; the protocol tolerates that.
   [[nodiscard]] virtual bool probe_alive(ProcessId target) const = 0;
 
-  /// Application-level delivery callback (Fig. 5 line 8).
+  /// Application-level delivery callback (Fig. 5 line 8). `event_msg` is a
+  /// view, valid for the call only: copy what must outlive it.
   virtual void deliver(ProcessId self, const Message& event_msg) = 0;
 
   /// Records that `self` has received `event`. True iff this is the first
@@ -215,7 +218,7 @@ class DamNode {
   /// DamSystem: a group only grows, and a growing capacity never draws.
   void pull_group_size();
 
-  /// Buffers `event_msg` for potential retransmission (recovery on).
+  /// Copies `event_msg`'s body for retransmission (recovery on).
   void remember_history(const Message& event_msg);
 
   /// KEEP_TABLE_UPDATED (Fig. 6, lines 11–25).
@@ -231,9 +234,17 @@ class DamNode {
     return [this](ProcessId p) { return env_->probe_alive(p); };
   }
 
+  /// An owning copy of a buffered event (a delivered view dies with its
+  /// callback).
+  struct StoredEvent {
+    TopicId topic{};
+    EventId event{};
+    std::vector<std::uint8_t> payload;
+  };
+
   /// Event-recovery extension state; exists only while it is enabled.
   struct RecoveryState {
-    std::deque<Message> history;  ///< recent event msgs, oldest first
+    std::deque<StoredEvent> history;  ///< recent events, oldest first
     std::size_t retransmissions_sent = 0;
     std::size_t requests_sent = 0;
   };

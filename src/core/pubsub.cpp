@@ -16,7 +16,8 @@ PubSub::PubSub(Config config) : config_(config) {
         delivery.subscriber = subscriber;
         delivery.topic = hierarchy_.name(event_msg.topic);
         delivery.event = event_msg.event;
-        delivery.payload = event_msg.payload;
+        delivery.payload.assign(event_msg.payload.begin(),
+                                event_msg.payload.end());
         it->second(delivery);
       });
 }

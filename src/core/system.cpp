@@ -251,7 +251,7 @@ net::EventId DamSystem::publish(ProcessId publisher,
   return event;
 }
 
-void DamSystem::send(Message&& msg) {
+std::uint32_t DamSystem::send(const Message& msg) {
   // Account the message against the sender's group, by kind.
   const TopicId sender_topic = registry_.topic_of(msg.from);
   if (msg.kind != MsgKind::kEvent) {
@@ -277,7 +277,7 @@ void DamSystem::send(Message&& msg) {
     entry.sequence = msg.event.sequence;
     trace_->record(entry);
   }
-  transport_.send(std::move(msg), clock_.now());
+  return transport_.send(msg, clock_.now());
 }
 
 std::size_t DamSystem::group_size(TopicId topic) const {

@@ -97,7 +97,8 @@ class DamSystem final : public Env {
                        std::vector<std::uint8_t> payload = {});
 
   /// Application-level delivery hook: called once per (process, event)
-  /// first delivery, after internal bookkeeping. Optional.
+  /// first delivery, after internal bookkeeping. Optional. `event_msg` is
+  /// a view, valid for the call only: copy what must outlive it.
   using DeliveryHandler =
       std::function<void(ProcessId subscriber, const Message& event_msg)>;
   void set_delivery_handler(DeliveryHandler handler) {
@@ -112,7 +113,7 @@ class DamSystem final : public Env {
 
   // --- Env ---
   [[nodiscard]] sim::Round now() const override { return clock_.now(); }
-  void send(Message&& msg) override;
+  std::uint32_t send(const Message& msg) override;
   [[nodiscard]] const std::vector<ProcessId>& neighborhood(
       ProcessId self) const override;
   [[nodiscard]] bool probe_alive(ProcessId target) const override;

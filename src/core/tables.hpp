@@ -137,7 +137,7 @@ class SuperTopicTable {
   /// first. `alive` (here and below) is any callable ProcessId -> bool,
   /// taken by reference so probing builds no type-erased wrapper.
   template <typename Alive>
-  void merge(TopicId topic, const std::vector<ProcessId>& fresh,
+  void merge(TopicId topic, std::span<const ProcessId> fresh,
              const Alive& alive, bool replace = false);
 
   /// CHECK (footnote 7): number of entries currently alive per the probe.
@@ -175,7 +175,7 @@ class SuperTopicTable {
 };
 
 template <typename Alive>
-void SuperTopicTable::merge(TopicId topic, const std::vector<ProcessId>& fresh,
+void SuperTopicTable::merge(TopicId topic, std::span<const ProcessId> fresh,
                             const Alive& alive, bool replace) {
   materialize();
   if (replace || !super_topic_ || *super_topic_ != topic) {

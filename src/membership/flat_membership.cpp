@@ -45,20 +45,16 @@ void FlatMembership::round(sim::Round now,
   if (view_.empty()) return;
   const auto targets = view_.sample(config_.gossip_fanout, rng_);
   for (ProcessId target : targets) {
-    Message msg;
-    msg.kind = MsgKind::kMembership;
-    msg.from = self_;
-    msg.to = target;
-    msg.sent_at = now;
-    msg.answer_topic = topic_;
     // Ship a random view subset; the receiver learns about us implicitly
     // through msg.from.
-    msg.processes = view_.sample(config_.shuffle_size, rng_);
+    const auto shuffle = view_.sample(config_.shuffle_size, rng_);
+    Message msg{.kind = MsgKind::kMembership, .from = self_, .to = target,
+                .sent_at = now, .answer_topic = topic_, .processes = shuffle};
     if (piggyback_topic && !piggyback.empty()) {
       msg.piggyback_topic = piggyback_topic;
-      msg.piggyback_super_table.assign(piggyback.begin(), piggyback.end());
+      msg.piggyback_super_table = piggyback;
     }
-    send(std::move(msg));
+    send(msg);
   }
 }
 

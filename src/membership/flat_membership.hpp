@@ -38,7 +38,7 @@ class FlatMembership {
     std::size_t shuffle_size = 8;   ///< entries shipped per exchange
   };
 
-  using SendFn = std::function<void(Message&&)>;
+  using SendFn = std::function<void(const Message&)>;
 
   FlatMembership(ProcessId self, TopicId topic, Config config,
                  std::size_t group_size_estimate, util::Rng rng);

@@ -9,6 +9,10 @@
 //   MEMBERSHIP   — underlying gossip membership exchange ([10]), with the
 //                  supertopic table piggybacked (Sec. V-A.2a optimization)
 //
+// A Message is a non-owning view: its lists are spans. A sender points them
+// at its own buffers, which need only live until send returns; a receiver
+// gets spans into the transport's round slab, valid during its callback.
+//
 // encoded_size gives each message's logical bytes — the size of a compact
 // binary form (17 B header plus the kind's fields) — so the byte counts the
 // transport reports reflect what a deployment would send.
@@ -16,7 +20,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "sim/clock.hpp"
 #include "topics/subscriptions.hpp"
@@ -46,6 +50,10 @@ enum class MsgKind : std::uint8_t {
   kEventRequest = 7,  ///< recovery: "retransmit these event ids to me"
 };
 
+/// Opaque handle of an interned EVENT body in the transport; kNoBody until
+/// a transport assigns one.
+inline constexpr std::uint32_t kNoBody = ~std::uint32_t{0};
+
 struct Message {
   MsgKind kind = MsgKind::kEvent;
   ProcessId from{};
@@ -56,29 +64,31 @@ struct Message {
   TopicId topic{};          ///< topic the event was published on
   EventId event{};
   bool intergroup = false;  ///< true when sent via the supertopic table
-  std::vector<std::uint8_t> payload;  ///< opaque application bytes
+  std::span<const std::uint8_t> payload{};  ///< opaque application bytes
+  /// Handle of the transport's interned (topic, event, payload), valid
+  /// while the view is: a send that keeps it shares that body; a send with
+  /// kNoBody interns a new one.
+  std::uint32_t body = kNoBody;
 
   // --- kReqContact ---
   ProcessId origin{};              ///< pl, the searching process
   std::uint32_t request_id = 0;    ///< deduplicates flooded requests
-  std::vector<TopicId> init_msg;   ///< topics searched for (widening list)
+  std::span<const TopicId> init_msg{};  ///< topics searched (widening list)
   std::uint32_t ttl = 0;           ///< remaining forwarding hops ("expiry")
 
   // --- kAnsContact / kNewProcessGive / kMembership ---
   TopicId answer_topic{};            ///< Tx: topic the contacts belong to
-  std::vector<ProcessId> processes;  ///< Ψ: contact/view payload
+  std::span<const ProcessId> processes{};  ///< Ψ: contact/view payload
 
   // --- kMembership piggyback: sender's supertopic table + its topic ---
-  std::optional<TopicId> piggyback_topic;
-  std::vector<ProcessId> piggyback_super_table;
+  std::optional<TopicId> piggyback_topic{};
+  std::span<const ProcessId> piggyback_super_table{};
 
   // --- kMembership (history digest) / kEventRequest (wanted ids) ---
   // Recovery extension (lpbcast-style, cf. the paper's reference [6]):
   // gossip carries ids of recently seen events; receivers request what
   // they are missing.
-  std::vector<EventId> event_ids;
-
-  friend bool operator==(const Message&, const Message&) = default;
+  std::span<const EventId> event_ids{};
 };
 
 /// Logical size of `msg` in bytes: header kind(1) + from(4) + to(4) +

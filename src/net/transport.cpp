@@ -1,6 +1,8 @@
 #include "net/transport.hpp"
 
 #include <algorithm>
+#include <span>
+#include <type_traits>
 #include <utility>
 
 #include "core/protocol.hpp"
@@ -13,17 +15,11 @@ using core::protocol::channel_delivers;
 
 // --- EventBodyPool ---------------------------------------------------------
 
+// A delivered view's payload span points into its Body's heap block, which
+// must survive the entries_ growth a send during the callback may cause.
+static_assert(std::is_nothrow_move_constructible_v<EventBodyPool::Body>);
+
 std::uint32_t EventBodyPool::acquire(const Message& msg) {
-  const auto it = index_.find(msg.event);
-  if (it != index_.end()) {
-    Body& body = entries_[it->second];
-    if (body.topic == msg.topic && body.payload == msg.payload) {
-      ++body.refs;
-      return it->second;
-    }
-    // Same event id, different body (only constructible by hand-built
-    // messages, never by the protocol): fall through to a private entry.
-  }
   std::uint32_t id;
   if (!spare_.empty()) {
     id = spare_.back();
@@ -35,11 +31,9 @@ std::uint32_t EventBodyPool::acquire(const Message& msg) {
   Body& body = entries_[id];
   body.topic = msg.topic;
   body.event = msg.event;
-  body.payload = msg.payload;
+  body.payload.assign(msg.payload.begin(), msg.payload.end());
   body.encoded_size = encoded_size(msg);  // memoized once per publication
   body.refs = 1;
-  body.indexed = it == index_.end();
-  if (body.indexed) index_.emplace(msg.event, id);
   ++live_;
   bytes_ += sizeof(Body) + body.payload.size();
   return id;
@@ -50,8 +44,9 @@ void EventBodyPool::release(std::uint32_t id) {
   if (--body.refs > 0) return;
   bytes_ -= sizeof(Body) + body.payload.size();
   --live_;
-  if (body.indexed) index_.erase(body.event);
-  body.payload = {};  // actually free the heap block, not just clear()
+  // Move-assign to free the heap block: `= {}` would pick the
+  // initializer_list overload, which only clears.
+  body.payload = std::vector<std::uint8_t>();
   spare_.push_back(id);
 }
 
@@ -93,13 +88,8 @@ std::size_t Transport::queue_bytes() const noexcept {
   return bytes;
 }
 
-void Transport::send(Message msg, sim::Round now) {
+std::uint32_t Transport::send(const Message& msg, sim::Round now) {
   ++stats_.sent;
-  if (config_.loss_at_send && !channel_delivers(config_.psucc, rng_)) {
-    ++stats_.lost_channel;
-    stats_.bytes_sent += encoded_size(msg);  // charged whether or not it flies
-    return;
-  }
   RoundSlab& slab = slab_for(now + config_.delay);
   Record rec;
   rec.from = msg.from;
@@ -108,7 +98,8 @@ void Transport::send(Message msg, sim::Round now) {
   rec.kind = msg.kind;
   if (msg.kind == MsgKind::kEvent) {
     rec.flags = msg.intergroup ? 1 : 0;
-    rec.ref = bodies_.acquire(msg);
+    rec.ref = msg.body == kNoBody ? bodies_.acquire(msg)
+                                  : bodies_.retain(msg.body);
     // The hot fan-out path: the wire size was computed once when the body
     // was interned; every further copy of the publication reuses it.
     stats_.bytes_sent += bodies_[rec.ref].encoded_size;
@@ -146,52 +137,38 @@ void Transport::send(Message msg, sim::Round now) {
   slab.records.push_back(rec);
   ++queued_records_;
   note_high_water();
+  return rec.kind == MsgKind::kEvent ? rec.ref : kNoBody;
 }
 
-void Transport::materialize(const Record& rec, const RoundSlab& slab) {
-  Message& msg = scratch_;
+Message Transport::view(const Record& rec, const RoundSlab& slab) const {
+  Message msg;
   msg.kind = rec.kind;
   msg.from = rec.from;
   msg.to = rec.to;
   msg.sent_at = rec.sent_at;
-  msg.topic = TopicId{};
-  msg.event = EventId{};
-  msg.intergroup = false;
-  msg.payload.clear();
-  msg.origin = ProcessId{};
-  msg.request_id = 0;
-  msg.init_msg.clear();
-  msg.ttl = 0;
-  msg.answer_topic = TopicId{};
-  msg.processes.clear();
-  msg.piggyback_topic.reset();
-  msg.piggyback_super_table.clear();
-  msg.event_ids.clear();
   if (rec.kind == MsgKind::kEvent) {
     const EventBodyPool::Body& body = bodies_[rec.ref];
     msg.topic = body.topic;
     msg.event = body.event;
     msg.intergroup = (rec.flags & 1) != 0;
-    msg.payload.assign(body.payload.begin(), body.payload.end());
-    return;
+    msg.payload = body.payload;
+    msg.body = rec.ref;
+    return msg;
   }
   const ControlExtra& extra = slab.extras[rec.ref];
   msg.origin = extra.origin;
   msg.request_id = extra.request_id;
   msg.ttl = extra.ttl;
   msg.answer_topic = extra.answer_topic;
-  msg.processes.assign(slab.pids.begin() + extra.pid_off,
-                       slab.pids.begin() + extra.pid_off + extra.pid_len);
+  msg.processes = std::span(slab.pids).subspan(extra.pid_off, extra.pid_len);
   if (extra.has_piggyback) {
     msg.piggyback_topic = extra.piggyback_topic;
-    msg.piggyback_super_table.assign(
-        slab.pids.begin() + extra.pig_off,
-        slab.pids.begin() + extra.pig_off + extra.pig_len);
+    msg.piggyback_super_table =
+        std::span(slab.pids).subspan(extra.pig_off, extra.pig_len);
   }
-  msg.init_msg.assign(slab.tids.begin() + extra.tid_off,
-                      slab.tids.begin() + extra.tid_off + extra.tid_len);
-  msg.event_ids.assign(slab.eids.begin() + extra.eid_off,
-                       slab.eids.begin() + extra.eid_off + extra.eid_len);
+  msg.init_msg = std::span(slab.tids).subspan(extra.tid_off, extra.tid_len);
+  msg.event_ids = std::span(slab.eids).subspan(extra.eid_off, extra.eid_len);
+  return msg;
 }
 
 void Transport::deliver_round(
@@ -204,7 +181,7 @@ void Transport::deliver_round(
   in_flight_.erase(it);
   queued_records_ -= slab.records.size();
   for (const Record& rec : slab.records) {
-    if (!config_.loss_at_send && !channel_delivers(config_.psucc, rng_)) {
+    if (!channel_delivers(config_.psucc, rng_)) {
       ++stats_.lost_channel;
       if (rec.kind == MsgKind::kEvent) bodies_.release(rec.ref);
       continue;
@@ -216,11 +193,11 @@ void Transport::deliver_round(
       continue;
     }
     ++stats_.delivered;
-    materialize(rec, slab);
-    sink(scratch_);
-    // Release AFTER the sink: the scratch holds copies, but keeping the
-    // body referenced through the callback means fan-out sends the sink
-    // triggers re-intern onto the same entry instead of a fresh one.
+    // The slab was moved out of in_flight_, so sends the sink makes land
+    // in other slabs and never move the arenas this view reads.
+    sink(view(rec, slab));
+    // Release AFTER the sink: the view reads the body, and fan-out sends
+    // the sink makes retain it through the view's handle.
     if (rec.kind == MsgKind::kEvent) bodies_.release(rec.ref);
   }
   slab.clear();

@@ -6,27 +6,27 @@
 // failure model lets it through (target alive / perceived alive). Delivery
 // order within a round is the send order, keeping runs deterministic.
 //
-// In-flight representation (the "message memory wall" fix): the queue does
-// NOT hold net::Message objects. A big dissemination wave queues ~10·S
-// EVENT copies of the same publication, and a Message is a ~200-byte
-// tagged struct with seven heap-owning members — at S=10⁶ that was ~7 GiB
-// of RSS holding mostly duplicated bytes. Instead each queued message is a
-// 24-byte Record (from, to, sent_at, kind, flags, ref) in a per-round
-// slab, and the bodies live in kind-segregated pools:
+// In-flight representation: the round slab is the only owning copy of a
+// queued message. A net::Message is a view (spans, no heap), and a big
+// dissemination wave queues ~10·S EVENT copies of one publication, so each
+// queued message is a 24-byte Record (from, to, sent_at, kind, flags, ref)
+// in a per-round slab, and the bodies live in kind-segregated pools:
 //
 //   * EVENT bodies — (topic, event id, payload) interned ONCE per
-//     publication in a refcounted EventBodyPool; every fan-out copy's
-//     Record references the same body by id. The body also memoizes the
-//     message's encoded wire size, so the hot fan-out path charges
-//     Stats::bytes_sent without re-walking identical payloads.
+//     publication in a refcounted EventBodyPool. The body handle travels
+//     with the message: a delivered EVENT view carries it, and a node that
+//     forwards the view sends it back, so every fan-out copy's Record
+//     references the same body. The body also memoizes the message's
+//     encoded wire size, so the hot fan-out path charges Stats::bytes_sent
+//     without re-walking identical payloads.
 //   * Control bodies — the variable-length fields (init_msg, processes,
-//     piggyback_super_table, event_ids) land in per-slab arenas as
+//     piggyback_super_table, event_ids) are copied into per-slab arenas as
 //     (offset, len) slices off one ControlExtra record per message.
 //
 // Round slabs are recycled wave by wave: deliver_round extracts the due
-// slab, replays it in send order (materializing each record into one
-// reusable scratch Message for the `const Message&` sink), and returns the
-// emptied slab — capacity intact — to a spare list for the next round.
+// slab, replays it in send order — handing the sink a view whose spans
+// point into that slab's arenas and into the event's body — and returns the
+// emptied slab, capacity intact, to a spare list for the next round.
 // Delivery order, the channel RNG stream, and all Stats counters are
 // BIT-IDENTICAL to the historical per-message std::map queue; the golden
 // tests in tests/workload and the reference-queue test in tests/net pin
@@ -34,10 +34,10 @@
 // (slabs + interned bodies) — the measurand the dynamic-scale bench gates.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "net/message.hpp"
@@ -47,11 +47,11 @@
 namespace dam::net {
 
 /// Refcounted interning pool for EVENT message bodies. Fan-out copies of
-/// one publication share one entry (keyed by event id, verified against
-/// the full body so a colliding id with different content never aliases);
-/// entries are recycled when the last in-flight copy is delivered or
-/// dropped. Exposed for the transport tests; everything else should treat
-/// it as a Transport implementation detail.
+/// one publication share one entry: the first send interns it, and every
+/// later send that carries its handle (Message::body) takes one more
+/// reference. Entries are recycled when the last in-flight copy is
+/// delivered or dropped. Exposed for the transport tests; everything else
+/// should treat it as a Transport implementation detail.
 class EventBodyPool {
  public:
   struct Body {
@@ -60,13 +60,18 @@ class EventBodyPool {
     std::vector<std::uint8_t> payload;
     std::size_t encoded_size = 0;  ///< memoized full-message wire size
     std::uint32_t refs = 0;
-    bool indexed = false;  ///< reachable through the event-id index
   };
 
-  /// Interns the body of `msg` (must be kEvent) and takes one reference.
-  /// Returns the body id; identical (event, topic, payload) bodies dedup
-  /// onto one entry.
+  /// Interns the body of `msg` (must be kEvent) in a fresh entry holding
+  /// one reference; returns its id.
   std::uint32_t acquire(const Message& msg);
+
+  /// Takes one more reference on the live entry `id`; returns `id`.
+  std::uint32_t retain(std::uint32_t id) {
+    assert(entries_[id].refs > 0 && "body handle outlived its message");
+    ++entries_[id].refs;
+    return id;
+  }
 
   /// Drops one reference; the entry is recycled at zero.
   void release(std::uint32_t id);
@@ -84,7 +89,6 @@ class EventBodyPool {
  private:
   std::vector<Body> entries_;
   std::vector<std::uint32_t> spare_;            // recycled entry slots
-  std::unordered_map<EventId, std::uint32_t> index_;
   std::size_t live_ = 0;
   std::size_t bytes_ = 0;
 };
@@ -94,8 +98,6 @@ class Transport {
   struct Config {
     double psucc = 1.0;       ///< per-message delivery probability
     sim::Round delay = 1;     ///< rounds between send and delivery
-    bool loss_at_send = false;///< drop lost messages at send() time instead
-                              ///< of delivery (saves queue space; same law)
   };
 
   struct Stats {
@@ -112,22 +114,24 @@ class Transport {
     /// peak_queue_bytes measurand.
     std::size_t peak_queue_bytes = 0;
 
-    /// High-water count of queued records — multiply by sizeof(Message)
-    /// for what the historical per-message queue would have held.
+    /// High-water count of queued records. The historical per-message
+    /// queue held a 184-byte Message (with its heap fields) per record.
     std::uint64_t peak_queue_records = 0;
   };
 
   Transport(Config config, util::Rng rng, const sim::FailureModel* failures)
       : config_(config), rng_(rng), failures_(failures) {}
 
-  /// Queues `msg` for delivery at `now + delay`.
-  void send(Message msg, sim::Round now);
+  /// Queues a copy of `msg` for delivery at `now + delay`. Returns an
+  /// EVENT's body handle (`msg.body` if set, else a freshly interned one),
+  /// or kNoBody for control kinds.
+  std::uint32_t send(const Message& msg, sim::Round now);
 
   /// Delivers every message due at `round` (in send order) to `sink`.
   /// Messages the channel loses or whose target is (perceived) failed are
-  /// counted but not delivered. The Message reference handed to the sink
-  /// is a reusable scratch object, valid only for the duration of the
-  /// callback — copy what must outlive it (every current sink does).
+  /// counted but not delivered. The Message handed to the sink is a view
+  /// into the round's slab and the event's body, valid only for the
+  /// duration of the callback — copy what must outlive it.
   void deliver_round(sim::Round round,
                      const std::function<void(const Message&)>& sink);
 
@@ -229,8 +233,8 @@ class Transport {
   /// Ratchets Stats::peak_queue_bytes / peak_queue_records after a send.
   void note_high_water();
 
-  /// Rebuilds `scratch_` from one record (reusing its heap capacity).
-  void materialize(const Record& rec, const RoundSlab& slab);
+  /// The view of one queued record that deliver_round hands its sink.
+  [[nodiscard]] Message view(const Record& rec, const RoundSlab& slab) const;
 
   Config config_;
   util::Rng rng_;
@@ -238,7 +242,6 @@ class Transport {
   std::map<sim::Round, RoundSlab> in_flight_;
   std::vector<RoundSlab> spare_slabs_;
   EventBodyPool bodies_;
-  Message scratch_;
   std::size_t queued_records_ = 0;
   std::size_t window_peak_bytes_ = 0;  ///< high-water since take_window_peak
   Stats stats_;

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "owned_message.hpp"
 #include "topics/dag.hpp"
 
 namespace dam::core {
 namespace {
 
+using dam::testing::OwnedMessage;
 using net::MsgKind;
 
 class BootstrapTest : public ::testing::Test {
@@ -16,10 +18,10 @@ class BootstrapTest : public ::testing::Test {
     neighbors_ = {ProcessId{10}, ProcessId{11}};
   }
 
-  std::vector<Message> collect(BootstrapTask& task, sim::Round now,
-                               bool is_start) {
-    std::vector<Message> sent;
-    auto sink = [&](Message&& msg) { sent.push_back(std::move(msg)); };
+  std::vector<OwnedMessage> collect(BootstrapTask& task, sim::Round now,
+                                    bool is_start) {
+    std::vector<OwnedMessage> sent;
+    auto sink = [&](const Message& msg) { sent.push_back(msg); };
     if (is_start) {
       task.start(now, neighbors_, sink);
     } else {
@@ -38,7 +40,7 @@ TEST_F(BootstrapTest, StartSearchesDirectSupertopic) {
   const auto sent = collect(task, 0, /*is_start=*/true);
   EXPECT_TRUE(task.active());
   ASSERT_EQ(sent.size(), neighbors_.size());
-  for (const Message& msg : sent) {
+  for (const OwnedMessage& msg : sent) {
     EXPECT_EQ(msg.kind, MsgKind::kReqContact);
     EXPECT_EQ(msg.origin, ProcessId{0});
     ASSERT_EQ(msg.init_msg.size(), 1u);

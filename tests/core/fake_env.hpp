@@ -1,4 +1,6 @@
-// Scripted Env for unit-testing DamNode without a simulator.
+// Scripted Env for unit-testing DamNode without a simulator. Sends and
+// deliveries are captured as OwnedMessages, since the node's views die
+// with the call.
 #pragma once
 
 #include <functional>
@@ -8,14 +10,20 @@
 #include <vector>
 
 #include "core/node.hpp"
+#include "owned_message.hpp"
 
 namespace dam::core::testing {
+
+using dam::testing::OwnedMessage;
 
 class FakeEnv final : public Env {
  public:
   [[nodiscard]] sim::Round now() const override { return now_; }
 
-  void send(Message&& msg) override { outbox.push_back(std::move(msg)); }
+  std::uint32_t send(const Message& msg) override {
+    outbox.push_back(msg);
+    return net::kNoBody;
+  }
 
   [[nodiscard]] const std::vector<ProcessId>& neighborhood(
       ProcessId self) const override {
@@ -47,9 +55,9 @@ class FakeEnv final : public Env {
   }
 
   /// Messages of a given kind currently in the outbox.
-  [[nodiscard]] std::vector<Message> sent_of_kind(MsgKind kind) const {
-    std::vector<Message> matching;
-    for (const Message& msg : outbox) {
+  [[nodiscard]] std::vector<OwnedMessage> sent_of_kind(MsgKind kind) const {
+    std::vector<OwnedMessage> matching;
+    for (const OwnedMessage& msg : outbox) {
       if (msg.kind == kind) matching.push_back(msg);
     }
     return matching;
@@ -58,10 +66,10 @@ class FakeEnv final : public Env {
   void clear() { outbox.clear(); delivered.clear(); }
 
   sim::Round now_ = 0;
-  std::vector<Message> outbox;
+  std::vector<OwnedMessage> outbox;
   std::unordered_map<std::uint32_t, std::vector<ProcessId>> neighbors;
   std::function<bool(ProcessId)> alive;
-  std::vector<std::pair<ProcessId, Message>> delivered;
+  std::vector<std::pair<ProcessId, OwnedMessage>> delivered;
   std::set<std::pair<std::uint32_t, EventId>> seen_store;
   std::unordered_map<std::uint32_t, std::size_t> group_sizes;  ///< by topic
 };

@@ -2,17 +2,20 @@
 //
 // A counting global operator new (this binary only) checks that a node
 // which merely holds its arena-backed views allocates nothing, that the
-// optional extensions allocate only once used, and that a view overlay is
-// sized to its capacity instead of doubling past it.
+// optional extensions allocate only once used, that a view overlay is
+// sized to its capacity instead of doubling past it, and that an event
+// wave stores its payload once rather than once per send.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <memory>
 #include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/node.hpp"
+#include "core/system.hpp"
 #include "fake_env.hpp"
 #include "membership/view.hpp"
 #include "topics/dag.hpp"
@@ -52,6 +55,18 @@ class AllocationCounter {
 
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
+// The nothrow forms too (std::stable_sort's buffer uses them), so every
+// block the deletes below free came from malloc.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
 void operator delete(void* block) noexcept { std::free(block); }
 void operator delete[](void* block) noexcept { std::free(block); }
 void operator delete(void* block, std::size_t) noexcept { std::free(block); }
@@ -62,6 +77,7 @@ namespace {
 
 using membership::PartialView;
 using testing::FakeEnv;
+using testing::OwnedMessage;
 
 class NodeFootprintTest : public ::testing::Test {
  protected:
@@ -109,7 +125,7 @@ TEST_F(NodeFootprintTest, FloodDedupSetIsAllocatedAtTheFirstFlood) {
                util::Rng(7), &env_);
   node.subscribe_shared(group_row_, super_row_, levels_[1]);
   EXPECT_EQ(node.request_set_size(), 0u);
-  Message req;
+  OwnedMessage req;
   req.kind = MsgKind::kReqContact;
   req.from = ProcessId{9};
   req.to = ProcessId{0};
@@ -117,9 +133,9 @@ TEST_F(NodeFootprintTest, FloodDedupSetIsAllocatedAtTheFirstFlood) {
   req.request_id = 1;
   req.ttl = 3;
   req.init_msg = {levels_[1]};
-  node.on_message(req);
+  node.on_message(req.view());
   EXPECT_EQ(node.request_set_size(), 1u);
-  node.on_message(req);  // the same flood again: deduplicated
+  node.on_message(req.view());  // the same flood again: deduplicated
   EXPECT_EQ(node.request_set_size(), 1u);
 }
 
@@ -162,6 +178,47 @@ TEST(ViewFootprint, FillLimitCapsTheReservation) {
   EXPECT_EQ(view.size(), 5u);
   EXPECT_EQ(allocations, 1u);
   EXPECT_EQ(largest, 5 * sizeof(ProcessId));
+}
+
+/// Allocations made by one event wave through a 100/1,000/5,000 chain with
+/// gossip and maintenance off, publishing `payload` at the bottom; also
+/// returns the event sends, so a test can tell the wave was not empty.
+std::pair<std::size_t, std::uint64_t> wave_allocations(
+    std::vector<std::uint8_t> payload) {
+  topics::TopicDag hierarchy;
+  const auto levels = topics::make_linear_hierarchy(hierarchy, 2);
+  DamSystem::Config config;
+  config.seed = 11;
+  config.auto_wire_super_tables = true;
+  config.node.membership.gossip_fanout = 0;
+  config.node.maintenance_period = 0;
+  DamSystem system(hierarchy, config);
+  system.spawn_group(levels[0], 100);
+  system.spawn_group(levels[1], 1000);
+  const auto bottom = system.spawn_group(levels[2], 5000);
+  const std::uint64_t sent_before = system.transport().stats().sent;
+  const AllocationCounter counter;
+  system.publish(bottom.back(), std::move(payload));  // a full view
+  for (int round = 0; round < 100 && !system.transport().idle(); ++round) {
+    system.run_rounds(1);
+  }
+  EXPECT_TRUE(system.transport().idle());
+  return {counter.allocations(),
+          system.transport().stats().sent - sent_before};
+}
+
+TEST(EventWave, PayloadIsNotCopiedPerSend) {
+  // Same seed, same wave: only the payload differs. The transport interns
+  // the body once per publication and every forwarded copy carries its
+  // handle, so the payload costs one allocation, not one per send.
+  const auto [empty, empty_sends] = wave_allocations({});
+  const auto [carried, carried_sends] =
+      wave_allocations(std::vector<std::uint8_t>(64, 0x5A));
+  EXPECT_EQ(empty_sends, carried_sends);
+  EXPECT_GT(carried_sends, 10'000u);
+  const std::size_t difference =
+      carried > empty ? carried - empty : empty - carried;
+  EXPECT_LE(difference, 2u);
 }
 
 TEST(NodeFootprint, DamNodeObjectSize) {

@@ -11,6 +11,7 @@ namespace dam::core {
 namespace {
 
 using testing::FakeEnv;
+using testing::OwnedMessage;
 
 class NodeTest : public ::testing::Test {
  protected:
@@ -90,7 +91,7 @@ TEST_F(NodeTest, PublishDeliversLocallyAndGossips) {
   ASSERT_FALSE(inter.empty());
   int intergroup = 0;
   int intragroup = 0;
-  for (const Message& msg : inter) {
+  for (const OwnedMessage& msg : inter) {
     if (msg.intergroup) {
       ++intergroup;
       EXPECT_EQ(msg.to, ProcessId{50});
@@ -112,7 +113,7 @@ TEST_F(NodeTest, IntraGossipTargetsAreDistinct) {
   node.publish();
   const auto sent = env_.sent_of_kind(MsgKind::kEvent);
   std::vector<std::uint32_t> intra_targets;
-  for (const Message& msg : sent) {
+  for (const OwnedMessage& msg : sent) {
     if (!msg.intergroup) intra_targets.push_back(msg.to.value);
   }
   // fanout(2000) = ceil(ln 2000 + 5) = 13.
@@ -151,13 +152,13 @@ TEST_F(NodeTest, GroupSizeIsPulledAtTheNextRoundOrMessage) {
   node.publish();
   EXPECT_EQ(membership.group_size_estimate(), 41u);
 
-  Message gossip;
+  OwnedMessage gossip;
   gossip.kind = MsgKind::kMembership;
   gossip.from = ProcessId{3};
   gossip.to = ProcessId{0};
   gossip.answer_topic = levels_[2];
   env_.group_sizes[levels_[2].value] = 500;
-  node.on_message(gossip);
+  node.on_message(gossip.view());
   EXPECT_EQ(membership.group_size_estimate(), 500u);
   EXPECT_EQ(membership.view().capacity(),
             membership::FlatMembership::capacity_for(b, 500));
@@ -186,7 +187,7 @@ TEST_F(NodeTest, SupergroupMemberForwardsWithinOwnGroup) {
   node.on_message(event_msg(9, 0, 0, 2));  // event of the SUBtopic t2
   const auto sent = env_.sent_of_kind(MsgKind::kEvent);
   ASSERT_FALSE(sent.empty());
-  for (const Message& msg : sent) {
+  for (const OwnedMessage& msg : sent) {
     EXPECT_EQ(msg.topic, levels_[2]);  // original topic is preserved
     if (msg.intergroup) {
       EXPECT_EQ(msg.to, ProcessId{60});
@@ -198,7 +199,7 @@ TEST_F(NodeTest, RootNodeSendsNoIntergroupMessages) {
   auto node = make_node(0, 0, 10, eager_config());
   node.subscribe({ProcessId{1}, ProcessId{2}});
   node.on_message(event_msg(9, 0, 0, 2));
-  for (const Message& msg : env_.sent_of_kind(MsgKind::kEvent)) {
+  for (const OwnedMessage& msg : env_.sent_of_kind(MsgKind::kEvent)) {
     EXPECT_FALSE(msg.intergroup);
   }
 }
@@ -208,7 +209,7 @@ TEST_F(NodeTest, ReqContactAnsweredByInterestedNode) {
   auto node = make_node(0, 1);
   node.subscribe({ProcessId{1}, ProcessId{2}}, {ProcessId{60}});
   env_.clear();
-  Message req;
+  OwnedMessage req;
   req.kind = MsgKind::kReqContact;
   req.from = ProcessId{9};
   req.to = ProcessId{0};
@@ -216,7 +217,7 @@ TEST_F(NodeTest, ReqContactAnsweredByInterestedNode) {
   req.request_id = 1;
   req.ttl = 3;
   req.init_msg = {levels_[1]};
-  node.on_message(req);
+  node.on_message(req.view());
   const auto answers = env_.sent_of_kind(MsgKind::kAnsContact);
   ASSERT_EQ(answers.size(), 1u);
   EXPECT_EQ(answers[0].to, ProcessId{9});
@@ -233,7 +234,7 @@ TEST_F(NodeTest, ReqContactAnsweredFromSuperTable) {
   auto node = make_node(0, 2);
   node.subscribe({ProcessId{1}}, {ProcessId{60}, ProcessId{61}});
   env_.clear();
-  Message req;
+  OwnedMessage req;
   req.kind = MsgKind::kReqContact;
   req.from = ProcessId{9};
   req.to = ProcessId{0};
@@ -241,7 +242,7 @@ TEST_F(NodeTest, ReqContactAnsweredFromSuperTable) {
   req.request_id = 2;
   req.ttl = 3;
   req.init_msg = {levels_[1]};
-  node.on_message(req);
+  node.on_message(req.view());
   const auto answers = env_.sent_of_kind(MsgKind::kAnsContact);
   ASSERT_EQ(answers.size(), 1u);
   EXPECT_EQ(answers[0].answer_topic, levels_[1]);
@@ -253,7 +254,7 @@ TEST_F(NodeTest, ReqContactForwardedWhenCannotAnswer) {
   auto node = make_node(0, 2);
   node.subscribe({ProcessId{1}}, {ProcessId{60}});
   env_.clear();
-  Message req;
+  OwnedMessage req;
   req.kind = MsgKind::kReqContact;
   req.from = ProcessId{9};
   req.to = ProcessId{0};
@@ -261,11 +262,11 @@ TEST_F(NodeTest, ReqContactForwardedWhenCannotAnswer) {
   req.request_id = 3;
   req.ttl = 2;
   req.init_msg = {levels_[0]};  // searching root; node knows nobody there
-  node.on_message(req);
+  node.on_message(req.view());
   const auto forwarded = env_.sent_of_kind(MsgKind::kReqContact);
   // Forwards to neighbors except the sender (9) and origin (5): 7 and 8.
   ASSERT_EQ(forwarded.size(), 2u);
-  for (const Message& msg : forwarded) {
+  for (const OwnedMessage& msg : forwarded) {
     EXPECT_EQ(msg.ttl, 1u);
     EXPECT_EQ(msg.origin, ProcessId{5});
     EXPECT_TRUE((msg.to == ProcessId{7}) || (msg.to == ProcessId{8}));
@@ -277,7 +278,7 @@ TEST_F(NodeTest, ReqContactNotForwardedWhenTtlExpired) {
   auto node = make_node(0, 2);
   node.subscribe({ProcessId{1}}, {ProcessId{60}});
   env_.clear();
-  Message req;
+  OwnedMessage req;
   req.kind = MsgKind::kReqContact;
   req.from = ProcessId{9};
   req.to = ProcessId{0};
@@ -285,7 +286,7 @@ TEST_F(NodeTest, ReqContactNotForwardedWhenTtlExpired) {
   req.request_id = 4;
   req.ttl = 0;
   req.init_msg = {levels_[0]};
-  node.on_message(req);
+  node.on_message(req.view());
   EXPECT_TRUE(env_.outbox.empty());
 }
 
@@ -294,7 +295,7 @@ TEST_F(NodeTest, DuplicateReqContactIgnored) {
   auto node = make_node(0, 2);
   node.subscribe({ProcessId{1}}, {ProcessId{60}});
   env_.clear();
-  Message req;
+  OwnedMessage req;
   req.kind = MsgKind::kReqContact;
   req.from = ProcessId{9};
   req.to = ProcessId{0};
@@ -302,9 +303,9 @@ TEST_F(NodeTest, DuplicateReqContactIgnored) {
   req.request_id = 7;
   req.ttl = 3;
   req.init_msg = {levels_[0]};
-  node.on_message(req);
+  node.on_message(req.view());
   const auto first = env_.outbox.size();
-  node.on_message(req);  // flood duplicate
+  node.on_message(req.view());  // flood duplicate
   EXPECT_EQ(env_.outbox.size(), first);
 }
 
@@ -313,13 +314,13 @@ TEST_F(NodeTest, AnsContactFillsSuperTableAndStopsBootstrap) {
   auto node = make_node(0, 2);
   node.subscribe({ProcessId{1}});  // bootstrap starts
   ASSERT_TRUE(node.bootstrap().active());
-  Message ans;
+  OwnedMessage ans;
   ans.kind = MsgKind::kAnsContact;
   ans.from = ProcessId{60};
   ans.to = ProcessId{0};
   ans.answer_topic = levels_[1];  // the direct supertopic
   ans.processes = {ProcessId{60}, ProcessId{61}};
-  node.on_message(ans);
+  node.on_message(ans.view());
   EXPECT_FALSE(node.bootstrap().active());
   EXPECT_EQ(node.super_table().size(), 2u);
   EXPECT_EQ(*node.super_table().super_topic(), levels_[1]);
@@ -330,7 +331,7 @@ TEST_F(NodeTest, DeeperAnswerReplacesShallowerSuperTable) {
   auto node = make_node(0, 2);
   node.subscribe({ProcessId{1}});
   // First answer: only root contacts found.
-  Message root_ans;
+  OwnedMessage root_ans;
   root_ans.kind = MsgKind::kAnsContact;
   root_ans.from = ProcessId{70};
   root_ans.to = ProcessId{0};
@@ -339,18 +340,18 @@ TEST_F(NodeTest, DeeperAnswerReplacesShallowerSuperTable) {
   // Root is not in scope until the search widens; simulate the widening.
   // (Answer for out-of-scope topic still adopted when the table is empty —
   // better than nothing, per MERGE semantics.)
-  node.on_message(root_ans);
+  node.on_message(root_ans.view());
   ASSERT_FALSE(node.super_table().empty());
   EXPECT_EQ(*node.super_table().super_topic(), levels_[0]);
   EXPECT_TRUE(node.bootstrap().active());  // still searching for t1
   // Later a t1 contact appears: deeper, so it wins.
-  Message t1_ans;
+  OwnedMessage t1_ans;
   t1_ans.kind = MsgKind::kAnsContact;
   t1_ans.from = ProcessId{60};
   t1_ans.to = ProcessId{0};
   t1_ans.answer_topic = levels_[1];
   t1_ans.processes = {ProcessId{60}};
-  node.on_message(t1_ans);
+  node.on_message(t1_ans.view());
   EXPECT_EQ(*node.super_table().super_topic(), levels_[1]);
   EXPECT_TRUE(node.super_table().contains(ProcessId{60}));
   EXPECT_FALSE(node.super_table().contains(ProcessId{70}));
@@ -361,11 +362,11 @@ TEST_F(NodeTest, NewProcessAskAnsweredWithGroupSample) {
   auto node = make_node(0, 1);
   node.subscribe({ProcessId{1}, ProcessId{2}}, {ProcessId{60}});
   env_.clear();
-  Message ask;
+  OwnedMessage ask;
   ask.kind = MsgKind::kNewProcessAsk;
   ask.from = ProcessId{99};
   ask.to = ProcessId{0};
-  node.on_message(ask);
+  node.on_message(ask.view());
   const auto replies = env_.sent_of_kind(MsgKind::kNewProcessGive);
   ASSERT_EQ(replies.size(), 1u);
   EXPECT_EQ(replies[0].to, ProcessId{99});
@@ -378,26 +379,26 @@ TEST_F(NodeTest, NewProcessAskAnsweredWithGroupSample) {
 TEST_F(NodeTest, NewProcessGiveMergesIntoSuperTable) {
   auto node = make_node(0, 2);
   node.subscribe({ProcessId{1}}, {ProcessId{60}});
-  Message give;
+  OwnedMessage give;
   give.kind = MsgKind::kNewProcessGive;
   give.from = ProcessId{61};
   give.to = ProcessId{0};
   give.answer_topic = levels_[1];
   give.processes = {ProcessId{61}, ProcessId{62}};
-  node.on_message(give);
+  node.on_message(give.view());
   EXPECT_EQ(node.super_table().size(), 3u);  // 60 + 61 + 62, z = 3
 }
 
 TEST_F(NodeTest, NewProcessGiveForNonSupertopicIgnored) {
   auto node = make_node(0, 1);
   node.subscribe({ProcessId{1}}, {ProcessId{60}});
-  Message give;
+  OwnedMessage give;
   give.kind = MsgKind::kNewProcessGive;
   give.from = ProcessId{61};
   give.to = ProcessId{0};
   give.answer_topic = levels_[2];  // a SUBtopic — never a valid super
   give.processes = {ProcessId{61}};
-  node.on_message(give);
+  node.on_message(give.view());
   EXPECT_EQ(node.super_table().size(), 1u);
   EXPECT_FALSE(node.super_table().contains(ProcessId{61}));
 }
@@ -460,7 +461,7 @@ TEST_F(NodeTest, IncomingPiggybackFillsEmptySuperTable) {
   env_.neighbors[0] = {ProcessId{5}};
   auto node = make_node(0, 2, 20);
   node.subscribe({ProcessId{1}});  // no super contacts; bootstrap running
-  Message gossip;
+  OwnedMessage gossip;
   gossip.kind = MsgKind::kMembership;
   gossip.from = ProcessId{1};
   gossip.to = ProcessId{0};
@@ -468,7 +469,7 @@ TEST_F(NodeTest, IncomingPiggybackFillsEmptySuperTable) {
   gossip.processes = {ProcessId{2}};
   gossip.piggyback_topic = levels_[1];
   gossip.piggyback_super_table = {ProcessId{60}, ProcessId{61}};
-  node.on_message(gossip);
+  node.on_message(gossip.view());
   EXPECT_EQ(node.super_table().size(), 2u);
   EXPECT_EQ(*node.super_table().super_topic(), levels_[1]);
   EXPECT_FALSE(node.bootstrap().active());  // piggyback satisfied the search
@@ -478,13 +479,13 @@ TEST_F(NodeTest, IncomingPiggybackFillsEmptySuperTable) {
 TEST_F(NodeTest, MembershipForOtherTopicDoesNotPolluteView) {
   auto node = make_node(0, 2, 20);
   node.subscribe({ProcessId{1}}, {ProcessId{60}});
-  Message gossip;
+  OwnedMessage gossip;
   gossip.kind = MsgKind::kMembership;
   gossip.from = ProcessId{9};
   gossip.to = ProcessId{0};
   gossip.answer_topic = levels_[1];  // different group's gossip
   gossip.processes = {ProcessId{33}};
-  node.on_message(gossip);
+  node.on_message(gossip.view());
   EXPECT_FALSE(node.group_membership().view().contains(ProcessId{33}));
   EXPECT_FALSE(node.group_membership().view().contains(ProcessId{9}));
 }

@@ -13,6 +13,7 @@ namespace dam::core {
 namespace {
 
 using testing::FakeEnv;
+using testing::OwnedMessage;
 
 class RecoveryTest : public ::testing::Test {
  protected:
@@ -34,9 +35,9 @@ class RecoveryTest : public ::testing::Test {
                    util::Rng(id + 1), &env_);
   }
 
-  Message event_msg(std::uint32_t publisher, std::uint32_t seq,
-                    std::string_view text = "") {
-    Message msg;
+  OwnedMessage event_msg(std::uint32_t publisher, std::uint32_t seq,
+                         std::string_view text = "") {
+    OwnedMessage msg;
     msg.kind = MsgKind::kEvent;
     msg.from = ProcessId{publisher};
     msg.to = ProcessId{0};
@@ -54,8 +55,8 @@ class RecoveryTest : public ::testing::Test {
 TEST_F(RecoveryTest, DigestRidesOnMembershipGossip) {
   auto node = make_node(0, recovery_config());
   node.subscribe({ProcessId{1}}, {ProcessId{50}});
-  node.on_message(event_msg(9, 0));
-  node.on_message(event_msg(9, 1));
+  node.on_message(event_msg(9, 0).view());
+  node.on_message(event_msg(9, 1).view());
   env_.clear();
   node.round(1);
   const auto gossip = env_.sent_of_kind(MsgKind::kMembership);
@@ -70,7 +71,7 @@ TEST_F(RecoveryTest, DigestCappedAtConfiguredSize) {
   auto node = make_node(0, recovery_config());  // digest_size = 4
   node.subscribe({ProcessId{1}}, {ProcessId{50}});
   for (std::uint32_t seq = 0; seq < 7; ++seq) {
-    node.on_message(event_msg(9, seq));
+    node.on_message(event_msg(9, seq).view());
   }
   env_.clear();
   node.round(1);
@@ -84,7 +85,7 @@ TEST_F(RecoveryTest, NoDigestWhenDisabled) {
   NodeConfig config;  // recovery off by default
   auto node = make_node(0, config);
   node.subscribe({ProcessId{1}}, {ProcessId{50}});
-  node.on_message(event_msg(9, 0));
+  node.on_message(event_msg(9, 0).view());
   env_.clear();
   node.round(1);
   const auto gossip = env_.sent_of_kind(MsgKind::kMembership);
@@ -95,8 +96,8 @@ TEST_F(RecoveryTest, NoDigestWhenDisabled) {
 TEST_F(RecoveryTest, MissingIdsTriggerRequest) {
   auto node = make_node(0, recovery_config());
   node.subscribe({ProcessId{1}}, {ProcessId{50}});
-  node.on_message(event_msg(9, 0));  // seen
-  Message gossip;
+  node.on_message(event_msg(9, 0).view());  // seen
+  OwnedMessage gossip;
   gossip.kind = MsgKind::kMembership;
   gossip.from = ProcessId{1};
   gossip.to = ProcessId{0};
@@ -105,7 +106,7 @@ TEST_F(RecoveryTest, MissingIdsTriggerRequest) {
                       net::EventId{ProcessId{9}, 5},   // missing
                       net::EventId{ProcessId{4}, 2}};  // missing
   env_.clear();
-  node.on_message(gossip);
+  node.on_message(gossip.view());
   const auto requests = env_.sent_of_kind(MsgKind::kEventRequest);
   ASSERT_EQ(requests.size(), 1u);
   EXPECT_EQ(requests[0].to, ProcessId{1});
@@ -116,30 +117,30 @@ TEST_F(RecoveryTest, MissingIdsTriggerRequest) {
 TEST_F(RecoveryTest, NoRequestWhenNothingMissing) {
   auto node = make_node(0, recovery_config());
   node.subscribe({ProcessId{1}}, {ProcessId{50}});
-  node.on_message(event_msg(9, 0));
-  Message gossip;
+  node.on_message(event_msg(9, 0).view());
+  OwnedMessage gossip;
   gossip.kind = MsgKind::kMembership;
   gossip.from = ProcessId{1};
   gossip.to = ProcessId{0};
   gossip.answer_topic = levels_[1];
   gossip.event_ids = {net::EventId{ProcessId{9}, 0}};
   env_.clear();
-  node.on_message(gossip);
+  node.on_message(gossip.view());
   EXPECT_TRUE(env_.sent_of_kind(MsgKind::kEventRequest).empty());
 }
 
 TEST_F(RecoveryTest, RequestAnsweredFromHistoryWithPayload) {
   auto node = make_node(0, recovery_config());
   node.subscribe({ProcessId{1}}, {ProcessId{50}});
-  node.on_message(event_msg(9, 3, "precious bytes"));
-  Message request;
+  node.on_message(event_msg(9, 3, "precious bytes").view());
+  OwnedMessage request;
   request.kind = MsgKind::kEventRequest;
   request.from = ProcessId{7};
   request.to = ProcessId{0};
   request.event_ids = {net::EventId{ProcessId{9}, 3},
                        net::EventId{ProcessId{9}, 99}};  // unknown: skipped
   env_.clear();
-  node.on_message(request);
+  node.on_message(request.view());
   const auto retransmitted = env_.sent_of_kind(MsgKind::kEvent);
   ASSERT_EQ(retransmitted.size(), 1u);
   EXPECT_EQ(retransmitted[0].to, ProcessId{7});
@@ -154,19 +155,19 @@ TEST_F(RecoveryTest, HistoryBounded) {
   auto node = make_node(0, recovery_config());  // history_size = 8
   node.subscribe({ProcessId{1}}, {ProcessId{50}});
   for (std::uint32_t seq = 0; seq < 20; ++seq) {
-    node.on_message(event_msg(9, seq));
+    node.on_message(event_msg(9, seq).view());
   }
   // Request an evicted event: silence. Request a recent one: answered.
-  Message request;
+  OwnedMessage request;
   request.kind = MsgKind::kEventRequest;
   request.from = ProcessId{7};
   request.to = ProcessId{0};
   request.event_ids = {net::EventId{ProcessId{9}, 0}};
   env_.clear();
-  node.on_message(request);
+  node.on_message(request.view());
   EXPECT_TRUE(env_.sent_of_kind(MsgKind::kEvent).empty());
   request.event_ids = {net::EventId{ProcessId{9}, 19}};
-  node.on_message(request);
+  node.on_message(request.view());
   EXPECT_EQ(env_.sent_of_kind(MsgKind::kEvent).size(), 1u);
 }
 
@@ -174,14 +175,14 @@ TEST_F(RecoveryTest, RequestIgnoredWhenDisabled) {
   NodeConfig config;
   auto node = make_node(0, config);
   node.subscribe({ProcessId{1}}, {ProcessId{50}});
-  node.on_message(event_msg(9, 0));
-  Message request;
+  node.on_message(event_msg(9, 0).view());
+  OwnedMessage request;
   request.kind = MsgKind::kEventRequest;
   request.from = ProcessId{7};
   request.to = ProcessId{0};
   request.event_ids = {net::EventId{ProcessId{9}, 0}};
   env_.clear();
-  node.on_message(request);
+  node.on_message(request.view());
   EXPECT_TRUE(env_.outbox.empty());
 }
 

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace dam::core {
 namespace {
 
 const auto kAllAlive = [](ProcessId) { return true; };
+
+/// merge() takes a span; braced contact lists go through a vector.
+using Ids = std::vector<ProcessId>;
 
 TEST(SuperTopicTable, StartsEmpty) {
   SuperTopicTable table(ProcessId{0}, 3);
@@ -16,8 +21,8 @@ TEST(SuperTopicTable, StartsEmpty) {
 
 TEST(SuperTopicTable, MergeFillsUpToCapacity) {
   SuperTopicTable table(ProcessId{0}, 3);
-  table.merge(TopicId{1}, {ProcessId{1}, ProcessId{2}, ProcessId{3},
-                           ProcessId{4}},
+  table.merge(TopicId{1}, Ids{ProcessId{1}, ProcessId{2}, ProcessId{3},
+                              ProcessId{4}},
               kAllAlive);
   EXPECT_EQ(table.size(), 3u);
   ASSERT_TRUE(table.super_topic().has_value());
@@ -28,8 +33,8 @@ TEST(SuperTopicTable, MergeFillsUpToCapacity) {
 
 TEST(SuperTopicTable, MergeSkipsOwnerAndDuplicates) {
   SuperTopicTable table(ProcessId{7}, 3);
-  table.merge(TopicId{1}, {ProcessId{7}, ProcessId{1}, ProcessId{1},
-                           ProcessId{2}},
+  table.merge(TopicId{1}, Ids{ProcessId{7}, ProcessId{1}, ProcessId{1},
+                              ProcessId{2}},
               kAllAlive);
   EXPECT_EQ(table.size(), 2u);
   EXPECT_FALSE(table.contains(ProcessId{7}));
@@ -37,11 +42,11 @@ TEST(SuperTopicTable, MergeSkipsOwnerAndDuplicates) {
 
 TEST(SuperTopicTable, MergeKeepsAliveFavoritesFirst) {
   SuperTopicTable table(ProcessId{0}, 3);
-  table.merge(TopicId{1}, {ProcessId{1}, ProcessId{2}, ProcessId{3}},
+  table.merge(TopicId{1}, Ids{ProcessId{1}, ProcessId{2}, ProcessId{3}},
               kAllAlive);
   // Entry 2 died; merging fresh contacts should keep 1 and 3, replace 2.
   const auto alive = [](ProcessId p) { return p != ProcessId{2}; };
-  table.merge(TopicId{1}, {ProcessId{8}, ProcessId{9}}, alive);
+  table.merge(TopicId{1}, Ids{ProcessId{8}, ProcessId{9}}, alive);
   EXPECT_EQ(table.size(), 3u);
   EXPECT_TRUE(table.contains(ProcessId{1}));
   EXPECT_TRUE(table.contains(ProcessId{3}));
@@ -52,9 +57,9 @@ TEST(SuperTopicTable, MergeKeepsAliveFavoritesFirst) {
 
 TEST(SuperTopicTable, MergeRetargetsOnDifferentTopic) {
   SuperTopicTable table(ProcessId{0}, 3);
-  table.merge(TopicId{1}, {ProcessId{1}, ProcessId{2}}, kAllAlive);
+  table.merge(TopicId{1}, Ids{ProcessId{1}, ProcessId{2}}, kAllAlive);
   // New topic: previous entries belong to another group and are wiped.
-  table.merge(TopicId{5}, {ProcessId{10}}, kAllAlive);
+  table.merge(TopicId{5}, Ids{ProcessId{10}}, kAllAlive);
   EXPECT_EQ(*table.super_topic(), TopicId{5});
   EXPECT_EQ(table.size(), 1u);
   EXPECT_FALSE(table.contains(ProcessId{1}));
@@ -63,15 +68,15 @@ TEST(SuperTopicTable, MergeRetargetsOnDifferentTopic) {
 
 TEST(SuperTopicTable, MergeReplaceWipesSameTopic) {
   SuperTopicTable table(ProcessId{0}, 3);
-  table.merge(TopicId{1}, {ProcessId{1}, ProcessId{2}}, kAllAlive);
-  table.merge(TopicId{1}, {ProcessId{9}}, kAllAlive, /*replace=*/true);
+  table.merge(TopicId{1}, Ids{ProcessId{1}, ProcessId{2}}, kAllAlive);
+  table.merge(TopicId{1}, Ids{ProcessId{9}}, kAllAlive, /*replace=*/true);
   EXPECT_EQ(table.size(), 1u);
   EXPECT_TRUE(table.contains(ProcessId{9}));
 }
 
 TEST(SuperTopicTable, CheckCountsAlive) {
   SuperTopicTable table(ProcessId{0}, 3);
-  table.merge(TopicId{1}, {ProcessId{1}, ProcessId{2}, ProcessId{3}},
+  table.merge(TopicId{1}, Ids{ProcessId{1}, ProcessId{2}, ProcessId{3}},
               kAllAlive);
   EXPECT_EQ(table.check(kAllAlive), 3u);
   EXPECT_EQ(table.check([](ProcessId p) { return p.value % 2 == 1; }), 2u);
@@ -80,7 +85,7 @@ TEST(SuperTopicTable, CheckCountsAlive) {
 
 TEST(SuperTopicTable, DropFailedRemovesAndReports) {
   SuperTopicTable table(ProcessId{0}, 3);
-  table.merge(TopicId{1}, {ProcessId{1}, ProcessId{2}, ProcessId{3}},
+  table.merge(TopicId{1}, Ids{ProcessId{1}, ProcessId{2}, ProcessId{3}},
               kAllAlive);
   const auto dropped =
       table.drop_failed([](ProcessId p) { return p != ProcessId{2}; });
@@ -91,7 +96,7 @@ TEST(SuperTopicTable, DropFailedRemovesAndReports) {
 
 TEST(SuperTopicTable, ClearResetsTopic) {
   SuperTopicTable table(ProcessId{0}, 3);
-  table.merge(TopicId{1}, {ProcessId{1}}, kAllAlive);
+  table.merge(TopicId{1}, Ids{ProcessId{1}}, kAllAlive);
   table.clear();
   EXPECT_TRUE(table.empty());
   EXPECT_FALSE(table.super_topic().has_value());
@@ -124,7 +129,7 @@ TEST(SuperTopicTable, SeededTableCopiesOnChurnAndKeepsBaseObservable) {
   ASSERT_EQ(table.base().size(), 3u);
   EXPECT_EQ(table.base().data(), row.data());
   // Post-churn the table behaves exactly like an owned one.
-  table.merge(TopicId{2}, {ProcessId{9}}, kAllAlive);
+  table.merge(TopicId{2}, Ids{ProcessId{9}}, kAllAlive);
   EXPECT_TRUE(table.contains(ProcessId{9}));
   EXPECT_EQ(table.size(), 3u);
 }

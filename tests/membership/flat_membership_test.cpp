@@ -5,9 +5,12 @@
 #include <cmath>
 #include <vector>
 
+#include "owned_message.hpp"
+
 namespace dam::membership {
 namespace {
 
+using dam::testing::OwnedMessage;
 using net::Message;
 using net::MsgKind;
 using topics::TopicId;
@@ -36,9 +39,9 @@ TEST(FlatMembership, JoinSeedsView) {
 TEST(FlatMembership, RoundEmitsGossipToViewMembers) {
   auto member = make_member(0);
   member.join({ProcessId{1}, ProcessId{2}, ProcessId{3}});
-  std::vector<Message> sent;
+  std::vector<OwnedMessage> sent;
   member.round(7, {}, std::nullopt,
-               [&](Message&& msg) { sent.push_back(std::move(msg)); });
+               [&](const Message& msg) { sent.push_back(msg); });
   ASSERT_EQ(sent.size(), 1u);  // default gossip_fanout = 1
   EXPECT_EQ(sent[0].kind, MsgKind::kMembership);
   EXPECT_EQ(sent[0].from, ProcessId{0});
@@ -51,17 +54,17 @@ TEST(FlatMembership, RoundEmitsGossipToViewMembers) {
 TEST(FlatMembership, RoundWithEmptyViewIsSilent) {
   auto member = make_member(0);
   int sent = 0;
-  member.round(0, {}, std::nullopt, [&](Message&&) { ++sent; });
+  member.round(0, {}, std::nullopt, [&](const Message&) { ++sent; });
   EXPECT_EQ(sent, 0);
 }
 
 TEST(FlatMembership, PiggybackRidesAlong) {
   auto member = make_member(0);
   member.join({ProcessId{1}});
-  std::vector<Message> sent;
+  std::vector<OwnedMessage> sent;
   const std::vector<ProcessId> piggyback{ProcessId{50}, ProcessId{51}};
   member.round(0, piggyback, TopicId{9},
-               [&](Message&& msg) { sent.push_back(std::move(msg)); });
+               [&](const Message& msg) { sent.push_back(msg); });
   ASSERT_EQ(sent.size(), 1u);
   ASSERT_TRUE(sent[0].piggyback_topic.has_value());
   EXPECT_EQ(*sent[0].piggyback_topic, TopicId{9});
@@ -70,13 +73,13 @@ TEST(FlatMembership, PiggybackRidesAlong) {
 
 TEST(FlatMembership, OnMembershipLearnsSenderAndPayload) {
   auto member = make_member(0);
-  Message msg;
+  OwnedMessage msg;
   msg.kind = MsgKind::kMembership;
   msg.from = ProcessId{5};
   msg.to = ProcessId{0};
   msg.answer_topic = TopicId{1};
   msg.processes = {ProcessId{6}, ProcessId{7}};
-  member.on_membership(msg);
+  member.on_membership(msg.view());
   EXPECT_TRUE(member.view().contains(ProcessId{5}));
   EXPECT_TRUE(member.view().contains(ProcessId{6}));
   EXPECT_TRUE(member.view().contains(ProcessId{7}));
@@ -112,13 +115,13 @@ TEST(FlatMembership, GossipConvergesViewsInAGroup) {
     members[i + 1].join({ProcessId{i}});
   }
   for (sim::Round round = 0; round < 60; ++round) {
-    std::vector<Message> mail;
+    std::vector<OwnedMessage> mail;
     for (auto& member : members) {
       member.round(round, {}, std::nullopt,
-                   [&](Message&& msg) { mail.push_back(std::move(msg)); });
+                   [&](const Message& msg) { mail.push_back(msg); });
     }
-    for (const Message& msg : mail) {
-      members[msg.to.value].on_membership(msg);
+    for (const OwnedMessage& msg : mail) {
+      members[msg.to.value].on_membership(msg.view());
     }
   }
   const std::size_t capacity = FlatMembership::capacity_for(3.0, kMembers);

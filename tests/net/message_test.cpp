@@ -24,7 +24,8 @@ TEST(EncodedSize, Event) {
   msg.event = EventId{ProcessId{3}, 17};
   msg.intergroup = true;
   EXPECT_EQ(encoded_size(msg), 34u);
-  msg.payload = {0x00, 0x01, 0xFE, 0xFF, 0x42};
+  const std::uint8_t payload[] = {0x00, 0x01, 0xFE, 0xFF, 0x42};
+  msg.payload = payload;
   EXPECT_EQ(encoded_size(msg), 39u);
 }
 
@@ -34,14 +35,16 @@ TEST(EncodedSize, ReqContact) {
   msg.request_id = 7;
   msg.ttl = 3;
   EXPECT_EQ(encoded_size(msg), 33u);
-  msg.init_msg = {TopicId{4}, TopicId{2}, TopicId{0}};
+  const TopicId init_msg[] = {TopicId{4}, TopicId{2}, TopicId{0}};
+  msg.init_msg = init_msg;
   EXPECT_EQ(encoded_size(msg), 45u);
 }
 
 TEST(EncodedSize, AnsContact) {
   Message msg = header(MsgKind::kAnsContact);
   msg.answer_topic = TopicId{4};
-  msg.processes = {ProcessId{8}, ProcessId{12}, ProcessId{30}};
+  const ProcessId processes[] = {ProcessId{8}, ProcessId{12}, ProcessId{30}};
+  msg.processes = processes;
   EXPECT_EQ(encoded_size(msg), 37u);
 }
 
@@ -52,33 +55,42 @@ TEST(EncodedSize, NewProcessAsk) {
 TEST(EncodedSize, NewProcessGive) {
   Message msg = header(MsgKind::kNewProcessGive);
   msg.answer_topic = TopicId{1};
-  msg.processes = {ProcessId{40}, ProcessId{41}};
+  const ProcessId processes[] = {ProcessId{40}, ProcessId{41}};
+  msg.processes = processes;
   EXPECT_EQ(encoded_size(msg), 33u);
 }
 
 TEST(EncodedSize, MembershipWithoutPiggyback) {
   Message msg = header(MsgKind::kMembership);
   msg.answer_topic = TopicId{6};
-  msg.processes = {ProcessId{1}};
+  const ProcessId processes[] = {ProcessId{1}};
+  msg.processes = processes;
   EXPECT_EQ(encoded_size(msg), 34u);
-  msg.event_ids = {EventId{ProcessId{2}, 11}, EventId{ProcessId{4}, 0}};
+  const EventId event_ids[] = {EventId{ProcessId{2}, 11},
+                               EventId{ProcessId{4}, 0}};
+  msg.event_ids = event_ids;
   EXPECT_EQ(encoded_size(msg), 50u);
 }
 
 TEST(EncodedSize, MembershipWithPiggyback) {
   Message msg = header(MsgKind::kMembership);
   msg.answer_topic = TopicId{6};
-  msg.processes = {ProcessId{1}, ProcessId{4}};
+  const ProcessId processes[] = {ProcessId{1}, ProcessId{4}};
+  msg.processes = processes;
   msg.piggyback_topic = TopicId{5};
-  msg.piggyback_super_table = {ProcessId{40}, ProcessId{41}};
+  const ProcessId super_table[] = {ProcessId{40}, ProcessId{41}};
+  msg.piggyback_super_table = super_table;
   EXPECT_EQ(encoded_size(msg), 54u);
-  msg.event_ids = {EventId{ProcessId{5}, 0}};
+  const EventId event_ids[] = {EventId{ProcessId{5}, 0}};
+  msg.event_ids = event_ids;
   EXPECT_EQ(encoded_size(msg), 62u);
 }
 
 TEST(EncodedSize, EventRequest) {
   Message msg = header(MsgKind::kEventRequest);
-  msg.event_ids = {EventId{ProcessId{1}, 2}, EventId{ProcessId{3}, 4}};
+  const EventId event_ids[] = {EventId{ProcessId{1}, 2},
+                               EventId{ProcessId{3}, 4}};
+  msg.event_ids = event_ids;
   EXPECT_EQ(encoded_size(msg), 37u);
 }
 

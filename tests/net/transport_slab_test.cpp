@@ -3,13 +3,13 @@
 //
 // The slab refactor (net/transport) promises that changing the in-flight
 // REPRESENTATION changes nothing observable: delivery order, the channel
-// RNG stream, the Stats counters, and every materialized Message are
+// RNG stream, the Stats counters, and every delivered message are
 // identical to what the old std::map<Round, std::vector<Message>> queue
 // produced. This test keeps an executable specification of that old queue
 // — same coin law, same conditional failure check, same send-order replay
 // — and drives both through a randomized mixed-kind workload from one
 // seed, asserting the full delivered sequences compare equal via
-// Message::operator==.
+// OwnedMessage::operator==.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -17,41 +17,39 @@
 
 #include "core/protocol.hpp"
 #include "net/transport.hpp"
+#include "owned_message.hpp"
 
 namespace dam::net {
 namespace {
 
-/// The pre-slab transport, verbatim semantics: whole Messages queued per
-/// round, coin flipped at delivery in send order, failure model consulted
-/// only when the coin passes.
+using dam::testing::OwnedMessage;
+
+/// The pre-slab transport, verbatim semantics: whole owned messages queued
+/// per round, coin flipped at delivery in send order, failure model
+/// consulted only when the coin passes.
 class ReferenceTransport {
  public:
   ReferenceTransport(Transport::Config config, util::Rng rng,
                      const sim::FailureModel* failures)
       : config_(config), rng_(rng), failures_(failures) {}
 
-  void send(Message msg, sim::Round now) {
+  std::uint32_t send(const Message& msg, sim::Round now) {
     ++stats_.sent;
-    if (config_.loss_at_send &&
-        !core::protocol::channel_delivers(config_.psucc, rng_)) {
-      ++stats_.lost_channel;
-      stats_.bytes_sent += encoded_size(msg);
-      return;
-    }
     stats_.bytes_sent += encoded_size(msg);
-    msg.sent_at = now;
-    in_flight_[now + config_.delay].push_back(std::move(msg));
+    OwnedMessage queued = msg;
+    queued.sent_at = now;
+    in_flight_[now + config_.delay].push_back(std::move(queued));
+    return kNoBody;
   }
 
   void deliver_round(sim::Round round,
                      const std::function<void(const Message&)>& sink) {
     const auto it = in_flight_.find(round);
     if (it == in_flight_.end()) return;
-    std::vector<Message> batch = std::move(it->second);
+    std::vector<OwnedMessage> batch = std::move(it->second);
     in_flight_.erase(it);
-    for (const Message& msg : batch) {
-      if (!config_.loss_at_send &&
-          !core::protocol::channel_delivers(config_.psucc, rng_)) {
+    for (const OwnedMessage& msg : batch) {
+      if (!core::protocol::channel_delivers(config_.psucc, rng_)) {
         ++stats_.lost_channel;
         continue;
       }
@@ -61,7 +59,7 @@ class ReferenceTransport {
         continue;
       }
       ++stats_.delivered;
-      sink(msg);
+      sink(msg.view());
     }
   }
 
@@ -71,35 +69,36 @@ class ReferenceTransport {
   Transport::Config config_;
   util::Rng rng_;
   const sim::FailureModel* failures_;
-  std::map<sim::Round, std::vector<Message>> in_flight_;
+  std::map<sim::Round, std::vector<OwnedMessage>> in_flight_;
   Transport::Stats stats_;
 };
 
 /// Deterministic mixed-kind workload: event fan-outs (many copies of one
-/// publication), control messages with every variable-length field
-/// populated, and mid-delivery re-sends — the protocol's actual shapes.
+/// publication, sharing the body handle the first send returns), control
+/// messages with every variable-length field populated, and mid-delivery
+/// relays of the delivered view itself — the protocol's actual shapes.
 template <typename T>
-std::vector<Message> drive(T& transport) {
-  std::vector<Message> delivered;
+std::vector<OwnedMessage> drive(T& transport) {
+  std::vector<OwnedMessage> delivered;
   util::Rng traffic(0xFEED);  // separate stream: identical for both sides
   std::uint32_t sequence = 0;
   for (sim::Round round = 0; round < 12; ++round) {
     // One publication fanned out to 30 targets.
-    Message event;
+    OwnedMessage event;
     event.kind = MsgKind::kEvent;
     event.from = ProcessId{static_cast<std::uint32_t>(round % 7)};
     event.topic = TopicId{2};
     event.event = EventId{event.from, ++sequence};
     event.intergroup = (round % 3) == 0;
     event.payload.assign(16 + round, static_cast<std::uint8_t>(round));
+    Message copy = event.view();
     for (std::uint32_t to = 0; to < 30; ++to) {
-      Message copy = event;
       copy.to = ProcessId{to};
-      transport.send(copy, round);
+      copy.body = transport.send(copy, round);
     }
     // A burst of control traffic with populated arenas.
     for (int i = 0; i < 5; ++i) {
-      Message ctrl;
+      OwnedMessage ctrl;
       ctrl.kind = static_cast<MsgKind>(2 + traffic.between(0, 4));
       ctrl.from = ProcessId{static_cast<std::uint32_t>(traffic.between(0, 29))};
       ctrl.to = ProcessId{static_cast<std::uint32_t>(traffic.between(0, 29))};
@@ -123,10 +122,18 @@ std::vector<Message> drive(T& transport) {
         ctrl.piggyback_topic = TopicId{1};
         ctrl.piggyback_super_table = {ProcessId{5}, ProcessId{6}};
       }
-      transport.send(ctrl, round);
+      transport.send(ctrl.view(), round);
     }
     transport.deliver_round(round, [&](const Message& msg) {
-      delivered.push_back(msg);  // copy: scratch is only valid in-callback
+      // Relay every seventh delivery back to its sender as is: its spans
+      // point into the delivering slab and an EVENT keeps its body handle.
+      if (msg.to.value % 7 == 0) {
+        Message relay = msg;
+        relay.from = msg.to;
+        relay.to = msg.from;
+        transport.send(relay, round);
+      }
+      delivered.push_back(msg);  // copy: the view is only valid in-callback
     });
   }
   for (sim::Round round = 12; round < 15; ++round) {
@@ -140,8 +147,8 @@ void expect_identical(const Transport::Config& config,
                       const sim::FailureModel* failures) {
   Transport slab(config, util::Rng(0xABCD), failures);
   ReferenceTransport reference(config, util::Rng(0xABCD), failures);
-  const std::vector<Message> got = drive(slab);
-  const std::vector<Message> want = drive(reference);
+  const std::vector<OwnedMessage> got = drive(slab);
+  const std::vector<OwnedMessage> want = drive(reference);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i], want[i]) << "first divergence at delivery " << i;
@@ -159,10 +166,6 @@ TEST(TransportSlab, BitIdenticalToPerMessageQueueLossless) {
 
 TEST(TransportSlab, BitIdenticalToPerMessageQueueLossy) {
   expect_identical({.psucc = 0.85, .delay = 1}, nullptr);
-}
-
-TEST(TransportSlab, BitIdenticalToPerMessageQueueLossAtSend) {
-  expect_identical({.psucc = 0.85, .delay = 1, .loss_at_send = true}, nullptr);
 }
 
 TEST(TransportSlab, BitIdenticalToPerMessageQueueWithFailures) {

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "owned_message.hpp"
+
 namespace dam::net {
 namespace {
+
+using dam::testing::OwnedMessage;
 
 Message make_msg(std::uint32_t from, std::uint32_t to) {
   Message msg;
@@ -42,65 +49,6 @@ TEST(Transport, LossRateMatchesPsucc) {
   EXPECT_EQ(transport.stats().sent, static_cast<std::uint64_t>(kMessages));
   EXPECT_EQ(transport.stats().delivered + transport.stats().lost_channel,
             static_cast<std::uint64_t>(kMessages));
-}
-
-TEST(Transport, LossAtSendMatchesLossAtDelivery) {
-  // Same law, applied at a different time; both should deliver ~psucc.
-  Transport at_send({.psucc = 0.5, .delay = 1, .loss_at_send = true},
-                    util::Rng(3), nullptr);
-  constexpr int kMessages = 20000;
-  for (int i = 0; i < kMessages; ++i) at_send.send(make_msg(0, 1), 0);
-  int delivered = 0;
-  at_send.deliver_round(1, [&](const Message&) { ++delivered; });
-  EXPECT_NEAR(static_cast<double>(delivered) / kMessages, 0.5, 0.02);
-}
-
-TEST(Transport, LossAtSendIsStreamIdenticalToLossAtDelivery) {
-  // Stronger than "same law": with a failure model that consumes no
-  // randomness, the channel coin is flipped once per message in send order
-  // either way (delivery replays a round's batch in send order), so the
-  // two modes must produce the IDENTICAL delivered-message sequence and
-  // identical Stats from the same seed — not merely the same rate.
-  auto run = [](bool loss_at_send) {
-    Transport transport(
-        {.psucc = 0.6, .delay = 1, .loss_at_send = loss_at_send},
-        util::Rng(0xC01), nullptr);
-    std::vector<std::uint32_t> sequence;
-    std::uint32_t next_id = 0;
-    for (sim::Round round = 0; round < 6; ++round) {
-      for (int burst = 0; burst < 40; ++burst) {
-        transport.send(make_msg(0, next_id++), round);
-      }
-      transport.deliver_round(round, [&](const Message& msg) {
-        sequence.push_back(msg.to.value);
-      });
-    }
-    // Flush the tail round.
-    transport.deliver_round(6, [&](const Message& msg) {
-      sequence.push_back(msg.to.value);
-    });
-    return std::make_pair(sequence, transport.stats());
-  };
-  const auto [seq_send, stats_send] = run(true);
-  const auto [seq_delivery, stats_delivery] = run(false);
-  EXPECT_EQ(seq_send, seq_delivery);
-  EXPECT_FALSE(seq_send.empty());
-  EXPECT_LT(seq_send.size(), 240u);  // the coin actually dropped some
-  EXPECT_EQ(stats_send.sent, stats_delivery.sent);
-  EXPECT_EQ(stats_send.delivered, stats_delivery.delivered);
-  EXPECT_EQ(stats_send.lost_channel, stats_delivery.lost_channel);
-  EXPECT_EQ(stats_send.sent,
-            stats_send.delivered + stats_send.lost_channel);
-  EXPECT_EQ(stats_send.bytes_sent, stats_delivery.bytes_sent);
-}
-
-TEST(Transport, LossAtSendKeepsQueueSmall) {
-  // The mode's point: dropped messages never occupy the in-flight queue.
-  Transport at_send({.psucc = 0.0, .delay = 1, .loss_at_send = true},
-                    util::Rng(5), nullptr);
-  for (int i = 0; i < 100; ++i) at_send.send(make_msg(0, 1), 0);
-  EXPECT_TRUE(at_send.idle());
-  EXPECT_EQ(at_send.stats().lost_channel, 100u);
 }
 
 TEST(Transport, FailureModelBlocksDelivery) {
@@ -160,9 +108,9 @@ TEST(Transport, DeterministicAcrossIdenticalRuns) {
 
 // --- slab/interning representation ----------------------------------------
 
-Message make_event(std::uint32_t publisher, std::uint32_t seq,
-                   std::vector<std::uint8_t> payload) {
-  Message msg;
+OwnedMessage make_event(std::uint32_t publisher, std::uint32_t seq,
+                        std::vector<std::uint8_t> payload) {
+  OwnedMessage msg;
   msg.kind = MsgKind::kEvent;
   msg.from = ProcessId{publisher};
   msg.topic = TopicId{3};
@@ -171,13 +119,31 @@ Message make_event(std::uint32_t publisher, std::uint32_t seq,
   return msg;
 }
 
+/// Sends `event` to targets 0 .. copies-1 the way a disseminating node
+/// does: every copy carries the body handle the first send returned.
+std::uint32_t fan_out(Transport& transport, const OwnedMessage& event,
+                      std::uint32_t copies, sim::Round now) {
+  Message copy = event.view();
+  for (std::uint32_t to = 0; to < copies; ++to) {
+    copy.to = ProcessId{to};
+    copy.body = transport.send(copy, now);
+  }
+  return copy.body;
+}
+
 TEST(Transport, FanOutCopiesShareOneInternedBody) {
   Transport transport({.psucc = 1.0, .delay = 1}, util::Rng(1), nullptr);
   const std::vector<std::uint8_t> payload(1000, 0xAB);
-  for (std::uint32_t to = 0; to < 50; ++to) {
-    Message msg = make_event(7, 1, payload);
-    msg.to = ProcessId{to};
-    transport.send(msg, 0);
+  const OwnedMessage event = make_event(7, 1, payload);
+  Message copy = event.view();
+  // The first send interns the body and returns its handle; every copy
+  // that carries the handle gets it back and shares the entry.
+  const std::uint32_t body = transport.send(copy, 0);
+  ASSERT_NE(body, kNoBody);
+  copy.body = body;
+  for (std::uint32_t to = 1; to < 50; ++to) {
+    copy.to = ProcessId{to};
+    EXPECT_EQ(transport.send(copy, 0), body);
   }
   // 50 queued copies, ONE body: the payload is stored once, and the queue
   // footprint is records + one body, far below 50 full Messages.
@@ -187,22 +153,33 @@ TEST(Transport, FanOutCopiesShareOneInternedBody) {
   int delivered = 0;
   transport.deliver_round(1, [&](const Message& m) {
     ++delivered;
-    EXPECT_EQ(m.payload, payload);
+    EXPECT_EQ(m.body, body);  // the handle travels with the delivery
+    EXPECT_TRUE(std::ranges::equal(m.payload, payload));
     EXPECT_EQ(m.event, (EventId{ProcessId{7}, 1}));
   });
   EXPECT_EQ(delivered, 50);
-  // Last delivery dropped the last reference: the entry is recycled.
+  // Last delivery dropped the last reference: the entry is recycled and
+  // its payload block freed.
   EXPECT_EQ(transport.bodies().live(), 0u);
   EXPECT_EQ(transport.bodies().bytes(), 0u);
+  EXPECT_EQ(transport.bodies()[body].payload.capacity(), 0u);
   EXPECT_EQ(transport.queue_bytes(), 0u);
 }
 
 TEST(Transport, DistinctEventsGetDistinctBodies) {
   Transport transport({.psucc = 1.0, .delay = 1}, util::Rng(1), nullptr);
-  transport.send(make_event(1, 1, {1}), 0);
-  transport.send(make_event(1, 2, {2}), 0);
-  transport.send(make_event(2, 1, {3}), 0);
+  const std::uint32_t first = transport.send(make_event(1, 1, {1}).view(), 0);
+  const std::uint32_t second = transport.send(make_event(1, 2, {2}).view(), 0);
+  const std::uint32_t third = transport.send(make_event(2, 1, {3}).view(), 0);
+  EXPECT_NE(first, second);
+  EXPECT_NE(first, third);
+  EXPECT_NE(second, third);
   EXPECT_EQ(transport.bodies().live(), 3u);
+  // A send without a handle interns anew, even for an event in flight: the
+  // pool is keyed by handle, not by event id.
+  const std::uint32_t again = transport.send(make_event(1, 1, {1}).view(), 0);
+  EXPECT_NE(again, first);
+  EXPECT_EQ(transport.bodies().live(), 4u);
   transport.deliver_round(1, [](const Message&) {});
   EXPECT_EQ(transport.bodies().live(), 0u);
 }
@@ -211,11 +188,7 @@ TEST(Transport, DroppedCopiesReleaseTheirBodyReference) {
   // Channel losses at delivery time must release body refs exactly like
   // successful deliveries — otherwise every lossy wave leaks pool entries.
   Transport transport({.psucc = 0.0, .delay = 1}, util::Rng(1), nullptr);
-  for (std::uint32_t to = 0; to < 20; ++to) {
-    Message msg = make_event(5, 9, {1, 2, 3});
-    msg.to = ProcessId{to};
-    transport.send(msg, 0);
-  }
+  fan_out(transport, make_event(5, 9, {1, 2, 3}), 20, 0);
   EXPECT_EQ(transport.bodies().live(), 1u);
   int delivered = 0;
   transport.deliver_round(1, [&](const Message&) { ++delivered; });
@@ -227,10 +200,7 @@ TEST(Transport, DroppedCopiesReleaseTheirBodyReference) {
 TEST(Transport, FailureDropsReleaseTheirBodyReference) {
   sim::StillbornFailures failures({ProcessId{1}});
   Transport transport({.psucc = 1.0, .delay = 1}, util::Rng(1), &failures);
-  transport.send(make_event(0, 1, {7}), 0);  // default to = 0, alive
-  Message doomed = make_event(0, 1, {7});
-  doomed.to = ProcessId{1};
-  transport.send(doomed, 0);
+  fan_out(transport, make_event(0, 1, {7}), 2, 0);  // 0 alive, 1 doomed
   transport.deliver_round(1, [](const Message&) {});
   EXPECT_EQ(transport.stats().lost_failure, 1u);
   EXPECT_EQ(transport.bodies().live(), 0u);
@@ -239,12 +209,12 @@ TEST(Transport, FailureDropsReleaseTheirBodyReference) {
 TEST(Transport, RoundSlabsAreRecycled) {
   Transport transport({.psucc = 1.0, .delay = 1}, util::Rng(1), nullptr);
   EXPECT_EQ(transport.spare_slabs(), 0u);
-  transport.send(make_event(1, 1, {}), 0);
+  transport.send(make_event(1, 1, {}).view(), 0);
   transport.deliver_round(1, [](const Message&) {});
   // The emptied slab parks on the spare list...
   EXPECT_EQ(transport.spare_slabs(), 1u);
   // ...and the next round's sends reclaim it instead of allocating.
-  transport.send(make_event(1, 2, {}), 1);
+  transport.send(make_event(1, 2, {}).view(), 1);
   EXPECT_EQ(transport.spare_slabs(), 0u);
   transport.deliver_round(2, [](const Message&) {});
   EXPECT_EQ(transport.spare_slabs(), 1u);
@@ -253,11 +223,8 @@ TEST(Transport, RoundSlabsAreRecycled) {
 TEST(Transport, PeakQueueBytesRatchets) {
   Transport transport({.psucc = 1.0, .delay = 1}, util::Rng(1), nullptr);
   EXPECT_EQ(transport.stats().peak_queue_bytes, 0u);
-  for (std::uint32_t to = 0; to < 10; ++to) {
-    Message msg = make_event(1, 1, std::vector<std::uint8_t>(100, 1));
-    msg.to = ProcessId{to};
-    transport.send(msg, 0);
-  }
+  fan_out(transport, make_event(1, 1, std::vector<std::uint8_t>(100, 1)), 10,
+          0);
   const std::size_t high_water = transport.queue_bytes();
   EXPECT_EQ(transport.stats().peak_queue_bytes, high_water);
   EXPECT_EQ(transport.stats().peak_queue_records, 10u);
@@ -266,14 +233,15 @@ TEST(Transport, PeakQueueBytesRatchets) {
   EXPECT_EQ(transport.queue_bytes(), 0u);
   EXPECT_EQ(transport.stats().peak_queue_bytes, high_water);
   // A smaller later wave does not raise it either.
-  transport.send(make_event(1, 2, {}), 2);
+  transport.send(make_event(1, 2, {}).view(), 2);
   EXPECT_EQ(transport.stats().peak_queue_bytes, high_water);
 }
 
 TEST(Transport, ControlMessageFieldsSurviveTheSlabRoundTrip) {
-  // Every variable-length field lands in slab arenas and comes back via
-  // (offset, len) slices; Message::operator== pins the full round trip.
-  Message msg;
+  // Every variable-length field is copied into slab arenas at send and
+  // comes back as spans over (offset, len) slices; OwnedMessage::operator==
+  // pins the full round trip.
+  OwnedMessage msg;
   msg.kind = MsgKind::kMembership;
   msg.from = ProcessId{4};
   msg.to = ProcessId{9};
@@ -287,11 +255,19 @@ TEST(Transport, ControlMessageFieldsSurviveTheSlabRoundTrip) {
   msg.piggyback_topic = TopicId{8};
   msg.piggyback_super_table = {ProcessId{20}, ProcessId{21}, ProcessId{22}};
   msg.event_ids = {EventId{ProcessId{4}, 1}, EventId{ProcessId{5}, 2}};
+  const OwnedMessage sent = msg;
 
   Transport transport({.psucc = 1.0, .delay = 1}, util::Rng(1), nullptr);
-  transport.send(msg, /*now=*/3);
+  transport.send(msg.view(), /*now=*/3);
+  // The sender's buffers only have to live until send returns: overwrite
+  // them, then free them. The delivery below must still read the originals.
+  std::ranges::fill(msg.init_msg, TopicId{99});
+  std::ranges::fill(msg.processes, ProcessId{99});
+  std::ranges::fill(msg.piggyback_super_table, ProcessId{99});
+  std::ranges::fill(msg.event_ids, EventId{ProcessId{99}, 99});
+  msg = OwnedMessage{};
   // A second control message in the same slab shifts the arena offsets.
-  Message other;
+  OwnedMessage other;
   other.kind = MsgKind::kReqContact;
   other.from = ProcessId{1};
   other.to = ProcessId{2};
@@ -300,23 +276,23 @@ TEST(Transport, ControlMessageFieldsSurviveTheSlabRoundTrip) {
   other.request_id = 5;
   other.ttl = 2;
   other.init_msg = {TopicId{4}};
-  transport.send(other, 3);
+  transport.send(other.view(), 3);
 
-  std::vector<Message> received;
+  std::vector<OwnedMessage> received;
   transport.deliver_round(4, [&](const Message& m) { received.push_back(m); });
   ASSERT_EQ(received.size(), 2u);
-  EXPECT_EQ(received[0], msg);
+  EXPECT_EQ(received[0], sent);
   EXPECT_EQ(received[1], other);
 }
 
 TEST(Transport, EventMessageSurvivesTheSlabRoundTrip) {
-  Message msg = make_event(3, 17, {9, 8, 7});
+  OwnedMessage msg = make_event(3, 17, {9, 8, 7});
   msg.to = ProcessId{6};
   msg.sent_at = 2;
   msg.intergroup = true;
   Transport transport({.psucc = 1.0, .delay = 1}, util::Rng(1), nullptr);
-  transport.send(msg, 2);
-  std::vector<Message> received;
+  transport.send(msg.view(), 2);
+  std::vector<OwnedMessage> received;
   transport.deliver_round(3, [&](const Message& m) { received.push_back(m); });
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0], msg);
@@ -326,18 +302,16 @@ TEST(Transport, MemoizedBytesSentMatchesEncodedSize) {
   // The fan-out path charges the body's memoized wire size; the total must
   // equal what per-message encoded_size() walks would have produced.
   Transport transport({.psucc = 1.0, .delay = 1}, util::Rng(1), nullptr);
-  std::uint64_t expected = 0;
-  for (std::uint32_t to = 0; to < 25; ++to) {
-    Message msg = make_event(2, 4, std::vector<std::uint8_t>(64, 7));
-    msg.to = ProcessId{to};
-    expected += encoded_size(msg);
-    transport.send(msg, 0);
-  }
-  Message ctrl;
+  const OwnedMessage event =
+      make_event(2, 4, std::vector<std::uint8_t>(64, 7));
+  fan_out(transport, event, 25, 0);
+  std::uint64_t expected = 25 * encoded_size(event.view());
+  OwnedMessage ctrl;
   ctrl.kind = MsgKind::kAnsContact;
   ctrl.processes = {ProcessId{1}, ProcessId{2}};
-  expected += encoded_size(ctrl);
-  transport.send(ctrl, 0);
+  expected += encoded_size(ctrl.view());
+  EXPECT_EQ(transport.send(ctrl.view(), 0), kNoBody);  // control: no body
+  EXPECT_EQ(transport.bodies().live(), 1u);
   EXPECT_EQ(transport.stats().bytes_sent, expected);
 }
 

@@ -19,6 +19,7 @@
 #include "frozen_chain.hpp"
 #include "net/message.hpp"
 #include "net/transport.hpp"
+#include "owned_message.hpp"
 #include "sim/scenario.hpp"
 #include "topics/dag.hpp"
 #include "topics/dag.hpp"
@@ -382,7 +383,7 @@ TEST_P(TransportRecycleFuzz, LongHorizonKeepsSlabStateWindowSized) {
     // A random number of publications, each fanned to a random target set.
     const std::size_t publications = rng.below(3);
     for (std::size_t p = 0; p < publications; ++p) {
-      net::Message event;
+      testing::OwnedMessage event;
       event.kind = net::MsgKind::kEvent;
       event.from = topics::ProcessId{static_cast<std::uint32_t>(rng.below(50))};
       event.topic = topics::TopicId{static_cast<std::uint32_t>(rng.below(3))};
@@ -390,15 +391,15 @@ TEST_P(TransportRecycleFuzz, LongHorizonKeepsSlabStateWindowSized) {
       event.payload.assign(8 + rng.below(32),
                            static_cast<std::uint8_t>(round & 0xFF));
       const std::size_t fanout = 1 + rng.below(25);
+      net::Message copy = event.view();
       for (std::size_t i = 0; i < fanout; ++i) {
-        net::Message copy = event;
         copy.to = topics::ProcessId{static_cast<std::uint32_t>(rng.below(50))};
-        transport.send(std::move(copy), round);
+        copy.body = transport.send(copy, round);
       }
     }
     // Control chatter with populated variable-length arenas.
     for (std::size_t i = rng.below(6); i > 0; --i) {
-      net::Message ctrl;
+      testing::OwnedMessage ctrl;
       ctrl.kind = net::MsgKind::kMembership;
       ctrl.from = topics::ProcessId{static_cast<std::uint32_t>(rng.below(50))};
       ctrl.to = topics::ProcessId{static_cast<std::uint32_t>(rng.below(50))};
@@ -409,7 +410,7 @@ TEST_P(TransportRecycleFuzz, LongHorizonKeepsSlabStateWindowSized) {
             topics::ProcessId{static_cast<std::uint32_t>(rng.below(50))},
             static_cast<std::uint32_t>(rng.below(sequence + 1))});
       }
-      transport.send(std::move(ctrl), round);
+      transport.send(ctrl.view(), round);
     }
     transport.deliver_round(round, [](const net::Message&) {});
     // The recycling contract, round by round: with delay=1 at most one
