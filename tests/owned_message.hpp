@@ -36,8 +36,9 @@ struct OwnedMessage {
 
   OwnedMessage() = default;
 
-  /// Captures `msg`, copying what its spans point at.
-  OwnedMessage(const net::Message& msg)  // NOLINT: implicit by design
+  /// Captures `msg`, copying what its spans point at. Implicit, so a
+  /// view converts where an owning copy is stored.
+  OwnedMessage(const net::Message& msg)
       : kind(msg.kind),
         from(msg.from),
         to(msg.to),
