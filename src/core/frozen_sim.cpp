@@ -315,6 +315,9 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
         (frontier.size() + kWaveChunk - 1) / kWaveChunk;
     if (chunks.size() < chunk_count) chunks.resize(chunk_count);
     const util::Rng round_base = rng.fork(kRoundSalt + rounds);
+    // The workers probe the schedule concurrently: move its liveness
+    // cursor to this round first, so their alive() calls only read.
+    if (churning) churn->advance_to(rounds);
     util::run_parallel(chunk_count, config.threads, [&](std::size_t c) {
       ChunkState& cs = chunks[c];
       util::Rng chunk_rng = round_base.fork(c);

@@ -240,7 +240,8 @@ void DamNode::handle_req_contact(const Message& msg) {
 void DamNode::handle_ans_contact(const Message& msg) {
   // Fig. 4 lines 30–37.
   if (msg.processes.empty()) return;
-  const bool useful = bootstrap_.on_answer(msg.answer_topic);
+  const bool useful =
+      bootstrap_.active() && bootstrap_.on_answer(msg.answer_topic);
   if (!useful && !better_or_equal_super(msg.answer_topic)) return;
   const bool retarget = super_table_.super_topic() != msg.answer_topic;
   super_table_.merge(msg.answer_topic, msg.processes, alive_probe(),
@@ -287,8 +288,8 @@ void DamNode::handle_membership(const Message& msg) {
   // (nearest) supergroup discovered by peers.
   if (msg.piggyback_topic && !msg.piggyback_super_table.empty() &&
       better_or_equal_super(*msg.piggyback_topic)) {
-    const bool useful = bootstrap_.on_answer(*msg.piggyback_topic);
-    (void)useful;  // piggyback can satisfy the bootstrap search too
+    // The piggyback can satisfy the bootstrap search too.
+    if (bootstrap_.active()) bootstrap_.on_answer(*msg.piggyback_topic);
     super_table_.merge(*msg.piggyback_topic, msg.piggyback_super_table,
                        alive_probe());
   }

@@ -207,14 +207,22 @@ void DamSystem::set_failure_model(std::unique_ptr<sim::FailureModel> model) {
 void DamSystem::run_rounds(std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
     const sim::Round round = clock_.now();
-    transport_.deliver_round(round, [this, round](const Message& msg) {
-      if (msg.to.value >= nodes_.size()) return;
-      // The transport delivers only what FailureModel::deliverable passed,
-      // which implies the target is alive: no second probe.
-      assert(failures_->alive(msg.to, round));
-      (void)round;
-      nodes_[msg.to.value]->on_message(msg);
-    });
+    transport_.deliver_round(
+        round,
+        [this, round](const Message& msg) {
+          if (msg.to.value >= nodes_.size()) return;
+          // The transport delivers only what FailureModel::deliverable
+          // passed, which implies the target is alive: no second probe.
+          assert(failures_->alive(msg.to, round));
+          (void)round;
+          nodes_[msg.to.value]->on_message(msg);
+        },
+        // Receivers are random nodes, so each delivery would otherwise
+        // stall on its node's cache misses; start those loads a few
+        // records early.
+        [this](ProcessId to) {
+          if (to.value < nodes_.size()) nodes_[to.value]->prefetch();
+        });
     for (auto& node : nodes_) {
       if (failures_->alive(node->self(), round)) node->round(round);
     }

@@ -43,11 +43,16 @@ void FlatMembership::round(sim::Round now,
                            std::optional<TopicId> piggyback_topic,
                            const SendFn& send) {
   if (view_.empty()) return;
-  const auto targets = view_.sample(config_.gossip_fanout, rng_);
+  // Draw buffers shared by every view on this thread: a draw is read only
+  // until its send returns, so a round never allocates once they have
+  // grown, and no node stores them.
+  thread_local std::vector<ProcessId> targets;
+  thread_local std::vector<ProcessId> shuffle;
+  rng_.sample_into(view_.entries(), config_.gossip_fanout, targets);
   for (ProcessId target : targets) {
     // Ship a random view subset; the receiver learns about us implicitly
     // through msg.from.
-    const auto shuffle = view_.sample(config_.shuffle_size, rng_);
+    rng_.sample_into(view_.entries(), config_.shuffle_size, shuffle);
     Message msg{.kind = MsgKind::kMembership, .from = self_, .to = target,
                 .sent_at = now, .answer_topic = topic_, .processes = shuffle};
     if (piggyback_topic && !piggyback.empty()) {

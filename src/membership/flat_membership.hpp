@@ -55,7 +55,8 @@ class FlatMembership {
 
   /// One membership round: initiate `gossip_fanout` view exchanges.
   /// `piggyback` is the sender's current supertopic table (may be empty);
-  /// it rides along per Sec. V-A.2a.
+  /// it rides along per Sec. V-A.2a. The sent message's lists are valid
+  /// until `send` returns, and `send` must not re-enter round().
   void round(sim::Round now, std::span<const ProcessId> piggyback,
              std::optional<TopicId> piggyback_topic, const SendFn& send);
 

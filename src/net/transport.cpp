@@ -172,7 +172,8 @@ Message Transport::view(const Record& rec, const RoundSlab& slab) const {
 }
 
 void Transport::deliver_round(
-    sim::Round round, const std::function<void(const Message&)>& sink) {
+    sim::Round round, const std::function<void(const Message&)>& sink,
+    const std::function<void(ProcessId)>& warm) {
   const auto it = in_flight_.find(round);
   if (it == in_flight_.end()) return;
   // Move the batch out before invoking handlers: handlers send new
@@ -180,7 +181,15 @@ void Transport::deliver_round(
   RoundSlab slab = std::move(it->second);
   in_flight_.erase(it);
   queued_records_ -= slab.records.size();
-  for (const Record& rec : slab.records) {
+  const std::size_t count = slab.records.size();
+  if (warm) {
+    for (std::size_t i = 0; i < std::min(kLookahead, count); ++i) {
+      warm(slab.records[i].to);
+    }
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    const Record& rec = slab.records[i];
+    if (warm && i + kLookahead < count) warm(slab.records[i + kLookahead].to);
     if (!channel_delivers(config_.psucc, rng_)) {
       ++stats_.lost_channel;
       if (rec.kind == MsgKind::kEvent) bodies_.release(rec.ref);

@@ -127,13 +127,27 @@ class Transport {
   /// or kNoBody for control kinds.
   std::uint32_t send(const Message& msg, sim::Round now);
 
+  /// How many records ahead of the delivery deliver_round's `warm` hook
+  /// runs: far enough for a receiver's cache lines to arrive from memory
+  /// while the records before it are handled.
+  static constexpr std::size_t kLookahead = 8;
+
   /// Delivers every message due at `round` (in send order) to `sink`.
   /// Messages the channel loses or whose target is (perceived) failed are
   /// counted but not delivered. The Message handed to the sink is a view
   /// into the round's slab and the event's body, valid only for the
   /// duration of the callback — copy what must outlive it.
+  ///
+  /// `warm`, if set, sees every queued record's target once, in send
+  /// order, kLookahead records before that record is delivered (the first
+  /// kLookahead before any delivery), whether or not the channel and the
+  /// failure model then let the message through. It is a latency hint for
+  /// the host (prefetch the receiver's state), so it must not send, and it
+  /// never touches the channel stream: deliveries, Stats and the stream
+  /// are the same with and without it.
   void deliver_round(sim::Round round,
-                     const std::function<void(const Message&)>& sink);
+                     const std::function<void(const Message&)>& sink,
+                     const std::function<void(ProcessId)>& warm = {});
 
   /// True if any message is still in flight.
   [[nodiscard]] bool idle() const noexcept { return in_flight_.empty(); }

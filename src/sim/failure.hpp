@@ -12,8 +12,9 @@
 //    recover over time on a precomputed schedule.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/clock.hpp"
@@ -51,30 +52,35 @@ class NoFailures final : public FailureModel {
   [[nodiscard]] bool alive(ProcessId, Round) const override { return true; }
 };
 
-/// A fixed set of processes failed from round 0 (Figures 8–10).
+/// A fixed set of processes failed from round 0 (Figures 8–10), one bit
+/// per process.
 class StillbornFailures final : public FailureModel {
  public:
   StillbornFailures() = default;
-  explicit StillbornFailures(std::unordered_set<ProcessId> failed)
-      : failed_(std::move(failed)) {}
+  explicit StillbornFailures(const std::vector<ProcessId>& failed) {
+    for (ProcessId process : failed) fail(process);
+  }
 
   /// Fails each of `processes` independently with probability
   /// (1 - alive_fraction).
   static StillbornFailures sample(const std::vector<ProcessId>& processes,
                                   double alive_fraction, util::Rng& rng);
 
-  void fail(ProcessId process) { failed_.insert(process); }
+  void fail(ProcessId process);
 
   [[nodiscard]] bool alive(ProcessId process, Round) const override {
-    return !failed_.contains(process);
+    const std::size_t word = process.value / 64;
+    return word >= failed_.size() ||
+           ((failed_[word] >> (process.value % 64)) & 1) == 0;
   }
 
   [[nodiscard]] std::size_t failed_count() const noexcept {
-    return failed_.size();
+    return failed_count_;
   }
 
  private:
-  std::unordered_set<ProcessId> failed_;
+  std::vector<std::uint64_t> failed_;  ///< bit p: process p failed
+  std::size_t failed_count_ = 0;
 };
 
 /// Figure 11: every process is alive, but each transmission independently
@@ -100,7 +106,22 @@ class DynamicPerceptionFailures final : public FailureModel {
 };
 
 /// Crash/recovery schedule: per process, a sorted list of [down, up)
-/// intervals. Used by churn tests and the newsroom example.
+/// intervals. Used by the stream replay, the frozen engine's churn regime,
+/// the churn tests and the newsroom example.
+///
+/// Liveness cursor: besides the intervals, the model keeps one dead bit
+/// per process for a single cursor round, and every interval endpoint in
+/// a list sorted by round. A query for the cursor round is a bit test; a
+/// query for a later round first advances the cursor, re-deciding only the
+/// processes with an endpoint in between (O(transitions)); a query for an
+/// earlier round falls back to the interval scan. Every answer equals the
+/// scan's. alive() advances the cursor itself, so a host that only ever
+/// calls alive() pays nothing extra for rounds it never asks about.
+///
+/// Threading: alive() is const but may advance the cursor, so concurrent
+/// callers must all ask for the cursor round. A host that probes from
+/// several threads calls advance_to(round) first; from then on, queries
+/// for `round` (or earlier) only read.
 class ChurnFailures final : public FailureModel {
  public:
   struct Interval {
@@ -109,9 +130,10 @@ class ChurnFailures final : public FailureModel {
   };
 
   explicit ChurnFailures(std::size_t process_count)
-      : downtime_(process_count) {}
+      : downtime_(process_count), dead_((process_count + 63) / 64, 0) {}
 
-  /// Adds a downtime interval. Precondition: down < up.
+  /// Adds a downtime interval and resets the cursor. Precondition:
+  /// down < up.
   void add_downtime(ProcessId process, Interval interval);
 
   /// Randomly generated churn: each process independently suffers
@@ -121,10 +143,46 @@ class ChurnFailures final : public FailureModel {
                               std::size_t outages, Round outage_length,
                               util::Rng& rng);
 
-  [[nodiscard]] bool alive(ProcessId process, Round round) const override;
+  /// Throws std::out_of_range for a process outside the schedule.
+  [[nodiscard]] bool alive(ProcessId process, Round round) const override {
+    if (process.value >= downtime_.size()) throw_out_of_range();
+    if (!synced_ || round != cursor_) {
+      if (synced_ && round < cursor_) return !down_at(process, round);
+      advance(round);
+    }
+    return ((dead_[process.value / 64] >> (process.value % 64)) & 1) == 0;
+  }
+
+  /// Moves the cursor to `round` unless it is there or beyond already, so
+  /// that concurrent alive() calls for `round` only read.
+  void advance_to(Round round) {
+    if (!synced_ || round > cursor_) advance(round);
+  }
 
  private:
+  /// One interval endpoint: `process` may change state at `round`.
+  struct Transition {
+    Round round;
+    std::uint32_t process;
+  };
+
+  /// The reference interval scan: does one of `process`'s intervals hold
+  /// `round`?
+  [[nodiscard]] bool down_at(ProcessId process, Round round) const;
+
+  /// Brings the dead bits to `round`. Precondition: !synced_ or
+  /// round > cursor_.
+  void advance(Round round) const;
+
+  [[noreturn]] static void throw_out_of_range();
+
   std::vector<std::vector<Interval>> downtime_;
+  // The cursor (see the class comment).
+  mutable std::vector<Transition> transitions_;  ///< by round once synced_
+  mutable std::vector<std::uint64_t> dead_;  ///< bit p: p down at cursor_
+  mutable std::size_t applied_ = 0;  ///< transitions_ with round <= cursor_
+  mutable Round cursor_ = 0;
+  mutable bool synced_ = false;  ///< false: rebuild from the first transition
 };
 
 }  // namespace dam::sim

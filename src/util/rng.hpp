@@ -126,26 +126,11 @@ class Rng {
 
   /// `k` distinct elements drawn uniformly from `pool` (order random).
   /// If k >= pool.size(), returns a shuffled copy of the whole pool.
-  /// Pools of at least kSparseRatio·k entries (a join drawing contacts
-  /// from a whole group) take an O(k) path with the same output and the
-  /// same stream use.
   template <typename T>
   [[nodiscard]] std::vector<T> sample(std::span<const T> pool, std::size_t k) {
-    if (k < pool.size() && pool.size() >= kSparseRatio * k) {
-      return sample_sparse(pool, k);
-    }
-    std::vector<T> copy(pool.begin(), pool.end());
-    if (k >= copy.size()) {
-      shuffle(copy);
-      return copy;
-    }
-    // Partial Fisher–Yates: only the first k slots need settling.
-    for (std::size_t i = 0; i < k; ++i) {
-      using std::swap;
-      swap(copy[i], copy[i + below(copy.size() - i)]);
-    }
-    copy.resize(k);
-    return copy;
+    std::vector<T> out;
+    sample_into(pool, k, out);
+    return out;
   }
 
   template <typename T>
@@ -154,17 +139,29 @@ class Rng {
   }
 
   /// `sample` into a reusable buffer: `out` is cleared and refilled with the
-  /// drawn elements, so steady-state callers never touch the allocator.
-  /// Consumes the stream exactly like `sample(pool, k)` and leaves `pool`
-  /// untouched (the partial Fisher–Yates runs on `out` itself).
+  /// drawn elements, so steady-state callers never touch the allocator
+  /// (except on the large-pool path, whose small hash table allocates).
+  /// Leaves `pool` untouched: the partial Fisher–Yates runs on `out`.
+  /// Pools of at least kSparseRatio·k entries (a join drawing contacts
+  /// from a whole group) take an O(k) path with the same output and the
+  /// same stream use; k = 0 draws nothing.
   template <typename T>
   void sample_into(std::span<const T> pool, std::size_t k,
                    std::vector<T>& out) {
+    if (k == 0) {
+      out.clear();
+      return;
+    }
+    if (k < pool.size() && pool.size() >= kSparseRatio * k) {
+      sample_sparse(pool, k, out);
+      return;
+    }
     out.assign(pool.begin(), pool.end());
     if (k >= out.size()) {
       shuffle(out);
       return;
     }
+    // Partial Fisher–Yates: only the first k slots need settling.
     for (std::size_t i = 0; i < k; ++i) {
       using std::swap;
       swap(out[i], out[i + below(out.size() - i)]);
@@ -183,7 +180,7 @@ class Rng {
                                   std::uint32_t* out);
 
  private:
-  /// `sample` takes `sample_sparse` when the pool holds at least this
+  /// `sample_into` takes `sample_sparse` when the pool holds at least this
   /// many entries per draw. Measured crossover (x86-64, -O2, uint32 pools,
   /// k = 1..2048, n up to 131,072): copying costs ~0.05-0.11 ns per pool
   /// entry plus ~20 ns, the sparse path ~12-16 ns per draw plus ~40 ns,
@@ -198,7 +195,8 @@ class Rng {
   /// written slots are recorded, in an open-addressing table kept at most
   /// half full. Precondition: k < pool.size().
   template <typename T>
-  std::vector<T> sample_sparse(std::span<const T> pool, std::size_t k) {
+  void sample_sparse(std::span<const T> pool, std::size_t k,
+                     std::vector<T>& out) {
     struct Moved {
       std::size_t slot;
       T value;
@@ -214,7 +212,7 @@ class Rng {
       }
       return moved[b];
     };
-    std::vector<T> out;
+    out.clear();
     out.reserve(k);
     for (std::size_t i = 0; i < k; ++i) {
       const std::size_t j = i + below(pool.size() - i);
@@ -224,7 +222,6 @@ class Rng {
       out.push_back(at_j.slot == j ? at_j.value : pool[j]);
       at_j = Moved{j, displaced};
     }
-    return out;
   }
 
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {

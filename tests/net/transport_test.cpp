@@ -315,5 +315,97 @@ TEST(Transport, MemoizedBytesSentMatchesEncodedSize) {
   EXPECT_EQ(transport.stats().bytes_sent, expected);
 }
 
+// --- receiver warm-up hook --------------------------------------------------
+
+/// One delivery round of `records` messages (every third a control message)
+/// to targets 1000 + i, lossy and with two failed targets, optionally with
+/// a warm hook; then a second, hook-free round that exposes the channel
+/// stream's position.
+struct WarmRun {
+  std::vector<OwnedMessage> delivered;
+  std::vector<std::size_t> warms_before;  ///< warm calls before each delivery
+  std::vector<std::uint32_t> warmed;      ///< record index of each warm call
+  Transport::Stats stats;
+  std::vector<OwnedMessage> next_round;
+};
+
+WarmRun warm_run(std::uint32_t records, bool with_warm) {
+  const sim::StillbornFailures failures({ProcessId{1003}, ProcessId{1017}});
+  Transport transport({.psucc = 0.7, .delay = 1}, util::Rng(5), &failures);
+  const std::vector<ProcessId> shuffle{ProcessId{7}, ProcessId{8}};
+  const auto send_batch = [&](sim::Round now) {
+    for (std::uint32_t i = 0; i < records; ++i) {
+      Message msg = make_msg(i, 1000 + i);
+      if (i % 3 == 0) {
+        msg.kind = MsgKind::kMembership;
+        msg.processes = shuffle;
+      }
+      transport.send(msg, now);
+    }
+  };
+  WarmRun run;
+  send_batch(0);
+  const auto sink = [&](const Message& m) {
+    run.delivered.push_back(m);
+    run.warms_before.push_back(run.warmed.size());
+  };
+  if (with_warm) {
+    transport.deliver_round(1, sink, [&](ProcessId to) {
+      run.warmed.push_back(to.value - 1000);
+    });
+  } else {
+    transport.deliver_round(1, sink);
+  }
+  run.stats = transport.stats();
+  send_batch(1);
+  transport.deliver_round(
+      2, [&](const Message& m) { run.next_round.push_back(m); });
+  return run;
+}
+
+void expect_same_stats(const Transport::Stats& a, const Transport::Stats& b) {
+  EXPECT_EQ(a.sent, b.sent);
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.lost_channel, b.lost_channel);
+  EXPECT_EQ(a.lost_failure, b.lost_failure);
+  EXPECT_EQ(a.bytes_sent, b.bytes_sent);
+  EXPECT_EQ(a.peak_queue_bytes, b.peak_queue_bytes);
+  EXPECT_EQ(a.peak_queue_records, b.peak_queue_records);
+}
+
+TEST(Transport, WarmHookSeesEachTargetOnceInSendOrderAhead) {
+  constexpr std::size_t kAhead = Transport::kLookahead;
+  for (const std::uint32_t records :
+       {0u, 1u, 3u, static_cast<std::uint32_t>(kAhead),
+        static_cast<std::uint32_t>(kAhead + 1), 40u}) {
+    const WarmRun run = warm_run(records, true);
+    std::vector<std::uint32_t> send_order(records);
+    for (std::uint32_t i = 0; i < records; ++i) send_order[i] = i;
+    EXPECT_EQ(run.warmed, send_order) << records << " records";
+    if (records == 40) {
+      EXPECT_LT(run.delivered.size(), records) << "nothing was dropped";
+    }
+    // Record i is delivered once records 0 .. i + kLookahead are warm.
+    for (std::size_t d = 0; d < run.delivered.size(); ++d) {
+      const std::size_t record = run.delivered[d].from.value;
+      EXPECT_EQ(run.warms_before[d],
+                std::min<std::size_t>(records, record + kAhead + 1))
+          << "record " << record << " of " << records;
+    }
+  }
+}
+
+TEST(Transport, WarmHookChangesNoDeliveryStatOrDraw) {
+  for (const std::uint32_t records : {3u, 40u, 500u}) {
+    const WarmRun plain = warm_run(records, false);
+    const WarmRun warmed = warm_run(records, true);
+    EXPECT_TRUE(plain.warmed.empty());
+    EXPECT_EQ(warmed.warmed.size(), records);
+    EXPECT_EQ(plain.delivered, warmed.delivered) << records << " records";
+    expect_same_stats(plain.stats, warmed.stats);
+    EXPECT_EQ(plain.next_round, warmed.next_round) << records << " records";
+  }
+}
+
 }  // namespace
 }  // namespace dam::net

@@ -203,7 +203,10 @@ template <typename T, typename MakeT>
 void expect_sample_matches_copy(MakeT make) {
   // Pools below, at and far above the point where `sample` stops copying
   // (n >= 256·k: 256 for k = 1, 768 for k = 3, 4096 for k = 16, 12032 for
-  // k = 47), k from 0 to past a view and up to the whole pool.
+  // k = 47), k from 0 to past a view and up to the whole pool. The
+  // reusable-buffer form keeps one buffer across every case, so stale
+  // content and spare capacity must not leak into a draw.
+  std::vector<T> reused;
   for (const std::size_t n :
        {0UL, 1UL, 47UL, 255UL, 256UL, 257UL, 767UL, 768UL, 769UL, 1000UL,
         4095UL, 4096UL, 4097UL, 12031UL, 12032UL, 12033UL, 100000UL}) {
@@ -218,9 +221,14 @@ void expect_sample_matches_copy(MakeT make) {
                      " seed=" + std::to_string(seed));
         Rng a(seed);
         Rng b(seed);
+        Rng c(seed);
         const std::vector<T> expected = sample_by_copy(a, pool, k);
         EXPECT_EQ(b.sample(pool, k), expected);
-        EXPECT_EQ(a(), b()) << "stream diverged";
+        c.sample_into(std::span<const T>(pool), k, reused);
+        EXPECT_EQ(reused, expected);
+        const auto next = a();
+        EXPECT_EQ(b(), next) << "stream diverged";
+        EXPECT_EQ(c(), next) << "sample_into's stream diverged";
       }
     }
   }
