@@ -10,13 +10,13 @@
 // note 2), otherwise the search narrows to topics strictly below Tx
 // (line 34).
 //
-// This class owns only the client-side search state. Answering and
-// forwarding REQCONTACTs is the receiving node's job (DamNode).
+// This class owns only the client-side search state; the owner's
+// identity, the topic DAG, the config and the host come from the node's
+// NodeContext, and floods go out through its Env. Answering and forwarding
+// REQCONTACTs is the receiving node's job (DamNode).
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <vector>
 
 #include "net/message.hpp"
@@ -29,6 +29,8 @@ using net::Message;
 using topics::ProcessId;
 using topics::TopicId;
 
+struct NodeContext;
+
 class BootstrapTask {
  public:
   struct Config {
@@ -36,20 +38,14 @@ class BootstrapTask {
     std::uint32_t ttl = 8;     ///< REQCONTACT forwarding budget ("expiry")
   };
 
-  using SendFn = std::function<void(const Message&)>;
-
-  BootstrapTask(ProcessId self, TopicId topic,
-                const topics::TopicDag* hierarchy, Config config);
-
   /// Begins (or restarts) the search. No-op for root-topic processes (they
-  /// have no supertopic). Emits the initial REQCONTACT flood.
-  void start(sim::Round now, const std::vector<ProcessId>& neighbors,
-             const SendFn& send);
+  /// have no supertopic). Floods a REQCONTACT to the owner's bootstrap
+  /// neighborhood.
+  void start(const NodeContext& ctx, sim::Round now);
 
   /// Periodic driver: on timeout, widens `initMsg` (if possible) and
   /// re-floods. Call every round while active.
-  void tick(sim::Round now, const std::vector<ProcessId>& neighbors,
-            const SendFn& send);
+  void tick(const NodeContext& ctx, sim::Round now);
 
   /// Processes an ANSCONTACT for topic `answer_topic`.
   /// Returns true if the answer is *useful* (the topic is one we are
@@ -57,7 +53,7 @@ class BootstrapTask {
   /// current scope); the caller then merges the contacts into its
   /// supertopic table. Stops the task when answer_topic == super(topic),
   /// otherwise narrows the scope below `answer_topic` (Fig. 4 line 34).
-  bool on_answer(TopicId answer_topic);
+  bool on_answer(const NodeContext& ctx, TopicId answer_topic);
 
   [[nodiscard]] bool active() const noexcept { return active_; }
 
@@ -71,19 +67,13 @@ class BootstrapTask {
   }
 
  private:
-  void flood(sim::Round now, const std::vector<ProcessId>& neighbors,
-             const SendFn& send);
+  void flood(const NodeContext& ctx, sim::Round now);
 
-  ProcessId self_;
-  TopicId topic_;
-  const topics::TopicDag* hierarchy_;
-  Config config_;
-
-  bool active_ = false;
   std::vector<TopicId> init_msg_;
   sim::Round last_flood_ = 0;
   std::uint32_t request_id_ = 0;
   std::uint32_t floods_sent_ = 0;
+  bool active_ = false;
 };
 
 }  // namespace dam::core

@@ -12,30 +12,16 @@ std::uint64_t request_key(ProcessId origin, std::uint32_t request_id) {
 }
 }  // namespace
 
-DamNode::DamNode(ProcessId self, TopicId topic,
-                 const topics::TopicDag* hierarchy,
-                 std::shared_ptr<const NodeConfig> config,
-                 std::size_t group_size_estimate, util::Rng rng, Env* env)
-    : self_(self),
-      topic_(topic),
-      hierarchy_(hierarchy),
-      config_(std::move(config)),
-      env_(env),
+DamNode::DamNode(const NodeContext& context, std::size_t group_size_estimate,
+                 util::Rng rng)
+    : ctx_(context),
       rng_(rng),
-      membership_(self, topic, config_->membership, group_size_estimate,
-                  rng.fork(0xA11CE)),
-      super_table_(self, config_->params.z),
-      bootstrap_(self, topic, hierarchy, config_->bootstrap) {
-  config_->params.validate();
-  if (config_->recovery.enabled) recovery_ = std::make_unique<RecoveryState>();
+      membership_(context, group_size_estimate, rng.fork(0xA11CE)) {
+  ctx_.config->params.validate();
+  if (ctx_.config->recovery.enabled) {
+    recovery_ = std::make_unique<RecoveryState>();
+  }
 }
-
-DamNode::DamNode(ProcessId self, TopicId topic,
-                 const topics::TopicDag* hierarchy, NodeConfig config,
-                 std::size_t group_size_estimate, util::Rng rng, Env* env)
-    : DamNode(self, topic, hierarchy,
-              std::make_shared<const NodeConfig>(std::move(config)),
-              group_size_estimate, rng, env) {}
 
 void DamNode::subscribe(const std::vector<ProcessId>& group_contacts,
                         const std::vector<ProcessId>& super_contacts,
@@ -47,11 +33,11 @@ void DamNode::subscribe(const std::vector<ProcessId>& group_contacts,
     // Bootstrap shortcut (Fig. 4 lines 5–8): supergroup contacts were
     // provided out of band, possibly for a topic above the direct
     // supertopic when intermediate groups are empty (footnote 4).
-    super_table_.merge(super_contacts_topic.value_or(hierarchy_->super(topic_)),
-                       super_contacts, alive_probe());
+    super_table_.merge(
+        ctx_, super_contacts_topic.value_or(ctx_.hierarchy->super(ctx_.topic)),
+        super_contacts, alive_probe());
   } else {
-    bootstrap_.start(env_->now(), env_->neighborhood(self_),
-                     [this](const Message& msg) { env_->send(msg); });
+    bootstrap_.start(ctx_, ctx_.env->now());
   }
 }
 
@@ -65,30 +51,30 @@ void DamNode::subscribe_shared(std::span<const ProcessId> group_contacts,
     // A sampled arena row is exactly what subscribe()'s merge would have
     // installed into the empty table (distinct, no owner, at most z
     // entries) — adopt it in place.
-    super_table_.seed(super_contacts_topic.value_or(hierarchy_->super(topic_)),
-                      super_contacts);
+    super_table_.seed(
+        super_contacts_topic.value_or(ctx_.hierarchy->super(ctx_.topic)),
+        super_contacts);
   } else {
-    bootstrap_.start(env_->now(), env_->neighborhood(self_),
-                     [this](const Message& msg) { env_->send(msg); });
+    bootstrap_.start(ctx_, ctx_.env->now());
   }
 }
 
 void DamNode::pull_group_size() {
-  const std::size_t size = env_->group_size(topic_);
+  const std::size_t size = ctx_.env->group_size(ctx_.topic);
   if (size != membership_.group_size_estimate()) {
-    membership_.set_group_size_estimate(size);
+    membership_.set_group_size_estimate(ctx_, size);
   }
 }
 
 EventId DamNode::publish(std::vector<std::uint8_t> payload) {
-  const EventId event{self_, next_sequence_++};
+  const EventId event{ctx_.self, next_sequence_++};
   // The publisher "receives" its own event: mark seen, deliver locally,
   // and run DISSEMINATE (Fig. 7 is invoked by the publisher as well).
-  env_->mark_seen(self_, event);
-  const Message msg{.kind = MsgKind::kEvent, .from = self_, .to = self_,
-                    .topic = topic_, .event = event, .payload = payload};
+  ctx_.env->mark_seen(ctx_.self, event);
+  const Message msg{.kind = MsgKind::kEvent, .from = ctx_.self, .to = ctx_.self,
+                    .topic = ctx_.topic, .event = event, .payload = payload};
   remember_history(msg);
-  env_->deliver(self_, msg);
+  ctx_.env->deliver(ctx_.self, msg);
   disseminate(msg);
   return event;
 }
@@ -126,27 +112,22 @@ void DamNode::round(sim::Round now) {
   // (Sec. V-A.2a) so fresh super contacts spread through the group. The
   // recovery extension additionally piggybacks a digest of recently seen
   // event ids (most recent first).
-  membership_.round(now, super_table_.entries(), super_table_.super_topic(),
-                    [this](const Message& msg) {
-                      Message gossip = msg;
-                      std::vector<EventId> digest;
-                      if (recovery_) {
-                        const auto& history = recovery_->history;
-                        for (auto it = history.rbegin();
-                             it != history.rend() &&
-                             digest.size() < config_->recovery.digest_size;
-                             ++it) {
-                          digest.push_back(it->event);
-                        }
-                        gossip.event_ids = digest;
-                      }
-                      env_->send(gossip);
-                    });
+  std::vector<EventId> digest;
+  if (recovery_) {
+    const auto& history = recovery_->history;
+    for (auto it = history.rbegin();
+         it != history.rend() &&
+         digest.size() < ctx_.config->recovery.digest_size;
+         ++it) {
+      digest.push_back(it->event);
+    }
+  }
+  membership_.round(ctx_, now, super_table_.entries(),
+                    super_table_.super_topic(), digest);
   // Bootstrap timeouts (FIND_SUPER_CONTACT widening).
-  bootstrap_.tick(now, env_->neighborhood(self_),
-                  [this](const Message& msg) { env_->send(msg); });
+  bootstrap_.tick(ctx_, now);
   // Supertopic-table maintenance.
-  const sim::Round period = config_->maintenance_period;
+  const sim::Round period = ctx_.config->maintenance_period;
   if (period > 0 && now % period == 0) {
     maintain_links(now);
   }
@@ -154,14 +135,14 @@ void DamNode::round(sim::Round now) {
 
 void DamNode::disseminate(const Message& event_msg) {
   pull_group_size();
-  const TopicParams& params = config_->params;
+  const TopicParams& params = ctx_.config->params;
   const std::size_t group_size =
       std::max<std::size_t>(membership_.group_size_estimate(), 1);
 
   // Every copy is this one message, re-addressed. The body handle the
   // first send returns makes every later copy share that interned body.
   Message out = event_msg;
-  out.from = self_;
+  out.from = ctx_.self;
 
   // (1) Intergroup leg (Fig. 7 lines 3–7): elect self with probability
   // psel = g/S; if elected, send to each supertopic-table entry with
@@ -170,7 +151,7 @@ void DamNode::disseminate(const Message& event_msg) {
       params, group_size, super_table_.entries(), rng_, [&](ProcessId target) {
         out.to = target;
         out.intergroup = true;
-        out.body = env_->send(out);
+        out.body = ctx_.env->send(out);
       });
 
   // (2) Intra-group gossip leg (Fig. 7 lines 8–14): fanout distinct
@@ -179,19 +160,19 @@ void DamNode::disseminate(const Message& event_msg) {
            params, group_size, membership_.view().entries(), rng_)) {
     out.to = target;
     out.intergroup = false;
-    out.body = env_->send(out);
+    out.body = ctx_.env->send(out);
   }
 }
 
 void DamNode::handle_event(const Message& msg) {
   // Fig. 5 lines 5–10: first reception forwards + delivers; duplicates are
   // suppressed (the host's seen store).
-  if (!env_->mark_seen(self_, msg.event)) {
+  if (!ctx_.env->mark_seen(ctx_.self, msg.event)) {
     ++duplicates_;
     return;
   }
   remember_history(msg);
-  env_->deliver(self_, msg);
+  ctx_.env->deliver(ctx_.self, msg);
   disseminate(msg);
 }
 
@@ -209,9 +190,9 @@ void DamNode::handle_req_contact(const Message& msg) {
   // (b) our supertopic table's group if that topic is searched.
   for (TopicId searched : msg.init_msg) {
     std::vector<ProcessId> known;
-    if (searched == topic_) {
-      known.push_back(self_);
-      const auto extra = membership_.view().sample(config_->params.z, rng_);
+    if (searched == ctx_.topic) {
+      known.push_back(ctx_.self);
+      const auto extra = membership_.view().sample(ctx_.config->params.z, rng_);
       known.insert(known.end(), extra.begin(), extra.end());
     } else if (super_table_.super_topic() == searched &&
                !super_table_.empty()) {
@@ -219,21 +200,23 @@ void DamNode::handle_req_contact(const Message& msg) {
       known.assign(table.begin(), table.end());
     }
     if (known.empty()) continue;
-    if (known.size() > config_->params.z) known.resize(config_->params.z);
-    env_->send({.kind = MsgKind::kAnsContact, .from = self_, .to = msg.origin,
-                .answer_topic = searched, .processes = known});
+    const std::size_t z = ctx_.config->params.z;
+    if (known.size() > z) known.resize(z);
+    ctx_.env->send({.kind = MsgKind::kAnsContact, .from = ctx_.self,
+                    .to = msg.origin, .answer_topic = searched,
+                    .processes = known});
     return;  // one answer per request (lines 6–7: SEND then RETURN)
   }
   // Cannot answer: forward through the neighborhood while the message has
   // not expired (lines 10–12).
   if (msg.ttl == 0) return;
-  for (ProcessId neighbor : env_->neighborhood(self_)) {
+  for (ProcessId neighbor : ctx_.env->neighborhood(ctx_.self)) {
     if (neighbor == msg.from || neighbor == msg.origin) continue;
     Message fwd = msg;
-    fwd.from = self_;
+    fwd.from = ctx_.self;
     fwd.to = neighbor;
     fwd.ttl = msg.ttl - 1;
-    env_->send(fwd);
+    ctx_.env->send(fwd);
   }
 }
 
@@ -241,10 +224,10 @@ void DamNode::handle_ans_contact(const Message& msg) {
   // Fig. 4 lines 30–37.
   if (msg.processes.empty()) return;
   const bool useful =
-      bootstrap_.active() && bootstrap_.on_answer(msg.answer_topic);
+      bootstrap_.active() && bootstrap_.on_answer(ctx_, msg.answer_topic);
   if (!useful && !better_or_equal_super(msg.answer_topic)) return;
   const bool retarget = super_table_.super_topic() != msg.answer_topic;
-  super_table_.merge(msg.answer_topic, msg.processes, alive_probe(),
+  super_table_.merge(ctx_, msg.answer_topic, msg.processes, alive_probe(),
                      /*replace=*/retarget && better_or_equal_super(
                                      msg.answer_topic));
 }
@@ -252,22 +235,23 @@ void DamNode::handle_ans_contact(const Message& msg) {
 void DamNode::handle_new_process_ask(const Message& msg) {
   // Fig. 6 lines 2–5: a subprocess asks us (a supergroup member) for fresh
   // superprocesses; answer with ourselves plus a sample of our group view.
-  std::vector<ProcessId> processes{self_};
-  const auto extra = membership_.view().sample(config_->params.z, rng_);
+  std::vector<ProcessId> processes{ctx_.self};
+  const auto extra = membership_.view().sample(ctx_.config->params.z, rng_);
   processes.insert(processes.end(), extra.begin(), extra.end());
-  processes.resize(std::min(processes.size(), config_->params.z));
-  env_->send({.kind = MsgKind::kNewProcessGive, .from = self_, .to = msg.from,
-              .answer_topic = topic_, .processes = processes});
+  processes.resize(std::min(processes.size(), ctx_.config->params.z));
+  ctx_.env->send({.kind = MsgKind::kNewProcessGive, .from = ctx_.self,
+                  .to = msg.from, .answer_topic = ctx_.topic,
+                  .processes = processes});
 }
 
 void DamNode::handle_new_process_give(const Message& msg) {
   // Fig. 6 lines 6–9: merge fresh superprocesses.
   if (!better_or_equal_super(msg.answer_topic)) return;
-  super_table_.merge(msg.answer_topic, msg.processes, alive_probe());
+  super_table_.merge(ctx_, msg.answer_topic, msg.processes, alive_probe());
 }
 
 void DamNode::handle_membership(const Message& msg) {
-  if (msg.answer_topic == topic_) {
+  if (msg.answer_topic == ctx_.topic) {
     pull_group_size();  // the view capacity bounds the merge
     membership_.on_membership(msg);
   }
@@ -276,12 +260,12 @@ void DamNode::handle_membership(const Message& msg) {
   if (recovery_ && !msg.event_ids.empty()) {
     std::vector<EventId> missing;
     for (const net::EventId& id : msg.event_ids) {
-      if (!env_->seen(self_, id)) missing.push_back(id);
+      if (!ctx_.env->seen(ctx_.self, id)) missing.push_back(id);
     }
     if (!missing.empty()) {
       ++recovery_->requests_sent;
-      env_->send({.kind = MsgKind::kEventRequest, .from = self_,
-                  .to = msg.from, .event_ids = missing});
+      ctx_.env->send({.kind = MsgKind::kEventRequest, .from = ctx_.self,
+                      .to = msg.from, .event_ids = missing});
     }
   }
   // Piggybacked supertopic table (Sec. V-A.2a): adopt contacts for our
@@ -289,20 +273,19 @@ void DamNode::handle_membership(const Message& msg) {
   if (msg.piggyback_topic && !msg.piggyback_super_table.empty() &&
       better_or_equal_super(*msg.piggyback_topic)) {
     // The piggyback can satisfy the bootstrap search too.
-    if (bootstrap_.active()) bootstrap_.on_answer(*msg.piggyback_topic);
-    super_table_.merge(*msg.piggyback_topic, msg.piggyback_super_table,
+    if (bootstrap_.active()) bootstrap_.on_answer(ctx_, *msg.piggyback_topic);
+    super_table_.merge(ctx_, *msg.piggyback_topic, msg.piggyback_super_table,
                        alive_probe());
   }
 }
 
 void DamNode::maintain_links(sim::Round now) {
   if (is_root()) return;
-  const TopicParams& params = config_->params;
+  const TopicParams& params = ctx_.config->params;
   if (super_table_.empty()) {
     // Fig. 6 lines 12–14: nothing to maintain; (re)start the search.
     if (!bootstrap_.active()) {
-      bootstrap_.start(now, env_->neighborhood(self_),
-                       [this](const Message& msg) { env_->send(msg); });
+      bootstrap_.start(ctx_, now);
     }
     return;
   }
@@ -315,12 +298,12 @@ void DamNode::maintain_links(sim::Round now) {
   if (super_table_.check(alive_probe()) > params.tau) return;
   super_table_.drop_failed(alive_probe());
   for (ProcessId target : super_table_.entries()) {
-    env_->send({.kind = MsgKind::kNewProcessAsk, .from = self_, .to = target});
+    ctx_.env->send(
+        {.kind = MsgKind::kNewProcessAsk, .from = ctx_.self, .to = target});
   }
   if (super_table_.empty() && !bootstrap_.active()) {
     // Every superprocess failed: fall back to the full search.
-    bootstrap_.start(now, env_->neighborhood(self_),
-                     [this](const Message& msg) { env_->send(msg); });
+    bootstrap_.start(ctx_, now);
   }
 }
 
@@ -331,9 +314,9 @@ void DamNode::handle_event_request(const Message& msg) {
       if (stored.event != wanted) continue;
       // No body handle: the transport interns the stored payload anew.
       ++recovery_->retransmissions_sent;
-      env_->send({.kind = MsgKind::kEvent, .from = self_, .to = msg.from,
-                  .topic = stored.topic, .event = stored.event,
-                  .payload = stored.payload});
+      ctx_.env->send({.kind = MsgKind::kEvent, .from = ctx_.self,
+                      .to = msg.from, .topic = stored.topic,
+                      .event = stored.event, .payload = stored.payload});
       break;
     }
   }
@@ -344,16 +327,18 @@ void DamNode::remember_history(const Message& event_msg) {
   auto& history = recovery_->history;
   history.push_back({event_msg.topic, event_msg.event,
                      {event_msg.payload.begin(), event_msg.payload.end()}});
-  if (history.size() > config_->recovery.history_size) history.pop_front();
+  if (history.size() > ctx_.config->recovery.history_size) history.pop_front();
 }
 
 bool DamNode::better_or_equal_super(TopicId candidate) const {
-  if (candidate == topic_) return false;
-  if (!hierarchy_->includes(candidate, topic_)) return false;  // not a super
+  if (candidate == ctx_.topic) return false;
+  if (!ctx_.hierarchy->includes(candidate, ctx_.topic)) {
+    return false;  // not a super
+  }
   const auto current = super_table_.super_topic();
   if (!current) return true;
   // Deeper supertopics are closer to the direct supertopic — prefer them.
-  return hierarchy_->depth(candidate) >= hierarchy_->depth(*current);
+  return ctx_.hierarchy->depth(candidate) >= ctx_.hierarchy->depth(*current);
 }
 
 }  // namespace dam::core

@@ -7,16 +7,19 @@
 // simulation shell (`DamSystem`) stay thin.
 //
 // State per node:
-//   * topic table   — partial view of the own group, maintained by the
-//                     underlying FlatMembership substrate ([10]);
+//   * context        — identity, topic DAG, config and host (NodeContext,
+//                      core/context.hpp), held once and lent to the
+//                      components below, which keep no copy of it;
+//   * topic table    — partial view of the own group, maintained by the
+//                      underlying FlatMembership substrate ([10]);
 //   * supertopic table — z contacts in the nearest non-empty supergroup;
 //   * bootstrap task  — FIND_SUPER_CONTACT state machine.
 // Which events the node has already received (duplicate suppression) is
 // kept by the host, behind Env::mark_seen / Env::seen. The configuration
-// is shared by every node of a host, and the state of the optional
+// is the host's, shared by every node, and the state of the optional
 // extensions — the recovery buffer and the REQCONTACT flood-dedup set — is
 // allocated only once a node uses it, so a node that merely holds its
-// views costs no heap beyond its own object.
+// views costs no heap beyond its own object (288 B on LP64).
 #pragma once
 
 #include <cstdint>
@@ -28,98 +31,23 @@
 #include <vector>
 
 #include "core/bootstrap.hpp"
-#include "core/params.hpp"
+#include "core/context.hpp"
 #include "core/tables.hpp"
 #include "membership/flat_membership.hpp"
 #include "net/message.hpp"
 #include "sim/clock.hpp"
-#include "topics/dag.hpp"
 #include "util/rng.hpp"
 
 namespace dam::core {
 
-using net::EventId;
-using net::Message;
-using net::MsgKind;
-
-/// Everything a node needs from its host. Implemented by DamSystem for
-/// simulations and by scripted fakes in the unit tests.
-class Env {
- public:
-  virtual ~Env() = default;
-
-  [[nodiscard]] virtual sim::Round now() const = 0;
-
-  /// Transmits `msg` (node has already filled `from`/`to`); its spans need
-  /// only live until send returns. Returns the EVENT body handle to set on
-  /// the next copy (net::Message::body), or kNoBody.
-  virtual std::uint32_t send(const Message& msg) = 0;
-
-  /// Bootstrap overlay contacts of `self` (Sec. III-B: neighborhood(pl)).
-  [[nodiscard]] virtual const std::vector<ProcessId>& neighborhood(
-      ProcessId self) const = 0;
-
-  /// Liveness probe used by CHECK (footnote 7: timeout-based detection).
-  /// May be wrong under weak consistency; the protocol tolerates that.
-  [[nodiscard]] virtual bool probe_alive(ProcessId target) const = 0;
-
-  /// Application-level delivery callback (Fig. 5 line 8). `event_msg` is a
-  /// view, valid for the call only: copy what must outlive it.
-  virtual void deliver(ProcessId self, const Message& event_msg) = 0;
-
-  /// Records that `self` has received `event`. True iff this is the first
-  /// reception — only then does the node deliver and forward (Fig. 5 lines
-  /// 5–10); false marks a duplicate.
-  virtual bool mark_seen(ProcessId self, EventId event) = 0;
-
-  /// True iff `self` has received `event` and the host still remembers it.
-  [[nodiscard]] virtual bool seen(ProcessId self, EventId event) const = 0;
-
-  /// Current size of `topic`'s group: the source of the node's group-size
-  /// estimate (fanout, psel, view capacity). In a deployment this would be
-  /// the membership substrate's size estimator; DamSystem answers from its
-  /// registry. A node pulls it before each use, so a join costs nothing
-  /// at the other members.
-  [[nodiscard]] virtual std::size_t group_size(TopicId topic) const = 0;
-};
-
-struct NodeConfig {
-  TopicParams params;
-  membership::FlatMembership::Config membership;
-  BootstrapTask::Config bootstrap;
-  sim::Round maintenance_period = 4;  ///< KEEP_TABLE_UPDATED cadence
-
-  /// Sustained-service GC: DamSystem releases a publication's seen column
-  /// once it is retired AND this many rounds have passed since its first
-  /// mark; 0 = never. A released id that arrives again is treated as new
-  /// (extra traffic, never a correctness loss).
-  std::size_t seen_gc_horizon = 0;
-
-  /// Event-recovery extension (lpbcast-style, cf. paper reference [6]):
-  /// membership gossip carries a digest of recently seen event ids;
-  /// receivers request retransmission of ids they are missing. Off by
-  /// default — the base paper has no recovery; the ablation bench
-  /// quantifies what it buys under loss.
-  struct Recovery {
-    bool enabled = false;
-    std::size_t history_size = 64;  ///< events buffered for retransmission
-    std::size_t digest_size = 8;    ///< ids piggybacked per gossip message
-  } recovery;
-};
-
 class DamNode {
  public:
-  /// `config` is shared: a host passes the same one to all its nodes.
-  /// Recovery state is allocated here only if config->recovery.enabled.
-  DamNode(ProcessId self, TopicId topic,
-          const topics::TopicDag* hierarchy,
-          std::shared_ptr<const NodeConfig> config,
-          std::size_t group_size_estimate, util::Rng rng, Env* env);
-
-  /// Standalone node: wraps its own copy of `config`.
-  DamNode(ProcessId self, TopicId topic,
-          const topics::TopicDag* hierarchy, NodeConfig config,
-          std::size_t group_size_estimate, util::Rng rng, Env* env);
+  /// The process `context.self` on `context.topic`. The context's
+  /// pointers are the host's (a host passes the same config to all its
+  /// nodes) and must outlive the node. Recovery state is allocated here
+  /// only if config->recovery.enabled.
+  DamNode(const NodeContext& context, std::size_t group_size_estimate,
+          util::Rng rng);
 
   /// SUBSCRIBE (Fig. 5, lines 1–4): seeds the topic table with
   /// `group_contacts` and the supertopic table with `super_contacts`
@@ -153,9 +81,10 @@ class DamNode {
   /// (Fig. 6), bootstrap timeouts. Call once per simulation round.
   void round(sim::Round now);
 
-  /// Asks the CPU to start loading this node's object into cache, so a
-  /// host can overlap the memory latency of an upcoming on_message with
-  /// the work before it. A hint only: reads and changes nothing.
+  /// Look-ahead stage 1: asks the CPU to start loading this node's object
+  /// into cache, so a host can overlap the memory latency of an upcoming
+  /// on_message or round with the work before it. A hint only: reads and
+  /// changes nothing.
   void prefetch() const noexcept {
     constexpr std::uintptr_t kLine = 64;
     const auto begin = reinterpret_cast<std::uintptr_t>(this);
@@ -165,10 +94,21 @@ class DamNode {
     }
   }
 
+  /// Look-ahead stage 2, a few steps after prefetch(): reads the row
+  /// pointers of the topic view and the supertopic table (cached by then)
+  /// and starts loading the first line of each row; the scans that read
+  /// a row run sequentially from there. A hint only: changes nothing.
+  void prefetch_state() const noexcept {
+    __builtin_prefetch(membership_.view().entries().data());
+    __builtin_prefetch(super_table_.entries().data());
+  }
+
   // --- observers ---
-  [[nodiscard]] ProcessId self() const noexcept { return self_; }
-  [[nodiscard]] TopicId topic() const noexcept { return topic_; }
-  [[nodiscard]] bool is_root() const { return hierarchy_->is_root(topic_); }
+  [[nodiscard]] ProcessId self() const noexcept { return ctx_.self; }
+  [[nodiscard]] TopicId topic() const noexcept { return ctx_.topic; }
+  [[nodiscard]] bool is_root() const {
+    return ctx_.hierarchy->is_root(ctx_.topic);
+  }
   [[nodiscard]] const SuperTopicTable& super_table() const noexcept {
     return super_table_;
   }
@@ -180,7 +120,7 @@ class DamNode {
     return bootstrap_;
   }
   [[nodiscard]] bool has_seen(EventId event) const {
-    return env_->seen(self_, event);
+    return ctx_.env->seen(ctx_.self, event);
   }
 
   /// Entries in the REQCONTACT flood-dedup set ((origin, request_id) pairs
@@ -200,7 +140,9 @@ class DamNode {
   [[nodiscard]] std::size_t recovery_requests_sent() const noexcept {
     return recovery_ ? recovery_->requests_sent : 0;
   }
-  [[nodiscard]] const NodeConfig& config() const noexcept { return *config_; }
+  [[nodiscard]] const NodeConfig& config() const noexcept {
+    return *ctx_.config;
+  }
 
   /// Total membership entries held (topic table + supertopic table) — the
   /// paper's memory-complexity metric ln(S)+c... ≤ . ≤ ln(S)+c+z.
@@ -236,14 +178,14 @@ class DamNode {
   /// KEEP_TABLE_UPDATED (Fig. 6, lines 11–25).
   void maintain_links(sim::Round now);
 
-  /// True iff `candidate` is a strict supertopic of `topic_` and is at
-  /// least as deep as the current supertopic-table target (prefer the
-  /// nearest supergroup).
+  /// True iff `candidate` is a strict supertopic of the node's topic and
+  /// is at least as deep as the current supertopic-table target (prefer
+  /// the nearest supergroup).
   [[nodiscard]] bool better_or_equal_super(TopicId candidate) const;
 
   /// Liveness predicate for the supertopic table (a one-pointer closure).
   [[nodiscard]] auto alive_probe() const {
-    return [this](ProcessId p) { return env_->probe_alive(p); };
+    return [this](ProcessId p) { return ctx_.env->probe_alive(p); };
   }
 
   /// An owning copy of a buffered event (a delivered view dies with its
@@ -261,11 +203,7 @@ class DamNode {
     std::size_t requests_sent = 0;
   };
 
-  ProcessId self_;
-  TopicId topic_;
-  const topics::TopicDag* hierarchy_;
-  std::shared_ptr<const NodeConfig> config_;
-  Env* env_;
+  NodeContext ctx_;
   util::Rng rng_;
 
   membership::FlatMembership membership_;

@@ -1,8 +1,11 @@
 #include "core/system.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <new>
 #include <span>
+#include <stdexcept>
 
 #include "util/parallel.hpp"
 
@@ -17,6 +20,39 @@ constexpr std::size_t kSpawnChunk = 512;
 /// Fork salt of the per-batch arena-fill stream.
 constexpr std::uint64_t kSpawnBatchSalt = 0x5BA7C4ULL;
 
+/// Look-ahead distances of the delivery and round loops, in records or
+/// nodes: stage 1 (the node object) runs kWarmAhead steps ahead, stage 2
+/// (the rows its views read) kStateDelay steps after stage 1, so it reads
+/// row pointers the object's lines have brought in by then.
+constexpr std::size_t kWarmAhead = net::Transport::kLookahead;
+constexpr std::size_t kStateDelay = 4;
+static_assert(kStateDelay < kWarmAhead);
+
+/// The two look-ahead stages over a stream of node ids. Each id gets
+/// stage 1 when it is fed and stage 2 kStateDelay feeds later; ids past
+/// the last node are skipped. A hint only: changes no node.
+template <typename Nodes>
+class TwoStageWarm {
+ public:
+  explicit TwoStageWarm(const Nodes& nodes) : nodes_(nodes) {
+    pending_.fill(kNone);
+  }
+
+  void operator()(std::size_t id) {
+    if (id < nodes_.size()) nodes_[id].prefetch();
+    const std::size_t ready = pending_[next_];
+    if (ready < nodes_.size()) nodes_[ready].prefetch_state();
+    pending_[next_] = id;
+    next_ = (next_ + 1) % kStateDelay;
+  }
+
+ private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  const Nodes& nodes_;
+  std::array<std::size_t, kStateDelay> pending_;
+  std::size_t next_ = 0;
+};
+
 net::Transport::Config effective_transport(const DamSystem::Config& config) {
   net::Transport::Config t = config.transport;
   // Unless the caller set an explicit channel quality, use the protocol
@@ -29,7 +65,6 @@ net::Transport::Config effective_transport(const DamSystem::Config& config) {
 DamSystem::DamSystem(const topics::TopicDag& hierarchy, Config config)
     : hierarchy_(&hierarchy),
       config_(config),
-      node_config_(std::make_shared<const NodeConfig>(config.node)),
       rng_(config.seed),
       registry_(hierarchy),
       // failures_ is declared (and therefore initialized) before
@@ -40,6 +75,41 @@ DamSystem::DamSystem(const topics::TopicDag& hierarchy, Config config)
 
 DamSystem::~DamSystem() = default;
 
+namespace {
+constexpr std::align_val_t kChunkAlignment{64};
+}  // namespace
+
+DamSystem::NodeSlab::~NodeSlab() {
+  for (std::size_t id = 0; id < size_; ++id) (*this)[id].~DamNode();
+  for (DamNode* chunk : chunks_) ::operator delete(chunk, kChunkAlignment);
+}
+
+DamNode& DamSystem::NodeSlab::emplace_back(const NodeContext& context,
+                                           std::size_t group_size_estimate,
+                                           util::Rng rng) {
+  if (size_ == chunks_.size() * kNodesPerChunk) {
+    chunks_.reserve(chunks_.size() + 1);  // the push_back cannot throw now
+    chunks_.push_back(static_cast<DamNode*>(::operator new(
+        kNodesPerChunk * sizeof(DamNode), kChunkAlignment)));
+  }
+  // Counted only once constructed: a throwing constructor leaves the slot
+  // free.
+  DamNode* node = new (&(*this)[size_])
+      DamNode(context, group_size_estimate, rng);
+  ++size_;
+  return *node;
+}
+
+DamNode& DamSystem::NodeSlab::at(std::size_t id) {
+  if (id >= size_) throw std::out_of_range("DamSystem: no such process");
+  return (*this)[id];
+}
+
+const DamNode& DamSystem::NodeSlab::at(std::size_t id) const {
+  if (id >= size_) throw std::out_of_range("DamSystem: no such process");
+  return (*this)[id];
+}
+
 ProcessId DamSystem::spawn(TopicId topic) {
   const ProcessId id = registry_.add_process(topic);
   // Grow the bootstrap overlay to cover the new process.
@@ -47,8 +117,10 @@ ProcessId DamSystem::spawn(TopicId topic) {
     neighborhood_.add_process(config_.neighborhood_degree, rng_);
   }
   const std::size_t group_size = registry_.group_size(topic);
-  auto node = std::make_unique<DamNode>(id, topic, hierarchy_, node_config_,
-                                        group_size, rng_.fork(id.value), this);
+  // The node forks its stream before the contact draws below advance rng_.
+  DamNode& node =
+      nodes_.emplace_back(context_for(id, topic), group_size,
+                          rng_.fork(id.value));
 
   // Join contacts: a few random existing members of the same group — the
   // members before the joiner, which the registry appends last.
@@ -68,8 +140,7 @@ ProcessId DamSystem::spawn(TopicId topic) {
     }
   }
 
-  nodes_.push_back(std::move(node));
-  nodes_.back()->subscribe(contacts, super_contacts, super_contacts_topic);
+  node.subscribe(contacts, super_contacts, super_contacts_topic);
   return id;
 }
 
@@ -141,9 +212,8 @@ std::vector<ProcessId> DamSystem::spawn_group(TopicId topic,
     while (neighborhood_.process_count() < registry_.process_count()) {
       neighborhood_.add_process(config_.neighborhood_degree, rng_);
     }
-    nodes_.push_back(std::make_unique<DamNode>(
-        id, topic, hierarchy_, node_config_, initial + i + 1,
-        rng_.fork(id.value), this));
+    nodes_.emplace_back(context_for(id, topic), initial + i + 1,
+                        rng_.fork(id.value));
   }
 
   const util::Rng batch_base = rng_.fork(kSpawnBatchSalt);
@@ -189,8 +259,8 @@ std::vector<ProcessId> DamSystem::spawn_group(TopicId topic,
       super_contacts = {arena->super_entries.data() + arena->super_offsets[i],
                         super_width};
     }
-    nodes_[first_node + i]->subscribe_shared(contacts, super_contacts,
-                                             super_topic);
+    nodes_[first_node + i].subscribe_shared(contacts, super_contacts,
+                                            super_topic);
   }
   view_arenas_.push_back(std::move(arena));
   return ids;
@@ -207,6 +277,10 @@ void DamSystem::set_failure_model(std::unique_ptr<sim::FailureModel> model) {
 void DamSystem::run_rounds(std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
     const sim::Round round = clock_.now();
+    // Receivers are random nodes, so each delivery would otherwise stall
+    // on its node's cache misses; the transport feeds every target to the
+    // look-ahead kWarmAhead records early.
+    TwoStageWarm delivery_warm(nodes_);
     transport_.deliver_round(
         round,
         [this, round](const Message& msg) {
@@ -215,16 +289,19 @@ void DamSystem::run_rounds(std::size_t count) {
           // passed, which implies the target is alive: no second probe.
           assert(failures_->alive(msg.to, round));
           (void)round;
-          nodes_[msg.to.value]->on_message(msg);
+          nodes_[msg.to.value].on_message(msg);
         },
-        // Receivers are random nodes, so each delivery would otherwise
-        // stall on its node's cache misses; start those loads a few
-        // records early.
-        [this](ProcessId to) {
-          if (to.value < nodes_.size()) nodes_[to.value]->prefetch();
-        });
-    for (auto& node : nodes_) {
-      if (failures_->alive(node->self(), round)) node->round(round);
+        [&delivery_warm](ProcessId to) { delivery_warm(to.value); });
+    // The slab is a linear stream, but each node's view rows are not.
+    const std::size_t n = nodes_.size();
+    TwoStageWarm tick_warm(nodes_);
+    for (std::size_t id = 0; id < std::min(kWarmAhead, n); ++id) {
+      tick_warm(id);
+    }
+    for (std::size_t id = 0; id < n; ++id) {
+      if (id + kWarmAhead < n) tick_warm(id + kWarmAhead);
+      DamNode& node = nodes_[id];
+      if (failures_->alive(node.self(), round)) node.round(round);
     }
     release_columns(round);
     clock_.tick();
@@ -393,9 +470,9 @@ void DamSystem::release_columns(sim::Round now) {
 
 DamSystem::BookkeepingGauges DamSystem::bookkeeping_gauges() const {
   BookkeepingGauges gauges;
-  for (const auto& node : nodes_) {
+  for (std::size_t id = 0; id < nodes_.size(); ++id) {
     gauges.request_bytes +=
-        node->request_set_size() * sizeof(std::uint64_t);
+        nodes_[id].request_set_size() * sizeof(std::uint64_t);
   }
   for (const SeenColumn& column : columns_) {
     if (column.open) {

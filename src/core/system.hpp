@@ -6,11 +6,20 @@
 // tests, and the bootstrap/ablation benches. (The figure benches run the
 // frozen-membership engine, core/frozen_sim, which reproduces the paper's
 // setting exactly.)
+//
+// The nodes live in one slab of fixed-size chunks (kNodesPerChunk nodes
+// each) in id order: a join appends, no node ever moves, and node(p)'s
+// address is arithmetic on p. The round loop walks the slab as a linear
+// stream, and both it and the delivery loop run a two-stage look-ahead:
+// stage 1 prefetches a node object kWarmAhead steps before it is used,
+// stage 2 (kStateDelay steps later, once that object is cached) reads its
+// row pointers and prefetches the topic-view and supertopic-table rows.
 // Config::threads sets the workers of the spawn-batch fill and never
 // changes results.
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <memory>
@@ -48,6 +57,10 @@ class DamSystem final : public Env {
     /// and the round loop stay serial.
     unsigned threads = 1;
   };
+
+  /// Nodes per slab chunk. A chunk is allocated whole when the first of
+  /// its nodes joins and freed with the system.
+  static constexpr std::size_t kNodesPerChunk = 1024;
 
   /// `hierarchy` must outlive the system. Each process keeps one
   /// supertopic table, so a topic it joins may have at most one
@@ -123,10 +136,12 @@ class DamSystem final : public Env {
   [[nodiscard]] std::size_t group_size(TopicId topic) const override;
 
   // --- observers ---
+  /// The node of process `id`; throws std::out_of_range past the last
+  /// process. The reference stays valid for the system's lifetime.
   [[nodiscard]] const DamNode& node(ProcessId id) const {
-    return *nodes_.at(id.value);
+    return nodes_.at(id.value);
   }
-  [[nodiscard]] DamNode& node(ProcessId id) { return *nodes_.at(id.value); }
+  [[nodiscard]] DamNode& node(ProcessId id) { return nodes_.at(id.value); }
   [[nodiscard]] std::size_t process_count() const noexcept {
     return nodes_.size();
   }
@@ -269,6 +284,40 @@ class DamSystem final : public Env {
   }
 
  private:
+  /// The nodes in id order, in chunks of kNodesPerChunk slots that never
+  /// move once allocated. Slots are not padded to cache lines: a node
+  /// spans the same five lines either way, and padding only adds memory.
+  class NodeSlab {
+   public:
+    NodeSlab() = default;
+    ~NodeSlab();
+    NodeSlab(const NodeSlab&) = delete;
+    NodeSlab& operator=(const NodeSlab&) = delete;
+
+    /// Constructs the next node in place; its id must be size().
+    DamNode& emplace_back(const NodeContext& context,
+                          std::size_t group_size_estimate, util::Rng rng);
+
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+    [[nodiscard]] DamNode& operator[](std::size_t id) noexcept {
+      return chunks_[id / kNodesPerChunk][id % kNodesPerChunk];
+    }
+    [[nodiscard]] const DamNode& operator[](std::size_t id) const noexcept {
+      return chunks_[id / kNodesPerChunk][id % kNodesPerChunk];
+    }
+    [[nodiscard]] DamNode& at(std::size_t id);
+    [[nodiscard]] const DamNode& at(std::size_t id) const;
+
+   private:
+    std::vector<DamNode*> chunks_;  ///< raw slots; the first size_ are live
+    std::size_t size_ = 0;
+  };
+
+  /// The node context of a new process.
+  [[nodiscard]] NodeContext context_for(ProcessId id, TopicId topic) {
+    return {id, topic, hierarchy_, &config_.node, this};
+  }
+
   /// One bit per process for one publication: bit p is set once p has
   /// received the event. It is the duplicate-suppression state and the
   /// delivered set at once, and it carries the publication record. Slots
@@ -294,9 +343,7 @@ class DamSystem final : public Env {
   void release_columns(sim::Round now);
 
   const topics::TopicDag* hierarchy_;
-  Config config_;
-  /// config_.node, shared by every node instead of copied into each.
-  std::shared_ptr<const NodeConfig> node_config_;
+  Config config_;  ///< config_.node is the one NodeConfig of every node
   util::Rng rng_;
   topics::SubscriptionRegistry registry_;
   std::unique_ptr<sim::FailureModel> failures_;
@@ -304,7 +351,7 @@ class DamSystem final : public Env {
   net::Neighborhood neighborhood_;
   sim::Clock clock_;
   sim::Metrics metrics_;
-  std::vector<std::unique_ptr<DamNode>> nodes_;
+  NodeSlab nodes_;
   /// Spawn-batch view arenas; nodes hold spans into them, so the
   /// unique_ptr indirection keeps rows pinned as more batches arrive.
   std::vector<std::unique_ptr<GroupViewArena>> view_arenas_;

@@ -11,6 +11,7 @@ bool SuperTopicTable::contains(ProcessId p) const noexcept {
 
 void SuperTopicTable::seed(TopicId topic, std::span<const ProcessId> base) {
   super_topic_ = topic;
+  has_super_topic_ = true;
   base_ = base;
   shared_ = true;
   entries_.clear();

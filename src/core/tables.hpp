@@ -20,6 +20,8 @@
 // the row into an owned overlay (copy-on-churn), after which the table
 // behaves exactly like the historical owned-vector one. The base row stays
 // observable (base()) so tests can diff overlay deltas against the arena.
+// The table keeps no copy of its owner or of z: merge() reads both from
+// the node's NodeContext.
 #pragma once
 
 #include <algorithm>
@@ -29,6 +31,7 @@
 #include <span>
 #include <vector>
 
+#include "core/context.hpp"
 #include "membership/view.hpp"
 #include "topics/topic.hpp"
 #include "util/rng.hpp"
@@ -93,16 +96,14 @@ using GroupViewArena = BasicGroupTables<ProcessId>;
 
 class SuperTopicTable {
  public:
-  SuperTopicTable(ProcessId owner, std::size_t z) : owner_(owner), z_(z) {}
-
   /// Which supergroup the entries belong to. Not necessarily the direct
   /// supertopic: if no process is interested in super(Ti), this is the
   /// first supertopic (walking up) with interested processes (footnote 4).
   [[nodiscard]] std::optional<TopicId> super_topic() const noexcept {
+    if (!has_super_topic_) return std::nullopt;
     return super_topic_;
   }
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return z_; }
   [[nodiscard]] std::size_t size() const noexcept { return entries().size(); }
   [[nodiscard]] bool empty() const noexcept { return entries().empty(); }
   [[nodiscard]] std::span<const ProcessId> entries() const noexcept {
@@ -130,15 +131,16 @@ class SuperTopicTable {
 
   /// MERGE (footnote 5): keep current entries that are still alive
   /// according to `alive`, then top up with `fresh` (skipping duplicates
-  /// and the owner) up to capacity z. If `topic` differs from the current
-  /// super topic, the table is re-targeted: a *lower* (deeper) topic in
-  /// the hierarchy wins because it is closer to the direct supertopic —
-  /// the caller resolves that policy and passes `replace = true` to wipe
-  /// first. `alive` (here and below) is any callable ProcessId -> bool,
+  /// and the owner, ctx.self) up to capacity z (ctx.config->params.z). If
+  /// `topic` differs from the current super topic, the table is
+  /// re-targeted: a *lower* (deeper) topic in the hierarchy wins because
+  /// it is closer to the direct supertopic — the caller resolves that
+  /// policy and passes `replace = true` to wipe first. `alive` (here and below) is any callable ProcessId -> bool,
   /// taken by reference so probing builds no type-erased wrapper.
   template <typename Alive>
-  void merge(TopicId topic, std::span<const ProcessId> fresh,
-             const Alive& alive, bool replace = false);
+  void merge(const NodeContext& ctx, TopicId topic,
+             std::span<const ProcessId> fresh, const Alive& alive,
+             bool replace = false);
 
   /// CHECK (footnote 7): number of entries currently alive per the probe.
   template <typename Alive>
@@ -156,7 +158,7 @@ class SuperTopicTable {
   void clear() noexcept {
     shared_ = false;
     entries_.clear();
-    super_topic_.reset();
+    has_super_topic_ = false;
   }
 
  private:
@@ -165,28 +167,32 @@ class SuperTopicTable {
   /// historical owned-vector table.
   void materialize();
 
-  ProcessId owner_;
-  std::size_t z_;
-  std::optional<TopicId> super_topic_;
+  // A topic and a flag instead of std::optional<TopicId> keep the two
+  // flags in one 8-byte word, which brings DamNode to 288 B.
+  TopicId super_topic_{};  ///< meaningful if has_super_topic_
+  bool has_super_topic_ = false;
+  bool shared_ = false;    ///< reads served by base_
   std::span<const ProcessId> base_{};  ///< shared arena row (may be stale
                                        ///< of entries_ once materialized)
-  bool shared_ = false;                ///< reads served by base_
   std::vector<ProcessId> entries_;     ///< owned overlay
 };
 
 template <typename Alive>
-void SuperTopicTable::merge(TopicId topic, std::span<const ProcessId> fresh,
+void SuperTopicTable::merge(const NodeContext& ctx, TopicId topic,
+                            std::span<const ProcessId> fresh,
                             const Alive& alive, bool replace) {
   materialize();
-  if (replace || !super_topic_ || *super_topic_ != topic) {
+  if (replace || !has_super_topic_ || super_topic_ != topic) {
     entries_.clear();
   }
   super_topic_ = topic;
+  has_super_topic_ = true;
   // Keep favorites: current entries that still pass the aliveness probe.
   std::erase_if(entries_, [&](ProcessId p) { return !alive(p); });
+  const std::size_t z = ctx.config->params.z;
   for (ProcessId p : fresh) {
-    if (entries_.size() >= z_) break;
-    if (p == owner_ || contains(p)) continue;
+    if (entries_.size() >= z) break;
+    if (p == ctx.self || contains(p)) continue;
     entries_.push_back(p);
   }
 }

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "core/context.hpp"
+
 namespace dam::membership {
 
 namespace {
@@ -15,13 +17,11 @@ std::size_t FlatMembership::capacity_for(double b, std::size_t size) {
   return static_cast<std::size_t>(std::ceil(std::max(raw, 1.0)));
 }
 
-FlatMembership::FlatMembership(ProcessId self, TopicId topic, Config config,
+FlatMembership::FlatMembership(const core::NodeContext& ctx,
                                std::size_t group_size_estimate, util::Rng rng)
-    : self_(self),
-      topic_(topic),
-      config_(config),
-      group_size_estimate_(group_size_estimate),
-      view_(self, capacity_for(config.b, group_size_estimate)),
+    : group_size_estimate_(group_size_estimate),
+      view_(ctx.self,
+            capacity_for(ctx.config->membership.b, group_size_estimate)),
       rng_(rng) {
   view_.set_fill_limit(fill_limit_for(group_size_estimate));
 }
@@ -38,28 +38,30 @@ void FlatMembership::adopt(std::span<const ProcessId> base) {
   for (ProcessId contact : base) view_.insert(contact, rng_);
 }
 
-void FlatMembership::round(sim::Round now,
+void FlatMembership::round(const core::NodeContext& ctx, sim::Round now,
                            std::span<const ProcessId> piggyback,
                            std::optional<TopicId> piggyback_topic,
-                           const SendFn& send) {
+                           std::span<const net::EventId> digest) {
   if (view_.empty()) return;
   // Draw buffers shared by every view on this thread: a draw is read only
   // until its send returns, so a round never allocates once they have
   // grown, and no node stores them.
   thread_local std::vector<ProcessId> targets;
   thread_local std::vector<ProcessId> shuffle;
-  rng_.sample_into(view_.entries(), config_.gossip_fanout, targets);
+  const Config& config = ctx.config->membership;
+  rng_.sample_into(view_.entries(), config.gossip_fanout, targets);
   for (ProcessId target : targets) {
     // Ship a random view subset; the receiver learns about us implicitly
     // through msg.from.
-    rng_.sample_into(view_.entries(), config_.shuffle_size, shuffle);
-    Message msg{.kind = MsgKind::kMembership, .from = self_, .to = target,
-                .sent_at = now, .answer_topic = topic_, .processes = shuffle};
+    rng_.sample_into(view_.entries(), config.shuffle_size, shuffle);
+    Message msg{.kind = MsgKind::kMembership, .from = ctx.self, .to = target,
+                .sent_at = now, .answer_topic = ctx.topic,
+                .processes = shuffle, .event_ids = digest};
     if (piggyback_topic && !piggyback.empty()) {
       msg.piggyback_topic = piggyback_topic;
       msg.piggyback_super_table = piggyback;
     }
-    send(msg);
+    ctx.env->send(msg);
   }
 }
 
@@ -68,10 +70,11 @@ void FlatMembership::on_membership(const Message& msg) {
   for (ProcessId peer : msg.processes) view_.insert(peer, rng_);
 }
 
-void FlatMembership::set_group_size_estimate(std::size_t size) {
+void FlatMembership::set_group_size_estimate(const core::NodeContext& ctx,
+                                             std::size_t size) {
   group_size_estimate_ = size;
   view_.set_fill_limit(fill_limit_for(size));
-  view_.set_capacity(capacity_for(config_.b, size), rng_);
+  view_.set_capacity(capacity_for(ctx.config->membership.b, size), rng_);
 }
 
 }  // namespace dam::membership

@@ -10,12 +10,13 @@
 // (Sec. V-A.2a: "this information is disseminated, using the updates of
 // the underlying membership algorithm").
 //
-// This class holds only protocol state; it emits messages through a
-// caller-supplied send function so it is unit-testable without a simulator.
+// This class holds only protocol state: the view, the group-size estimate
+// and its own draw stream. The owner's identity, the config and the host
+// come from the node's core::NodeContext, and gossip goes out through its
+// Env, so the class is unit-testable with a scripted Env.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -23,6 +24,10 @@
 #include "membership/view.hpp"
 #include "net/message.hpp"
 #include "util/rng.hpp"
+
+namespace dam::core {
+struct NodeContext;
+}
 
 namespace dam::membership {
 
@@ -38,9 +43,9 @@ class FlatMembership {
     std::size_t shuffle_size = 8;   ///< entries shipped per exchange
   };
 
-  using SendFn = std::function<void(const Message&)>;
-
-  FlatMembership(ProcessId self, TopicId topic, Config config,
+  /// A member for `ctx.self`, sized for a group of `group_size_estimate`
+  /// under `ctx.config->membership`.
+  FlatMembership(const core::NodeContext& ctx,
                  std::size_t group_size_estimate, util::Rng rng);
 
   /// Seeds the view from an initial contact list (join).
@@ -53,12 +58,15 @@ class FlatMembership {
   /// only possible when the caller's view-capacity knob outruns ours).
   void adopt(std::span<const ProcessId> base);
 
-  /// One membership round: initiate `gossip_fanout` view exchanges.
-  /// `piggyback` is the sender's current supertopic table (may be empty);
-  /// it rides along per Sec. V-A.2a. The sent message's lists are valid
-  /// until `send` returns, and `send` must not re-enter round().
-  void round(sim::Round now, std::span<const ProcessId> piggyback,
-             std::optional<TopicId> piggyback_topic, const SendFn& send);
+  /// One membership round: initiate `gossip_fanout` view exchanges,
+  /// sent through `ctx.env`. `piggyback` is the sender's current
+  /// supertopic table (may be empty); it rides along per Sec. V-A.2a.
+  /// `digest` (event ids, may be empty) rides along too, for the
+  /// event-recovery extension.
+  void round(const core::NodeContext& ctx, sim::Round now,
+             std::span<const ProcessId> piggyback,
+             std::optional<TopicId> piggyback_topic,
+             std::span<const net::EventId> digest = {});
 
   /// Handles an incoming MEMBERSHIP message: merge sender + shipped view.
   void on_membership(const Message& msg);
@@ -67,12 +75,11 @@ class FlatMembership {
   void evict(ProcessId peer) { view_.erase(peer); }
 
   /// Updates the group-size estimate; resizes the view bound accordingly.
-  void set_group_size_estimate(std::size_t size);
+  void set_group_size_estimate(const core::NodeContext& ctx,
+                               std::size_t size);
 
   [[nodiscard]] const PartialView& view() const noexcept { return view_; }
   [[nodiscard]] PartialView& view() noexcept { return view_; }
-  [[nodiscard]] TopicId topic() const noexcept { return topic_; }
-  [[nodiscard]] ProcessId self() const noexcept { return self_; }
   [[nodiscard]] std::size_t group_size_estimate() const noexcept {
     return group_size_estimate_;
   }
@@ -81,9 +88,6 @@ class FlatMembership {
   static std::size_t capacity_for(double b, std::size_t size);
 
  private:
-  ProcessId self_;
-  TopicId topic_;
-  Config config_;
   std::size_t group_size_estimate_;
   PartialView view_;
   util::Rng rng_;

@@ -41,7 +41,7 @@ bool PartialView::erase(ProcessId p) {
 }
 
 void PartialView::set_capacity(std::size_t capacity, util::Rng& rng) {
-  capacity_ = capacity;
+  capacity_ = clamp32(capacity);
   if (size() <= capacity_) return;
   materialize();
   while (entries_.size() > capacity_) {

@@ -41,7 +41,7 @@ using topics::ProcessId;
 class PartialView {
  public:
   PartialView(ProcessId owner, std::size_t capacity)
-      : owner_(owner), capacity_(capacity) {}
+      : owner_(owner), capacity_(clamp32(capacity)) {}
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t size() const noexcept { return entries().size(); }
@@ -119,11 +119,15 @@ class PartialView {
   /// Caps the overlay's reservations at `limit` entries (see file
   /// comment); unlimited by default. Touches no entry and no draw.
   void set_fill_limit(std::size_t limit) noexcept {
-    constexpr std::size_t kMax = std::numeric_limits<std::uint32_t>::max();
-    fill_limit_ = static_cast<std::uint32_t>(std::min(limit, kMax));
+    fill_limit_ = clamp32(limit);
   }
 
  private:
+  static std::uint32_t clamp32(std::size_t value) noexcept {
+    constexpr std::size_t kMax = std::numeric_limits<std::uint32_t>::max();
+    return static_cast<std::uint32_t>(std::min(value, kMax));
+  }
+
   /// Copy-on-churn: copies the shared base row into the owned overlay so
   /// the pending mutation proceeds exactly as it would have on an owned
   /// vector holding the same entries in the same order.
@@ -135,12 +139,13 @@ class PartialView {
     return std::min<std::size_t>(capacity_, fill_limit_);
   }
 
+  // The four scalars share one 16-byte block ahead of the row pointers.
   ProcessId owner_;
   std::uint32_t fill_limit_ = std::numeric_limits<std::uint32_t>::max();
-  std::size_t capacity_;
+  std::uint32_t capacity_;
+  bool shared_ = false;                ///< reads served by base_
   std::span<const ProcessId> base_{};  ///< shared arena row (may be stale
                                        ///< of entries_ once materialized)
-  bool shared_ = false;                ///< reads served by base_
   std::vector<ProcessId> entries_;     ///< owned overlay
 };
 

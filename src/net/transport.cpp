@@ -64,8 +64,7 @@ Transport::RoundSlab& Transport::slab_for(sim::Round due) {
 }
 
 void Transport::note_high_water() {
-  std::size_t bytes = bodies_.bytes();
-  for (const auto& [round, slab] : in_flight_) bytes += slab.bytes();
+  const std::size_t bytes = queue_bytes();
   stats_.peak_queue_bytes = std::max(stats_.peak_queue_bytes, bytes);
   window_peak_bytes_ = std::max(window_peak_bytes_, bytes);
   stats_.peak_queue_records =
@@ -83,14 +82,13 @@ std::size_t Transport::take_window_peak() noexcept {
 }
 
 std::size_t Transport::queue_bytes() const noexcept {
-  std::size_t bytes = bodies_.bytes();
-  for (const auto& [round, slab] : in_flight_) bytes += slab.bytes();
-  return bytes;
+  return bodies_.bytes() + slab_bytes_;
 }
 
 std::uint32_t Transport::send(const Message& msg, sim::Round now) {
   ++stats_.sent;
   RoundSlab& slab = slab_for(now + config_.delay);
+  const std::size_t slab_bytes_before = slab.bytes();
   Record rec;
   rec.from = msg.from;
   rec.to = msg.to;
@@ -135,6 +133,7 @@ std::uint32_t Transport::send(const Message& msg, sim::Round now) {
     slab.extras.push_back(extra);
   }
   slab.records.push_back(rec);
+  slab_bytes_ += slab.bytes() - slab_bytes_before;
   ++queued_records_;
   note_high_water();
   return rec.kind == MsgKind::kEvent ? rec.ref : kNoBody;
@@ -181,6 +180,7 @@ void Transport::deliver_round(
   RoundSlab slab = std::move(it->second);
   in_flight_.erase(it);
   queued_records_ -= slab.records.size();
+  slab_bytes_ -= slab.bytes();
   const std::size_t count = slab.records.size();
   if (warm) {
     for (std::size_t i = 0; i < std::min(kLookahead, count); ++i) {

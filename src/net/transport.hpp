@@ -257,6 +257,9 @@ class Transport {
   std::vector<RoundSlab> spare_slabs_;
   EventBodyPool bodies_;
   std::size_t queued_records_ = 0;
+  /// Sum of RoundSlab::bytes() over in_flight_, kept on send and on
+  /// extraction so the high-water check never walks the queue.
+  std::size_t slab_bytes_ = 0;
   std::size_t window_peak_bytes_ = 0;  ///< high-water since take_window_peak
   Stats stats_;
 };

@@ -21,7 +21,11 @@ class FakeEnv final : public Env {
   [[nodiscard]] sim::Round now() const override { return now_; }
 
   std::uint32_t send(const Message& msg) override {
-    outbox.push_back(msg);
+    if (on_send) {
+      on_send(msg);
+    } else {
+      outbox.push_back(msg);
+    }
     return net::kNoBody;
   }
 
@@ -67,6 +71,8 @@ class FakeEnv final : public Env {
 
   sim::Round now_ = 0;
   std::vector<OwnedMessage> outbox;
+  /// If set, sends go here instead of into the outbox (no copy).
+  std::function<void(const Message&)> on_send;
   std::unordered_map<std::uint32_t, std::vector<ProcessId>> neighbors;
   std::function<bool(ProcessId)> alive;
   std::vector<std::pair<ProcessId, OwnedMessage>> delivered;

@@ -17,7 +17,7 @@
 
 #include "core/node.hpp"
 #include "core/system.hpp"
-#include "fake_env.hpp"
+#include "context_fixture.hpp"
 #include "membership/flat_membership.hpp"
 #include "membership/view.hpp"
 #include "topics/dag.hpp"
@@ -78,53 +78,48 @@ namespace dam::core {
 namespace {
 
 using membership::PartialView;
-using testing::FakeEnv;
 using testing::OwnedMessage;
 
-class NodeFootprintTest : public ::testing::Test {
+class NodeFootprintTest : public testing::ContextTest {
  protected:
-  NodeFootprintTest() {
-    levels_ = topics::make_linear_hierarchy(hierarchy_, 2);
+  NodeFootprintTest() : ContextTest(2) {
     // An arena row: min(view capacity, members before the joiner) = 13.
     for (std::uint32_t i = 1; i <= 13; ++i) group_row_.push_back(ProcessId{i});
     super_row_ = {ProcessId{50}, ProcessId{51}, ProcessId{52}};
     env_.group_sizes[levels_[2].value] = 21;
   }
 
-  static std::shared_ptr<const NodeConfig> config(bool recovery) {
+  /// A bottom-topic node's context, with recovery on or off.
+  NodeContext node_context(bool recovery) {
     NodeConfig config;
     config.recovery.enabled = recovery;
-    return std::make_shared<const NodeConfig>(config);
+    return context(ProcessId{0}, levels_[2], config);
   }
 
-  /// Builds a bottom-topic node on `shared` and subscribes it to the
-  /// arena-style rows; returns the allocations this made.
-  std::size_t spawn_allocations(std::shared_ptr<const NodeConfig> shared) {
+  /// Builds a bottom-topic node and subscribes it to the arena-style rows;
+  /// returns the allocations this made.
+  std::size_t spawn_allocations(bool recovery) {
+    const NodeContext ctx = node_context(recovery);
     const AllocationCounter counter;
-    DamNode node(ProcessId{0}, levels_[2], &hierarchy_, shared, 21,
-                 util::Rng(7), &env_);
+    DamNode node(ctx, 21, util::Rng(7));
     node.subscribe_shared(group_row_, super_row_, levels_[1]);
     return counter.allocations();
   }
 
-  topics::TopicDag hierarchy_;
-  std::vector<topics::TopicId> levels_;
   std::vector<ProcessId> group_row_;
   std::vector<ProcessId> super_row_;
-  FakeEnv env_;
 };
 
 TEST_F(NodeFootprintTest, SharedConfigArenaNodeAllocatesNothing) {
-  EXPECT_EQ(spawn_allocations(config(false)), 0u);
+  EXPECT_EQ(spawn_allocations(false), 0u);
 }
 
 TEST_F(NodeFootprintTest, RecoveryStateIsAllocatedOnlyWhenEnabled) {
-  EXPECT_GT(spawn_allocations(config(true)), 0u);
+  EXPECT_GT(spawn_allocations(true), 0u);
 }
 
 TEST_F(NodeFootprintTest, FloodDedupSetIsAllocatedAtTheFirstFlood) {
-  DamNode node(ProcessId{0}, levels_[2], &hierarchy_, config(false), 21,
-               util::Rng(7), &env_);
+  DamNode node(node_context(false), 21, util::Rng(7));
   node.subscribe_shared(group_row_, super_row_, levels_[1]);
   EXPECT_EQ(node.request_set_size(), 0u);
   OwnedMessage req;
@@ -223,28 +218,28 @@ TEST(EventWave, PayloadIsNotCopiedPerSend) {
   EXPECT_LE(difference, 2u);
 }
 
-TEST(MembershipRound, WarmRoundAllocatesNothing) {
+TEST_F(NodeFootprintTest, WarmMembershipRoundAllocatesNothing) {
   // The target and shuffle draws used to allocate a vector each, and a
   // 0-of-n target draw (gossip_fanout = 0) allocated too.
   for (const std::size_t fanout : {0UL, 1UL, 2UL}) {
-    membership::FlatMembership::Config config;
-    config.gossip_fanout = fanout;
-    membership::FlatMembership member(ProcessId{0}, topics::TopicId{0},
-                                      config, 1000, util::Rng(3));
+    NodeConfig config;
+    config.membership.gossip_fanout = fanout;
+    const NodeContext ctx = context(ProcessId{0}, levels_[1], config);
+    membership::FlatMembership member(ctx, 1000, util::Rng(3));
     std::vector<ProcessId> contacts;
     for (std::uint32_t i = 1; i <= 40; ++i) contacts.push_back(ProcessId{i});
     member.join(contacts);
     std::size_t sends = 0;
-    const membership::FlatMembership::SendFn send = [&](const Message& msg) {
-      EXPECT_EQ(msg.processes.size(), config.shuffle_size);
+    env_.on_send = [&](const Message& msg) {
+      EXPECT_EQ(msg.processes.size(), config.membership.shuffle_size);
       ++sends;
     };
-    member.round(0, {}, std::nullopt, send);  // grows the draw buffers
+    member.round(ctx, 0, {}, std::nullopt);  // grows the draw buffers
     std::size_t allocations = 0;
     {
       const AllocationCounter counter;
       for (sim::Round now = 1; now <= 100; ++now) {
-        member.round(now, {}, std::nullopt, send);
+        member.round(ctx, now, {}, std::nullopt);
       }
       allocations = counter.allocations();
     }
@@ -281,7 +276,9 @@ TEST(MembershipRound, GossipSendsDoNotAllocate) {
 }
 
 TEST(NodeFootprint, DamNodeObjectSize) {
-  EXPECT_LE(sizeof(DamNode), 416u);
+  // 288 B on LP64: five cache lines or fewer. The components keep no
+  // copy of the identity, config or host their node holds.
+  EXPECT_LE(sizeof(DamNode), 288u);
 }
 
 }  // namespace

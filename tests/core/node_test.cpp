@@ -4,25 +4,23 @@
 
 #include <algorithm>
 
-#include "fake_env.hpp"
-#include "topics/dag.hpp"
+#include "context_fixture.hpp"
 
 namespace dam::core {
 namespace {
 
-using testing::FakeEnv;
 using testing::OwnedMessage;
 
-class NodeTest : public ::testing::Test {
+class NodeTest : public testing::ContextTest {
  protected:
-  NodeTest() { levels_ = topics::make_linear_hierarchy(hierarchy_, 2); }
+  NodeTest() : ContextTest(2) {}
 
   /// A node on .t1.t2 (bottom topic) with deterministic parameters.
   DamNode make_node(std::uint32_t id, std::size_t level,
                     std::size_t group_size = 20, NodeConfig config = {}) {
     env_.group_sizes[levels_[level].value] = group_size;
-    return DamNode(ProcessId{id}, levels_[level], &hierarchy_, config,
-                   group_size, util::Rng(id + 100), &env_);
+    return DamNode(context(ProcessId{id}, levels_[level], config), group_size,
+                   util::Rng(id + 100));
   }
 
   /// Parameters that force deterministic dissemination: always elect
@@ -44,10 +42,6 @@ class NodeTest : public ::testing::Test {
     msg.event = net::EventId{ProcessId{from}, seq};
     return msg;
   }
-
-  topics::TopicDag hierarchy_;
-  std::vector<topics::TopicId> levels_;
-  FakeEnv env_;
 };
 
 TEST_F(NodeTest, SubscribeSeedsTablesFromContacts) {

@@ -6,19 +6,17 @@
 
 #include "core/node.hpp"
 #include "core/system.hpp"
-#include "fake_env.hpp"
+#include "context_fixture.hpp"
 #include "topics/dag.hpp"
 
 namespace dam::core {
 namespace {
 
-using testing::FakeEnv;
 using testing::OwnedMessage;
 
-class RecoveryTest : public ::testing::Test {
+class RecoveryTest : public testing::ContextTest {
  protected:
-  RecoveryTest() {
-    levels_ = topics::make_linear_hierarchy(hierarchy_, 1);
+  RecoveryTest() : ContextTest(1) {
     env_.group_sizes[levels_[1].value] = 10;
   }
 
@@ -31,8 +29,8 @@ class RecoveryTest : public ::testing::Test {
   }
 
   DamNode make_node(std::uint32_t id, NodeConfig config) {
-    return DamNode(ProcessId{id}, levels_[1], &hierarchy_, config, 10,
-                   util::Rng(id + 1), &env_);
+    return DamNode(context(ProcessId{id}, levels_[1], config), 10,
+                   util::Rng(id + 1));
   }
 
   OwnedMessage event_msg(std::uint32_t publisher, std::uint32_t seq,
@@ -46,10 +44,6 @@ class RecoveryTest : public ::testing::Test {
     msg.payload.assign(text.begin(), text.end());
     return msg;
   }
-
-  topics::TopicDag hierarchy_;
-  std::vector<topics::TopicId> levels_;
-  FakeEnv env_;
 };
 
 TEST_F(RecoveryTest, DigestRidesOnMembershipGossip) {

@@ -9,19 +9,19 @@
 
 #include "core/node.hpp"
 #include "core/system.hpp"
-#include "fake_env.hpp"
+#include "context_fixture.hpp"
 #include "topics/dag.hpp"
 
 namespace dam::core {
 namespace {
 
-using testing::FakeEnv;
-
-class SeenGcTest : public ::testing::Test {
+class SeenGcTest : public testing::ContextTest {
  protected:
-  SeenGcTest() {
-    levels_ = topics::make_linear_hierarchy(hierarchy_, 1);
-    env_.group_sizes[levels_[1].value] = 10;
+  SeenGcTest() : ContextTest(1) { env_.group_sizes[levels_[1].value] = 10; }
+
+  /// A standalone node of levels_[1] over the fixture's scripted env.
+  DamNode make_node(std::uint32_t id, std::uint64_t seed) {
+    return DamNode(context(ProcessId{id}, levels_[1]), 10, util::Rng(seed));
   }
 
   Message event_msg(std::uint32_t publisher, std::uint32_t seq) {
@@ -33,16 +33,10 @@ class SeenGcTest : public ::testing::Test {
     msg.event = net::EventId{ProcessId{publisher}, seq};
     return msg;
   }
-
-  topics::TopicDag hierarchy_;
-  std::vector<topics::TopicId> levels_;
-  FakeEnv env_;
 };
 
 TEST_F(SeenGcTest, UnboundedByDefault) {
-  NodeConfig config;
-  DamNode node(ProcessId{0}, levels_[1], &hierarchy_, config, 10,
-               util::Rng(1), &env_);
+  DamNode node = make_node(0, 1);
   node.subscribe({ProcessId{1}}, {ProcessId{50}});
   for (std::uint32_t seq = 0; seq < 500; ++seq) {
     node.on_message(event_msg(9, seq));
@@ -55,9 +49,7 @@ TEST_F(SeenGcTest, UnboundedByDefault) {
 }
 
 TEST_F(SeenGcTest, RecentDuplicatesStillSuppressed) {
-  NodeConfig config;
-  DamNode node(ProcessId{0}, levels_[1], &hierarchy_, config, 10,
-               util::Rng(1), &env_);
+  DamNode node = make_node(0, 1);
   node.subscribe({ProcessId{1}}, {ProcessId{50}});
   node.on_message(event_msg(9, 0));
   const auto delivered = env_.delivered.size();
@@ -67,11 +59,8 @@ TEST_F(SeenGcTest, RecentDuplicatesStillSuppressed) {
 }
 
 TEST_F(SeenGcTest, PublishedEventsAreSeenByThePublisherOnly) {
-  NodeConfig config;
-  DamNode publisher(ProcessId{0}, levels_[1], &hierarchy_, config, 10,
-                    util::Rng(1), &env_);
-  DamNode peer(ProcessId{1}, levels_[1], &hierarchy_, config, 10,
-               util::Rng(2), &env_);
+  DamNode publisher = make_node(0, 1);
+  DamNode peer = make_node(1, 2);
   publisher.subscribe({ProcessId{1}}, {ProcessId{50}});
   peer.subscribe({ProcessId{0}}, {ProcessId{50}});
   const auto own = publisher.publish();

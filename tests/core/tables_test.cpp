@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "context_fixture.hpp"
+
 namespace dam::core {
 namespace {
 
@@ -12,16 +14,24 @@ const auto kAllAlive = [](ProcessId) { return true; };
 /// merge() takes a span; braced contact lists go through a vector.
 using Ids = std::vector<ProcessId>;
 
-TEST(SuperTopicTable, StartsEmpty) {
-  SuperTopicTable table(ProcessId{0}, 3);
+/// The table's owner and z (= 3, the default) come from a node context.
+class SuperTopicTableTest : public testing::ContextTest {
+ protected:
+  [[nodiscard]] NodeContext owner(std::uint32_t self) {
+    return context(ProcessId{self}, levels_[2]);
+  }
+};
+
+TEST_F(SuperTopicTableTest, StartsEmpty) {
+  SuperTopicTable table;
   EXPECT_TRUE(table.empty());
-  EXPECT_EQ(table.capacity(), 3u);
   EXPECT_FALSE(table.super_topic().has_value());
 }
 
-TEST(SuperTopicTable, MergeFillsUpToCapacity) {
-  SuperTopicTable table(ProcessId{0}, 3);
-  table.merge(TopicId{1}, Ids{ProcessId{1}, ProcessId{2}, ProcessId{3},
+TEST_F(SuperTopicTableTest, MergeFillsUpToCapacity) {
+  const NodeContext c = owner(0);
+  SuperTopicTable table;
+  table.merge(c, TopicId{1}, Ids{ProcessId{1}, ProcessId{2}, ProcessId{3},
                               ProcessId{4}},
               kAllAlive);
   EXPECT_EQ(table.size(), 3u);
@@ -31,22 +41,24 @@ TEST(SuperTopicTable, MergeFillsUpToCapacity) {
   EXPECT_FALSE(table.contains(ProcessId{4}));  // over capacity
 }
 
-TEST(SuperTopicTable, MergeSkipsOwnerAndDuplicates) {
-  SuperTopicTable table(ProcessId{7}, 3);
-  table.merge(TopicId{1}, Ids{ProcessId{7}, ProcessId{1}, ProcessId{1},
+TEST_F(SuperTopicTableTest, MergeSkipsOwnerAndDuplicates) {
+  const NodeContext c = owner(7);
+  SuperTopicTable table;
+  table.merge(c, TopicId{1}, Ids{ProcessId{7}, ProcessId{1}, ProcessId{1},
                               ProcessId{2}},
               kAllAlive);
   EXPECT_EQ(table.size(), 2u);
   EXPECT_FALSE(table.contains(ProcessId{7}));
 }
 
-TEST(SuperTopicTable, MergeKeepsAliveFavoritesFirst) {
-  SuperTopicTable table(ProcessId{0}, 3);
-  table.merge(TopicId{1}, Ids{ProcessId{1}, ProcessId{2}, ProcessId{3}},
+TEST_F(SuperTopicTableTest, MergeKeepsAliveFavoritesFirst) {
+  const NodeContext c = owner(0);
+  SuperTopicTable table;
+  table.merge(c, TopicId{1}, Ids{ProcessId{1}, ProcessId{2}, ProcessId{3}},
               kAllAlive);
   // Entry 2 died; merging fresh contacts should keep 1 and 3, replace 2.
   const auto alive = [](ProcessId p) { return p != ProcessId{2}; };
-  table.merge(TopicId{1}, Ids{ProcessId{8}, ProcessId{9}}, alive);
+  table.merge(c, TopicId{1}, Ids{ProcessId{8}, ProcessId{9}}, alive);
   EXPECT_EQ(table.size(), 3u);
   EXPECT_TRUE(table.contains(ProcessId{1}));
   EXPECT_TRUE(table.contains(ProcessId{3}));
@@ -55,37 +67,41 @@ TEST(SuperTopicTable, MergeKeepsAliveFavoritesFirst) {
   EXPECT_FALSE(table.contains(ProcessId{9}));  // capacity reached
 }
 
-TEST(SuperTopicTable, MergeRetargetsOnDifferentTopic) {
-  SuperTopicTable table(ProcessId{0}, 3);
-  table.merge(TopicId{1}, Ids{ProcessId{1}, ProcessId{2}}, kAllAlive);
+TEST_F(SuperTopicTableTest, MergeRetargetsOnDifferentTopic) {
+  const NodeContext c = owner(0);
+  SuperTopicTable table;
+  table.merge(c, TopicId{1}, Ids{ProcessId{1}, ProcessId{2}}, kAllAlive);
   // New topic: previous entries belong to another group and are wiped.
-  table.merge(TopicId{5}, Ids{ProcessId{10}}, kAllAlive);
+  table.merge(c, TopicId{5}, Ids{ProcessId{10}}, kAllAlive);
   EXPECT_EQ(*table.super_topic(), TopicId{5});
   EXPECT_EQ(table.size(), 1u);
   EXPECT_FALSE(table.contains(ProcessId{1}));
   EXPECT_TRUE(table.contains(ProcessId{10}));
 }
 
-TEST(SuperTopicTable, MergeReplaceWipesSameTopic) {
-  SuperTopicTable table(ProcessId{0}, 3);
-  table.merge(TopicId{1}, Ids{ProcessId{1}, ProcessId{2}}, kAllAlive);
-  table.merge(TopicId{1}, Ids{ProcessId{9}}, kAllAlive, /*replace=*/true);
+TEST_F(SuperTopicTableTest, MergeReplaceWipesSameTopic) {
+  const NodeContext c = owner(0);
+  SuperTopicTable table;
+  table.merge(c, TopicId{1}, Ids{ProcessId{1}, ProcessId{2}}, kAllAlive);
+  table.merge(c, TopicId{1}, Ids{ProcessId{9}}, kAllAlive, /*replace=*/true);
   EXPECT_EQ(table.size(), 1u);
   EXPECT_TRUE(table.contains(ProcessId{9}));
 }
 
-TEST(SuperTopicTable, CheckCountsAlive) {
-  SuperTopicTable table(ProcessId{0}, 3);
-  table.merge(TopicId{1}, Ids{ProcessId{1}, ProcessId{2}, ProcessId{3}},
+TEST_F(SuperTopicTableTest, CheckCountsAlive) {
+  const NodeContext c = owner(0);
+  SuperTopicTable table;
+  table.merge(c, TopicId{1}, Ids{ProcessId{1}, ProcessId{2}, ProcessId{3}},
               kAllAlive);
   EXPECT_EQ(table.check(kAllAlive), 3u);
   EXPECT_EQ(table.check([](ProcessId p) { return p.value % 2 == 1; }), 2u);
   EXPECT_EQ(table.check([](ProcessId) { return false; }), 0u);
 }
 
-TEST(SuperTopicTable, DropFailedRemovesAndReports) {
-  SuperTopicTable table(ProcessId{0}, 3);
-  table.merge(TopicId{1}, Ids{ProcessId{1}, ProcessId{2}, ProcessId{3}},
+TEST_F(SuperTopicTableTest, DropFailedRemovesAndReports) {
+  const NodeContext c = owner(0);
+  SuperTopicTable table;
+  table.merge(c, TopicId{1}, Ids{ProcessId{1}, ProcessId{2}, ProcessId{3}},
               kAllAlive);
   const auto dropped =
       table.drop_failed([](ProcessId p) { return p != ProcessId{2}; });
@@ -94,17 +110,18 @@ TEST(SuperTopicTable, DropFailedRemovesAndReports) {
   EXPECT_FALSE(table.contains(ProcessId{2}));
 }
 
-TEST(SuperTopicTable, ClearResetsTopic) {
-  SuperTopicTable table(ProcessId{0}, 3);
-  table.merge(TopicId{1}, Ids{ProcessId{1}}, kAllAlive);
+TEST_F(SuperTopicTableTest, ClearResetsTopic) {
+  const NodeContext c = owner(0);
+  SuperTopicTable table;
+  table.merge(c, TopicId{1}, Ids{ProcessId{1}}, kAllAlive);
   table.clear();
   EXPECT_TRUE(table.empty());
   EXPECT_FALSE(table.super_topic().has_value());
 }
 
-TEST(SuperTopicTable, SeedReadsTheArenaRowInPlace) {
+TEST_F(SuperTopicTableTest, SeedReadsTheArenaRowInPlace) {
   const std::vector<ProcessId> row{ProcessId{4}, ProcessId{5}, ProcessId{6}};
-  SuperTopicTable table(ProcessId{0}, 3);
+  SuperTopicTable table;
   table.seed(TopicId{2}, row);
   EXPECT_TRUE(table.shares_base());
   EXPECT_EQ(table.size(), 3u);
@@ -114,9 +131,10 @@ TEST(SuperTopicTable, SeedReadsTheArenaRowInPlace) {
   EXPECT_EQ(table.entries().data(), row.data());
 }
 
-TEST(SuperTopicTable, SeededTableCopiesOnChurnAndKeepsBaseObservable) {
+TEST_F(SuperTopicTableTest, SeededTableCopiesOnChurnAndKeepsBaseObservable) {
   const std::vector<ProcessId> row{ProcessId{4}, ProcessId{5}, ProcessId{6}};
-  SuperTopicTable table(ProcessId{0}, 3);
+  const NodeContext c = owner(0);
+  SuperTopicTable table;
   table.seed(TopicId{2}, row);
   // Churn: entry 5 fails; the table materializes a private overlay and
   // drops it there — the arena row itself stays intact.
@@ -129,28 +147,29 @@ TEST(SuperTopicTable, SeededTableCopiesOnChurnAndKeepsBaseObservable) {
   ASSERT_EQ(table.base().size(), 3u);
   EXPECT_EQ(table.base().data(), row.data());
   // Post-churn the table behaves exactly like an owned one.
-  table.merge(TopicId{2}, Ids{ProcessId{9}}, kAllAlive);
+  table.merge(c, TopicId{2}, Ids{ProcessId{9}}, kAllAlive);
   EXPECT_TRUE(table.contains(ProcessId{9}));
   EXPECT_EQ(table.size(), 3u);
 }
 
-TEST(SuperTopicTable, DropFailedWithoutFailuresKeepsSharingTheBase) {
+TEST_F(SuperTopicTableTest, DropFailedWithoutFailuresKeepsSharingTheBase) {
   const std::vector<ProcessId> row{ProcessId{4}, ProcessId{5}};
-  SuperTopicTable table(ProcessId{0}, 3);
+  SuperTopicTable table;
   table.seed(TopicId{2}, row);
   EXPECT_EQ(table.drop_failed(kAllAlive), 0u);
   EXPECT_TRUE(table.shares_base());
 }
 
-TEST(SuperTopicTable, ConstantSizeInvariantUnderManyMerges) {
+TEST_F(SuperTopicTableTest, ConstantSizeInvariantUnderManyMerges) {
   // The paper's memory bound relies on |sTable| <= z always.
-  SuperTopicTable table(ProcessId{0}, 3);
+  const NodeContext c = owner(0);
+  SuperTopicTable table;
   for (std::uint32_t round = 0; round < 50; ++round) {
     std::vector<ProcessId> fresh;
     for (std::uint32_t i = 0; i < 10; ++i) {
       fresh.push_back(ProcessId{round * 10 + i + 1});
     }
-    table.merge(TopicId{1}, fresh, kAllAlive);
+    table.merge(c, TopicId{1}, fresh, kAllAlive);
     EXPECT_LE(table.size(), 3u);
   }
 }
