@@ -11,15 +11,15 @@
 namespace dam::exp {
 
 void print_sweep_table(const std::vector<ScenarioPoint>& points,
-                       std::ostream& out, util::CsvWriter* mirror) {
+                       std::ostream& out) {
   if (points.empty()) return;
   // Column set is decided once for the whole sweep, by lane: columns whose
   // aggregates collected no samples anywhere stay invisible. In practice
   // frozen sweeps gain the per-group first/full latency columns (every
-  // delivering run samples them — bench_latency's measurand), while the
-  // dynamic-traffic and bootstrap-link columns appear only on runs that
-  // produced them; degenerate sweeps (no deliveries at all) collapse to
-  // the historical layout.
+  // delivering run samples them — the `latency` preset's measurand), while
+  // the dynamic-traffic and bootstrap-link columns appear only on runs
+  // that produced them; degenerate sweeps (no deliveries at all) collapse
+  // to the historical layout.
   bool show_latency = false;
   bool show_dynamic = false;
   bool show_bootstrap = false;
@@ -75,7 +75,6 @@ void print_sweep_table(const std::vector<ScenarioPoint>& points,
   columns.push_back("total msgs");
   columns.push_back("rounds");
   util::ConsoleTable table(columns);
-  if (mirror != nullptr) mirror->header(columns);
   for (const ScenarioPoint& point : points) {
     std::vector<std::string> cells{util::fixed(point.alive_fraction, 2)};
     for (const ScenarioGroupStats& group : point.groups) {
@@ -117,7 +116,6 @@ void print_sweep_table(const std::vector<ScenarioPoint>& points,
     cells.push_back(util::fixed(point.total_messages.mean(), 0));
     cells.push_back(util::fixed(point.rounds.mean(), 1));
     table.row_strings(cells);
-    if (mirror != nullptr) mirror->row_strings(cells);
   }
   table.print(out);
 }

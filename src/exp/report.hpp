@@ -2,8 +2,7 @@
 //
 // Three sinks over the same aggregates (exp/aggregate):
 //   * print_sweep_table — the paper-style aligned console table (one row
-//     per alive fraction, per-group intra/inter/reliability columns),
-//     optionally mirrored row-for-row into a util::CsvWriter;
+//     per alive fraction, per-group intra/inter/reliability columns);
 //   * csv_report_header / csv_report_rows — long-format CSV (one row per
 //     (sweep, point, group)) for plotting across scenarios and grid cells;
 //   * BenchReport — machine-readable JSON ("damlab-bench-v1") recording
@@ -26,11 +25,10 @@
 
 namespace dam::exp {
 
-/// Renders the aggregated sweep as an aligned console table. When `mirror`
-/// is non-null the same rows are written there, header included. Group
-/// labels come from the points themselves; an empty sweep prints nothing.
+/// Renders the aggregated sweep as an aligned console table. Group labels
+/// come from the points themselves; an empty sweep prints nothing.
 void print_sweep_table(const std::vector<ScenarioPoint>& points,
-                       std::ostream& out, util::CsvWriter* mirror = nullptr);
+                       std::ostream& out);
 
 /// Long-format CSV: header once per file, then one row per
 /// (sweep, point, group) via csv_report_rows.

@@ -19,10 +19,10 @@
 //   * Constant memory — workers stream runs into Welford partials
 //     (exp/aggregate); memory is O(points × shards), never O(runs).
 //
-// The pool itself (run_parallel) is the shared work-stealing scheduler in
-// util/parallel: tasks are dealt to per-worker deques up front; a worker
-// drains its own deque from the back and steals from the front of its
-// neighbors' when it runs dry. Shards of heavyweight points (large groups,
+// The pool itself (util::run_parallel) is the shared work-stealing
+// scheduler in util/parallel: tasks are dealt to per-worker deques up
+// front; a worker drains its own deque from the back and steals from the
+// front of its neighbors' when it runs dry. Shards of heavyweight points (large groups,
 // low alive fractions) thus migrate to idle workers instead of serializing
 // behind one thread. `--jobs` controls THIS cross-run pool; the orthogonal
 // intra-run knob (Scenario::threads, `--threads`) parallelizes inside one
@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "exp/aggregate.hpp"
@@ -87,15 +86,6 @@ struct SweepResult {
   /// value — the measurand of bench_diff's bookkeeping gate.
   std::size_t peak_bookkeeping_bytes = 0;
 };
-
-/// Resolves RunnerOptions::jobs (0 -> hardware concurrency, min 1).
-[[nodiscard]] unsigned resolve_jobs(unsigned jobs);
-
-/// Runs every task exactly once across `jobs` workers (work-stealing; see
-/// file comment). Blocks until all tasks finish. If tasks throw, one of
-/// the exceptions is rethrown after the pool drains.
-void run_parallel(const std::vector<std::function<void()>>& tasks,
-                  unsigned jobs);
 
 /// Executes the scenario's full (alive sweep × runs) grid and returns one
 /// aggregated point per sweep entry. Dispatches on Scenario::engine: frozen

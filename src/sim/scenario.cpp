@@ -162,6 +162,21 @@ std::vector<Scenario> build_registry() {
     s.base_seed = 0xF11;
     presets.push_back(std::move(s));
   }
+  {
+    // Not a paper figure: the per-group first/full delivery-round columns
+    // of the frozen table (first = the group's first member delivers, full
+    // = its last alive member does, over delivering runs).
+    Scenario s = make_linear_scenario(
+        "latency",
+        "Propagation latency (rounds): T2 covers itself in ~3-4; T1's first "
+        "delivery trails T2's spread by ~1-2, T0's by ~2-4; fewer alive, "
+        "slower",
+        {10, 100, 1000});
+    s.alive_sweep = {0.4, 0.6, 0.8, 1.0};
+    s.runs = 150;
+    s.base_seed = 0x1A7;
+    presets.push_back(std::move(s));
+  }
 
   // --- DAG topologies (the conclusion's multiple-inheritance extension). --
   {
@@ -178,6 +193,21 @@ std::vector<Scenario> build_registry() {
     s.publish_topic = 3;
     s.runs = 200;
     s.base_seed = 0xD1A;
+    presets.push_back(std::move(s));
+  }
+  {
+    // dag-diamond's control: the same knobs, seed and populations with the
+    // two 50-process mid groups merged into one, so one invocation over
+    // both presets compares the topologies run for run.
+    Scenario s = presets.back();
+    s.name = "dag-linear";
+    s.summary =
+        "Chain A ⊃ M ⊃ B for dag-diamond: the diamond pays one election per "
+        "parent and z more entries per B-member, and A delivers more often";
+    s.topic_names = {"A", "M", "B"};
+    s.super_edges = {{1, 0}, {2, 1}};
+    s.group_sizes = {10, 100, 1000};
+    s.publish_topic = 2;
     presets.push_back(std::move(s));
   }
   {
@@ -291,6 +321,56 @@ std::vector<Scenario> build_registry() {
     s.workload.engine.drain_rounds = 20;
     s.runs = 40;
     s.base_seed = 0xC5B;
+    presets.push_back(std::move(s));
+  }
+  {
+    // FIND_SUPER_CONTACT (Fig. 4) at cold start: no pre-wired supertopic
+    // tables and no traffic, so the run measures how long and how much
+    // control traffic it takes until every non-root process holds a table
+    // for its direct supertopic. Run it with --grid "depth=2:5 scale=1,3":
+    // depth rebuilds an all-10 chain, and scale then makes every level 30.
+    Scenario s = make_linear_scenario(
+        "bootstrap-cold",
+        "Cold-start FIND_SUPER_CONTACT, no traffic: rounds-to-link grows "
+        "mildly with depth; control is mostly the 1-per-round membership "
+        "gossip",
+        {10, 10, 10});
+    s.engine = EngineKind::kDynamic;
+    s.workload.arrival.kind = workload::ArrivalKind::kScheduled;
+    s.workload.arrival.count = 0;
+    s.workload.arrival.horizon = 16;
+    s.workload.engine.auto_wire_super_tables = false;
+    s.workload.engine.neighborhood_degree = 5;
+    s.workload.engine.warmup_rounds = 0;
+    s.workload.engine.drain_rounds = 0;
+    s.runs = 5;
+    s.base_seed = 0xB00;
+    presets.push_back(std::move(s));
+  }
+  // The event-recovery extension (lpbcast-style digests and requests, the
+  // paper's reference [6]) against the base protocol, which never
+  // retransmits. The pair differs only in recovery_enabled; sweep the
+  // channel with --grid "psucc=0.3:0.9:0.2".
+  for (const bool recovery : {false, true}) {
+    Scenario s = make_linear_scenario(
+        recovery ? "recovery" : "recovery-base",
+        recovery ? "Event recovery on: its delivery gain over recovery-base "
+                   "is largest at psucc 0.3-0.5, paid in retransmissions "
+                   "and digests"
+                 : "Event recovery off: the base protocol, 3 publications "
+                   "on 10/30/80; the control for the recovery preset",
+        {10, 30, 80});
+    s.engine = EngineKind::kDynamic;
+    s.workload.arrival.kind = workload::ArrivalKind::kScheduled;
+    s.workload.arrival.count = 3;
+    s.workload.arrival.horizon = 51;  // publications at rounds 0/17/34
+    s.workload.engine.warmup_rounds = 3;
+    s.workload.engine.drain_rounds = 25;
+    s.workload.engine.recovery_enabled = recovery;
+    s.workload.engine.recovery_history = 32;
+    s.workload.engine.recovery_digest = 8;
+    s.runs = 10;
+    s.base_seed = 0xEC0;
     presets.push_back(std::move(s));
   }
 
@@ -433,6 +513,24 @@ std::vector<Scenario> build_registry() {
     s.alive_sweep = {1.0};
     s.runs = 250;
     s.base_seed = 0xAB2;
+    presets.push_back(std::move(s));
+  }
+  {
+    // The (g, a, z) knobs one at a time around the paper's defaults, on
+    // channels lossy enough to show the trade-off: run it with the grids
+    // "g=1,2,5,10,20", "a=1:3" and "z=1,2,3,5,8". (τ drives maintenance,
+    // which only the dynamic engine runs, so a "tau" grid here is flat.)
+    Scenario s = make_linear_scenario(
+        "ablation-knobs",
+        "Knob ablation at psucc=0.5: g scales intergroup msgs ~linearly and "
+        "lifts T0 delivery; a buys hop reliability; z at fixed a keeps msgs "
+        "flat",
+        {10, 100, 500});
+    core::TopicParams params;
+    params.psucc = 0.5;
+    s.params = {params};
+    s.runs = 250;
+    s.base_seed = 0xAB0;
     presets.push_back(std::move(s));
   }
 

@@ -5,9 +5,9 @@
 // (arbitrary topic DAG; a linear hierarchy is a path), group sizes,
 // per-topic TopicParams, failure regime (including churn schedules), the
 // publish pattern, and the sweep of alive fractions with the run count per
-// point. New workloads are configs, not new binaries: benches
-// (bench/bench_common.hpp) and the damlab experiment lab drive the same
-// presets, and `damlab --list-scenarios` enumerates them.
+// point. New workloads are configs, not new binaries: the damlab
+// experiment lab runs every preset, and `damlab --list-scenarios`
+// enumerates them.
 //
 // This layer only DESCRIBES experiments. Execution and aggregation live in
 // the experiment lab (src/exp): exp/runner fans the (sweep point × run)

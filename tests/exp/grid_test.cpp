@@ -303,6 +303,20 @@ TEST(GridApply, DepthComposesWithScaleInDeclarationOrder) {
   apply_grid_point(scenario, {{"depth", 3.0}, {"scale", 10.0}});
   EXPECT_EQ(scenario.group_sizes,
             (std::vector<std::size_t>{100, 1000, 10000}));
+  // bootstrap-cold's grid "depth=2:5 scale=1,3": a 10-sized bottom
+  // rebuilds to all-10 levels, then scale=3 makes every level 30.
+  const sim::Scenario* cold = sim::find_scenario("bootstrap-cold");
+  ASSERT_NE(cold, nullptr);
+  for (std::size_t levels = 2; levels <= 5; ++levels) {
+    for (const std::size_t scale : {1u, 3u}) {
+      sim::Scenario cell = *cold;
+      apply_grid_point(cell, {{"depth", static_cast<double>(levels)},
+                              {"scale", static_cast<double>(scale)}});
+      EXPECT_EQ(cell.group_sizes,
+                std::vector<std::size_t>(levels, 10 * scale))
+          << "depth=" << levels << " scale=" << scale;
+    }
+  }
 }
 
 TEST(GridApply, RejectsOutOfDomainValues) {

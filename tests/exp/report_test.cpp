@@ -309,19 +309,18 @@ TEST(TimelineCsv, OneRowPerSweepPointAndWindow) {
   EXPECT_NE(text.find("tiny,g=5,"), std::string::npos);
 }
 
-TEST(PrintSweepTable, RendersOneRowPerPointAndMirrorsCsv) {
+TEST(PrintSweepTable, RendersOneRowPerPoint) {
   const SweepResult sweep = tiny_sweep(tiny_scenario());
   std::ostringstream table_out;
-  std::ostringstream csv_out;
-  util::CsvWriter mirror(csv_out);
-  print_sweep_table(sweep.points, table_out, &mirror);
+  print_sweep_table(sweep.points, table_out);
   const std::string table = table_out.str();
   EXPECT_NE(table.find("alive"), std::string::npos);
   EXPECT_NE(table.find("T0 intra"), std::string::npos);
   EXPECT_NE(table.find("total msgs"), std::string::npos);
-  std::size_t csv_lines = 0;
-  for (const char c : csv_out.str()) csv_lines += c == '\n';
-  EXPECT_EQ(csv_lines, 1u + sweep.points.size());
+  // Header, separator, then one row per sweep point.
+  std::size_t lines = 0;
+  for (const char c : table) lines += c == '\n';
+  EXPECT_EQ(lines, 2u + sweep.points.size());
   // Empty sweeps print nothing rather than an empty header.
   std::ostringstream empty;
   print_sweep_table({}, empty);

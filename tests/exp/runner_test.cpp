@@ -1,10 +1,10 @@
-// exp/runner: the work-stealing pool and the jobs-independence guarantee —
-// the aggregate of a sweep is BIT-identical for any worker count.
+// exp/runner: the jobs-independence guarantee — the aggregate of a sweep
+// is BIT-identical for any worker count. The pool itself is tested in
+// tests/util/parallel_test.cpp.
 #include "exp/runner.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <stdexcept>
 #include <vector>
 
@@ -165,58 +165,6 @@ TEST(Runner, RejectsBadOptionsAndScenarios) {
                std::invalid_argument);
   scenario.runs = 0;
   EXPECT_THROW(run_sweep(scenario), std::invalid_argument);
-}
-
-TEST(RunParallel, RunsEveryTaskExactlyOnce) {
-  constexpr std::size_t kTasks = 103;
-  std::vector<std::atomic<int>> hits(kTasks);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(kTasks);
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    tasks.push_back([&hits, i] { hits[i].fetch_add(1); });
-  }
-  run_parallel(tasks, 7);
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "task " << i;
-  }
-}
-
-TEST(RunParallel, EmptyTaskListIsANoOp) {
-  run_parallel({}, 4);  // must not hang or crash
-}
-
-TEST(RunParallel, StealingDrainsAnUnbalancedLoad) {
-  // One worker's own queue holds almost everything (jobs > tasks dealt
-  // round-robin makes queues uneven only with few tasks); with 2 workers
-  // and tasks of wildly different cost, completion requires stealing or at
-  // least correct draining. We just assert totals.
-  std::atomic<int> done{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 20; ++i) {
-    tasks.push_back([&done, i] {
-      volatile double sink = 0.0;
-      const int spins = (i == 0) ? 200000 : 100;  // task 0 is the heavy one
-      for (int k = 0; k < spins; ++k) sink = sink + static_cast<double>(k);
-      done.fetch_add(1);
-    });
-  }
-  run_parallel(tasks, 2);
-  EXPECT_EQ(done.load(), 20);
-}
-
-TEST(RunParallel, PropagatesTaskExceptions) {
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 8; ++i) {
-    tasks.push_back([i] {
-      if (i == 3) throw std::runtime_error("boom");
-    });
-  }
-  EXPECT_THROW(run_parallel(tasks, 4), std::runtime_error);
-}
-
-TEST(Runner, ResolveJobsNeverReturnsZero) {
-  EXPECT_GE(resolve_jobs(0), 1u);
-  EXPECT_EQ(resolve_jobs(5), 5u);
 }
 
 }  // namespace

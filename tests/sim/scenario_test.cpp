@@ -71,13 +71,18 @@ TEST(ScenarioRegistry, EveryPresetRunsEndToEnd) {
     ASSERT_EQ(sweep.points[0].groups.size(), scenario.topic_names.size());
     EXPECT_EQ(sweep.points[0].rounds.count(), 3u);
     EXPECT_EQ(sweep.total_runs, 3u);
-    // The publish group always delivers at least the publisher when any
-    // member is alive.
-    if (scenario.alive_sweep[0] > 0.0 &&
-        scenario.failure_mode != core::FrozenFailureMode::kChurn) {
-      EXPECT_GT(
-          sweep.points[0].groups[scenario.publish_topic].delivery_ratio.mean(),
-          0.0);
+    const exp::ScenarioPoint& point = sweep.points[0];
+    if (is_stream_engine(scenario.engine) &&
+        point.publications.mean() == 0.0) {
+      // A traffic-free preset (bootstrap-cold) measures the cold-start
+      // link instead of deliveries.
+      EXPECT_GT(point.linked_fraction.mean(), 0.0);
+    } else if (scenario.alive_sweep[0] > 0.0 &&
+               scenario.failure_mode != core::FrozenFailureMode::kChurn) {
+      // The publish group always delivers at least the publisher when any
+      // member is alive.
+      EXPECT_GT(point.groups[scenario.publish_topic].delivery_ratio.mean(),
+                0.0);
     }
   }
 }
@@ -97,6 +102,66 @@ TEST(ScenarioRegistry, ChurnPresetsUseTheChurnSchedule) {
   const Scenario* heavy = find_scenario("churn-heavy");
   EXPECT_GT(heavy->churn.outages * heavy->churn.outage_length,
             light->churn.outages * light->churn.outage_length);
+}
+
+TEST(ScenarioRegistry, DagLinearIsTheDiamondsChainControl) {
+  // One invocation over both presets compares the topologies run for run:
+  // everything but the shape is shared, and the chain's one mid group
+  // holds the diamond's two.
+  const Scenario* linear = find_scenario("dag-linear");
+  const Scenario* diamond = find_scenario("dag-diamond");
+  ASSERT_NE(linear, nullptr);
+  ASSERT_NE(diamond, nullptr);
+  EXPECT_EQ(linear->base_seed, diamond->base_seed);
+  EXPECT_EQ(linear->runs, diamond->runs);
+  EXPECT_EQ(linear->alive_sweep, diamond->alive_sweep);
+  ASSERT_EQ(linear->params.size(), 1u);
+  ASSERT_EQ(diamond->params.size(), 1u);
+  const core::TopicParams& pl = linear->params[0];
+  const core::TopicParams& pd = diamond->params[0];
+  EXPECT_EQ(pl.psucc, pd.psucc);
+  EXPECT_EQ(pl.g, pd.g);
+  EXPECT_EQ(pl.a, pd.a);
+  EXPECT_EQ(pl.z, pd.z);
+  EXPECT_EQ(pl.b, pd.b);
+  EXPECT_EQ(pl.c, pd.c);
+  EXPECT_EQ(linear->group_sizes.back(), diamond->group_sizes.back());
+  EXPECT_EQ(linear->publish_topic + 1, linear->group_sizes.size());
+  EXPECT_EQ(diamond->publish_topic + 1, diamond->group_sizes.size());
+  ASSERT_EQ(linear->group_sizes.size(), 3u);
+  ASSERT_EQ(diamond->group_sizes.size(), 4u);
+  EXPECT_EQ(linear->group_sizes[1], 100u);
+  EXPECT_EQ(diamond->group_sizes[1] + diamond->group_sizes[2], 100u);
+}
+
+TEST(ScenarioRegistry, RecoveryPairDiffersOnlyInRecovery) {
+  const Scenario* base = find_scenario("recovery-base");
+  const Scenario* recovery = find_scenario("recovery");
+  ASSERT_NE(base, nullptr);
+  ASSERT_NE(recovery, nullptr);
+  EXPECT_FALSE(base->workload.engine.recovery_enabled);
+  EXPECT_TRUE(recovery->workload.engine.recovery_enabled);
+  // With recovery switched off, the recovery preset must replay the base
+  // preset exactly: same topology, stream, seeds and engine knobs.
+  Scenario off = *recovery;
+  off.workload.engine.recovery_enabled = false;
+  Scenario control = *base;
+  off.runs = control.runs = 2;
+  const exp::SweepResult a = exp::run_sweep(off, {.jobs = 1});
+  const exp::SweepResult b = exp::run_sweep(control, {.jobs = 1});
+  ASSERT_EQ(a.points.size(), b.points.size());
+  for (std::size_t pt = 0; pt < a.points.size(); ++pt) {
+    EXPECT_EQ(a.points[pt].publications.mean(),
+              b.points[pt].publications.mean());
+    EXPECT_EQ(a.points[pt].event_reliability.mean(),
+              b.points[pt].event_reliability.mean());
+    EXPECT_EQ(a.points[pt].total_messages.mean(),
+              b.points[pt].total_messages.mean());
+    EXPECT_EQ(a.points[pt].control_messages.mean(),
+              b.points[pt].control_messages.mean());
+    EXPECT_EQ(a.points[pt].rounds.mean(), b.points[pt].rounds.mean());
+  }
+  EXPECT_EQ(recovery->runs, base->runs);
 }
 
 TEST(Scenario, FindScenarioLooksUpByName) {
