@@ -52,14 +52,6 @@ class TwoStageWarm {
   std::array<std::size_t, kStateDelay> pending_;
   std::size_t next_ = 0;
 };
-
-net::Transport::Config effective_transport(const DamSystem::Config& config) {
-  net::Transport::Config t = config.transport;
-  // Unless the caller set an explicit channel quality, use the protocol
-  // parameter psucc so one knob controls both.
-  if (t.psucc == 1.0) t.psucc = config.node.params.psucc;
-  return t;
-}
 }  // namespace
 
 DamSystem::DamSystem(const topics::TopicDag& hierarchy, Config config)
@@ -70,8 +62,10 @@ DamSystem::DamSystem(const topics::TopicDag& hierarchy, Config config)
       // failures_ is declared (and therefore initialized) before
       // transport_, so handing its pointer to the transport here is safe.
       failures_(std::make_unique<sim::NoFailures>()),
-      transport_(effective_transport(config), rng_.fork(0x7A4),
-                 failures_.get()) {}
+      // The channel's quality is the protocol parameter psucc: one knob
+      // controls both.
+      transport_({.psucc = config.node.params.psucc, .delay = 1},
+                 rng_.fork(0x7A4), failures_.get()) {}
 
 DamSystem::~DamSystem() = default;
 

@@ -43,7 +43,6 @@ class DamSystem final : public Env {
  public:
   struct Config {
     NodeConfig node;                       ///< defaults for every node
-    net::Transport::Config transport{};    ///< psucc defaults to node.params
     std::size_t neighborhood_degree = 4;   ///< bootstrap overlay degree
     std::uint64_t seed = 1;
     bool auto_wire_super_tables = false;   ///< skip bootstrap: fill sTables

@@ -14,18 +14,20 @@ const char* const kKnownKeys[] = {
     "rate",  "zipf_s", "crash_frac", "leave_frac", "join_frac",
     "publishers", "horizon", "gc_horizon"};
 
-/// Shared guard of the stream-lane axes (traffic, churn, steady): the
-/// frozen engine has no traffic stream, so sweeping one of these knobs
-/// there would run N bit-identical cells mislabeled as different levels.
-/// The dynamic engine and both steady baselines all replay the generated
-/// stream, so all of them accept these axes.
+/// Shared guard of the stream-lane axes (traffic, churn, steady, tau):
+/// the frozen engine has no traffic stream and runs no table maintenance,
+/// so sweeping one of these knobs there would run N bit-identical cells
+/// mislabeled as different levels. The dynamic engine and both steady
+/// baselines all replay the generated stream, so all of them accept these
+/// axes.
 void require_stream_axis(const sim::Scenario& scenario,
                          std::string_view key) {
   if (!sim::is_stream_engine(scenario.engine)) {
     throw std::invalid_argument(
         "grid: " + std::string(key) +
         " is a stream-lane axis (the frozen engine has no traffic "
-        "stream); pick a kDynamic or baseline scenario");
+        "stream and runs no table maintenance); pick a kDynamic or "
+        "baseline scenario");
   }
 }
 
@@ -359,6 +361,8 @@ void apply_grid_point(sim::Scenario& scenario, const GridPoint& point) {
         } else if (key == "psucc") {
           params.psucc = value;
         } else if (key == "tau") {
+          // tau drives table maintenance (KEEP_TABLE_UPDATED).
+          require_stream_axis(scenario, key);
           // Negative values would wrap the size_t cast to ~1.8e19 and
           // sail through validate(); bound both integral knobs first.
           if (value < 0.0 || value > 1e9) {

@@ -22,11 +22,15 @@ void print_sweep_table(const std::vector<ScenarioPoint>& points,
   // to the historical layout.
   bool show_latency = false;
   bool show_dynamic = false;
+  bool show_traffic = false;
   bool show_bootstrap = false;
   bool show_slo = false;
   bool show_classes = false;
   for (const ScenarioPoint& point : points) {
     show_dynamic = show_dynamic || point.publications.count() > 0;
+    // A traffic-free stream sweep (bootstrap-cold) would print zero
+    // reliability, which reads as total delivery failure.
+    show_traffic = show_traffic || point.publications.mean() > 0.0;
     show_bootstrap = show_bootstrap || point.rounds_to_link.count() > 0;
     show_slo = show_slo || !point.latency_sketch.empty();
     show_classes = show_classes || point.msg_event_sends.count() > 0;
@@ -48,12 +52,12 @@ void print_sweep_table(const std::vector<ScenarioPoint>& points,
       columns.push_back(group.topic + " full");
     }
   }
-  if (show_dynamic) {
+  if (show_traffic) {
     columns.push_back("pubs");
     columns.push_back("reliab");
     columns.push_back("latency");
-    columns.push_back("ctrl msgs");
   }
+  if (show_dynamic) columns.push_back("ctrl msgs");
   if (show_bootstrap) {
     columns.push_back("link rds");
     columns.push_back("linked");
@@ -89,10 +93,12 @@ void print_sweep_table(const std::vector<ScenarioPoint>& points,
         cells.push_back(util::fixed(group.last_delivery_round.mean(), 1));
       }
     }
-    if (show_dynamic) {
+    if (show_traffic) {
       cells.push_back(util::fixed(point.publications.mean(), 1));
       cells.push_back(util::fixed(point.event_reliability.mean(), 3));
       cells.push_back(util::fixed(point.delivery_latency.mean(), 2));
+    }
+    if (show_dynamic) {
       cells.push_back(util::fixed(point.control_messages.mean(), 0));
     }
     if (show_bootstrap) {

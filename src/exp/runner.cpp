@@ -11,6 +11,13 @@
 
 namespace dam::exp {
 
+namespace {
+/// Shards per sweep point. Must NOT depend on the worker count (see
+/// runner.hpp): it fixes the reduction shape, and with it the last-ulp
+/// rounding of every mean. 32 leaves stealable slack for any core count.
+constexpr std::size_t kShardsPerPoint = 32;
+}  // namespace
+
 SweepResult run_sweep(const sim::Scenario& scenario,
                       const RunnerOptions& options) {
   const topics::TopicDag dag = scenario.build_dag();
@@ -20,9 +27,6 @@ SweepResult run_sweep(const sim::Scenario& scenario,
   }
   if (scenario.runs <= 0) {
     throw std::invalid_argument("run_sweep: runs must be positive");
-  }
-  if (options.shards == 0) {
-    throw std::invalid_argument("run_sweep: shards must be positive");
   }
   // Every engine reads the one read-only DAG, shared across workers. The
   // stream engines route along one supertopic per group, so their tree
@@ -34,7 +38,7 @@ SweepResult run_sweep(const sim::Scenario& scenario,
   const unsigned jobs = util::resolve_threads(options.jobs);
   const std::size_t runs = static_cast<std::size_t>(scenario.runs);
   const std::size_t shard_count =
-      std::min<std::size_t>(options.shards, runs);
+      std::min<std::size_t>(kShardsPerPoint, runs);
 
   struct Shard {
     ScenarioPoint partial;

@@ -9,13 +9,13 @@
 //     Scenario::config_for. Thread identity never touches the seed, so the
 //     SET of runs executed is identical for every --jobs value.
 //   * Jobs-independent reduction order — each sweep point's run range is
-//     cut into a fixed number of contiguous shards (RunnerOptions::shards,
-//     independent of the worker count). A shard is always aggregated
-//     sequentially in run order by one worker, and shard partials are
-//     merged in shard order afterwards. Floating-point aggregation is not
-//     associative, so this fixed shape is what makes aggregates
-//     BIT-IDENTICAL for any --jobs value (tests/exp/runner_test.cpp pins
-//     it).
+//     cut into a fixed number of contiguous shards (a constant in
+//     runner.cpp, independent of the worker count). A shard is always
+//     aggregated sequentially in run order by one worker, and shard
+//     partials are merged in shard order afterwards. Floating-point
+//     aggregation is not associative, so this fixed shape is what makes
+//     aggregates BIT-IDENTICAL for any --jobs value
+//     (tests/exp/runner_test.cpp pins it).
 //   * Constant memory — workers stream runs into Welford partials
 //     (exp/aggregate); memory is O(points × shards), never O(runs).
 //
@@ -40,10 +40,6 @@ namespace dam::exp {
 struct RunnerOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency().
   unsigned jobs = 0;
-
-  /// Shards per sweep point. Must NOT depend on `jobs` (see file comment);
-  /// the default gives plenty of stealable slack for any sane core count.
-  unsigned shards = 32;
 };
 
 /// One executed sweep: the aggregates plus the throughput counters the
@@ -92,9 +88,7 @@ struct SweepResult {
 /// scenarios run core/run_frozen_simulation, dynamic scenarios replay their
 /// workload stream through core/system (workload/driver) — both through
 /// the same pool, sharded reduction, and reporters. Aggregates are
-/// bit-identical for any `options.jobs`; `options.shards` changes the
-/// reduction shape and hence the last-ulp rounding of means, so
-/// comparisons must hold it fixed.
+/// bit-identical for any `options.jobs`.
 [[nodiscard]] SweepResult run_sweep(const sim::Scenario& scenario,
                                     const RunnerOptions& options = {});
 

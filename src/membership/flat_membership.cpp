@@ -1,7 +1,5 @@
 #include "membership/flat_membership.hpp"
 
-#include <cmath>
-
 #include "core/context.hpp"
 
 namespace dam::membership {
@@ -11,31 +9,16 @@ namespace {
 std::size_t fill_limit_for(std::size_t size) { return size > 0 ? size - 1 : 0; }
 }  // namespace
 
-std::size_t FlatMembership::capacity_for(double b, std::size_t size) {
-  if (size < 2) return 1;
-  const double raw = (b + 1.0) * std::log(static_cast<double>(size));
-  return static_cast<std::size_t>(std::ceil(std::max(raw, 1.0)));
-}
-
 FlatMembership::FlatMembership(const core::NodeContext& ctx,
                                std::size_t group_size_estimate, util::Rng rng)
     : group_size_estimate_(group_size_estimate),
-      view_(ctx.self,
-            capacity_for(ctx.config->membership.b, group_size_estimate)),
+      view_(ctx.self, ctx.config->params.view_capacity(group_size_estimate)),
       rng_(rng) {
   view_.set_fill_limit(fill_limit_for(group_size_estimate));
 }
 
 void FlatMembership::join(const std::vector<ProcessId>& contacts) {
   for (ProcessId contact : contacts) view_.insert(contact, rng_);
-}
-
-void FlatMembership::adopt(std::span<const ProcessId> base) {
-  if (base.size() <= view_.capacity()) {
-    view_.seed(base);
-    return;
-  }
-  for (ProcessId contact : base) view_.insert(contact, rng_);
 }
 
 void FlatMembership::round(const core::NodeContext& ctx, sim::Round now,
@@ -74,7 +57,7 @@ void FlatMembership::set_group_size_estimate(const core::NodeContext& ctx,
                                              std::size_t size) {
   group_size_estimate_ = size;
   view_.set_fill_limit(fill_limit_for(size));
-  view_.set_capacity(capacity_for(ctx.config->membership.b, size), rng_);
+  view_.set_capacity(ctx.config->params.view_capacity(size), rng_);
 }
 
 }  // namespace dam::membership

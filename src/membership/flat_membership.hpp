@@ -38,13 +38,12 @@ using topics::TopicId;
 class FlatMembership {
  public:
   struct Config {
-    double b = 3.0;             ///< view capacity = ceil((b+1)·ln(S))
     std::size_t gossip_fanout = 1;  ///< view exchanges initiated per round
     std::size_t shuffle_size = 8;   ///< entries shipped per exchange
   };
 
-  /// A member for `ctx.self`, sized for a group of `group_size_estimate`
-  /// under `ctx.config->membership`.
+  /// A member for `ctx.self`, its view sized for a group of
+  /// `group_size_estimate` by `ctx.config->params.view_capacity`.
   FlatMembership(const core::NodeContext& ctx,
                  std::size_t group_size_estimate, util::Rng rng);
 
@@ -53,10 +52,11 @@ class FlatMembership {
 
   /// join() for an immutable spawn-batch arena row: the view reads the row
   /// in place (PartialView shared mode, copy-on-churn on first mutation)
-  /// instead of copying it. Falls back to per-entry insertion — the exact
-  /// join() stream — when the row exceeds the view capacity (a contact mix
-  /// only possible when the caller's view-capacity knob outruns ours).
-  void adopt(std::span<const ProcessId> base);
+  /// instead of copying it. Precondition (PartialView::seed's): the row's
+  /// entries are distinct, exclude the owner and fit the view capacity.
+  /// The spawn-batch sampler guarantees it: a row is
+  /// min(view_capacity(n), n-1) wide, and this member was sized for n.
+  void adopt(std::span<const ProcessId> base) { view_.seed(base); }
 
   /// One membership round: initiate `gossip_fanout` view exchanges,
   /// sent through `ctx.env`. `piggyback` is the sender's current
@@ -83,9 +83,6 @@ class FlatMembership {
   [[nodiscard]] std::size_t group_size_estimate() const noexcept {
     return group_size_estimate_;
   }
-
-  /// View capacity for a group of `size` members under parameter `b`.
-  static std::size_t capacity_for(double b, std::size_t size);
 
  private:
   std::size_t group_size_estimate_;

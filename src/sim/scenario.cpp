@@ -400,8 +400,8 @@ std::vector<Scenario> build_registry() {
   // gossip, transport, per-delivery latency) at giant scale, feasible
   // because spawn_group samples every initial view into one shared CSR
   // arena (core::GroupViewArena) instead of S per-node vectors. One
-  // scheduled publication, short drain; bench_dynamic_scale wraps these
-  // with a wall budget.
+  // scheduled publication, short drain; CI runs giant-dynamic at scale=10
+  // (S = 10⁶) under a wall budget.
   {
     Scenario s = make_linear_scenario(
         "giant-dynamic",
@@ -519,7 +519,7 @@ std::vector<Scenario> build_registry() {
     // The (g, a, z) knobs one at a time around the paper's defaults, on
     // channels lossy enough to show the trade-off: run it with the grids
     // "g=1,2,5,10,20", "a=1:3" and "z=1,2,3,5,8". (τ drives maintenance,
-    // which only the dynamic engine runs, so a "tau" grid here is flat.)
+    // which only the dynamic engine runs, so the grid rejects "tau" here.)
     Scenario s = make_linear_scenario(
         "ablation-knobs",
         "Knob ablation at psucc=0.5: g scales intergroup msgs ~linearly and "

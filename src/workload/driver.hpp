@@ -139,8 +139,8 @@ struct DynamicRunResult {
   /// (DamSystem::peak_queue_bytes): compact per-message records plus
   /// interned event bodies and control-field arenas. Logical bytes, so the
   /// value is bit-identical for every --jobs/--threads value — the big
-  /// dissemination wave's memory measurand, gated by bench_dynamic_scale
-  /// and tools/bench_diff.
+  /// dissemination wave's memory measurand, gated by
+  /// tests/workload/dynamic_scale_test.cpp and tools/bench_diff.
   std::size_t queue_bytes = 0;
 
   /// Run timeline: per-round delivery / publish / send / churn counters

@@ -124,20 +124,18 @@ TEST_F(NodeTest, GroupSizeIsPulledAtTheNextRoundOrMessage) {
   auto node = make_node(0, 2, 20);
   node.subscribe({ProcessId{1}, ProcessId{2}}, {ProcessId{50}});
   const auto& membership = node.group_membership();
-  const double b = membership::FlatMembership::Config{}.b;
+  const TopicParams& params = node.config().params;
 
   env_.group_sizes[levels_[2].value] = 315;
   EXPECT_EQ(membership.group_size_estimate(), 20u);  // nothing pulled yet
   node.round(0);
   EXPECT_EQ(membership.group_size_estimate(), 315u);
-  EXPECT_EQ(membership.view().capacity(),
-            membership::FlatMembership::capacity_for(b, 315));
+  EXPECT_EQ(membership.view().capacity(), params.view_capacity(315));
 
   env_.group_sizes[levels_[2].value] = 40;
   node.on_message(event_msg(9, 0, 0, 2));
   EXPECT_EQ(membership.group_size_estimate(), 40u);
-  EXPECT_EQ(membership.view().capacity(),
-            membership::FlatMembership::capacity_for(b, 40));
+  EXPECT_EQ(membership.view().capacity(), params.view_capacity(40));
 
   // A duplicate reads neither the estimate nor the capacity.
   env_.group_sizes[levels_[2].value] = 41;
@@ -154,8 +152,7 @@ TEST_F(NodeTest, GroupSizeIsPulledAtTheNextRoundOrMessage) {
   env_.group_sizes[levels_[2].value] = 500;
   node.on_message(gossip.view());
   EXPECT_EQ(membership.group_size_estimate(), 500u);
-  EXPECT_EQ(membership.view().capacity(),
-            membership::FlatMembership::capacity_for(b, 500));
+  EXPECT_EQ(membership.view().capacity(), params.view_capacity(500));
 }
 
 TEST_F(NodeTest, FirstReceptionForwardsDuplicatesSuppressed) {

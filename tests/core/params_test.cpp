@@ -32,11 +32,14 @@ TEST(TopicParams, FanoutFormula) {
 }
 
 TEST(TopicParams, ViewCapacityFormula) {
-  const TopicParams params;  // b = 3
+  TopicParams params;  // b = 3
+  // (b+1)·ln(S): S=1000 -> ceil(4·6.907...) = 28.
   EXPECT_EQ(params.view_capacity(1000), 28u);
   EXPECT_EQ(params.view_capacity(100), 19u);
   EXPECT_EQ(params.view_capacity(10), 10u);
   EXPECT_EQ(params.view_capacity(1), 1u);
+  params.b = 0.0;  // ln(100) = 4.605... -> 5
+  EXPECT_EQ(params.view_capacity(100), 5u);
 }
 
 TEST(TopicParams, PselClampsToOne) {

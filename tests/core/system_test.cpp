@@ -233,6 +233,25 @@ TEST_F(SystemTest, MembersPullTheGroupSizeAfterAJoin) {
   }
 }
 
+TEST_F(SystemTest, ViewsAreSizedByTheTopicParameterB) {
+  // (b+1)·ln(S) is the one view-size rule (Sec. V-A.1): the b a scenario
+  // sets is the b every member's view is sized by.
+  constexpr std::size_t kMembers = 1000;
+  for (const double b : {1.0, 6.0}) {
+    DamSystem::Config config = wired_config();
+    config.node.params.b = b;
+    DamSystem system(hierarchy_, config);
+    system.spawn_group(levels_[0], kMembers);
+    system.run_rounds(1);  // every member pulls the final group size
+    const std::size_t capacity = config.node.params.view_capacity(kMembers);
+    for (ProcessId member : system.registry().group(levels_[0])) {
+      EXPECT_EQ(system.node(member).group_membership().view().capacity(),
+                capacity)
+          << "b=" << b;
+    }
+  }
+}
+
 TEST_F(SystemTest, DeterministicForSameSeed) {
   auto run = [&](std::uint64_t seed) {
     DamSystem system(hierarchy_, wired_config(seed));

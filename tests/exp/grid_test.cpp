@@ -180,13 +180,16 @@ TEST(GridApply, RateSwitchesScheduledArrivalsToPoisson) {
 }
 
 TEST(GridApply, WorkloadAxesRejectFrozenScenarios) {
-  // The frozen engine has no traffic stream: both axes would be dead
-  // state, sweeping identical cells under different labels.
+  // The frozen engine has no traffic stream and runs no table
+  // maintenance: these axes would be dead state, sweeping identical cells
+  // under different labels.
   sim::Scenario scenario = sim::make_linear_scenario("grid", "grid", {10});
   ASSERT_EQ(scenario.engine, sim::EngineKind::kFrozen);
   EXPECT_THROW(apply_grid_point(scenario, {{"rate", 0.5}}),
                std::invalid_argument);
   EXPECT_THROW(apply_grid_point(scenario, {{"zipf_s", 1.0}}),
+               std::invalid_argument);
+  EXPECT_THROW(apply_grid_point(scenario, {{"tau", 1.0}}),
                std::invalid_argument);
 }
 
@@ -334,10 +337,12 @@ TEST(GridApply, RejectsOutOfDomainValues) {
                std::invalid_argument);
   EXPECT_THROW(apply_grid_point(scenario, {{"z", -5.0}}),
                std::invalid_argument);
-  EXPECT_THROW(apply_grid_point(scenario, {{"tau", -1.0}}),
-               std::invalid_argument);
   // TopicParams::validate rejects a g of zero.
   EXPECT_THROW(apply_grid_point(scenario, {{"g", 0.0}}),
+               std::invalid_argument);
+  // tau is a dynamic-engine axis, so its range check needs one.
+  scenario.engine = sim::EngineKind::kDynamic;
+  EXPECT_THROW(apply_grid_point(scenario, {{"tau", -1.0}}),
                std::invalid_argument);
 }
 

@@ -321,6 +321,24 @@ TEST(PrintSweepTable, RendersOneRowPerPoint) {
   std::size_t lines = 0;
   for (const char c : table) lines += c == '\n';
   EXPECT_EQ(lines, 2u + sweep.points.size());
+  // A stream sweep that published nothing (bootstrap-cold) keeps its
+  // control column but not the traffic columns, whose zeros would read as
+  // total delivery failure; one publishing point brings them back.
+  std::vector<ScenarioPoint> quiet = sweep.points;
+  for (ScenarioPoint& point : quiet) {
+    point.publications.add(0.0);
+    point.control_messages.add(12.0);
+  }
+  std::ostringstream quiet_out;
+  print_sweep_table(quiet, quiet_out);
+  EXPECT_NE(quiet_out.str().find("ctrl msgs"), std::string::npos);
+  EXPECT_EQ(quiet_out.str().find("pubs"), std::string::npos);
+  EXPECT_EQ(quiet_out.str().find("reliab"), std::string::npos);
+  quiet.back().publications.add(2.0);
+  std::ostringstream traffic_out;
+  print_sweep_table(quiet, traffic_out);
+  EXPECT_NE(traffic_out.str().find("pubs"), std::string::npos);
+  EXPECT_NE(traffic_out.str().find("reliab"), std::string::npos);
   // Empty sweeps print nothing rather than an empty header.
   std::ostringstream empty;
   print_sweep_table({}, empty);

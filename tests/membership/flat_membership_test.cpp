@@ -29,15 +29,6 @@ class FlatMembershipTest : public core::testing::ContextTest {
   }
 };
 
-TEST(FlatMembership, CapacityFormula) {
-  // (b+1)·ln(S) with b=3: S=1000 -> ceil(4·6.907...) = 28.
-  EXPECT_EQ(FlatMembership::capacity_for(3.0, 1000), 28u);
-  EXPECT_EQ(FlatMembership::capacity_for(3.0, 100), 19u);
-  EXPECT_EQ(FlatMembership::capacity_for(3.0, 10), 10u);
-  EXPECT_EQ(FlatMembership::capacity_for(3.0, 1), 1u);
-  EXPECT_EQ(FlatMembership::capacity_for(0.0, 100), 5u);
-}
-
 TEST_F(FlatMembershipTest, JoinSeedsView) {
   auto member = make_member(0);
   member.join({ProcessId{1}, ProcessId{2}, ProcessId{0}});
@@ -131,7 +122,8 @@ TEST_F(FlatMembershipTest, GossipConvergesViewsInAGroup) {
       members[msg.to.value].on_membership(msg.view());
     }
   }
-  const std::size_t capacity = FlatMembership::capacity_for(3.0, kMembers);
+  const std::size_t capacity =
+      contexts[0].config->params.view_capacity(kMembers);
   for (const auto& member : members) {
     EXPECT_GE(member.view().size(), capacity - 2)
         << "member " << member.view().owner().value;

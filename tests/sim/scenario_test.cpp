@@ -58,7 +58,7 @@ TEST(ScenarioRegistry, EveryPresetRunsEndToEnd) {
     scenario.runs = 3;
     // This smoke checks plumbing, not scale: cap the population so the
     // giant presets don't dominate the suite's wall (the dedicated scale
-    // tests and bench_dynamic_scale own the 1e5/1e6 sizes).
+    // tests and CI's giant-dynamic run own the 1e5/1e6 sizes).
     std::size_t population = 0;
     for (const std::size_t size : scenario.group_sizes) population += size;
     if (population > 20000) {

@@ -4,7 +4,8 @@
 // view arena, spawn-time per-node view copies plus allocator churn put
 // this configuration out of reach; the budget is ~20x the observed
 // post-arena time so it only trips on a genuine complexity regression.
-// bench_dynamic_scale is the S=1e6 counterpart gated in CI.
+// The S=1e6 counterpart is CI's `damlab --scenario=giant-dynamic --grid
+// scale=10` run under a wall budget.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -41,10 +42,17 @@ TEST(DynamicScale, HundredThousandProcessRunStaysInBudget) {
   EXPECT_GT(result.table_bytes, 100000u * sizeof(std::uint32_t));
   EXPECT_LT(result.table_bytes, 100000u * 64u * sizeof(std::uint32_t));
   // Slab queue high-water mark: ~24 bytes per queued copy. The observed
-  // peak is 29.5 MiB; 48 MiB (the CI --queue-budget) trips on any return
-  // of per-copy Message storage (184 B/copy would put this near 226 MiB).
+  // peak is 29.5 MiB; 48 MiB trips on any return of per-copy Message
+  // storage (184 B/copy would put this near 226 MiB).
   EXPECT_GT(result.queue_bytes, 0u);
   EXPECT_LT(result.queue_bytes, 48u << 20);
+  // Worst-window seen/delivered/request-set footprint: 12,504 bytes for
+  // one publication (a single seen column of one bit per process, which is
+  // also its delivered set). 0.025 MiB trips on any per-process growth
+  // beyond that bit.
+  EXPECT_GT(result.timeline.peak_bookkeeping_bytes(), 0u);
+  EXPECT_LE(result.timeline.peak_bookkeeping_bytes(),
+            static_cast<std::uint64_t>(0.025 * (1 << 20)));
 }
 
 }  // namespace

@@ -29,7 +29,6 @@
 #include "sim/scenario.hpp"
 #include "util/args.hpp"
 #include "util/csv.hpp"
-#include "util/log.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -86,8 +85,6 @@ int main(int argc, char** argv) {
                   "(instead of running the sweeps)");
   args.add_flag("quiet", "suppress the per-sweep console tables");
   args.add_flag("list-scenarios", "list the named scenario presets and exit");
-  args.add_option("log-level", "off",
-                  "logger verbosity: trace|debug|info|warn|error|off");
 
   try {
     args.parse(argc, argv);
@@ -105,8 +102,6 @@ int main(int argc, char** argv) {
   }
 
   try {
-    util::Logger::instance().set_level(
-        util::parse_log_level(args.str("log-level")));
     const std::string scenario_arg = args.str("scenario");
     if (scenario_arg.empty()) {
       std::cerr << "damlab: --scenario is required (see --list-scenarios)\n";
