@@ -86,7 +86,7 @@ int main() {
   std::cout << "parasite deliveries: "
             << system.metrics().parasite_deliveries() << " (always 0)\n";
   std::cout << "control messages (membership + bootstrap + repair): "
-            << system.metrics().total_control_messages() << "\n";
+            << system.metrics().timeline().totals().control_sends << "\n";
   std::cout << "\nNo server collected these subscriptions (contrast with\n"
             << "NNTP, Sec. II-A): membership, supergroup discovery and\n"
             << "repair all ran peer-to-peer.\n";

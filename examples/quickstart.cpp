@@ -67,7 +67,8 @@ int main() {
   std::cout << "conf-level announcement reached " << reviewer_got_it
             << "/20 reviewers (reviewers did not subscribe to .conf)\n";
 
+  const auto totals = system.metrics().timeline().totals();
   std::cout << "event messages sent in total: "
-            << system.metrics().total_event_messages() << "\n";
+            << totals.event_sends + totals.inter_sends << "\n";
   return 0;
 }

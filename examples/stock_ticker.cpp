@@ -85,10 +85,10 @@ int main() {
 
   std::cout << "\nparasite deliveries across all bursts: "
             << system.metrics().parasite_deliveries() << " (always 0)\n";
+  const auto totals = system.metrics().timeline().totals();
   std::cout << "total event messages: "
-            << system.metrics().total_event_messages()
-            << ", control messages: "
-            << system.metrics().total_control_messages() << "\n";
+            << totals.event_sends + totals.inter_sends
+            << ", control messages: " << totals.control_sends << "\n";
   std::cout << "\nNote how tech ticks reach risk and compliance (supertopic\n"
             << "subscribers) but never the energy or bond desks — without\n"
             << "any broker or per-subtopic membership at the upper layers.\n";

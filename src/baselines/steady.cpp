@@ -47,7 +47,6 @@ class BaselineEngine final : public workload::StreamEngine {
         topic_count_(dag.size()),
         interest_(topic_count_ * topic_count_, 0),
         members_(topic_count_),
-        counters_(topic_count_),
         duplicates_(topic_count_, 0),
         rng_(seed) {
     // interest_[g * topic_count_ + t] != 0 iff group g delivers
@@ -60,7 +59,7 @@ class BaselineEngine final : public workload::StreamEngine {
     }
   }
 
-  util::Timeline& timeline() override { return timeline_; }
+  sim::Metrics& metrics() override { return metrics_; }
   void set_failures(std::unique_ptr<sim::ChurnFailures> failures) override {
     failures_ = std::move(failures);
   }
@@ -79,15 +78,15 @@ class BaselineEngine final : public workload::StreamEngine {
     return members_[topic.value];
   }
 
-  void publish(topics::ProcessId publisher, topics::TopicId topic) override {
+  net::EventId publish(topics::ProcessId publisher,
+                       topics::TopicId topic) override {
     const auto id = static_cast<std::uint32_t>(events_.size());
     const std::uint32_t p = publisher.value;
     EventState state;
     state.topic = topic.value;
-    state.latency.published_at = round_;
     events_.push_back(std::move(state));
-    timeline_.note_publish(round_);
-    receive(id, p, round_);  // self-delivery, latency 0
+    mark(events_.back(), p);
+    metrics_.note_publish(event_id(id), round_);  // self-delivery, latency 0
     if (!tree_) {
       gossip_forward(id, p, round_);
     } else if (slot_of_[p] != 0) {
@@ -95,6 +94,7 @@ class BaselineEngine final : public workload::StreamEngine {
     } else {
       root_actions(id, p, round_);
     }
+    return event_id(id);
   }
 
   void run_round() override {
@@ -108,8 +108,7 @@ class BaselineEngine final : public workload::StreamEngine {
       for (std::uint32_t p = 0; p < topic_of_.size(); ++p) {
         if (tree_ && slot_of_[p] == 0) continue;
         if (!alive(p, round)) continue;
-        ++counters_[topic_of_[p]].control_sent;
-        timeline_.note_control_send(round);
+        metrics_.note_control_send(round, topics::TopicId{topic_of_[p]});
       }
     }
     const std::size_t queue_bytes = next_.size() * sizeof(Hop);
@@ -118,16 +117,13 @@ class BaselineEngine final : public workload::StreamEngine {
     ++round_;
   }
 
-  DeliveredView delivered(std::size_t publication) const override {
-    const EventState& state = events_[publication];
+  DeliveredView delivered(net::EventId event) const override {
+    const EventState& state = events_[event.sequence];
     return {state.words, state.count};
   }
-  sim::Metrics::EventLatency latency(std::size_t publication) const override {
-    return events_[publication].latency;
-  }
-  void retire(std::size_t publication) override {
+  void retire(net::EventId event) override {
     // The delivered set is released and late hops are dropped.
-    EventState& state = events_[publication];
+    EventState& state = events_[event.sequence];
     state.retired = true;
     state.words = std::vector<std::uint64_t>();
     state.count = 0;
@@ -149,15 +145,8 @@ class BaselineEngine final : public workload::StreamEngine {
   }
 
   void collect(workload::DynamicRunResult& result) const override {
-    result.latency_sketch = latency_sketch_;
-    result.parasite_deliveries = parasite_deliveries_;
     for (std::size_t group = 0; group < topic_count_; ++group) {
-      workload::DynamicGroupResult& group_result = result.groups[group];
-      group_result.intra_sent = counters_[group].intra_sent;
-      group_result.inter_sent = counters_[group].inter_sent;
-      group_result.inter_received = counters_[group].inter_received;
-      group_result.control_sent = counters_[group].control_sent;
-      group_result.duplicate_deliveries = duplicates_[group];
+      result.groups[group].duplicate_deliveries = duplicates_[group];
     }
     // Tree routing is pure address arithmetic and the gossip targets are
     // drawn fresh per hop — neither rival holds membership tables, so the
@@ -170,13 +159,16 @@ class BaselineEngine final : public workload::StreamEngine {
  private:
   struct EventState {
     std::uint32_t topic = 0;
-    /// Interested first receptions only; published_at is absolute.
-    sim::Metrics::EventLatency latency;
     bool retired = false;  ///< deadline harvested; late hops are dropped
     /// Every first reception, one bit per process; `count` bits are set.
     std::vector<std::uint64_t> words;
     std::size_t count = 0;
   };
+
+  /// A rival's event id is its publication index.
+  static net::EventId event_id(std::uint32_t event) {
+    return {topics::ProcessId{0}, event};
+  }
 
   bool alive(std::uint32_t process, std::size_t round) const {
     return failures_->alive(topics::ProcessId{process},
@@ -186,50 +178,49 @@ class BaselineEngine final : public workload::StreamEngine {
   void send(std::uint32_t event, std::uint32_t from, std::uint32_t to,
             std::uint8_t phase, bool inter, std::size_t round) {
     next_.push_back(Hop{event, to, phase});
+    const topics::TopicId sender{topic_of_[from]};
     if (inter) {
-      ++counters_[topic_of_[from]].inter_sent;
-      ++counters_[topic_of_[to]].inter_received;
-      timeline_.note_inter_send(round);
+      metrics_.note_inter_send(round, sender, topics::TopicId{topic_of_[to]});
     } else {
-      ++counters_[topic_of_[from]].intra_sent;
-      timeline_.note_event_send(round);
+      metrics_.note_intra_send(round, sender);
     }
   }
 
-  /// First-reception bookkeeping shared by both engines. Returns true iff
-  /// this was `q`'s first reception (callers forward only then). Latency,
-  /// the sketch, and the timeline count INTERESTED receptions only, so
-  /// latency percentiles stay comparable with the protocol lane; the
-  /// gossip engine's parasite receptions still land in the delivered set
-  /// (-> all_alive_delivered = false for uninterested groups) and in
-  /// parasite_deliveries.
-  bool receive(std::uint32_t event, std::uint32_t q, std::size_t round) {
-    EventState& state = events_[event];
-    if (state.retired) return false;  // late hop past the deadline harvest
-    // The delivered set is the duplicate filter too: it is only cleared at
-    // retirement, after which hops are dropped above.
+  /// Sets `q`'s bit in the event's delivered set; false if it was set.
+  bool mark(EventState& state, std::uint32_t q) {
     const std::size_t word = q / 64;
     const std::uint64_t bit = std::uint64_t{1} << (q % 64);
     if (word >= state.words.size()) {
       state.words.resize((topic_of_.size() + 63) / 64, 0);
     }
-    if ((state.words[word] & bit) != 0) {
+    if ((state.words[word] & bit) != 0) return false;
+    state.words[word] |= bit;
+    ++state.count;
+    return true;
+  }
+
+  /// First-reception bookkeeping shared by both engines. Returns true iff
+  /// this was `q`'s first reception (callers forward only then). As for
+  /// DamSystem, only INTERESTED receptions are event deliveries in the
+  /// Metrics, so latency percentiles stay comparable with the protocol
+  /// lane; the gossip engine's parasite receptions still land in the
+  /// delivered set (-> all_alive_delivered = false for uninterested
+  /// groups) and count as parasite deliveries.
+  bool receive(std::uint32_t event, std::uint32_t q, std::size_t round) {
+    EventState& state = events_[event];
+    if (state.retired) return false;  // late hop past the deadline harvest
+    // The delivered set is the duplicate filter too: it is only cleared at
+    // retirement, after which hops are dropped above.
+    if (!mark(state, q)) {
       ++duplicates_[topic_of_[q]];
       return false;
     }
-    state.words[word] |= bit;
-    ++state.count;
     if (interest_[std::size_t{topic_of_[q]} * topic_count_ + state.topic] ==
         0) {
-      ++parasite_deliveries_;
-      return true;
+      metrics_.count_parasite_delivery();
+    } else {
+      metrics_.note_event_delivery(event_id(event), round);
     }
-    const sim::Round latency = round - state.latency.published_at;
-    ++state.latency.deliveries;
-    state.latency.latency_sum += latency;
-    state.latency.max_latency = std::max(state.latency.max_latency, latency);
-    latency_sketch_.add(static_cast<double>(latency));
-    timeline_.note_delivery(round, static_cast<double>(latency));
     return true;
   }
 
@@ -318,11 +309,8 @@ class BaselineEngine final : public workload::StreamEngine {
   std::vector<std::uint32_t> slot_of_;  ///< member rank inside its group
   std::vector<EventState> events_;      ///< by publication index
 
-  std::vector<sim::GroupCounters> counters_;  ///< by topic
-  std::vector<std::uint64_t> duplicates_;     ///< by topic
-  std::uint64_t parasite_deliveries_ = 0;
-  util::QuantileSketch latency_sketch_;
-  util::Timeline timeline_;
+  sim::Metrics metrics_;
+  std::vector<std::uint64_t> duplicates_;  ///< by topic
 
   util::Rng rng_;
   std::size_t round_ = 0;  ///< absolute round index

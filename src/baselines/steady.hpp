@@ -12,8 +12,10 @@
 // schema then compare protocol vs baselines cell for cell — reliability,
 // latency percentiles, control overhead, and peak bookkeeping bytes on
 // one table. This file keeps only what the rivals do differently:
-// per-message forwarding, their delivered/dedup state, message counters,
-// gauges and queue bytes.
+// per-message forwarding, their delivered/dedup state, gauges and queue
+// bytes. Every send, publish and delivery is counted through one
+// sim::Metrics with the same calls DamSystem makes, so both sides of the
+// comparison are counted by the same code.
 //
 // Two engines, dispatched on Scenario::engine:
 //

@@ -59,7 +59,6 @@ void accumulate_run(ScenarioPoint& point,
   point.total_messages.add(static_cast<double>(run.total_messages));
   point.rounds.add(static_cast<double>(run.rounds));
   point.publications.add(static_cast<double>(run.publications));
-  point.control_messages.add(static_cast<double>(run.control_messages));
   if (run.publications > 0) {
     point.event_reliability.add(run.event_reliability);
     point.delivery_latency.add(run.mean_latency);
@@ -74,7 +73,6 @@ void accumulate_run(ScenarioPoint& point,
   point.expected_deliveries += run.expected_deliveries;
   point.timeline.merge(run.timeline);
   const util::Timeline::Counters totals = run.timeline.totals();
-  point.msg_publishes.add(static_cast<double>(totals.publishes));
   point.msg_event_sends.add(static_cast<double>(totals.event_sends));
   point.msg_inter_sends.add(static_cast<double>(totals.inter_sends));
   point.msg_control_sends.add(static_cast<double>(totals.control_sends));
@@ -115,14 +113,12 @@ void merge_point(ScenarioPoint& into, const ScenarioPoint& shard) {
   into.event_reliability.merge(shard.event_reliability);
   into.delivery_latency.merge(shard.delivery_latency);
   into.max_latency.merge(shard.max_latency);
-  into.control_messages.merge(shard.control_messages);
   into.rounds_to_link.merge(shard.rounds_to_link);
   into.linked_fraction.merge(shard.linked_fraction);
   into.control_at_link.merge(shard.control_at_link);
   into.latency_sketch.merge(shard.latency_sketch);
   into.expected_deliveries += shard.expected_deliveries;
   into.timeline.merge(shard.timeline);
-  into.msg_publishes.merge(shard.msg_publishes);
   into.msg_event_sends.merge(shard.msg_event_sends);
   into.msg_inter_sends.merge(shard.msg_inter_sends);
   into.msg_control_sends.merge(shard.msg_control_sends);

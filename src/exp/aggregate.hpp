@@ -71,7 +71,6 @@ struct ScenarioPoint {
                                         ///< interested processes reached
   util::Accumulator delivery_latency;   ///< per-run mean delivery latency
   util::Accumulator max_latency;        ///< per-run slowest first delivery
-  util::Accumulator control_messages;   ///< control messages per run
 
   // --- Bootstrap lane (cold-start runs; see workload::DynamicRunResult). --
   util::Accumulator rounds_to_link;
@@ -103,8 +102,9 @@ struct ScenarioPoint {
 
   // --- Message-class totals (stream lanes; zero samples for frozen sweeps).
   /// One sample per run: the sums of the run's timeline rows, with
-  /// `delivers` adding the run's parasite deliveries.
-  util::Accumulator msg_publishes;
+  /// `delivers` adding the run's parasite deliveries. The publishes row
+  /// sums to `publications` and is reported from it; `msg_control_sends`
+  /// is also the sweep's control-message count.
   util::Accumulator msg_event_sends;
   util::Accumulator msg_inter_sends;
   util::Accumulator msg_control_sends;
@@ -130,7 +130,7 @@ struct ScenarioPoint {
 void accumulate_run(ScenarioPoint& point, const core::FrozenRunResult& run);
 
 /// Dynamic-lane overload: same per-group counters, plus the traffic-stream
-/// aggregates (publications, reliability, latency, control) and — for
+/// aggregates (publications, reliability, latency, message classes) and — for
 /// cold-start runs — the bootstrap-link trio.
 void accumulate_run(ScenarioPoint& point,
                     const workload::DynamicRunResult& run);

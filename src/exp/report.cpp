@@ -25,31 +25,35 @@ void print_sweep_table(const std::vector<ScenarioPoint>& points,
   bool show_traffic = false;
   bool show_bootstrap = false;
   bool show_slo = false;
-  bool show_classes = false;
   for (const ScenarioPoint& point : points) {
     show_dynamic = show_dynamic || point.publications.count() > 0;
     // A traffic-free stream sweep (bootstrap-cold) would print zero
-    // reliability, which reads as total delivery failure.
+    // reliability and zero per-group delivery, which read as total
+    // delivery failure.
     show_traffic = show_traffic || point.publications.mean() > 0.0;
     show_bootstrap = show_bootstrap || point.rounds_to_link.count() > 0;
     show_slo = show_slo || !point.latency_sketch.empty();
-    show_classes = show_classes || point.msg_event_sends.count() > 0;
     for (const ScenarioGroupStats& group : point.groups) {
       show_latency = show_latency || group.first_delivery_round.count() > 0;
     }
   }
+  // Frozen sweeps always disseminate; stream sweeps only when some point
+  // published.
+  const bool show_events = !show_dynamic || show_traffic;
   std::vector<std::string> columns{"alive"};
-  for (const ScenarioGroupStats& group : points.front().groups) {
-    columns.push_back(group.topic + " intra");
-    columns.push_back(group.topic + " inter>");
-    columns.push_back(group.topic + " recv");
-    columns.push_back(group.topic + " >=1");  // P(any intergroup arrival) —
-                                              // the paper's Fig. 9 headline
-    columns.push_back(group.topic + " frac");
-    columns.push_back(group.topic + " all");
-    if (show_latency) {
-      columns.push_back(group.topic + " first");
-      columns.push_back(group.topic + " full");
+  if (show_events) {
+    for (const ScenarioGroupStats& group : points.front().groups) {
+      columns.push_back(group.topic + " intra");
+      columns.push_back(group.topic + " inter>");
+      columns.push_back(group.topic + " recv");
+      columns.push_back(group.topic + " >=1");  // P(any intergroup arrival) —
+                                                // the paper's Fig. 9 headline
+      columns.push_back(group.topic + " frac");
+      columns.push_back(group.topic + " all");
+      if (show_latency) {
+        columns.push_back(group.topic + " first");
+        columns.push_back(group.topic + " full");
+      }
     }
   }
   if (show_traffic) {
@@ -72,25 +76,24 @@ void print_sweep_table(const std::vector<ScenarioPoint>& points,
       columns.push_back("<=" + std::to_string(deadline));
     }
   }
-  if (show_classes) {
-    columns.push_back("ev send");
-    columns.push_back("ctl send");
-  }
+  if (show_traffic) columns.push_back("ev send");
   columns.push_back("total msgs");
   columns.push_back("rounds");
   util::ConsoleTable table(columns);
   for (const ScenarioPoint& point : points) {
     std::vector<std::string> cells{util::fixed(point.alive_fraction, 2)};
-    for (const ScenarioGroupStats& group : point.groups) {
-      cells.push_back(util::fixed(group.intra_sent.mean(), 1));
-      cells.push_back(util::fixed(group.inter_sent.mean(), 2));
-      cells.push_back(util::fixed(group.inter_received.mean(), 2));
-      cells.push_back(util::fixed(group.any_inter_received.estimate(), 2));
-      cells.push_back(util::fixed(group.delivery_ratio.mean(), 3));
-      cells.push_back(util::fixed(group.all_alive_delivered.estimate(), 2));
-      if (show_latency) {
-        cells.push_back(util::fixed(group.first_delivery_round.mean(), 1));
-        cells.push_back(util::fixed(group.last_delivery_round.mean(), 1));
+    if (show_events) {
+      for (const ScenarioGroupStats& group : point.groups) {
+        cells.push_back(util::fixed(group.intra_sent.mean(), 1));
+        cells.push_back(util::fixed(group.inter_sent.mean(), 2));
+        cells.push_back(util::fixed(group.inter_received.mean(), 2));
+        cells.push_back(util::fixed(group.any_inter_received.estimate(), 2));
+        cells.push_back(util::fixed(group.delivery_ratio.mean(), 3));
+        cells.push_back(util::fixed(group.all_alive_delivered.estimate(), 2));
+        if (show_latency) {
+          cells.push_back(util::fixed(group.first_delivery_round.mean(), 1));
+          cells.push_back(util::fixed(group.last_delivery_round.mean(), 1));
+        }
       }
     }
     if (show_traffic) {
@@ -99,7 +102,7 @@ void print_sweep_table(const std::vector<ScenarioPoint>& points,
       cells.push_back(util::fixed(point.delivery_latency.mean(), 2));
     }
     if (show_dynamic) {
-      cells.push_back(util::fixed(point.control_messages.mean(), 0));
+      cells.push_back(util::fixed(point.msg_control_sends.mean(), 0));
     }
     if (show_bootstrap) {
       cells.push_back(util::fixed(point.rounds_to_link.mean(), 1));
@@ -115,9 +118,8 @@ void print_sweep_table(const std::vector<ScenarioPoint>& points,
         cells.push_back(util::fixed(point.deadline_fraction(deadline), 3));
       }
     }
-    if (show_classes) {
+    if (show_traffic) {
       cells.push_back(util::fixed(point.msg_event_sends.mean(), 0));
-      cells.push_back(util::fixed(point.msg_control_sends.mean(), 0));
     }
     cells.push_back(util::fixed(point.total_messages.mean(), 0));
     cells.push_back(util::fixed(point.rounds.mean(), 1));
@@ -180,7 +182,7 @@ void csv_report_rows(util::CsvWriter& csv, const std::string& scenario,
           cell(point.event_reliability.mean()),
           cell(point.delivery_latency.mean()),
           cell(point.max_latency.mean()),
-          cell(point.control_messages.mean()),
+          cell(point.msg_control_sends.mean()),
           cell(point.latency_sketch.quantile(0.50)),
           cell(point.latency_sketch.quantile(0.90)),
           cell(point.latency_sketch.quantile(0.99)),
@@ -190,7 +192,7 @@ void csv_report_rows(util::CsvWriter& csv, const std::string& scenario,
       for (const std::size_t deadline : kDeadlineGrid) {
         cells.push_back(cell(point.deadline_fraction(deadline)));
       }
-      cells.push_back(cell(point.msg_publishes.mean()));
+      cells.push_back(cell(point.publications.mean()));
       cells.push_back(cell(point.msg_event_sends.mean()));
       cells.push_back(cell(point.msg_inter_sends.mean()));
       cells.push_back(cell(point.msg_control_sends.mean()));
@@ -451,7 +453,7 @@ void BenchReport::write(std::ostream& out) const {
       out << ',';
       emit_accumulator(out, "max_latency", point.max_latency);
       out << ',';
-      emit_accumulator(out, "control_messages", point.control_messages);
+      emit_accumulator(out, "control_messages", point.msg_control_sends);
       out << ',';
       emit_accumulator(out, "rounds_to_link", point.rounds_to_link);
       out << ',';
@@ -463,7 +465,7 @@ void BenchReport::write(std::ostream& out) const {
       out << ",\"expected_deliveries\":" << point.expected_deliveries << ',';
       emit_deadline_curve(out, point);
       out << ",\"message_classes\":{";
-      emit_accumulator(out, "publishes", point.msg_publishes);
+      emit_accumulator(out, "publishes", point.publications);
       out << ',';
       emit_accumulator(out, "event_sends", point.msg_event_sends);
       out << ',';

@@ -5,17 +5,6 @@
 
 namespace dam::sim {
 
-StillbornFailures StillbornFailures::sample(
-    const std::vector<ProcessId>& processes, double alive_fraction,
-    util::Rng& rng) {
-  StillbornFailures model;
-  const double fail_probability = 1.0 - alive_fraction;
-  for (ProcessId process : processes) {
-    if (rng.bernoulli(fail_probability)) model.fail(process);
-  }
-  return model;
-}
-
 void StillbornFailures::fail(ProcessId process) {
   const std::size_t word = process.value / 64;
   if (word >= failed_.size()) failed_.resize(word + 1, 0);

@@ -8,8 +8,12 @@
 //  * Dynamic perception (Figure 11): every process is actually alive, but
 //    each transmission independently perceives the target as failed with
 //    the sweep probability — modelling a weakly-consistent membership view.
-//  * Churn (our extension, used in tests/examples): processes crash and
-//    recover over time on a precomputed schedule.
+//    The frozen engine draws this perception itself (core/frozen_sim), so
+//    it has no model here.
+//  * Churn (our extension): processes crash and recover over time on a
+//    precomputed schedule. The stream replay (workload/driver) puts its
+//    stillborn coins, crashes and leaves on one ChurnFailures, and the
+//    frozen engine's churn regime samples one.
 #pragma once
 
 #include <cstddef>
@@ -61,11 +65,6 @@ class StillbornFailures final : public FailureModel {
     for (ProcessId process : failed) fail(process);
   }
 
-  /// Fails each of `processes` independently with probability
-  /// (1 - alive_fraction).
-  static StillbornFailures sample(const std::vector<ProcessId>& processes,
-                                  double alive_fraction, util::Rng& rng);
-
   void fail(ProcessId process);
 
   [[nodiscard]] bool alive(ProcessId process, Round) const override {
@@ -81,28 +80,6 @@ class StillbornFailures final : public FailureModel {
  private:
   std::vector<std::uint64_t> failed_;  ///< bit p: process p failed
   std::size_t failed_count_ = 0;
-};
-
-/// Figure 11: every process is alive, but each transmission independently
-/// sees the target as failed with probability `perceived_failure`.
-class DynamicPerceptionFailures final : public FailureModel {
- public:
-  explicit DynamicPerceptionFailures(double perceived_failure)
-      : perceived_failure_(perceived_failure) {}
-
-  [[nodiscard]] bool alive(ProcessId, Round) const override { return true; }
-
-  [[nodiscard]] bool deliverable(ProcessId, ProcessId, Round,
-                                 util::Rng& rng) const override {
-    return !rng.bernoulli(perceived_failure_);
-  }
-
-  [[nodiscard]] double perceived_failure() const noexcept {
-    return perceived_failure_;
-  }
-
- private:
-  double perceived_failure_;
 };
 
 /// Crash/recovery schedule: per process, a sorted list of [down, up)

@@ -8,6 +8,8 @@
 // One call per happening: each send, delivery and publish updates the
 // per-group run totals (Figs. 8–9) and the round's row of the run
 // timeline, which is the one store every other counter derives from.
+// Every stream engine — DamSystem and the steady rivals — counts through
+// one Metrics, so the protocol-vs-rival tables compare like for like.
 #pragma once
 
 #include <cstdint>
@@ -37,17 +39,29 @@ class Metrics {
     return topic.value < per_group_.size() ? per_group_[topic.value] : kZero;
   }
 
+  // The three send notes run once per message, so they are inline.
+
   /// An event message sent within `sender`'s group.
-  void note_intra_send(Round round, topics::TopicId sender);
+  void note_intra_send(Round round, topics::TopicId sender) {
+    ++counters(sender).intra_sent;
+    timeline_.note_event_send(round);
+  }
 
   /// An event message sent from `sender`'s group upward; `receiver` is the
   /// group charged with the boundary crossing (none when no supergroup has
   /// members).
   void note_inter_send(Round round, topics::TopicId sender,
-                       std::optional<topics::TopicId> receiver);
+                       std::optional<topics::TopicId> receiver) {
+    ++counters(sender).inter_sent;
+    if (receiver) ++counters(*receiver).inter_received;
+    timeline_.note_inter_send(round);
+  }
 
   /// A membership/bootstrap/maintenance/recovery message.
-  void note_control_send(Round round, topics::TopicId sender);
+  void note_control_send(Round round, topics::TopicId sender) {
+    ++counters(sender).control_sent;
+    timeline_.note_control_send(round);
+  }
 
   /// A publication: records its publish round and the publisher's own
   /// (synchronous, latency-0) first delivery.
@@ -94,18 +108,14 @@ class Metrics {
   }
 
   /// Run timeline. Deliveries, publishes and sends are fed by the notes
-  /// above; churn events, queue high-water, and bookkeeping gauges are fed
-  /// by the workload driver (which owns the round loop and the
-  /// window-boundary sampling cadence).
+  /// above, and its totals() are the run's message totals; churn events,
+  /// queue high-water, and bookkeeping gauges are fed by the workload
+  /// driver (which owns the round loop and the window-boundary sampling
+  /// cadence).
   [[nodiscard]] const util::Timeline& timeline() const noexcept {
     return timeline_;
   }
   [[nodiscard]] util::Timeline& timeline() noexcept { return timeline_; }
-
-  [[nodiscard]] std::uint64_t total_event_messages() const;
-  [[nodiscard]] std::uint64_t total_control_messages() const;
-
-  void reset();
 
  private:
   GroupCounters& counters(topics::TopicId topic) {

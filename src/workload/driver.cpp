@@ -43,7 +43,7 @@ class DamSystemEngine final : public StreamEngine {
     system_.set_trace_recorder(trace);
   }
 
-  util::Timeline& timeline() override { return system_.metrics().timeline(); }
+  sim::Metrics& metrics() override { return system_.metrics(); }
   void set_failures(std::unique_ptr<sim::ChurnFailures> failures) override {
     system_.set_failure_model(std::move(failures));
   }
@@ -55,25 +55,18 @@ class DamSystemEngine final : public StreamEngine {
       topics::TopicId topic) const override {
     return system_.registry().group(topic);
   }
-  void publish(topics::ProcessId publisher, topics::TopicId) override {
-    events_.push_back(system_.publish(publisher));
+  net::EventId publish(topics::ProcessId publisher,
+                       topics::TopicId) override {
+    return system_.publish(publisher);
   }
   void run_round() override {
     system_.run_rounds(1);
     measure_link();
   }
-  DeliveredView delivered(std::size_t publication) const override {
-    return system_.delivered_set(events_[publication]);
+  DeliveredView delivered(net::EventId event) const override {
+    return system_.delivered_set(event);
   }
-  sim::Metrics::EventLatency latency(std::size_t publication) const override {
-    const auto& latencies = system_.metrics().event_latencies();
-    const auto it = latencies.find(events_[publication]);
-    return it == latencies.end() ? sim::Metrics::EventLatency{} : it->second;
-  }
-  void retire(std::size_t publication) override {
-    system_.metrics().retire_event(events_[publication]);
-    system_.retire_event(events_[publication]);
-  }
+  void retire(net::EventId event) override { system_.retire_event(event); }
   WindowSample sample_window() override {
     const core::DamSystem::BookkeepingGauges gauges =
         system_.bookkeeping_gauges();
@@ -82,20 +75,8 @@ class DamSystemEngine final : public StreamEngine {
   }
 
   void collect(DynamicRunResult& result) const override {
-    const sim::Metrics& metrics = system_.metrics();
-    // Every delivery the Metrics sketch saw belongs to one of this run's
-    // publications (Metrics::note_publish gates the sketch), so it can be
-    // taken whole.
-    result.latency_sketch = metrics.latency_sketch();
-    result.parasite_deliveries = metrics.parasite_deliveries();
     for (std::uint32_t topic = 0; topic < result.groups.size(); ++topic) {
       DynamicGroupResult& group_result = result.groups[topic];
-      const sim::GroupCounters& counters =
-          metrics.group(topics::TopicId{topic});
-      group_result.intra_sent = counters.intra_sent;
-      group_result.inter_sent = counters.inter_sent;
-      group_result.inter_received = counters.inter_received;
-      group_result.control_sent = counters.control_sent;
       for (const topics::ProcessId member : group(topics::TopicId{topic})) {
         group_result.duplicate_deliveries +=
             system_.node(member).duplicate_count();
@@ -114,8 +95,7 @@ class DamSystemEngine final : public StreamEngine {
     result.control_at_link = control_at_link_;
     if (measured_link_ && !link_reached_) {
       result.rounds_to_link = static_cast<double>(system_.now());
-      result.control_at_link =
-          static_cast<double>(metrics.total_control_messages());
+      result.control_at_link = control_sends();
     }
   }
 
@@ -160,14 +140,17 @@ class DamSystemEngine final : public StreamEngine {
     if (!link_reached_ && linked * 100 >= non_root * 95) {
       link_reached_ = true;
       rounds_to_link_ = static_cast<double>(system_.now());
-      control_at_link_ =
-          static_cast<double>(system_.metrics().total_control_messages());
+      control_at_link_ = control_sends();
     }
+  }
+
+  double control_sends() const {
+    return static_cast<double>(
+        system_.metrics().timeline().totals().control_sends);
   }
 
   const topics::TopicDag& dag_;
   core::DamSystem system_;
-  std::vector<net::EventId> events_;  ///< by publication index
   bool measured_link_;
   bool link_reached_ = false;
   double rounds_to_link_ = 0.0;
@@ -235,7 +218,8 @@ DynamicRunResult replay_stream(const sim::Scenario& scenario,
   // churn event lands at absolute round warmup + event.round (< total), and
   // recover rounds are clamped to the replay — NEVER feed kNever to the
   // window allocator (it would size the timeline to 2^27 windows).
-  util::Timeline& timeline = engine->timeline();
+  sim::Metrics& metrics = engine->metrics();
+  util::Timeline& timeline = metrics.timeline();
   for (const TrafficEvent& event : stream) {
     if (event.kind == TrafficEvent::Kind::kJoin) {
       timeline.note_join(warmup + event.round);
@@ -281,6 +265,7 @@ DynamicRunResult replay_stream(const sim::Scenario& scenario,
   // get. The deadline is what makes multi-publication reliability curves
   // comparable across stream shapes.
   struct PublicationRecord {
+    net::EventId event;        ///< the engine's id of the publication
     std::uint32_t topic;       ///< scenario topic index it was published on
     std::size_t watermark;     ///< process count at publish
     std::size_t deadline;      ///< rounds_executed value to snapshot at
@@ -292,10 +277,9 @@ DynamicRunResult replay_stream(const sim::Scenario& scenario,
   // Headline reliability of one publication at the current round: the
   // alive processes interested at publish (members of the topic's chain
   // groups below the watermark; groups only append) that delivered it.
-  auto deadline_ratio = [&](const PublicationRecord& record,
-                            std::size_t publication) {
+  auto deadline_ratio = [&](const PublicationRecord& record) {
     const StreamEngine::DeliveredView delivered =
-        engine->delivered(publication);
+        engine->delivered(record.event);
     std::size_t alive_interested = 0;
     std::size_t alive_delivered = 0;
     for (const topics::TopicId topic :
@@ -314,10 +298,11 @@ DynamicRunResult replay_stream(const sim::Scenario& scenario,
 
   // Sustained-service GC (gc_horizon > 0): each publication's group
   // outcomes and latency aggregate are harvested AT ITS DEADLINE into these
-  // accumulators, then the engine retires its delivered-set / latency
-  // bookkeeping, so per-run state holds only in-flight publications no
-  // matter how long the horizon. Records never harvested (GC off, or a
-  // deadline past the run's end) are graded at run end by the same lambda.
+  // accumulators, then its Metrics latency record and the engine's
+  // delivered set are retired, so per-run state holds only in-flight
+  // publications no matter how long the horizon. Records never harvested
+  // (GC off, or a deadline past the run's end) are graded at run end by
+  // the same lambda.
   const std::size_t gc_horizon = workload.engine.gc_horizon;
   std::vector<double> ratio_sums(topic_count, 0.0);
   std::vector<std::size_t> group_ratio_samples(topic_count, 0);
@@ -329,9 +314,9 @@ DynamicRunResult replay_stream(const sim::Scenario& scenario,
   // the run's end round when called from run-end grading). Per-group float
   // sums accumulate in publication order either way, so both paths fold
   // identically.
-  auto grade = [&](const PublicationRecord& record, std::size_t publication) {
+  auto grade = [&](const PublicationRecord& record) {
     const StreamEngine::DeliveredView delivered =
-        engine->delivered(publication);
+        engine->delivered(record.event);
     for (std::uint32_t topic = 0; topic < topic_count; ++topic) {
       const topics::TopicId id{topic};
       const auto& members = engine->group(id);
@@ -359,23 +344,25 @@ DynamicRunResult replay_stream(const sim::Scenario& scenario,
       ++group_ratio_samples[topic];
       if (alive_delivered < alive_members) group_all_delivered[topic] = 0;
     }
-    const sim::Metrics::EventLatency latency = engine->latency(publication);
+    // The record lives from publish until the harvest below retires it.
+    const sim::Metrics::EventLatency& latency =
+        metrics.event_latencies().at(record.event);
     deliveries += latency.deliveries;
     latency_sum += latency.latency_sum;
     result.max_latency = std::max(result.max_latency,
                                   static_cast<double>(latency.max_latency));
   };
   auto snapshot_due = [&] {
-    for (std::size_t i = 0; i < published.size(); ++i) {
-      PublicationRecord& record = published[i];
+    for (PublicationRecord& record : published) {
       if (record.ratio < 0.0 && record.deadline <= rounds_executed) {
-        record.ratio = deadline_ratio(record, i);
+        record.ratio = deadline_ratio(record);
         if (gc_horizon > 0) {
           // Harvest first (grade reads the delivered set and the latency
           // aggregate), then retire both.
-          grade(record, i);
+          grade(record);
           record.harvested = true;
-          engine->retire(i);
+          metrics.retire_event(record.event);
+          engine->retire(record.event);
         }
       }
     }
@@ -424,10 +411,10 @@ DynamicRunResult replay_stream(const sim::Scenario& scenario,
           const topics::ProcessId candidate =
               group[(start + offset) % group.size()];
           if (schedule.alive(candidate, rounds_executed)) {
-            published.push_back({event.topic, process_count,
+            published.push_back({engine->publish(candidate, topic),
+                                 event.topic, process_count,
                                  rounds_executed + std::max<std::size_t>(
                                                        drain, 1)});
-            engine->publish(candidate, topic);
             break;
           }
         }
@@ -445,14 +432,13 @@ DynamicRunResult replay_stream(const sim::Scenario& scenario,
   result.rounds = rounds_executed;
   result.publications = published.size();
   double reliability_sum = 0.0;
-  for (std::size_t i = 0; i < published.size(); ++i) {
+  for (const PublicationRecord& record : published) {
     // Deadline snapshot; publications whose deadline fell past the run's
     // last round (drain cut short) are graded at run end. Harvested
     // records were graded at their deadline already.
-    const PublicationRecord& record = published[i];
     reliability_sum +=
-        record.ratio >= 0.0 ? record.ratio : deadline_ratio(record, i);
-    if (!record.harvested) grade(record, i);
+        record.ratio >= 0.0 ? record.ratio : deadline_ratio(record);
+    if (!record.harvested) grade(record);
   }
   if (!published.empty()) {
     result.event_reliability =
@@ -468,6 +454,11 @@ DynamicRunResult replay_stream(const sim::Scenario& scenario,
     DynamicGroupResult& group_result = result.groups[topic];
     const auto& members = engine->group(topics::TopicId{topic});
     group_result.size = members.size();
+    const sim::GroupCounters& counters = metrics.group(topics::TopicId{topic});
+    group_result.intra_sent = counters.intra_sent;
+    group_result.inter_sent = counters.inter_sent;
+    group_result.inter_received = counters.inter_received;
+    group_result.control_sent = counters.control_sent;
     for (const topics::ProcessId member : members) {
       group_result.alive += schedule.alive(member, rounds_executed);
     }
@@ -478,11 +469,15 @@ DynamicRunResult replay_stream(const sim::Scenario& scenario,
           ratio_sums[topic] / static_cast<double>(group_result.ratio_samples);
     }
   }
-  // The timeline is the one store of run counters: every engine notes
-  // each send there, so the run's message totals are read off it.
+  // Every engine counts through its Metrics, so the run's counters are
+  // read off it here, once: the message totals off the timeline, and
+  // every delivery in the sketch belongs to one of this run's
+  // publications (Metrics::note_publish gates it), so it is taken whole.
   const util::Timeline::Counters totals = timeline.totals();
   result.total_messages = totals.event_sends + totals.inter_sends;
   result.control_messages = totals.control_sends;
+  result.latency_sketch = metrics.latency_sketch();
+  result.parasite_deliveries = metrics.parasite_deliveries();
   engine->collect(result);
   result.timeline = timeline;
 

@@ -11,10 +11,12 @@
 // dispatch and the alive-publisher scan, each publication's deadline
 // snapshot and its harvest/retire step under gc_horizon, the flight
 // recorder's window cadence, group-outcome grading, and the collection
-// into a DynamicRunResult. An engine, behind the StreamEngine interface,
+// into a DynamicRunResult, including the read of the run's counters off
+// the engine's sim::Metrics. An engine, behind the StreamEngine interface,
 // keeps only what differs: per-message forwarding, its delivered/dedup
-// state, message counters, gauges and table/queue bytes. The interface is
-// called per round, join or publication, never per message.
+// state, gauges and table/queue bytes; it counts every send and delivery
+// through its one sim::Metrics, the same calls for every engine. The
+// interface is called per round, join or publication, never per message.
 //
 // Determinism: a run is a pure function of (scenario, alive fraction, run
 // index). The engine seed and every stream draw derive from
@@ -38,7 +40,9 @@
 #include <vector>
 
 #include "core/system.hpp"
+#include "net/message.hpp"
 #include "sim/failure.hpp"
+#include "sim/metrics.hpp"
 #include "sim/scenario.hpp"
 #include "sim/trace.hpp"
 #include "topics/dag.hpp"
@@ -154,10 +158,9 @@ struct DynamicRunResult {
 };
 
 /// The per-engine half of a stream replay. replay_stream drives it once
-/// per round, join or publication; publications are numbered 0, 1, ... in
-/// publish order. Process ids follow the spawn order: the initial groups
-/// block by block, then joiners in stream order, so they line up with the
-/// stillborn coins and the churn trace's actors.
+/// per round, join or publication. Process ids follow the spawn order: the
+/// initial groups block by block, then joiners in stream order, so they
+/// line up with the stillborn coins and the churn trace's actors.
 class StreamEngine {
  public:
   /// A publication's delivered set: bit p is set once p received it.
@@ -177,9 +180,11 @@ class StreamEngine {
   StreamEngine& operator=(const StreamEngine&) = delete;
   virtual ~StreamEngine() = default;
 
-  /// The run's flight recorder; the harness adds churn notes and window
-  /// samples, the engine its per-round counters.
-  virtual util::Timeline& timeline() = 0;
+  /// The run's one accounting object: the engine notes every send,
+  /// publish, delivery and parasite delivery there; the harness adds the
+  /// timeline's churn notes and window samples, reads the run's counters
+  /// off it and retires harvested publications' latency records.
+  virtual sim::Metrics& metrics() = 0;
   /// Takes the run's failure schedule, once, before the first spawn.
   virtual void set_failures(std::unique_ptr<sim::ChurnFailures> failures) = 0;
   /// Adds `count` processes to `topic`'s group (the initial membership).
@@ -189,24 +194,21 @@ class StreamEngine {
   /// `topic`'s members in ascending id order; valid until the next spawn.
   [[nodiscard]] virtual const std::vector<topics::ProcessId>& group(
       topics::TopicId topic) const = 0;
-  /// `publisher` (alive, a member of `topic`) publishes the next event.
-  virtual void publish(topics::ProcessId publisher, topics::TopicId topic) = 0;
+  /// `publisher` (alive, a member of `topic`) publishes the next event;
+  /// returns its id, the key of its Metrics latency record.
+  virtual net::EventId publish(topics::ProcessId publisher,
+                               topics::TopicId topic) = 0;
   /// Runs one synchronous round.
   virtual void run_round() = 0;
   /// Valid until the next run_round, join, publish or retire call.
-  [[nodiscard]] virtual DeliveredView delivered(
-      std::size_t publication) const = 0;
-  /// Latency aggregate over the publication's interested first
-  /// deliveries (all zero when it has none).
-  [[nodiscard]] virtual sim::Metrics::EventLatency latency(
-      std::size_t publication) const = 0;
+  [[nodiscard]] virtual DeliveredView delivered(net::EventId event) const = 0;
   /// Sustained-service GC: the publication's outcome is harvested; drop
-  /// its delivered set and latency bookkeeping.
-  virtual void retire(std::size_t publication) = 0;
+  /// its delivered set.
+  virtual void retire(net::EventId event) = 0;
   virtual WindowSample sample_window() = 0;
-  /// Fills what only the engine knows: per-group message and duplicate
-  /// counters, the latency sketch, parasite deliveries, table/queue bytes
-  /// and the bootstrap-link measurement. `result.groups` is already sized.
+  /// Fills what only the engine knows: per-group duplicate counters,
+  /// table/queue bytes and the bootstrap-link measurement. `result.groups`
+  /// is already sized.
   virtual void collect(DynamicRunResult& result) const = 0;
 };
 

@@ -74,8 +74,9 @@ TEST_F(SystemParallelTest, DisseminationAfterSpawnIsAlsoIndependent) {
     system.run_rounds(3);  // let membership gossip warm up
     const auto event = system.publish(leaves[3]);
     system.run_rounds(30);
+    const auto totals = system.metrics().timeline().totals();
     return std::pair{system.delivered_set(event).size(),
-                     system.metrics().total_event_messages()};
+                     totals.event_sends + totals.inter_sends};
   };
   const auto reference = run(1);
   EXPECT_GT(reference.first, 600u);  // the publication actually spread

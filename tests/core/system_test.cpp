@@ -261,7 +261,8 @@ TEST_F(SystemTest, DeterministicForSameSeed) {
     system.run_rounds(2);
     const auto event = system.publish(leaves[0]);
     system.run_rounds(20);
-    return std::pair{system.metrics().total_event_messages(),
+    const auto totals = system.metrics().timeline().totals();
+    return std::pair{totals.event_sends + totals.inter_sends,
                      system.delivered_set(event).size()};
   };
   EXPECT_EQ(run(42), run(42));

@@ -126,12 +126,8 @@ TEST(LatencySlo, DynamicMessageClassTotalsAreConsistent) {
 
   const SweepResult sweep = run_sweep(scenario, {.jobs = 1});
   const ScenarioPoint& point = sweep.points.front();
-  // Trace totals mirror the Metrics counters they double-account. The
-  // per-run values are identical and accumulate in the same run order, so
-  // the means agree bit for bit ...
-  EXPECT_EQ(point.msg_publishes.mean(), point.publications.mean());
-  EXPECT_EQ(point.msg_control_sends.mean(), point.control_messages.mean());
-  // ... while SUMS of independently-Welforded means are only ulp-close.
+  // The timeline's send rows sum to the run's event messages; SUMS of
+  // independently-Welforded means are only ulp-close.
   EXPECT_DOUBLE_EQ(point.msg_event_sends.mean() + point.msg_inter_sends.mean(),
                    point.total_messages.mean());
   // Every sketched latency is one first-time delivery and every delivery

@@ -322,23 +322,32 @@ TEST(PrintSweepTable, RendersOneRowPerPoint) {
   for (const char c : table) lines += c == '\n';
   EXPECT_EQ(lines, 2u + sweep.points.size());
   // A stream sweep that published nothing (bootstrap-cold) keeps its
-  // control column but not the traffic columns, whose zeros would read as
-  // total delivery failure; one publishing point brings them back.
+  // control column but not the traffic, per-group event and event-send
+  // columns, whose zeros would read as total delivery failure; one
+  // publishing point brings them back. The control count is printed once.
   std::vector<ScenarioPoint> quiet = sweep.points;
   for (ScenarioPoint& point : quiet) {
     point.publications.add(0.0);
-    point.control_messages.add(12.0);
+    point.msg_event_sends.add(0.0);
+    point.msg_control_sends.add(12.0);
   }
   std::ostringstream quiet_out;
   print_sweep_table(quiet, quiet_out);
   EXPECT_NE(quiet_out.str().find("ctrl msgs"), std::string::npos);
   EXPECT_EQ(quiet_out.str().find("pubs"), std::string::npos);
   EXPECT_EQ(quiet_out.str().find("reliab"), std::string::npos);
+  EXPECT_EQ(quiet_out.str().find("T0 intra"), std::string::npos);
+  EXPECT_EQ(quiet_out.str().find("T1 all"), std::string::npos);
+  EXPECT_EQ(quiet_out.str().find("ev send"), std::string::npos);
   quiet.back().publications.add(2.0);
   std::ostringstream traffic_out;
   print_sweep_table(quiet, traffic_out);
   EXPECT_NE(traffic_out.str().find("pubs"), std::string::npos);
   EXPECT_NE(traffic_out.str().find("reliab"), std::string::npos);
+  EXPECT_NE(traffic_out.str().find("T0 intra"), std::string::npos);
+  EXPECT_NE(traffic_out.str().find("T1 all"), std::string::npos);
+  EXPECT_NE(traffic_out.str().find("ev send"), std::string::npos);
+  EXPECT_EQ(traffic_out.str().find("ctl send"), std::string::npos);
   // Empty sweeps print nothing rather than an empty header.
   std::ostringstream empty;
   print_sweep_table({}, empty);

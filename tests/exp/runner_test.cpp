@@ -65,7 +65,7 @@ void expect_identical(const SweepResult& a, const SweepResult& b) {
     EXPECT_EQ(pa.delivery_latency.variance(), pb.delivery_latency.variance());
     EXPECT_EQ(pa.max_latency.mean(), pb.max_latency.mean());
     EXPECT_EQ(pa.max_latency.max(), pb.max_latency.max());
-    EXPECT_EQ(pa.control_messages.mean(), pb.control_messages.mean());
+    EXPECT_EQ(pa.msg_control_sends.mean(), pb.msg_control_sends.mean());
     EXPECT_EQ(pa.rounds_to_link.mean(), pb.rounds_to_link.mean());
     EXPECT_EQ(pa.linked_fraction.mean(), pb.linked_fraction.mean());
     EXPECT_EQ(pa.control_at_link.mean(), pb.control_at_link.mean());
@@ -117,7 +117,7 @@ TEST(Runner, DynamicLaneIsAlsoJobsIndependent) {
   // And the dynamic lane actually collected dynamic aggregates.
   EXPECT_GT(serial.points.front().publications.count(), 0u);
   EXPECT_GT(serial.points.front().delivery_latency.mean(), 0.0);
-  EXPECT_GT(serial.points.front().control_messages.mean(), 0.0);
+  EXPECT_GT(serial.points.front().msg_control_sends.mean(), 0.0);
 }
 
 TEST(Runner, DynamicChurnPresetIsJobsIndependent) {

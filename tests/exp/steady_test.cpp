@@ -53,7 +53,6 @@ void expect_identical(const SweepResult& a, const SweepResult& b) {
               pb.event_reliability.variance());
     EXPECT_EQ(pa.delivery_latency.mean(), pb.delivery_latency.mean());
     EXPECT_EQ(pa.max_latency.max(), pb.max_latency.max());
-    EXPECT_EQ(pa.control_messages.mean(), pb.control_messages.mean());
     EXPECT_TRUE(pa.latency_sketch.centroids() == pb.latency_sketch.centroids());
     EXPECT_EQ(pa.latency_sketch.count(), pb.latency_sketch.count());
     for (const double q : {0.5, 0.9, 0.99, 0.999}) {

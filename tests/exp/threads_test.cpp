@@ -49,7 +49,6 @@ void expect_identical(const SweepResult& a, const SweepResult& b) {
               pb.event_reliability.variance());
     EXPECT_EQ(pa.delivery_latency.mean(), pb.delivery_latency.mean());
     EXPECT_EQ(pa.max_latency.max(), pb.max_latency.max());
-    EXPECT_EQ(pa.control_messages.mean(), pb.control_messages.mean());
     // Latency-SLO layer: the streaming sketch (centroids included), the
     // quantiles read off it, and the deadline curve are part of the same
     // bit-identity contract.

@@ -208,7 +208,7 @@ void expect_stream_run_identities(const sim::Scenario& scenario,
   const auto as_double = [](std::uint64_t value) {
     return static_cast<double>(value);
   };
-  EXPECT_EQ(point.msg_publishes.mean(),
+  EXPECT_EQ(point.publications.mean(),
             as_double(window_sum(timeline, &Counters::publishes)));
   EXPECT_EQ(point.msg_event_sends.mean(),
             as_double(window_sum(timeline, &Counters::event_sends)));
@@ -307,7 +307,7 @@ TEST(TimelineIdentity, FrozenDeliveriesPerRoundFlowThroughAggregate) {
     expect_bucketings_agree(point.timeline);
     EXPECT_TRUE(point.timeline.per_round(&Counters::control_sends).empty());
     for (const util::Accumulator* classes :
-         {&point.msg_publishes, &point.msg_event_sends, &point.msg_inter_sends,
+         {&point.publications, &point.msg_event_sends, &point.msg_inter_sends,
           &point.msg_control_sends, &point.msg_delivers}) {
       EXPECT_EQ(classes->count(), 0u);
     }

@@ -222,7 +222,7 @@ TEST(EndToEnd, ControlTrafficStaysModest) {
   system.spawn_group(levels[1], 40);
   constexpr std::size_t kRounds = 30;
   system.run_rounds(kRounds);
-  const auto control = system.metrics().total_control_messages();
+  const auto control = system.metrics().timeline().totals().control_sends;
   // <= ~1 gossip per process per round plus a little maintenance slack.
   EXPECT_LE(control, 50u * kRounds * 2);
   EXPECT_GT(control, 0u);

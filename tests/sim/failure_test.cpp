@@ -10,12 +10,6 @@
 namespace dam::sim {
 namespace {
 
-std::vector<ProcessId> make_processes(std::uint32_t n) {
-  std::vector<ProcessId> processes;
-  for (std::uint32_t i = 0; i < n; ++i) processes.push_back(ProcessId{i});
-  return processes;
-}
-
 TEST(NoFailures, EverybodyAliveAndDeliverable) {
   NoFailures model;
   util::Rng rng(1);
@@ -53,41 +47,6 @@ TEST(StillbornFailures, DeliverableFollowsTargetAliveness) {
   util::Rng rng(1);
   EXPECT_FALSE(model.deliverable(ProcessId{0}, ProcessId{1}, 0, rng));
   EXPECT_TRUE(model.deliverable(ProcessId{1}, ProcessId{0}, 0, rng));
-}
-
-TEST(StillbornFailures, SampleMatchesFraction) {
-  util::Rng rng(99);
-  const auto processes = make_processes(10000);
-  const auto model = StillbornFailures::sample(processes, 0.7, rng);
-  EXPECT_NEAR(static_cast<double>(model.failed_count()), 3000.0, 150.0);
-}
-
-TEST(StillbornFailures, SampleExtremes) {
-  util::Rng rng(7);
-  const auto processes = make_processes(100);
-  EXPECT_EQ(StillbornFailures::sample(processes, 1.0, rng).failed_count(), 0u);
-  EXPECT_EQ(StillbornFailures::sample(processes, 0.0, rng).failed_count(),
-            100u);
-}
-
-TEST(DynamicPerceptionFailures, AlwaysAliveButDropsDeliveries) {
-  DynamicPerceptionFailures model(0.4);
-  util::Rng rng(3);
-  int delivered = 0;
-  constexpr int kTrials = 20000;
-  for (int i = 0; i < kTrials; ++i) {
-    EXPECT_TRUE(model.alive(ProcessId{1}, i));
-    if (model.deliverable(ProcessId{0}, ProcessId{1}, 0, rng)) ++delivered;
-  }
-  EXPECT_NEAR(static_cast<double>(delivered) / kTrials, 0.6, 0.02);
-}
-
-TEST(DynamicPerceptionFailures, ZeroFailureDeliversAll) {
-  DynamicPerceptionFailures model(0.0);
-  util::Rng rng(5);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(model.deliverable(ProcessId{0}, ProcessId{1}, 0, rng));
-  }
 }
 
 TEST(ChurnFailures, IntervalSemantics) {

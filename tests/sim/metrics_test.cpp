@@ -34,8 +34,18 @@ TEST(Metrics, TotalsAggregateAcrossGroups) {
   metrics.note_inter_send(0, TopicId{1}, TopicId{0});
   for (int i = 0; i < 20; ++i) metrics.note_intra_send(0, TopicId{2});
   for (int i = 0; i < 4; ++i) metrics.note_control_send(0, TopicId{1});
-  EXPECT_EQ(metrics.total_event_messages(), 31u);
-  EXPECT_EQ(metrics.total_control_messages(), 4u);
+  const util::Timeline::Counters totals = metrics.timeline().totals();
+  EXPECT_EQ(totals.event_sends + totals.inter_sends, 31u);
+  EXPECT_EQ(totals.control_sends, 4u);
+  std::uint64_t events = 0;
+  std::uint64_t control = 0;
+  for (std::uint32_t topic = 0; topic < 3; ++topic) {
+    const GroupCounters& group = metrics.group(TopicId{topic});
+    events += group.intra_sent + group.inter_sent;
+    control += group.control_sent;
+  }
+  EXPECT_EQ(events, 31u);
+  EXPECT_EQ(control, 4u);
 }
 
 TEST(Metrics, EachSendFillsOneTimelineRow) {
@@ -49,9 +59,9 @@ TEST(Metrics, EachSendFillsOneTimelineRow) {
   EXPECT_EQ(rows[1].inter_sends, 1u);
   EXPECT_EQ(rows[3].control_sends, 1u);
   const util::Timeline::Counters totals = metrics.timeline().totals();
-  EXPECT_EQ(totals.event_sends + totals.inter_sends,
-            metrics.total_event_messages());
-  EXPECT_EQ(totals.control_sends, metrics.total_control_messages());
+  EXPECT_EQ(totals.event_sends, 1u);
+  EXPECT_EQ(totals.inter_sends, 1u);
+  EXPECT_EQ(totals.control_sends, 1u);
 }
 
 TEST(Metrics, ParasiteCounter) {
@@ -121,24 +131,6 @@ TEST(Metrics, UnknownEventDeliveriesStayOutOfTheSketch) {
   Metrics metrics;
   metrics.note_event_delivery(net::EventId{topics::ProcessId{1}, 1}, 4);
   EXPECT_TRUE(metrics.latency_sketch().empty());
-  EXPECT_TRUE(metrics.timeline().rounds().empty());
-}
-
-TEST(Metrics, ResetClearsEverything) {
-  Metrics metrics;
-  metrics.note_intra_send(0, TopicId{1});
-  metrics.count_parasite_delivery();
-  const net::EventId event{topics::ProcessId{1}, 0};
-  metrics.note_publish(event, 1);
-  metrics.note_event_delivery(event, 3);
-  metrics.note_control_send(2, TopicId{1});
-  metrics.reset();
-  EXPECT_EQ(metrics.total_event_messages(), 0u);
-  EXPECT_EQ(metrics.total_control_messages(), 0u);
-  EXPECT_EQ(metrics.parasite_deliveries(), 0u);
-  EXPECT_TRUE(metrics.event_latencies().empty());
-  EXPECT_TRUE(metrics.latency_sketch().empty());
-  EXPECT_TRUE(metrics.timeline().empty());
   EXPECT_TRUE(metrics.timeline().rounds().empty());
 }
 

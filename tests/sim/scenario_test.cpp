@@ -157,8 +157,8 @@ TEST(ScenarioRegistry, RecoveryPairDiffersOnlyInRecovery) {
               b.points[pt].event_reliability.mean());
     EXPECT_EQ(a.points[pt].total_messages.mean(),
               b.points[pt].total_messages.mean());
-    EXPECT_EQ(a.points[pt].control_messages.mean(),
-              b.points[pt].control_messages.mean());
+    EXPECT_EQ(a.points[pt].msg_control_sends.mean(),
+              b.points[pt].msg_control_sends.mean());
     EXPECT_EQ(a.points[pt].rounds.mean(), b.points[pt].rounds.mean());
   }
   EXPECT_EQ(recovery->runs, base->runs);

@@ -108,9 +108,9 @@ TEST(SystemTracing, CapturesFullPublicationLifecycle) {
   EXPECT_EQ(recorder.total(TraceKind::kDeliver),
             system.delivered_set(event).size());
   // Trace totals agree with the metrics counters.
-  EXPECT_EQ(recorder.total(TraceKind::kEventSend) +
-                recorder.total(TraceKind::kInterSend),
-            system.metrics().total_event_messages());
+  const util::Timeline::Counters totals = system.metrics().timeline().totals();
+  EXPECT_EQ(recorder.total(TraceKind::kEventSend), totals.event_sends);
+  EXPECT_EQ(recorder.total(TraceKind::kInterSend), totals.inter_sends);
   // The publish entry carries the event identity.
   bool found_publish = false;
   for (const TraceEntry& traced : recorder.entries()) {

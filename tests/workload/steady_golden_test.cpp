@@ -10,12 +10,33 @@
 // note — the cross-engine head-to-head tables rest on them.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "baselines/steady.hpp"
 #include "sim/scenario.hpp"
+#include "util/timeline.hpp"
 #include "workload/driver.hpp"
 
 namespace dam::workload {
 namespace {
+
+/// One accounting path: the per-group counters, the timeline rows, the
+/// latency sketch and the publication count all come from the engine's
+/// sim::Metrics, so they agree exactly on every engine.
+void expect_accounting_identity(const DynamicRunResult& r) {
+  std::uint64_t event_sends = 0;
+  std::uint64_t control_sends = 0;
+  for (const DynamicGroupResult& group : r.groups) {
+    event_sends += group.intra_sent + group.inter_sent;
+    control_sends += group.control_sent;
+  }
+  const util::Timeline::Counters totals = r.timeline.totals();
+  EXPECT_EQ(event_sends, totals.event_sends + totals.inter_sends);
+  EXPECT_EQ(event_sends, r.total_messages);
+  EXPECT_EQ(control_sends, totals.control_sends);
+  EXPECT_EQ(r.latency_sketch.count(), totals.deliveries);
+  EXPECT_EQ(r.publications, totals.publishes);
+}
 
 sim::Scenario cell(const char* name) {
   const sim::Scenario* preset = sim::find_scenario(name);
@@ -57,6 +78,7 @@ TEST(SteadyGolden, ProtocolCell) {
   EXPECT_GT(r.table_bytes, 0u);
   EXPECT_GT(r.queue_bytes, 0u);
   EXPECT_EQ(r.timeline.peak_bookkeeping_bytes(), 6048u);
+  expect_accounting_identity(r);
 }
 
 TEST(SteadyGolden, TreeBaselineCell) {
@@ -93,6 +115,7 @@ TEST(SteadyGolden, TreeBaselineCell) {
   EXPECT_EQ(r.table_bytes, 0u);
   EXPECT_EQ(r.queue_bytes, 26244u);
   EXPECT_EQ(r.timeline.peak_bookkeeping_bytes(), 19460u);
+  expect_accounting_identity(r);
 }
 
 TEST(SteadyGolden, GossipBaselineCell) {
@@ -126,6 +149,7 @@ TEST(SteadyGolden, GossipBaselineCell) {
   EXPECT_FALSE(r.groups[2].all_alive_delivered);
   EXPECT_EQ(r.queue_bytes, 2435004u);
   EXPECT_EQ(r.timeline.peak_bookkeeping_bytes(), 146488u);
+  expect_accounting_identity(r);
 }
 
 }  // namespace
