@@ -25,7 +25,6 @@ int main() {
   core::DamSystem::Config config;
   config.seed = 11;
   config.neighborhood_degree = 6;
-  config.node.maintenance_period = 2;   // eager repair for the demo
   config.node.params.psucc = 0.95;
   core::DamSystem system(hierarchy, config);  // NO auto-wiring: cold start
 

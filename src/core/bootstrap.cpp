@@ -6,6 +6,13 @@
 
 namespace dam::core {
 
+namespace {
+/// Rounds between widening re-floods.
+constexpr sim::Round kTimeout = 8;
+/// REQCONTACT forwarding budget ("expiry").
+constexpr std::uint32_t kTtl = 8;
+}  // namespace
+
 void BootstrapTask::start(const NodeContext& ctx, sim::Round now) {
   if (ctx.hierarchy->is_root(ctx.topic)) return;  // no supertopic to find
   active_ = true;
@@ -16,7 +23,7 @@ void BootstrapTask::start(const NodeContext& ctx, sim::Round now) {
 
 void BootstrapTask::tick(const NodeContext& ctx, sim::Round now) {
   if (!active_) return;
-  if (now < last_flood_ + ctx.config->bootstrap.timeout) return;
+  if (now < last_flood_ + kTimeout) return;
   // Timeout: widen the scope by one supertopic level unless the root is
   // already included (Fig. 4 line 24), then re-flood.
   const TopicId widest = init_msg_.back();
@@ -58,7 +65,7 @@ void BootstrapTask::flood(const NodeContext& ctx, sim::Round now) {
     ctx.env->send({.kind = net::MsgKind::kReqContact, .from = ctx.self,
                    .to = neighbor, .origin = ctx.self,
                    .request_id = request_id_, .init_msg = init_msg_,
-                   .ttl = ctx.config->bootstrap.ttl});
+                   .ttl = kTtl});
   }
 }
 

@@ -33,18 +33,13 @@ struct NodeContext;
 
 class BootstrapTask {
  public:
-  struct Config {
-    sim::Round timeout = 8;    ///< rounds between widening re-floods
-    std::uint32_t ttl = 8;     ///< REQCONTACT forwarding budget ("expiry")
-  };
-
   /// Begins (or restarts) the search. No-op for root-topic processes (they
   /// have no supertopic). Floods a REQCONTACT to the owner's bootstrap
   /// neighborhood.
   void start(const NodeContext& ctx, sim::Round now);
 
-  /// Periodic driver: on timeout, widens `initMsg` (if possible) and
-  /// re-floods. Call every round while active.
+  /// Periodic driver: 8 rounds after the last flood, widens `initMsg` (if
+  /// possible) and re-floods. Call every round while active.
   void tick(const NodeContext& ctx, sim::Round now);
 
   /// Processes an ANSCONTACT for topic `answer_topic`.

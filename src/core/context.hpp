@@ -17,9 +17,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/bootstrap.hpp"
 #include "core/params.hpp"
-#include "membership/flat_membership.hpp"
 #include "net/message.hpp"
 #include "sim/clock.hpp"
 #include "topics/dag.hpp"
@@ -75,9 +73,6 @@ class Env {
 
 struct NodeConfig {
   TopicParams params;
-  membership::FlatMembership::Config membership;
-  BootstrapTask::Config bootstrap;
-  sim::Round maintenance_period = 4;  ///< KEEP_TABLE_UPDATED cadence
 
   /// Sustained-service GC: DamSystem releases a publication's seen column
   /// once it is retired AND this many rounds have passed since its first

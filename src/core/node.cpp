@@ -7,6 +7,9 @@
 namespace dam::core {
 
 namespace {
+/// Rounds between KEEP_TABLE_UPDATED passes over the supertopic table.
+constexpr sim::Round kMaintenancePeriod = 4;
+
 std::uint64_t request_key(ProcessId origin, std::uint32_t request_id) {
   return (static_cast<std::uint64_t>(origin.value) << 32) | request_id;
 }
@@ -122,13 +125,12 @@ void DamNode::round(sim::Round now) {
       digest.push_back(it->event);
     }
   }
-  membership_.round(ctx_, now, super_table_.entries(),
+  membership_.round(ctx_, super_table_.entries(),
                     super_table_.super_topic(), digest);
   // Bootstrap timeouts (FIND_SUPER_CONTACT widening).
   bootstrap_.tick(ctx_, now);
   // Supertopic-table maintenance.
-  const sim::Round period = ctx_.config->maintenance_period;
-  if (period > 0 && now % period == 0) {
+  if (now % kMaintenancePeriod == 0) {
     maintain_links(now);
   }
 }

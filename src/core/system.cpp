@@ -64,8 +64,8 @@ DamSystem::DamSystem(const topics::TopicDag& hierarchy, Config config)
       failures_(std::make_unique<sim::NoFailures>()),
       // The channel's quality is the protocol parameter psucc: one knob
       // controls both.
-      transport_({.psucc = config.node.params.psucc, .delay = 1},
-                 rng_.fork(0x7A4), failures_.get()) {}
+      transport_(config.node.params.psucc, rng_.fork(0x7A4),
+                 failures_.get()) {}
 
 DamSystem::~DamSystem() = default;
 

@@ -56,7 +56,9 @@ void accumulate_run(ScenarioPoint& point,
     throw std::invalid_argument(
         "accumulate_run: run and point disagree on group count");
   }
-  point.total_messages.add(static_cast<double>(run.total_messages));
+  const util::Timeline::Counters totals = run.timeline.totals();
+  point.total_messages.add(
+      static_cast<double>(totals.event_sends + totals.inter_sends));
   point.rounds.add(static_cast<double>(run.rounds));
   point.publications.add(static_cast<double>(run.publications));
   if (run.publications > 0) {
@@ -72,7 +74,6 @@ void accumulate_run(ScenarioPoint& point,
   point.latency_sketch.merge(run.latency_sketch);
   point.expected_deliveries += run.expected_deliveries;
   point.timeline.merge(run.timeline);
-  const util::Timeline::Counters totals = run.timeline.totals();
   point.msg_event_sends.add(static_cast<double>(totals.event_sends));
   point.msg_inter_sends.add(static_cast<double>(totals.inter_sends));
   point.msg_control_sends.add(static_cast<double>(totals.control_sends));

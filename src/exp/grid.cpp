@@ -31,6 +31,19 @@ void require_stream_axis(const sim::Scenario& scenario,
   }
 }
 
+/// Guard of the protocol-parameter axes: the steady baselines read only
+/// psucc, and flat gossip also reads c through TopicParams::fanout, so
+/// sweeping any other knob there would run bit-identical cells too.
+void require_engine_reads(const sim::Scenario& scenario,
+                          std::string_view key) {
+  const bool tree = scenario.engine == sim::EngineKind::kBaselineTree;
+  const bool gossip = scenario.engine == sim::EngineKind::kBaselineGossip;
+  if ((tree || gossip) && key != "psucc" && !(gossip && key == "c")) {
+    throw std::invalid_argument("grid: the " + scenario.name +
+                                " baseline never reads " + std::string(key));
+  }
+}
+
 /// The churn axes additionally need a probability-shaped value.
 void require_stream_churn_axis(const sim::Scenario& scenario,
                                std::string_view key, double value) {
@@ -344,6 +357,7 @@ void apply_grid_point(sim::Scenario& scenario, const GridPoint& point) {
       }
       scenario.runs = static_cast<int>(std::llround(value));
     } else {
+      require_engine_reads(scenario, key);
       for (core::TopicParams& params : scenario.params) {
         if (key == "a") {
           params.a = value;

@@ -74,7 +74,9 @@ SweepResult run_sweep(const sim::Scenario& scenario,
         // Control messages are real network traffic of the dynamic
         // engine; the events/sec throughput counts them alongside
         // event messages.
-        shard.events += result.total_messages + result.control_messages;
+        const util::Timeline::Counters totals = result.timeline.totals();
+        shard.events +=
+            totals.event_sends + totals.inter_sends + totals.control_sends;
         ++shard.runs;
         // Same wall split as the frozen lane: arena/spawn time vs the
         // replay itself, plus the largest view-arena footprint.

@@ -5,6 +5,11 @@
 namespace dam::membership {
 
 namespace {
+/// View exchanges a member initiates per round.
+constexpr std::size_t kGossipFanout = 1;
+/// View entries shipped per exchange.
+constexpr std::size_t kShuffleSize = 8;
+
 /// Most view entries a group of `size` can fill: every member but the owner.
 std::size_t fill_limit_for(std::size_t size) { return size > 0 ? size - 1 : 0; }
 }  // namespace
@@ -21,7 +26,7 @@ void FlatMembership::join(const std::vector<ProcessId>& contacts) {
   for (ProcessId contact : contacts) view_.insert(contact, rng_);
 }
 
-void FlatMembership::round(const core::NodeContext& ctx, sim::Round now,
+void FlatMembership::round(const core::NodeContext& ctx,
                            std::span<const ProcessId> piggyback,
                            std::optional<TopicId> piggyback_topic,
                            std::span<const net::EventId> digest) {
@@ -31,14 +36,13 @@ void FlatMembership::round(const core::NodeContext& ctx, sim::Round now,
   // grown, and no node stores them.
   thread_local std::vector<ProcessId> targets;
   thread_local std::vector<ProcessId> shuffle;
-  const Config& config = ctx.config->membership;
-  rng_.sample_into(view_.entries(), config.gossip_fanout, targets);
+  rng_.sample_into(view_.entries(), kGossipFanout, targets);
   for (ProcessId target : targets) {
     // Ship a random view subset; the receiver learns about us implicitly
     // through msg.from.
-    rng_.sample_into(view_.entries(), config.shuffle_size, shuffle);
+    rng_.sample_into(view_.entries(), kShuffleSize, shuffle);
     Message msg{.kind = MsgKind::kMembership, .from = ctx.self, .to = target,
-                .sent_at = now, .answer_topic = ctx.topic,
+                .answer_topic = ctx.topic,
                 .processes = shuffle, .event_ids = digest};
     if (piggyback_topic && !piggyback.empty()) {
       msg.piggyback_topic = piggyback_topic;

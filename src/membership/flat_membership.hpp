@@ -37,11 +37,6 @@ using topics::TopicId;
 
 class FlatMembership {
  public:
-  struct Config {
-    std::size_t gossip_fanout = 1;  ///< view exchanges initiated per round
-    std::size_t shuffle_size = 8;   ///< entries shipped per exchange
-  };
-
   /// A member for `ctx.self`, its view sized for a group of
   /// `group_size_estimate` by `ctx.config->params.view_capacity`.
   FlatMembership(const core::NodeContext& ctx,
@@ -58,12 +53,11 @@ class FlatMembership {
   /// min(view_capacity(n), n-1) wide, and this member was sized for n.
   void adopt(std::span<const ProcessId> base) { view_.seed(base); }
 
-  /// One membership round: initiate `gossip_fanout` view exchanges,
-  /// sent through `ctx.env`. `piggyback` is the sender's current
-  /// supertopic table (may be empty); it rides along per Sec. V-A.2a.
-  /// `digest` (event ids, may be empty) rides along too, for the
-  /// event-recovery extension.
-  void round(const core::NodeContext& ctx, sim::Round now,
+  /// One membership round: initiate one view exchange of 8 entries, sent
+  /// through `ctx.env`. `piggyback` is the sender's current supertopic
+  /// table (may be empty); it rides along per Sec. V-A.2a. `digest` (event
+  /// ids, may be empty) rides along too, for the event-recovery extension.
+  void round(const core::NodeContext& ctx,
              std::span<const ProcessId> piggyback,
              std::optional<TopicId> piggyback_topic,
              std::span<const net::EventId> digest = {});

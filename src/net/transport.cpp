@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 
@@ -52,17 +54,6 @@ void EventBodyPool::release(std::uint32_t id) {
 
 // --- Transport -------------------------------------------------------------
 
-Transport::RoundSlab& Transport::slab_for(sim::Round due) {
-  const auto it = in_flight_.find(due);
-  if (it != in_flight_.end()) return it->second;
-  RoundSlab slab;
-  if (!spare_slabs_.empty()) {
-    slab = std::move(spare_slabs_.back());
-    spare_slabs_.pop_back();
-  }
-  return in_flight_.emplace(due, std::move(slab)).first->second;
-}
-
 void Transport::note_high_water() {
   const std::size_t bytes = queue_bytes();
   stats_.peak_queue_bytes = std::max(stats_.peak_queue_bytes, bytes);
@@ -86,8 +77,17 @@ std::size_t Transport::queue_bytes() const noexcept {
 }
 
 std::uint32_t Transport::send(const Message& msg, sim::Round now) {
+  const sim::Round due = now + 1;
+  RoundSlab& slab = slabs_[due % 2];
+  if (slab.due != due) {
+    if (!slab.records.empty()) {
+      throw std::logic_error(
+          "Transport::send: the slab of round " + std::to_string(slab.due) +
+          " was never delivered");
+    }
+    slab.due = due;
+  }
   ++stats_.sent;
-  RoundSlab& slab = slab_for(now + config_.delay);
   const std::size_t slab_bytes_before = slab.bytes();
   Record rec;
   rec.from = msg.from;
@@ -173,12 +173,11 @@ Message Transport::view(const Record& rec, const RoundSlab& slab) const {
 void Transport::deliver_round(
     sim::Round round, const std::function<void(const Message&)>& sink,
     const std::function<void(ProcessId)>& warm) {
-  const auto it = in_flight_.find(round);
-  if (it == in_flight_.end()) return;
+  RoundSlab& slot = slabs_[round % 2];
+  if (slot.due != round || slot.records.empty()) return;
   // Move the batch out before invoking handlers: handlers send new
-  // messages, which must land in *later* rounds, never this batch.
-  RoundSlab slab = std::move(it->second);
-  in_flight_.erase(it);
+  // messages, which must land in the next round's slab, never this batch.
+  RoundSlab slab = std::move(slot);
   queued_records_ -= slab.records.size();
   slab_bytes_ -= slab.bytes();
   const std::size_t count = slab.records.size();
@@ -190,7 +189,7 @@ void Transport::deliver_round(
   for (std::size_t i = 0; i < count; ++i) {
     const Record& rec = slab.records[i];
     if (warm && i + kLookahead < count) warm(slab.records[i + kLookahead].to);
-    if (!channel_delivers(config_.psucc, rng_)) {
+    if (!channel_delivers(psucc_, rng_)) {
       ++stats_.lost_channel;
       if (rec.kind == MsgKind::kEvent) bodies_.release(rec.ref);
       continue;
@@ -202,15 +201,16 @@ void Transport::deliver_round(
       continue;
     }
     ++stats_.delivered;
-    // The slab was moved out of in_flight_, so sends the sink makes land
-    // in other slabs and never move the arenas this view reads.
+    // The slab was moved out of its slot, so sends the sink makes land in
+    // the other slab and never move the arenas this view reads.
     sink(view(rec, slab));
     // Release AFTER the sink: the view reads the body, and fan-out sends
     // the sink makes retain it through the view's handle.
     if (rec.kind == MsgKind::kEvent) bodies_.release(rec.ref);
   }
+  assert(slot.records.empty() && "a send during delivery reached its slab");
   slab.clear();
-  spare_slabs_.push_back(std::move(slab));
+  slot = std::move(slab);
 }
 
 }  // namespace dam::net

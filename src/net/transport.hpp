@@ -2,7 +2,7 @@
 //
 // Models the paper's "unreliable, i.e. best effort, channels" (Sec. III-A):
 // every message is independently delivered with probability `psucc`
-// (Sec. VII-A sets 0.85) one round after it is sent, and only if the
+// (Sec. VII-A sets 0.85) in the round after it is sent, and only if the
 // failure model lets it through (target alive / perceived alive). Delivery
 // order within a round is the send order, keeping runs deterministic.
 //
@@ -23,21 +23,23 @@
 //     piggyback_super_table, event_ids) are copied into per-slab arenas as
 //     (offset, len) slices off one ControlExtra record per message.
 //
-// Round slabs are recycled wave by wave: deliver_round extracts the due
-// slab, replays it in send order — handing the sink a view whose spans
-// point into that slab's arenas and into the event's body — and returns the
-// emptied slab, capacity intact, to a spare list for the next round.
-// Delivery order, the channel RNG stream, and all Stats counters are
-// BIT-IDENTICAL to the historical per-message std::map queue; the golden
-// tests in tests/workload and the reference-queue test in tests/net pin
-// this. Stats::peak_queue_bytes reports the high-water in-flight footprint
-// (slabs + interned bodies) — the measurand the dynamic-scale bench gates.
+// The channel is one round long, so at most two rounds are ever queued:
+// the round being delivered and the next. The transport keeps one slab
+// per round parity. deliver_round moves the due slab out, replays it in
+// send order — handing the sink a view whose spans point into that slab's
+// arenas and into the event's body — then clears it and moves it back, so
+// its capacity serves the round after next. Delivery order, the channel
+// RNG stream, and all Stats counters are BIT-IDENTICAL to the historical
+// per-message std::map queue; the golden tests in tests/workload and the
+// reference-queue test in tests/net pin this. Stats::peak_queue_bytes
+// reports the high-water in-flight footprint (slabs + interned bodies) —
+// the measurand the dynamic-scale bench gates.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "net/message.hpp"
@@ -95,11 +97,6 @@ class EventBodyPool {
 
 class Transport {
  public:
-  struct Config {
-    double psucc = 1.0;       ///< per-message delivery probability
-    sim::Round delay = 1;     ///< rounds between send and delivery
-  };
-
   struct Stats {
     std::uint64_t sent = 0;
     std::uint64_t delivered = 0;
@@ -119,12 +116,14 @@ class Transport {
     std::uint64_t peak_queue_records = 0;
   };
 
-  Transport(Config config, util::Rng rng, const sim::FailureModel* failures)
-      : config_(config), rng_(rng), failures_(failures) {}
+  /// A channel that delivers each message with probability `psucc`.
+  Transport(double psucc, util::Rng rng, const sim::FailureModel* failures)
+      : psucc_(psucc), rng_(rng), failures_(failures) {}
 
-  /// Queues a copy of `msg` for delivery at `now + delay`. Returns an
-  /// EVENT's body handle (`msg.body` if set, else a freshly interned one),
-  /// or kNoBody for control kinds.
+  /// Queues a copy of `msg` for delivery at `now + 1`. Returns an EVENT's
+  /// body handle (`msg.body` if set, else a freshly interned one), or
+  /// kNoBody for control kinds. Throws std::logic_error if round `now - 1`
+  /// was never delivered: its slab still holds those messages.
   std::uint32_t send(const Message& msg, sim::Round now);
 
   /// How many records ahead of the delivery deliver_round's `warm` hook
@@ -150,7 +149,7 @@ class Transport {
                      const std::function<void(ProcessId)>& warm = {});
 
   /// True if any message is still in flight.
-  [[nodiscard]] bool idle() const noexcept { return in_flight_.empty(); }
+  [[nodiscard]] bool idle() const noexcept { return queued_records_ == 0; }
 
   /// Swaps the failure model consulted at delivery time. In-flight
   /// messages and the channel RNG stream are untouched, so a model can be
@@ -161,8 +160,6 @@ class Transport {
   }
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
 
   /// Current logical in-flight footprint (see Stats::peak_queue_bytes).
   [[nodiscard]] std::size_t queue_bytes() const noexcept;
@@ -182,12 +179,6 @@ class Transport {
   /// Live interned EVENT bodies (test observability).
   [[nodiscard]] const EventBodyPool& bodies() const noexcept {
     return bodies_;
-  }
-
-  /// Round slabs parked for reuse (test observability for the recycling
-  /// contract: deliver_round returns emptied slabs here, capacity intact).
-  [[nodiscard]] std::size_t spare_slabs() const noexcept {
-    return spare_slabs_.size();
   }
 
  private:
@@ -219,6 +210,7 @@ class Transport {
   /// Everything queued for one delivery round, SoA: compact records plus
   /// shared arenas the control slices point into.
   struct RoundSlab {
+    sim::Round due = 0;  ///< the round the records are delivered in
     std::vector<Record> records;
     std::vector<ControlExtra> extras;
     std::vector<ProcessId> pids;
@@ -240,24 +232,19 @@ class Transport {
     }
   };
 
-  /// The slab messages sent at `now` land in, recycling a spare if one is
-  /// parked.
-  RoundSlab& slab_for(sim::Round due);
-
   /// Ratchets Stats::peak_queue_bytes / peak_queue_records after a send.
   void note_high_water();
 
   /// The view of one queued record that deliver_round hands its sink.
   [[nodiscard]] Message view(const Record& rec, const RoundSlab& slab) const;
 
-  Config config_;
+  double psucc_;
   util::Rng rng_;
   const sim::FailureModel* failures_;
-  std::map<sim::Round, RoundSlab> in_flight_;
-  std::vector<RoundSlab> spare_slabs_;
+  std::array<RoundSlab, 2> slabs_;  ///< slab r % 2 holds round r's messages
   EventBodyPool bodies_;
   std::size_t queued_records_ = 0;
-  /// Sum of RoundSlab::bytes() over in_flight_, kept on send and on
+  /// Sum of RoundSlab::bytes() over the queued slabs, kept on send and on
   /// extraction so the high-water check never walks the queue.
   std::size_t slab_bytes_ = 0;
   std::size_t window_peak_bytes_ = 0;  ///< high-water since take_window_peak

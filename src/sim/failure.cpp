@@ -5,14 +5,6 @@
 
 namespace dam::sim {
 
-void StillbornFailures::fail(ProcessId process) {
-  const std::size_t word = process.value / 64;
-  if (word >= failed_.size()) failed_.resize(word + 1, 0);
-  const std::uint64_t bit = std::uint64_t{1} << (process.value % 64);
-  failed_count_ += (failed_[word] & bit) == 0;
-  failed_[word] |= bit;
-}
-
 void ChurnFailures::add_downtime(ProcessId process, Interval interval) {
   if (interval.down >= interval.up) {
     throw std::invalid_argument("ChurnFailures: empty downtime interval");

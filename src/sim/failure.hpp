@@ -4,7 +4,8 @@
 //  * Stillborn (Figures 8–10): a fixed fraction of processes is failed from
 //    the very beginning and never recovers; membership tables are NOT
 //    cleaned ("pessimistically, we assume that the membership algorithm
-//    does not replace a failed process").
+//    does not replace a failed process"). Here that is a ChurnFailures
+//    downtime [0, kNever); the frozen engine keeps its own alive flags.
 //  * Dynamic perception (Figure 11): every process is actually alive, but
 //    each transmission independently perceives the target as failed with
 //    the sweep probability — modelling a weakly-consistent membership view.
@@ -56,32 +57,6 @@ class NoFailures final : public FailureModel {
   [[nodiscard]] bool alive(ProcessId, Round) const override { return true; }
 };
 
-/// A fixed set of processes failed from round 0 (Figures 8–10), one bit
-/// per process.
-class StillbornFailures final : public FailureModel {
- public:
-  StillbornFailures() = default;
-  explicit StillbornFailures(const std::vector<ProcessId>& failed) {
-    for (ProcessId process : failed) fail(process);
-  }
-
-  void fail(ProcessId process);
-
-  [[nodiscard]] bool alive(ProcessId process, Round) const override {
-    const std::size_t word = process.value / 64;
-    return word >= failed_.size() ||
-           ((failed_[word] >> (process.value % 64)) & 1) == 0;
-  }
-
-  [[nodiscard]] std::size_t failed_count() const noexcept {
-    return failed_count_;
-  }
-
- private:
-  std::vector<std::uint64_t> failed_;  ///< bit p: process p failed
-  std::size_t failed_count_ = 0;
-};
-
 /// Crash/recovery schedule: per process, a sorted list of [down, up)
 /// intervals. Used by the stream replay, the frozen engine's churn regime,
 /// the churn tests and the newsroom example.
@@ -105,6 +80,10 @@ class ChurnFailures final : public FailureModel {
     Round down;
     Round up;  // exclusive; process is failed for rounds in [down, up)
   };
+
+  /// `up` of a downtime that never ends (a stillborn process or a leave):
+  /// far past any run's horizon, well inside Round's range.
+  static constexpr Round kNever = Round{1} << 30;
 
   explicit ChurnFailures(std::size_t process_count)
       : downtime_(process_count), dead_((process_count + 63) / 64, 0) {}

@@ -369,7 +369,7 @@ std::vector<Scenario> build_registry() {
     s.workload.engine.recovery_enabled = recovery;
     s.workload.engine.recovery_history = 32;
     s.workload.engine.recovery_digest = 8;
-    s.runs = 10;
+    s.runs = 200;  // resolves the gain at psucc 0.3-0.7
     s.base_seed = 0xEC0;
     presets.push_back(std::move(s));
   }

@@ -1,7 +1,6 @@
 #include "util/timeline.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace dam::util {
 
@@ -18,9 +17,6 @@ Timeline::Counters& Timeline::Counters::operator+=(
   recovers += other.recovers;
   return *this;
 }
-
-Timeline::Timeline(std::size_t window_rounds)
-    : window_rounds_(window_rounds == 0 ? 1 : window_rounds) {}
 
 Timeline::Counters& Timeline::row_for(std::uint64_t round) {
   if (round >= rounds_.size()) {
@@ -42,8 +38,8 @@ Timeline::Window& Timeline::window_for(std::uint64_t round) {
 Timeline::Counters Timeline::window_counters(
     std::size_t window) const noexcept {
   Counters sum;
-  const std::size_t begin = std::min(window * window_rounds_, rounds_.size());
-  const std::size_t end = std::min(begin + window_rounds_, rounds_.size());
+  const std::size_t begin = std::min(window * kWindowRounds, rounds_.size());
+  const std::size_t end = std::min(begin + kWindowRounds, rounds_.size());
   for (std::size_t round = begin; round < end; ++round) sum += rounds_[round];
   return sum;
 }
@@ -115,11 +111,6 @@ void Timeline::sample_gauges(std::uint64_t round, std::uint64_t seen_bytes,
 }
 
 void Timeline::merge(const Timeline& other) {
-  if (other.window_rounds_ != window_rounds_) {
-    throw std::invalid_argument(
-        "Timeline::merge: window widths differ; timelines are only mergeable "
-        "when built on the same round grid");
-  }
   if (rounds_.size() < other.rounds_.size()) {
     rounds_.resize(other.rounds_.size());
   }

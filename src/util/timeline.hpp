@@ -40,7 +40,7 @@ class Timeline {
   /// Rounds per window. 8 keeps giant dynamic runs (a few hundred rounds)
   /// at a few dozen windows while still resolving the frozen engine's
   /// short dissemination waves.
-  static constexpr std::size_t kDefaultWindowRounds = 8;
+  static constexpr std::size_t kWindowRounds = 8;
 
   /// Centroid budget of the per-window latency sketch. Latencies are
   /// integer rounds, so 64 distinct values per window is far beyond what
@@ -79,10 +79,8 @@ class Timeline {
     }
   };
 
-  explicit Timeline(std::size_t window_rounds = kDefaultWindowRounds);
-
-  [[nodiscard]] std::size_t window_rounds() const noexcept {
-    return window_rounds_;
+  [[nodiscard]] static constexpr std::size_t window_rounds() noexcept {
+    return kWindowRounds;
   }
   /// One row per round (index = round), up to the last round noted.
   [[nodiscard]] const std::vector<Counters>& rounds() const noexcept {
@@ -97,7 +95,7 @@ class Timeline {
 
   /// Window index covering `round`.
   [[nodiscard]] std::size_t window_index(std::uint64_t round) const noexcept {
-    return static_cast<std::size_t>(round / window_rounds_);
+    return static_cast<std::size_t>(round / kWindowRounds);
   }
 
   /// Sum of the rows of window `window`.
@@ -132,9 +130,8 @@ class Timeline {
                      std::uint64_t delivered_bytes,
                      std::uint64_t request_bytes);
 
-  /// Merges another timeline in (same window width, or throws
-  /// std::invalid_argument). Deterministic: callers must merge in a fixed
-  /// order (the sweep runner's run→shard order), exactly as for
+  /// Merges another timeline in. Deterministic: callers must merge in a
+  /// fixed order (the sweep runner's run→shard order), exactly as for
   /// QuantileSketch.
   void merge(const Timeline& other);
 
@@ -146,7 +143,6 @@ class Timeline {
   [[nodiscard]] Counters& row_for(std::uint64_t round);
   [[nodiscard]] Window& window_for(std::uint64_t round);
 
-  std::size_t window_rounds_;
   std::vector<Counters> rounds_;
   std::vector<Window> windows_;
 };

@@ -11,10 +11,6 @@ namespace dam::workload {
 
 namespace {
 
-/// "Never recovers" sentinel for leave/stillborn downtime intervals. Far
-/// past any replay horizon, well inside Round's range.
-constexpr sim::Round kNever = sim::Round{1} << 30;
-
 /// Rejects a scenario whose topology the stream engines cannot run: no
 /// topics, group sizes that do not cover them, or a topic with several
 /// supertopics (one super table per process, one route per group).
@@ -211,7 +207,7 @@ DynamicRunResult replay_stream(const sim::Scenario& scenario,
     util::Rng coin = stream_rng(seed, StreamId::kStillborn, p);
     if (coin.bernoulli(1.0 - alive_fraction)) {
       failures->add_downtime(topics::ProcessId{static_cast<std::uint32_t>(p)},
-                             {0, kNever});
+                             {0, sim::ChurnFailures::kNever});
     }
   }
   // The flight recorder's churn series comes straight off the stream: every
@@ -234,7 +230,7 @@ DynamicRunResult replay_stream(const sim::Scenario& scenario,
     const sim::Round down = warmup + event.round;
     const sim::Round up = event.kind == TrafficEvent::Kind::kCrash
                               ? down + std::max<std::size_t>(event.length, 1)
-                              : kNever;
+                              : sim::ChurnFailures::kNever;
     if (event.kind == TrafficEvent::Kind::kCrash) {
       timeline.note_crash(down);
       if (up < total_rounds) timeline.note_recover(up);
@@ -470,12 +466,9 @@ DynamicRunResult replay_stream(const sim::Scenario& scenario,
     }
   }
   // Every engine counts through its Metrics, so the run's counters are
-  // read off it here, once: the message totals off the timeline, and
+  // read off it here, once: the message totals stay on the timeline, and
   // every delivery in the sketch belongs to one of this run's
   // publications (Metrics::note_publish gates it), so it is taken whole.
-  const util::Timeline::Counters totals = timeline.totals();
-  result.total_messages = totals.event_sends + totals.inter_sends;
-  result.control_messages = totals.control_sends;
   result.latency_sketch = metrics.latency_sketch();
   result.parasite_deliveries = metrics.parasite_deliveries();
   engine->collect(result);

@@ -90,8 +90,6 @@ struct DynamicGroupResult {
 struct DynamicRunResult {
   std::vector<DynamicGroupResult> groups;  ///< scenario topic order
   std::size_t rounds = 0;                  ///< warmup + replay + drain
-  std::uint64_t total_messages = 0;        ///< event messages sent
-  std::uint64_t control_messages = 0;      ///< membership/bootstrap/recovery
 
   std::size_t publications = 0;   ///< events actually injected
   double event_reliability = 0.0; ///< mean over publications of the fraction

@@ -15,12 +15,8 @@ class BootstrapTest : public testing::ContextTest {
  protected:
   BootstrapTest() { env_.neighbors[0] = {ProcessId{10}, ProcessId{11}}; }
 
-  /// Process 0 on `topic`, with bootstrap settings `bootstrap`.
-  NodeContext ctx(TopicId topic, BootstrapTask::Config bootstrap = {}) {
-    NodeConfig config;
-    config.bootstrap = bootstrap;
-    return context(ProcessId{0}, topic, config);
-  }
+  /// Process 0 on `topic`.
+  NodeContext ctx(TopicId topic) { return context(ProcessId{0}, topic); }
 
   /// Runs start() or tick() and returns what it sent.
   std::vector<OwnedMessage> collect(BootstrapTask& task,
@@ -65,22 +61,22 @@ TEST_F(BootstrapTest, RootProcessNeverStarts) {
 }
 
 TEST_F(BootstrapTest, TimeoutWidensScopeUpToRoot) {
-  const NodeContext c = ctx(levels_[3], {.timeout = 5, .ttl = 4});
+  const NodeContext c = ctx(levels_[3]);
   BootstrapTask task;
   collect(task, c, 0, true);
-  // Before the timeout: nothing.
-  EXPECT_TRUE(collect(task, c, 4, false).empty());
+  // Before the 8-round timeout: nothing.
+  EXPECT_TRUE(collect(task, c, 7, false).empty());
   // Timeout 1: adds t1.
-  auto sent = collect(task, c, 5, false);
+  auto sent = collect(task, c, 8, false);
   ASSERT_EQ(sent.size(), 2u);
   EXPECT_EQ(task.init_msg().size(), 2u);
   EXPECT_EQ(task.init_msg()[1], levels_[1]);
   // Timeout 2: adds root.
-  collect(task, c, 10, false);
+  collect(task, c, 16, false);
   ASSERT_EQ(task.init_msg().size(), 3u);
   EXPECT_EQ(task.init_msg()[2], levels_[0]);
   // Timeout 3: root already included; scope stays, flood repeats.
-  sent = collect(task, c, 15, false);
+  sent = collect(task, c, 24, false);
   EXPECT_EQ(task.init_msg().size(), 3u);
   EXPECT_EQ(sent.size(), 2u);
 }
@@ -94,11 +90,11 @@ TEST_F(BootstrapTest, DirectSuperAnswerStopsTask) {
 }
 
 TEST_F(BootstrapTest, HigherAnswerNarrowsButContinues) {
-  const NodeContext c = ctx(levels_[3], {.timeout = 5, .ttl = 4});
+  const NodeContext c = ctx(levels_[3]);
   BootstrapTask task;
   collect(task, c, 0, true);
-  collect(task, c, 5, false);   // scope: {t2, t1}
-  collect(task, c, 10, false);  // scope: {t2, t1, root}
+  collect(task, c, 8, false);   // scope: {t2, t1}
+  collect(task, c, 16, false);  // scope: {t2, t1, root}
   // An answer for t1 (not the direct super t2) narrows: drops t1 and root
   // (both include t1), keeps searching t2.
   EXPECT_TRUE(task.on_answer(c, levels_[1]));
@@ -123,10 +119,10 @@ TEST_F(BootstrapTest, AnswerWhenInactiveIgnored) {
 }
 
 TEST_F(BootstrapTest, RestartResetsScope) {
-  const NodeContext c = ctx(levels_[3], {.timeout = 5, .ttl = 4});
+  const NodeContext c = ctx(levels_[3]);
   BootstrapTask task;
   collect(task, c, 0, true);
-  collect(task, c, 5, false);  // widened to 2 topics
+  collect(task, c, 8, false);  // widened to 2 topics
   EXPECT_TRUE(task.on_answer(c, levels_[2]));
   EXPECT_FALSE(task.active());
   // Restart (e.g. all super contacts died later).
@@ -137,10 +133,10 @@ TEST_F(BootstrapTest, RestartResetsScope) {
 }
 
 TEST_F(BootstrapTest, RequestIdsIncreasePerFlood) {
-  const NodeContext c = ctx(levels_[3], {.timeout = 1, .ttl = 4});
+  const NodeContext c = ctx(levels_[3]);
   BootstrapTask task;
   const auto first = collect(task, c, 0, true);
-  const auto second = collect(task, c, 1, false);
+  const auto second = collect(task, c, 8, false);
   ASSERT_FALSE(first.empty());
   ASSERT_FALSE(second.empty());
   EXPECT_NE(first[0].request_id, second[0].request_id);
@@ -148,11 +144,11 @@ TEST_F(BootstrapTest, RequestIdsIncreasePerFlood) {
 }
 
 TEST_F(BootstrapTest, TtlCarriedInMessages) {
-  const NodeContext c = ctx(levels_[1], {.timeout = 5, .ttl = 7});
+  const NodeContext c = ctx(levels_[1]);
   BootstrapTask task;
   const auto sent = collect(task, c, 0, true);
   ASSERT_FALSE(sent.empty());
-  EXPECT_EQ(sent[0].ttl, 7u);
+  EXPECT_EQ(sent[0].ttl, 8u);
   ASSERT_EQ(sent[0].init_msg.size(), 1u);
   EXPECT_EQ(sent[0].init_msg[0], levels_[0]);  // super(t1) = root
 }

@@ -177,9 +177,10 @@ TEST(ViewFootprint, FillLimitCapsTheReservation) {
   EXPECT_EQ(largest, 5 * sizeof(ProcessId));
 }
 
-/// Allocations made by one event wave through a 100/1,000/5,000 chain with
-/// gossip and maintenance off, publishing `payload` at the bottom; also
-/// returns the event sends, so a test can tell the wave was not empty.
+/// Allocations made by the 40 rounds after publishing `payload` at the
+/// bottom of a 100/1,000/5,000 chain (gossip and maintenance included);
+/// also returns the event sends, so a test can tell the wave was not
+/// empty.
 std::pair<std::size_t, std::uint64_t> wave_allocations(
     std::vector<std::uint8_t> payload) {
   topics::TopicDag hierarchy;
@@ -187,27 +188,24 @@ std::pair<std::size_t, std::uint64_t> wave_allocations(
   DamSystem::Config config;
   config.seed = 11;
   config.auto_wire_super_tables = true;
-  config.node.membership.gossip_fanout = 0;
-  config.node.maintenance_period = 0;
   DamSystem system(hierarchy, config);
   system.spawn_group(levels[0], 100);
   system.spawn_group(levels[1], 1000);
   const auto bottom = system.spawn_group(levels[2], 5000);
-  const std::uint64_t sent_before = system.transport().stats().sent;
   const AllocationCounter counter;
   system.publish(bottom.back(), std::move(payload));  // a full view
-  for (int round = 0; round < 100 && !system.transport().idle(); ++round) {
-    system.run_rounds(1);
-  }
-  EXPECT_TRUE(system.transport().idle());
-  return {counter.allocations(),
-          system.transport().stats().sent - sent_before};
+  system.run_rounds(40);
+  const util::Timeline::Counters totals =
+      system.metrics().timeline().totals();
+  return {counter.allocations(), totals.event_sends + totals.inter_sends};
 }
 
 TEST(EventWave, PayloadIsNotCopiedPerSend) {
-  // Same seed, same wave: only the payload differs. The transport interns
+  // Same seed, same rounds: only the payload differs. The transport interns
   // the body once per publication and every forwarded copy carries its
-  // handle, so the payload costs one allocation, not one per send.
+  // handle, so the payload costs one allocation, not one per send. A
+  // first run grows the thread-local gossip draw buffers.
+  (void)wave_allocations({});
   const auto [empty, empty_sends] = wave_allocations({});
   const auto [carried, carried_sends] =
       wave_allocations(std::vector<std::uint8_t>(64, 0x5A));
@@ -219,46 +217,40 @@ TEST(EventWave, PayloadIsNotCopiedPerSend) {
 }
 
 TEST_F(NodeFootprintTest, WarmMembershipRoundAllocatesNothing) {
-  // The target and shuffle draws used to allocate a vector each, and a
-  // 0-of-n target draw (gossip_fanout = 0) allocated too.
-  for (const std::size_t fanout : {0UL, 1UL, 2UL}) {
-    NodeConfig config;
-    config.membership.gossip_fanout = fanout;
-    const NodeContext ctx = context(ProcessId{0}, levels_[1], config);
-    membership::FlatMembership member(ctx, 1000, util::Rng(3));
-    std::vector<ProcessId> contacts;
-    for (std::uint32_t i = 1; i <= 40; ++i) contacts.push_back(ProcessId{i});
-    member.join(contacts);
-    std::size_t sends = 0;
-    env_.on_send = [&](const Message& msg) {
-      EXPECT_EQ(msg.processes.size(), config.membership.shuffle_size);
-      ++sends;
-    };
-    member.round(ctx, 0, {}, std::nullopt);  // grows the draw buffers
-    std::size_t allocations = 0;
-    {
-      const AllocationCounter counter;
-      for (sim::Round now = 1; now <= 100; ++now) {
-        member.round(ctx, now, {}, std::nullopt);
-      }
-      allocations = counter.allocations();
+  // The target and shuffle draws used to allocate a vector each.
+  const NodeContext ctx = context(ProcessId{0}, levels_[1]);
+  membership::FlatMembership member(ctx, 1000, util::Rng(3));
+  std::vector<ProcessId> contacts;
+  for (std::uint32_t i = 1; i <= 40; ++i) contacts.push_back(ProcessId{i});
+  member.join(contacts);
+  std::size_t sends = 0;
+  env_.on_send = [&](const Message& msg) {
+    EXPECT_EQ(msg.processes.size(), 8u);  // the shuffle size
+    ++sends;
+  };
+  member.round(ctx, {}, std::nullopt);  // grows the draw buffers
+  std::size_t allocations = 0;
+  {
+    const AllocationCounter counter;
+    for (int round = 1; round <= 100; ++round) {
+      member.round(ctx, {}, std::nullopt);
     }
-    EXPECT_EQ(allocations, 0u) << "fanout " << fanout;
-    EXPECT_EQ(sends, 101 * fanout);
+    allocations = counter.allocations();
   }
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(sends, 101u);  // one exchange per round
 }
 
 TEST(MembershipRound, GossipSendsDoNotAllocate) {
-  // 10 gossip-only rounds of a warmed-up 100/2,000 chain: 2.00
+  // 10 rounds of a warmed-up 100/2,000 chain, mostly gossip: 2.00
   // allocations per membership send before the draws were buffered. What
-  // is left are per-round and first-mutation costs (queue slabs, late
-  // view overlays).
+  // is left are per-round, maintenance and first-mutation costs (queue
+  // slabs, table-repair draws, late view overlays).
   topics::TopicDag hierarchy;
   const auto levels = topics::make_linear_hierarchy(hierarchy, 1);
   DamSystem::Config config;
   config.seed = 13;
   config.auto_wire_super_tables = true;
-  config.node.maintenance_period = 0;
   DamSystem system(hierarchy, config);
   system.spawn_group(levels[0], 100);
   system.spawn_group(levels[1], 2000);

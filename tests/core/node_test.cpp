@@ -396,7 +396,6 @@ TEST_F(NodeTest, NewProcessGiveForNonSupertopicIgnored) {
 
 TEST_F(NodeTest, MaintenanceAsksForFreshContactsWhenBelowThreshold) {
   NodeConfig config = eager_config();  // psel = 1: maintenance always probes
-  config.maintenance_period = 1;
   auto node = make_node(0, 2, 20, config);
   node.subscribe({ProcessId{1}}, {ProcessId{60}, ProcessId{61}, ProcessId{62}});
   // 60 and 61 died -> alive count 1 <= tau (1): node must ask the remaining
@@ -413,7 +412,6 @@ TEST_F(NodeTest, MaintenanceAsksForFreshContactsWhenBelowThreshold) {
 
 TEST_F(NodeTest, MaintenanceQuietWhenTableHealthy) {
   NodeConfig config = eager_config();
-  config.maintenance_period = 1;
   auto node = make_node(0, 2, 20, config);
   node.subscribe({ProcessId{1}}, {ProcessId{60}, ProcessId{61}, ProcessId{62}});
   env_.clear();
@@ -424,7 +422,6 @@ TEST_F(NodeTest, MaintenanceQuietWhenTableHealthy) {
 TEST_F(NodeTest, MaintenanceRestartsBootstrapWhenAllSupersDead) {
   env_.neighbors[0] = {ProcessId{5}};
   NodeConfig config = eager_config();
-  config.maintenance_period = 1;
   auto node = make_node(0, 2, 20, config);
   node.subscribe({ProcessId{1}}, {ProcessId{60}});
   env_.alive = [](ProcessId p) { return p != ProcessId{60}; };

@@ -127,10 +127,12 @@ TEST_F(SystemTest, StillbornFailuresDegradeDelivery) {
   system.spawn_group(levels_[1], 20);
   const auto leaves = system.spawn_group(levels_[2], 40);
   // Fail 30% of everything except the publisher.
-  auto failures = std::make_unique<sim::StillbornFailures>();
+  auto failures = std::make_unique<sim::ChurnFailures>(system.process_count());
   util::Rng rng(3);
   for (std::uint32_t p = 1; p < system.process_count(); ++p) {
-    if (rng.bernoulli(0.3)) failures->fail(ProcessId{p});
+    if (rng.bernoulli(0.3)) {
+      failures->add_downtime(ProcessId{p}, {0, sim::ChurnFailures::kNever});
+    }
   }
   system.set_failure_model(std::move(failures));
   system.run_rounds(2);

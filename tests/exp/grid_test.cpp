@@ -179,10 +179,11 @@ TEST(GridApply, RateSwitchesScheduledArrivalsToPoisson) {
   EXPECT_DOUBLE_EQ(scenario.workload.arrival.rate, 0.3);
 }
 
-TEST(GridApply, WorkloadAxesRejectFrozenScenarios) {
+TEST(GridApply, AxesRejectEnginesThatNeverReadThem) {
   // The frozen engine has no traffic stream and runs no table
-  // maintenance: these axes would be dead state, sweeping identical cells
-  // under different labels.
+  // maintenance, and the steady baselines read no protocol knob but psucc
+  // (and c, for flat gossip): these axes would be dead state, sweeping
+  // identical cells under different labels.
   sim::Scenario scenario = sim::make_linear_scenario("grid", "grid", {10});
   ASSERT_EQ(scenario.engine, sim::EngineKind::kFrozen);
   EXPECT_THROW(apply_grid_point(scenario, {{"rate", 0.5}}),
@@ -191,6 +192,19 @@ TEST(GridApply, WorkloadAxesRejectFrozenScenarios) {
                std::invalid_argument);
   EXPECT_THROW(apply_grid_point(scenario, {{"tau", 1.0}}),
                std::invalid_argument);
+  for (const char* name : {"steady-tree", "steady-gossip"}) {
+    sim::Scenario baseline = *sim::find_scenario(name);
+    for (const char* key : {"a", "b", "g", "z", "tau"}) {
+      EXPECT_THROW(apply_grid_point(baseline, {{key, 2.0}}),
+                   std::invalid_argument)
+          << name << ' ' << key;
+    }
+    EXPECT_NO_THROW(apply_grid_point(baseline, {{"psucc", 0.5}})) << name;
+  }
+  sim::Scenario tree = *sim::find_scenario("steady-tree");
+  EXPECT_THROW(apply_grid_point(tree, {{"c", 2.0}}), std::invalid_argument);
+  sim::Scenario gossip = *sim::find_scenario("steady-gossip");
+  EXPECT_NO_THROW(apply_grid_point(gossip, {{"c", 2.0}}));
 }
 
 TEST(GridApply, ZipfSSetsExponentAndSwitchesToZipfPopularity) {

@@ -16,7 +16,6 @@ TEST(Churn, SuperTableRepairsAfterSupergroupDeaths) {
   config.auto_wire_super_tables = true;
   config.node.params.g = 1000.0;  // psel = 1: maintenance probes every period
   config.node.params.a = 3.0;
-  config.node.maintenance_period = 2;
   DamSystem system(hierarchy, config);
   const auto supers = system.spawn_group(levels[0], 12);
   const auto leaves = system.spawn_group(levels[1], 20);
@@ -88,7 +87,6 @@ TEST(Churn, SystemSurvivesRandomChurn) {
   DamSystem::Config config;
   config.seed = 33;
   config.auto_wire_super_tables = true;
-  config.node.maintenance_period = 2;
   DamSystem system(hierarchy, config);
   system.spawn_group(levels[0], 10);
   system.spawn_group(levels[1], 20);

@@ -39,20 +39,19 @@ TEST_F(FlatMembershipTest, JoinSeedsView) {
 TEST_F(FlatMembershipTest, RoundEmitsGossipToViewMembers) {
   auto member = make_member(0);
   member.join({ProcessId{1}, ProcessId{2}, ProcessId{3}});
-  member.round(ctx(0), 7, {}, std::nullopt);
+  member.round(ctx(0), {}, std::nullopt);
   const std::vector<OwnedMessage>& sent = env_.outbox;
-  ASSERT_EQ(sent.size(), 1u);  // default gossip_fanout = 1
+  ASSERT_EQ(sent.size(), 1u);  // one exchange per round
   EXPECT_EQ(sent[0].kind, MsgKind::kMembership);
   EXPECT_EQ(sent[0].from, ProcessId{0});
   EXPECT_EQ(sent[0].answer_topic, levels_[1]);
-  EXPECT_EQ(sent[0].sent_at, 7u);
   EXPECT_TRUE(member.view().contains(sent[0].to));
   EXPECT_FALSE(sent[0].piggyback_topic.has_value());
 }
 
 TEST_F(FlatMembershipTest, RoundWithEmptyViewIsSilent) {
   auto member = make_member(0);
-  member.round(ctx(0), 0, {}, std::nullopt);
+  member.round(ctx(0), {}, std::nullopt);
   EXPECT_TRUE(env_.outbox.empty());
 }
 
@@ -60,7 +59,7 @@ TEST_F(FlatMembershipTest, PiggybackRidesAlong) {
   auto member = make_member(0);
   member.join({ProcessId{1}});
   const std::vector<ProcessId> piggyback{ProcessId{50}, ProcessId{51}};
-  member.round(ctx(0), 0, piggyback, TopicId{9});
+  member.round(ctx(0), piggyback, TopicId{9});
   const std::vector<OwnedMessage>& sent = env_.outbox;
   ASSERT_EQ(sent.size(), 1u);
   ASSERT_TRUE(sent[0].piggyback_topic.has_value());
@@ -116,7 +115,7 @@ TEST_F(FlatMembershipTest, GossipConvergesViewsInAGroup) {
   for (sim::Round round = 0; round < 60; ++round) {
     env_.clear();
     for (std::uint32_t i = 0; i < kMembers; ++i) {
-      members[i].round(contexts[i], round, {}, std::nullopt);
+      members[i].round(contexts[i], {}, std::nullopt);
     }
     for (const OwnedMessage& msg : env_.outbox) {
       members[msg.to.value].on_membership(msg.view());

@@ -29,16 +29,16 @@ using dam::testing::OwnedMessage;
 /// consulted only when the coin passes.
 class ReferenceTransport {
  public:
-  ReferenceTransport(Transport::Config config, util::Rng rng,
+  ReferenceTransport(double psucc, util::Rng rng,
                      const sim::FailureModel* failures)
-      : config_(config), rng_(rng), failures_(failures) {}
+      : psucc_(psucc), rng_(rng), failures_(failures) {}
 
   std::uint32_t send(const Message& msg, sim::Round now) {
     ++stats_.sent;
     stats_.bytes_sent += encoded_size(msg);
     OwnedMessage queued = msg;
     queued.sent_at = now;
-    in_flight_[now + config_.delay].push_back(std::move(queued));
+    in_flight_[now + 1].push_back(std::move(queued));
     return kNoBody;
   }
 
@@ -49,7 +49,7 @@ class ReferenceTransport {
     std::vector<OwnedMessage> batch = std::move(it->second);
     in_flight_.erase(it);
     for (const OwnedMessage& msg : batch) {
-      if (!core::protocol::channel_delivers(config_.psucc, rng_)) {
+      if (!core::protocol::channel_delivers(psucc_, rng_)) {
         ++stats_.lost_channel;
         continue;
       }
@@ -66,7 +66,7 @@ class ReferenceTransport {
   [[nodiscard]] const Transport::Stats& stats() const { return stats_; }
 
  private:
-  Transport::Config config_;
+  double psucc_;
   util::Rng rng_;
   const sim::FailureModel* failures_;
   std::map<sim::Round, std::vector<OwnedMessage>> in_flight_;
@@ -143,10 +143,9 @@ std::vector<OwnedMessage> drive(T& transport) {
   return delivered;
 }
 
-void expect_identical(const Transport::Config& config,
-                      const sim::FailureModel* failures) {
-  Transport slab(config, util::Rng(0xABCD), failures);
-  ReferenceTransport reference(config, util::Rng(0xABCD), failures);
+void expect_identical(double psucc, const sim::FailureModel* failures) {
+  Transport slab(psucc, util::Rng(0xABCD), failures);
+  ReferenceTransport reference(psucc, util::Rng(0xABCD), failures);
   const std::vector<OwnedMessage> got = drive(slab);
   const std::vector<OwnedMessage> want = drive(reference);
   ASSERT_EQ(got.size(), want.size());
@@ -161,17 +160,19 @@ void expect_identical(const Transport::Config& config,
 }
 
 TEST(TransportSlab, BitIdenticalToPerMessageQueueLossless) {
-  expect_identical({.psucc = 1.0, .delay = 1}, nullptr);
+  expect_identical(1.0, nullptr);
 }
 
 TEST(TransportSlab, BitIdenticalToPerMessageQueueLossy) {
-  expect_identical({.psucc = 0.85, .delay = 1}, nullptr);
+  expect_identical(0.85, nullptr);
 }
 
 TEST(TransportSlab, BitIdenticalToPerMessageQueueWithFailures) {
-  const sim::StillbornFailures failures(
-      {ProcessId{3}, ProcessId{11}, ProcessId{24}});
-  expect_identical({.psucc = 0.85, .delay = 2}, &failures);
+  sim::ChurnFailures failures(100);
+  for (const std::uint32_t p : {3u, 11u, 24u}) {
+    failures.add_downtime(ProcessId{p}, {0, sim::ChurnFailures::kNever});
+  }
+  expect_identical(0.85, &failures);
 }
 
 }  // namespace

@@ -3,14 +3,45 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <new>
+#include <stdexcept>
 #include <vector>
 
 #include "owned_message.hpp"
+
+// Counts the operator new calls of this binary, so a test can tell
+// whether a stretch of transport work allocated.
+namespace {
+
+std::size_t g_allocations = 0;
+
+void* counted_alloc(std::size_t size) {
+  ++g_allocations;
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
 
 namespace dam::net {
 namespace {
 
 using dam::testing::OwnedMessage;
+
+/// `count` processes; the `failed` ones are down from round 0 for good.
+sim::ChurnFailures stillborn(std::size_t count,
+                             std::initializer_list<std::uint32_t> failed) {
+  sim::ChurnFailures model(count);
+  for (const std::uint32_t p : failed) {
+    model.add_downtime(ProcessId{p}, {0, sim::ChurnFailures::kNever});
+  }
+  return model;
+}
 
 Message make_msg(std::uint32_t from, std::uint32_t to) {
   Message msg;
@@ -21,7 +52,7 @@ Message make_msg(std::uint32_t from, std::uint32_t to) {
 }
 
 TEST(Transport, DeliversAfterDelay) {
-  Transport transport({.psucc = 1.0, .delay = 1}, util::Rng(1), nullptr);
+  Transport transport(1.0, util::Rng(1), nullptr);
   transport.send(make_msg(0, 1), /*now=*/0);
   int delivered = 0;
   transport.deliver_round(0, [&](const Message&) { ++delivered; });
@@ -32,7 +63,7 @@ TEST(Transport, DeliversAfterDelay) {
 }
 
 TEST(Transport, PreservesSendOrderWithinRound) {
-  Transport transport({.psucc = 1.0, .delay = 1}, util::Rng(1), nullptr);
+  Transport transport(1.0, util::Rng(1), nullptr);
   for (std::uint32_t i = 0; i < 5; ++i) transport.send(make_msg(0, i), 0);
   std::vector<std::uint32_t> order;
   transport.deliver_round(1, [&](const Message& m) { order.push_back(m.to.value); });
@@ -40,7 +71,7 @@ TEST(Transport, PreservesSendOrderWithinRound) {
 }
 
 TEST(Transport, LossRateMatchesPsucc) {
-  Transport transport({.psucc = 0.85, .delay = 1}, util::Rng(7), nullptr);
+  Transport transport(0.85, util::Rng(7), nullptr);
   constexpr int kMessages = 20000;
   for (int i = 0; i < kMessages; ++i) transport.send(make_msg(0, 1), 0);
   int delivered = 0;
@@ -52,8 +83,8 @@ TEST(Transport, LossRateMatchesPsucc) {
 }
 
 TEST(Transport, FailureModelBlocksDelivery) {
-  sim::StillbornFailures failures({ProcessId{1}});
-  Transport transport({.psucc = 1.0, .delay = 1}, util::Rng(1), &failures);
+  const sim::ChurnFailures failures = stillborn(3, {1});
+  Transport transport(1.0, util::Rng(1), &failures);
   transport.send(make_msg(0, 1), 0);  // to failed process
   transport.send(make_msg(0, 2), 0);  // to alive process
   std::vector<std::uint32_t> received;
@@ -64,7 +95,7 @@ TEST(Transport, FailureModelBlocksDelivery) {
 }
 
 TEST(Transport, MessagesSentDuringDeliveryLandLater) {
-  Transport transport({.psucc = 1.0, .delay = 1}, util::Rng(1), nullptr);
+  Transport transport(1.0, util::Rng(1), nullptr);
   transport.send(make_msg(0, 1), 0);
   int round1 = 0;
   transport.deliver_round(1, [&](const Message&) {
@@ -77,19 +108,22 @@ TEST(Transport, MessagesSentDuringDeliveryLandLater) {
   EXPECT_EQ(round2, 1);
 }
 
-TEST(Transport, LongerDelay) {
-  Transport transport({.psucc = 1.0, .delay = 3}, util::Rng(1), nullptr);
-  transport.send(make_msg(0, 1), 5);
+TEST(Transport, SendAfterASkippedRoundThrows) {
+  // Rounds 1 and 3 share a slab; with round 1 never delivered, a send for
+  // round 3 would strand its messages.
+  Transport transport(1.0, util::Rng(1), nullptr);
+  transport.send(make_msg(0, 1), 0);
+  EXPECT_THROW(transport.send(make_msg(0, 1), 2), std::logic_error);
   int delivered = 0;
-  for (sim::Round r = 0; r <= 8; ++r) {
-    transport.deliver_round(r, [&](const Message&) { ++delivered; });
-  }
+  transport.deliver_round(1, [&](const Message&) { ++delivered; });
   EXPECT_EQ(delivered, 1);
-  EXPECT_FALSE(transport.idle() && delivered == 0);
+  EXPECT_TRUE(transport.idle());
+  transport.send(make_msg(0, 1), 2);  // delivered, the slab takes round 3
+  EXPECT_EQ(transport.queued_records(), 1u);
 }
 
 TEST(Transport, BytesAccounted) {
-  Transport transport({.psucc = 1.0, .delay = 1}, util::Rng(1), nullptr);
+  Transport transport(1.0, util::Rng(1), nullptr);
   const Message msg = make_msg(0, 1);
   transport.send(msg, 0);
   EXPECT_EQ(transport.stats().bytes_sent, encoded_size(msg));
@@ -97,7 +131,7 @@ TEST(Transport, BytesAccounted) {
 
 TEST(Transport, DeterministicAcrossIdenticalRuns) {
   auto run = [] {
-    Transport transport({.psucc = 0.5, .delay = 1}, util::Rng(42), nullptr);
+    Transport transport(0.5, util::Rng(42), nullptr);
     for (int i = 0; i < 100; ++i) transport.send(make_msg(0, 1), 0);
     int delivered = 0;
     transport.deliver_round(1, [&](const Message&) { ++delivered; });
@@ -132,7 +166,7 @@ std::uint32_t fan_out(Transport& transport, const OwnedMessage& event,
 }
 
 TEST(Transport, FanOutCopiesShareOneInternedBody) {
-  Transport transport({.psucc = 1.0, .delay = 1}, util::Rng(1), nullptr);
+  Transport transport(1.0, util::Rng(1), nullptr);
   const std::vector<std::uint8_t> payload(1000, 0xAB);
   const OwnedMessage event = make_event(7, 1, payload);
   Message copy = event.view();
@@ -167,7 +201,7 @@ TEST(Transport, FanOutCopiesShareOneInternedBody) {
 }
 
 TEST(Transport, DistinctEventsGetDistinctBodies) {
-  Transport transport({.psucc = 1.0, .delay = 1}, util::Rng(1), nullptr);
+  Transport transport(1.0, util::Rng(1), nullptr);
   const std::uint32_t first = transport.send(make_event(1, 1, {1}).view(), 0);
   const std::uint32_t second = transport.send(make_event(1, 2, {2}).view(), 0);
   const std::uint32_t third = transport.send(make_event(2, 1, {3}).view(), 0);
@@ -187,7 +221,7 @@ TEST(Transport, DistinctEventsGetDistinctBodies) {
 TEST(Transport, DroppedCopiesReleaseTheirBodyReference) {
   // Channel losses at delivery time must release body refs exactly like
   // successful deliveries — otherwise every lossy wave leaks pool entries.
-  Transport transport({.psucc = 0.0, .delay = 1}, util::Rng(1), nullptr);
+  Transport transport(0.0, util::Rng(1), nullptr);
   fan_out(transport, make_event(5, 9, {1, 2, 3}), 20, 0);
   EXPECT_EQ(transport.bodies().live(), 1u);
   int delivered = 0;
@@ -198,30 +232,38 @@ TEST(Transport, DroppedCopiesReleaseTheirBodyReference) {
 }
 
 TEST(Transport, FailureDropsReleaseTheirBodyReference) {
-  sim::StillbornFailures failures({ProcessId{1}});
-  Transport transport({.psucc = 1.0, .delay = 1}, util::Rng(1), &failures);
+  const sim::ChurnFailures failures = stillborn(2, {1});
+  Transport transport(1.0, util::Rng(1), &failures);
   fan_out(transport, make_event(0, 1, {7}), 2, 0);  // 0 alive, 1 doomed
   transport.deliver_round(1, [](const Message&) {});
   EXPECT_EQ(transport.stats().lost_failure, 1u);
   EXPECT_EQ(transport.bodies().live(), 0u);
 }
 
-TEST(Transport, RoundSlabsAreRecycled) {
-  Transport transport({.psucc = 1.0, .delay = 1}, util::Rng(1), nullptr);
-  EXPECT_EQ(transport.spare_slabs(), 0u);
-  transport.send(make_event(1, 1, {}).view(), 0);
+TEST(Transport, SlabCapacitySurvivesDelivery) {
+  // Rounds 1 and 3 share a slab: once round 1 is delivered, a wave of the
+  // same shape for round 3 fits the capacity it left and allocates nothing.
+  Transport transport(1.0, util::Rng(1), nullptr);
+  const OwnedMessage event = make_event(1, 1, {});
+  OwnedMessage ctrl;
+  ctrl.kind = MsgKind::kMembership;
+  ctrl.processes = {ProcessId{1}, ProcessId{2}, ProcessId{3}};
+  ctrl.event_ids = {EventId{ProcessId{1}, 1}};
+  const auto wave = [&](sim::Round now) {
+    fan_out(transport, event, 100, now);
+    for (int i = 0; i < 100; ++i) transport.send(ctrl.view(), now);
+  };
+  wave(0);
   transport.deliver_round(1, [](const Message&) {});
-  // The emptied slab parks on the spare list...
-  EXPECT_EQ(transport.spare_slabs(), 1u);
-  // ...and the next round's sends reclaim it instead of allocating.
-  transport.send(make_event(1, 2, {}).view(), 1);
-  EXPECT_EQ(transport.spare_slabs(), 0u);
-  transport.deliver_round(2, [](const Message&) {});
-  EXPECT_EQ(transport.spare_slabs(), 1u);
+  const std::size_t before = g_allocations;
+  wave(2);
+  const std::size_t allocations = g_allocations - before;
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(transport.queued_records(), 200u);
 }
 
 TEST(Transport, PeakQueueBytesRatchets) {
-  Transport transport({.psucc = 1.0, .delay = 1}, util::Rng(1), nullptr);
+  Transport transport(1.0, util::Rng(1), nullptr);
   EXPECT_EQ(transport.stats().peak_queue_bytes, 0u);
   fan_out(transport, make_event(1, 1, std::vector<std::uint8_t>(100, 1)), 10,
           0);
@@ -257,7 +299,7 @@ TEST(Transport, ControlMessageFieldsSurviveTheSlabRoundTrip) {
   msg.event_ids = {EventId{ProcessId{4}, 1}, EventId{ProcessId{5}, 2}};
   const OwnedMessage sent = msg;
 
-  Transport transport({.psucc = 1.0, .delay = 1}, util::Rng(1), nullptr);
+  Transport transport(1.0, util::Rng(1), nullptr);
   transport.send(msg.view(), /*now=*/3);
   // The sender's buffers only have to live until send returns: overwrite
   // them, then free them. The delivery below must still read the originals.
@@ -290,7 +332,7 @@ TEST(Transport, EventMessageSurvivesTheSlabRoundTrip) {
   msg.to = ProcessId{6};
   msg.sent_at = 2;
   msg.intergroup = true;
-  Transport transport({.psucc = 1.0, .delay = 1}, util::Rng(1), nullptr);
+  Transport transport(1.0, util::Rng(1), nullptr);
   transport.send(msg.view(), 2);
   std::vector<OwnedMessage> received;
   transport.deliver_round(3, [&](const Message& m) { received.push_back(m); });
@@ -301,7 +343,7 @@ TEST(Transport, EventMessageSurvivesTheSlabRoundTrip) {
 TEST(Transport, MemoizedBytesSentMatchesEncodedSize) {
   // The fan-out path charges the body's memoized wire size; the total must
   // equal what per-message encoded_size() walks would have produced.
-  Transport transport({.psucc = 1.0, .delay = 1}, util::Rng(1), nullptr);
+  Transport transport(1.0, util::Rng(1), nullptr);
   const OwnedMessage event =
       make_event(2, 4, std::vector<std::uint8_t>(64, 7));
   fan_out(transport, event, 25, 0);
@@ -330,8 +372,9 @@ struct WarmRun {
 };
 
 WarmRun warm_run(std::uint32_t records, bool with_warm) {
-  const sim::StillbornFailures failures({ProcessId{1003}, ProcessId{1017}});
-  Transport transport({.psucc = 0.7, .delay = 1}, util::Rng(5), &failures);
+  // Targets are 1000 .. 1499.
+  const sim::ChurnFailures failures = stillborn(1500, {1003, 1017});
+  Transport transport(0.7, util::Rng(5), &failures);
   const std::vector<ProcessId> shuffle{ProcessId{7}, ProcessId{8}};
   const auto send_batch = [&](sim::Round now) {
     for (std::uint32_t i = 0; i < records; ++i) {

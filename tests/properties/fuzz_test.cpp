@@ -375,11 +375,11 @@ class TransportRecycleFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TransportRecycleFuzz, LongHorizonKeepsSlabStateWindowSized) {
   util::Rng rng(GetParam() * 7121 + 5);
-  net::Transport transport({.psucc = 0.9, .delay = 1},
-                           util::Rng(GetParam()), nullptr);
+  net::Transport transport(0.9, util::Rng(GetParam()), nullptr);
   constexpr sim::Round kRounds = 2000;
   std::uint32_t sequence = 0;
   for (sim::Round round = 0; round < kRounds; ++round) {
+    const std::uint64_t sent_before = transport.stats().sent;
     // A random number of publications, each fanned to a random target set.
     const std::size_t publications = rng.below(3);
     for (std::size_t p = 0; p < publications; ++p) {
@@ -413,10 +413,10 @@ TEST_P(TransportRecycleFuzz, LongHorizonKeepsSlabStateWindowSized) {
       transport.send(ctrl.view(), round);
     }
     transport.deliver_round(round, [](const net::Message&) {});
-    // The recycling contract, round by round: with delay=1 at most one
-    // slab is in flight and at most a couple are parked as spares —
-    // independent of how many rounds have elapsed.
-    ASSERT_LE(transport.spare_slabs(), 2u) << "round " << round;
+    // Round by round, only this round's sends are still in flight.
+    ASSERT_EQ(transport.queued_records(),
+              transport.stats().sent - sent_before)
+        << "round " << round;
   }
   transport.deliver_round(kRounds, [](const net::Message&) {});
 
@@ -433,8 +433,8 @@ TEST_P(TransportRecycleFuzz, LongHorizonKeepsSlabStateWindowSized) {
   EXPECT_GT(stats.delivered, 0u);
 
   // The run-length independence claim itself: the high-water mark was set
-  // by one busy ~2-round window (with delay=1 the queue holds at most two
-  // rounds' sends), never by accumulation. The worst 2-round volume under
+  // by one busy ~2-round window (the queue holds at most two rounds'
+  // sends), never by accumulation. The worst 2-round volume under
   // this traffic law is well under 8 KiB of records + bodies + arenas; a
   // leak of even one 24-byte record per round would alone add ~47 KiB.
   EXPECT_LE(stats.peak_queue_bytes, std::size_t{32} * 1024);

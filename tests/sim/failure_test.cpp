@@ -19,31 +19,18 @@ TEST(NoFailures, EverybodyAliveAndDeliverable) {
   }
 }
 
-TEST(StillbornFailures, ExplicitSet) {
-  StillbornFailures model({ProcessId{2}, ProcessId{5}});
+TEST(ChurnFailures, NeverEndingDowntimeIsStillborn) {
+  ChurnFailures model(6);
+  model.add_downtime(ProcessId{2}, {0, ChurnFailures::kNever});
+  model.add_downtime(ProcessId{5}, {0, ChurnFailures::kNever});
   EXPECT_TRUE(model.alive(ProcessId{0}, 0));
   EXPECT_FALSE(model.alive(ProcessId{2}, 0));
   EXPECT_FALSE(model.alive(ProcessId{5}, 100));
-  EXPECT_EQ(model.failed_count(), 2u);
 }
 
-TEST(StillbornFailures, BitsetGrowsAndCountsEachProcessOnce) {
-  StillbornFailures model;
-  model.fail(ProcessId{1000});
-  model.fail(ProcessId{1000});
-  model.fail(ProcessId{63});
-  model.fail(ProcessId{64});
-  EXPECT_EQ(model.failed_count(), 3u);
-  EXPECT_FALSE(model.alive(ProcessId{1000}, 0));
-  EXPECT_FALSE(model.alive(ProcessId{63}, 0));
-  EXPECT_FALSE(model.alive(ProcessId{64}, 0));
-  EXPECT_TRUE(model.alive(ProcessId{999}, 0));
-  EXPECT_TRUE(model.alive(ProcessId{65}, 0));
-  EXPECT_TRUE(model.alive(ProcessId{5000}, 0));  // beyond every failed id
-}
-
-TEST(StillbornFailures, DeliverableFollowsTargetAliveness) {
-  StillbornFailures model({ProcessId{1}});
+TEST(ChurnFailures, DeliverableFollowsTargetAliveness) {
+  ChurnFailures model(2);
+  model.add_downtime(ProcessId{1}, {0, ChurnFailures::kNever});
   util::Rng rng(1);
   EXPECT_FALSE(model.deliverable(ProcessId{0}, ProcessId{1}, 0, rng));
   EXPECT_TRUE(model.deliverable(ProcessId{1}, ProcessId{0}, 0, rng));

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 namespace dam::util {
@@ -19,12 +18,12 @@ TEST(Timeline, StartsEmpty) {
   EXPECT_TRUE(timeline.empty());
   EXPECT_EQ(timeline.windows().size(), 0u);
   EXPECT_EQ(timeline.rounds().size(), 0u);
-  EXPECT_EQ(timeline.window_rounds(), Timeline::kDefaultWindowRounds);
+  EXPECT_EQ(timeline.window_rounds(), Timeline::kWindowRounds);
   EXPECT_EQ(timeline.peak_bookkeeping_bytes(), 0u);
 }
 
 TEST(Timeline, BucketsRoundsOnWindowBoundaries) {
-  Timeline timeline(8);
+  Timeline timeline;
   // Rounds 0..7 land in window 0; round 8 opens window 1.
   EXPECT_EQ(timeline.window_index(0), 0u);
   EXPECT_EQ(timeline.window_index(7), 0u);
@@ -44,17 +43,10 @@ TEST(Timeline, BucketsRoundsOnWindowBoundaries) {
   EXPECT_EQ(timeline.windows()[1].latency.min(), 8.0);
 }
 
-TEST(Timeline, ZeroWidthClampsToOne) {
-  Timeline timeline(0);
-  EXPECT_EQ(timeline.window_rounds(), 1u);
-  timeline.note_delivery(3, 3.0);
-  EXPECT_EQ(timeline.windows().size(), 4u);
-}
-
 TEST(Timeline, SparseRoundsLeaveEmptyWindowsBetween) {
-  Timeline timeline(4);
+  Timeline timeline;
   timeline.note_publish(0);
-  timeline.note_delivery(21, 21.0);  // window 5; windows 1..4 stay empty
+  timeline.note_delivery(45, 45.0);  // window 5; windows 1..4 stay empty
   ASSERT_EQ(timeline.windows().size(), 6u);
   for (std::size_t w = 1; w <= 4; ++w) {
     SCOPED_TRACE(w);
@@ -68,15 +60,15 @@ TEST(Timeline, SparseRoundsLeaveEmptyWindowsBetween) {
 
 TEST(Timeline, CounterNotesOpenTheirWindow) {
   // A round with only a send still belongs to the window grid.
-  Timeline timeline(4);
-  timeline.note_control_send(9);
-  EXPECT_EQ(timeline.rounds().size(), 10u);
+  Timeline timeline;
+  timeline.note_control_send(17);
+  EXPECT_EQ(timeline.rounds().size(), 18u);
   EXPECT_EQ(timeline.windows().size(), 3u);
   EXPECT_EQ(timeline.window_counters(2).control_sends, 1u);
 }
 
 TEST(Timeline, PerRoundSeriesAreTrimmedAfterTheLastNonzeroRound) {
-  Timeline timeline(4);
+  Timeline timeline;
   timeline.note_delivery(1, 1.0, 3);
   timeline.note_delivery(3, 3.0);
   timeline.note_control_send(6);
@@ -89,10 +81,10 @@ TEST(Timeline, PerRoundSeriesAreTrimmedAfterTheLastNonzeroRound) {
 }
 
 TEST(Timeline, TotalsSumEveryRow) {
-  Timeline timeline(2);
+  Timeline timeline;
   timeline.note_publish(0);
   timeline.note_delivery(0, 0.0);
-  timeline.note_delivery(5, 5.0, 4);
+  timeline.note_delivery(13, 13.0, 4);
   timeline.note_event_send(1);
   timeline.note_inter_send(3);
   const Timeline::Counters totals = timeline.totals();
@@ -108,7 +100,7 @@ TEST(Timeline, TotalsSumEveryRow) {
 }
 
 TEST(Timeline, WeightedDeliveriesCountTheWeight) {
-  Timeline timeline(8);
+  Timeline timeline;
   timeline.note_delivery(2, 2.0, 40);
   timeline.note_delivery(2, 2.0, 0);  // zero weight: a no-op
   timeline.note_delivery(9, 9.0, 0);  // ... that opens no row or window
@@ -119,7 +111,7 @@ TEST(Timeline, WeightedDeliveriesCountTheWeight) {
 }
 
 TEST(Timeline, CountersRecordPerClass) {
-  Timeline timeline(8);
+  Timeline timeline;
   timeline.note_event_send(1);
   timeline.note_inter_send(1);
   timeline.note_inter_send(1);
@@ -139,7 +131,7 @@ TEST(Timeline, CountersRecordPerClass) {
 }
 
 TEST(Timeline, GaugesAndQueuePeakKeepTheMaxWithinAWindow) {
-  Timeline timeline(8);
+  Timeline timeline;
   timeline.sample_gauges(0, 100, 10, 1);
   timeline.sample_gauges(7, 50, 200, 0);  // same window, partial maxima
   timeline.note_queue_peak(3, 64);
@@ -154,21 +146,21 @@ TEST(Timeline, GaugesAndQueuePeakKeepTheMaxWithinAWindow) {
 }
 
 TEST(Timeline, PeakBookkeepingIsTheWorstWindow) {
-  Timeline timeline(4);
-  timeline.sample_gauges(0, 10, 10, 0);    // window 0: 20
-  timeline.sample_gauges(4, 100, 50, 25);  // window 1: 175
-  timeline.sample_gauges(8, 30, 0, 0);     // window 2: 30
+  Timeline timeline;
+  timeline.sample_gauges(0, 10, 10, 0);     // window 0: 20
+  timeline.sample_gauges(8, 100, 50, 25);   // window 1: 175
+  timeline.sample_gauges(16, 30, 0, 0);     // window 2: 30
   EXPECT_EQ(timeline.peak_bookkeeping_bytes(), 175u);
 }
 
 TEST(Timeline, MergeSumsCountersMaxesGaugesAndMergesSketches) {
-  Timeline a(8);
+  Timeline a;
   a.note_delivery(1, 1.0);
   a.note_control_send(1);
   a.sample_gauges(7, 100, 10, 0);
   a.note_queue_peak(2, 16);
 
-  Timeline b(8);
+  Timeline b;
   b.note_delivery(1, 3.0);
   b.note_delivery(9, 9.0);  // b is longer: merge must extend a
   b.sample_gauges(7, 40, 50, 5);
@@ -193,7 +185,7 @@ TEST(Timeline, MergeSumsCountersMaxesGaugesAndMergesSketches) {
 
 TEST(Timeline, MergeIsDeterministicForAFixedOrder) {
   const auto build = [](double first, double second) {
-    Timeline timeline(8);
+    Timeline timeline;
     timeline.note_delivery(0, first);
     timeline.note_delivery(3, second);
     return timeline;
@@ -209,15 +201,9 @@ TEST(Timeline, MergeIsDeterministicForAFixedOrder) {
               left_again.windows()[0].latency.centroids());
 }
 
-TEST(Timeline, MergeRejectsMismatchedWindowWidths) {
-  Timeline a(8);
-  const Timeline b(4);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
-
 TEST(Timeline, MergeIntoEmptyCopiesTheOther) {
-  Timeline a(8);
-  Timeline b(8);
+  Timeline a;
+  Timeline b;
   b.note_delivery(12, 12.0);
   b.sample_gauges(12, 7, 7, 7);
   a.merge(b);

@@ -5,11 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "baselines/steady.hpp"
 #include "sim/scenario.hpp"
 
 namespace dam::workload {
 namespace {
+
+/// Event messages (intra- plus intergroup) a run sent, off its timeline.
+std::uint64_t event_messages(const DynamicRunResult& r) {
+  const util::Timeline::Counters totals = r.timeline.totals();
+  return totals.event_sends + totals.inter_sends;
+}
 
 sim::Scenario small_dynamic() {
   sim::Scenario scenario =
@@ -91,7 +99,7 @@ TEST(RunDynamic, RejectsHeterogeneousPerTopicParams) {
   scenario.params = {core::TopicParams{}, core::TopicParams{}};
   const DynamicRunResult result =
       run_dynamic_simulation(scenario, dag, 1.0, 0);
-  EXPECT_GT(result.total_messages, 0u);
+  EXPECT_GT(event_messages(result), 0u);
 }
 
 TEST(SteadyBaseline, RejectsDagsThroughTheSharedCheck) {
@@ -124,8 +132,8 @@ TEST(RunDynamic, DeterministicForSameCell) {
   const topics::TopicDag dag = scenario.build_dag();
   const DynamicRunResult a = run_dynamic_simulation(scenario, dag, 1.0, 3);
   const DynamicRunResult b = run_dynamic_simulation(scenario, dag, 1.0, 3);
-  EXPECT_EQ(a.total_messages, b.total_messages);
-  EXPECT_EQ(a.control_messages, b.control_messages);
+  EXPECT_EQ(event_messages(a), event_messages(b));
+  EXPECT_EQ(a.timeline.totals().control_sends, b.timeline.totals().control_sends);
   EXPECT_EQ(a.publications, b.publications);
   EXPECT_DOUBLE_EQ(a.event_reliability, b.event_reliability);
   EXPECT_DOUBLE_EQ(a.mean_latency, b.mean_latency);
@@ -136,7 +144,7 @@ TEST(RunDynamic, DeterministicForSameCell) {
     EXPECT_DOUBLE_EQ(a.groups[g].delivery_ratio, b.groups[g].delivery_ratio);
   }
   const DynamicRunResult c = run_dynamic_simulation(scenario, dag, 1.0, 4);
-  EXPECT_NE(a.total_messages, c.total_messages);  // other cell, other run
+  EXPECT_NE(event_messages(a), event_messages(c));  // other cell, other run
 }
 
 TEST(RunDynamic, CollectsPublicationsReliabilityAndLatency) {
@@ -149,8 +157,8 @@ TEST(RunDynamic, CollectsPublicationsReliabilityAndLatency) {
   EXPECT_LE(result.event_reliability, 1.0);
   EXPECT_GT(result.mean_latency, 0.0);
   EXPECT_GE(result.max_latency, result.mean_latency);
-  EXPECT_GT(result.total_messages, 0u);
-  EXPECT_GT(result.control_messages, 0u);
+  EXPECT_GT(event_messages(result), 0u);
+  EXPECT_GT(result.timeline.totals().control_sends, 0u);
   // warmup + horizon + drain rounds were executed.
   EXPECT_EQ(result.rounds, 2u + 20u + 15u);
   ASSERT_EQ(result.groups.size(), 3u);

@@ -10,11 +10,19 @@
 // rests on them.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "sim/scenario.hpp"
 #include "workload/driver.hpp"
 
 namespace dam::workload {
 namespace {
+
+/// Event messages (intra- plus intergroup) a run sent, off its timeline.
+std::uint64_t event_messages(const DynamicRunResult& r) {
+  const util::Timeline::Counters totals = r.timeline.totals();
+  return totals.event_sends + totals.inter_sends;
+}
 
 const sim::Scenario& preset(const char* name) {
   const sim::Scenario* scenario = sim::find_scenario(name);
@@ -26,8 +34,8 @@ TEST(DynamicGolden, ZipfStormAllAliveRunZero) {
   const sim::Scenario& scenario = preset("zipf-storm");
   const topics::TopicDag dag = scenario.build_dag();
   const DynamicRunResult r = run_dynamic_simulation(scenario, dag, 1.0, 0);
-  EXPECT_EQ(r.total_messages, 96777u);
-  EXPECT_EQ(r.control_messages, 58827u);
+  EXPECT_EQ(event_messages(r), 96777u);
+  EXPECT_EQ(r.timeline.totals().control_sends, 58827u);
   EXPECT_EQ(r.publications, 20u);
   EXPECT_DOUBLE_EQ(r.event_reliability, 0.9940294840294841);
   EXPECT_DOUBLE_EQ(r.mean_latency, 3.4281422734919489);
@@ -60,8 +68,8 @@ TEST(DynamicGolden, ZipfStormStillbornRunTwo) {
   const sim::Scenario& scenario = preset("zipf-storm");
   const topics::TopicDag dag = scenario.build_dag();
   const DynamicRunResult r = run_dynamic_simulation(scenario, dag, 0.7, 2);
-  EXPECT_EQ(r.total_messages, 30486u);
-  EXPECT_EQ(r.control_messages, 41447u);
+  EXPECT_EQ(event_messages(r), 30486u);
+  EXPECT_EQ(r.timeline.totals().control_sends, 41447u);
   EXPECT_EQ(r.publications, 26u);
   EXPECT_DOUBLE_EQ(r.event_reliability, 0.99540392640069575);
   EXPECT_DOUBLE_EQ(r.mean_latency, 3.6531683539557553);
@@ -78,8 +86,8 @@ TEST(DynamicGolden, FlashcrowdRunOne) {
   const sim::Scenario& scenario = preset("flashcrowd");
   const topics::TopicDag dag = scenario.build_dag();
   const DynamicRunResult r = run_dynamic_simulation(scenario, dag, 1.0, 1);
-  EXPECT_EQ(r.total_messages, 604897u);
-  EXPECT_EQ(r.control_messages, 52167u);
+  EXPECT_EQ(event_messages(r), 604897u);
+  EXPECT_EQ(r.timeline.totals().control_sends, 52167u);
   EXPECT_EQ(r.publications, 47u);
   EXPECT_DOUBLE_EQ(r.event_reliability, 0.98211615871190361);
   EXPECT_DOUBLE_EQ(r.mean_latency, 3.5444502995881884);
@@ -97,8 +105,8 @@ TEST(DynamicGolden, ChurnSubscribeHeavyRunZero) {
   const sim::Scenario& scenario = preset("churn-subscribe-heavy");
   const topics::TopicDag dag = scenario.build_dag();
   const DynamicRunResult r = run_dynamic_simulation(scenario, dag, 1.0, 0);
-  EXPECT_EQ(r.total_messages, 18499u);
-  EXPECT_EQ(r.control_messages, 14448u);
+  EXPECT_EQ(event_messages(r), 18499u);
+  EXPECT_EQ(r.timeline.totals().control_sends, 14448u);
   EXPECT_EQ(r.publications, 10u);
   EXPECT_DOUBLE_EQ(r.event_reliability, 0.94925592750349352);
   EXPECT_DOUBLE_EQ(r.mean_latency, 3.7440543601359004);
@@ -123,8 +131,8 @@ TEST(DynamicGolden, SteadyChurnRunZero) {
   scenario.workload.arrival.horizon = 96;
   const topics::TopicDag dag = scenario.build_dag();
   const DynamicRunResult r = run_dynamic_simulation(scenario, dag, 1.0, 0);
-  EXPECT_EQ(r.total_messages, 348443u);
-  EXPECT_EQ(r.control_messages, 128542u);
+  EXPECT_EQ(event_messages(r), 348443u);
+  EXPECT_EQ(r.timeline.totals().control_sends, 128542u);
   EXPECT_EQ(r.publications, 51u);
   EXPECT_DOUBLE_EQ(r.event_reliability, 0.98575385716884178);
   EXPECT_DOUBLE_EQ(r.mean_latency, 3.5245459090151643);
@@ -167,8 +175,8 @@ TEST(DynamicGolden, RecoveryAblationCell) {
   rec.base_seed = 0x2ECA;
   const topics::TopicDag dag = rec.build_dag();
   const DynamicRunResult r = run_dynamic_simulation(rec, dag, 0.85, 1);
-  EXPECT_EQ(r.total_messages, 27409u);
-  EXPECT_EQ(r.control_messages, 16587u);
+  EXPECT_EQ(event_messages(r), 27409u);
+  EXPECT_EQ(r.timeline.totals().control_sends, 16587u);
   EXPECT_EQ(r.publications, 8u);
   EXPECT_DOUBLE_EQ(r.event_reliability, 0.99802839116719244);
   EXPECT_DOUBLE_EQ(r.mean_latency, 3.6516765285996056);
@@ -221,8 +229,8 @@ TEST(DynamicGolden, ColdStartBootstrapCell) {
   cold.base_seed = 0xC01D;
   const topics::TopicDag dag = cold.build_dag();
   const DynamicRunResult r = run_dynamic_simulation(cold, dag, 1.0, 0);
-  EXPECT_EQ(r.total_messages, 0u);
-  EXPECT_EQ(r.control_messages, 2220u);
+  EXPECT_EQ(event_messages(r), 0u);
+  EXPECT_EQ(r.timeline.totals().control_sends, 2220u);
   EXPECT_DOUBLE_EQ(r.rounds_to_link, 4.0);
   EXPECT_DOUBLE_EQ(r.linked_fraction, 1.0);
   EXPECT_DOUBLE_EQ(r.control_at_link, 1562.0);

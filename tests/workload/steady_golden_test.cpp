@@ -20,6 +20,12 @@
 namespace dam::workload {
 namespace {
 
+/// Event messages (intra- plus intergroup) a run sent, off its timeline.
+std::uint64_t event_messages(const DynamicRunResult& r) {
+  const util::Timeline::Counters totals = r.timeline.totals();
+  return totals.event_sends + totals.inter_sends;
+}
+
 /// One accounting path: the per-group counters, the timeline rows, the
 /// latency sketch and the publication count all come from the engine's
 /// sim::Metrics, so they agree exactly on every engine.
@@ -32,7 +38,6 @@ void expect_accounting_identity(const DynamicRunResult& r) {
   }
   const util::Timeline::Counters totals = r.timeline.totals();
   EXPECT_EQ(event_sends, totals.event_sends + totals.inter_sends);
-  EXPECT_EQ(event_sends, r.total_messages);
   EXPECT_EQ(control_sends, totals.control_sends);
   EXPECT_EQ(r.latency_sketch.count(), totals.deliveries);
   EXPECT_EQ(r.publications, totals.publishes);
@@ -50,8 +55,8 @@ TEST(SteadyGolden, ProtocolCell) {
   const sim::Scenario scenario = cell("steady-state");
   const topics::TopicDag dag = scenario.build_dag();
   const DynamicRunResult r = run_dynamic_simulation(scenario, dag, 1.0, 0);
-  EXPECT_EQ(r.total_messages, 234587u);
-  EXPECT_EQ(r.control_messages, 132085u);
+  EXPECT_EQ(event_messages(r), 234587u);
+  EXPECT_EQ(r.timeline.totals().control_sends, 132085u);
   EXPECT_EQ(r.publications, 47u);
   EXPECT_DOUBLE_EQ(r.event_reliability, 0.99686862878352234);
   EXPECT_DOUBLE_EQ(r.mean_latency, 3.42421684952589);
@@ -89,8 +94,8 @@ TEST(SteadyGolden, TreeBaselineCell) {
   const topics::TopicDag dag = scenario.build_dag();
   const DynamicRunResult r =
       baselines::run_steady_baseline(scenario, dag, 1.0, 0);
-  EXPECT_EQ(r.total_messages, 9430u);
-  EXPECT_EQ(r.control_messages, 33210u);
+  EXPECT_EQ(event_messages(r), 9430u);
+  EXPECT_EQ(r.timeline.totals().control_sends, 33210u);
   EXPECT_EQ(r.publications, 47u);
   EXPECT_DOUBLE_EQ(r.event_reliability, 0.56751529091954622);
   EXPECT_DOUBLE_EQ(r.mean_latency, 5.3168329177057361);
@@ -126,8 +131,8 @@ TEST(SteadyGolden, GossipBaselineCell) {
   const topics::TopicDag dag = scenario.build_dag();
   const DynamicRunResult r =
       baselines::run_steady_baseline(scenario, dag, 1.0, 0);
-  EXPECT_EQ(r.total_messages, 678197u);
-  EXPECT_EQ(r.control_messages, 33300u);
+  EXPECT_EQ(event_messages(r), 678197u);
+  EXPECT_EQ(r.timeline.totals().control_sends, 33300u);
   EXPECT_EQ(r.publications, 47u);
   EXPECT_DOUBLE_EQ(r.event_reliability, 1.0);
   EXPECT_DOUBLE_EQ(r.mean_latency, 2.1707449432659103);
