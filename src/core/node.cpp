@@ -28,8 +28,10 @@ DamNode::DamNode(const NodeContext& context, std::size_t group_size_estimate,
 
 void DamNode::subscribe(const std::vector<ProcessId>& group_contacts,
                         const std::vector<ProcessId>& super_contacts,
-                        std::optional<TopicId> super_contacts_topic) {
+                        std::optional<TopicId> super_contacts_topic,
+                        std::size_t view_slots) {
   subscribed_ = true;
+  membership_.view().reserve(view_slots);
   membership_.join(group_contacts);
   if (is_root()) return;
   if (!super_contacts.empty()) {
@@ -39,24 +41,6 @@ void DamNode::subscribe(const std::vector<ProcessId>& group_contacts,
     super_table_.merge(
         ctx_, super_contacts_topic.value_or(ctx_.hierarchy->super(ctx_.topic)),
         super_contacts, alive_probe());
-  } else {
-    bootstrap_.start(ctx_, ctx_.env->now());
-  }
-}
-
-void DamNode::subscribe_shared(std::span<const ProcessId> group_contacts,
-                               std::span<const ProcessId> super_contacts,
-                               std::optional<TopicId> super_contacts_topic) {
-  subscribed_ = true;
-  membership_.adopt(group_contacts);
-  if (is_root()) return;
-  if (!super_contacts.empty()) {
-    // A sampled arena row is exactly what subscribe()'s merge would have
-    // installed into the empty table (distinct, no owner, at most z
-    // entries) — adopt it in place.
-    super_table_.seed(
-        super_contacts_topic.value_or(ctx_.hierarchy->super(ctx_.topic)),
-        super_contacts);
   } else {
     bootstrap_.start(ctx_, ctx_.env->now());
   }

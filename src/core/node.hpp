@@ -13,13 +13,15 @@
 //   * topic table    — partial view of the own group, maintained by the
 //                      underlying FlatMembership substrate ([10]);
 //   * supertopic table — z contacts in the nearest non-empty supergroup;
+//                      each table owns one row, mutated in place;
 //   * bootstrap task  — FIND_SUPER_CONTACT state machine.
 // Which events the node has already received (duplicate suppression) is
 // kept by the host, behind Env::mark_seen / Env::seen. The configuration
 // is the host's, shared by every node, and the state of the optional
 // extensions — the recovery buffer and the REQCONTACT flood-dedup set — is
 // allocated only once a node uses it, so a node that merely holds its
-// views costs no heap beyond its own object (288 B on LP64).
+// tables costs no heap beyond its own object (256 B on LP64) and their two
+// rows.
 #pragma once
 
 #include <cstdint>
@@ -55,20 +57,15 @@ class DamNode {
   /// when no super contacts are supplied and the topic is not the root.
   /// `super_contacts_topic` names the group the contacts belong to — the
   /// direct supertopic by default, or a higher one when intermediate
-  /// groups are empty (footnote 4).
+  /// groups are empty (footnote 4). Precondition: the group contacts are
+  /// distinct (a join-time sample; see FlatMembership::join).
+  /// `view_slots` reserves the topic table's row up front (see
+  /// DamSystem::spawn_group). Only the FIND_SUPER_CONTACT flood reaches
+  /// the Env; without it the call touches this node alone.
   void subscribe(const std::vector<ProcessId>& group_contacts,
                  const std::vector<ProcessId>& super_contacts = {},
-                 std::optional<TopicId> super_contacts_topic = std::nullopt);
-
-  /// subscribe() for an arena-backed spawn batch (DamSystem::spawn_group):
-  /// the contact rows live in an immutable core::GroupViewArena, and the
-  /// topic view / supertopic table read them in place (shared base with a
-  /// copy-on-churn overlay) instead of copying into per-node vectors.
-  /// Behavior- and RNG-stream-identical to subscribe() on the same rows;
-  /// the rows must stay pinned while the node lives (DamSystem owns both).
-  void subscribe_shared(std::span<const ProcessId> group_contacts,
-                        std::span<const ProcessId> super_contacts,
-                        std::optional<TopicId> super_contacts_topic);
+                 std::optional<TopicId> super_contacts_topic = std::nullopt,
+                 std::size_t view_slots = 0);
 
   /// Publishes a fresh event of this node's topic; returns its id.
   /// `payload` is opaque application data carried to every subscriber.

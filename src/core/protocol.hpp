@@ -80,7 +80,7 @@ void for_each_intergroup_target(const TopicParams& params,
 /// The intra-group gossip leg (Fig. 7 lines 8–14): fanout(S) = ceil(ln S
 /// + c) distinct targets drawn uniformly from the topic table without
 /// replacement. Returns fewer when the table is smaller than the fanout.
-/// The span form reads CSR arena rows / shared views without materializing
+/// The span form reads CSR arena rows and view rows without materializing
 /// a vector first.
 template <typename Entry>
 [[nodiscard]] std::vector<Entry> fanout_targets(

@@ -17,7 +17,7 @@ namespace {
 /// every joiner's stream — never depends on the worker count.
 constexpr std::size_t kSpawnChunk = 512;
 
-/// Fork salt of the per-batch arena-fill stream.
+/// Fork salt of the per-batch row-fill stream.
 constexpr std::uint64_t kSpawnBatchSalt = 0x5BA7C4ULL;
 
 /// Look-ahead distances of the delivery and round loops, in records or
@@ -161,44 +161,24 @@ std::vector<ProcessId> DamSystem::spawn_group(TopicId topic,
     super_width = std::min(config_.node.params.z, super_pool.size());
   }
 
-  // The batch's initial view rows go into one immutable CSR arena that
-  // every joiner reads through spans. Row widths are a pure function of
-  // (params, group sizes), so the arena is fully laid out before any draw
-  // and never reallocates while nodes hold spans into it.
   const std::size_t initial = candidates.size();
-  auto arena = std::make_unique<GroupViewArena>();
-  arena->size = count;
-  arena->parent_count = super_topic ? 1 : 0;
-  arena->topic_offsets.reserve(count + 1);
-  arena->topic_offsets.push_back(0);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t view =
-        config_.node.params.view_capacity(initial + i + 1);
-    const std::size_t row = std::min(view, initial + i);
-    arena->topic_offsets.push_back(arena->topic_offsets.back() +
-                                   static_cast<std::uint32_t>(row));
-  }
-  arena->topic_entries.resize(arena->topic_offsets.back());
-  arena->super_offsets.reserve(count * arena->parent_count + 1);
-  arena->super_offsets.push_back(0);
-  for (std::size_t i = 0; i < count * arena->parent_count; ++i) {
-    arena->super_offsets.push_back(arena->super_offsets.back() +
-                                   static_cast<std::uint32_t>(super_width));
-  }
-  arena->super_entries.resize(arena->super_offsets.back());
+  const std::size_t final_size = initial + count;
+  const std::size_t view_slots =
+      std::min(config_.node.params.view_capacity(final_size), final_size - 1);
 
-  // Three phases:
+  // Two phases:
   //
   //   A (serial)   register every joiner and wire its node — the only
   //                steps that consume rng_ (neighborhood growth) or
   //                mutate shared engine state.
-  //   B (parallel) fill the arena rows. Joiner i draws from its own
-  //                stream batch_base.fork(i), a pure function of (seed,
-  //                batch, i), so the rows are bit-identical for every
-  //                threads value.
-  //   C (serial)   adopt the rows. subscribe_shared may launch bootstrap
-  //                floods through the transport, so it runs in join order
-  //                on the engine thread.
+  //   B (parallel) sample each joiner's rows and subscribe it, which
+  //                writes the rows into the node's own storage. Joiner i
+  //                draws from its own stream batch_base.fork(i), a pure
+  //                function of (seed, batch, i), so the rows are
+  //                bit-identical for every threads value. A non-root
+  //                joiner without super contacts floods FIND_SUPER_CONTACT
+  //                through the transport at subscription, so such a batch
+  //                runs on this thread alone, in join order.
   const std::size_t first_node = nodes_.size();
   for (std::size_t i = 0; i < count; ++i) {
     const ProcessId id = registry_.add_process(topic);
@@ -211,52 +191,52 @@ std::vector<ProcessId> DamSystem::spawn_group(TopicId topic,
   }
 
   const util::Rng batch_base = rng_.fork(kSpawnBatchSalt);
-  GroupViewArena* const rows = arena.get();
+  const bool floods = super_width == 0 && !hierarchy_->is_root(topic);
   const std::size_t chunk_count = (count + kSpawnChunk - 1) / kSpawnChunk;
-  util::run_parallel(chunk_count, config_.threads, [&](std::size_t chunk) {
-    std::vector<std::uint32_t> scratch;
-    const std::size_t hi = std::min(count, (chunk + 1) * kSpawnChunk);
-    for (std::size_t i = chunk * kSpawnChunk; i < hi; ++i) {
-      util::Rng joiner_rng = batch_base.fork(i);
-      const std::size_t width =
-          rows->topic_offsets[i + 1] - rows->topic_offsets[i];
-      scratch.resize(std::max(width, super_width));
-      ProcessId* row = rows->topic_entries.data() + rows->topic_offsets[i];
-      // width = min(view_capacity, initial + i) <= n, so Floyd fills
-      // exactly the precomputed row.
-      const std::size_t drawn =
-          joiner_rng.draw_distinct_below(initial + i, width, scratch.data());
-      assert(drawn == width);
-      for (std::size_t e = 0; e < drawn; ++e) {
-        const std::size_t idx = scratch[e];
-        row[e] = idx < initial ? candidates[idx] : ids[idx - initial];
-      }
-      if (super_width > 0) {
-        ProcessId* super_row =
-            rows->super_entries.data() + rows->super_offsets[i];
-        const std::size_t super_drawn = joiner_rng.draw_distinct_below(
-            super_pool.size(), config_.node.params.z, scratch.data());
-        assert(super_drawn == super_width);
-        for (std::size_t e = 0; e < super_drawn; ++e) {
-          super_row[e] = super_pool[scratch[e]];
+  std::vector<std::size_t> chunk_entries(chunk_count, 0);
+  util::run_parallel(
+      chunk_count, floods ? 1 : config_.threads, [&](std::size_t chunk) {
+        std::vector<std::uint32_t> scratch;
+        std::vector<ProcessId> row;
+        std::vector<ProcessId> super_row;
+        const std::size_t hi = std::min(count, (chunk + 1) * kSpawnChunk);
+        for (std::size_t i = chunk * kSpawnChunk; i < hi; ++i) {
+          util::Rng joiner_rng = batch_base.fork(i);
+          const std::size_t width =
+              std::min(config_.node.params.view_capacity(initial + i + 1),
+                       initial + i);
+          scratch.resize(std::max(width, super_width));
+          // width <= initial + i, so Floyd fills exactly `width` slots.
+          const std::size_t drawn =
+              joiner_rng.draw_distinct_below(initial + i, width, scratch.data());
+          assert(drawn == width);
+          chunk_entries[chunk] += drawn;
+          row.resize(drawn);
+          for (std::size_t e = 0; e < drawn; ++e) {
+            const std::size_t idx = scratch[e];
+            row[e] = idx < initial ? candidates[idx] : ids[idx - initial];
+          }
+          super_row.clear();
+          if (super_width > 0) {
+            const std::size_t super_drawn = joiner_rng.draw_distinct_below(
+                super_pool.size(), config_.node.params.z, scratch.data());
+            assert(super_drawn == super_width);
+            for (std::size_t e = 0; e < super_drawn; ++e) {
+              super_row.push_back(super_pool[scratch[e]]);
+            }
+          }
+          nodes_[first_node + i].subscribe(row, super_row, super_topic,
+                                           view_slots);
         }
-      }
-    }
-  });
+      });
 
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::span<const ProcessId> contacts(
-        arena->topic_entries.data() + arena->topic_offsets[i],
-        arena->topic_offsets[i + 1] - arena->topic_offsets[i]);
-    std::span<const ProcessId> super_contacts;
-    if (super_topic) {
-      super_contacts = {arena->super_entries.data() + arena->super_offsets[i],
-                        super_width};
-    }
-    nodes_[first_node + i].subscribe_shared(contacts, super_contacts,
-                                            super_topic);
-  }
-  view_arenas_.push_back(std::move(arena));
+  // The logical CSR bytes of the batch's rows (see view_arena_bytes()).
+  std::size_t topic_entries = 0;
+  for (const std::size_t entries : chunk_entries) topic_entries += entries;
+  const std::size_t super_rows = super_topic ? count : 0;
+  view_arena_bytes_ += (count + 1 + super_rows + 1) * sizeof(std::uint32_t) +
+                       (topic_entries + super_rows * super_width) *
+                           sizeof(ProcessId);
   return ids;
 }
 

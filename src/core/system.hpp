@@ -14,8 +14,9 @@
 // stage 1 prefetches a node object kWarmAhead steps before it is used,
 // stage 2 (kStateDelay steps later, once that object is cached) reads its
 // row pointers and prefetches the topic-view and supertopic-table rows.
-// Config::threads sets the workers of the spawn-batch fill and never
-// changes results.
+// Each node owns those two rows; spawn_group allocates a batch's rows in
+// id order, the order the round loop walks. Config::threads sets the
+// workers of the spawn-batch fill and never changes results.
 #pragma once
 
 #include <bit>
@@ -49,11 +50,12 @@ class DamSystem final : public Env {
                                            ///< from global knowledge (fast
                                            ///< path for benches/examples)
 
-    /// Workers for spawn_group's view-arena fill (0 = hardware). Each
-    /// joiner samples its rows from its own stream forked from (batch,
-    /// joiner index), so results are bit-identical for every value. Only
-    /// the batch arena fill runs in parallel; node wiring, subscription,
-    /// and the round loop stay serial.
+    /// Workers for spawn_group's row fill (0 = hardware). Each joiner
+    /// samples its rows from its own stream forked from (batch, joiner
+    /// index), so results are bit-identical for every value. Only the
+    /// batch row fill runs in parallel, and only for batches whose joiners
+    /// send nothing at subscription; node wiring and the round loop stay
+    /// serial.
     unsigned threads = 1;
   };
 
@@ -84,13 +86,11 @@ class DamSystem final : public Env {
   /// O(S·view). As with spawn(), each joiner samples its contacts from the
   /// members present at its own join, never from later batch members.
   ///
-  /// View memory: the batch's initial topic-table and supertopic-table
-  /// rows are sampled straight into one immutable core::GroupViewArena
-  /// (CSR layout, laid out before any draw so it never reallocates), and
-  /// every node reads its rows through spans — zero per-node view
-  /// allocation at spawn. Later churn (gossip merges, evictions, capacity
-  /// shrinks) lands in small per-node copy-on-churn overlays; the arena
-  /// itself is never written again.
+  /// View memory: each joiner's topic-table and supertopic-table rows are
+  /// sampled straight into the node's own storage, allocated in id order.
+  /// The topic row is reserved at the batch's final width,
+  /// min(view_capacity(group size after the batch), group size - 1), so
+  /// the first gossip exchanges after the spawn never reallocate it.
   std::vector<ProcessId> spawn_group(TopicId topic, std::size_t count);
 
   /// Installs a failure model (defaults to NoFailures). The system keeps
@@ -158,20 +158,15 @@ class DamSystem final : public Env {
   [[nodiscard]] const net::Transport& transport() const noexcept {
     return transport_;
   }
-  /// The immutable spawn-batch view arenas, in spawn_group order. Tests
-  /// diff per-node overlays against these base rows.
-  [[nodiscard]] const std::vector<std::unique_ptr<GroupViewArena>>&
-  view_arenas() const noexcept {
-    return view_arenas_;
-  }
-
-  /// Contiguous bytes held by the spawn-batch view arenas — the dynamic
-  /// lane's peak_table_bytes measurand (the shared base of every
-  /// batch-spawned node's views; overlays are per-node and excluded).
+  /// Logical bytes of the spawn-batch rows — the dynamic lane's
+  /// peak_table_bytes measurand. A running total over spawn_group batches
+  /// of each batch's initial topic and supertopic row entries plus one
+  /// 4-byte offset per row (and one per batch and kind), as if the rows
+  /// sat in a CSR arena. A logical gauge that keeps the documents'
+  /// peak_table_bytes unchanged; the rows' physical bytes and their growth
+  /// under gossip are left to the per-layer cost ledger (ROADMAP).
   [[nodiscard]] std::size_t view_arena_bytes() const noexcept {
-    std::size_t total = 0;
-    for (const auto& arena : view_arenas_) total += arena->arena_bytes();
-    return total;
+    return view_arena_bytes_;
   }
 
   /// High-water in-flight footprint of the transport's slab queue — the
@@ -284,8 +279,8 @@ class DamSystem final : public Env {
 
  private:
   /// The nodes in id order, in chunks of kNodesPerChunk slots that never
-  /// move once allocated. Slots are not padded to cache lines: a node
-  /// spans the same five lines either way, and padding only adds memory.
+  /// move once allocated. A 256 B node fills exactly four lines of its
+  /// 64-byte-aligned chunk, so slots need no padding.
   class NodeSlab {
    public:
     NodeSlab() = default;
@@ -351,9 +346,7 @@ class DamSystem final : public Env {
   sim::Clock clock_;
   sim::Metrics metrics_;
   NodeSlab nodes_;
-  /// Spawn-batch view arenas; nodes hold spans into them, so the
-  /// unique_ptr indirection keeps rows pinned as more batches arrive.
-  std::vector<std::unique_ptr<GroupViewArena>> view_arenas_;
+  std::size_t view_arena_bytes_ = 0;  ///< see view_arena_bytes()
   DeliveryHandler delivery_handler_;
   sim::TraceRecorder* trace_ = nullptr;
   std::vector<SeenColumn> columns_;

@@ -1,12 +1,9 @@
 // The membership tables of daMulticast processes (Sec. V-A.1, Fig. 3) and
-// the flat CSR arenas that back them at scale.
+// the flat CSR arena that backs the frozen engine's tables at scale.
 //
-//  * BasicGroupTables — one group's membership rows packed into contiguous
-//    CSR buffers. Both engines share this layout: the frozen engine stores
-//    process indices (GroupTables = BasicGroupTables<uint32>), the dynamic
-//    engine stores ProcessId rows that DamNode reads through spans
-//    (GroupViewArena = BasicGroupTables<ProcessId>). One arena replaces S
-//    (or S×parents) little heap vectors.
+//  * GroupTables — one group's membership rows packed into contiguous CSR
+//    buffers of process indices (the frozen engine, core/frozen_sim). One
+//    arena replaces S (or S×parents) little heap vectors.
 //  * Topic table (Table^l_Ti)  — processes interested in the same topic;
 //    populated and kept fresh by the underlying gossip membership. Size
 //    (b+1)·ln(S). We wrap membership::PartialView.
@@ -15,11 +12,8 @@
 //    entries and fills the rest with fresh ones (footnote 5); CHECK counts
 //    alive entries via an aliveness probe (footnote 7: timeouts).
 //
-// Shared-base mode: a SuperTopicTable spawned from a batch arena reads its
-// entries straight out of the arena row (seed()); the first mutation copies
-// the row into an owned overlay (copy-on-churn), after which the table
-// behaves exactly like the historical owned-vector one. The base row stays
-// observable (base()) so tests can diff overlay deltas against the arena.
+// In the dynamic engine each process's two tables own their rows and are
+// mutated in place; DamSystem::spawn_group allocates them in id order.
 // The table keeps no copy of its owner or of z: merge() reads both from
 // the node's NodeContext.
 #pragma once
@@ -44,33 +38,32 @@ using topics::TopicId;
 
 /// Flat CSR membership arena for one group — the tables of every process,
 /// packed into contiguous buffers instead of S (or S×parents) little heap
-/// vectors:
+/// vectors. Entries are process indices within the group / parent group
+/// (see core/frozen_sim.hpp):
 ///   * topic-table row of process i:
 ///       topic_entries[topic_offsets[i] .. topic_offsets[i+1])
 ///   * supertopic table of (process i, parent slot s):
 ///       super_entries[super_offsets[i*parent_count + s] ..
 ///                     super_offsets[i*parent_count + s + 1])
 /// Peak memory is the O(S·k) arena itself; construction allocates nothing
-/// per process. `Entry` is a process index (frozen engine) or a ProcessId
-/// (dynamic engine) — same layout, same accessors.
-template <typename Entry>
-struct BasicGroupTables {
+/// per process.
+struct GroupTables {
   std::size_t size = 0;
   std::size_t parent_count = 0;
   std::vector<std::uint32_t> topic_offsets;  ///< size + 1
-  std::vector<Entry> topic_entries;
+  std::vector<std::uint32_t> topic_entries;
   std::vector<std::uint32_t> super_offsets;  ///< size * parent_count + 1
-  std::vector<Entry> super_entries;
+  std::vector<std::uint32_t> super_entries;
   std::vector<bool> alive;  ///< stillborn regime; all-true otherwise
-                            ///< (frozen engine only; empty in view arenas)
 
-  [[nodiscard]] std::span<const Entry> topic_row(std::size_t process) const {
+  [[nodiscard]] std::span<const std::uint32_t> topic_row(
+      std::size_t process) const {
     return {topic_entries.data() + topic_offsets[process],
             topic_entries.data() + topic_offsets[process + 1]};
   }
 
-  [[nodiscard]] std::span<const Entry> super_row(std::size_t process,
-                                                 std::size_t slot) const {
+  [[nodiscard]] std::span<const std::uint32_t> super_row(
+      std::size_t process, std::size_t slot) const {
     const std::size_t row = process * parent_count + slot;
     return {super_entries.data() + super_offsets[row],
             super_entries.data() + super_offsets[row + 1]};
@@ -78,21 +71,11 @@ struct BasicGroupTables {
 
   /// Bytes held by the four flat buffers (the membership footprint).
   [[nodiscard]] std::size_t arena_bytes() const noexcept {
-    return (topic_offsets.capacity() + super_offsets.capacity()) *
-               sizeof(std::uint32_t) +
-           (topic_entries.capacity() + super_entries.capacity()) *
-               sizeof(Entry);
+    return (topic_offsets.capacity() + super_offsets.capacity() +
+            topic_entries.capacity() + super_entries.capacity()) *
+           sizeof(std::uint32_t);
   }
 };
-
-/// The frozen engine's instantiation: entries are process indices within
-/// the group/parent group (see core/frozen_sim.hpp).
-using GroupTables = BasicGroupTables<std::uint32_t>;
-
-/// The dynamic engine's instantiation: one immutable arena per
-/// DamSystem::spawn_group batch, entries typed as ProcessId so DamNode's
-/// span-based views read rows directly (see core/system.hpp).
-using GroupViewArena = BasicGroupTables<ProcessId>;
 
 class SuperTopicTable {
  public:
@@ -104,29 +87,13 @@ class SuperTopicTable {
     return super_topic_;
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return entries().size(); }
-  [[nodiscard]] bool empty() const noexcept { return entries().empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
   [[nodiscard]] std::span<const ProcessId> entries() const noexcept {
-    return shared_ ? base_ : std::span<const ProcessId>(entries_);
+    return entries_;
   }
-  [[nodiscard]] bool contains(ProcessId p) const noexcept;
-
-  /// Adopts an immutable arena row as the table's contents — the batch-
-  /// spawn counterpart of merge() into an empty table, with no per-node
-  /// copy. Precondition (guaranteed by the arena builder): `base` entries
-  /// are distinct, exclude the owner, and number at most z. The row must
-  /// outlive the table or its first mutation, whichever comes first.
-  void seed(TopicId topic, std::span<const ProcessId> base);
-
-  /// True while reads are still served by the shared arena row (no churn
-  /// has touched this table yet).
-  [[nodiscard]] bool shares_base() const noexcept { return shared_; }
-
-  /// The arena row this table was seeded from (empty if none). Stays
-  /// observable after the copy-on-churn materialization so overlay deltas
-  /// can be diffed against the base.
-  [[nodiscard]] std::span<const ProcessId> base() const noexcept {
-    return base_;
+  [[nodiscard]] bool contains(ProcessId p) const noexcept {
+    return std::find(entries_.begin(), entries_.end(), p) != entries_.end();
   }
 
   /// MERGE (footnote 5): keep current entries that are still alive
@@ -156,32 +123,22 @@ class SuperTopicTable {
   std::size_t drop_failed(const Alive& alive);
 
   void clear() noexcept {
-    shared_ = false;
     entries_.clear();
     has_super_topic_ = false;
   }
 
  private:
-  /// Copy-on-churn: the first mutation copies the shared base row into the
-  /// owned overlay; every later operation behaves exactly like the
-  /// historical owned-vector table.
-  void materialize();
-
-  // A topic and a flag instead of std::optional<TopicId> keep the two
-  // flags in one 8-byte word, which brings DamNode to 288 B.
+  // A topic and a flag instead of std::optional<TopicId> fit one 8-byte
+  // word ahead of the row.
   TopicId super_topic_{};  ///< meaningful if has_super_topic_
   bool has_super_topic_ = false;
-  bool shared_ = false;    ///< reads served by base_
-  std::span<const ProcessId> base_{};  ///< shared arena row (may be stale
-                                       ///< of entries_ once materialized)
-  std::vector<ProcessId> entries_;     ///< owned overlay
+  std::vector<ProcessId> entries_;
 };
 
 template <typename Alive>
 void SuperTopicTable::merge(const NodeContext& ctx, TopicId topic,
                             std::span<const ProcessId> fresh,
                             const Alive& alive, bool replace) {
-  materialize();
   if (replace || !has_super_topic_ || super_topic_ != topic) {
     entries_.clear();
   }
@@ -190,6 +147,8 @@ void SuperTopicTable::merge(const NodeContext& ctx, TopicId topic,
   // Keep favorites: current entries that still pass the aliveness probe.
   std::erase_if(entries_, [&](ProcessId p) { return !alive(p); });
   const std::size_t z = ctx.config->params.z;
+  // At most z entries: one allocation, not a doubling, per row.
+  entries_.reserve(std::min(z, entries_.size() + fresh.size()));
   for (ProcessId p : fresh) {
     if (entries_.size() >= z) break;
     if (p == ctx.self || contains(p)) continue;
@@ -199,9 +158,6 @@ void SuperTopicTable::merge(const NodeContext& ctx, TopicId topic,
 
 template <typename Alive>
 std::size_t SuperTopicTable::drop_failed(const Alive& alive) {
-  // Nothing failed -> nothing to drop; the shared base stays shared.
-  if (check(alive) == size()) return 0;
-  materialize();
   return std::erase_if(entries_, [&](ProcessId p) { return !alive(p); });
 }
 

@@ -78,8 +78,8 @@ SweepResult run_sweep(const sim::Scenario& scenario,
         shard.events +=
             totals.event_sends + totals.inter_sends + totals.control_sends;
         ++shard.runs;
-        // Same wall split as the frozen lane: arena/spawn time vs the
-        // replay itself, plus the largest view-arena footprint.
+        // Same wall split as the frozen lane: spawn time vs the replay
+        // itself, plus the largest logical row footprint.
         shard.table_build_seconds += result.table_build_seconds;
         shard.dissemination_seconds +=
             result.wall_seconds - result.table_build_seconds;

@@ -61,12 +61,13 @@ struct SweepResult {
   /// construction vs dissemination — the split that shows where giant
   /// groups spend their time. Both lanes report it: frozen runs split
   /// CSR-table build vs gossip waves, dynamic runs split spawn_group
-  /// (view-arena sampling + node wiring) vs stream replay.
+  /// (row sampling + node wiring) vs stream replay.
   double table_build_seconds = 0.0;
   double dissemination_seconds = 0.0;
 
   /// Largest contiguous membership-arena footprint of any single run
-  /// (frozen: core::GroupTables; dynamic: the spawn-batch view arenas).
+  /// (frozen: core::GroupTables; dynamic: the logical CSR bytes of the
+  /// spawn-batch rows, DamSystem::view_arena_bytes).
   std::size_t peak_table_bytes = 0;
 
   /// Largest in-flight transport-queue footprint of any single run

@@ -22,10 +22,6 @@ FlatMembership::FlatMembership(const core::NodeContext& ctx,
   view_.set_fill_limit(fill_limit_for(group_size_estimate));
 }
 
-void FlatMembership::join(const std::vector<ProcessId>& contacts) {
-  for (ProcessId contact : contacts) view_.insert(contact, rng_);
-}
-
 void FlatMembership::round(const core::NodeContext& ctx,
                            std::span<const ProcessId> piggyback,
                            std::optional<TopicId> piggyback_topic,

@@ -10,10 +10,11 @@
 // (Sec. V-A.2a: "this information is disseminated, using the updates of
 // the underlying membership algorithm").
 //
-// This class holds only protocol state: the view, the group-size estimate
-// and its own draw stream. The owner's identity, the config and the host
-// come from the node's core::NodeContext, and gossip goes out through its
-// Env, so the class is unit-testable with a scripted Env.
+// This class holds only protocol state: the view (which owns its row; see
+// membership/view.hpp), the group-size estimate and its own draw stream.
+// The owner's identity, the config and the host come from the node's
+// core::NodeContext, and gossip goes out through its Env, so the class is
+// unit-testable with a scripted Env.
 #pragma once
 
 #include <cstddef>
@@ -42,16 +43,12 @@ class FlatMembership {
   FlatMembership(const core::NodeContext& ctx,
                  std::size_t group_size_estimate, util::Rng rng);
 
-  /// Seeds the view from an initial contact list (join).
-  void join(const std::vector<ProcessId>& contacts);
-
-  /// join() for an immutable spawn-batch arena row: the view reads the row
-  /// in place (PartialView shared mode, copy-on-churn on first mutation)
-  /// instead of copying it. Precondition (PartialView::seed's): the row's
-  /// entries are distinct, exclude the owner and fit the view capacity.
-  /// The spawn-batch sampler guarantees it: a row is
-  /// min(view_capacity(n), n-1) wide, and this member was sized for n.
-  void adopt(std::span<const ProcessId> base) { view_.seed(base); }
+  /// Seeds the view from an initial contact list (join). Precondition:
+  /// the contacts are distinct and none is in the view yet — what a
+  /// join-time sample gives (PartialView::insert_distinct).
+  void join(const std::vector<ProcessId>& contacts) {
+    view_.insert_distinct(contacts, rng_);
+  }
 
   /// One membership round: initiate one view exchange of 8 entries, sent
   /// through `ctx.env`. `piggyback` is the sender's current supertopic

@@ -64,7 +64,10 @@ bool Neighborhood::connected() const {
 
 ProcessId Neighborhood::add_process(std::size_t degree, util::Rng& rng) {
   const auto id = static_cast<std::uint32_t>(adjacency_.size());
-  adjacency_.emplace_back();
+  // Room for the process's own contacts and as many expected later ones
+  // (each later joiner links to `degree` of the members before it), so the
+  // list is allocated once instead of grown 1-2-4-8.
+  adjacency_.emplace_back().reserve(2 * degree);
   if (id > 0) {
     const std::size_t want = std::min(degree, static_cast<std::size_t>(id));
     std::size_t added = 0;

@@ -398,14 +398,14 @@ std::vector<Scenario> build_registry() {
   }
   // The dynamic counterparts: the full message-passing engine (membership
   // gossip, transport, per-delivery latency) at giant scale, feasible
-  // because spawn_group samples every initial view into one shared CSR
-  // arena (core::GroupViewArena) instead of S per-node vectors. One
-  // scheduled publication, short drain; CI runs giant-dynamic at scale=10
-  // (S = 10⁶) under a wall budget.
+  // because spawn_group wires S members in O(S·view) and gives each node
+  // one row per table, allocated once in id order and mutated in place.
+  // One scheduled publication, short drain; CI runs giant-dynamic at
+  // scale=10 (S = 10⁶) under a wall budget.
   {
     Scenario s = make_linear_scenario(
         "giant-dynamic",
-        "Dynamic engine, one group of 100k: arena-backed views (scale=10 for 1M)",
+        "Dynamic engine, one group of 100k: rows owned in place (scale=10 for 1M)",
         {100000});
     s.engine = EngineKind::kDynamic;
     s.workload.arrival.kind = workload::ArrivalKind::kScheduled;

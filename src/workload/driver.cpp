@@ -78,9 +78,9 @@ class DamSystemEngine final : public StreamEngine {
             system_.node(member).duplicate_count();
       }
     }
-    // Mid-run joins spawn one at a time (owned views), so the arena total
-    // is fixed once the initial groups exist — reading it at run end is
-    // exact. The transport ratchets its high-water mark on every send, so
+    // Mid-run joins spawn one at a time and add no batch rows, so the
+    // row total is fixed once the initial groups exist — reading it at
+    // run end is exact. The transport ratchets its high-water mark on every send, so
     // the run-end read IS the peak across the whole replay.
     result.table_bytes = system_.view_arena_bytes();
     result.queue_bytes = system_.peak_queue_bytes();

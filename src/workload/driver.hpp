@@ -126,15 +126,14 @@ struct DynamicRunResult {
 
   double wall_seconds = 0.0;
 
-  /// Wall seconds spent spawning the scenario's groups (arena sampling +
+  /// Wall seconds spent spawning the scenario's groups (row sampling +
   /// node wiring) — the dynamic lane's analogue of the frozen engine's
   /// table_build_seconds. Included in wall_seconds.
   double table_build_seconds = 0.0;
 
-  /// Contiguous bytes held by the spawn-batch view arenas
+  /// Logical bytes of the spawn-batch rows in CSR layout
   /// (DamSystem::view_arena_bytes) — the dynamic lane's peak_table_bytes.
-  /// Per-node copy-on-churn overlays are excluded: they exist only for
-  /// nodes that churned.
+  /// Row growth under gossip and mid-run joiners' rows are excluded.
   std::size_t table_bytes = 0;
 
   /// High-water in-flight bytes of the transport's slab queue

@@ -1,11 +1,12 @@
-// Per-process heap footprint of DamNode and its view overlays.
+// Per-process heap footprint of DamNode and its table rows.
 //
 // A counting global operator new (this binary only) checks that a node
-// which merely holds its arena-backed views allocates nothing, that the
-// optional extensions allocate only once used, that a view overlay is
-// sized to its capacity instead of doubling past it, that an event wave
-// stores its payload once rather than once per send, and that membership
-// gossip draws its targets and shuffles without allocating.
+// which merely holds its tables allocates their two rows and nothing
+// else, that the optional extensions allocate only once used, that a
+// view row is sized to its capacity instead of doubling past it, that a
+// batch-spawned node merges its first gossip without allocating, that an
+// event wave stores its payload once rather than once per send, and that
+// membership gossip draws its targets and shuffles without allocating.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -83,7 +84,7 @@ using testing::OwnedMessage;
 class NodeFootprintTest : public testing::ContextTest {
  protected:
   NodeFootprintTest() : ContextTest(2) {
-    // An arena row: min(view capacity, members before the joiner) = 13.
+    // A join-time row: min(view capacity, members before the joiner) = 13.
     for (std::uint32_t i = 1; i <= 13; ++i) group_row_.push_back(ProcessId{i});
     super_row_ = {ProcessId{50}, ProcessId{51}, ProcessId{52}};
     env_.group_sizes[levels_[2].value] = 21;
@@ -96,13 +97,13 @@ class NodeFootprintTest : public testing::ContextTest {
     return context(ProcessId{0}, levels_[2], config);
   }
 
-  /// Builds a bottom-topic node and subscribes it to the arena-style rows;
-  /// returns the allocations this made.
+  /// Builds a bottom-topic node and subscribes it to the rows; returns the
+  /// allocations this made.
   std::size_t spawn_allocations(bool recovery) {
     const NodeContext ctx = node_context(recovery);
     const AllocationCounter counter;
     DamNode node(ctx, 21, util::Rng(7));
-    node.subscribe_shared(group_row_, super_row_, levels_[1]);
+    node.subscribe(group_row_, super_row_, levels_[1]);
     return counter.allocations();
   }
 
@@ -110,17 +111,18 @@ class NodeFootprintTest : public testing::ContextTest {
   std::vector<ProcessId> super_row_;
 };
 
-TEST_F(NodeFootprintTest, SharedConfigArenaNodeAllocatesNothing) {
-  EXPECT_EQ(spawn_allocations(false), 0u);
+TEST_F(NodeFootprintTest, SharedConfigNodeAllocatesOnlyItsTwoRows) {
+  // One block for the topic-table row and one for the supertopic row.
+  EXPECT_EQ(spawn_allocations(false), 2u);
 }
 
 TEST_F(NodeFootprintTest, RecoveryStateIsAllocatedOnlyWhenEnabled) {
-  EXPECT_GT(spawn_allocations(true), 0u);
+  EXPECT_GT(spawn_allocations(true), 2u);
 }
 
 TEST_F(NodeFootprintTest, FloodDedupSetIsAllocatedAtTheFirstFlood) {
   DamNode node(node_context(false), 21, util::Rng(7));
-  node.subscribe_shared(group_row_, super_row_, levels_[1]);
+  node.subscribe(group_row_, super_row_, levels_[1]);
   EXPECT_EQ(node.request_set_size(), 0u);
   OwnedMessage req;
   req.kind = MsgKind::kReqContact;
@@ -136,16 +138,16 @@ TEST_F(NodeFootprintTest, FloodDedupSetIsAllocatedAtTheFirstFlood) {
   EXPECT_EQ(node.request_set_size(), 1u);
 }
 
-TEST(ViewFootprint, GrownOverlayIsSizedToItsCapacity) {
+TEST(ViewFootprint, GrownRowIsSizedToItsCapacity) {
   std::vector<ProcessId> row;
   for (std::uint32_t i = 1; i <= 44; ++i) row.push_back(ProcessId{i});
   PartialView view(ProcessId{0}, 44);
-  view.seed(row);
   util::Rng rng(3);
+  view.insert_distinct(row, rng);
   std::size_t largest = 0;
   {
     const AllocationCounter counter;
-    // A full view: the insert evicts, which materializes the overlay.
+    // A full view: the insert evicts in place.
     ASSERT_TRUE(view.insert(ProcessId{100}, rng));
     view.set_capacity(47, rng);
     for (std::uint32_t i = 101; !view.full(); ++i) {
@@ -153,7 +155,6 @@ TEST(ViewFootprint, GrownOverlayIsSizedToItsCapacity) {
     }
     largest = counter.largest();
   }
-  EXPECT_FALSE(view.shares_base());
   EXPECT_EQ(view.size(), 47u);
   EXPECT_LE(largest, 47 * sizeof(ProcessId));
 }
@@ -241,11 +242,51 @@ TEST_F(NodeFootprintTest, WarmMembershipRoundAllocatesNothing) {
   EXPECT_EQ(sends, 101u);  // one exchange per round
 }
 
+TEST(SpawnedNode, FirstMembershipReceptionAllocatesNothing) {
+  // spawn_group reserves every topic row at the batch's final width, so a
+  // mid-batch joiner's first merge grows its row in place; its supertopic
+  // row is already z wide.
+  topics::TopicDag hierarchy;
+  const auto levels = topics::make_linear_hierarchy(hierarchy, 1);
+  DamSystem::Config config;
+  config.seed = 17;
+  config.auto_wire_super_tables = true;
+  DamSystem system(hierarchy, config);
+  const auto roots = system.spawn_group(levels[0], 50);
+  const auto leaves = system.spawn_group(levels[1], 500);
+  DamNode& node = system.node(leaves[20]);
+  const auto& view = node.group_membership().view();
+  std::vector<ProcessId> fresh;
+  for (const ProcessId leaf : leaves) {
+    if (leaf != node.self() && !view.contains(leaf)) fresh.push_back(leaf);
+    if (fresh.size() == 9) break;
+  }
+  ASSERT_EQ(fresh.size(), 9u);
+  OwnedMessage gossip;
+  gossip.kind = MsgKind::kMembership;
+  gossip.from = fresh.back();
+  gossip.to = node.self();
+  gossip.answer_topic = levels[1];
+  gossip.processes.assign(fresh.begin(), fresh.end() - 1);
+  gossip.piggyback_topic = levels[0];
+  gossip.piggyback_super_table = {roots[0], roots[1], roots[2]};
+  const Message message = gossip.view();
+  const std::size_t before = view.size();
+  std::size_t allocations = 0;
+  {
+    const AllocationCounter counter;
+    node.on_message(message);
+    allocations = counter.allocations();
+  }
+  EXPECT_EQ(view.size(), before + 9);
+  EXPECT_EQ(allocations, 0u);
+}
+
 TEST(MembershipRound, GossipSendsDoNotAllocate) {
   // 10 rounds of a warmed-up 100/2,000 chain, mostly gossip: 2.00
   // allocations per membership send before the draws were buffered. What
-  // is left are per-round, maintenance and first-mutation costs (queue
-  // slabs, table-repair draws, late view overlays).
+  // is left are per-round and maintenance costs (queue slabs, table-repair
+  // draws).
   topics::TopicDag hierarchy;
   const auto levels = topics::make_linear_hierarchy(hierarchy, 1);
   DamSystem::Config config;
@@ -268,9 +309,10 @@ TEST(MembershipRound, GossipSendsDoNotAllocate) {
 }
 
 TEST(NodeFootprint, DamNodeObjectSize) {
-  // 288 B on LP64: five cache lines or fewer. The components keep no
-  // copy of the identity, config or host their node holds.
-  EXPECT_LE(sizeof(DamNode), 288u);
+  // 256 B on LP64: four cache lines. Each table holds one row vector,
+  // and the components keep no copy of the identity, config or host
+  // their node holds.
+  EXPECT_LE(sizeof(DamNode), 256u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Thread-count-independence contract of the spawn-batch fill
-// (DamSystem::Config::threads): joiner i draws its arena rows from its own
-// stream forked from (batch, i), so the arenas — and everything downstream
-// of them — must be BIT-IDENTICAL for every threads value. The batch sizes
+// (DamSystem::Config::threads): joiner i draws its rows from its own
+// stream forked from (batch, i), so every node's rows — and everything
+// downstream of them — must be BIT-IDENTICAL for every threads value. The batch sizes
 // below force several kSpawnChunk tasks (count > 512), so the chunked
 // parallel path really runs.
 #include <gtest/gtest.h>
@@ -34,24 +34,29 @@ class SystemParallelTest : public ::testing::Test {
   std::vector<topics::TopicId> levels_;
 };
 
-void expect_same_arenas(const DamSystem& a, const DamSystem& b,
-                        unsigned threads) {
-  ASSERT_EQ(a.view_arenas().size(), b.view_arenas().size());
-  for (std::size_t batch = 0; batch < a.view_arenas().size(); ++batch) {
-    const GroupViewArena& lhs = *a.view_arenas()[batch];
-    const GroupViewArena& rhs = *b.view_arenas()[batch];
-    EXPECT_EQ(lhs.topic_offsets, rhs.topic_offsets)
-        << "batch " << batch << " threads=" << threads;
-    EXPECT_EQ(lhs.topic_entries, rhs.topic_entries)
-        << "batch " << batch << " threads=" << threads;
-    EXPECT_EQ(lhs.super_offsets, rhs.super_offsets)
-        << "batch " << batch << " threads=" << threads;
-    EXPECT_EQ(lhs.super_entries, rhs.super_entries)
-        << "batch " << batch << " threads=" << threads;
+void expect_same_rows(const DamSystem& a, const DamSystem& b,
+                      unsigned threads) {
+  ASSERT_EQ(a.process_count(), b.process_count());
+  for (std::uint32_t p = 0; p < a.process_count(); ++p) {
+    const DamNode& lhs = a.node(ProcessId{p});
+    const DamNode& rhs = b.node(ProcessId{p});
+    const auto lhs_view = lhs.group_membership().view().entries();
+    const auto rhs_view = rhs.group_membership().view().entries();
+    EXPECT_TRUE(std::equal(lhs_view.begin(), lhs_view.end(),
+                           rhs_view.begin(), rhs_view.end()))
+        << "view of " << p << " threads=" << threads;
+    const auto lhs_super = lhs.super_table().entries();
+    const auto rhs_super = rhs.super_table().entries();
+    EXPECT_TRUE(std::equal(lhs_super.begin(), lhs_super.end(),
+                           rhs_super.begin(), rhs_super.end()))
+        << "super table of " << p << " threads=" << threads;
+    EXPECT_EQ(lhs.super_table().super_topic(), rhs.super_table().super_topic())
+        << "process " << p << " threads=" << threads;
   }
+  EXPECT_EQ(a.view_arena_bytes(), b.view_arena_bytes());
 }
 
-TEST_F(SystemParallelTest, ArenasAreBitIdenticalForAnyThreadCount) {
+TEST_F(SystemParallelTest, RowsAreBitIdenticalForAnyThreadCount) {
   DamSystem reference(hierarchy_, config_for(1));
   reference.spawn_group(levels_[0], 40);
   reference.spawn_group(levels_[1], 1500);  // > kSpawnChunk: several tasks
@@ -59,7 +64,7 @@ TEST_F(SystemParallelTest, ArenasAreBitIdenticalForAnyThreadCount) {
     DamSystem system(hierarchy_, config_for(threads));
     system.spawn_group(levels_[0], 40);
     system.spawn_group(levels_[1], 1500);
-    expect_same_arenas(reference, system, threads);
+    expect_same_rows(reference, system, threads);
   }
 }
 
@@ -91,9 +96,8 @@ TEST_F(SystemParallelTest, RowsAreValidJoinTimeSamples) {
   DamSystem system(hierarchy_, config_for(4));
   const auto initial = system.spawn_group(levels_[1], 30);
   const auto batch = system.spawn_group(levels_[1], 600);
-  const GroupViewArena& arena = *system.view_arenas()[1];
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto row = arena.topic_row(i);
+    const auto row = system.node(batch[i]).group_membership().view().entries();
     std::unordered_set<ProcessId> seen;
     for (const ProcessId contact : row) {
       EXPECT_NE(contact, batch[i]) << "joiner " << i << " sampled itself";

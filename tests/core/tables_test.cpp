@@ -119,47 +119,6 @@ TEST_F(SuperTopicTableTest, ClearResetsTopic) {
   EXPECT_FALSE(table.super_topic().has_value());
 }
 
-TEST_F(SuperTopicTableTest, SeedReadsTheArenaRowInPlace) {
-  const std::vector<ProcessId> row{ProcessId{4}, ProcessId{5}, ProcessId{6}};
-  SuperTopicTable table;
-  table.seed(TopicId{2}, row);
-  EXPECT_TRUE(table.shares_base());
-  EXPECT_EQ(table.size(), 3u);
-  EXPECT_EQ(*table.super_topic(), TopicId{2});
-  EXPECT_TRUE(table.contains(ProcessId{5}));
-  // entries() IS the row, not a copy.
-  EXPECT_EQ(table.entries().data(), row.data());
-}
-
-TEST_F(SuperTopicTableTest, SeededTableCopiesOnChurnAndKeepsBaseObservable) {
-  const std::vector<ProcessId> row{ProcessId{4}, ProcessId{5}, ProcessId{6}};
-  const NodeContext c = owner(0);
-  SuperTopicTable table;
-  table.seed(TopicId{2}, row);
-  // Churn: entry 5 fails; the table materializes a private overlay and
-  // drops it there — the arena row itself stays intact.
-  const auto dropped =
-      table.drop_failed([](ProcessId p) { return p != ProcessId{5}; });
-  EXPECT_EQ(dropped, 1u);
-  EXPECT_FALSE(table.shares_base());
-  EXPECT_FALSE(table.contains(ProcessId{5}));
-  EXPECT_EQ(row[1], ProcessId{5});  // base untouched
-  ASSERT_EQ(table.base().size(), 3u);
-  EXPECT_EQ(table.base().data(), row.data());
-  // Post-churn the table behaves exactly like an owned one.
-  table.merge(c, TopicId{2}, Ids{ProcessId{9}}, kAllAlive);
-  EXPECT_TRUE(table.contains(ProcessId{9}));
-  EXPECT_EQ(table.size(), 3u);
-}
-
-TEST_F(SuperTopicTableTest, DropFailedWithoutFailuresKeepsSharingTheBase) {
-  const std::vector<ProcessId> row{ProcessId{4}, ProcessId{5}};
-  SuperTopicTable table;
-  table.seed(TopicId{2}, row);
-  EXPECT_EQ(table.drop_failed(kAllAlive), 0u);
-  EXPECT_TRUE(table.shares_base());
-}
-
 TEST_F(SuperTopicTableTest, ConstantSizeInvariantUnderManyMerges) {
   // The paper's memory bound relies on |sTable| <= z always.
   const NodeContext c = owner(0);

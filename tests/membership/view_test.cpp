@@ -130,91 +130,27 @@ TEST(PartialView, ClearEmpties) {
   EXPECT_TRUE(view.empty());
 }
 
-// --- Shared-base (arena) mode: seed / copy-on-churn. ------------------------
-
-TEST(PartialView, SeedReadsTheArenaRowInPlace) {
-  const std::vector<ProcessId> row{ProcessId{1}, ProcessId{2}, ProcessId{3}};
-  PartialView view(ProcessId{0}, 5);
-  view.seed(row);
-  EXPECT_TRUE(view.shares_base());
-  EXPECT_EQ(view.size(), 3u);
-  EXPECT_TRUE(view.contains(ProcessId{2}));
-  // entries() IS the row, not a copy.
-  EXPECT_EQ(view.entries().data(), row.data());
-}
-
-TEST(PartialView, ReadsNeverMaterialize) {
-  util::Rng rng(20);
-  const std::vector<ProcessId> row{ProcessId{1}, ProcessId{2}, ProcessId{3}};
-  PartialView view(ProcessId{0}, 5);
-  view.seed(row);
-  (void)view.contains(ProcessId{1});
-  (void)view.sample(2, rng);
-  (void)view.pick(rng);
-  // Inserting an entry already in the base is a no-op, like the owned mode.
-  EXPECT_FALSE(view.insert(ProcessId{2}, rng));
-  EXPECT_FALSE(view.insert(ProcessId{0}, rng));  // owner
-  EXPECT_FALSE(view.erase(ProcessId{9}));        // absent
-  view.retain([](ProcessId) { return true; });   // nothing to drop
-  view.set_capacity(8, rng);                     // growth never evicts
-  EXPECT_TRUE(view.shares_base());
-}
-
-TEST(PartialView, FirstMutationCopiesBaseAndLeavesArenaIntact) {
-  util::Rng rng(21);
-  const std::vector<ProcessId> row{ProcessId{1}, ProcessId{2}, ProcessId{3}};
-  PartialView view(ProcessId{0}, 5);
-  view.seed(row);
-  EXPECT_TRUE(view.insert(ProcessId{7}, rng));
-  EXPECT_FALSE(view.shares_base());
-  // Overlay = base + delta; the arena row itself is untouched and stays
-  // observable for diffing.
-  EXPECT_EQ(view.size(), 4u);
-  EXPECT_TRUE(view.contains(ProcessId{7}));
-  EXPECT_TRUE(view.contains(ProcessId{1}));
-  EXPECT_EQ(row, (std::vector<ProcessId>{ProcessId{1}, ProcessId{2},
-                                         ProcessId{3}}));
-  EXPECT_EQ(view.base().data(), row.data());
-}
-
-TEST(PartialView, EraseOfBaseEntryLandsInTheOverlayOnly) {
-  const std::vector<ProcessId> row{ProcessId{1}, ProcessId{2}, ProcessId{3}};
-  PartialView view(ProcessId{0}, 5);
-  view.seed(row);
-  EXPECT_TRUE(view.erase(ProcessId{2}));
-  EXPECT_FALSE(view.contains(ProcessId{2}));
-  EXPECT_EQ(row[1], ProcessId{2});  // base still lists it
-  EXPECT_EQ(view.size(), 2u);
-}
-
-TEST(PartialView, SeededAndOwnedViewsStayBitIdenticalUnderMutation) {
-  // The copy-on-churn contract: a seeded view must behave exactly like an
-  // owned view holding the same entries in the same order — same contents,
-  // same order, same eviction draws — through any mutation sequence.
-  const std::vector<ProcessId> row{ProcessId{1}, ProcessId{2}, ProcessId{3},
-                                   ProcessId{4}};
-  util::Rng rng_owned(22);
-  util::Rng rng_seeded(22);
-  PartialView owned(ProcessId{0}, 4);
-  for (ProcessId p : row) owned.insert(p, rng_owned);
-  PartialView seeded(ProcessId{0}, 4);
-  seeded.seed(row);
-  for (std::uint32_t step = 5; step < 30; ++step) {
-    owned.insert(ProcessId{step}, rng_owned);      // full: random eviction
-    seeded.insert(ProcessId{step}, rng_seeded);
-    if (step % 7 == 0) {
-      owned.erase(ProcessId{step});
-      seeded.erase(ProcessId{step});
-    }
-    if (step == 17) {
-      owned.set_capacity(3, rng_owned);
-      seeded.set_capacity(3, rng_seeded);
-    }
-  }
-  const auto a = owned.entries();
-  const auto b = seeded.entries();
+TEST(PartialView, InsertDistinctMatchesInsertingOneByOne) {
+  // The join path skips the duplicate scans; for distinct peers it must
+  // give the same entries in the same order with the same eviction draws,
+  // also when the peers overflow the capacity and when one is the owner.
+  std::vector<ProcessId> peers;
+  for (std::uint32_t i = 0; i < 12; ++i) peers.push_back(ProcessId{i * 3});
+  util::Rng rng_one(22);
+  util::Rng rng_all(22);
+  PartialView one(ProcessId{9}, 5);
+  PartialView all(ProcessId{9}, 5);
+  one.insert(ProcessId{100}, rng_one);
+  all.insert(ProcessId{100}, rng_all);
+  for (ProcessId p : peers) one.insert(p, rng_one);
+  all.insert_distinct(peers, rng_all);
+  const auto a = one.entries();
+  const auto b = all.entries();
+  ASSERT_EQ(a.size(), 5u);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+  EXPECT_FALSE(all.contains(ProcessId{9}));
+  EXPECT_EQ(rng_one.below(1000), rng_all.below(1000));
 }
 
 }  // namespace

@@ -100,8 +100,7 @@ TEST(DynamicGolden, FlashcrowdRunOne) {
 
 TEST(DynamicGolden, ChurnSubscribeHeavyRunZero) {
   // Joins, leaves and crash/recover: the churn traces exercise both the
-  // mid-run spawn() path (owned views) and the overlays of batch-spawned
-  // nodes.
+  // mid-run spawn() path and the rows of batch-spawned nodes under churn.
   const sim::Scenario& scenario = preset("churn-subscribe-heavy");
   const topics::TopicDag dag = scenario.build_dag();
   const DynamicRunResult r = run_dynamic_simulation(scenario, dag, 1.0, 0);

@@ -1,9 +1,10 @@
 // Scale smoke for the dynamic lane: a 100k-process group through the full
 // message-passing engine (spawn, membership gossip, one publication,
-// drain) must finish in interactive time under ctest. Before the shared
-// view arena, spawn-time per-node view copies plus allocator churn put
-// this configuration out of reach; the budget is ~20x the observed
-// post-arena time so it only trips on a genuine complexity regression.
+// drain) must finish in interactive time under ctest. Before batch
+// wiring, per-member candidate copies plus allocator churn put this
+// configuration out of reach; spawn_group now writes each joiner's rows
+// once, into its own storage, in id order. The budget is ~20x the
+// observed time so it only trips on a genuine complexity regression.
 // The S=1e6 counterpart is CI's `damlab --scenario=giant-dynamic --grid
 // scale=10` run under a wall budget.
 #include <gtest/gtest.h>
@@ -36,9 +37,9 @@ TEST(DynamicScale, HundredThousandProcessRunStaysInBudget) {
   // The run reports where its time and memory went.
   EXPECT_GT(result.table_build_seconds, 0.0);
   EXPECT_LT(result.table_build_seconds, result.wall_seconds);
-  // O(S·k) contiguous arena: k ~ (b+1)ln(S) = 47 view entries + z super
-  // entries per process — well under 64 u32-sized slots each, and far
-  // from the ~S per-node vector headers the old layout heap-churned.
+  // Logical CSR bytes of the spawn rows, O(S·k): k ~ (b+1)ln(S) = 47 view
+  // entries + z super entries per process — well under 64 u32-sized
+  // slots each.
   EXPECT_GT(result.table_bytes, 100000u * sizeof(std::uint32_t));
   EXPECT_LT(result.table_bytes, 100000u * 64u * sizeof(std::uint32_t));
   // Slab queue high-water mark: ~24 bytes per queued copy. The observed
