@@ -129,17 +129,15 @@ class BaselineEngine final : public workload::StreamEngine {
     state.count = 0;
   }
   WindowSample sample_window() override {
-    // Logical bytes in the id-list model, 4 B per delivered process (the
-    // pinned steady goldens count this way), though the set is stored as
-    // one bit per process.
-    std::uint64_t delivered_bytes = 0;
+    // The delivered sets are the rivals' seen sets: one bit per process,
+    // counted as DamSystem counts its seen columns (words × 8 B). A
+    // retired set has been released.
+    std::uint64_t seen_bytes = 0;
     for (const EventState& state : events_) {
-      if (!state.retired) {
-        delivered_bytes += state.count * sizeof(std::uint32_t);
-      }
+      seen_bytes += state.words.size() * sizeof(std::uint64_t);
     }
     WindowSample sample;
-    sample.delivered_bytes = delivered_bytes;
+    sample.seen_bytes = seen_bytes;
     sample.queue_peak = std::exchange(window_queue_peak_, 0);
     return sample;
   }

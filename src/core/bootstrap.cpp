@@ -61,12 +61,10 @@ void BootstrapTask::flood(const NodeContext& ctx, sim::Round now) {
   last_flood_ = now;
   ++floods_sent_;
   ++request_id_;
-  for (ProcessId neighbor : ctx.env->neighborhood(ctx.self)) {
-    ctx.env->send({.kind = net::MsgKind::kReqContact, .from = ctx.self,
-                   .to = neighbor, .origin = ctx.self,
-                   .request_id = request_id_, .init_msg = init_msg_,
-                   .ttl = kTtl});
-  }
+  ctx.env->send({.kind = net::MsgKind::kReqContact, .from = ctx.self,
+                 .origin = ctx.self, .request_id = request_id_,
+                 .init_msg = init_msg_, .ttl = kTtl},
+                ctx.env->neighborhood(ctx.self));
 }
 
 }  // namespace dam::core

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/params.hpp"
@@ -38,10 +39,19 @@ class Env {
 
   [[nodiscard]] virtual sim::Round now() const = 0;
 
-  /// Transmits `msg` (node has already filled `from`/`to`); its spans need
-  /// only live until send returns. Returns the EVENT body handle to set on
-  /// the next copy (net::Message::body), or kNoBody.
-  virtual std::uint32_t send(const Message& msg) = 0;
+  /// Transmits one copy of `msg` (node has already filled `from`) to each
+  /// of `targets`, in order; `msg.to` is ignored. A fan-out is one call,
+  /// so the host handles it once, not once per copy. `msg`'s spans and
+  /// `targets` need only live until send returns. Returns the EVENT body
+  /// handle to set on the next send of the event (net::Message::body), or
+  /// kNoBody; an empty `targets` sends nothing and returns `msg.body`.
+  virtual std::uint32_t send(const Message& msg,
+                             std::span<const ProcessId> targets) = 0;
+
+  /// Transmits `msg` to `msg.to`: a fan-out of one.
+  std::uint32_t send(const Message& msg) {
+    return send(msg, std::span(&msg.to, 1));
+  }
 
   /// Bootstrap overlay contacts of `self` (Sec. III-B: neighborhood(pl)).
   [[nodiscard]] virtual const std::vector<ProcessId>& neighborhood(

@@ -13,6 +13,14 @@ constexpr sim::Round kMaintenancePeriod = 4;
 std::uint64_t request_key(ProcessId origin, std::uint32_t request_id) {
   return (static_cast<std::uint64_t>(origin.value) << 32) | request_id;
 }
+
+/// Target buffer of the fan-out sends, shared by every node on this
+/// thread: a fan-out is read only until its send returns, so once the
+/// buffer has grown a fan-out allocates nothing, and no node stores it.
+std::vector<ProcessId>& fanout_buffer() {
+  thread_local std::vector<ProcessId> targets;
+  return targets;
+}
 }  // namespace
 
 DamNode::DamNode(const NodeContext& context, std::size_t group_size_estimate,
@@ -125,29 +133,28 @@ void DamNode::disseminate(const Message& event_msg) {
   const std::size_t group_size =
       std::max<std::size_t>(membership_.group_size_estimate(), 1);
 
-  // Every copy is this one message, re-addressed. The body handle the
-  // first send returns makes every later copy share that interned body.
+  // Each leg is one fan-out of this one message. The body handle the
+  // first leg returns makes the second share that interned body.
   Message out = event_msg;
   out.from = ctx_.self;
+  std::vector<ProcessId>& targets = fanout_buffer();
 
   // (1) Intergroup leg (Fig. 7 lines 3–7): elect self with probability
   // psel = g/S; if elected, send to each supertopic-table entry with
   // probability pa = a/z. Root processes have an empty table and skip this.
+  targets.clear();
   protocol::for_each_intergroup_target(
-      params, group_size, super_table_.entries(), rng_, [&](ProcessId target) {
-        out.to = target;
-        out.intergroup = true;
-        out.body = ctx_.env->send(out);
-      });
+      params, group_size, super_table_.entries(), rng_,
+      [&targets](ProcessId target) { targets.push_back(target); });
+  out.intergroup = true;
+  out.body = ctx_.env->send(out, targets);
 
   // (2) Intra-group gossip leg (Fig. 7 lines 8–14): fanout distinct
   // processes drawn from the topic table, without replacement (the Ω set).
-  for (ProcessId target : protocol::fanout_targets(
-           params, group_size, membership_.view().entries(), rng_)) {
-    out.to = target;
-    out.intergroup = false;
-    out.body = ctx_.env->send(out);
-  }
+  protocol::fanout_targets_into(params, group_size,
+                                membership_.view().entries(), rng_, targets);
+  out.intergroup = false;
+  ctx_.env->send(out, targets);
 }
 
 void DamNode::handle_event(const Message& msg) {
@@ -196,14 +203,17 @@ void DamNode::handle_req_contact(const Message& msg) {
   // Cannot answer: forward through the neighborhood while the message has
   // not expired (lines 10–12).
   if (msg.ttl == 0) return;
+  std::vector<ProcessId>& targets = fanout_buffer();
+  targets.clear();
   for (ProcessId neighbor : ctx_.env->neighborhood(ctx_.self)) {
-    if (neighbor == msg.from || neighbor == msg.origin) continue;
-    Message fwd = msg;
-    fwd.from = ctx_.self;
-    fwd.to = neighbor;
-    fwd.ttl = msg.ttl - 1;
-    ctx_.env->send(fwd);
+    if (neighbor != msg.from && neighbor != msg.origin) {
+      targets.push_back(neighbor);
+    }
   }
+  Message fwd = msg;
+  fwd.from = ctx_.self;
+  fwd.ttl = msg.ttl - 1;
+  ctx_.env->send(fwd, targets);
 }
 
 void DamNode::handle_ans_contact(const Message& msg) {
@@ -283,10 +293,8 @@ void DamNode::maintain_links(sim::Round now) {
   if (!rng_.bernoulli(params.psel(group_size))) return;
   if (super_table_.check(alive_probe()) > params.tau) return;
   super_table_.drop_failed(alive_probe());
-  for (ProcessId target : super_table_.entries()) {
-    ctx_.env->send(
-        {.kind = MsgKind::kNewProcessAsk, .from = ctx_.self, .to = target});
-  }
+  ctx_.env->send({.kind = MsgKind::kNewProcessAsk, .from = ctx_.self},
+                 super_table_.entries());
   if (super_table_.empty() && !bootstrap_.active()) {
     // Every superprocess failed: fall back to the full search.
     bootstrap_.start(ctx_, now);

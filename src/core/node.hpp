@@ -149,9 +149,10 @@ class DamNode {
 
  private:
   /// DISSEMINATE (Fig. 7): intergroup leg with probability psel, then the
-  /// intra-group gossip leg to fanout distinct topic-table entries. All
-  /// stochastic decisions route through the shared protocol kernel
-  /// (core/protocol.hpp) so every engine makes them identically.
+  /// intra-group gossip leg to fanout distinct topic-table entries, each
+  /// leg one Env::send fan-out. All stochastic decisions route through the
+  /// shared protocol kernel (core/protocol.hpp) so every engine makes them
+  /// identically.
   void disseminate(const Message& event_msg);
 
   void handle_event(const Message& msg);

@@ -79,26 +79,10 @@ void for_each_intergroup_target(const TopicParams& params,
 
 /// The intra-group gossip leg (Fig. 7 lines 8–14): fanout(S) = ceil(ln S
 /// + c) distinct targets drawn uniformly from the topic table without
-/// replacement. Returns fewer when the table is smaller than the fanout.
-/// The span form reads CSR arena rows and view rows without materializing
-/// a vector first.
-template <typename Entry>
-[[nodiscard]] std::vector<Entry> fanout_targets(
-    const TopicParams& params, std::size_t group_size,
-    std::span<const Entry> topic_table, util::Rng& rng) {
-  return rng.sample(topic_table, params.fanout(group_size));
-}
-
-template <typename Entry>
-[[nodiscard]] std::vector<Entry> fanout_targets(
-    const TopicParams& params, std::size_t group_size,
-    const std::vector<Entry>& topic_table, util::Rng& rng) {
-  return rng.sample(topic_table, params.fanout(group_size));
-}
-
-/// `fanout_targets` into a caller-reused buffer — the wave-loop form: zero
-/// allocation per sender once `out` has warmed up, identical RNG stream and
-/// result sequence as the returning overload.
+/// replacement, into the caller-reused buffer `out` (cleared first), so a
+/// sender allocates nothing once `out` has warmed up. Draws fewer when the
+/// table is smaller than the fanout. The span reads CSR arena rows and
+/// view rows without materializing a vector first.
 template <typename Entry>
 void fanout_targets_into(const TopicParams& params, std::size_t group_size,
                          std::span<const Entry> topic_table, util::Rng& rng,

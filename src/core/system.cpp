@@ -20,7 +20,7 @@ constexpr std::size_t kSpawnChunk = 512;
 /// Fork salt of the per-batch row-fill stream.
 constexpr std::uint64_t kSpawnBatchSalt = 0x5BA7C4ULL;
 
-/// Look-ahead distances of the delivery and round loops, in records or
+/// Look-ahead distances of the delivery and round loops, in messages or
 /// nodes: stage 1 (the node object) runs kWarmAhead steps ahead, stage 2
 /// (the rows its views read) kStateDelay steps after stage 1, so it reads
 /// row pointers the object's lines have brought in by then.
@@ -253,7 +253,7 @@ void DamSystem::run_rounds(std::size_t count) {
     const sim::Round round = clock_.now();
     // Receivers are random nodes, so each delivery would otherwise stall
     // on its node's cache misses; the transport feeds every target to the
-    // look-ahead kWarmAhead records early.
+    // look-ahead kWarmAhead messages early.
     TwoStageWarm delivery_warm(nodes_);
     transport_.deliver_round(
         round,
@@ -310,33 +310,39 @@ net::EventId DamSystem::publish(ProcessId publisher,
   return event;
 }
 
-std::uint32_t DamSystem::send(const Message& msg) {
-  // Account the message against the sender's group, by kind.
+std::uint32_t DamSystem::send(const Message& msg,
+                              std::span<const ProcessId> targets) {
+  if (targets.empty()) return msg.body;
+  // Account the fan-out against the sender's group, by kind, once.
   const TopicId sender_topic = registry_.topic_of(msg.from);
+  const sim::Round now = clock_.now();
+  const std::size_t copies = targets.size();
   if (msg.kind != MsgKind::kEvent) {
-    metrics_.note_control_send(clock_.now(), sender_topic);
+    metrics_.note_control_send(now, sender_topic, copies);
   } else if (msg.intergroup) {
     metrics_.note_inter_send(
-        clock_.now(), sender_topic,
-        registry_.nearest_nonempty_supergroup(sender_topic));
+        now, sender_topic, registry_.nearest_nonempty_supergroup(sender_topic),
+        copies);
   } else {
-    metrics_.note_intra_send(clock_.now(), sender_topic);
+    metrics_.note_intra_send(now, sender_topic, copies);
   }
   if (trace_ != nullptr) {
     sim::TraceEntry entry;
-    entry.round = clock_.now();
+    entry.round = now;
     entry.kind = msg.kind == MsgKind::kEvent
                      ? (msg.intergroup ? sim::TraceKind::kInterSend
                                        : sim::TraceKind::kEventSend)
                      : sim::TraceKind::kControlSend;
     entry.from = msg.from;
-    entry.to = msg.to;
     entry.topic = msg.kind == MsgKind::kEvent ? msg.topic : sender_topic;
     entry.publisher = msg.event.publisher;
     entry.sequence = msg.event.sequence;
-    trace_->record(entry);
+    for (const ProcessId target : targets) {
+      entry.to = target;
+      trace_->record(entry);
+    }
   }
-  return transport_.send(msg, clock_.now());
+  return transport_.send(msg, targets, now);
 }
 
 std::size_t DamSystem::group_size(TopicId topic) const {

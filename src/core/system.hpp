@@ -125,7 +125,9 @@ class DamSystem final : public Env {
 
   // --- Env ---
   [[nodiscard]] sim::Round now() const override { return clock_.now(); }
-  std::uint32_t send(const Message& msg) override;
+  using Env::send;
+  std::uint32_t send(const Message& msg,
+                     std::span<const ProcessId> targets) override;
   [[nodiscard]] const std::vector<ProcessId>& neighborhood(
       ProcessId self) const override;
   [[nodiscard]] bool probe_alive(ProcessId target) const override;
@@ -170,8 +172,9 @@ class DamSystem final : public Env {
   }
 
   /// High-water in-flight footprint of the transport's slab queue — the
-  /// dynamic lane's peak_queue_bytes measurand (compact queued records,
-  /// control-field arenas, and interned event bodies; see net/transport).
+  /// dynamic lane's peak_queue_bytes measurand (fan-out headers and
+  /// targets, control-field arenas, and interned event bodies; see
+  /// net/transport).
   [[nodiscard]] std::size_t peak_queue_bytes() const noexcept {
     return transport_.stats().peak_queue_bytes;
   }

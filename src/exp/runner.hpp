@@ -71,8 +71,9 @@ struct SweepResult {
   std::size_t peak_table_bytes = 0;
 
   /// Largest in-flight transport-queue footprint of any single run
-  /// (dynamic lane only; 0 for frozen sweeps): slab records, control
-  /// arenas, and interned event bodies at the high-water round. Logical
+  /// (dynamic lane only; 0 for frozen sweeps): fan-out headers and
+  /// targets, control arenas, and interned event bodies at the high-water
+  /// round. Logical
   /// bytes, so bit-identical for every --jobs/--threads value.
   std::size_t peak_queue_bytes = 0;
 

@@ -3,7 +3,7 @@
 namespace dam::net {
 
 std::size_t encoded_size(const Message& msg) {
-  // Header: kind(1) + from(4) + to(4) + sent_at(8).
+  // Header: kind(1) + from(4) + to(4) + send round(8).
   std::size_t size = 17;
   switch (msg.kind) {
     case MsgKind::kEvent:

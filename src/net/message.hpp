@@ -12,6 +12,9 @@
 // A Message is a non-owning view: its lists are spans. A sender points them
 // at its own buffers, which need only live until send returns; a receiver
 // gets spans into the transport's round slab, valid during its callback.
+// A send names its receivers as a list of targets (one message, one copy
+// per target), so `to` matters only on a delivered view and on the
+// single-target send form, which sends to it.
 //
 // encoded_size gives each message's logical bytes — the size of a compact
 // binary form (17 B header plus the kind's fields) — so the byte counts the
@@ -22,13 +25,11 @@
 #include <optional>
 #include <span>
 
-#include "sim/clock.hpp"
 #include "topics/subscriptions.hpp"
 #include "topics/topic.hpp"
 
 namespace dam::net {
 
-using sim::Round;
 using topics::ProcessId;
 using topics::TopicId;
 
@@ -58,7 +59,6 @@ struct Message {
   MsgKind kind = MsgKind::kEvent;
   ProcessId from{};
   ProcessId to{};
-  Round sent_at = 0;
 
   // --- kEvent ---
   TopicId topic{};          ///< topic the event was published on
@@ -92,8 +92,9 @@ struct Message {
 };
 
 /// Logical size of `msg` in bytes: header kind(1) + from(4) + to(4) +
-/// sent_at(8), then the kind's fields, each id 4 B, each list or payload
-/// prefixed by a 4 B length.
+/// send round(8), then the kind's fields, each id 4 B, each list or payload
+/// prefixed by a 4 B length. The send round is a wire-format field only:
+/// the simulator's channel is one round long, so it keeps no copy of it.
 [[nodiscard]] std::size_t encoded_size(const Message& msg);
 
 }  // namespace dam::net

@@ -76,33 +76,35 @@ std::size_t Transport::queue_bytes() const noexcept {
   return bodies_.bytes() + slab_bytes_;
 }
 
-std::uint32_t Transport::send(const Message& msg, sim::Round now) {
+std::uint32_t Transport::send(const Message& msg,
+                              std::span<const ProcessId> targets,
+                              sim::Round now) {
+  if (targets.empty()) return msg.body;
   const sim::Round due = now + 1;
   RoundSlab& slab = slabs_[due % 2];
   if (slab.due != due) {
-    if (!slab.records.empty()) {
+    if (!slab.runs.empty()) {
       throw std::logic_error(
           "Transport::send: the slab of round " + std::to_string(slab.due) +
           " was never delivered");
     }
     slab.due = due;
   }
-  ++stats_.sent;
+  const std::size_t copies = targets.size();
   const std::size_t slab_bytes_before = slab.bytes();
-  Record rec;
-  rec.from = msg.from;
-  rec.to = msg.to;
-  rec.sent_at = now;
-  rec.kind = msg.kind;
-  if (msg.kind == MsgKind::kEvent) {
-    rec.flags = msg.intergroup ? 1 : 0;
-    rec.ref = msg.body == kNoBody ? bodies_.acquire(msg)
+  Run run;
+  run.from = msg.from;
+  run.kind = msg.kind;
+  const bool event = msg.kind == MsgKind::kEvent;
+  if (event) {
+    run.flags = msg.intergroup ? 1 : 0;
+    run.ref = msg.body == kNoBody ? bodies_.acquire(msg)
                                   : bodies_.retain(msg.body);
     // The hot fan-out path: the wire size was computed once when the body
     // was interned; every further copy of the publication reuses it.
-    stats_.bytes_sent += bodies_[rec.ref].encoded_size;
+    stats_.bytes_sent += copies * bodies_[run.ref].encoded_size;
   } else {
-    stats_.bytes_sent += encoded_size(msg);
+    stats_.bytes_sent += copies * encoded_size(msg);
     ControlExtra extra;
     extra.origin = msg.origin;
     extra.request_id = msg.request_id;
@@ -129,32 +131,38 @@ std::uint32_t Transport::send(const Message& msg, sim::Round now) {
     extra.eid_len = static_cast<std::uint32_t>(msg.event_ids.size());
     slab.eids.insert(slab.eids.end(), msg.event_ids.begin(),
                      msg.event_ids.end());
-    rec.ref = static_cast<std::uint32_t>(slab.extras.size());
+    run.ref = static_cast<std::uint32_t>(slab.extras.size());
     slab.extras.push_back(extra);
   }
-  slab.records.push_back(rec);
+  // Each header of a split run holds its own body reference; its control
+  // headers share the one extra.
+  for (std::size_t first = 0; first < copies; first += kMaxRun) {
+    if (first > 0 && event) bodies_.retain(run.ref);
+    run.count = static_cast<std::uint16_t>(std::min(kMaxRun, copies - first));
+    slab.runs.push_back(run);
+  }
+  slab.targets.insert(slab.targets.end(), targets.begin(), targets.end());
+  stats_.sent += copies;
   slab_bytes_ += slab.bytes() - slab_bytes_before;
-  ++queued_records_;
+  queued_records_ += copies;
   note_high_water();
-  return rec.kind == MsgKind::kEvent ? rec.ref : kNoBody;
+  return event ? run.ref : kNoBody;
 }
 
-Message Transport::view(const Record& rec, const RoundSlab& slab) const {
+Message Transport::view(const Run& run, const RoundSlab& slab) const {
   Message msg;
-  msg.kind = rec.kind;
-  msg.from = rec.from;
-  msg.to = rec.to;
-  msg.sent_at = rec.sent_at;
-  if (rec.kind == MsgKind::kEvent) {
-    const EventBodyPool::Body& body = bodies_[rec.ref];
+  msg.kind = run.kind;
+  msg.from = run.from;
+  if (run.kind == MsgKind::kEvent) {
+    const EventBodyPool::Body& body = bodies_[run.ref];
     msg.topic = body.topic;
     msg.event = body.event;
-    msg.intergroup = (rec.flags & 1) != 0;
+    msg.intergroup = (run.flags & 1) != 0;
     msg.payload = body.payload;
-    msg.body = rec.ref;
+    msg.body = run.ref;
     return msg;
   }
-  const ControlExtra& extra = slab.extras[rec.ref];
+  const ControlExtra& extra = slab.extras[run.ref];
   msg.origin = extra.origin;
   msg.request_id = extra.request_id;
   msg.ttl = extra.ttl;
@@ -174,41 +182,46 @@ void Transport::deliver_round(
     sim::Round round, const std::function<void(const Message&)>& sink,
     const std::function<void(ProcessId)>& warm) {
   RoundSlab& slot = slabs_[round % 2];
-  if (slot.due != round || slot.records.empty()) return;
+  if (slot.due != round || slot.runs.empty()) return;
   // Move the batch out before invoking handlers: handlers send new
   // messages, which must land in the next round's slab, never this batch.
   RoundSlab slab = std::move(slot);
-  queued_records_ -= slab.records.size();
+  const std::size_t count = slab.targets.size();
+  queued_records_ -= count;
   slab_bytes_ -= slab.bytes();
-  const std::size_t count = slab.records.size();
   if (warm) {
     for (std::size_t i = 0; i < std::min(kLookahead, count); ++i) {
-      warm(slab.records[i].to);
+      warm(slab.targets[i]);
     }
   }
-  for (std::size_t i = 0; i < count; ++i) {
-    const Record& rec = slab.records[i];
-    if (warm && i + kLookahead < count) warm(slab.records[i + kLookahead].to);
-    if (!channel_delivers(psucc_, rng_)) {
-      ++stats_.lost_channel;
-      if (rec.kind == MsgKind::kEvent) bodies_.release(rec.ref);
-      continue;
-    }
-    if (failures_ != nullptr &&
-        !failures_->deliverable(rec.from, rec.to, round, rng_)) {
-      ++stats_.lost_failure;
-      if (rec.kind == MsgKind::kEvent) bodies_.release(rec.ref);
-      continue;
-    }
-    ++stats_.delivered;
+  std::size_t next = 0;  // the next copy: an index into slab.targets
+  for (const Run& run : slab.runs) {
     // The slab was moved out of its slot, so sends the sink makes land in
     // the other slab and never move the arenas this view reads.
-    sink(view(rec, slab));
-    // Release AFTER the sink: the view reads the body, and fan-out sends
-    // the sink makes retain it through the view's handle.
-    if (rec.kind == MsgKind::kEvent) bodies_.release(rec.ref);
+    Message msg = view(run, slab);
+    for (const std::size_t end = next + run.count; next < end; ++next) {
+      if (warm && next + kLookahead < count) {
+        warm(slab.targets[next + kLookahead]);
+      }
+      msg.to = slab.targets[next];
+      if (!channel_delivers(psucc_, rng_)) {
+        ++stats_.lost_channel;
+        continue;
+      }
+      if (failures_ != nullptr &&
+          !failures_->deliverable(run.from, msg.to, round, rng_)) {
+        ++stats_.lost_failure;
+        continue;
+      }
+      ++stats_.delivered;
+      sink(msg);
+    }
+    // Release AFTER the run's last target: every copy's view reads the
+    // body, and fan-out sends the sink makes retain it through the view's
+    // handle.
+    if (run.kind == MsgKind::kEvent) bodies_.release(run.ref);
   }
-  assert(slot.records.empty() && "a send during delivery reached its slab");
+  assert(slot.runs.empty() && "a send during delivery reached its slab");
   slab.clear();
   slot = std::move(slab);
 }

@@ -8,38 +8,48 @@
 //
 // In-flight representation: the round slab is the only owning copy of a
 // queued message. A net::Message is a view (spans, no heap), and a big
-// dissemination wave queues ~10·S EVENT copies of one publication, so each
-// queued message is a 24-byte Record (from, to, sent_at, kind, flags, ref)
-// in a per-round slab, and the bodies live in kind-segregated pools:
+// dissemination wave queues ~10·S EVENT copies of one publication, almost
+// all of them in fan-outs: a node sends one message to ln(S)+c targets at
+// once. So a send is a RUN — one message, many targets — and the slab
+// queues each run as a 12-byte header (from, ref, count, kind,
+// intergroup flag) followed by 4 bytes per target, while the bodies live
+// in kind-segregated pools:
 //
 //   * EVENT bodies — (topic, event id, payload) interned ONCE per
-//     publication in a refcounted EventBodyPool. The body handle travels
-//     with the message: a delivered EVENT view carries it, and a node that
-//     forwards the view sends it back, so every fan-out copy's Record
-//     references the same body. The body also memoizes the message's
-//     encoded wire size, so the hot fan-out path charges Stats::bytes_sent
-//     without re-walking identical payloads.
+//     publication in a refcounted EventBodyPool, one reference per run.
+//     The body handle travels with the message: a delivered EVENT view
+//     carries it, and a node that forwards the view sends it back, so
+//     every run of the publication references the same body. The body
+//     also memoizes the message's encoded wire size, so the hot fan-out
+//     path charges Stats::bytes_sent without re-walking identical
+//     payloads.
 //   * Control bodies — the variable-length fields (init_msg, processes,
 //     piggyback_super_table, event_ids) are copied into per-slab arenas as
-//     (offset, len) slices off one ControlExtra record per message.
+//     (offset, len) slices off one ControlExtra record per run, so a
+//     flooded control message stores its fields once, not once per copy.
 //
 // The channel is one round long, so at most two rounds are ever queued:
 // the round being delivered and the next. The transport keeps one slab
-// per round parity. deliver_round moves the due slab out, replays it in
-// send order — handing the sink a view whose spans point into that slab's
-// arenas and into the event's body — then clears it and moves it back, so
-// its capacity serves the round after next. Delivery order, the channel
-// RNG stream, and all Stats counters are BIT-IDENTICAL to the historical
-// per-message std::map queue; the golden tests in tests/workload and the
-// reference-queue test in tests/net pin this. Stats::peak_queue_bytes
-// reports the high-water in-flight footprint (slabs + interned bodies) —
-// the measurand the dynamic-scale bench gates.
+// per round parity, and a queued message needs no send-round stamp: it
+// was sent in the round before its slab is due. deliver_round moves the
+// due slab out, replays it in send order — each target of each run in
+// turn, with its own channel coin and failure check — handing the sink a
+// view whose spans point into that slab's arenas and into the event's
+// body, then clears it and moves it back, so its capacity serves the
+// round after next. Delivery order, the channel RNG stream, and all Stats
+// counters but peak_queue_bytes are BIT-IDENTICAL to the historical
+// per-message std::map queue fed one copy per send; the golden tests in
+// tests/workload and the reference-queue test in tests/net pin this.
+// Stats::peak_queue_bytes reports the high-water in-flight footprint
+// (slabs + interned bodies) — the measurand the dynamic-scale bench
+// gates.
 #pragma once
 
 #include <array>
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "net/message.hpp"
@@ -48,10 +58,10 @@
 
 namespace dam::net {
 
-/// Refcounted interning pool for EVENT message bodies. Fan-out copies of
-/// one publication share one entry: the first send interns it, and every
+/// Refcounted interning pool for EVENT message bodies. Every run of one
+/// publication shares one entry: the first send interns it, and every
 /// later send that carries its handle (Message::body) takes one more
-/// reference. Entries are recycled when the last in-flight copy is
+/// reference. Entries are recycled when the last in-flight run is
 /// delivered or dropped. Exposed for the transport tests; everything else
 /// should treat it as a Transport implementation detail.
 class EventBodyPool {
@@ -85,7 +95,7 @@ class EventBodyPool {
   /// Live (referenced) entries.
   [[nodiscard]] std::size_t live() const noexcept { return live_; }
 
-  /// Logical bytes held by live entries (records + payload bytes).
+  /// Logical bytes held by live entries (Body structs + payload bytes).
   [[nodiscard]] std::size_t bytes() const noexcept { return bytes_; }
 
  private:
@@ -104,15 +114,16 @@ class Transport {
     std::uint64_t lost_failure = 0;   ///< dropped because target (perceived) failed
     std::uint64_t bytes_sent = 0;
 
-    /// High-water logical footprint of the in-flight queue: slab records,
-    /// control extras, arena slices, and interned event bodies. Logical
-    /// (element counts × element sizes), so it is bit-identical across
-    /// --jobs/--threads and machines — the dynamic lane's
+    /// High-water logical footprint of the in-flight queue: run headers,
+    /// targets, control extras, arena slices, and interned event bodies.
+    /// Logical (element counts × element sizes), so it is bit-identical
+    /// across --jobs/--threads and machines — the dynamic lane's
     /// peak_queue_bytes measurand.
     std::size_t peak_queue_bytes = 0;
 
-    /// High-water count of queued records. The historical per-message
-    /// queue held a 184-byte Message (with its heap fields) per record.
+    /// High-water count of queued messages (one per target of a run). The
+    /// historical per-message queue held a 184-byte Message (with its heap
+    /// fields) per message.
     std::uint64_t peak_queue_records = 0;
   };
 
@@ -120,15 +131,23 @@ class Transport {
   Transport(double psucc, util::Rng rng, const sim::FailureModel* failures)
       : psucc_(psucc), rng_(rng), failures_(failures) {}
 
-  /// Queues a copy of `msg` for delivery at `now + 1`. Returns an EVENT's
-  /// body handle (`msg.body` if set, else a freshly interned one), or
-  /// kNoBody for control kinds. Throws std::logic_error if round `now - 1`
-  /// was never delivered: its slab still holds those messages.
-  std::uint32_t send(const Message& msg, sim::Round now);
+  /// Queues one copy of `msg` per entry of `targets`, in order, for
+  /// delivery at `now + 1` (`msg.to` is ignored). Returns an EVENT's body
+  /// handle (`msg.body` if set, else a freshly interned one), or kNoBody
+  /// for control kinds; an empty `targets` queues and interns nothing and
+  /// returns `msg.body`. Throws std::logic_error if round `now - 1` was
+  /// never delivered: its slab still holds those messages.
+  std::uint32_t send(const Message& msg, std::span<const ProcessId> targets,
+                     sim::Round now);
 
-  /// How many records ahead of the delivery deliver_round's `warm` hook
+  /// Queues one copy of `msg` to `msg.to`: a run of one.
+  std::uint32_t send(const Message& msg, sim::Round now) {
+    return send(msg, std::span(&msg.to, 1), now);
+  }
+
+  /// How many messages ahead of the delivery deliver_round's `warm` hook
   /// runs: far enough for a receiver's cache lines to arrive from memory
-  /// while the records before it are handled.
+  /// while the messages before it are handled.
   static constexpr std::size_t kLookahead = 8;
 
   /// Delivers every message due at `round` (in send order) to `sink`.
@@ -137,8 +156,8 @@ class Transport {
   /// into the round's slab and the event's body, valid only for the
   /// duration of the callback — copy what must outlive it.
   ///
-  /// `warm`, if set, sees every queued record's target once, in send
-  /// order, kLookahead records before that record is delivered (the first
+  /// `warm`, if set, sees every queued message's target once, in send
+  /// order, kLookahead messages before that one is delivered (the first
   /// kLookahead before any delivery), whether or not the channel and the
   /// failure model then let the message through. It is a latency hint for
   /// the host (prefetch the receiver's state), so it must not send, and it
@@ -182,18 +201,23 @@ class Transport {
   }
 
  private:
-  /// One queued message: 24 bytes, no heap. `ref` is an EventBodyPool id
-  /// for kEvent and an index into the owning slab's `extras` otherwise.
-  struct Record {
+  /// One queued run: `count` copies of one message, whose targets follow
+  /// in the slab's `targets`, in send order. 12 bytes, no heap. `ref` is
+  /// an EventBodyPool id for kEvent (the run holds one reference) and an
+  /// index into the owning slab's `extras` otherwise.
+  struct Run {
     ProcessId from{};
-    ProcessId to{};
-    sim::Round sent_at = 0;
     std::uint32_t ref = 0;
+    std::uint16_t count = 0;
     MsgKind kind = MsgKind::kEvent;
     std::uint8_t flags = 0;  ///< bit 0: intergroup
   };
+  static_assert(sizeof(Run) == 12);
 
-  /// Per-message scalar fields + arena slices for the non-EVENT kinds.
+  /// Most targets one header counts; a longer send queues several headers.
+  static constexpr std::size_t kMaxRun = 0xFFFF;
+
+  /// Per-run scalar fields + arena slices for the non-EVENT kinds.
   struct ControlExtra {
     ProcessId origin{};
     std::uint32_t request_id = 0;
@@ -207,24 +231,27 @@ class Transport {
     std::uint32_t eid_off = 0, eid_len = 0;  ///< event_ids  -> eids
   };
 
-  /// Everything queued for one delivery round, SoA: compact records plus
-  /// shared arenas the control slices point into.
+  /// Everything queued for one delivery round, SoA: run headers, their
+  /// targets, and shared arenas the control slices point into.
   struct RoundSlab {
-    sim::Round due = 0;  ///< the round the records are delivered in
-    std::vector<Record> records;
+    sim::Round due = 0;  ///< the round the runs are delivered in
+    std::vector<Run> runs;
+    std::vector<ProcessId> targets;
     std::vector<ControlExtra> extras;
     std::vector<ProcessId> pids;
     std::vector<TopicId> tids;
     std::vector<EventId> eids;
 
     [[nodiscard]] std::size_t bytes() const noexcept {
-      return records.size() * sizeof(Record) +
+      return runs.size() * sizeof(Run) +
+             targets.size() * sizeof(ProcessId) +
              extras.size() * sizeof(ControlExtra) +
              pids.size() * sizeof(ProcessId) +
              tids.size() * sizeof(TopicId) + eids.size() * sizeof(EventId);
     }
     void clear() noexcept {  // keeps capacity — the recycling contract
-      records.clear();
+      runs.clear();
+      targets.clear();
       extras.clear();
       pids.clear();
       tids.clear();
@@ -235,15 +262,16 @@ class Transport {
   /// Ratchets Stats::peak_queue_bytes / peak_queue_records after a send.
   void note_high_water();
 
-  /// The view of one queued record that deliver_round hands its sink.
-  [[nodiscard]] Message view(const Record& rec, const RoundSlab& slab) const;
+  /// The view of one queued run that deliver_round hands its sink, with
+  /// `to` left for the caller to set per target.
+  [[nodiscard]] Message view(const Run& run, const RoundSlab& slab) const;
 
   double psucc_;
   util::Rng rng_;
   const sim::FailureModel* failures_;
   std::array<RoundSlab, 2> slabs_;  ///< slab r % 2 holds round r's messages
   EventBodyPool bodies_;
-  std::size_t queued_records_ = 0;
+  std::size_t queued_records_ = 0;  ///< queued messages (targets)
   /// Sum of RoundSlab::bytes() over the queued slabs, kept on send and on
   /// extraction so the high-water check never walks the queue.
   std::size_t slab_bytes_ = 0;

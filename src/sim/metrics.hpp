@@ -39,28 +39,32 @@ class Metrics {
     return topic.value < per_group_.size() ? per_group_[topic.value] : kZero;
   }
 
-  // The three send notes run once per message, so they are inline.
+  // The three send notes run once per send, so they are inline. Each
+  // counts `copies` messages: one per target of a fan-out.
 
-  /// An event message sent within `sender`'s group.
-  void note_intra_send(Round round, topics::TopicId sender) {
-    ++counters(sender).intra_sent;
-    timeline_.note_event_send(round);
+  /// Event messages sent within `sender`'s group.
+  void note_intra_send(Round round, topics::TopicId sender,
+                       std::uint64_t copies = 1) {
+    counters(sender).intra_sent += copies;
+    timeline_.note_event_send(round, copies);
   }
 
-  /// An event message sent from `sender`'s group upward; `receiver` is the
-  /// group charged with the boundary crossing (none when no supergroup has
-  /// members).
+  /// Event messages sent from `sender`'s group upward; `receiver` is the
+  /// group charged with the boundary crossings (none when no supergroup
+  /// has members).
   void note_inter_send(Round round, topics::TopicId sender,
-                       std::optional<topics::TopicId> receiver) {
-    ++counters(sender).inter_sent;
-    if (receiver) ++counters(*receiver).inter_received;
-    timeline_.note_inter_send(round);
+                       std::optional<topics::TopicId> receiver,
+                       std::uint64_t copies = 1) {
+    counters(sender).inter_sent += copies;
+    if (receiver) counters(*receiver).inter_received += copies;
+    timeline_.note_inter_send(round, copies);
   }
 
-  /// A membership/bootstrap/maintenance/recovery message.
-  void note_control_send(Round round, topics::TopicId sender) {
-    ++counters(sender).control_sent;
-    timeline_.note_control_send(round);
+  /// Membership/bootstrap/maintenance/recovery messages.
+  void note_control_send(Round round, topics::TopicId sender,
+                         std::uint64_t copies = 1) {
+    counters(sender).control_sent += copies;
+    timeline_.note_control_send(round, copies);
   }
 
   /// A publication: records its publish round and the publisher's own

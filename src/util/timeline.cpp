@@ -74,16 +74,16 @@ void Timeline::note_publish(std::uint64_t round) {
   ++row_for(round).publishes;
 }
 
-void Timeline::note_event_send(std::uint64_t round) {
-  ++row_for(round).event_sends;
+void Timeline::note_event_send(std::uint64_t round, std::uint64_t count) {
+  row_for(round).event_sends += count;
 }
 
-void Timeline::note_inter_send(std::uint64_t round) {
-  ++row_for(round).inter_sends;
+void Timeline::note_inter_send(std::uint64_t round, std::uint64_t count) {
+  row_for(round).inter_sends += count;
 }
 
-void Timeline::note_control_send(std::uint64_t round) {
-  ++row_for(round).control_sends;
+void Timeline::note_control_send(std::uint64_t round, std::uint64_t count) {
+  row_for(round).control_sends += count;
 }
 
 void Timeline::note_join(std::uint64_t round) { ++row_for(round).joins; }

@@ -113,9 +113,9 @@ class Timeline {
   void note_delivery(std::uint64_t round, double latency,
                      std::uint64_t weight = 1);
   void note_publish(std::uint64_t round);
-  void note_event_send(std::uint64_t round);
-  void note_inter_send(std::uint64_t round);
-  void note_control_send(std::uint64_t round);
+  void note_event_send(std::uint64_t round, std::uint64_t count = 1);
+  void note_inter_send(std::uint64_t round, std::uint64_t count = 1);
+  void note_control_send(std::uint64_t round, std::uint64_t count = 1);
   void note_join(std::uint64_t round);
   void note_leave(std::uint64_t round);
   void note_crash(std::uint64_t round);

@@ -66,7 +66,7 @@ class DamSystemEngine final : public StreamEngine {
   WindowSample sample_window() override {
     const core::DamSystem::BookkeepingGauges gauges =
         system_.bookkeeping_gauges();
-    return {gauges.seen_bytes, gauges.delivered_bytes, gauges.request_bytes,
+    return {gauges.seen_bytes, gauges.request_bytes,
             system_.take_window_queue_peak()};
   }
 
@@ -370,7 +370,7 @@ DynamicRunResult replay_stream(const sim::Scenario& scenario,
   auto sample_window = [&](std::size_t last_round) {
     const StreamEngine::WindowSample sample = engine->sample_window();
     timeline.sample_gauges(last_round, sample.seen_bytes,
-                           sample.delivered_bytes, sample.request_bytes);
+                           /*delivered_bytes=*/0, sample.request_bytes);
     timeline.note_queue_peak(last_round, sample.queue_peak);
   };
   auto step = [&](std::size_t count) {

@@ -137,8 +137,8 @@ struct DynamicRunResult {
   std::size_t table_bytes = 0;
 
   /// High-water in-flight bytes of the transport's slab queue
-  /// (DamSystem::peak_queue_bytes): compact per-message records plus
-  /// interned event bodies and control-field arenas. Logical bytes, so the
+  /// (DamSystem::peak_queue_bytes): a header per fan-out and 4 B per copy,
+  /// plus interned event bodies and control-field arenas. Logical bytes, so the
   /// value is bit-identical for every --jobs/--threads value — the big
   /// dissemination wave's memory measurand, gated by
   /// tests/workload/dynamic_scale_test.cpp and tools/bench_diff.
@@ -164,10 +164,10 @@ class StreamEngine {
   using DeliveredView = core::DamSystem::DeliveredView;
 
   /// Bookkeeping gauges (logical bytes) and the queue high-water since the
-  /// previous sample, read at a flight-recorder window boundary.
+  /// previous sample, read at a flight-recorder window boundary. A stream
+  /// engine's delivered sets are its seen sets, counted once, under seen.
   struct WindowSample {
     std::uint64_t seen_bytes = 0;
-    std::uint64_t delivered_bytes = 0;
     std::uint64_t request_bytes = 0;
     std::uint64_t queue_peak = 0;
   };

@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -20,11 +21,20 @@ class FakeEnv final : public Env {
  public:
   [[nodiscard]] sim::Round now() const override { return now_; }
 
-  std::uint32_t send(const Message& msg) override {
-    if (on_send) {
-      on_send(msg);
-    } else {
-      outbox.push_back(msg);
+  /// Expands a fan-out into one outbox entry (or on_send call) per
+  /// target, in order, each addressed to its target.
+  using Env::send;
+  std::uint32_t send(const Message& msg,
+                     std::span<const ProcessId> targets) override {
+    ++fanouts;
+    Message copy = msg;
+    for (const ProcessId target : targets) {
+      copy.to = target;
+      if (on_send) {
+        on_send(copy);
+      } else {
+        outbox.push_back(copy);
+      }
     }
     return net::kNoBody;
   }
@@ -67,11 +77,18 @@ class FakeEnv final : public Env {
     return matching;
   }
 
-  void clear() { outbox.clear(); delivered.clear(); }
+  void clear() {
+    outbox.clear();
+    delivered.clear();
+    fanouts = 0;
+  }
 
   sim::Round now_ = 0;
   std::vector<OwnedMessage> outbox;
-  /// If set, sends go here instead of into the outbox (no copy).
+  std::size_t fanouts = 0;  ///< send calls: one per fan-out, of any size
+  /// If set, sends go here instead of into the outbox (no copy), one call
+  /// per target. It must not hand the copy to a node: the nodes on a
+  /// thread share one fan-out target buffer, which the call still reads.
   std::function<void(const Message&)> on_send;
   std::unordered_map<std::uint32_t, std::vector<ProcessId>> neighbors;
   std::function<bool(ProcessId)> alive;

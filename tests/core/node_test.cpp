@@ -97,6 +97,7 @@ TEST_F(NodeTest, PublishDeliversLocallyAndGossips) {
   }
   EXPECT_EQ(intergroup, 1);
   EXPECT_EQ(intragroup, 3);  // fanout capped by view size
+  EXPECT_EQ(env_.fanouts, 2u);  // one send per leg
 }
 
 TEST_F(NodeTest, IntraGossipTargetsAreDistinct) {
@@ -255,8 +256,10 @@ TEST_F(NodeTest, ReqContactForwardedWhenCannotAnswer) {
   req.init_msg = {levels_[0]};  // searching root; node knows nobody there
   node.on_message(req.view());
   const auto forwarded = env_.sent_of_kind(MsgKind::kReqContact);
-  // Forwards to neighbors except the sender (9) and origin (5): 7 and 8.
+  // Forwards to neighbors except the sender (9) and origin (5): 7 and 8,
+  // in one send.
   ASSERT_EQ(forwarded.size(), 2u);
+  EXPECT_EQ(env_.fanouts, 1u);
   for (const OwnedMessage& msg : forwarded) {
     EXPECT_EQ(msg.ttl, 1u);
     EXPECT_EQ(msg.origin, ProcessId{5});

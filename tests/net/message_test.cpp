@@ -14,7 +14,6 @@ Message header(MsgKind kind) {
   msg.kind = kind;
   msg.from = ProcessId{3};
   msg.to = ProcessId{9};
-  msg.sent_at = 42;
   return msg;
 }
 

@@ -1,5 +1,6 @@
 // Bit-identity of the slab/interned transport against the historical
-// per-message queue.
+// per-message queue, and of fan-out runs against the same copies sent one
+// by one.
 //
 // The slab refactor (net/transport) promises that changing the in-flight
 // REPRESENTATION changes nothing observable: delivery order, the channel
@@ -7,12 +8,16 @@
 // identical to what the old std::map<Round, std::vector<Message>> queue
 // produced. This test keeps an executable specification of that old queue
 // — same coin law, same conditional failure check, same send-order replay
-// — and drives both through a randomized mixed-kind workload from one
+// — and drives both through randomized mixed-kind workloads from one
 // seed, asserting the full delivered sequences compare equal via
-// OwnedMessage::operator==.
+// OwnedMessage::operator==. A fan-out is one send of a run of targets;
+// queued as one header it must still deliver, count, draw and warm
+// exactly like its copies sent one at a time.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/protocol.hpp"
@@ -36,9 +41,7 @@ class ReferenceTransport {
   std::uint32_t send(const Message& msg, sim::Round now) {
     ++stats_.sent;
     stats_.bytes_sent += encoded_size(msg);
-    OwnedMessage queued = msg;
-    queued.sent_at = now;
-    in_flight_[now + 1].push_back(std::move(queued));
+    in_flight_[now + 1].push_back(msg);
     return kNoBody;
   }
 
@@ -173,6 +176,233 @@ TEST(TransportSlab, BitIdenticalToPerMessageQueueWithFailures) {
     failures.add_downtime(ProcessId{p}, {0, sim::ChurnFailures::kNever});
   }
   expect_identical(0.85, &failures);
+}
+
+// --- fan-out runs ------------------------------------------------------------
+
+/// What one drive of the fan-out workload observed.
+struct FanOutTrace {
+  std::vector<OwnedMessage> delivered;
+  std::vector<std::uint32_t> warmed;  ///< warm-hook targets, in call order
+  Transport::Stats stats;
+};
+
+/// Random fan-outs of 0–20 targets, events (one publication's sends share
+/// the body handle the first returns) and every control kind with
+/// populated arenas, plus relays of delivered views as fresh fan-outs.
+/// `as_runs` sends each fan-out as one run; otherwise every copy is its
+/// own send, the per-message shape.
+template <typename T>
+FanOutTrace drive_fanouts(T& transport, bool as_runs) {
+  FanOutTrace trace;
+  util::Rng traffic(0xFA57);  // separate stream: identical for every side
+  const auto pick = [&traffic](std::int64_t hi) {
+    return static_cast<std::uint32_t>(traffic.between(0, hi));
+  };
+  std::vector<ProcessId> targets;
+  const auto draw_targets = [&](std::int64_t most) {
+    targets.clear();
+    for (auto n = traffic.between(0, most); n > 0; --n) {
+      targets.push_back(ProcessId{pick(39)});
+    }
+  };
+  const auto send = [&](Message msg, sim::Round now) {
+    if (as_runs) {
+      if constexpr (std::is_same_v<T, Transport>) {
+        return transport.send(msg, targets, now);
+      }
+    }
+    for (const ProcessId target : targets) {
+      msg.to = target;
+      msg.body = transport.send(msg, now);
+    }
+    return msg.body;
+  };
+  const auto sink = [&](sim::Round round) {
+    return [&, round](const Message& msg) {
+      trace.delivered.push_back(msg);
+      // Relay every fifth delivery as a fresh fan-out: its spans point
+      // into the delivering slab and an EVENT keeps its body handle.
+      if (trace.delivered.size() % 5 == 0) {
+        Message relay = msg;
+        relay.from = msg.to;
+        draw_targets(3);
+        send(relay, round);
+      }
+    };
+  };
+  const auto deliver = [&](sim::Round round, const auto& on_delivery) {
+    if constexpr (std::is_same_v<T, Transport>) {
+      transport.deliver_round(round, on_delivery, [&](ProcessId to) {
+        trace.warmed.push_back(to.value);
+      });
+    } else {
+      transport.deliver_round(round, on_delivery);
+    }
+  };
+  std::uint32_t sequence = 0;
+  for (sim::Round round = 0; round < 16; ++round) {
+    for (auto sends = traffic.between(0, 6); sends > 0; --sends) {
+      draw_targets(20);
+      if (traffic.between(0, 2) == 0) {
+        OwnedMessage event;
+        event.kind = MsgKind::kEvent;
+        event.from = ProcessId{pick(39)};
+        event.topic = TopicId{pick(3)};
+        event.event = EventId{event.from, ++sequence};
+        event.payload.assign(pick(24), static_cast<std::uint8_t>(round));
+        // Two legs of one publication, as a disseminating node sends them.
+        Message leg = event.view();
+        leg.intergroup = true;
+        leg.body = send(leg, round);
+        leg.intergroup = false;
+        draw_targets(20);
+        send(leg, round);
+        continue;
+      }
+      OwnedMessage ctrl;
+      ctrl.kind = static_cast<MsgKind>(2 + traffic.between(0, 5));
+      ctrl.from = ProcessId{pick(39)};
+      ctrl.origin = ProcessId{pick(39)};
+      ctrl.request_id = pick(999);
+      ctrl.ttl = pick(4);
+      ctrl.answer_topic = TopicId{pick(5)};
+      for (auto k = traffic.between(0, 3); k > 0; --k) {
+        ctrl.init_msg.push_back(TopicId{pick(9)});
+        ctrl.processes.push_back(ProcessId{pick(99)});
+        ctrl.event_ids.push_back(EventId{ProcessId{pick(39)}, pick(50)});
+      }
+      if (traffic.between(0, 1) == 1) {
+        ctrl.piggyback_topic = TopicId{1};
+        ctrl.piggyback_super_table = {ProcessId{5}, ProcessId{6}};
+      }
+      send(ctrl.view(), round);
+    }
+    deliver(round, sink(round));
+  }
+  deliver(16, [&](const Message& msg) { trace.delivered.push_back(msg); });
+  trace.stats = transport.stats();
+  return trace;
+}
+
+void expect_same_deliveries(const FanOutTrace& got, const FanOutTrace& want) {
+  ASSERT_EQ(got.delivered.size(), want.delivered.size());
+  for (std::size_t i = 0; i < got.delivered.size(); ++i) {
+    ASSERT_EQ(got.delivered[i], want.delivered[i])
+        << "first divergence at delivery " << i;
+  }
+  EXPECT_EQ(got.stats.sent, want.stats.sent);
+  EXPECT_EQ(got.stats.delivered, want.stats.delivered);
+  EXPECT_EQ(got.stats.lost_channel, want.stats.lost_channel);
+  EXPECT_EQ(got.stats.lost_failure, want.stats.lost_failure);
+  EXPECT_EQ(got.stats.bytes_sent, want.stats.bytes_sent);
+}
+
+TEST(TransportSlab, FanOutRunsMatchCopiesSentOneByOne) {
+  // A lossy channel, and failures both permanent and mid-run.
+  sim::ChurnFailures failures(40);
+  for (const std::uint32_t p : {3u, 11u, 24u}) {
+    failures.add_downtime(ProcessId{p}, {0, sim::ChurnFailures::kNever});
+  }
+  failures.add_downtime(ProcessId{7}, {4, 9});
+  failures.add_downtime(ProcessId{30}, {2, 13});
+  Transport runs(0.85, util::Rng(0xABCD), &failures);
+  Transport copies(0.85, util::Rng(0xABCD), &failures);
+  ReferenceTransport reference(0.85, util::Rng(0xABCD), &failures);
+  const FanOutTrace got = drive_fanouts(runs, /*as_runs=*/true);
+  const FanOutTrace one_by_one = drive_fanouts(copies, /*as_runs=*/false);
+  const FanOutTrace want = drive_fanouts(reference, /*as_runs=*/false);
+  EXPECT_GT(got.stats.lost_channel, 0u);
+  EXPECT_GT(got.stats.lost_failure, 0u);
+  expect_same_deliveries(got, want);
+  expect_same_deliveries(got, one_by_one);
+  EXPECT_EQ(got.stats.peak_queue_records, one_by_one.stats.peak_queue_records);
+  EXPECT_EQ(got.warmed, one_by_one.warmed);
+  EXPECT_EQ(got.warmed.size(), got.stats.sent);
+  // One header per run instead of one per copy.
+  EXPECT_LT(got.stats.peak_queue_bytes, one_by_one.stats.peak_queue_bytes);
+  EXPECT_TRUE(runs.idle());
+  EXPECT_EQ(runs.bodies().live(), 0u);
+  EXPECT_EQ(runs.queue_bytes(), 0u);
+}
+
+TEST(TransportSlab, EmptyFanOutQueuesAndInternsNothing) {
+  Transport transport(1.0, util::Rng(1), nullptr);
+  OwnedMessage event;
+  event.kind = MsgKind::kEvent;
+  event.event = EventId{ProcessId{1}, 1};
+  event.payload = {1, 2, 3};
+  Message msg = event.view();
+  EXPECT_EQ(transport.send(msg, {}, 0), kNoBody);
+  EXPECT_EQ(transport.bodies().live(), 0u);
+  EXPECT_EQ(transport.stats().sent, 0u);
+  EXPECT_EQ(transport.stats().bytes_sent, 0u);
+  EXPECT_EQ(transport.queue_bytes(), 0u);
+  EXPECT_TRUE(transport.idle());
+  // An empty leg after a sent one hands the handle on untouched.
+  const ProcessId target{2};
+  msg.body = transport.send(msg, std::span(&target, 1), 0);
+  ASSERT_NE(msg.body, kNoBody);
+  EXPECT_EQ(transport.send(msg, {}, 0), msg.body);
+  EXPECT_EQ(transport.bodies()[msg.body].refs, 1u);
+  EXPECT_EQ(transport.queued_records(), 1u);
+  OwnedMessage ctrl;
+  ctrl.kind = MsgKind::kNewProcessAsk;
+  EXPECT_EQ(transport.send(ctrl.view(), {}, 0), kNoBody);
+  EXPECT_EQ(transport.queued_records(), 1u);
+}
+
+TEST(TransportSlab, RunHoldsOneBodyReferenceUntilItsLastTarget) {
+  for (const double psucc : {1.0, 0.0}) {
+    Transport transport(psucc, util::Rng(1), nullptr);
+    OwnedMessage event;
+    event.kind = MsgKind::kEvent;
+    event.event = EventId{ProcessId{1}, 1};
+    event.payload.assign(50, 0x7E);
+    const std::vector<ProcessId> targets{ProcessId{4}, ProcessId{5},
+                                         ProcessId{6}, ProcessId{7}};
+    const std::uint32_t body = transport.send(event.view(), targets, 0);
+    EXPECT_EQ(transport.bodies()[body].refs, 1u);
+    EXPECT_EQ(transport.queued_records(), 4u);
+    std::size_t delivered = 0;
+    transport.deliver_round(
+        1,
+        [&](const Message& msg) {
+          ++delivered;
+          EXPECT_EQ(msg.body, body);
+          EXPECT_EQ(transport.bodies().live(), 1u);
+        },
+        [&](ProcessId) {
+          // Warmed ahead of every copy, dropped or not: still referenced.
+          EXPECT_EQ(transport.bodies().live(), 1u);
+        });
+    EXPECT_EQ(delivered, psucc == 1.0 ? 4u : 0u);
+    // Released once, after the run's last target, and its block freed.
+    EXPECT_EQ(transport.bodies().live(), 0u);
+    EXPECT_EQ(transport.bodies()[body].payload.capacity(), 0u);
+  }
+}
+
+TEST(TransportSlab, FanOutBeyondOneHeaderSplitsAndKeepsOrder) {
+  // 70,000 targets overflow a header's 16-bit count: two headers, each
+  // with its own body reference, delivered as one sequence.
+  Transport transport(1.0, util::Rng(1), nullptr);
+  OwnedMessage event;
+  event.kind = MsgKind::kEvent;
+  event.event = EventId{ProcessId{1}, 1};
+  std::vector<ProcessId> targets(70'000);
+  for (std::uint32_t i = 0; i < targets.size(); ++i) targets[i] = ProcessId{i};
+  const std::uint32_t body = transport.send(event.view(), targets, 0);
+  EXPECT_EQ(transport.bodies()[body].refs, 2u);
+  EXPECT_EQ(transport.queue_bytes(),
+            2 * 12 + targets.size() * sizeof(ProcessId) +
+                sizeof(EventBodyPool::Body));
+  std::uint32_t next = 0;
+  transport.deliver_round(1, [&](const Message& msg) {
+    EXPECT_EQ(msg.to.value, next++);
+  });
+  EXPECT_EQ(next, targets.size());
+  EXPECT_EQ(transport.bodies().live(), 0u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -153,16 +154,18 @@ OwnedMessage make_event(std::uint32_t publisher, std::uint32_t seq,
   return msg;
 }
 
-/// Sends `event` to targets 0 .. copies-1 the way a disseminating node
-/// does: every copy carries the body handle the first send returned.
+/// Sends `event` to targets 0 .. copies-1 (at most 1,000) the way a
+/// disseminating node does: one fan-out, a run of `copies` messages.
 std::uint32_t fan_out(Transport& transport, const OwnedMessage& event,
                       std::uint32_t copies, sim::Round now) {
-  Message copy = event.view();
-  for (std::uint32_t to = 0; to < copies; ++to) {
-    copy.to = ProcessId{to};
-    copy.body = transport.send(copy, now);
-  }
-  return copy.body;
+  static const std::vector<ProcessId> kTargets = [] {
+    std::vector<ProcessId> targets(1000);
+    for (std::uint32_t to = 0; to < targets.size(); ++to) {
+      targets[to] = ProcessId{to};
+    }
+    return targets;
+  }();
+  return transport.send(event.view(), std::span(kTargets).first(copies), now);
 }
 
 TEST(Transport, FanOutCopiesShareOneInternedBody) {
@@ -268,6 +271,10 @@ TEST(Transport, PeakQueueBytesRatchets) {
   fan_out(transport, make_event(1, 1, std::vector<std::uint8_t>(100, 1)), 10,
           0);
   const std::size_t high_water = transport.queue_bytes();
+  // A fan-out costs one 12 B header plus 4 B per target, beside the one
+  // interned body.
+  constexpr std::size_t kBody = sizeof(EventBodyPool::Body) + 100;
+  EXPECT_EQ(high_water, 12 + 10 * sizeof(ProcessId) + kBody);
   EXPECT_EQ(transport.stats().peak_queue_bytes, high_water);
   EXPECT_EQ(transport.stats().peak_queue_records, 10u);
   transport.deliver_round(1, [](const Message&) {});
@@ -277,6 +284,16 @@ TEST(Transport, PeakQueueBytesRatchets) {
   // A smaller later wave does not raise it either.
   transport.send(make_event(1, 2, {}).view(), 2);
   EXPECT_EQ(transport.stats().peak_queue_bytes, high_water);
+  transport.deliver_round(3, [](const Message&) {});
+  // The same ten copies sent one by one pay a header each.
+  OwnedMessage single = make_event(1, 3, std::vector<std::uint8_t>(100, 1));
+  Message copy = single.view();
+  for (std::uint32_t to = 0; to < 10; ++to) {
+    copy.to = ProcessId{to};
+    copy.body = transport.send(copy, 4);
+  }
+  EXPECT_EQ(transport.queue_bytes(), 10 * (12 + sizeof(ProcessId)) + kBody);
+  EXPECT_EQ(transport.stats().peak_queue_bytes, transport.queue_bytes());
 }
 
 TEST(Transport, ControlMessageFieldsSurviveTheSlabRoundTrip) {
@@ -287,7 +304,6 @@ TEST(Transport, ControlMessageFieldsSurviveTheSlabRoundTrip) {
   msg.kind = MsgKind::kMembership;
   msg.from = ProcessId{4};
   msg.to = ProcessId{9};
-  msg.sent_at = 3;
   msg.origin = ProcessId{12};
   msg.request_id = 77;
   msg.ttl = 5;
@@ -313,7 +329,6 @@ TEST(Transport, ControlMessageFieldsSurviveTheSlabRoundTrip) {
   other.kind = MsgKind::kReqContact;
   other.from = ProcessId{1};
   other.to = ProcessId{2};
-  other.sent_at = 3;
   other.origin = ProcessId{1};
   other.request_id = 5;
   other.ttl = 2;
@@ -330,7 +345,6 @@ TEST(Transport, ControlMessageFieldsSurviveTheSlabRoundTrip) {
 TEST(Transport, EventMessageSurvivesTheSlabRoundTrip) {
   OwnedMessage msg = make_event(3, 17, {9, 8, 7});
   msg.to = ProcessId{6};
-  msg.sent_at = 2;
   msg.intergroup = true;
   Transport transport(1.0, util::Rng(1), nullptr);
   transport.send(msg.view(), 2);

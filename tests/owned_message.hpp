@@ -19,7 +19,6 @@ struct OwnedMessage {
   net::MsgKind kind = net::MsgKind::kEvent;
   topics::ProcessId from{};
   topics::ProcessId to{};
-  sim::Round sent_at = 0;
   topics::TopicId topic{};
   net::EventId event{};
   bool intergroup = false;
@@ -42,7 +41,6 @@ struct OwnedMessage {
       : kind(msg.kind),
         from(msg.from),
         to(msg.to),
-        sent_at(msg.sent_at),
         topic(msg.topic),
         event(msg.event),
         intergroup(msg.intergroup),
@@ -64,7 +62,6 @@ struct OwnedMessage {
     msg.kind = kind;
     msg.from = from;
     msg.to = to;
-    msg.sent_at = sent_at;
     msg.topic = topic;
     msg.event = event;
     msg.intergroup = intergroup;
