@@ -80,6 +80,14 @@ std::uint32_t Transport::send(const Message& msg,
                               std::span<const ProcessId> targets,
                               sim::Round now) {
   if (targets.empty()) return msg.body;
+  const bool event = msg.kind == MsgKind::kEvent;
+  const bool piggyback = !event && msg.piggyback_topic.has_value();
+  if (!event && (msg.processes.size() > kMaxList ||
+                 (piggyback && msg.piggyback_super_table.size() > kMaxList))) {
+    throw std::length_error(
+        "Transport::send: a control list is longer than " +
+        std::to_string(kMaxList) + " ids");
+  }
   const sim::Round due = now + 1;
   RoundSlab& slab = slabs_[due % 2];
   if (slab.due != due) {
@@ -95,9 +103,8 @@ std::uint32_t Transport::send(const Message& msg,
   Run run;
   run.from = msg.from;
   run.kind = msg.kind;
-  const bool event = msg.kind == MsgKind::kEvent;
   if (event) {
-    run.flags = msg.intergroup ? 1 : 0;
+    run.flags = msg.intergroup ? kIntergroup : 0;
     run.ref = msg.body == kNoBody ? bodies_.acquire(msg)
                                   : bodies_.retain(msg.body);
     // The hot fan-out path: the wire size was computed once when the body
@@ -105,37 +112,42 @@ std::uint32_t Transport::send(const Message& msg,
     stats_.bytes_sent += copies * bodies_[run.ref].encoded_size;
   } else {
     stats_.bytes_sent += copies * encoded_size(msg);
-    ControlExtra extra;
-    extra.origin = msg.origin;
-    extra.request_id = msg.request_id;
-    extra.ttl = msg.ttl;
-    extra.answer_topic = msg.answer_topic;
-    extra.pid_off = static_cast<std::uint32_t>(slab.pids.size());
-    extra.pid_len = static_cast<std::uint32_t>(msg.processes.size());
+    Control control;
+    control.answer_topic = msg.answer_topic;
+    control.pid_off = static_cast<std::uint32_t>(slab.pids.size());
+    control.pid_len = static_cast<std::uint16_t>(msg.processes.size());
     slab.pids.insert(slab.pids.end(), msg.processes.begin(),
                      msg.processes.end());
-    if (msg.piggyback_topic.has_value()) {
-      extra.has_piggyback = true;
-      extra.piggyback_topic = *msg.piggyback_topic;
-      extra.pig_off = static_cast<std::uint32_t>(slab.pids.size());
-      extra.pig_len =
-          static_cast<std::uint32_t>(msg.piggyback_super_table.size());
+    if (piggyback) {
+      run.flags = kPiggyback;
+      control.piggyback_topic = *msg.piggyback_topic;
+      control.pig_len =
+          static_cast<std::uint16_t>(msg.piggyback_super_table.size());
       slab.pids.insert(slab.pids.end(), msg.piggyback_super_table.begin(),
                        msg.piggyback_super_table.end());
     }
-    extra.tid_off = static_cast<std::uint32_t>(slab.tids.size());
-    extra.tid_len = static_cast<std::uint32_t>(msg.init_msg.size());
-    slab.tids.insert(slab.tids.end(), msg.init_msg.begin(),
-                     msg.init_msg.end());
-    extra.eid_off = static_cast<std::uint32_t>(slab.eids.size());
-    extra.eid_len = static_cast<std::uint32_t>(msg.event_ids.size());
-    slab.eids.insert(slab.eids.end(), msg.event_ids.begin(),
-                     msg.event_ids.end());
-    run.ref = static_cast<std::uint32_t>(slab.extras.size());
-    slab.extras.push_back(extra);
+    if (msg.origin != ProcessId{} || msg.request_id != 0 || msg.ttl != 0 ||
+        !msg.init_msg.empty() || !msg.event_ids.empty()) {
+      ControlTail tail;
+      tail.origin = msg.origin;
+      tail.request_id = msg.request_id;
+      tail.ttl = msg.ttl;
+      tail.tid_off = static_cast<std::uint32_t>(slab.tids.size());
+      tail.tid_len = static_cast<std::uint32_t>(msg.init_msg.size());
+      slab.tids.insert(slab.tids.end(), msg.init_msg.begin(),
+                       msg.init_msg.end());
+      tail.eid_off = static_cast<std::uint32_t>(slab.eids.size());
+      tail.eid_len = static_cast<std::uint32_t>(msg.event_ids.size());
+      slab.eids.insert(slab.eids.end(), msg.event_ids.begin(),
+                       msg.event_ids.end());
+      control.tail = static_cast<std::uint32_t>(slab.tails.size());
+      slab.tails.push_back(tail);
+    }
+    run.ref = static_cast<std::uint32_t>(slab.controls.size());
+    slab.controls.push_back(control);
   }
   // Each header of a split run holds its own body reference; its control
-  // headers share the one extra.
+  // headers share the one Control.
   for (std::size_t first = 0; first < copies; first += kMaxRun) {
     if (first > 0 && event) bodies_.retain(run.ref);
     run.count = static_cast<std::uint16_t>(std::min(kMaxRun, copies - first));
@@ -157,24 +169,28 @@ Message Transport::view(const Run& run, const RoundSlab& slab) const {
     const EventBodyPool::Body& body = bodies_[run.ref];
     msg.topic = body.topic;
     msg.event = body.event;
-    msg.intergroup = (run.flags & 1) != 0;
+    msg.intergroup = (run.flags & kIntergroup) != 0;
     msg.payload = body.payload;
     msg.body = run.ref;
     return msg;
   }
-  const ControlExtra& extra = slab.extras[run.ref];
-  msg.origin = extra.origin;
-  msg.request_id = extra.request_id;
-  msg.ttl = extra.ttl;
-  msg.answer_topic = extra.answer_topic;
-  msg.processes = std::span(slab.pids).subspan(extra.pid_off, extra.pid_len);
-  if (extra.has_piggyback) {
-    msg.piggyback_topic = extra.piggyback_topic;
-    msg.piggyback_super_table =
-        std::span(slab.pids).subspan(extra.pig_off, extra.pig_len);
+  const Control& control = slab.controls[run.ref];
+  msg.answer_topic = control.answer_topic;
+  const auto lists = std::span(slab.pids).subspan(
+      control.pid_off, control.pid_len + control.pig_len);
+  msg.processes = lists.first(control.pid_len);
+  if ((run.flags & kPiggyback) != 0) {
+    msg.piggyback_topic = control.piggyback_topic;
+    msg.piggyback_super_table = lists.last(control.pig_len);
   }
-  msg.init_msg = std::span(slab.tids).subspan(extra.tid_off, extra.tid_len);
-  msg.event_ids = std::span(slab.eids).subspan(extra.eid_off, extra.eid_len);
+  if (control.tail != kNoTail) {
+    const ControlTail& tail = slab.tails[control.tail];
+    msg.origin = tail.origin;
+    msg.request_id = tail.request_id;
+    msg.ttl = tail.ttl;
+    msg.init_msg = std::span(slab.tids).subspan(tail.tid_off, tail.tid_len);
+    msg.event_ids = std::span(slab.eids).subspan(tail.eid_off, tail.eid_len);
+  }
   return msg;
 }
 

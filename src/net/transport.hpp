@@ -11,9 +11,9 @@
 // dissemination wave queues ~10·S EVENT copies of one publication, almost
 // all of them in fan-outs: a node sends one message to ln(S)+c targets at
 // once. So a send is a RUN — one message, many targets — and the slab
-// queues each run as a 12-byte header (from, ref, count, kind,
-// intergroup flag) followed by 4 bytes per target, while the bodies live
-// in kind-segregated pools:
+// queues each run as a 12-byte header (from, ref, count, kind, flags)
+// followed by 4 bytes per target, while the bodies live in kind-segregated
+// pools:
 //
 //   * EVENT bodies — (topic, event id, payload) interned ONCE per
 //     publication in a refcounted EventBodyPool, one reference per run.
@@ -23,10 +23,16 @@
 //     also memoizes the message's encoded wire size, so the hot fan-out
 //     path charges Stats::bytes_sent without re-walking identical
 //     payloads.
-//   * Control bodies — the variable-length fields (init_msg, processes,
-//     piggyback_super_table, event_ids) are copied into per-slab arenas as
-//     (offset, len) slices off one ControlExtra record per run, so a
-//     flooded control message stores its fields once, not once per copy.
+//   * Control bodies — one 20-byte Control record per run: the answer
+//     topic, the piggyback topic (present iff a header flag says so), and
+//     one (offset, 16-bit len, 16-bit len) slice of the slab's process
+//     arena holding `processes` then `piggyback_super_table` back to back.
+//     The fields only REQCONTACT and the recovery extension set (origin,
+//     request_id, ttl, and the init_msg and event_ids lists) sit in a
+//     ControlTail that a Control references only when the message carries
+//     one of them. The per-round membership exchange — most of the queue
+//     between publications — is thus 12 + 4 + 20 B plus its ids. A flooded
+//     control message stores its fields once, not once per copy.
 //
 // The channel is one round long, so at most two rounds are ever queued:
 // the round being delivered and the next. The transport keeps one slab
@@ -115,7 +121,8 @@ class Transport {
     std::uint64_t bytes_sent = 0;
 
     /// High-water logical footprint of the in-flight queue: run headers,
-    /// targets, control extras, arena slices, and interned event bodies.
+    /// targets, control records and tails, arena slices, and interned
+    /// event bodies.
     /// Logical (element counts × element sizes), so it is bit-identical
     /// across --jobs/--threads and machines — the dynamic lane's
     /// peak_queue_bytes measurand.
@@ -136,7 +143,10 @@ class Transport {
   /// handle (`msg.body` if set, else a freshly interned one), or kNoBody
   /// for control kinds; an empty `targets` queues and interns nothing and
   /// returns `msg.body`. Throws std::logic_error if round `now - 1` was
-  /// never delivered: its slab still holds those messages.
+  /// never delivered: its slab still holds those messages, and
+  /// std::length_error if a control message's `processes` or
+  /// `piggyback_super_table` is longer than kMaxList. Nothing is queued
+  /// or counted when it throws.
   std::uint32_t send(const Message& msg, std::span<const ProcessId> targets,
                      sim::Round now);
 
@@ -204,40 +214,61 @@ class Transport {
   /// One queued run: `count` copies of one message, whose targets follow
   /// in the slab's `targets`, in send order. 12 bytes, no heap. `ref` is
   /// an EventBodyPool id for kEvent (the run holds one reference) and an
-  /// index into the owning slab's `extras` otherwise.
+  /// index into the owning slab's `controls` otherwise.
   struct Run {
     ProcessId from{};
     std::uint32_t ref = 0;
     std::uint16_t count = 0;
     MsgKind kind = MsgKind::kEvent;
-    std::uint8_t flags = 0;  ///< bit 0: intergroup
+    std::uint8_t flags = 0;  ///< kIntergroup | kPiggyback
   };
   static_assert(sizeof(Run) == 12);
+
+  /// Run::flags bits: an EVENT's Message::intergroup, and whether a
+  /// control message's piggyback_topic is set.
+  static constexpr std::uint8_t kIntergroup = 1;
+  static constexpr std::uint8_t kPiggyback = 2;
 
   /// Most targets one header counts; a longer send queues several headers.
   static constexpr std::size_t kMaxRun = 0xFFFF;
 
-  /// Per-run scalar fields + arena slices for the non-EVENT kinds.
-  struct ControlExtra {
+  /// Longest `processes` or `piggyback_super_table` a Control slices.
+  static constexpr std::size_t kMaxList = 0xFFFF;
+
+  /// Control::tail of a message that carries no ControlTail field.
+  static constexpr std::uint32_t kNoTail = ~std::uint32_t{0};
+
+  /// Per-run fields of a non-EVENT message. `processes` and then
+  /// `piggyback_super_table` lie back to back in the slab's `pids`.
+  struct Control {
+    TopicId answer_topic{};
+    TopicId piggyback_topic{};  ///< valid iff the run has kPiggyback
+    std::uint32_t pid_off = 0;
+    std::uint16_t pid_len = 0;  ///< processes
+    std::uint16_t pig_len = 0;  ///< piggyback_super_table
+    std::uint32_t tail = kNoTail;  ///< index into the slab's `tails`
+  };
+  static_assert(sizeof(Control) == 20);
+
+  /// The control fields only REQCONTACT (origin, request_id, ttl,
+  /// init_msg) and the recovery extension (event_ids) set.
+  struct ControlTail {
     ProcessId origin{};
     std::uint32_t request_id = 0;
     std::uint32_t ttl = 0;
-    TopicId answer_topic{};
-    TopicId piggyback_topic{};
-    bool has_piggyback = false;
-    std::uint32_t pid_off = 0, pid_len = 0;  ///< processes  -> pids
-    std::uint32_t pig_off = 0, pig_len = 0;  ///< piggyback_super_table -> pids
-    std::uint32_t tid_off = 0, tid_len = 0;  ///< init_msg   -> tids
-    std::uint32_t eid_off = 0, eid_len = 0;  ///< event_ids  -> eids
+    std::uint32_t tid_off = 0, tid_len = 0;  ///< init_msg  -> tids
+    std::uint32_t eid_off = 0, eid_len = 0;  ///< event_ids -> eids
   };
 
   /// Everything queued for one delivery round, SoA: run headers, their
-  /// targets, and shared arenas the control slices point into.
+  /// targets, control records and tails, and shared arenas the control
+  /// slices point into.
   struct RoundSlab {
     sim::Round due = 0;  ///< the round the runs are delivered in
     std::vector<Run> runs;
     std::vector<ProcessId> targets;
-    std::vector<ControlExtra> extras;
+    std::vector<Control> controls;
+    std::vector<ControlTail> tails;
     std::vector<ProcessId> pids;
     std::vector<TopicId> tids;
     std::vector<EventId> eids;
@@ -245,14 +276,16 @@ class Transport {
     [[nodiscard]] std::size_t bytes() const noexcept {
       return runs.size() * sizeof(Run) +
              targets.size() * sizeof(ProcessId) +
-             extras.size() * sizeof(ControlExtra) +
+             controls.size() * sizeof(Control) +
+             tails.size() * sizeof(ControlTail) +
              pids.size() * sizeof(ProcessId) +
              tids.size() * sizeof(TopicId) + eids.size() * sizeof(EventId);
     }
     void clear() noexcept {  // keeps capacity — the recycling contract
       runs.clear();
       targets.clear();
-      extras.clear();
+      controls.clear();
+      tails.clear();
       pids.clear();
       tids.clear();
       eids.clear();

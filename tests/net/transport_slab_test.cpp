@@ -12,11 +12,14 @@
 // seed, asserting the full delivered sequences compare equal via
 // OwnedMessage::operator==. A fan-out is one send of a run of targets;
 // queued as one header it must still deliver, count, draw and warm
-// exactly like its copies sent one at a time.
+// exactly like its copies sent one at a time. A control run is a 20 B
+// record with an optional tail for the rarely set fields; every control
+// kind, in the shapes the protocol sends, must round-trip exactly.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <span>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -187,9 +190,72 @@ struct FanOutTrace {
   Transport::Stats stats;
 };
 
+/// A random control message of any of the six control kinds. Three in
+/// four take the shape the protocol sends: a membership exchange with or
+/// without a piggyback and a digest, a REQCONTACT flood with its scalars
+/// and init_msg, an ANSCONTACT or NEWPROC_GIVE with its contacts, a bare
+/// NEWPROC_ASK, an EVENT_REQUEST with its ids. The rest populate every
+/// field whatever the kind. Any list may be empty.
+OwnedMessage random_control(util::Rng& traffic) {
+  const auto pick = [&traffic](std::int64_t hi) {
+    return static_cast<std::uint32_t>(traffic.between(0, hi));
+  };
+  const auto fill = [&traffic](auto& list, const auto& make) {
+    for (auto k = traffic.between(0, 3); k > 0; --k) list.push_back(make());
+  };
+  const auto pid = [&] { return ProcessId{pick(99)}; };
+  const auto tid = [&] { return TopicId{pick(9)}; };
+  const auto eid = [&] { return EventId{ProcessId{pick(39)}, pick(50)}; };
+  OwnedMessage ctrl;
+  ctrl.kind = static_cast<MsgKind>(2 + traffic.between(0, 5));
+  ctrl.from = ProcessId{pick(39)};
+  if (traffic.between(0, 3) == 0) {
+    ctrl.origin = ProcessId{pick(39)};
+    ctrl.request_id = pick(999);
+    ctrl.ttl = pick(4);
+    ctrl.answer_topic = TopicId{pick(5)};
+    fill(ctrl.init_msg, tid);
+    fill(ctrl.processes, pid);
+    fill(ctrl.event_ids, eid);
+    if (traffic.between(0, 1) == 1) {
+      ctrl.piggyback_topic = TopicId{pick(5)};
+      fill(ctrl.piggyback_super_table, pid);
+    }
+    return ctrl;
+  }
+  switch (ctrl.kind) {
+    case MsgKind::kReqContact:
+      ctrl.origin = ProcessId{pick(39)};
+      ctrl.request_id = pick(999);
+      ctrl.ttl = pick(4);
+      fill(ctrl.init_msg, tid);
+      break;
+    case MsgKind::kAnsContact:
+    case MsgKind::kNewProcessGive:
+      ctrl.answer_topic = TopicId{pick(5)};
+      fill(ctrl.processes, pid);
+      break;
+    case MsgKind::kMembership:
+      ctrl.answer_topic = TopicId{pick(5)};
+      fill(ctrl.processes, pid);
+      if (traffic.between(0, 1) == 1) {
+        ctrl.piggyback_topic = TopicId{pick(5)};
+        fill(ctrl.piggyback_super_table, pid);
+      }
+      if (traffic.between(0, 1) == 1) fill(ctrl.event_ids, eid);
+      break;
+    case MsgKind::kEventRequest:
+      fill(ctrl.event_ids, eid);
+      break;
+    default:  // kNewProcessAsk carries nothing but its sender
+      break;
+  }
+  return ctrl;
+}
+
 /// Random fan-outs of 0–20 targets, events (one publication's sends share
-/// the body handle the first returns) and every control kind with
-/// populated arenas, plus relays of delivered views as fresh fan-outs.
+/// the body handle the first returns) and random_control messages, plus
+/// relays of delivered views as fresh fan-outs.
 /// `as_runs` sends each fan-out as one run; otherwise every copy is its
 /// own send, the per-message shape.
 template <typename T>
@@ -241,7 +307,8 @@ FanOutTrace drive_fanouts(T& transport, bool as_runs) {
     }
   };
   std::uint32_t sequence = 0;
-  for (sim::Round round = 0; round < 16; ++round) {
+  constexpr sim::Round kRounds = 40;
+  for (sim::Round round = 0; round < kRounds; ++round) {
     for (auto sends = traffic.between(0, 6); sends > 0; --sends) {
       draw_targets(20);
       if (traffic.between(0, 2) == 0) {
@@ -260,27 +327,12 @@ FanOutTrace drive_fanouts(T& transport, bool as_runs) {
         send(leg, round);
         continue;
       }
-      OwnedMessage ctrl;
-      ctrl.kind = static_cast<MsgKind>(2 + traffic.between(0, 5));
-      ctrl.from = ProcessId{pick(39)};
-      ctrl.origin = ProcessId{pick(39)};
-      ctrl.request_id = pick(999);
-      ctrl.ttl = pick(4);
-      ctrl.answer_topic = TopicId{pick(5)};
-      for (auto k = traffic.between(0, 3); k > 0; --k) {
-        ctrl.init_msg.push_back(TopicId{pick(9)});
-        ctrl.processes.push_back(ProcessId{pick(99)});
-        ctrl.event_ids.push_back(EventId{ProcessId{pick(39)}, pick(50)});
-      }
-      if (traffic.between(0, 1) == 1) {
-        ctrl.piggyback_topic = TopicId{1};
-        ctrl.piggyback_super_table = {ProcessId{5}, ProcessId{6}};
-      }
-      send(ctrl.view(), round);
+      send(random_control(traffic).view(), round);
     }
     deliver(round, sink(round));
   }
-  deliver(16, [&](const Message& msg) { trace.delivered.push_back(msg); });
+  deliver(kRounds,
+          [&](const Message& msg) { trace.delivered.push_back(msg); });
   trace.stats = transport.stats();
   return trace;
 }
@@ -324,6 +376,129 @@ TEST(TransportSlab, FanOutRunsMatchCopiesSentOneByOne) {
   EXPECT_TRUE(runs.idle());
   EXPECT_EQ(runs.bodies().live(), 0u);
   EXPECT_EQ(runs.queue_bytes(), 0u);
+}
+
+TEST(TransportSlab, ControlRunCostsHeaderTargetsRecordAndIds) {
+  // Header, 4 B per target, the 20 B Control, 4 B per listed process, and
+  // only for a message that sets a REQCONTACT field or event ids, a 28 B
+  // tail plus 4 B per init_msg topic and 8 B per event id.
+  constexpr std::size_t kHeader = 12, kId = 4, kControl = 20, kTail = 28;
+  Transport transport(1.0, util::Rng(1), nullptr);
+  std::vector<OwnedMessage> sent;
+  const auto queue_cost = [&](const OwnedMessage& msg, std::size_t targets) {
+    sent.push_back(msg);
+    const std::size_t before = transport.queue_bytes();
+    const std::vector<ProcessId> to(targets, msg.to);
+    transport.send(msg.view(), to, 0);
+    return transport.queue_bytes() - before;
+  };
+  // The per-round membership exchange: 8 shuffle ids, a 3-entry piggyback.
+  OwnedMessage membership;
+  membership.kind = MsgKind::kMembership;
+  membership.from = ProcessId{1};
+  membership.to = ProcessId{2};
+  membership.answer_topic = TopicId{4};
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    membership.processes.push_back(ProcessId{10 + i});
+  }
+  membership.piggyback_topic = TopicId{3};
+  membership.piggyback_super_table = {ProcessId{7}, ProcessId{8},
+                                      ProcessId{9}};
+  EXPECT_EQ(queue_cost(membership, 1), kHeader + kId + kControl + 11 * kId);
+  static_assert(kHeader + kId + kControl + 11 * kId == 80);
+  // A piggyback topic with an empty table still round-trips as present.
+  OwnedMessage bare = membership;
+  bare.piggyback_super_table.clear();
+  EXPECT_EQ(queue_cost(bare, 1), kHeader + kId + kControl + 8 * kId);
+  // A recovery digest adds the tail and its ids.
+  OwnedMessage digest = membership;
+  digest.event_ids = {EventId{ProcessId{1}, 1}, EventId{ProcessId{5}, 2}};
+  EXPECT_EQ(queue_cost(digest, 1),
+            kHeader + kId + kControl + kTail + 11 * kId + 2 * 8);
+  // A REQCONTACT flood to 5 neighbors stores its fields once.
+  OwnedMessage flood;
+  flood.kind = MsgKind::kReqContact;
+  flood.from = ProcessId{6};
+  flood.to = ProcessId{3};
+  flood.origin = ProcessId{6};
+  flood.request_id = 9;
+  flood.ttl = 3;
+  flood.init_msg = {TopicId{1}, TopicId{2}};
+  EXPECT_EQ(queue_cost(flood, 5),
+            kHeader + 5 * kId + kControl + kTail + 2 * kId);
+  // NEWPROC_ASK carries nothing but its sender.
+  OwnedMessage ask;
+  ask.kind = MsgKind::kNewProcessAsk;
+  ask.from = ProcessId{4};
+  ask.to = ProcessId{8};
+  EXPECT_EQ(queue_cost(ask, 1), kHeader + kId + kControl);
+  std::vector<OwnedMessage> delivered;
+  transport.deliver_round(1, [&](const Message& msg) {
+    delivered.push_back(msg);
+  });
+  ASSERT_EQ(delivered.size(), 9u);
+  EXPECT_EQ(delivered[0], sent[0]);
+  EXPECT_EQ(delivered[1], sent[1]);
+  EXPECT_TRUE(delivered[1].piggyback_topic.has_value());
+  EXPECT_EQ(delivered[2], sent[2]);
+  for (std::size_t i = 3; i < 8; ++i) EXPECT_EQ(delivered[i], sent[3]);
+  EXPECT_EQ(delivered[8], sent[4]);
+}
+
+TEST(TransportSlab, AnyTailFieldAloneQueuesTheTail) {
+  // The tail is chosen by content, not by kind: whichever one of its
+  // fields a message sets, the delivered view carries it.
+  std::vector<OwnedMessage> sent(5);
+  sent[0].origin = ProcessId{3};
+  sent[1].request_id = 4;
+  sent[2].ttl = 5;
+  sent[3].init_msg = {TopicId{6}};
+  sent[4].event_ids = {EventId{ProcessId{7}, 8}};
+  Transport transport(1.0, util::Rng(1), nullptr);
+  for (OwnedMessage& msg : sent) {
+    msg.kind = MsgKind::kAnsContact;
+    msg.to = ProcessId{1};
+    const std::size_t before = transport.queue_bytes();
+    transport.send(msg.view(), 0);
+    EXPECT_GE(transport.queue_bytes() - before, 12u + 4 + 20 + 28);
+  }
+  std::vector<OwnedMessage> delivered;
+  transport.deliver_round(1, [&](const Message& msg) {
+    delivered.push_back(msg);
+  });
+  EXPECT_EQ(delivered, sent);
+}
+
+TEST(TransportSlab, ControlListBeyondSixteenBitsThrows) {
+  Transport transport(1.0, util::Rng(1), nullptr);
+  OwnedMessage give;
+  give.kind = MsgKind::kNewProcessGive;
+  give.to = ProcessId{1};
+  give.processes.assign(0xFFFF, ProcessId{2});  // the longest list
+  transport.send(give.view(), 0);
+  const Transport::Stats before = transport.stats();
+  const std::size_t bytes = transport.queue_bytes();
+  give.processes.push_back(ProcessId{3});
+  EXPECT_THROW(transport.send(give.view(), 0), std::length_error);
+  OwnedMessage membership;
+  membership.kind = MsgKind::kMembership;
+  membership.to = ProcessId{1};
+  membership.piggyback_topic = TopicId{1};
+  membership.piggyback_super_table.assign(0x10000, ProcessId{2});
+  EXPECT_THROW(transport.send(membership.view(), 0), std::length_error);
+  // Nothing of a refused send is queued or counted.
+  EXPECT_EQ(transport.queue_bytes(), bytes);
+  EXPECT_EQ(transport.queued_records(), 1u);
+  EXPECT_EQ(transport.stats().sent, before.sent);
+  EXPECT_EQ(transport.stats().bytes_sent, before.bytes_sent);
+  // Without its topic the table is not part of the message: no throw.
+  membership.piggyback_topic.reset();
+  transport.send(membership.view(), 0);
+  std::vector<std::size_t> lengths;
+  transport.deliver_round(1, [&](const Message& msg) {
+    lengths.push_back(msg.processes.size() + msg.piggyback_super_table.size());
+  });
+  EXPECT_EQ(lengths, (std::vector<std::size_t>{0xFFFF, 0}));
 }
 
 TEST(TransportSlab, EmptyFanOutQueuesAndInternsNothing) {

@@ -43,13 +43,15 @@ TEST(DynamicScale, HundredThousandProcessRunStaysInBudget) {
   EXPECT_GT(result.table_bytes, 100000u * sizeof(std::uint32_t));
   EXPECT_LT(result.table_bytes, 100000u * 64u * sizeof(std::uint32_t));
   // Slab queue high-water mark: a 12-byte header per fan-out and 4 bytes
-  // per queued copy, beside each control message's extra and arena slices
-  // (one membership exchange per process per round is most of the peak).
-  // The observed peak is 13.6 MiB; 22 MiB trips on a return of 24-byte
-  // per-copy records (29.5 MiB) or of per-copy Message storage (184 B/copy
-  // would put this near 226 MiB).
+  // per queued copy, beside each control message's 20-byte record and
+  // arena ids (one membership exchange per process per round, 80 bytes
+  // each, is most of the peak). The observed peak is 10.2 MiB; 16 MiB
+  // trips on a return of 24-byte per-copy records (~26 MiB) or of
+  // per-copy Message storage (184 B/copy would put this near 226 MiB).
+  // The control record's size is pinned exactly in
+  // tests/net/transport_slab_test.cpp.
   EXPECT_GT(result.queue_bytes, 0u);
-  EXPECT_LT(result.queue_bytes, 22u << 20);
+  EXPECT_LT(result.queue_bytes, 16u << 20);
   // Worst-window seen/delivered/request-set footprint: 12,504 bytes for
   // one publication (a single seen column of one bit per process, which is
   // also its delivered set). 0.025 MiB trips on any per-process growth
