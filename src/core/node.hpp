@@ -24,6 +24,7 @@
 // rows.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -82,21 +83,18 @@ class DamNode {
   /// into cache, so a host can overlap the memory latency of an upcoming
   /// on_message or round with the work before it. A hint only: reads and
   /// changes nothing.
-  void prefetch() const noexcept {
-    constexpr std::uintptr_t kLine = 64;
-    const auto begin = reinterpret_cast<std::uintptr_t>(this);
-    for (std::uintptr_t line = begin & ~(kLine - 1);
-         line < begin + sizeof(DamNode); line += kLine) {
-      __builtin_prefetch(reinterpret_cast<const void*>(line));
-    }
-  }
+  void prefetch() const noexcept { prefetch_lines(this, sizeof(DamNode)); }
 
   /// Look-ahead stage 2, a few steps after prefetch(): reads the row
   /// pointers of the topic view and the supertopic table (cached by then)
-  /// and starts loading the first line of each row; the scans that read
-  /// a row run sequentially from there. A hint only: changes nothing.
+  /// and starts loading every line of the view's row and the first line
+  /// of the table's. A membership reception scans the whole view row
+  /// once per merged id and evicts at random positions, so each of its
+  /// lines is read; the table's row is short and read from the front.
+  /// A hint only: changes nothing.
   void prefetch_state() const noexcept {
-    __builtin_prefetch(membership_.view().entries().data());
+    const std::span<const ProcessId> view = membership_.view().entries();
+    prefetch_lines(view.data(), view.size_bytes());
     __builtin_prefetch(super_table_.entries().data());
   }
 
@@ -148,6 +146,18 @@ class DamNode {
   }
 
  private:
+  /// Asks the CPU to load every cache line of [p, p + bytes), and the
+  /// line at `p` even when `bytes` is 0.
+  static void prefetch_lines(const void* p, std::size_t bytes) noexcept {
+    constexpr std::uintptr_t kLine = 64;
+    const auto begin = reinterpret_cast<std::uintptr_t>(p);
+    std::uintptr_t line = begin & ~(kLine - 1);
+    do {
+      __builtin_prefetch(reinterpret_cast<const void*>(line));
+      line += kLine;
+    } while (line < begin + bytes);
+  }
+
   /// DISSEMINATE (Fig. 7): intergroup leg with probability psel, then the
   /// intra-group gossip leg to fanout distinct topic-table entries, each
   /// leg one Env::send fan-out. All stochastic decisions route through the

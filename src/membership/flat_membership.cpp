@@ -5,8 +5,6 @@
 namespace dam::membership {
 
 namespace {
-/// View exchanges a member initiates per round.
-constexpr std::size_t kGossipFanout = 1;
 /// View entries shipped per exchange.
 constexpr std::size_t kShuffleSize = 8;
 
@@ -27,25 +25,22 @@ void FlatMembership::round(const core::NodeContext& ctx,
                            std::optional<TopicId> piggyback_topic,
                            std::span<const net::EventId> digest) {
   if (view_.empty()) return;
-  // Draw buffers shared by every view on this thread: a draw is read only
-  // until its send returns, so a round never allocates once they have
-  // grown, and no node stores them.
-  thread_local std::vector<ProcessId> targets;
+  // One exchange a round, to a uniform view entry.
+  const ProcessId target = view_.pick(rng_);
+  // Ship a random view subset; the receiver learns about us implicitly
+  // through msg.from. The buffer is shared by every view on this thread:
+  // a draw is read only until its send returns, so a round never
+  // allocates once it has grown, and no node stores it.
   thread_local std::vector<ProcessId> shuffle;
-  rng_.sample_into(view_.entries(), kGossipFanout, targets);
-  for (ProcessId target : targets) {
-    // Ship a random view subset; the receiver learns about us implicitly
-    // through msg.from.
-    rng_.sample_into(view_.entries(), kShuffleSize, shuffle);
-    Message msg{.kind = MsgKind::kMembership, .from = ctx.self, .to = target,
-                .answer_topic = ctx.topic,
-                .processes = shuffle, .event_ids = digest};
-    if (piggyback_topic && !piggyback.empty()) {
-      msg.piggyback_topic = piggyback_topic;
-      msg.piggyback_super_table = piggyback;
-    }
-    ctx.env->send(msg);
+  rng_.sample_into(view_.entries(), kShuffleSize, shuffle);
+  Message msg{.kind = MsgKind::kMembership, .from = ctx.self, .to = target,
+              .answer_topic = ctx.topic,
+              .processes = shuffle, .event_ids = digest};
+  if (piggyback_topic && !piggyback.empty()) {
+    msg.piggyback_topic = piggyback_topic;
+    msg.piggyback_super_table = piggyback;
   }
+  ctx.env->send(msg);
 }
 
 void FlatMembership::on_membership(const Message& msg) {

@@ -40,8 +40,15 @@ class PartialView {
   [[nodiscard]] bool full() const noexcept { return size() >= capacity_; }
   [[nodiscard]] ProcessId owner() const noexcept { return owner_; }
 
+  /// A full pass over the row with no early exit: the loop has no branch
+  /// on the data, so the compiler vectorises it, and a warm row of a few
+  /// lines (DamNode::prefetch_state) costs a few compares per line.
   [[nodiscard]] bool contains(ProcessId p) const noexcept {
-    return std::find(entries_.begin(), entries_.end(), p) != entries_.end();
+    const ProcessId* e = entries_.data();
+    const std::size_t n = entries_.size();
+    unsigned hit = 0;  // not bool: GCC 12 vectorises only an int OR
+    for (std::size_t i = 0; i < n; ++i) hit |= e[i].value == p.value;
+    return hit != 0;
   }
 
   /// Inserts `p`. Ignores the owner and duplicates. When full, evicts a
@@ -72,9 +79,12 @@ class PartialView {
     return rng.sample(entries(), k);
   }
 
-  /// A uniformly random entry. Precondition: !empty().
+  /// A uniformly random entry; a one-entry view has nothing to draw
+  /// between and consumes no draw, as sampling one entry does.
+  /// Precondition: !empty().
   [[nodiscard]] ProcessId pick(util::Rng& rng) const {
-    return entries_[rng.below(entries_.size())];
+    const std::size_t n = entries_.size();
+    return entries_[n == 1 ? 0 : rng.below(n)];
   }
 
   [[nodiscard]] std::span<const ProcessId> entries() const noexcept {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "core/context_fixture.hpp"
@@ -126,6 +127,43 @@ TEST_F(FlatMembershipTest, GossipConvergesViewsInAGroup) {
   for (const auto& member : members) {
     EXPECT_GE(member.view().size(), capacity - 2)
         << "member " << member.view().owner().value;
+  }
+}
+
+TEST_F(FlatMembershipTest, RoundDrawsTargetAndShuffleAsSampling) {
+  // The round draws its target as one index into the view. That is the
+  // stream use of sampling one entry (sample_into(entries, 1)) before the
+  // 8-entry shuffle: the same target, the same shuffle and the same state
+  // after, and a one-entry view draws nothing for its target. A second
+  // round, after a join grows the view, checks the state the first left.
+  core::NodeConfig config;
+  config.params.b = 99;  // room for 64 + 5 entries in a group of 1,000
+  const NodeContext self = context(ProcessId{0}, levels_[1], config);
+  for (std::uint32_t size = 1; size <= 64; ++size) {
+    SCOPED_TRACE(size);
+    FlatMembership member(self, 1000, util::Rng(size));
+    util::Rng reference(size);
+    std::vector<ProcessId> entries;
+    std::vector<ProcessId> drawn;
+    std::vector<ProcessId> shuffle;
+    for (std::uint32_t grow : {size, 5u}) {
+      std::vector<ProcessId> contacts;
+      for (std::uint32_t i = 0; i < grow; ++i) {
+        contacts.push_back(
+            ProcessId{static_cast<std::uint32_t>(entries.size()) * 7 + 1});
+        entries.push_back(contacts.back());
+      }
+      member.join(contacts);
+      ASSERT_EQ(member.view().size(), entries.size());
+      env_.clear();
+      member.round(self, {}, std::nullopt);
+      reference.sample_into(std::span<const ProcessId>(entries), 1, drawn);
+      reference.sample_into(std::span<const ProcessId>(entries), 8, shuffle);
+      ASSERT_EQ(env_.outbox.size(), 1u);
+      ASSERT_EQ(drawn.size(), 1u);
+      EXPECT_EQ(env_.outbox[0].to, drawn[0]);
+      EXPECT_EQ(env_.outbox[0].processes, shuffle);
+    }
   }
 }
 

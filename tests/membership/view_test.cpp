@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 namespace dam::membership {
 namespace {
@@ -100,6 +102,8 @@ TEST(PartialView, PickReturnsMember) {
   PartialView view(ProcessId{0}, 5);
   view.insert(ProcessId{7}, rng);
   EXPECT_EQ(view.pick(rng), ProcessId{7});
+  util::Rng untouched(9);  // neither the insert nor the pick drew
+  EXPECT_EQ(rng(), untouched());
 }
 
 TEST(PartialView, ShrinkCapacityEvicts) {
@@ -151,6 +155,91 @@ TEST(PartialView, InsertDistinctMatchesInsertingOneByOne) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
   EXPECT_FALSE(all.contains(ProcessId{9}));
   EXPECT_EQ(rng_one.below(1000), rng_all.below(1000));
+}
+
+/// The view's contract spelled out naively: std::find scans, the same
+/// draws at the same points. PartialView must match it entry for entry
+/// and draw for draw.
+struct ReferenceView {
+  ProcessId owner;
+  std::size_t capacity;
+  std::vector<ProcessId> entries;
+
+  bool contains(ProcessId p) const {
+    return std::find(entries.begin(), entries.end(), p) != entries.end();
+  }
+  bool insert(ProcessId p, util::Rng& rng) {
+    if (p == owner || capacity == 0 || contains(p)) return false;
+    if (entries.size() >= capacity) {
+      entries[rng.below(entries.size())] = p;
+    } else {
+      entries.push_back(p);
+    }
+    return true;
+  }
+  bool erase(ProcessId p) {
+    const auto it = std::find(entries.begin(), entries.end(), p);
+    if (it == entries.end()) return false;
+    entries.erase(it);
+    return true;
+  }
+  void set_capacity(std::size_t c, util::Rng& rng) {
+    capacity = c;
+    while (entries.size() > capacity) {
+      entries[rng.below(entries.size())] = entries.back();
+      entries.pop_back();
+    }
+  }
+};
+
+TEST(PartialView, MatchesReferenceModelOverRandomOperations) {
+  // Every capacity 0-130, so rows of every length modulo the vector
+  // width; ids drawn from about twice the capacity, so inserts hit
+  // duplicates, the owner and full views alike.
+  constexpr std::size_t kMaxCapacity = 130;
+  constexpr int kSteps = 250;
+  for (std::size_t capacity = 0; capacity <= kMaxCapacity; ++capacity) {
+    SCOPED_TRACE(capacity);
+    util::Rng ops(1000 + capacity);
+    util::Rng rng_view(capacity);
+    util::Rng rng_model(capacity);
+    const ProcessId owner{3};
+    PartialView view(owner, capacity);
+    ReferenceView model{owner, capacity, {}};
+    const std::uint64_t id_range = 2 * capacity + 5;
+    for (int step = 0; step < kSteps; ++step) {
+      const ProcessId p{static_cast<std::uint32_t>(ops.below(id_range))};
+      const std::uint64_t op = ops.below(20);
+      if (op < 12) {
+        ASSERT_EQ(view.insert(p, rng_view), model.insert(p, rng_model));
+      } else if (op < 15) {
+        ASSERT_EQ(view.erase(p), model.erase(p));
+      } else if (op < 17) {
+        ASSERT_EQ(view.contains(p), model.contains(p));
+      } else if (op < 18) {
+        const std::size_t c = ops.below(kMaxCapacity + 1);
+        view.set_capacity(c, rng_view);
+        model.set_capacity(c, rng_model);
+      } else {
+        // A join-time sample: distinct peers, none in the view yet.
+        std::vector<ProcessId> fresh;
+        for (std::uint32_t id = 0; id < id_range; ++id) {
+          if (!model.contains(ProcessId{id})) fresh.push_back(ProcessId{id});
+        }
+        ops.shuffle(fresh);
+        fresh.resize(std::min<std::size_t>(fresh.size(), ops.below(12)));
+        view.insert_distinct(fresh, rng_view);
+        for (ProcessId peer : fresh) model.insert(peer, rng_model);
+      }
+      const auto got = view.entries();
+      ASSERT_EQ(std::vector<ProcessId>(got.begin(), got.end()), model.entries)
+          << "step " << step << " op " << op;
+      ASSERT_EQ(view.capacity(), model.capacity);
+      util::Rng next_view = rng_view;
+      util::Rng next_model = rng_model;
+      ASSERT_EQ(next_view(), next_model()) << "step " << step;
+    }
+  }
 }
 
 }  // namespace
