@@ -29,6 +29,7 @@ Population lay_out(const core::FrozenSimConfig& config, const char* who) {
         population.publishers.push_back(
             static_cast<std::uint32_t>(population.size()));
       }
+      population.topic.push_back(topic);
       population.interested.push_back(interested);
     }
   }
@@ -49,19 +50,56 @@ core::FrozenSimConfig one_group_config(const core::FrozenSimConfig& config,
   return group;
 }
 
-void tally(const Population& population, const std::vector<bool>& alive,
-           const std::vector<bool>& delivered, BaselineResult& result) {
-  for (std::size_t i = 0; i < population.size(); ++i) {
-    if (!alive[i]) continue;
-    if (population.interested[i]) {
-      ++result.interested_alive;
-      if (delivered[i]) ++result.delivered_interested;
-    } else if (delivered[i]) {
-      ++result.parasite_deliveries;
+void grade(const core::FrozenSimConfig& config, const Population& population,
+           const std::vector<bool>& alive,
+           const std::vector<std::uint32_t>& delivery_round, bool published,
+           core::FrozenRunResult& result) {
+  std::vector<std::uint64_t> per_round(result.rounds + 1, 0);
+  for (std::size_t p = 0; p < population.size(); ++p) {
+    core::FrozenGroupResult& row = result.groups[population.topic[p]];
+    ++row.size;
+    if (!alive[p]) continue;
+    ++row.alive;
+    const std::uint32_t round = delivery_round[p];
+    if (round == kUndelivered) continue;
+    ++row.delivered;
+    if (!row.first_delivery_round || round < *row.first_delivery_round) {
+      row.first_delivery_round = round;
+    }
+    if (!row.last_delivery_round || round > *row.last_delivery_round) {
+      row.last_delivery_round = round;
+    }
+    if (population.interested[p]) {
+      ++per_round[round];
+      result.latency_sketch.add(static_cast<double>(round));
     }
   }
-  result.all_interested_delivered =
-      result.delivered_interested == result.interested_alive;
+  for (std::uint32_t topic = 0; topic < result.groups.size(); ++topic) {
+    core::FrozenGroupResult& row = result.groups[topic];
+    const bool should_receive =
+        config.dag->includes(topics::TopicId{topic}, config.publish_topic);
+    // frozen_sim's verdicts, its no-publisher case included.
+    row.all_alive_delivered =
+        !published ? row.alive == 0
+                   : (should_receive ? row.delivered == row.alive
+                                     : row.delivered == 0);
+    if (should_receive) result.expected_deliveries += row.alive;
+    result.total_messages += row.intra_sent + row.inter_sent;
+  }
+  // The timeline of frozen_sim: the publication at round 0, one weighted
+  // delivery note per round, and the delivered bitmap as the one gauge.
+  if (published) {
+    result.timeline.note_publish(0);
+    for (std::size_t round = 0; round < per_round.size(); ++round) {
+      result.timeline.note_delivery(round, static_cast<double>(round),
+                                    per_round[round]);
+    }
+  }
+  const std::size_t bitmap_bytes = (population.size() + 7) / 8;
+  for (std::size_t round = 0; round <= result.rounds;
+       round += util::Timeline::window_rounds()) {
+    result.timeline.sample_gauges(round, 0, bitmap_bytes, 0);
+  }
 }
 
 }  // namespace dam::baselines

@@ -2,49 +2,41 @@
 //
 // The three baselines ((a) gossip broadcast, (b) gossip multicast,
 // (c) hierarchical gossip broadcast) take the same cell description as
-// daMulticast — one core::FrozenSimConfig — and run in the same
-// frozen-table, synchronous-round regime as the paper's simulation. The
-// paper compares them on the condition that "for fairness, all approaches
-// use the same underlying membership algorithm": (a) and (b) draw their
-// tables with core::build_frozen_tables and pick gossip targets with the
-// protocol kernel, exactly as daMulticast's intra-group leg does; (c) keeps
-// its own two-level tables (see hierarchical.hpp for why).
+// daMulticast — one core::FrozenSimConfig — run in the same frozen-table,
+// synchronous-round regime as the paper's simulation, and return the same
+// core::FrozenRunResult, one row per topic, so exp::run_sweep aggregates
+// and reports them exactly as it does run_frozen_simulation (engine kinds
+// sim::EngineKind::kBroadcast / kMulticast / kHierarchical). The paper
+// compares them on the condition that "for fairness, all approaches use
+// the same underlying membership algorithm": (a) and (b) draw their tables
+// with core::build_frozen_tables and pick gossip targets with the protocol
+// kernel, exactly as daMulticast's intra-group leg does; (c) keeps its own
+// two-level tables (see hierarchical.hpp for why).
 //
 // Processes are laid out topic-major: topic 0's members first, then topic
 // 1's, and so on. A process is interested in the event iff its topic
-// includes the publish topic. The baselines have no outage schedule, so
-// FrozenFailureMode::kChurn is rejected.
+// includes the publish topic. Each row is graded by frozen_sim's rules: an
+// interested row is correct when every alive member delivered, an
+// uninterested row when none did — its `delivered` is its parasite count.
+// The baselines have no outage schedule, so FrozenFailureMode::kChurn is
+// rejected.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/frozen_sim.hpp"
 
 namespace dam::baselines {
 
-struct BaselineResult {
-  std::uint64_t messages_sent = 0;
-  std::size_t interested_alive = 0;       ///< alive processes wanting the event
-  std::size_t delivered_interested = 0;   ///< of those, how many received it
-  std::uint64_t parasite_deliveries = 0;  ///< deliveries to uninterested procs
-  bool all_interested_delivered = false;
-  std::size_t rounds = 0;
-
-  [[nodiscard]] double delivery_ratio() const {
-    return interested_alive == 0
-               ? 1.0
-               : static_cast<double>(delivered_interested) /
-                     static_cast<double>(interested_alive);
-  }
-};
-
 /// The whole population of a cell, laid out topic-major.
 struct Population {
+  std::vector<std::uint32_t> topic;        ///< each process's topic
   std::vector<bool> interested;            ///< topic includes publish topic
   std::vector<std::uint32_t> publishers;   ///< members of the publish topic
 
-  [[nodiscard]] std::size_t size() const { return interested.size(); }
+  [[nodiscard]] std::size_t size() const { return topic.size(); }
 };
 
 /// Validates `config` for a baseline run (a DAG, one non-empty group per
@@ -60,9 +52,22 @@ struct Population {
     const core::FrozenSimConfig& config, const topics::TopicDag& dag,
     std::size_t size);
 
-/// Fills the delivery counters of `result` from a finished flat run:
-/// alive deliveries count as interested or as parasites.
-void tally(const Population& population, const std::vector<bool>& alive,
-           const std::vector<bool>& delivered, BaselineResult& result);
+/// delivery_round of a process the event never reached.
+inline constexpr std::uint32_t kUndelivered =
+    std::numeric_limits<std::uint32_t>::max();
+
+/// Grades a finished per-process dissemination (broadcast, hierarchical)
+/// into `result`, whose rows (one per topic) already hold the sends the
+/// waves charged to each sender's topic and the duplicates charged to each
+/// receiver's, and whose `rounds` is set. Fills every row's size, alive,
+/// delivered, delivery rounds and verdict, and the run's totals; only
+/// interested deliveries enter the latency sketch and the timeline, as in
+/// frozen_sim. `delivery_round[p]` is the round p first received the
+/// event (0 for the publisher), or kUndelivered; `published` is false when
+/// no alive publisher existed.
+void grade(const core::FrozenSimConfig& config, const Population& population,
+           const std::vector<bool>& alive,
+           const std::vector<std::uint32_t>& delivery_round, bool published,
+           core::FrozenRunResult& result);
 
 }  // namespace dam::baselines

@@ -1,5 +1,6 @@
 #include "baselines/broadcast.hpp"
 
+#include <chrono>
 #include <utility>
 
 #include "core/protocol.hpp"
@@ -17,9 +18,11 @@ core::GroupTables broadcast_tables(const core::FrozenSimConfig& config) {
       core::build_frozen_tables(group, util::Rng(group.seed)).groups[0]);
 }
 
-BaselineResult run_broadcast(const core::FrozenSimConfig& config) {
+core::FrozenRunResult run_broadcast(const core::FrozenSimConfig& config) {
   const Population population = lay_out(config, "run_broadcast");
+  const auto build_started = std::chrono::steady_clock::now();
   const core::GroupTables tables = broadcast_tables(config);
+  const auto waves_started = std::chrono::steady_clock::now();
   const core::TopicParams& params =
       core::params_for_topic(config, config.publish_topic.value);
   const bool stillborn =
@@ -33,12 +36,14 @@ BaselineResult run_broadcast(const core::FrozenSimConfig& config) {
   for (std::uint32_t p : population.publishers) {
     if (tables.alive[p]) candidates.push_back(p);
   }
-  BaselineResult result;
-  std::vector<bool> delivered(population.size(), false);
+  core::FrozenRunResult result;
+  result.groups.resize(config.dag->size());
+  result.table_bytes = tables.arena_bytes();
+  std::vector<std::uint32_t> delivery_round(population.size(), kUndelivered);
   if (!candidates.empty()) {
     std::vector<std::uint32_t> frontier{
         candidates[rng.below(candidates.size())]};
-    delivered[frontier.front()] = true;
+    delivery_round[frontier.front()] = 0;
     std::vector<std::uint32_t> next;
     std::vector<std::uint32_t> targets;
     while (!frontier.empty()) {
@@ -48,15 +53,17 @@ BaselineResult run_broadcast(const core::FrozenSimConfig& config) {
         core::protocol::fanout_targets_into(params, population.size(),
                                             tables.topic_row(sender), rng,
                                             targets);
-        result.messages_sent += targets.size();
+        result.groups[population.topic[sender]].intra_sent += targets.size();
         for (std::uint32_t target : targets) {
           if (!core::protocol::channel_delivers(params.psucc, rng)) continue;
           if (stillborn ? !tables.alive[target]
                         : rng.bernoulli(fail_probability)) {
             continue;  // failed, or perceived failed
           }
-          if (!delivered[target]) {
-            delivered[target] = true;
+          if (delivery_round[target] != kUndelivered) {
+            ++result.groups[population.topic[target]].duplicate_deliveries;
+          } else {
+            delivery_round[target] = static_cast<std::uint32_t>(result.rounds);
             next.push_back(target);
           }
         }
@@ -64,7 +71,13 @@ BaselineResult run_broadcast(const core::FrozenSimConfig& config) {
       frontier.swap(next);
     }
   }
-  tally(population, tables.alive, delivered, result);
+  grade(config, population, tables.alive, delivery_round, !candidates.empty(),
+        result);
+  const auto finished = std::chrono::steady_clock::now();
+  result.table_build_seconds =
+      std::chrono::duration<double>(waves_started - build_started).count();
+  result.dissemination_seconds =
+      std::chrono::duration<double>(finished - waves_started).count();
   return result;
 }
 

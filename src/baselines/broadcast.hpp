@@ -11,7 +11,7 @@
 // core::build_frozen_tables. The waves cannot be frozen_sim's, because
 // interest is per process here while frozen_sim groups processes by topic;
 // so a short wave loop draws targets with protocol::fanout_targets_into
-// and an interest mask grades the deliveries.
+// and baselines::grade charges the deliveries to each process's topic row.
 #pragma once
 
 #include "baselines/baseline.hpp"
@@ -21,8 +21,10 @@ namespace dam::baselines {
 
 /// Runs one broadcast dissemination of an event published on
 /// `config.publish_topic`. Every process participates; processes whose
-/// topic does not include the publish topic receive parasites.
-[[nodiscard]] BaselineResult run_broadcast(const core::FrozenSimConfig& config);
+/// topic does not include the publish topic receive parasites. All sends
+/// are intra_sent of the sender's topic row.
+[[nodiscard]] core::FrozenRunResult run_broadcast(
+    const core::FrozenSimConfig& config);
 
 /// The membership tables run_broadcast gossips over: the one group of
 /// `config`'s whole population (laid out topic-major) that

@@ -1,6 +1,7 @@
 #include "baselines/hierarchical.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <deque>
 
@@ -8,14 +9,14 @@
 
 namespace dam::baselines {
 
-BaselineResult run_hierarchical(const core::FrozenSimConfig& config,
-                                const HierarchicalConfig& hierarchy) {
+core::FrozenRunResult run_hierarchical(const core::FrozenSimConfig& config) {
   const Population layout = lay_out(config, "run_hierarchical");
   const std::size_t population = layout.size();
   const std::size_t group_count =
-      std::max<std::size_t>(1, std::min(hierarchy.group_count, population));
-  const double psucc =
-      core::params_for_topic(config, config.publish_topic.value).psucc;
+      std::max<std::size_t>(1, std::min(kHierarchicalGroups, population));
+  const core::TopicParams& params =
+      core::params_for_topic(config, config.publish_topic.value);
+  const auto build_started = std::chrono::steady_clock::now();
   util::Rng rng(config.seed);
   const bool stillborn =
       config.failure_mode == core::FrozenFailureMode::kStillborn;
@@ -48,10 +49,10 @@ BaselineResult run_hierarchical(const core::FrozenSimConfig& config,
   const auto intra_fanout = static_cast<std::size_t>(
       std::ceil(std::max(1.0, std::log(static_cast<double>(std::max<std::size_t>(
                                   m, 2))) +
-                                  hierarchy.c1)));
+                                  params.c)));
   const auto inter_view_size = static_cast<std::size_t>(
       std::ceil(std::max(1.0, std::log(static_cast<double>(group_count)) +
-                                  hierarchy.c2)));
+                                  params.c)));
   std::vector<std::vector<std::uint32_t>> inter_view(population);
   {
     std::vector<std::uint32_t> other_groups;
@@ -67,65 +68,80 @@ BaselineResult run_hierarchical(const core::FrozenSimConfig& config,
     }
   }
 
+  const auto waves_started = std::chrono::steady_clock::now();
+  core::FrozenRunResult result;
+  result.groups.resize(config.dag->size());
+  result.table_bytes = population * sizeof(std::uint32_t);  // members
+  for (const auto& view : inter_view) {
+    result.table_bytes += view.size() * sizeof(std::uint32_t);
+  }
   std::vector<std::uint32_t> candidates;
   for (std::uint32_t i : layout.publishers) {
     if (alive[i]) candidates.push_back(i);
   }
-  BaselineResult result;
-  std::vector<bool> delivered(population, false);
-  if (candidates.empty()) {
-    tally(layout, alive, delivered, result);
-    return result;
-  }
-
-  auto delivery_ok = [&](std::uint32_t target) {
-    if (!rng.bernoulli(psucc)) return false;
-    if (stillborn) return static_cast<bool>(alive[target]);
-    return !rng.bernoulli(fail_probability);
-  };
-
-  std::deque<std::uint32_t> frontier;
-  const std::uint32_t publisher = candidates[rng.below(candidates.size())];
-  delivered[publisher] = true;
-  frontier.push_back(publisher);
-
-  while (!frontier.empty()) {
-    ++result.rounds;
-    std::deque<std::uint32_t> next;
-    for (std::uint32_t sender : frontier) {
-      // Intra-group leg.
-      const auto& local = members[group_of[sender]];
-      std::vector<std::uint32_t> peers;
-      peers.reserve(local.size());
-      for (std::uint32_t p : local) {
-        if (p != sender) peers.push_back(p);
+  std::vector<std::uint32_t> delivery_round(population, kUndelivered);
+  if (!candidates.empty()) {
+    // A message that gets through delivers on first reception; later ones
+    // are duplicates of the receiver's topic row.
+    const auto send = [&](std::uint32_t target,
+                          std::deque<std::uint32_t>& next) {
+      if (!rng.bernoulli(params.psucc)) return false;
+      if (stillborn ? !alive[target] : rng.bernoulli(fail_probability)) {
+        return false;
       }
-      for (std::uint32_t target : rng.sample(peers, intra_fanout)) {
-        ++result.messages_sent;
-        if (!delivery_ok(target)) continue;
-        if (!delivered[target]) {
-          delivered[target] = true;
-          next.push_back(target);
+      if (delivery_round[target] != kUndelivered) {
+        ++result.groups[layout.topic[target]].duplicate_deliveries;
+      } else {
+        delivery_round[target] = static_cast<std::uint32_t>(result.rounds);
+        next.push_back(target);
+      }
+      return true;
+    };
+
+    std::deque<std::uint32_t> frontier;
+    const std::uint32_t publisher = candidates[rng.below(candidates.size())];
+    delivery_round[publisher] = 0;
+    frontier.push_back(publisher);
+
+    while (!frontier.empty()) {
+      ++result.rounds;
+      std::deque<std::uint32_t> next;
+      for (std::uint32_t sender : frontier) {
+        core::FrozenGroupResult& row = result.groups[layout.topic[sender]];
+        // Intra-group leg.
+        const auto& local = members[group_of[sender]];
+        std::vector<std::uint32_t> peers;
+        peers.reserve(local.size());
+        for (std::uint32_t p : local) {
+          if (p != sender) peers.push_back(p);
+        }
+        for (std::uint32_t target : rng.sample(peers, intra_fanout)) {
+          ++row.intra_sent;
+          send(target, next);
+        }
+        // Inter-group leg: each inter-view entry with probability 1/m.
+        for (std::uint32_t target : inter_view[sender]) {
+          if (!rng.bernoulli(1.0 / static_cast<double>(std::max<std::size_t>(
+                                 m, 1)))) {
+            continue;
+          }
+          ++row.inter_sent;
+          if (send(target, next)) {
+            ++result.groups[layout.topic[target]].inter_received;
+          }
         }
       }
-      // Inter-group leg: each inter-view entry with probability 1/m.
-      for (std::uint32_t target : inter_view[sender]) {
-        if (!rng.bernoulli(1.0 / static_cast<double>(std::max<std::size_t>(
-                               m, 1)))) {
-          continue;
-        }
-        ++result.messages_sent;
-        if (!delivery_ok(target)) continue;
-        if (!delivered[target]) {
-          delivered[target] = true;
-          next.push_back(target);
-        }
-      }
+      frontier = std::move(next);
     }
-    frontier = std::move(next);
   }
 
-  tally(layout, alive, delivered, result);
+  grade(config, layout, alive, delivery_round, !candidates.empty(), result);
+  result.table_build_seconds =
+      std::chrono::duration<double>(waves_started - build_started).count();
+  result.dissemination_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    waves_started)
+          .count();
   return result;
 }
 

@@ -10,6 +10,13 @@
 // ln(m)+c1+ln(N)+c2 per process; reliability e^{-N·e^{-c1}-e^{-c2}}; but
 // since grouping ignores interests, parasite deliveries abound.
 //
+// Messages per publication are therefore about
+//   n·⌈ln m + c1⌉ + n·⌈ln N + c2⌉/m
+// (11,227 on the paper chain: n = 1110, N = 16, m = 70, c1 = c2 = 5), not
+// the Appendix's Eq. 10 (analysis::hierarchical_total_messages, 18,775),
+// which charges ln N + c2 intergroup messages to every PROCESS rather than
+// to every group.
+//
 // Unlike (a) and (b), this baseline keeps its own engine and tables: its
 // groups are random and interest-agnostic, and its intergroup leg is a
 // 1/m coin per inter-view entry with no psel/pa election. No topic DAG of
@@ -23,15 +30,16 @@
 
 namespace dam::baselines {
 
-struct HierarchicalConfig {
-  std::size_t group_count = 16;  ///< N
-  double c1 = 5.0;               ///< intra-group fanout constant
-  double c2 = 5.0;               ///< inter-group fanout constant
-};
+/// N, the number of interest-agnostic groups (capped at the population).
+inline constexpr std::size_t kHierarchicalGroups = 16;
 
 /// Runs one dissemination of an event of `config.publish_topic` under the
-/// two-level scheme; the channel coin is the publish topic's psucc.
-[[nodiscard]] BaselineResult run_hierarchical(
-    const core::FrozenSimConfig& config, const HierarchicalConfig& hierarchy);
+/// two-level scheme. The publish topic's params supply the channel coin
+/// (psucc) and both fanout constants: c1 = c2 = c. Intra-group sends are
+/// intra_sent, intergroup sends inter_sent, of the sender's topic row;
+/// intergroup messages that get through are inter_received of the
+/// receiver's.
+[[nodiscard]] core::FrozenRunResult run_hierarchical(
+    const core::FrozenSimConfig& config);
 
 }  // namespace dam::baselines

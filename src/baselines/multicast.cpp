@@ -1,10 +1,11 @@
 #include "baselines/multicast.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace dam::baselines {
 
-BaselineResult run_multicast(const core::FrozenSimConfig& config) {
+core::FrozenRunResult run_multicast(const core::FrozenSimConfig& config) {
   // Group T_publish holds every interested process (supertopic subscribers
   // join all subtopic groups), so multicast sends no parasites by design.
   const Population population = lay_out(config, "run_multicast");
@@ -12,16 +13,17 @@ BaselineResult run_multicast(const core::FrozenSimConfig& config) {
       population.interested.begin(), population.interested.end(), true));
   topics::TopicDag group_dag;
   group_dag.add_topic("audience");
-  const core::FrozenRunResult run = core::run_frozen_simulation(
+  core::FrozenRunResult run = core::run_frozen_simulation(
       one_group_config(config, group_dag, audience));
-  const core::FrozenGroupResult& group = run.groups.front();
-  BaselineResult result;
-  result.messages_sent = run.total_messages;
-  result.interested_alive = group.alive;
-  result.delivered_interested = group.delivered;
-  result.all_interested_delivered = group.all_alive_delivered;
-  result.rounds = run.rounds;
-  return result;
+  core::FrozenGroupResult group = std::move(run.groups.front());
+  // Every other row is empty: its interested members sit in the publish
+  // row, and its uninterested ones take no part. Empty rows are vacuously
+  // correct, as in frozen_sim.
+  core::FrozenGroupResult empty;
+  empty.all_alive_delivered = true;
+  run.groups.assign(config.dag->size(), empty);
+  run.groups[config.publish_topic.value] = std::move(group);
+  return run;
 }
 
 }  // namespace dam::baselines

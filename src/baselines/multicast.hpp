@@ -20,7 +20,9 @@ namespace dam::baselines {
 
 /// Runs one dissemination of an event of `config.publish_topic`: a flat
 /// gossip inside group T_publish, whose members are all processes whose
-/// topic includes the publish topic.
-[[nodiscard]] BaselineResult run_multicast(const core::FrozenSimConfig& config);
+/// topic includes the publish topic. The whole run lands on the publish
+/// topic's row (its size is the audience); every other row is empty.
+[[nodiscard]] core::FrozenRunResult run_multicast(
+    const core::FrozenSimConfig& config);
 
 }  // namespace dam::baselines

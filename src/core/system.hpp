@@ -3,9 +3,9 @@
 // Hosts a population of DamNodes over the lossy transport, the bootstrap
 // neighborhood overlay, a failure model, and the metrics collector. This is
 // the "whole system" entry point used by the examples, the integration
-// tests, and the bootstrap/ablation benches. (The figure benches run the
-// frozen-membership engine, core/frozen_sim, which reproduces the paper's
-// setting exactly.)
+// tests, and the dynamic-lane presets (through workload/driver). (The
+// figure presets run the frozen-membership engine, core/frozen_sim, which
+// reproduces the paper's setting exactly.)
 //
 // The nodes live in one slab of fixed-size chunks (kNodesPerChunk nodes
 // each) in id order: a join appends, no node ever moves, and node(p)'s

@@ -31,14 +31,27 @@ void require_stream_axis(const sim::Scenario& scenario,
   }
 }
 
-/// Guard of the protocol-parameter axes: the steady baselines read only
-/// psucc, and flat gossip also reads c through TopicParams::fanout, so
-/// sweeping any other knob there would run bit-identical cells too.
+/// Whether `engine` reads protocol knob `key` at all. The baselines read
+/// only some TopicParams knobs, so sweeping any other one there would run
+/// bit-identical cells under different labels.
+bool engine_reads(sim::EngineKind engine, std::string_view key) {
+  switch (engine) {
+    case sim::EngineKind::kBaselineTree:
+      return key == "psucc";
+    case sim::EngineKind::kBaselineGossip:  // c through TopicParams::fanout
+    case sim::EngineKind::kHierarchical:    // c is both fanout constants
+      return key == "c" || key == "psucc";
+    case sim::EngineKind::kBroadcast:  // one flat group: (b+1)·ln S views,
+    case sim::EngineKind::kMulticast:  // ln S + c fanout, no intergroup leg
+      return key == "b" || key == "c" || key == "psucc";
+    default:
+      return true;
+  }
+}
+
 void require_engine_reads(const sim::Scenario& scenario,
                           std::string_view key) {
-  const bool tree = scenario.engine == sim::EngineKind::kBaselineTree;
-  const bool gossip = scenario.engine == sim::EngineKind::kBaselineGossip;
-  if ((tree || gossip) && key != "psucc" && !(gossip && key == "c")) {
+  if (!engine_reads(scenario.engine, key)) {
     throw std::invalid_argument("grid: the " + scenario.name +
                                 " baseline never reads " + std::string(key));
   }

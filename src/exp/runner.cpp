@@ -4,6 +4,9 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "baselines/broadcast.hpp"
+#include "baselines/hierarchical.hpp"
+#include "baselines/multicast.hpp"
 #include "baselines/steady.hpp"
 #include "core/frozen_sim.hpp"
 #include "util/parallel.hpp"
@@ -16,6 +19,21 @@ namespace {
 /// runner.hpp): it fixes the reduction shape, and with it the last-ulp
 /// rounding of every mean. 32 leaves stealable slack for any core count.
 constexpr std::size_t kShardsPerPoint = 32;
+
+/// One frozen-lane run: daMulticast or a Sec. VI-E baseline on one cell.
+core::FrozenRunResult run_frozen_lane(sim::EngineKind engine,
+                                      const core::FrozenSimConfig& config) {
+  switch (engine) {
+    case sim::EngineKind::kBroadcast:
+      return baselines::run_broadcast(config);
+    case sim::EngineKind::kMulticast:
+      return baselines::run_multicast(config);
+    case sim::EngineKind::kHierarchical:
+      return baselines::run_hierarchical(config);
+    default:
+      return core::run_frozen_simulation(config);
+  }
+}
 }  // namespace
 
 SweepResult run_sweep(const sim::Scenario& scenario,
@@ -91,7 +109,8 @@ SweepResult run_sweep(const sim::Scenario& scenario,
             std::max<std::size_t>(shard.peak_bookkeeping_bytes,
                                   result.timeline.peak_bookkeeping_bytes());
       } else {
-        const core::FrozenRunResult result = core::run_frozen_simulation(
+        const core::FrozenRunResult result = run_frozen_lane(
+            scenario.engine,
             scenario.config_for(dag, alive, static_cast<int>(run)));
         accumulate_run(shard.partial, result);
         shard.events += result.total_messages;

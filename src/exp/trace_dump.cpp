@@ -11,12 +11,29 @@ namespace dam::exp {
 int dump_trace(const sim::Scenario& scenario, const std::string& path,
                std::ostream& out, std::ostream& err) {
   if (scenario.engine != sim::EngineKind::kDynamic) {
+    const char* engine = "";
+    switch (scenario.engine) {
+      case sim::EngineKind::kBaselineTree:
+      case sim::EngineKind::kBaselineGossip:
+        engine = "a steady rival engine, which has no DamSystem to trace";
+        break;
+      case sim::EngineKind::kBroadcast:
+        engine = "the frozen broadcast baseline, which has no per-message "
+                 "trace";
+        break;
+      case sim::EngineKind::kMulticast:
+        engine = "the frozen multicast baseline, which has no per-message "
+                 "trace";
+        break;
+      case sim::EngineKind::kHierarchical:
+        engine = "the frozen hierarchical baseline, which has no "
+                 "per-message trace";
+        break;
+      default:
+        engine = "the frozen engine, which has no per-message trace";
+    }
     err << "damlab: --trace needs a dynamic-engine scenario ('"
-        << scenario.name << "' runs "
-        << (scenario.engine == sim::EngineKind::kFrozen
-                ? "the frozen engine, which has no per-message trace"
-                : "a steady rival engine, which has no DamSystem to trace")
-        << ")\n";
+        << scenario.name << "' runs " << engine << ")\n";
     return 2;
   }
   if (scenario.alive_sweep.empty()) {

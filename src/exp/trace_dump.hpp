@@ -3,8 +3,9 @@
 // Replays ONE dynamic run (run 0 of the first alive fraction) with a
 // bounded TraceRecorder attached and dumps the ring buffer as CSV. Tracing
 // never perturbs the run: the RNG streams are recorder-independent, so the
-// traced run is the same run 0 the sweep executes. Frozen and steady-rival
-// scenarios are rejected, naming their engine: neither runs a DamSystem.
+// traced run is the same run 0 the sweep executes. Frozen-lane scenarios
+// (daMulticast and the three Sec. VI-E baselines) and steady-rival ones
+// are rejected, naming their engine: none of them runs a DamSystem.
 #pragma once
 
 #include <iosfwd>

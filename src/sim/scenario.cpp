@@ -178,6 +178,41 @@ std::vector<Scenario> build_registry() {
     presets.push_back(std::move(s));
   }
 
+  // --- Sec. VI-E: daMulticast against the three baselines. ---------------
+  // One cell per run shared by all four (same base_seed), published at the
+  // 10-member root T0, where the audiences differ most. Publishing at T2
+  // needs no preset: there daMulticast is fig8, and broadcast and
+  // hierarchical ignore the audience.
+  {
+    const char* const kSec6e[][2] = {
+        {"sec6e-damulticast",
+         "Sec. VI-E vs baselines, T0 event: daMulticast; at alive=1 expect "
+         "~80 msgs (10·⌈ln 10+c⌉) and no parasites"},
+        {"sec6e-broadcast",
+         "Sec. VI-E (a) gossip broadcast, T0 event: ~14,430 msgs "
+         "(1110·⌈ln 1110+c⌉); all 1,100 T1+T2 members get parasites"},
+        {"sec6e-multicast",
+         "Sec. VI-E (b) gossip multicast, T0 event: the T0 group alone (T1 "
+         "and T2 rows stay empty), ~80 msgs and no parasites"},
+        {"sec6e-hierarchical",
+         "Sec. VI-E (c) hierarchical gossip, N=16, T0 event: ~11,225 msgs "
+         "(n·⌈ln m+c⌉ + n·⌈ln N+c⌉/m, not Eq. 10's 18,775); 1,100 parasites"},
+    };
+    const EngineKind kEngines[] = {EngineKind::kFrozen, EngineKind::kBroadcast,
+                                   EngineKind::kMulticast,
+                                   EngineKind::kHierarchical};
+    for (std::size_t i = 0; i < 4; ++i) {
+      Scenario s = make_linear_scenario(kSec6e[i][0], kSec6e[i][1],
+                                        {10, 100, 1000});
+      s.engine = kEngines[i];
+      s.publish_topic = 0;
+      s.alive_sweep = full_sweep();
+      s.runs = 40;
+      s.base_seed = 0x6E0;
+      presets.push_back(std::move(s));
+    }
+  }
+
   // --- DAG topologies (the conclusion's multiple-inheritance extension). --
   {
     Scenario s;

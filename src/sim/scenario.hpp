@@ -15,7 +15,8 @@
 // exp/report renders them.
 //
 // Layering: protocol kernel (core/protocol) → unified engine
-// (core/frozen_sim) → this scenario layer → exp lab → benches/tools.
+// (core/frozen_sim) and the Sec. VI-E baselines → this scenario layer →
+// exp lab → the damlab front end (tools/damlab).
 #pragma once
 
 #include <cstdint>
@@ -44,13 +45,22 @@ enum class EngineKind {
   kBaselineGossip,  ///< baselines/steady: interest-agnostic flat gossip over
                     ///< the whole population on the same stream (the
                     ///< "one big group" strawman the paper argues against)
+  // The Sec. VI-E baselines on the frozen lane: one publication per run,
+  // the same cell and result type as kFrozen (src/baselines).
+  kBroadcast,     ///< (a) gossip broadcast over the whole population
+  kMulticast,     ///< (b) gossip multicast in the publish topic's audience
+  kHierarchical,  ///< (c) hierarchical gossip over 16 interest-agnostic
+                  ///< groups
 };
 
 /// True for engines that replay a generated workload stream (the dynamic
 /// protocol engine and both steady baselines) — the lanes that accept the
 /// traffic/churn/steady grid axes and produce DynamicRunResult aggregates.
+/// The other kinds are the frozen lane: one publication per run.
 [[nodiscard]] constexpr bool is_stream_engine(EngineKind engine) noexcept {
-  return engine != EngineKind::kFrozen;
+  return engine == EngineKind::kDynamic ||
+         engine == EngineKind::kBaselineTree ||
+         engine == EngineKind::kBaselineGossip;
 }
 
 struct Scenario {
@@ -87,8 +97,8 @@ struct Scenario {
   /// Topic index the event is published in.
   std::uint32_t publish_topic = 0;
 
-  /// Engine dispatch: kFrozen runs run_frozen_simulation over any DAG;
-  /// kDynamic replays the generated `workload` stream through core/system
+  /// Engine dispatch: kFrozen runs run_frozen_simulation over any DAG, and
+  /// the three frozen baseline kinds run the same cell; kDynamic replays the generated `workload` stream through core/system
   /// over the same TopicDag, which must then be a tree (require_tree).
   EngineKind engine = EngineKind::kFrozen;
 

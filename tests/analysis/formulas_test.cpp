@@ -246,6 +246,30 @@ TEST(ParityVsHierarchical, ZBoundFinite) {
   EXPECT_GT(bound, 0.0);  // generous: z up to ~c + 2ln(N) - ln(t)
 }
 
+TEST(ParityBands, WidenAsPitApproachesOne) {
+  // Appendix, average case t = 3, N = 16: better intergroup hops leave
+  // more reliability headroom to spend on memory, so every feasible band
+  // for c widens as pit -> 1 (c <= 2.25, 4.60, 6.91, 9.21 against
+  // multicast at pit = 0.9 ... 0.9999).
+  const std::size_t t = 3;
+  const std::size_t N = 16;
+  double mcast = 0.0;
+  double bcast = -1.0;
+  double hier = 0.0;
+  for (const double pit_value : {0.9, 0.99, 0.999, 0.9999}) {
+    SCOPED_TRACE(pit_value);
+    const double hier_width = c_upper_vs_hierarchical(t, N, pit_value) -
+                              c_lower_vs_hierarchical(t, N, pit_value);
+    EXPECT_GT(c_upper_vs_multicast(pit_value), mcast);
+    EXPECT_GT(c_upper_vs_broadcast(t, pit_value), bcast);
+    EXPECT_GT(hier_width, hier);
+    mcast = c_upper_vs_multicast(pit_value);
+    bcast = c_upper_vs_broadcast(t, pit_value);
+    hier = hier_width;
+  }
+  EXPECT_NEAR(mcast, 9.21, 0.01);
+}
+
 TEST(Guards, RejectBadPit) {
   EXPECT_THROW((void)c_upper_vs_multicast(0.0), std::invalid_argument);
   EXPECT_THROW((void)c_upper_vs_multicast(1.5), std::invalid_argument);

@@ -12,38 +12,64 @@
 namespace dam::baselines {
 namespace {
 
+using dam::testing::Audience;
 using dam::testing::Chain;
 
 TEST(Broadcast, PublishAtBottomInterestsEveryone) {
   const Chain chain;  // publish at T2: every process is interested
-  const auto result = run_broadcast(chain.publish_at(2, 1, 1.0));
-  EXPECT_EQ(result.interested_alive, 1110u);
-  EXPECT_EQ(result.parasite_deliveries, 0u);
-  EXPECT_TRUE(result.all_interested_delivered);
+  const core::FrozenSimConfig config = chain.publish_at(2, 1, 1.0);
+  const Audience audience(config, run_broadcast(config));
+  EXPECT_EQ(audience.alive, 1110u);
+  EXPECT_EQ(audience.parasites, 0u);
+  EXPECT_TRUE(audience.all_delivered());
 }
 
 TEST(Broadcast, PublishAtMidLevelCreatesParasites) {
   // T1 event: the 1000 T2 subscribers are uninterested but still get it.
   const Chain chain;
-  const auto result = run_broadcast(chain.publish_at(1, 2, 1.0));
-  EXPECT_EQ(result.interested_alive, 110u);
-  EXPECT_GT(result.parasite_deliveries, 900u);  // ~1000 parasite deliveries
+  const core::FrozenSimConfig config = chain.publish_at(1, 2, 1.0);
+  const core::FrozenRunResult run = run_broadcast(config);
+  const Audience audience(config, run);
+  EXPECT_EQ(audience.alive, 110u);
+  EXPECT_GT(audience.parasites, 900u);  // ~1000 parasite deliveries
+  // The parasites are the T2 row's deliveries, which makes that row wrong.
+  EXPECT_EQ(run.groups[2].delivered, audience.parasites);
+  EXPECT_FALSE(run.groups[2].all_alive_delivered);
 }
 
 TEST(Broadcast, PublishAtRootFloodsAllSubscribers) {
   const Chain chain;
-  const auto result = run_broadcast(chain.publish_at(0, 3, 1.0));
-  EXPECT_EQ(result.interested_alive, 10u);
-  EXPECT_GT(result.parasite_deliveries, 1000u);
+  const core::FrozenSimConfig config = chain.publish_at(0, 3, 1.0);
+  const Audience audience(config, run_broadcast(config));
+  EXPECT_EQ(audience.alive, 10u);
+  EXPECT_GT(audience.parasites, 1000u);
 }
 
 TEST(Broadcast, MessageComplexityIsNLnN) {
   const Chain chain;
-  const auto result = run_broadcast(chain.publish_at(2, 4));
+  const core::FrozenRunResult run = run_broadcast(chain.publish_at(2, 4));
   // n=1110: fanout ceil(ln 1110 + 5) = 13; ~14.4k messages.
   const double expected = 1110.0 * 13.0;
-  EXPECT_NEAR(static_cast<double>(result.messages_sent), expected,
+  EXPECT_NEAR(static_cast<double>(run.total_messages), expected,
               expected * 0.1);
+}
+
+TEST(Broadcast, SendsAreChargedToTheSendersTopic) {
+  // Every process gossips with fanout 13 whatever its topic, so each row's
+  // sends are about its size times 13, and all of them are intra sends.
+  const Chain chain;
+  const core::FrozenRunResult run = run_broadcast(chain.publish_at(0, 5, 1.0));
+  std::uint64_t total = 0;
+  for (std::size_t topic = 0; topic < 3; ++topic) {
+    const core::FrozenGroupResult& row = run.groups[topic];
+    SCOPED_TRACE(topic);
+    EXPECT_EQ(row.size, chain.scenario.group_sizes[topic]);
+    EXPECT_EQ(row.inter_sent, 0u);
+    EXPECT_EQ(row.intra_sent, 13u * row.delivered);
+    total += row.intra_sent;
+  }
+  EXPECT_EQ(total, run.total_messages);
+  EXPECT_EQ(run.expected_deliveries, 10u);
 }
 
 TEST(Broadcast, RejectsBadConfigs) {
@@ -87,6 +113,8 @@ TEST(Population, TopicMajorLayout) {
               chain.scenario.group_sizes[level]);
     EXPECT_EQ(population.publishers.front(), first[level]);
     EXPECT_EQ(population.publishers.back(), interested[level] - 1);
+    EXPECT_EQ(population.topic[first[level]], level);
+    EXPECT_EQ(population.topic.back(), 2u);
   }
 }
 

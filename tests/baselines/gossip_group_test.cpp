@@ -10,51 +10,54 @@
 namespace dam::baselines {
 namespace {
 
+using dam::testing::Audience;
 using dam::testing::Chain;
 
 TEST(FlatGossip, DeliversToWholePopulationWhenHealthy) {
   const Chain flat({500});
-  const auto result = run_broadcast(flat.publish_at(0, 1, 1.0));
-  EXPECT_EQ(result.interested_alive, 500u);
-  EXPECT_EQ(result.delivered_interested, 500u);
-  EXPECT_TRUE(result.all_interested_delivered);
-  EXPECT_EQ(result.parasite_deliveries, 0u);
+  const core::FrozenSimConfig config = flat.publish_at(0, 1, 1.0);
+  const Audience audience(config, run_broadcast(config));
+  EXPECT_EQ(audience.alive, 500u);
+  EXPECT_EQ(audience.delivered, 500u);
+  EXPECT_TRUE(audience.all_delivered());
+  EXPECT_EQ(audience.parasites, 0u);
 }
 
 TEST(FlatGossip, MessageCountIsNLnN) {
   const Chain flat({1000});
-  const auto result = run_broadcast(flat.publish_at(0, 2));
+  const core::FrozenRunResult run = run_broadcast(flat.publish_at(0, 2));
   // Everyone infected sends fanout = ceil(ln 1000 + 5) = 12.
-  EXPECT_NEAR(static_cast<double>(result.messages_sent), 12000.0, 1200.0);
+  EXPECT_NEAR(static_cast<double>(run.total_messages), 12000.0, 1200.0);
 }
 
 TEST(FlatGossip, UninterestedDeliveriesCountAsParasites) {
   // Half the population (T1) is not interested in a T0 event but still
   // participates.
   const Chain chain({200, 200});
-  const auto result = run_broadcast(chain.publish_at(0, 3, 1.0));
-  EXPECT_EQ(result.interested_alive, 200u);
-  EXPECT_EQ(result.delivered_interested, 200u);
-  EXPECT_EQ(result.parasite_deliveries, 200u);
+  const core::FrozenSimConfig config = chain.publish_at(0, 3, 1.0);
+  const Audience audience(config, run_broadcast(config));
+  EXPECT_EQ(audience.alive, 200u);
+  EXPECT_EQ(audience.delivered, 200u);
+  EXPECT_EQ(audience.parasites, 200u);
 }
 
 TEST(FlatGossip, StillbornFailuresReduceDeliveries) {
   const Chain flat({600});
   core::FrozenSimConfig config = flat.publish_at(0, 4);
   config.alive_fraction = 0.5;
-  const auto result = run_broadcast(config);
-  EXPECT_NEAR(static_cast<double>(result.interested_alive), 300.0, 50.0);
-  EXPECT_LE(result.delivered_interested, result.interested_alive);
-  EXPECT_GT(result.delivered_interested, 0u);
+  const Audience audience(config, run_broadcast(config));
+  EXPECT_NEAR(static_cast<double>(audience.alive), 300.0, 50.0);
+  EXPECT_LE(audience.delivered, audience.alive);
+  EXPECT_GT(audience.delivered, 0u);
 }
 
 TEST(FlatGossip, NoAlivePublisherMeansNoTraffic) {
   const Chain flat({100});
   core::FrozenSimConfig config = flat.publish_at(0, 5);
   config.alive_fraction = 0.0;
-  const auto result = run_broadcast(config);
-  EXPECT_EQ(result.messages_sent, 0u);
-  EXPECT_TRUE(result.all_interested_delivered);  // vacuous: nobody alive
+  const core::FrozenRunResult run = run_broadcast(config);
+  EXPECT_EQ(run.total_messages, 0u);
+  EXPECT_TRUE(Audience(config, run).all_delivered());  // vacuous: nobody alive
 }
 
 TEST(FlatGossip, DynamicPerceptionKeepsPopulationAlive) {
@@ -62,17 +65,18 @@ TEST(FlatGossip, DynamicPerceptionKeepsPopulationAlive) {
   core::FrozenSimConfig config = flat.publish_at(0, 6);
   config.alive_fraction = 0.7;
   config.failure_mode = core::FrozenFailureMode::kDynamicPerception;
-  const auto result = run_broadcast(config);
-  EXPECT_EQ(result.interested_alive, 300u);  // all actually alive
-  EXPECT_GT(result.delivered_interested, 250u);
+  const Audience audience(config, run_broadcast(config));
+  EXPECT_EQ(audience.alive, 300u);  // all actually alive
+  EXPECT_GT(audience.delivered, 250u);
 }
 
 TEST(FlatGossip, DeterministicForSeed) {
   const Chain flat({200});
-  const auto a = run_broadcast(flat.publish_at(0, 77));
-  const auto b = run_broadcast(flat.publish_at(0, 77));
-  EXPECT_EQ(a.messages_sent, b.messages_sent);
-  EXPECT_EQ(a.delivered_interested, b.delivered_interested);
+  const core::FrozenSimConfig config = flat.publish_at(0, 77);
+  const core::FrozenRunResult a = run_broadcast(config);
+  const core::FrozenRunResult b = run_broadcast(config);
+  EXPECT_EQ(a.total_messages, b.total_messages);
+  EXPECT_EQ(a.groups[0].delivered, b.groups[0].delivered);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace dam::exp {
 namespace {
@@ -205,6 +208,37 @@ TEST(GridApply, AxesRejectEnginesThatNeverReadThem) {
   EXPECT_THROW(apply_grid_point(tree, {{"c", 2.0}}), std::invalid_argument);
   sim::Scenario gossip = *sim::find_scenario("steady-gossip");
   EXPECT_NO_THROW(apply_grid_point(gossip, {{"c", 2.0}}));
+}
+
+TEST(GridApply, FrozenBaselinesRejectTheKnobsTheyNeverRead) {
+  // Broadcast and multicast gossip in one flat frozen group: (b+1)·ln S
+  // views, ln S + c fanout, no intergroup leg. Hierarchical reads c as
+  // both fanout constants and psucc, nothing else. The other knobs would
+  // run identical cells under different labels.
+  const std::pair<const char*, std::vector<const char*>> reads[] = {
+      {"sec6e-broadcast", {"b", "c", "psucc"}},
+      {"sec6e-multicast", {"b", "c", "psucc"}},
+      {"sec6e-hierarchical", {"c", "psucc"}}};
+  for (const auto& [name, keys] : reads) {
+    for (const char* key : {"a", "b", "c", "g", "psucc", "tau", "z"}) {
+      sim::Scenario baseline = *sim::find_scenario(name);
+      bool read = false;
+      for (const char* k : keys) read = read || std::string(k) == key;
+      if (read) {
+        EXPECT_NO_THROW(apply_grid_point(baseline, {{key, 0.5}}))
+            << name << ' ' << key;
+      } else {
+        EXPECT_THROW(apply_grid_point(baseline, {{key, 2.0}}),
+                     std::invalid_argument)
+            << name << ' ' << key;
+      }
+    }
+    // The frozen baselines have no stream either.
+    sim::Scenario baseline = *sim::find_scenario(name);
+    EXPECT_THROW(apply_grid_point(baseline, {{"rate", 0.5}}),
+                 std::invalid_argument)
+        << name;
+  }
 }
 
 TEST(GridApply, ZipfSSetsExponentAndSwitchesToZipfPopularity) {

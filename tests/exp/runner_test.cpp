@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "baselines/broadcast.hpp"
+#include "baselines/hierarchical.hpp"
+#include "baselines/multicast.hpp"
 #include "sim/scenario.hpp"
 
 namespace dam::exp {
@@ -138,6 +142,52 @@ TEST(Runner, DynamicLaneRejectsDagTopologies) {
   scenario.engine = sim::EngineKind::kDynamic;
   scenario.runs = 1;
   EXPECT_THROW((void)run_sweep(scenario, {.jobs = 1}), std::invalid_argument);
+}
+
+TEST(Runner, FrozenBaselinesRunThroughTheSweep) {
+  // The Sec. VI-E baselines ride the frozen lane: bit-identical for any
+  // job count, and each row aggregates exactly the direct run_* calls.
+  using Run = core::FrozenRunResult (*)(const core::FrozenSimConfig&);
+  const std::pair<sim::EngineKind, Run> kinds[] = {
+      {sim::EngineKind::kBroadcast, &baselines::run_broadcast},
+      {sim::EngineKind::kMulticast, &baselines::run_multicast},
+      {sim::EngineKind::kHierarchical, &baselines::run_hierarchical}};
+  for (const auto& [engine, run] : kinds) {
+    SCOPED_TRACE(static_cast<int>(engine));
+    sim::Scenario scenario = small_scenario();
+    scenario.engine = engine;
+    scenario.publish_topic = 0;  // the 80 T1 members are uninterested
+    scenario.runs = 9;
+    const SweepResult serial = run_sweep(scenario, {.jobs = 1});
+    expect_identical(serial, run_sweep(scenario, {.jobs = 4}));
+    const topics::TopicDag dag = scenario.build_dag();
+    for (std::size_t pt = 0; pt < scenario.alive_sweep.size(); ++pt) {
+      const double alive = scenario.alive_sweep[pt];
+      ScenarioPoint direct = make_point(scenario, alive);
+      for (int r = 0; r < scenario.runs; ++r) {
+        accumulate_run(direct, run(scenario.config_for(dag, alive, r)));
+      }
+      const ScenarioPoint& swept = serial.points[pt];
+      EXPECT_DOUBLE_EQ(swept.total_messages.mean(),
+                       direct.total_messages.mean());
+      EXPECT_DOUBLE_EQ(swept.rounds.mean(), direct.rounds.mean());
+      EXPECT_EQ(swept.expected_deliveries, direct.expected_deliveries);
+      for (std::size_t topic = 0; topic < direct.groups.size(); ++topic) {
+        const ScenarioGroupStats& a = swept.groups[topic];
+        const ScenarioGroupStats& b = direct.groups[topic];
+        EXPECT_DOUBLE_EQ(a.intra_sent.mean(), b.intra_sent.mean());
+        EXPECT_DOUBLE_EQ(a.inter_sent.mean(), b.inter_sent.mean());
+        EXPECT_DOUBLE_EQ(a.duplicate_deliveries.mean(),
+                         b.duplicate_deliveries.mean());
+        EXPECT_EQ(a.delivery_ratio.count(), b.delivery_ratio.count());
+        EXPECT_DOUBLE_EQ(a.delivery_ratio.mean(), b.delivery_ratio.mean());
+        EXPECT_EQ(a.all_alive_delivered.successes,
+                  b.all_alive_delivered.successes);
+        EXPECT_EQ(a.all_alive_delivered.trials, b.all_alive_delivered.trials);
+      }
+    }
+    EXPECT_GT(serial.points.back().total_messages.mean(), 0.0);
+  }
 }
 
 TEST(Runner, MoreShardsThanRunsIsFine) {

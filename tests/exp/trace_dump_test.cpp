@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "sim/scenario.hpp"
 
@@ -47,6 +48,25 @@ TEST(TraceDump, RejectsFrozenScenarios) {
             "damlab: --trace needs a dynamic-engine scenario ('fig9' runs "
             "the frozen engine, which has no per-message trace)\n");
   EXPECT_TRUE(out.str().empty());
+}
+
+TEST(TraceDump, RejectsTheFrozenBaselinesNamingTheirEngine) {
+  const std::pair<const char*, const char*> kinds[] = {
+      {"sec6e-broadcast", "the frozen broadcast baseline"},
+      {"sec6e-multicast", "the frozen multicast baseline"},
+      {"sec6e-hierarchical", "the frozen hierarchical baseline"}};
+  for (const auto& [name, engine] : kinds) {
+    SCOPED_TRACE(name);
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_EQ(dump_trace(preset(name), testing::TempDir() + "base.csv", out,
+                         err),
+              2);
+    EXPECT_EQ(err.str(), "damlab: --trace needs a dynamic-engine scenario ('" +
+                             std::string(name) + "' runs " + engine +
+                             ", which has no per-message trace)\n");
+    EXPECT_TRUE(out.str().empty());
+  }
 }
 
 TEST(TraceDump, WritesTheDynamicRunZeroTrace) {

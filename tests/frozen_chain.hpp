@@ -1,6 +1,7 @@
 // A linear topic chain T0 ⊃ T1 ⊃ ... (index 0 = root) as a frozen-lane
 // cell, for tests. The path DAG comes from sim::make_linear_scenario; the
 // configs a chain hands out point at it, so the chain must outlive them.
+// Audience sums a run's topic rows by interest in the publish topic.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +38,35 @@ struct Chain {
     cell.publish_topic = topics::TopicId{level};
     cell.params.front().psucc = psucc;
     return cell;
+  }
+};
+
+/// A frozen-lane run's rows summed by interest in `config`'s publish
+/// topic: the interested alive members, how many of them delivered, and
+/// the parasite deliveries of the uninterested rows.
+struct Audience {
+  std::size_t alive = 0;
+  std::size_t delivered = 0;
+  std::size_t parasites = 0;
+
+  Audience(const core::FrozenSimConfig& config,
+           const core::FrozenRunResult& run) {
+    for (std::uint32_t topic = 0; topic < run.groups.size(); ++topic) {
+      const core::FrozenGroupResult& row = run.groups[topic];
+      if (config.dag->includes(topics::TopicId{topic}, config.publish_topic)) {
+        alive += row.alive;
+        delivered += row.delivered;
+      } else {
+        parasites += row.delivered;
+      }
+    }
+  }
+
+  [[nodiscard]] bool all_delivered() const { return delivered == alive; }
+  [[nodiscard]] double ratio() const {
+    return alive == 0 ? 1.0
+                      : static_cast<double>(delivered) /
+                            static_cast<double>(alive);
   }
 };
 

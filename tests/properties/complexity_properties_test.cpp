@@ -5,9 +5,11 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "analysis/formulas.hpp"
 #include "baselines/broadcast.hpp"
+#include "baselines/hierarchical.hpp"
 #include "baselines/multicast.hpp"
 #include "core/frozen_sim.hpp"
 #include "core/system.hpp"
@@ -71,9 +73,10 @@ TEST(ComplexityComparison, DamBeatsBroadcastOnTotalMessagesForSubtopicEvents) {
   // costs broadcast ~1110·13 messages.
   const testing::Chain chain;
   const FrozenSimConfig config = chain.publish_at(0, 5);
-  const auto broadcast = baselines::run_broadcast(config);
-  const auto dam = run_frozen_simulation(config);
-  EXPECT_LT(dam.total_messages * 10, broadcast.messages_sent);
+  const FrozenRunResult broadcast = baselines::run_broadcast(config);
+  const FrozenRunResult dam = run_frozen_simulation(config);
+  EXPECT_LT(dam.total_messages * 10, broadcast.total_messages);
+  EXPECT_EQ(testing::Audience(config, dam).parasites, 0u);
 }
 
 TEST(ComplexityComparison, DamMatchesMulticastOrderForBottomEvents) {
@@ -81,27 +84,106 @@ TEST(ComplexityComparison, DamMatchesMulticastOrderForBottomEvents) {
   // intergroup traffic. Within a factor of ~1.5 of each other.
   const testing::Chain chain;
   const FrozenSimConfig config = chain.config(6);
-  const auto multicast = baselines::run_multicast(config);
-  const auto dam = run_frozen_simulation(config);
+  const FrozenRunResult multicast = baselines::run_multicast(config);
+  const FrozenRunResult dam = run_frozen_simulation(config);
   const double ratio = static_cast<double>(dam.total_messages) /
-                       static_cast<double>(multicast.messages_sent);
+                       static_cast<double>(multicast.total_messages);
   EXPECT_GT(ratio, 0.5);
   EXPECT_LT(ratio, 1.5);
 }
 
+/// Mean messages per publication at `level` of the paper chain, and the
+/// mean parasite count, over `runs` seeds.
+template <typename Engine>
+std::pair<double, double> mean_cost(Engine engine, std::uint32_t level,
+                                    int runs) {
+  const testing::Chain chain;
+  double messages = 0.0;
+  double parasites = 0.0;
+  for (int run = 0; run < runs; ++run) {
+    const FrozenSimConfig config =
+        chain.publish_at(level, 0xA1 + static_cast<std::uint64_t>(run) * 131);
+    const FrozenRunResult result = engine(config);
+    messages += static_cast<double>(result.total_messages);
+    parasites += static_cast<double>(
+        testing::Audience(config, result).parasites);
+  }
+  return {messages / runs, parasites / runs};
+}
+
+TEST(ComplexityComparison, DamAndMulticastShrinkWithTheAudience) {
+  // Sec. VI-E.1: a T0 event (10 subscribers) costs daMulticast and
+  // multicast(b) over 100x less than a T2 event (1,110 interested).
+  constexpr int kRuns = 10;
+  for (const auto engine :
+       {+[](const FrozenSimConfig& c) { return run_frozen_simulation(c); },
+        +[](const FrozenSimConfig& c) { return baselines::run_multicast(c); }}) {
+    const double root = mean_cost(engine, 0, kRuns).first;
+    const double bottom = mean_cost(engine, 2, kRuns).first;
+    EXPECT_GT(root, 0.0);
+    EXPECT_GT(bottom, 100.0 * root);
+  }
+}
+
+TEST(ComplexityComparison, FloodsPayTheWholePopulationAndDeliverParasites) {
+  // Sec. VI-E.1: broadcast(a) and hierarchical(c) cost the same O(n ln n)
+  // whatever the audience, and a T0 or T1 event reaches the uninterested
+  // T1/T2 subscribers (1,100 and 1,000 of them) as parasites.
+  constexpr int kRuns = 10;
+  for (const auto engine :
+       {+[](const FrozenSimConfig& c) { return baselines::run_broadcast(c); },
+        +[](const FrozenSimConfig& c) {
+          return baselines::run_hierarchical(c);
+        }}) {
+    const auto [root, root_parasites] = mean_cost(engine, 0, kRuns);
+    const auto [mid, mid_parasites] = mean_cost(engine, 1, kRuns);
+    const auto [bottom, bottom_parasites] = mean_cost(engine, 2, kRuns);
+    EXPECT_NEAR(root, bottom, bottom * 0.02);
+    EXPECT_NEAR(mid, bottom, bottom * 0.02);
+    EXPECT_GT(root_parasites, 1050.0);
+    EXPECT_GT(mid_parasites, 950.0);
+    EXPECT_EQ(bottom_parasites, 0.0);
+  }
+}
+
 TEST(ComplexityComparison, MemoryOrderingMatchesPaperTable) {
-  // Sec. VI-E.2 ordering for a root-subscribed process in the paper
-  // scenario: daM < hierarchical < multicast(b); and daM < broadcast.
+  // Sec. VI-E.2 membership entries per process in the paper scenario,
+  // by subscription level (c = 5, z = 3, N = 16 groups of m = 70):
+  //   level   daM    mcast(b)  bcast(a)  hier(c)
+  //   T0      7.3    29.0      12.0      17.0
+  //   T1      12.6   21.7      12.0      17.0
+  //   T2      14.9   12.0      12.0      17.0
+  // daM needs only its own group's table plus z entries, so it beats
+  // hierarchical(c) at every level and multicast(b) above the bottom,
+  // where multicast holds one table per subtopic. At the bottom level the
+  // z supertopic entries are what daM pays over one flat table.
   const std::vector<std::size_t> sizes{10, 100, 1000};
-  const double dam = analysis::dam_memory(10, 5.0, 3);
   const double bcast = analysis::broadcast_memory_per_process(1110, 5.0);
-  const double mcast = analysis::multicast_memory_per_process(sizes, 0, 5.0);
   const double hier =
       analysis::hierarchical_memory_per_process(16, 70, 5.0, 5.0);
-  EXPECT_LT(dam, bcast);
-  EXPECT_LT(dam, mcast);
-  EXPECT_LT(dam, hier);
-  EXPECT_LT(bcast, mcast);
+  double previous_mcast = 0.0;
+  for (std::size_t level = 0; level < sizes.size(); ++level) {
+    SCOPED_TRACE(level);
+    const double dam =
+        analysis::dam_memory(sizes[level], 5.0, level == 0 ? 0 : 3);
+    const double mcast =
+        analysis::multicast_memory_per_process(sizes, level, 5.0);
+    EXPECT_LT(dam, hier);
+    if (level + 1 < sizes.size()) {
+      EXPECT_LT(dam, mcast);
+    } else {
+      EXPECT_LT(mcast, dam);
+      EXPECT_DOUBLE_EQ(mcast, bcast);  // the bottom group is everyone
+    }
+    if (level > 0) {
+      EXPECT_LT(mcast, previous_mcast);  // grows toward the root
+    }
+    previous_mcast = mcast;
+  }
+  // Even charged the z entries it has no use for, a root process beats
+  // broadcast(a), which in turn beats a root process of multicast(b).
+  EXPECT_LT(analysis::dam_memory(10, 5.0, 3), bcast);
+  EXPECT_LT(bcast, analysis::multicast_memory_per_process(sizes, 0, 5.0));
 }
 
 TEST(ComplexityComparison, DamMemoryIndependentOfHierarchyDepth) {

@@ -3,6 +3,7 @@
 // and the agreement between measurement and Eq. (1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -150,6 +151,44 @@ TEST(ReliabilityTradeoff, Equation1PredictsMeasuredRootReliability) {
   EXPECT_GT(predicted, 0.85);
   EXPECT_GT(measured, 0.80);
   EXPECT_NEAR(measured, predicted, 0.07);
+}
+
+TEST(ReliabilityTradeoff, AllGroupsReliabilityRisesWithC) {
+  // Lossless channels isolate the fanout effect. P(every group fully
+  // delivered), Eq. (1)'s measurand, rises with c: about 0.19, 0.46, 0.81,
+  // 0.87, 0.89 at c = 0, 1, 2, 3, 5 over these 150 runs.
+  //
+  // It does not sit above Eq. (1): with the paper's pit = 1 at psucc = 1,
+  // Eq. (1) gives 0.98 at c = 5. Each hop still fails when no elected
+  // process lands a message: S·psel = g = 5 elections, each sending to
+  // none of its z = 3 entries with probability (1 - pa)^z = 8/27, miss
+  // together with probability ~e^{-3.5} = 3%, which the paper's pit
+  // (exponent S·psel·pa·z over 1 - psucc = 0) cannot see.
+  const testing::Chain chain;
+  double previous = 0.0;
+  double lowest = 1.0;
+  double measured = 0.0;
+  for (const double c : {0.0, 1.0, 2.0, 3.0, 5.0}) {
+    SCOPED_TRACE(c);
+    int all_groups = 0;
+    constexpr int kRuns = 150;
+    for (int run = 0; run < kRuns; ++run) {
+      FrozenSimConfig config =
+          chain.config(0xABC + static_cast<std::uint64_t>(run) * 257 +
+                       static_cast<std::uint64_t>(c * 100.0));
+      config.params.front().c = c;
+      config.params.front().psucc = 1.0;
+      all_groups += run_frozen_simulation(config).all_groups_delivered();
+    }
+    measured = static_cast<double>(all_groups) / kRuns;
+    EXPECT_GE(measured, previous - 0.03);
+    previous = measured;
+    lowest = std::min(lowest, measured);
+  }
+  EXPECT_GT(measured - lowest, 0.5);
+  EXPECT_LT(measured, analysis::dam_reliability({{5.0, 1.0}, {5.0, 1.0},
+                                                 {5.0, 1.0}}) -
+                          0.05);
 }
 
 TEST(ReliabilityTradeoff, ReliabilityDropsAcrossLevels) {
