@@ -1,36 +1,27 @@
 #include "baselines/baseline.hpp"
 
+#include <limits>
 #include <stdexcept>
 #include <string>
+
+#include "core/protocol.hpp"
 
 namespace dam::baselines {
 
 Population lay_out(const core::FrozenSimConfig& config, const char* who) {
-  const auto fail = [who](const char* what) {
-    throw std::invalid_argument(std::string(who) + ": " + what);
-  };
-  if (config.dag == nullptr) fail("no dag");
-  const topics::TopicDag& dag = *config.dag;
-  if (config.group_sizes.size() != dag.size()) {
-    fail("group_sizes must cover every topic");
-  }
-  if (config.publish_topic.value >= dag.size()) fail("bad publish topic");
+  core::validate_frozen_config(config, who);
   if (config.failure_mode == core::FrozenFailureMode::kChurn) {
-    fail("the baselines have no churn regime");
+    throw std::invalid_argument(std::string(who) +
+                                ": the baselines have no churn regime");
   }
   Population population;
-  for (std::uint32_t topic = 0; topic < dag.size(); ++topic) {
-    const std::size_t size = config.group_sizes[topic];
-    if (size == 0) fail("empty group");
-    const bool interested =
-        dag.includes(topics::TopicId{topic}, config.publish_topic);
-    for (std::size_t i = 0; i < size; ++i) {
+  for (std::uint32_t topic = 0; topic < config.dag->size(); ++topic) {
+    for (std::size_t i = 0; i < config.group_sizes[topic]; ++i) {
       if (topic == config.publish_topic.value) {
         population.publishers.push_back(
             static_cast<std::uint32_t>(population.size()));
       }
       population.topic.push_back(topic);
-      population.interested.push_back(interested);
     }
   }
   return population;
@@ -50,13 +41,58 @@ core::FrozenSimConfig one_group_config(const core::FrozenSimConfig& config,
   return group;
 }
 
-void grade(const core::FrozenSimConfig& config, const Population& population,
-           const std::vector<bool>& alive,
-           const std::vector<std::uint32_t>& delivery_round, bool published,
-           core::FrozenRunResult& result) {
-  std::vector<std::uint64_t> per_round(result.rounds + 1, 0);
+void run_waves(const core::FrozenSimConfig& config,
+               const Population& population, const std::vector<bool>& alive,
+               util::Rng& rng,
+               const std::function<void(std::uint32_t, const Send&)>& gossip,
+               std::chrono::steady_clock::time_point build_started,
+               core::FrozenRunResult& result) {
+  const auto waves_started = std::chrono::steady_clock::now();
+  const double psucc =
+      core::params_for_topic(config, config.publish_topic.value).psucc;
+  const bool stillborn =
+      config.failure_mode == core::FrozenFailureMode::kStillborn;
+  const double fail_probability = 1.0 - config.alive_fraction;
+  result.groups.resize(config.dag->size());
+  std::vector<std::uint32_t> candidates;
+  for (std::uint32_t p : population.publishers) {
+    if (alive[p]) candidates.push_back(p);
+  }
+  // The round each process first received the event, or kUndelivered.
+  constexpr auto kUndelivered = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> delivery_round(population.size(), kUndelivered);
+  if (!candidates.empty()) {
+    std::vector<std::uint32_t> frontier{
+        candidates[rng.below(candidates.size())]};
+    delivery_round[frontier.front()] = 0;
+    std::vector<std::uint32_t> next;
+    const Send send = [&](std::uint32_t target) {
+      if (!core::protocol::channel_delivers(psucc, rng)) return false;
+      if (stillborn ? !alive[target] : rng.bernoulli(fail_probability)) {
+        return false;  // failed, or perceived failed
+      }
+      if (delivery_round[target] != kUndelivered) {
+        ++result.groups[population.topic[target]].duplicate_deliveries;
+      } else {
+        delivery_round[target] = static_cast<std::uint32_t>(result.rounds);
+        next.push_back(target);
+      }
+      return true;
+    };
+    while (!frontier.empty()) {
+      ++result.rounds;
+      next.clear();
+      for (std::uint32_t sender : frontier) gossip(sender, send);
+      frontier.swap(next);
+    }
+  }
+
+  // Grade: per-topic counters, then frozen_sim's verdicts and totals.
+  std::vector<std::uint64_t> deliveries_per_round(
+      candidates.empty() ? 0 : result.rounds + 1, 0);
   for (std::size_t p = 0; p < population.size(); ++p) {
-    core::FrozenGroupResult& row = result.groups[population.topic[p]];
+    const std::uint32_t topic = population.topic[p];
+    core::FrozenGroupResult& row = result.groups[topic];
     ++row.size;
     if (!alive[p]) continue;
     ++row.alive;
@@ -69,37 +105,17 @@ void grade(const core::FrozenSimConfig& config, const Population& population,
     if (!row.last_delivery_round || round > *row.last_delivery_round) {
       row.last_delivery_round = round;
     }
-    if (population.interested[p]) {
-      ++per_round[round];
-      result.latency_sketch.add(static_cast<double>(round));
+    if (config.dag->includes(topics::TopicId{topic}, config.publish_topic)) {
+      ++deliveries_per_round[round];
     }
   }
-  for (std::uint32_t topic = 0; topic < result.groups.size(); ++topic) {
-    core::FrozenGroupResult& row = result.groups[topic];
-    const bool should_receive =
-        config.dag->includes(topics::TopicId{topic}, config.publish_topic);
-    // frozen_sim's verdicts, its no-publisher case included.
-    row.all_alive_delivered =
-        !published ? row.alive == 0
-                   : (should_receive ? row.delivered == row.alive
-                                     : row.delivered == 0);
-    if (should_receive) result.expected_deliveries += row.alive;
-    result.total_messages += row.intra_sent + row.inter_sent;
-  }
-  // The timeline of frozen_sim: the publication at round 0, one weighted
-  // delivery note per round, and the delivered bitmap as the one gauge.
-  if (published) {
-    result.timeline.note_publish(0);
-    for (std::size_t round = 0; round < per_round.size(); ++round) {
-      result.timeline.note_delivery(round, static_cast<double>(round),
-                                    per_round[round]);
-    }
-  }
-  const std::size_t bitmap_bytes = (population.size() + 7) / 8;
-  for (std::size_t round = 0; round <= result.rounds;
-       round += util::Timeline::window_rounds()) {
-    result.timeline.sample_gauges(round, 0, bitmap_bytes, 0);
-  }
+  core::grade_frozen_run(config, deliveries_per_round,
+                         (population.size() + 7) / 8, result);
+  const auto finished = std::chrono::steady_clock::now();
+  result.table_build_seconds =
+      std::chrono::duration<double>(waves_started - build_started).count();
+  result.dissemination_seconds =
+      std::chrono::duration<double>(finished - waves_started).count();
 }
 
 }  // namespace dam::baselines

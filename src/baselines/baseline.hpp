@@ -15,26 +15,28 @@
 //
 // Processes are laid out topic-major: topic 0's members first, then topic
 // 1's, and so on. A process is interested in the event iff its topic
-// includes the publish topic. Each row is graded by frozen_sim's rules: an
-// interested row is correct when every alive member delivered, an
-// uninterested row when none did — its `delivered` is its parasite count.
+// includes the publish topic. Each row is graded by frozen_sim's own
+// core::grade_frozen_run: an interested row is correct when every alive
+// member delivered, an uninterested row when none did — its `delivered`
+// is its parasite count.
 // The baselines have no outage schedule, so FrozenFailureMode::kChurn is
 // rejected.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
-#include <limits>
+#include <functional>
 #include <vector>
 
 #include "core/frozen_sim.hpp"
+#include "util/rng.hpp"
 
 namespace dam::baselines {
 
 /// The whole population of a cell, laid out topic-major.
 struct Population {
-  std::vector<std::uint32_t> topic;        ///< each process's topic
-  std::vector<bool> interested;            ///< topic includes publish topic
-  std::vector<std::uint32_t> publishers;   ///< members of the publish topic
+  std::vector<std::uint32_t> topic;       ///< each process's topic
+  std::vector<std::uint32_t> publishers;  ///< members of the publish topic
 
   [[nodiscard]] std::size_t size() const { return topic.size(); }
 };
@@ -52,22 +54,26 @@ struct Population {
     const core::FrozenSimConfig& config, const topics::TopicDag& dag,
     std::size_t size);
 
-/// delivery_round of a process the event never reached.
-inline constexpr std::uint32_t kUndelivered =
-    std::numeric_limits<std::uint32_t>::max();
+/// Delivers to one process: applies the channel coin and the failure
+/// regime, delivers on first reception, charges a duplicate to the
+/// receiver's topic row otherwise, and returns whether the message got
+/// through.
+using Send = std::function<bool(std::uint32_t target)>;
 
-/// Grades a finished per-process dissemination (broadcast, hierarchical)
-/// into `result`, whose rows (one per topic) already hold the sends the
-/// waves charged to each sender's topic and the duplicates charged to each
-/// receiver's, and whose `rounds` is set. Fills every row's size, alive,
-/// delivered, delivery rounds and verdict, and the run's totals; only
-/// interested deliveries enter the latency sketch and the timeline, as in
-/// frozen_sim. `delivery_round[p]` is the round p first received the
-/// event (0 for the publisher), or kUndelivered; `published` is false when
-/// no alive publisher existed.
-void grade(const core::FrozenSimConfig& config, const Population& population,
-           const std::vector<bool>& alive,
-           const std::vector<std::uint32_t>& delivery_round, bool published,
-           core::FrozenRunResult& result);
+/// The wave loop of the per-process baselines (broadcast, hierarchical),
+/// started once their tables (and `alive` flags) are built. Picks the
+/// publisher among the alive members of the publish topic with `rng`'s
+/// next draw, then runs synchronous rounds to quiescence, in which
+/// `gossip(sender, send)` emits each frontier member's messages and
+/// charges them to the sender's topic row. Grades the run into `result`
+/// through core::grade_frozen_run, frozen_sim's own grading, with every
+/// row's size, alive and delivered counters, and sets its wall times
+/// (tables from `build_started` to this call, waves after it).
+void run_waves(const core::FrozenSimConfig& config,
+               const Population& population, const std::vector<bool>& alive,
+               util::Rng& rng,
+               const std::function<void(std::uint32_t, const Send&)>& gossip,
+               std::chrono::steady_clock::time_point build_started,
+               core::FrozenRunResult& result);
 
 }  // namespace dam::baselines

@@ -22,62 +22,24 @@ core::FrozenRunResult run_broadcast(const core::FrozenSimConfig& config) {
   const Population population = lay_out(config, "run_broadcast");
   const auto build_started = std::chrono::steady_clock::now();
   const core::GroupTables tables = broadcast_tables(config);
-  const auto waves_started = std::chrono::steady_clock::now();
   const core::TopicParams& params =
       core::params_for_topic(config, config.publish_topic.value);
-  const bool stillborn =
-      config.failure_mode == core::FrozenFailureMode::kStillborn;
-  const double fail_probability = 1.0 - config.alive_fraction;
+  core::FrozenRunResult result;
+  result.table_bytes = tables.arena_bytes();
   // build_frozen_tables only forks the run stream, so the waves start from
   // the seed's first draw, as frozen_sim's publisher pick does.
   util::Rng rng(config.seed);
-
-  std::vector<std::uint32_t> candidates;
-  for (std::uint32_t p : population.publishers) {
-    if (tables.alive[p]) candidates.push_back(p);
-  }
-  core::FrozenRunResult result;
-  result.groups.resize(config.dag->size());
-  result.table_bytes = tables.arena_bytes();
-  std::vector<std::uint32_t> delivery_round(population.size(), kUndelivered);
-  if (!candidates.empty()) {
-    std::vector<std::uint32_t> frontier{
-        candidates[rng.below(candidates.size())]};
-    delivery_round[frontier.front()] = 0;
-    std::vector<std::uint32_t> next;
-    std::vector<std::uint32_t> targets;
-    while (!frontier.empty()) {
-      ++result.rounds;
-      next.clear();
-      for (std::uint32_t sender : frontier) {
+  std::vector<std::uint32_t> targets;
+  run_waves(
+      config, population, tables.alive, rng,
+      [&](std::uint32_t sender, const Send& send) {
         core::protocol::fanout_targets_into(params, population.size(),
                                             tables.topic_row(sender), rng,
                                             targets);
         result.groups[population.topic[sender]].intra_sent += targets.size();
-        for (std::uint32_t target : targets) {
-          if (!core::protocol::channel_delivers(params.psucc, rng)) continue;
-          if (stillborn ? !tables.alive[target]
-                        : rng.bernoulli(fail_probability)) {
-            continue;  // failed, or perceived failed
-          }
-          if (delivery_round[target] != kUndelivered) {
-            ++result.groups[population.topic[target]].duplicate_deliveries;
-          } else {
-            delivery_round[target] = static_cast<std::uint32_t>(result.rounds);
-            next.push_back(target);
-          }
-        }
-      }
-      frontier.swap(next);
-    }
-  }
-  grade(config, population, tables.alive, delivery_round, !candidates.empty(),
-        result);
-  const auto finished = std::chrono::steady_clock::now();
-  result.table_build_seconds =
-      std::chrono::duration<double>(waves_started - build_started).count();
-  result.dissemination_seconds =
-      std::chrono::duration<double>(finished - waves_started).count();
+        for (std::uint32_t target : targets) send(target);
+      },
+      build_started, result);
   return result;
 }
 

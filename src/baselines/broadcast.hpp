@@ -10,8 +10,8 @@
 // The tables are frozen_sim's: one group of n processes drawn by
 // core::build_frozen_tables. The waves cannot be frozen_sim's, because
 // interest is per process here while frozen_sim groups processes by topic;
-// so a short wave loop draws targets with protocol::fanout_targets_into
-// and baselines::grade charges the deliveries to each process's topic row.
+// so baselines::run_waves gossips per process, drawing targets with
+// protocol::fanout_targets_into, and charges each process's topic row.
 #pragma once
 
 #include "baselines/baseline.hpp"

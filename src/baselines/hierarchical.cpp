@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <deque>
 
 #include "util/rng.hpp"
 
@@ -14,13 +13,10 @@ core::FrozenRunResult run_hierarchical(const core::FrozenSimConfig& config) {
   const std::size_t population = layout.size();
   const std::size_t group_count =
       std::max<std::size_t>(1, std::min(kHierarchicalGroups, population));
-  const core::TopicParams& params =
-      core::params_for_topic(config, config.publish_topic.value);
+  const double c =
+      core::params_for_topic(config, config.publish_topic.value).c;
   const auto build_started = std::chrono::steady_clock::now();
   util::Rng rng(config.seed);
-  const bool stillborn =
-      config.failure_mode == core::FrozenFailureMode::kStillborn;
-  const double fail_probability = 1.0 - config.alive_fraction;
 
   // Random interest-agnostic grouping: shuffle, then deal round-robin.
   std::vector<std::uint32_t> order(population);
@@ -36,9 +32,9 @@ core::FrozenRunResult run_hierarchical(const core::FrozenSimConfig& config) {
   const std::size_t m = (population + group_count - 1) / group_count;
 
   std::vector<bool> alive(population, true);
-  if (stillborn) {
+  if (config.failure_mode == core::FrozenFailureMode::kStillborn) {
     for (std::size_t i = 0; i < population; ++i) {
-      if (rng.bernoulli(fail_probability)) alive[i] = false;
+      if (rng.bernoulli(1.0 - config.alive_fraction)) alive[i] = false;
     }
   }
 
@@ -46,13 +42,12 @@ core::FrozenRunResult run_hierarchical(const core::FrozenSimConfig& config) {
   // fanout, not the view, limits dissemination, exactly as in [10] where
   // small groups have near-complete local views. Inter view: contacts in
   // ceil(ln(N)+c2) distinct other groups.
-  const auto intra_fanout = static_cast<std::size_t>(
-      std::ceil(std::max(1.0, std::log(static_cast<double>(std::max<std::size_t>(
-                                  m, 2))) +
-                                  params.c)));
-  const auto inter_view_size = static_cast<std::size_t>(
-      std::ceil(std::max(1.0, std::log(static_cast<double>(group_count)) +
-                                  params.c)));
+  const auto fanout = [c](std::size_t n) {
+    return static_cast<std::size_t>(std::ceil(
+        std::max(1.0, std::log(static_cast<double>(n)) + c)));
+  };
+  const std::size_t intra_fanout = fanout(std::max<std::size_t>(m, 2));
+  const std::size_t inter_view_size = fanout(group_count);
   std::vector<std::vector<std::uint32_t>> inter_view(population);
   {
     std::vector<std::uint32_t> other_groups;
@@ -68,45 +63,14 @@ core::FrozenRunResult run_hierarchical(const core::FrozenSimConfig& config) {
     }
   }
 
-  const auto waves_started = std::chrono::steady_clock::now();
   core::FrozenRunResult result;
-  result.groups.resize(config.dag->size());
   result.table_bytes = population * sizeof(std::uint32_t);  // members
   for (const auto& view : inter_view) {
     result.table_bytes += view.size() * sizeof(std::uint32_t);
   }
-  std::vector<std::uint32_t> candidates;
-  for (std::uint32_t i : layout.publishers) {
-    if (alive[i]) candidates.push_back(i);
-  }
-  std::vector<std::uint32_t> delivery_round(population, kUndelivered);
-  if (!candidates.empty()) {
-    // A message that gets through delivers on first reception; later ones
-    // are duplicates of the receiver's topic row.
-    const auto send = [&](std::uint32_t target,
-                          std::deque<std::uint32_t>& next) {
-      if (!rng.bernoulli(params.psucc)) return false;
-      if (stillborn ? !alive[target] : rng.bernoulli(fail_probability)) {
-        return false;
-      }
-      if (delivery_round[target] != kUndelivered) {
-        ++result.groups[layout.topic[target]].duplicate_deliveries;
-      } else {
-        delivery_round[target] = static_cast<std::uint32_t>(result.rounds);
-        next.push_back(target);
-      }
-      return true;
-    };
-
-    std::deque<std::uint32_t> frontier;
-    const std::uint32_t publisher = candidates[rng.below(candidates.size())];
-    delivery_round[publisher] = 0;
-    frontier.push_back(publisher);
-
-    while (!frontier.empty()) {
-      ++result.rounds;
-      std::deque<std::uint32_t> next;
-      for (std::uint32_t sender : frontier) {
+  run_waves(
+      config, layout, alive, rng,
+      [&](std::uint32_t sender, const Send& send) {
         core::FrozenGroupResult& row = result.groups[layout.topic[sender]];
         // Intra-group leg.
         const auto& local = members[group_of[sender]];
@@ -117,7 +81,7 @@ core::FrozenRunResult run_hierarchical(const core::FrozenSimConfig& config) {
         }
         for (std::uint32_t target : rng.sample(peers, intra_fanout)) {
           ++row.intra_sent;
-          send(target, next);
+          send(target);
         }
         // Inter-group leg: each inter-view entry with probability 1/m.
         for (std::uint32_t target : inter_view[sender]) {
@@ -126,22 +90,12 @@ core::FrozenRunResult run_hierarchical(const core::FrozenSimConfig& config) {
             continue;
           }
           ++row.inter_sent;
-          if (send(target, next)) {
+          if (send(target)) {
             ++result.groups[layout.topic[target]].inter_received;
           }
         }
-      }
-      frontier = std::move(next);
-    }
-  }
-
-  grade(config, layout, alive, delivery_round, !candidates.empty(), result);
-  result.table_build_seconds =
-      std::chrono::duration<double>(waves_started - build_started).count();
-  result.dissemination_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    waves_started)
-          .count();
+      },
+      build_started, result);
   return result;
 }
 

@@ -1,6 +1,5 @@
 #include "baselines/multicast.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace dam::baselines {
@@ -8,9 +7,13 @@ namespace dam::baselines {
 core::FrozenRunResult run_multicast(const core::FrozenSimConfig& config) {
   // Group T_publish holds every interested process (supertopic subscribers
   // join all subtopic groups), so multicast sends no parasites by design.
-  const Population population = lay_out(config, "run_multicast");
-  const auto audience = static_cast<std::size_t>(std::count(
-      population.interested.begin(), population.interested.end(), true));
+  (void)lay_out(config, "run_multicast");
+  std::size_t audience = 0;
+  for (std::uint32_t topic = 0; topic < config.dag->size(); ++topic) {
+    if (config.dag->includes(topics::TopicId{topic}, config.publish_topic)) {
+      audience += config.group_sizes[topic];
+    }
+  }
   topics::TopicDag group_dag;
   group_dag.add_topic("audience");
   core::FrozenRunResult run = core::run_frozen_simulation(

@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "core/protocol.hpp"
 #include "sim/failure.hpp"
@@ -156,24 +157,26 @@ FrozenTables build_frozen_tables(const FrozenSimConfig& config,
   return tables;
 }
 
-FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
-  if (config.dag == nullptr) {
-    throw std::invalid_argument("run_frozen_simulation: no dag");
+void validate_frozen_config(const FrozenSimConfig& config, const char* who) {
+  const auto fail = [who](const char* what) {
+    throw std::invalid_argument(std::string(who) + ": " + what);
+  };
+  if (config.dag == nullptr) fail("no dag");
+  if (config.group_sizes.size() != config.dag->size()) {
+    fail("group_sizes must cover every topic");
   }
-  const topics::TopicDag& dag = *config.dag;
-  if (config.group_sizes.size() != dag.size()) {
-    throw std::invalid_argument(
-        "run_frozen_simulation: group_sizes must cover every topic");
-  }
+  // The analysis (Sec. VI-A) assumes every group is non-empty.
   for (std::size_t size : config.group_sizes) {
-    if (size == 0) {
-      // The analysis (Sec. VI-A) assumes every group is non-empty.
-      throw std::invalid_argument("run_frozen_simulation: empty group");
-    }
+    if (size == 0) fail("empty group");
   }
-  if (config.publish_topic.value >= dag.size()) {
-    throw std::invalid_argument("run_frozen_simulation: bad publish topic");
+  if (config.publish_topic.value >= config.dag->size()) {
+    fail("bad publish topic");
   }
+}
+
+FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
+  validate_frozen_config(config, "run_frozen_simulation");
+  const topics::TopicDag& dag = *config.dag;
   util::Rng rng(config.seed);
   const bool stillborn =
       config.failure_mode == FrozenFailureMode::kStillborn;
@@ -233,28 +236,17 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
     if (groups[publish].alive[i] && up_now) alive_candidates.push_back(i);
   }
   // The frozen engine's only per-process bookkeeping is the delivered
-  // bitmap (no seen-sets, no recovery), constant for the whole run: sample
-  // it into every window the run covers. Allocated above, so it is held —
+  // bitmap (no seen-sets, no recovery). Allocated above, so it is held —
   // and sampled — even when nobody can publish.
-  const auto sample_bitmap_gauges = [&](std::size_t last_round) {
-    std::size_t bitmap_bytes = 0;
-    for (const std::vector<bool>& bits : delivered) {
-      bitmap_bytes += (bits.size() + 7) / 8;
-    }
-    const std::size_t window_rounds = result.timeline.window_rounds();
-    for (std::size_t round = 0; round <= last_round; round += window_rounds) {
-      result.timeline.sample_gauges(round, 0, bitmap_bytes, 0);
-    }
-  };
+  std::size_t bitmap_bytes = 0;
+  for (const std::vector<bool>& bits : delivered) {
+    bitmap_bytes += (bits.size() + 7) / 8;
+  }
 
   if (alive_candidates.empty()) {
-    // Nobody can publish; groups with alive members trivially miss the
-    // event, empty ones vacuously receive it.
-    for (std::uint32_t topic = 0; topic < dag.size(); ++topic) {
-      result.groups[topic].all_alive_delivered =
-          result.groups[topic].alive == 0;
-    }
-    sample_bitmap_gauges(0);
+    // Nobody can publish: interested groups with alive members miss the
+    // event, every other group is trivially correct.
+    grade_frozen_run(config, {}, bitmap_bytes, result);
     finish_timing();
     return result;
   }
@@ -265,9 +257,6 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
       group_result.first_delivery_round = round;
     }
     group_result.last_delivery_round = round;
-    // One publication at round 0: latency == delivery round. The wave loop
-    // reaches here in chunk-merge order, so the sketch is deterministic.
-    result.latency_sketch.add(static_cast<double>(round));
   };
 
   // Frontiers are two flat vectors swapped per round; together with the
@@ -282,12 +271,11 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
     note_delivery(publish, 0);
     frontier.push_back(Coord{publish, publisher});
   }
-  // Timeline rows: the one publication at round 0, then one weighted
-  // delivery note per round after its chunk-order merge (latency == round),
-  // so the timeline never touches the RNG streams and is bit-identical for
-  // every --threads value.
-  result.timeline.note_publish(0);
-  result.timeline.note_delivery(0, 0.0);
+  // First deliveries per round, counted after each round's chunk-order
+  // merge, so the timeline and the latency sketch never touch the RNG
+  // streams and are bit-identical for every --threads value. Every
+  // delivery here is an interested one: events only travel up the DAG.
+  std::vector<std::uint64_t> deliveries_per_round{1};
 
   // --- Synchronous dissemination waves (Fig. 5 + Fig. 7). -----------------
   // The frontier is cut into fixed kWaveChunk blocks; chunk c of round r
@@ -400,8 +388,7 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
         next.push_back(coord);
       }
     }
-    result.timeline.note_delivery(rounds, static_cast<double>(rounds),
-                                  next.size());
+    deliveries_per_round.push_back(next.size());
     frontier.swap(next);
   }
 
@@ -409,28 +396,40 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
   result.rounds = rounds;
   for (std::uint32_t topic = 0; topic < dag.size(); ++topic) {
     const GroupTables& group = groups[topic];
-    auto& group_result = result.groups[topic];
     std::size_t count = 0;
     for (std::size_t i = 0; i < group.size; ++i) {
       if (group.alive[i] && delivered[topic][i]) ++count;
     }
-    group_result.delivered = count;
-    // "All delivered" only meaningful for groups the event should reach:
-    // the publish topic and its ancestor closure. Other groups are correct
-    // exactly when they stayed clean.
-    const bool should_receive =
-        dag.includes(topics::TopicId{topic}, config.publish_topic);
-    group_result.all_alive_delivered =
-        should_receive ? count == group_result.alive : count == 0;
-    if (should_receive) result.expected_deliveries += group_result.alive;
-    result.total_messages +=
-        group_result.intra_sent + group_result.inter_sent;
+    result.groups[topic].delivered = count;
   }
-
-  sample_bitmap_gauges(rounds);
-
+  grade_frozen_run(config, deliveries_per_round, bitmap_bytes, result);
   finish_timing();
   return result;
+}
+
+void grade_frozen_run(const FrozenSimConfig& config,
+                      std::span<const std::uint64_t> deliveries_per_round,
+                      std::size_t bitmap_bytes, FrozenRunResult& result) {
+  const bool published = !deliveries_per_round.empty();
+  if (published) result.timeline.note_publish(0);
+  for (std::size_t round = 0; round < deliveries_per_round.size(); ++round) {
+    const auto latency = static_cast<double>(round);
+    result.timeline.note_delivery(round, latency, deliveries_per_round[round]);
+    result.latency_sketch.add(latency, deliveries_per_round[round]);
+  }
+  for (std::uint32_t topic = 0; topic < result.groups.size(); ++topic) {
+    FrozenGroupResult& row = result.groups[topic];
+    const bool should_receive =
+        config.dag->includes(topics::TopicId{topic}, config.publish_topic);
+    row.all_alive_delivered =
+        should_receive ? row.delivered == row.alive : row.delivered == 0;
+    if (published && should_receive) result.expected_deliveries += row.alive;
+    result.total_messages += row.intra_sent + row.inter_sent;
+  }
+  for (std::size_t round = 0; round <= result.rounds;
+       round += util::Timeline::window_rounds()) {
+    result.timeline.sample_gauges(round, 0, bitmap_bytes, 0);
+  }
 }
 
 }  // namespace dam::core

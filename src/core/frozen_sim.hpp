@@ -15,8 +15,8 @@
 // All protocol decisions (election psel, per-entry pa, fanout without
 // replacement, forward on first reception) route through core/protocol —
 // the same kernel DamNode drives — so the engines cannot drift apart.
-// Every frozen-lane caller (presets, benches, examples, and the Sec. VI-E
-// baselines of src/baselines) describes its cell as one FrozenSimConfig;
+// Every frozen-lane caller (presets, examples, and the Sec. VI-E baselines
+// of src/baselines) describes its cell as one FrozenSimConfig;
 // a linear chain is sim::make_linear_scenario(...).build_dag().
 //
 // One RNG stream per seed: table rows and wave frontiers are cut into
@@ -117,7 +117,8 @@ struct FrozenGroupResult {
 
   /// True iff the group's outcome is correct for this run: every alive
   /// member delivered when the group should receive the event (it includes
-  /// the publish topic), no member delivered otherwise.
+  /// the publish topic), no member delivered otherwise — also when nobody
+  /// could publish, so an uninterested group then stays correct.
   bool all_alive_delivered = false;
 
   /// Round of the group's first / last delivery (unset if nothing arrived).
@@ -139,14 +140,14 @@ struct FrozenRunResult {
   std::uint64_t total_messages = 0;
 
   /// Per-delivery latency distribution. With one publication at round 0
-  /// the latency of a delivery IS its round, recorded through the same
-  /// note_delivery path as the timeline (the chunk-order merge keeps it
-  /// deterministic for every thread count).
+  /// the latency of a delivery IS its round, noted per round together
+  /// with the timeline (deterministic for every thread count).
   util::QuantileSketch latency_sketch;
 
   /// Deliveries a perfectly reliable run would make: alive members summed
   /// over every group the event should reach (the publish topic's ancestor
-  /// closure) — the denominator of the reliability-vs-deadline curve.
+  /// closure; 0 when nobody could publish) — the denominator of the
+  /// reliability-vs-deadline curve.
   std::uint64_t expected_deliveries = 0;
 
   /// Run timeline: first-time deliveries per round (round 0 is the
@@ -175,9 +176,29 @@ struct FrozenRunResult {
   }
 };
 
+/// Checks that `config` has a DAG, one non-empty group per topic and a
+/// publish topic inside the DAG; throws std::invalid_argument naming `who`
+/// otherwise. Every frozen-lane engine checks its cell with it.
+void validate_frozen_config(const FrozenSimConfig& config, const char* who);
+
 /// Runs one publication to quiescence and reports per-group counters.
 [[nodiscard]] FrozenRunResult run_frozen_simulation(
     const FrozenSimConfig& config);
+
+/// The end-of-run grading of every frozen-lane engine (this one and the
+/// Sec. VI-E baselines of src/baselines). Expects each row of `result` to
+/// hold its size, alive, delivered and send counters, and `result.rounds`
+/// to be set. `deliveries_per_round[r]` counts round r's first deliveries
+/// to interested members (round 0 is the publisher's own); it is empty
+/// when no alive member could publish. Notes them as the one publication's
+/// timeline and latencies (latency == round), grades each row (an
+/// interested row is correct when every alive member delivered, any other
+/// row when none did), sums total_messages and — only if the event was
+/// published — expected_deliveries, and samples `bitmap_bytes` as the
+/// delivered_bytes gauge of every window the run covers.
+void grade_frozen_run(const FrozenSimConfig& config,
+                      std::span<const std::uint64_t> deliveries_per_round,
+                      std::size_t bitmap_bytes, FrozenRunResult& result);
 
 /// Parameters actually applied to topic `topic` under `config` (resolves
 /// the "reuse last entry" rule; empty vector falls back to defaults).

@@ -7,33 +7,35 @@
 #include "workload/driver.hpp"
 
 namespace dam::exp {
+namespace {
+
+const char* frozen_engine(sim::EngineKind engine) {
+  switch (engine) {
+    case sim::EngineKind::kBroadcast:
+      return "broadcast baseline";
+    case sim::EngineKind::kMulticast:
+      return "multicast baseline";
+    case sim::EngineKind::kHierarchical:
+      return "hierarchical baseline";
+    default:
+      return "engine";
+  }
+}
+
+}  // namespace
 
 int dump_trace(const sim::Scenario& scenario, const std::string& path,
                std::ostream& out, std::ostream& err) {
   if (scenario.engine != sim::EngineKind::kDynamic) {
-    const char* engine = "";
-    switch (scenario.engine) {
-      case sim::EngineKind::kBaselineTree:
-      case sim::EngineKind::kBaselineGossip:
-        engine = "a steady rival engine, which has no DamSystem to trace";
-        break;
-      case sim::EngineKind::kBroadcast:
-        engine = "the frozen broadcast baseline, which has no per-message "
-                 "trace";
-        break;
-      case sim::EngineKind::kMulticast:
-        engine = "the frozen multicast baseline, which has no per-message "
-                 "trace";
-        break;
-      case sim::EngineKind::kHierarchical:
-        engine = "the frozen hierarchical baseline, which has no "
-                 "per-message trace";
-        break;
-      default:
-        engine = "the frozen engine, which has no per-message trace";
-    }
     err << "damlab: --trace needs a dynamic-engine scenario ('"
-        << scenario.name << "' runs " << engine << ")\n";
+        << scenario.name << "' runs ";
+    if (sim::is_stream_engine(scenario.engine)) {
+      err << "a steady rival engine, which has no DamSystem to trace";
+    } else {
+      err << "the frozen " << frozen_engine(scenario.engine)
+          << ", which has no per-message trace";
+    }
+    err << ")\n";
     return 2;
   }
   if (scenario.alive_sweep.empty()) {

@@ -98,8 +98,9 @@ struct Scenario {
   std::uint32_t publish_topic = 0;
 
   /// Engine dispatch: kFrozen runs run_frozen_simulation over any DAG, and
-  /// the three frozen baseline kinds run the same cell; kDynamic replays the generated `workload` stream through core/system
-  /// over the same TopicDag, which must then be a tree (require_tree).
+  /// the three frozen baseline kinds run the same cell; kDynamic replays
+  /// the generated `workload` stream through core/system over the same
+  /// TopicDag, which must then be a tree (require_tree).
   EngineKind engine = EngineKind::kFrozen;
 
   /// Traffic model for the dynamic lane; ignored by the frozen engine.

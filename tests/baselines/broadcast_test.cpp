@@ -102,11 +102,11 @@ TEST(Population, TopicMajorLayout) {
     ASSERT_EQ(population.size(), 1110u);
     // Processes of T0..T_level are interested: they come first.
     const std::size_t interested[] = {10, 110, 1110};
-    EXPECT_EQ(static_cast<std::size_t>(std::count(
-                  population.interested.begin(), population.interested.end(),
-                  true)),
+    EXPECT_EQ(static_cast<std::size_t>(std::count_if(
+                  population.topic.begin(), population.topic.end(),
+                  [&](std::uint32_t topic) { return topic <= level; })),
               interested[level]);
-    EXPECT_TRUE(population.interested.front());
+    EXPECT_EQ(population.topic.front(), 0u);
     // The publishers are exactly the publish topic's members.
     const std::size_t first[] = {0, 10, 110};
     ASSERT_EQ(population.publishers.size(),

@@ -114,7 +114,7 @@ TEST(Hierarchical, DeterministicForSeed) {
   const core::FrozenRunResult a = run_hierarchical(config);
   const core::FrozenRunResult b = run_hierarchical(config);
   EXPECT_EQ(a.total_messages, b.total_messages);
-  EXPECT_EQ(a.groups[2].delivered, b.groups[2].delivered);
+  EXPECT_EQ(Audience(config, a).delivered, Audience(config, b).delivered);
 }
 
 }  // namespace

@@ -190,6 +190,35 @@ TEST(Runner, FrozenBaselinesRunThroughTheSweep) {
   }
 }
 
+TEST(Runner, FrozenLaneGradesAlikeWhenNobodyCanPublish) {
+  // T1's one member is dead, T0 (interested) and T2 (uninterested) have
+  // alive members: no engine owes or sends anything, T0 missed the event,
+  // T1 and T2 are correct. Multicast is left out: it picks its publisher
+  // in the whole audience group, not in the publish topic.
+  using Run = core::FrozenRunResult (*)(const core::FrozenSimConfig&);
+  const Run kinds[] = {&core::run_frozen_simulation,
+                       &baselines::run_broadcast,
+                       &baselines::run_hierarchical};
+  sim::Scenario scenario = sim::make_linear_scenario("mute", "", {20, 1, 20});
+  scenario.publish_topic = 1;
+  const topics::TopicDag dag = scenario.build_dag();
+  for (const Run run : kinds) {
+    core::FrozenRunResult result;
+    for (int r = 0; r < 64 && (r == 0 || result.groups[1].alive > 0); ++r) {
+      result = run(scenario.config_for(dag, 0.5, r));
+    }
+    ASSERT_EQ(result.groups[1].alive, 0u);
+    ASSERT_GT(result.groups[0].alive, 0u);
+    ASSERT_GT(result.groups[2].alive, 0u);
+    EXPECT_EQ(result.expected_deliveries, 0u);
+    EXPECT_EQ(result.total_messages, 0u);
+    EXPECT_TRUE(result.latency_sketch.empty());
+    EXPECT_FALSE(result.groups[0].all_alive_delivered);
+    EXPECT_TRUE(result.groups[1].all_alive_delivered);
+    EXPECT_TRUE(result.groups[2].all_alive_delivered);
+  }
+}
+
 TEST(Runner, MoreShardsThanRunsIsFine) {
   sim::Scenario scenario = small_scenario();
   scenario.runs = 3;  // fewer than the 32 shards per point

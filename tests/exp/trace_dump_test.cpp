@@ -38,20 +38,9 @@ TEST(TraceDump, RejectsTheSteadyRivalsNamingTheirEngine) {
   }
 }
 
-TEST(TraceDump, RejectsFrozenScenarios) {
-  std::ostringstream out;
-  std::ostringstream err;
-  EXPECT_EQ(
-      dump_trace(preset("fig9"), testing::TempDir() + "fig9.csv", out, err),
-      2);
-  EXPECT_EQ(err.str(),
-            "damlab: --trace needs a dynamic-engine scenario ('fig9' runs "
-            "the frozen engine, which has no per-message trace)\n");
-  EXPECT_TRUE(out.str().empty());
-}
-
-TEST(TraceDump, RejectsTheFrozenBaselinesNamingTheirEngine) {
+TEST(TraceDump, RejectsFrozenLaneScenariosNamingTheirEngine) {
   const std::pair<const char*, const char*> kinds[] = {
+      {"fig9", "the frozen engine"},
       {"sec6e-broadcast", "the frozen broadcast baseline"},
       {"sec6e-multicast", "the frozen multicast baseline"},
       {"sec6e-hierarchical", "the frozen hierarchical baseline"}};
@@ -59,8 +48,8 @@ TEST(TraceDump, RejectsTheFrozenBaselinesNamingTheirEngine) {
     SCOPED_TRACE(name);
     std::ostringstream out;
     std::ostringstream err;
-    EXPECT_EQ(dump_trace(preset(name), testing::TempDir() + "base.csv", out,
-                         err),
+    EXPECT_EQ(dump_trace(preset(name), testing::TempDir() + "frozen.csv",
+                         out, err),
               2);
     EXPECT_EQ(err.str(), "damlab: --trace needs a dynamic-engine scenario ('" +
                              std::string(name) + "' runs " + engine +

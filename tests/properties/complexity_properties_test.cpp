@@ -92,9 +92,10 @@ TEST(ComplexityComparison, DamMatchesMulticastOrderForBottomEvents) {
   EXPECT_LT(ratio, 1.5);
 }
 
+using Engine = FrozenRunResult (*)(const FrozenSimConfig&);
+
 /// Mean messages per publication at `level` of the paper chain, and the
 /// mean parasite count, over `runs` seeds.
-template <typename Engine>
 std::pair<double, double> mean_cost(Engine engine, std::uint32_t level,
                                     int runs) {
   const testing::Chain chain;
@@ -115,9 +116,8 @@ TEST(ComplexityComparison, DamAndMulticastShrinkWithTheAudience) {
   // Sec. VI-E.1: a T0 event (10 subscribers) costs daMulticast and
   // multicast(b) over 100x less than a T2 event (1,110 interested).
   constexpr int kRuns = 10;
-  for (const auto engine :
-       {+[](const FrozenSimConfig& c) { return run_frozen_simulation(c); },
-        +[](const FrozenSimConfig& c) { return baselines::run_multicast(c); }}) {
+  for (const Engine engine :
+       {&run_frozen_simulation, &baselines::run_multicast}) {
     const double root = mean_cost(engine, 0, kRuns).first;
     const double bottom = mean_cost(engine, 2, kRuns).first;
     EXPECT_GT(root, 0.0);
@@ -130,11 +130,8 @@ TEST(ComplexityComparison, FloodsPayTheWholePopulationAndDeliverParasites) {
   // whatever the audience, and a T0 or T1 event reaches the uninterested
   // T1/T2 subscribers (1,100 and 1,000 of them) as parasites.
   constexpr int kRuns = 10;
-  for (const auto engine :
-       {+[](const FrozenSimConfig& c) { return baselines::run_broadcast(c); },
-        +[](const FrozenSimConfig& c) {
-          return baselines::run_hierarchical(c);
-        }}) {
+  for (const Engine engine :
+       {&baselines::run_broadcast, &baselines::run_hierarchical}) {
     const auto [root, root_parasites] = mean_cost(engine, 0, kRuns);
     const auto [mid, mid_parasites] = mean_cost(engine, 1, kRuns);
     const auto [bottom, bottom_parasites] = mean_cost(engine, 2, kRuns);
