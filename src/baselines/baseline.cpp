@@ -16,33 +16,14 @@ Population lay_out(const core::FrozenSimConfig& config, const char* who) {
   }
   Population population;
   for (std::uint32_t topic = 0; topic < config.dag->size(); ++topic) {
-    for (std::size_t i = 0; i < config.group_sizes[topic]; ++i) {
-      if (topic == config.publish_topic.value) {
-        population.publishers.push_back(
-            static_cast<std::uint32_t>(population.size()));
-      }
-      population.topic.push_back(topic);
-    }
+    population.topic.insert(population.topic.end(),
+                            config.group_sizes[topic], topic);
   }
   return population;
 }
 
-core::FrozenSimConfig one_group_config(const core::FrozenSimConfig& config,
-                                       const topics::TopicDag& dag,
-                                       std::size_t size) {
-  core::FrozenSimConfig group;
-  group.dag = &dag;
-  group.group_sizes = {size};
-  group.params = {core::params_for_topic(config, config.publish_topic.value)};
-  group.alive_fraction = config.alive_fraction;
-  group.failure_mode = config.failure_mode;
-  group.seed = config.seed;
-  group.threads = config.threads;
-  return group;
-}
-
 void run_waves(const core::FrozenSimConfig& config,
-               const Population& population, const std::vector<bool>& alive,
+               const Population& population, const core::FrozenStart& start,
                util::Rng& rng,
                const std::function<void(std::uint32_t, const Send&)>& gossip,
                std::chrono::steady_clock::time_point build_started,
@@ -54,21 +35,20 @@ void run_waves(const core::FrozenSimConfig& config,
       config.failure_mode == core::FrozenFailureMode::kStillborn;
   const double fail_probability = 1.0 - config.alive_fraction;
   result.groups.resize(config.dag->size());
-  std::vector<std::uint32_t> candidates;
-  for (std::uint32_t p : population.publishers) {
-    if (alive[p]) candidates.push_back(p);
-  }
+  const auto alive = [&](std::uint32_t p) {
+    const std::uint32_t topic = population.topic[p];
+    return static_cast<bool>(start.alive[topic][p - start.first[topic]]);
+  };
   // The round each process first received the event, or kUndelivered.
   constexpr auto kUndelivered = std::numeric_limits<std::uint32_t>::max();
   std::vector<std::uint32_t> delivery_round(population.size(), kUndelivered);
-  if (!candidates.empty()) {
-    std::vector<std::uint32_t> frontier{
-        candidates[rng.below(candidates.size())]};
+  if (start.publisher) {
+    std::vector<std::uint32_t> frontier{*start.publisher};
     delivery_round[frontier.front()] = 0;
     std::vector<std::uint32_t> next;
     const Send send = [&](std::uint32_t target) {
       if (!core::protocol::channel_delivers(psucc, rng)) return false;
-      if (stillborn ? !alive[target] : rng.bernoulli(fail_probability)) {
+      if (stillborn ? !alive(target) : rng.bernoulli(fail_probability)) {
         return false;  // failed, or perceived failed
       }
       if (delivery_round[target] != kUndelivered) {
@@ -89,12 +69,12 @@ void run_waves(const core::FrozenSimConfig& config,
 
   // Grade: per-topic counters, then frozen_sim's verdicts and totals.
   std::vector<std::uint64_t> deliveries_per_round(
-      candidates.empty() ? 0 : result.rounds + 1, 0);
+      start.publisher ? result.rounds + 1 : 0, 0);
   for (std::size_t p = 0; p < population.size(); ++p) {
     const std::uint32_t topic = population.topic[p];
     core::FrozenGroupResult& row = result.groups[topic];
     ++row.size;
-    if (!alive[p]) continue;
+    if (!alive(p)) continue;
     ++row.alive;
     const std::uint32_t round = delivery_round[p];
     if (round == kUndelivered) continue;

@@ -1,5 +1,6 @@
 #include "baselines/broadcast.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -8,39 +9,68 @@
 
 namespace dam::baselines {
 
-core::GroupTables broadcast_tables(const core::FrozenSimConfig& config) {
-  const Population population = lay_out(config, "broadcast_tables");
+namespace {
+
+/// One flat gossip over the processes whose topic includes the publish
+/// topic, or over every process when `whole_population`.
+core::FrozenRunResult run_flat_gossip(const core::FrozenSimConfig& config,
+                                      bool whole_population, const char* who) {
+  const Population population = lay_out(config, who);
+  const auto build_started = std::chrono::steady_clock::now();
+  // The group's members in pid order: member k owns table row k.
+  std::vector<std::uint32_t> members;
+  for (std::uint32_t p = 0; p < population.size(); ++p) {
+    if (whole_population ||
+        config.dag->includes(topics::TopicId{population.topic[p]},
+                             config.publish_topic)) {
+      members.push_back(p);
+    }
+  }
+  const core::GroupTables tables = flat_tables(config, members.size());
+  util::Rng rng(config.seed);
+  const core::FrozenStart start = core::draw_frozen_start(config, rng);
+  const core::TopicParams& params =
+      core::params_for_topic(config, config.publish_topic.value);
+  core::FrozenRunResult result;
+  result.table_bytes = tables.arena_bytes();
+  std::vector<std::uint32_t> targets;
+  run_waves(
+      config, population, start, rng,
+      [&](std::uint32_t sender, const Send& send) {
+        const auto row =
+            std::lower_bound(members.begin(), members.end(), sender);
+        core::protocol::fanout_targets_into(
+            params, members.size(), tables.topic_row(row - members.begin()),
+            rng, targets);
+        result.groups[population.topic[sender]].intra_sent += targets.size();
+        for (std::uint32_t target : targets) send(members[target]);
+      },
+      build_started, result);
+  return result;
+}
+
+}  // namespace
+
+core::GroupTables flat_tables(const core::FrozenSimConfig& config,
+                              std::size_t size) {
   topics::TopicDag flat;
-  flat.add_topic("all");
-  const core::FrozenSimConfig group =
-      one_group_config(config, flat, population.size());
+  flat.add_topic("flat");
+  core::FrozenSimConfig group;
+  group.dag = &flat;
+  group.group_sizes = {size};
+  group.params = {core::params_for_topic(config, config.publish_topic.value)};
+  group.seed = config.seed;
+  group.threads = config.threads;
   return std::move(
       core::build_frozen_tables(group, util::Rng(group.seed)).groups[0]);
 }
 
 core::FrozenRunResult run_broadcast(const core::FrozenSimConfig& config) {
-  const Population population = lay_out(config, "run_broadcast");
-  const auto build_started = std::chrono::steady_clock::now();
-  const core::GroupTables tables = broadcast_tables(config);
-  const core::TopicParams& params =
-      core::params_for_topic(config, config.publish_topic.value);
-  core::FrozenRunResult result;
-  result.table_bytes = tables.arena_bytes();
-  // build_frozen_tables only forks the run stream, so the waves start from
-  // the seed's first draw, as frozen_sim's publisher pick does.
-  util::Rng rng(config.seed);
-  std::vector<std::uint32_t> targets;
-  run_waves(
-      config, population, tables.alive, rng,
-      [&](std::uint32_t sender, const Send& send) {
-        core::protocol::fanout_targets_into(params, population.size(),
-                                            tables.topic_row(sender), rng,
-                                            targets);
-        result.groups[population.topic[sender]].intra_sent += targets.size();
-        for (std::uint32_t target : targets) send(target);
-      },
-      build_started, result);
-  return result;
+  return run_flat_gossip(config, true, "run_broadcast");
+}
+
+core::FrozenRunResult run_multicast(const core::FrozenSimConfig& config) {
+  return run_flat_gossip(config, false, "run_multicast");
 }
 
 }  // namespace dam::baselines

@@ -17,6 +17,7 @@ core::FrozenRunResult run_hierarchical(const core::FrozenSimConfig& config) {
       core::params_for_topic(config, config.publish_topic.value).c;
   const auto build_started = std::chrono::steady_clock::now();
   util::Rng rng(config.seed);
+  const core::FrozenStart start = core::draw_frozen_start(config, rng);
 
   // Random interest-agnostic grouping: shuffle, then deal round-robin.
   std::vector<std::uint32_t> order(population);
@@ -30,13 +31,6 @@ core::FrozenRunResult run_hierarchical(const core::FrozenSimConfig& config) {
     members[g].push_back(order[i]);
   }
   const std::size_t m = (population + group_count - 1) / group_count;
-
-  std::vector<bool> alive(population, true);
-  if (config.failure_mode == core::FrozenFailureMode::kStillborn) {
-    for (std::size_t i = 0; i < population; ++i) {
-      if (rng.bernoulli(1.0 - config.alive_fraction)) alive[i] = false;
-    }
-  }
 
   // Tables. Intra view: everyone in the same (small) group is known — the
   // fanout, not the view, limits dissemination, exactly as in [10] where
@@ -69,7 +63,7 @@ core::FrozenRunResult run_hierarchical(const core::FrozenSimConfig& config) {
     result.table_bytes += view.size() * sizeof(std::uint32_t);
   }
   run_waves(
-      config, layout, alive, rng,
+      config, layout, start, rng,
       [&](std::uint32_t sender, const Send& send) {
         core::FrozenGroupResult& row = result.groups[layout.topic[sender]];
         // Intra-group leg.

@@ -17,11 +17,14 @@
 // which charges ln N + c2 intergroup messages to every PROCESS rather than
 // to every group.
 //
-// Unlike (a) and (b), this baseline keeps its own engine and tables: its
-// groups are random and interest-agnostic, and its intergroup leg is a
-// 1/m coin per inter-view entry with no psel/pa election. No topic DAG of
-// core/frozen_sim reproduces either, so it only shares the cell
-// description (core::FrozenSimConfig) and the result record.
+// Unlike (a) and (b), this baseline keeps its own tables: its groups are
+// random and interest-agnostic, and its intergroup leg is a 1/m coin per
+// inter-view entry with no psel/pa election. No topic DAG of
+// core/frozen_sim reproduces either, so it shares the cell description
+// (core::FrozenSimConfig), the run's start (core::draw_frozen_start: the
+// same dead processes and publisher as daMulticast), the wave loop and
+// the result record; the grouping and inter views are drawn after the
+// start.
 #pragma once
 
 #include <cstdint>

@@ -60,13 +60,11 @@ const TopicParams& params_for_topic(const FrozenSimConfig& config,
 /// sizes), then every kRowChunk-row block of every group fills from its
 /// own stream
 ///   rng.fork(kGroupSalt + topic).fork(purpose).fork(chunk)
-/// (purpose 0 = alive flags, 1 = topic rows, 2+slot = supertopic slot).
+/// (purpose 0 = stillborn flags, drawn by draw_frozen_start; 1 = topic
+/// rows; 2+slot = supertopic slot).
 FrozenTables build_frozen_tables(const FrozenSimConfig& config,
                                  const util::Rng& rng) {
   const topics::TopicDag& dag = *config.dag;
-  const bool stillborn = config.failure_mode == FrozenFailureMode::kStillborn;
-  const double fail_probability = 1.0 - config.alive_fraction;
-
   FrozenTables tables;
   tables.groups.resize(dag.size());
   struct RowChunk {
@@ -81,7 +79,6 @@ FrozenTables build_frozen_tables(const FrozenSimConfig& config,
     const TopicParams& params = params_for_topic(config, topic);
     const auto& parents = dag.supers(topics::TopicId{topic});
     group.parent_count = parents.size();
-    group.alive.assign(group.size, true);
 
     // Topic table: (b+1)·ln(S) uniform group members (failed ones stay in —
     // "the membership algorithm does not replace a failed process"). Every
@@ -128,12 +125,6 @@ FrozenTables build_frozen_tables(const FrozenSimConfig& config,
     const util::Rng group_base = rng.fork(kGroupSalt + topic);
     const std::size_t lo = chunk * kRowChunk;
     const std::size_t hi = std::min(group.size, lo + kRowChunk);
-    if (stillborn && fail_probability > 0.0) {
-      util::Rng alive_rng = group_base.fork(0).fork(chunk);
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (alive_rng.bernoulli(fail_probability)) group.alive[i] = false;
-      }
-    }
     if (group.size > 1) {
       util::Rng row_rng = group_base.fork(1).fork(chunk);
       const std::size_t view_size = group.topic_offsets[1];  // uniform rows
@@ -155,6 +146,46 @@ FrozenTables build_frozen_tables(const FrozenSimConfig& config,
     }
   });
   return tables;
+}
+
+FrozenStart draw_frozen_start(const FrozenSimConfig& config, util::Rng& rng) {
+  const double fail_probability = 1.0 - config.alive_fraction;
+  const bool stillborn = config.failure_mode == FrozenFailureMode::kStillborn;
+  FrozenStart start;
+  std::uint32_t pids = 0;
+  for (std::uint32_t topic = 0; topic < config.dag->size(); ++topic) {
+    start.first.push_back(pids);
+    pids += static_cast<std::uint32_t>(config.group_sizes[topic]);
+    std::vector<bool>& alive =
+        start.alive.emplace_back(config.group_sizes[topic], true);
+    if (!stillborn || fail_probability <= 0.0) continue;
+    const std::size_t chunks = (alive.size() + kRowChunk - 1) / kRowChunk;
+    util::run_parallel(chunks, config.threads, [&](std::size_t chunk) {
+      util::Rng coins = rng.fork(kGroupSalt + topic).fork(0).fork(chunk);
+      const std::size_t hi = std::min(alive.size(), (chunk + 1) * kRowChunk);
+      for (std::size_t i = chunk * kRowChunk; i < hi; ++i) {
+        if (coins.bernoulli(fail_probability)) alive[i] = false;
+      }
+    });
+  }
+  if (config.failure_mode == FrozenFailureMode::kChurn) {
+    start.churn = sim::ChurnFailures::sample(pids, config.churn.horizon,
+                                             config.churn.outages,
+                                             config.churn.outage_length, rng);
+  }
+  const std::uint32_t publish = config.publish_topic.value;
+  std::vector<std::uint32_t> candidates;
+  for (std::uint32_t i = 0; i < start.alive[publish].size(); ++i) {
+    const std::uint32_t pid = start.first[publish] + i;
+    if (start.alive[publish][i] &&
+        (!start.churn || start.churn->alive(topics::ProcessId{pid}, 0))) {
+      candidates.push_back(pid);
+    }
+  }
+  if (!candidates.empty()) {
+    start.publisher = candidates[rng.below(candidates.size())];
+  }
+  return start;
 }
 
 void validate_frozen_config(const FrozenSimConfig& config, const char* who) {
@@ -183,10 +214,11 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
   const bool churning = config.failure_mode == FrozenFailureMode::kChurn;
   const double fail_probability = 1.0 - config.alive_fraction;
 
-  // --- Build frozen membership tables (Sec. VII-A). -----------------------
+  // --- Frozen membership tables (Sec. VII-A), then the run's start. -------
   const auto build_started = std::chrono::steady_clock::now();
   FrozenTables tables = build_frozen_tables(config, rng);
   std::vector<GroupTables>& groups = tables.groups;
+  FrozenStart start = draw_frozen_start(config, rng);
   const auto waves_started = std::chrono::steady_clock::now();
 
   FrozenRunResult result;
@@ -198,24 +230,8 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
   for (std::uint32_t topic = 0; topic < dag.size(); ++topic) {
     result.groups[topic].size = groups[topic].size;
     result.groups[topic].alive = static_cast<std::size_t>(std::count(
-        groups[topic].alive.begin(), groups[topic].alive.end(), true));
+        start.alive[topic].begin(), start.alive[topic].end(), true));
     delivered[topic].assign(groups[topic].size, false);
-  }
-
-  // Churn regime: per-process outage schedules are the first draws of the
-  // run stream (the tables only fork it). Processes get global ids
-  // group-major: pid = offset + index.
-  std::vector<std::uint32_t> pid_offset(dag.size(), 0);
-  std::optional<sim::ChurnFailures> churn;
-  if (churning) {
-    std::uint32_t next_pid = 0;
-    for (std::uint32_t topic = 0; topic < dag.size(); ++topic) {
-      pid_offset[topic] = next_pid;
-      next_pid += static_cast<std::uint32_t>(groups[topic].size);
-    }
-    churn = sim::ChurnFailures::sample(next_pid, config.churn.horizon,
-                                       config.churn.outages,
-                                       config.churn.outage_length, rng);
   }
   std::size_t rounds = 0;
 
@@ -226,15 +242,6 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
             .count();
   };
 
-  // --- Pick the publisher. ------------------------------------------------
-  const std::uint32_t publish = config.publish_topic.value;
-  std::vector<std::uint32_t> alive_candidates;
-  for (std::uint32_t i = 0; i < groups[publish].size; ++i) {
-    const bool up_now =
-        !churning ||
-        churn->alive(topics::ProcessId{pid_offset[publish] + i}, 0);
-    if (groups[publish].alive[i] && up_now) alive_candidates.push_back(i);
-  }
   // The frozen engine's only per-process bookkeeping is the delivered
   // bitmap (no seen-sets, no recovery). Allocated above, so it is held —
   // and sampled — even when nobody can publish.
@@ -243,7 +250,7 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
     bitmap_bytes += (bits.size() + 7) / 8;
   }
 
-  if (alive_candidates.empty()) {
+  if (!start.publisher) {
     // Nobody can publish: interested groups with alive members miss the
     // event, every other group is trivially correct.
     grade_frozen_run(config, {}, bitmap_bytes, result);
@@ -265,8 +272,8 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
   std::vector<Coord> frontier;
   std::vector<Coord> next;
   {
-    const std::uint32_t publisher =
-        alive_candidates[rng.below(alive_candidates.size())];
+    const std::uint32_t publish = config.publish_topic.value;
+    const std::uint32_t publisher = *start.publisher - start.first[publish];
     delivered[publish][publisher] = true;
     note_delivery(publish, 0);
     frontier.push_back(Coord{publish, publisher});
@@ -305,7 +312,7 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
     const util::Rng round_base = rng.fork(kRoundSalt + rounds);
     // The workers probe the schedule concurrently: move its liveness
     // cursor to this round first, so their alive() calls only read.
-    if (churning) churn->advance_to(rounds);
+    if (churning) start.churn->advance_to(rounds);
     util::run_parallel(chunk_count, config.threads, [&](std::size_t c) {
       ChunkState& cs = chunks[c];
       util::Rng chunk_rng = round_base.fork(c);
@@ -318,10 +325,10 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
                                     std::uint32_t topic,
                                     std::uint32_t target) {
         if (!protocol::channel_delivers(params.psucc, chunk_rng)) return false;
-        if (stillborn) return static_cast<bool>(groups[topic].alive[target]);
+        if (stillborn) return static_cast<bool>(start.alive[topic][target]);
         if (churning) {
-          return churn->alive(topics::ProcessId{pid_offset[topic] + target},
-                              rounds);
+          return start.churn->alive(
+              topics::ProcessId{start.first[topic] + target}, rounds);
         }
         return !chunk_rng.bernoulli(fail_probability);  // dynamic perception
       };
@@ -395,10 +402,9 @@ FrozenRunResult run_frozen_simulation(const FrozenSimConfig& config) {
   // --- Final accounting. --------------------------------------------------
   result.rounds = rounds;
   for (std::uint32_t topic = 0; topic < dag.size(); ++topic) {
-    const GroupTables& group = groups[topic];
     std::size_t count = 0;
-    for (std::size_t i = 0; i < group.size; ++i) {
-      if (group.alive[i] && delivered[topic][i]) ++count;
+    for (std::size_t i = 0; i < groups[topic].size; ++i) {
+      if (start.alive[topic][i] && delivered[topic][i]) ++count;
     }
     result.groups[topic].delivered = count;
   }

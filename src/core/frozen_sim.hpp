@@ -32,6 +32,7 @@
 
 #include "core/params.hpp"
 #include "core/tables.hpp"
+#include "sim/failure.hpp"
 #include "topics/dag.hpp"
 #include "util/quantiles.hpp"
 #include "util/rng.hpp"
@@ -99,12 +100,33 @@ struct FrozenTables {
   }
 };
 
-/// Builds the frozen membership tables and the stillborn alive flags from
-/// streams forked off `rng` (which is only forked, never advanced). Each
-/// row is a Floyd-style distinct draw. `config.dag`, `group_sizes`, and
-/// `params` must already be validated (the engine's entry point does this).
+/// Builds the frozen membership tables from streams forked off `rng`
+/// (which is only forked, never advanced). Each row is a Floyd-style
+/// distinct draw. `config.dag`, `group_sizes`, and `params` must already be
+/// validated (the engine's entry point does this).
 [[nodiscard]] FrozenTables build_frozen_tables(const FrozenSimConfig& config,
                                                const util::Rng& rng);
+
+/// The start of a frozen-lane run: who is dead, who is down when, and who
+/// publishes. Every frozen-lane engine (this one and the Sec. VI-E
+/// baselines) draws it with draw_frozen_start, so run k of each sees the
+/// same failures and publisher. Pids are topic-major: member i of topic t
+/// is first[t] + i.
+struct FrozenStart {
+  std::vector<std::uint32_t> first;      ///< per topic: pid of member 0
+  std::vector<std::vector<bool>> alive;  ///< per topic; false = stillborn
+  std::optional<sim::ChurnFailures> churn;  ///< kChurn's outage schedule
+  std::optional<std::uint32_t> publisher;  ///< pid; unset if no member of the
+                                           ///< publish topic is up at round 0
+};
+
+/// Draws the start from the run stream `rng` (Rng(config.seed), not yet
+/// advanced): the stillborn flags, kRowChunk block c of topic t from
+/// rng.fork(kGroupSalt + t).fork(0).fork(c) on `config.threads` workers;
+/// the kChurn schedule; then the publisher, with rng's next below() over
+/// the publish topic's alive members that are up at round 0.
+[[nodiscard]] FrozenStart draw_frozen_start(const FrozenSimConfig& config,
+                                            util::Rng& rng);
 
 struct FrozenGroupResult {
   std::size_t size = 0;              ///< S_Ti
@@ -158,9 +180,10 @@ struct FrozenRunResult {
   /// delivered_bytes gauge of every window the run covers.
   util::Timeline timeline;
 
-  /// Wall time split: membership-table construction vs everything after it
-  /// (publisher pick + dissemination waves + accounting). At giant S the
-  /// two differ by orders of magnitude, so benches report them separately.
+  /// Wall time split: the run's start (membership tables, failures and
+  /// publisher pick) vs everything after it (dissemination waves +
+  /// accounting). At giant S the two differ by orders of magnitude, so
+  /// benches report them separately.
   double table_build_seconds = 0.0;
   double dissemination_seconds = 0.0;
 

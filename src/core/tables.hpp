@@ -54,7 +54,6 @@ struct GroupTables {
   std::vector<std::uint32_t> topic_entries;
   std::vector<std::uint32_t> super_offsets;  ///< size * parent_count + 1
   std::vector<std::uint32_t> super_entries;
-  std::vector<bool> alive;  ///< stillborn regime; all-true otherwise
 
   [[nodiscard]] std::span<const std::uint32_t> topic_row(
       std::size_t process) const {

@@ -80,6 +80,10 @@ void print_sweep_table(const std::vector<ScenarioPoint>& points,
   columns.push_back("total msgs");
   columns.push_back("rounds");
   util::ConsoleTable table(columns);
+  // A group cell with no sample prints "-": 0 would read as total failure.
+  const auto sampled = [](std::size_t samples, double value, int digits) {
+    return samples == 0 ? std::string("-") : util::fixed(value, digits);
+  };
   for (const ScenarioPoint& point : points) {
     std::vector<std::string> cells{util::fixed(point.alive_fraction, 2)};
     if (show_events) {
@@ -88,11 +92,15 @@ void print_sweep_table(const std::vector<ScenarioPoint>& points,
         cells.push_back(util::fixed(group.inter_sent.mean(), 2));
         cells.push_back(util::fixed(group.inter_received.mean(), 2));
         cells.push_back(util::fixed(group.any_inter_received.estimate(), 2));
-        cells.push_back(util::fixed(group.delivery_ratio.mean(), 3));
-        cells.push_back(util::fixed(group.all_alive_delivered.estimate(), 2));
+        cells.push_back(sampled(group.delivery_ratio.count(),
+                                group.delivery_ratio.mean(), 3));
+        cells.push_back(sampled(group.all_alive_delivered.trials,
+                                group.all_alive_delivered.estimate(), 2));
         if (show_latency) {
-          cells.push_back(util::fixed(group.first_delivery_round.mean(), 1));
-          cells.push_back(util::fixed(group.last_delivery_round.mean(), 1));
+          cells.push_back(sampled(group.first_delivery_round.count(),
+                                  group.first_delivery_round.mean(), 1));
+          cells.push_back(sampled(group.last_delivery_round.count(),
+                                  group.last_delivery_round.mean(), 1));
         }
       }
     }

@@ -6,7 +6,6 @@
 
 #include "baselines/broadcast.hpp"
 #include "baselines/hierarchical.hpp"
-#include "baselines/multicast.hpp"
 #include "baselines/steady.hpp"
 #include "core/frozen_sim.hpp"
 #include "util/parallel.hpp"

@@ -180,7 +180,9 @@ std::vector<Scenario> build_registry() {
 
   // --- Sec. VI-E: daMulticast against the three baselines. ---------------
   // One cell per run shared by all four (same base_seed), published at the
-  // 10-member root T0, where the audiences differ most. Publishing at T2
+  // 10-member root T0, where the audiences differ most. Every engine draws
+  // its run's start with core::draw_frozen_start, so run k of each preset
+  // sees the same dead processes and the same publisher. Publishing at T2
   // needs no preset: there daMulticast is fig8, and broadcast and
   // hierarchical ignore the audience.
   {
@@ -193,7 +195,8 @@ std::vector<Scenario> build_registry() {
          "(1110·⌈ln 1110+c⌉); all 1,100 T1+T2 members get parasites"},
         {"sec6e-multicast",
          "Sec. VI-E (b) gossip multicast, T0 event: the T0 group alone (T1 "
-         "and T2 rows stay empty), ~80 msgs and no parasites"},
+         "and T2 rows keep their members and stay clean), ~80 msgs and no "
+         "parasites"},
         {"sec6e-hierarchical",
          "Sec. VI-E (c) hierarchical gossip, N=16, T0 event: ~11,225 msgs "
          "(n·⌈ln m+c⌉ + n·⌈ln N+c⌉/m, not Eq. 10's 18,775); 1,100 parasites"},

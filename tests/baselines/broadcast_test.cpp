@@ -107,25 +107,19 @@ TEST(Population, TopicMajorLayout) {
                   [&](std::uint32_t topic) { return topic <= level; })),
               interested[level]);
     EXPECT_EQ(population.topic.front(), 0u);
-    // The publishers are exactly the publish topic's members.
-    const std::size_t first[] = {0, 10, 110};
-    ASSERT_EQ(population.publishers.size(),
-              chain.scenario.group_sizes[level]);
-    EXPECT_EQ(population.publishers.front(), first[level]);
-    EXPECT_EQ(population.publishers.back(), interested[level] - 1);
-    EXPECT_EQ(population.topic[first[level]], level);
     EXPECT_EQ(population.topic.back(), 2u);
   }
 }
 
 TEST(Broadcast, TablesAreFrozenSimRows) {
-  // The same membership algorithm as daMulticast: broadcast's tables are
-  // the rows core::build_frozen_tables draws for one group of the whole
-  // population, with the same seed, params and stillborn flags.
+  // The same membership algorithm as daMulticast: a flat gossip group's
+  // tables are the rows core::build_frozen_tables draws for one group of
+  // its size (the whole population for broadcast), with the same seed and
+  // params.
   const Chain chain;
   core::FrozenSimConfig config = chain.publish_at(1, 11);
   config.alive_fraction = 0.7;
-  const core::GroupTables tables = broadcast_tables(config);
+  const core::GroupTables tables = flat_tables(config, 1110);
 
   topics::TopicDag flat;
   flat.add_topic("all");
@@ -141,9 +135,6 @@ TEST(Broadcast, TablesAreFrozenSimRows) {
   EXPECT_EQ(tables.size, 1110u);
   EXPECT_EQ(tables.topic_offsets, expected.topic_offsets);
   EXPECT_EQ(tables.topic_entries, expected.topic_entries);
-  EXPECT_EQ(tables.alive, expected.alive);
-  EXPECT_LT(std::count(tables.alive.begin(), tables.alive.end(), true),
-            1110);  // the stillborn draw took effect
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "baselines/multicast.hpp"
+#include "baselines/broadcast.hpp"
 
 #include <gtest/gtest.h>
 
@@ -25,13 +25,17 @@ TEST(Multicast, GroupContainsSupertopicSubscribers) {
   const Chain chain;
   const core::FrozenSimConfig config = chain.publish_at(2, 2, 1.0);
   const core::FrozenRunResult run = run_multicast(config);
-  // Group T2 = 1000 + 100 + 10 members; all interested, all on T2's row.
+  // Group T2 = 1000 + 100 + 10 members, all interested; each row holds
+  // its own topic's members.
   const Audience audience(config, run);
   EXPECT_EQ(audience.alive, 1110u);
   EXPECT_TRUE(audience.all_delivered());
-  EXPECT_EQ(run.groups[2].size, 1110u);
-  EXPECT_EQ(run.groups[0].size, 0u);
-  EXPECT_EQ(run.groups[1].size, 0u);
+  for (std::size_t topic = 0; topic < 3; ++topic) {
+    SCOPED_TRACE(topic);
+    EXPECT_EQ(run.groups[topic].size, chain.scenario.group_sizes[topic]);
+    EXPECT_EQ(run.groups[topic].delivered, run.groups[topic].size);
+    EXPECT_GT(run.groups[topic].intra_sent, 0u);
+  }
   EXPECT_TRUE(run.all_groups_delivered());
 }
 
@@ -66,20 +70,26 @@ TEST(Multicast, RejectsBadConfigs) {
   EXPECT_THROW((void)run_multicast(churn), std::invalid_argument);
 }
 
-TEST(Multicast, SameMembershipAlgorithmAsDaMulticast) {
-  // On a one-level chain the multicast group IS daMulticast's only group:
-  // same seed, same tables, same waves.
+TEST(Multicast, MatchesBroadcastOnAOneTopicChain) {
+  // With one topic the audience is the whole population, so the multicast
+  // group IS the broadcast group: same tables, start and waves. Both sit
+  // on frozen_sim's rows (Broadcast.TablesAreFrozenSimRows) and start
+  // (Runner.FrozenLaneEnginesShareEveryRunStart).
   const Chain flat({700});
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     core::FrozenSimConfig config = flat.publish_at(0, seed);
     config.alive_fraction = 0.8;
     const core::FrozenRunResult multicast = run_multicast(config);
-    const core::FrozenRunResult dam = core::run_frozen_simulation(config);
+    const core::FrozenRunResult broadcast = run_broadcast(config);
     SCOPED_TRACE("seed " + std::to_string(seed));
-    EXPECT_EQ(multicast.total_messages, dam.total_messages);
-    EXPECT_EQ(multicast.groups[0].delivered, dam.groups[0].delivered);
-    EXPECT_EQ(multicast.groups[0].alive, dam.groups[0].alive);
-    EXPECT_EQ(multicast.rounds, dam.rounds);
+    EXPECT_EQ(multicast.total_messages, broadcast.total_messages);
+    EXPECT_EQ(multicast.groups[0].delivered, broadcast.groups[0].delivered);
+    EXPECT_EQ(multicast.groups[0].alive, broadcast.groups[0].alive);
+    EXPECT_EQ(multicast.groups[0].duplicate_deliveries,
+              broadcast.groups[0].duplicate_deliveries);
+    EXPECT_EQ(multicast.rounds, broadcast.rounds);
+    EXPECT_EQ(multicast.table_bytes, broadcast.table_bytes);
+    EXPECT_LT(multicast.groups[0].alive, 700u);  // the stillborn draw
   }
 }
 

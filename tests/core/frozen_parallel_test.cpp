@@ -98,21 +98,24 @@ TEST(FrozenParallel, TablesAreBitIdenticalForAnyThreadCount) {
   make_chain(dag);
   FrozenSimConfig config = base_config(dag);
   config.group_sizes = {50, 500, 10000};
-  config.alive_fraction = 0.7;  // exercise the alive-flag chunk fill too
+  config.alive_fraction = 0.7;  // exercise the start's flag fill too
   config.failure_mode = FrozenFailureMode::kStillborn;
 
   config.threads = 1;
   util::Rng rng1(config.seed);
   const FrozenTables reference = build_frozen_tables(config, rng1);
+  const FrozenStart reference_start = draw_frozen_start(config, rng1);
   for (const unsigned threads : {2u, 4u, 8u}) {
     config.threads = threads;
     util::Rng rng(config.seed);
     const FrozenTables tables = build_frozen_tables(config, rng);
+    const FrozenStart start = draw_frozen_start(config, rng);
+    EXPECT_EQ(start.alive, reference_start.alive);
+    EXPECT_EQ(start.publisher, reference_start.publisher);
     ASSERT_EQ(tables.groups.size(), reference.groups.size());
     for (std::size_t topic = 0; topic < tables.groups.size(); ++topic) {
       const GroupTables& lhs = reference.groups[topic];
       const GroupTables& rhs = tables.groups[topic];
-      EXPECT_EQ(lhs.alive, rhs.alive) << "topic " << topic;
       EXPECT_EQ(lhs.topic_offsets, rhs.topic_offsets) << "topic " << topic;
       EXPECT_EQ(lhs.topic_entries, rhs.topic_entries) << "topic " << topic;
       EXPECT_EQ(lhs.super_offsets, rhs.super_offsets) << "topic " << topic;

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "exp/runner.hpp"
 #include "sim/scenario.hpp"
@@ -352,6 +354,48 @@ TEST(PrintSweepTable, RendersOneRowPerPoint) {
   std::ostringstream empty;
   print_sweep_table({}, empty);
   EXPECT_TRUE(empty.str().empty());
+}
+
+TEST(PrintSweepTable, RowsWithoutSamplesPrintADash) {
+  // At alive = 0 no row has an alive member or a delivery: its frac, all,
+  // first and full cells hold no sample and print "-", not a zero that
+  // reads as total failure. At alive = 1 every cell holds a number.
+  sim::Scenario scenario = tiny_scenario();
+  scenario.alive_sweep = {0.0, 1.0};
+  const SweepResult sweep = tiny_sweep(scenario);
+  std::ostringstream out;
+  print_sweep_table(sweep.points, out);
+  std::vector<std::vector<std::string>> rows;
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);) {
+    std::vector<std::string> cells;
+    std::istringstream fields(line);
+    for (std::string field; std::getline(fields, field, '|');) {
+      const std::size_t lo = field.find_first_not_of(' ');
+      cells.push_back(lo == std::string::npos
+                          ? ""
+                          : field.substr(lo, field.find_last_not_of(' ') -
+                                                 lo + 1));
+    }
+    rows.push_back(std::move(cells));
+  }
+  ASSERT_EQ(rows.size(), 4u);  // header, separator, two points
+  const std::vector<std::string>& header = rows[0];
+  std::size_t checked = 0;
+  for (const char* topic : {"T0", "T1"}) {
+    for (const char* column : {" frac", " all", " first", " full"}) {
+      const std::string name = std::string(topic) + column;
+      SCOPED_TRACE(name);
+      const auto it = std::find(header.begin(), header.end(), name);
+      ASSERT_NE(it, header.end());
+      const auto index = static_cast<std::size_t>(it - header.begin());
+      EXPECT_EQ(rows[2][index], "-");
+      EXPECT_NE(rows[3][index], "-");
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 8u);
+  EXPECT_EQ(rows[2][1], "0.00");  // alive
 }
 
 }  // namespace

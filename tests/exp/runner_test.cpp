@@ -5,13 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "baselines/broadcast.hpp"
 #include "baselines/hierarchical.hpp"
-#include "baselines/multicast.hpp"
 #include "sim/scenario.hpp"
 
 namespace dam::exp {
@@ -193,20 +194,24 @@ TEST(Runner, FrozenBaselinesRunThroughTheSweep) {
 TEST(Runner, FrozenLaneGradesAlikeWhenNobodyCanPublish) {
   // T1's one member is dead, T0 (interested) and T2 (uninterested) have
   // alive members: no engine owes or sends anything, T0 missed the event,
-  // T1 and T2 are correct. Multicast is left out: it picks its publisher
-  // in the whole audience group, not in the publish topic.
+  // T1 and T2 are correct. All four draw one start per run, so they reach
+  // this mute run at the same run index.
   using Run = core::FrozenRunResult (*)(const core::FrozenSimConfig&);
-  const Run kinds[] = {&core::run_frozen_simulation,
-                       &baselines::run_broadcast,
+  const Run kinds[] = {&core::run_frozen_simulation, &baselines::run_broadcast,
+                       &baselines::run_multicast,
                        &baselines::run_hierarchical};
   sim::Scenario scenario = sim::make_linear_scenario("mute", "", {20, 1, 20});
   scenario.publish_topic = 1;
   const topics::TopicDag dag = scenario.build_dag();
+  std::vector<int> mute_run;
   for (const Run run : kinds) {
     core::FrozenRunResult result;
-    for (int r = 0; r < 64 && (r == 0 || result.groups[1].alive > 0); ++r) {
+    int r = 0;
+    for (; r < 64; ++r) {
       result = run(scenario.config_for(dag, 0.5, r));
+      if (result.groups[1].alive == 0) break;
     }
+    mute_run.push_back(r);
     ASSERT_EQ(result.groups[1].alive, 0u);
     ASSERT_GT(result.groups[0].alive, 0u);
     ASSERT_GT(result.groups[2].alive, 0u);
@@ -216,6 +221,41 @@ TEST(Runner, FrozenLaneGradesAlikeWhenNobodyCanPublish) {
     EXPECT_FALSE(result.groups[0].all_alive_delivered);
     EXPECT_TRUE(result.groups[1].all_alive_delivered);
     EXPECT_TRUE(result.groups[2].all_alive_delivered);
+  }
+  EXPECT_EQ(mute_run, std::vector<int>(std::size(kinds), mute_run.front()));
+}
+
+TEST(Runner, FrozenLaneEnginesShareEveryRunStart) {
+  // Common random numbers for Sec. VI-E: run k of every baseline sees
+  // frozen_sim's dead processes and publisher, so every row counts the
+  // same members and the same alive ones, and an event is owed to the
+  // same alive audience (0 when nobody could publish).
+  using Run = core::FrozenRunResult (*)(const core::FrozenSimConfig&);
+  const Run rivals[] = {&baselines::run_broadcast, &baselines::run_multicast,
+                        &baselines::run_hierarchical};
+  sim::Scenario scenario = sim::make_linear_scenario("pair", "",
+                                                     {10, 100, 1000});
+  const topics::TopicDag dag = scenario.build_dag();
+  for (std::uint32_t level = 0; level < 3; ++level) {
+    scenario.publish_topic = level;
+    for (const double alive : {0.3, 0.5, 0.8}) {
+      for (int r = 0; r < 20; ++r) {
+        SCOPED_TRACE("T" + std::to_string(level) + " alive " +
+                     std::to_string(alive) + " run " + std::to_string(r));
+        const core::FrozenSimConfig config =
+            scenario.config_for(dag, alive, r);
+        const core::FrozenRunResult dam = core::run_frozen_simulation(config);
+        for (const Run run : rivals) {
+          const core::FrozenRunResult rival = run(config);
+          ASSERT_EQ(rival.groups.size(), dam.groups.size());
+          for (std::size_t topic = 0; topic < dam.groups.size(); ++topic) {
+            EXPECT_EQ(rival.groups[topic].size, dam.groups[topic].size);
+            EXPECT_EQ(rival.groups[topic].alive, dam.groups[topic].alive);
+          }
+          EXPECT_EQ(rival.expected_deliveries, dam.expected_deliveries);
+        }
+      }
+    }
   }
 }
 

@@ -69,25 +69,33 @@ void expect_identical(const SweepResult& a, const SweepResult& b) {
 
 TEST(Threads, FrozenSweepIsBitIdenticalForAnyThreadCount) {
   // giant-flat shrunk to keep the suite fast, still multi-chunk: one group
-  // of 6000 forces > 1 table chunk (kRowChunk = 4096) and multi-chunk
-  // wave frontiers (kWaveChunk = 1024).
+  // of 6000 forces > 1 stillborn-flag and table chunk (kRowChunk = 4096)
+  // and multi-chunk wave frontiers (kWaveChunk = 1024). The Sec. VI-E
+  // baselines draw the same start and fill their flat group's rows on the
+  // same chunk grid.
   const sim::Scenario* preset = sim::find_scenario("giant-flat");
   ASSERT_NE(preset, nullptr);
-  sim::Scenario scenario = *preset;
-  scenario.group_sizes = {6000};
-  scenario.runs = 3;
-  scenario.alive_sweep = {0.85, 1.0};
+  for (const sim::EngineKind engine :
+       {sim::EngineKind::kFrozen, sim::EngineKind::kBroadcast,
+        sim::EngineKind::kMulticast, sim::EngineKind::kHierarchical}) {
+    SCOPED_TRACE(static_cast<int>(engine));
+    sim::Scenario scenario = *preset;
+    scenario.engine = engine;
+    scenario.group_sizes = {6000};
+    scenario.runs = 3;
+    scenario.alive_sweep = {0.85, 1.0};
 
-  scenario.threads = 1;
-  const SweepResult reference = run_sweep(scenario, {.jobs = 1});
-  EXPECT_EQ(reference.threads, 1u);
-  EXPECT_GT(reference.points.back().total_messages.mean(), 0.0);
-  for (const unsigned threads : {2u, 4u, 8u}) {
-    SCOPED_TRACE(threads);
-    scenario.threads = threads;
-    const SweepResult parallel = run_sweep(scenario, {.jobs = 1});
-    EXPECT_EQ(parallel.threads, threads);
-    expect_identical(reference, parallel);
+    scenario.threads = 1;
+    const SweepResult reference = run_sweep(scenario, {.jobs = 1});
+    EXPECT_EQ(reference.threads, 1u);
+    EXPECT_GT(reference.points.back().total_messages.mean(), 0.0);
+    for (const unsigned threads : {2u, 4u, 8u}) {
+      SCOPED_TRACE(threads);
+      scenario.threads = threads;
+      const SweepResult parallel = run_sweep(scenario, {.jobs = 1});
+      EXPECT_EQ(parallel.threads, threads);
+      expect_identical(reference, parallel);
+    }
   }
 }
 

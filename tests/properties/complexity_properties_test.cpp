@@ -10,7 +10,6 @@
 #include "analysis/formulas.hpp"
 #include "baselines/broadcast.hpp"
 #include "baselines/hierarchical.hpp"
-#include "baselines/multicast.hpp"
 #include "core/frozen_sim.hpp"
 #include "core/system.hpp"
 #include "frozen_chain.hpp"
